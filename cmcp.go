@@ -305,10 +305,6 @@ func DefaultTenantSpec(tenants int, zipfS float64, churnEvery int) TenantSpec {
 	return workload.DefaultTenantSpec(tenants, zipfS, churnEvery)
 }
 
-// TenantCounterNames returns the per-tenant counter names in
-// TenantCounter order (the same table the JSON forms use).
-func TenantCounterNames() []string { return stats.TenantCounterNames() }
-
 // NewCMCPPolicy builds a standalone CMCP policy instance for library
 // embedding (outside the simulator): host supplies core-map counts,
 // capacity is the resident-mapping capacity, p the prioritized ratio.
@@ -379,11 +375,6 @@ func RunExperiment(id string, o ExperimentOptions) (*ExperimentReport, error) {
 	return experiments.ByID(id, o)
 }
 
-// RunAllExperiments regenerates every table and figure in paper order.
-func RunAllExperiments(o ExperimentOptions) ([]*ExperimentReport, error) {
-	return experiments.All(o)
-}
-
 // Constraint returns the per-workload memory ratio used by the Fig. 7 /
 // Table 1 experiments (the paper's 50-60 %-of-native methodology).
 func Constraint(workloadName string) float64 { return experiments.Constraint(workloadName) }
@@ -436,13 +427,6 @@ func CompactSweepJournal(path, out string) (SweepCompactStats, error) {
 	return sweep.CompactJournal(path, out)
 }
 
-// SweepRuntimesByKey reads the simulated runtime of every run recorded
-// in the journal at path, keyed by content key — the input to
-// longest-first scheduling. A missing journal yields an empty map.
-func SweepRuntimesByKey(path string) (map[string]Cycles, error) {
-	return sweep.RuntimesByKey(path)
-}
-
 // Distributed sweeps: a Coordinator owns a sweep grid and leases runs
 // over HTTP to SweepWorker processes, with heartbeats, capped-backoff
 // retries, work stealing, and poisoned-key quarantine (internal/coord).
@@ -451,10 +435,6 @@ func SweepRuntimesByKey(path string) (map[string]Cycles, error) {
 // local sweep. Wire one in as ExperimentOptions.Runner, or use
 // cmcpsim -coordinate / -worker.
 type (
-	// SweepBackend is the pluggable journal store (JSONL file,
-	// in-memory, or fsynced directory tree); see SweepOptions-style
-	// use via sweep.Options.Backend in internal docs.
-	SweepBackend = sweep.Backend
 	// SweepCompactStats reports what CompactSweepJournal kept/dropped.
 	SweepCompactStats = sweep.CompactStats
 	// SweepRunner executes a planned batch of sweep runs; the
@@ -477,19 +457,6 @@ type (
 // lease protocol, and passing it as ExperimentOptions.Runner (it
 // implements SweepRunner) dispatches experiment grids to workers.
 func NewCoordinator(opt CoordinatorOptions) *Coordinator { return coord.New(opt) }
-
-// NewFileSweepBackend opens an append-mode JSONL journal backend (the
-// same format Journal paths use).
-func NewFileSweepBackend(path string) SweepBackend { return sweep.NewFileBackend(path) }
-
-// NewMemSweepBackend returns an in-memory journal backend for tests
-// and ephemeral sweeps.
-func NewMemSweepBackend() SweepBackend { return sweep.NewMemBackend() }
-
-// NewDirSweepBackend returns a directory-tree journal backend: one
-// file per content key, written atomically (temp + fsync + rename), so
-// a torn write can never corrupt a previously durable entry.
-func NewDirSweepBackend(dir string) SweepBackend { return sweep.NewDirBackend(dir) }
 
 // Latency histograms: set Config.Hist and the run records log₂
 // distributions of page-fault service time, eviction+write-back
@@ -630,37 +597,15 @@ const (
 // NewRecorder builds a flight recorder to attach via Config.Probe.
 func NewRecorder(cfg RecorderConfig) *Recorder { return obs.NewRecorder(cfg) }
 
-// TraceMeta is the optional metadata header line of a JSONL event
-// trace; its Dropped count is how replay tools detect that the
-// recorder's bounded ring overflowed and the trace is incomplete.
-type TraceMeta = obs.TraceMeta
-
 // WriteTraceJSONL exports recorded events as JSON Lines.
 func WriteTraceJSONL(w io.Writer, events []TraceEvent) error { return obs.WriteJSONL(w, events) }
 
 // WriteTraceJSONLWithMeta exports recorded events as JSON Lines behind
-// a TraceMeta header carrying the recorder's drop count. Older readers
-// skip the header line; ReadTraceJSONLMeta returns it.
+// a metadata header carrying the recorder's drop count, from which
+// cmcptrace -replay detects an overflowed ring. Older readers skip the
+// header line.
 func WriteTraceJSONLWithMeta(w io.Writer, events []TraceEvent, dropped uint64) error {
 	return obs.WriteJSONLWithMeta(w, events, dropped)
-}
-
-// ReadTraceJSONLMeta loads a JSONL event trace leniently (like
-// ReadTraceJSONLLenient) and additionally returns its metadata header,
-// or nil for traces written without one.
-func ReadTraceJSONLMeta(r io.Reader) ([]TraceEvent, *TraceMeta, int, error) {
-	return obs.ReadJSONLMeta(r)
-}
-
-// ReadTraceJSONL loads a JSONL event trace written by WriteTraceJSONL.
-// The first malformed line fails the read; see ReadTraceJSONLLenient.
-func ReadTraceJSONL(r io.Reader) ([]TraceEvent, error) { return obs.ReadJSONL(r) }
-
-// ReadTraceJSONLLenient loads a JSONL event trace, skipping malformed,
-// truncated or unknown-type lines and reporting how many were dropped —
-// for traces from interrupted runs or concatenated logs.
-func ReadTraceJSONLLenient(r io.Reader) ([]TraceEvent, int, error) {
-	return obs.ReadJSONLLenient(r)
 }
 
 // WriteChromeTrace exports events and samples as Chrome trace_event
@@ -673,9 +618,6 @@ func WriteChromeTrace(w io.Writer, events []TraceEvent, samples []TraceSample, c
 func WriteSamplesCSV(w io.Writer, samples []TraceSample) error {
 	return obs.WriteSamplesCSV(w, samples)
 }
-
-// TraceTimeline renders events as a bucketed text timeline.
-func TraceTimeline(events []TraceEvent, buckets int) string { return obs.Timeline(events, buckets) }
 
 // Invariant auditing: attach an Auditor through Config.Audit to
 // cross-check the engine's five bookkeeping views (policy residency,

@@ -1,77 +1,383 @@
-// Command cmcpsim drives the CMCP many-core paging simulator.
+// Command cmcpsim drives the CMCP many-core paging simulator in one of
+// four modes:
 //
-// Reproduce the paper's evaluation (figures and table):
-//
-//	cmcpsim -exp all                 # everything, full scale
-//	cmcpsim -exp fig7 -scale 0.25    # one experiment, smaller/faster
-//	cmcpsim -exp table1 -csv         # machine-readable output
-//
-// Extension experiments (beyond the paper) run by ID:
-//
-//	cmcpsim -exp numa                      # 2-socket shootdown-filtering grid
-//	cmcpsim -exp tenants -tenants 64 -zipf-s 1.2 -churn 500
-//
-// Multi-socket single runs:
-//
-//	cmcpsim -run -cores 60 -sockets 2 -policy CMCP
-//
-// Long sweeps checkpoint to a journal (resume after a crash picks up
-// where it left off) and can be split across processes by shard:
-//
-//	cmcpsim -exp all -journal sweep.jsonl -progress
-//	cmcpsim -exp all -journal s0.jsonl -shard 0/2   # CI job A
-//	cmcpsim -exp all -journal s1.jsonl -shard 1/2   # CI job B
-//	cmcpsim -exp all -journal s0.jsonl -journal-import s1.jsonl  # merge
-//
-// Or run the sweep as a crash-tolerant coordinator with a worker
-// fleet: workers lease runs over HTTP, heartbeat while simulating, and
-// any kill -9 or coordinator restart is recovered from the journal —
-// the merged result is bit-identical to a local sweep:
-//
-//	cmcpsim -exp fig7 -journal sweep.jsonl -coordinate 127.0.0.1:9152
-//	cmcpsim -worker http://127.0.0.1:9152     # as many as you like
-//	cmcpsim -compact-journal sweep.jsonl      # dedup after retries
-//
-// Run a single simulation:
-//
+//	cmcpsim -exp fig7 -scale 0.25                 # regenerate a paper figure or table
 //	cmcpsim -run -workload cg.B -cores 56 -ratio 0.4 -policy CMCP -p 0.25
+//	cmcpsim -worker http://127.0.0.1:9152         # lease runs from a -coordinate sweep
+//	cmcpsim -compact-journal sweep.jsonl          # dedup a sweep journal
 //
-// Record an event trace and time series of a run (open the .json in
-// Perfetto / chrome://tracing; replay the .jsonl with cmcptrace):
+// Experiments: fig6..fig10, table1, sense and all reproduce the paper;
+// numa and tenants are extensions. Long sweeps checkpoint to a -journal
+// and resume from it, split across processes with -shard i/n and merge
+// with -journal-import, or run as a crash-tolerant coordinator
+// (-coordinate ADDR) that leases runs to -worker processes. A single
+// -run can record an event trace and time series:
 //
 //	cmcpsim -run -policy CMCP -trace -trace-out run.json -sample-every 100000
 //
-// Emit machine-readable benchmark results:
-//
-//	cmcpsim -bench -json -bench-out BENCH_cmcp.json
+// Every flag is one row of a table that names the modes it applies to.
+// A flag given in another mode, an out-of-range value, or a flag given
+// without the flag that makes it meaningful is a usage error (exit 2),
+// never silently dropped.
 package main
 
 import (
-	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
-	"runtime"
+	"strconv"
 	"strings"
 	"time"
 
 	"cmcp"
 	"cmcp/internal/plot"
-	"cmcp/internal/stats"
 )
 
-// traceOptions bundles the observability flags of -run mode.
-type traceOptions struct {
-	enabled     bool
-	out         string
-	sampleEvery uint64
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// mode is a set of cmcpsim's four exclusive modes of operation.
+type mode uint8
+
+const (
+	modeRun mode = 1 << iota
+	modeExp
+	modeWorker
+	modeCompact
+	// modeSim is both simulating modes.
+	modeSim = modeRun | modeExp
+)
+
+var modes = []mode{modeRun, modeExp, modeWorker, modeCompact}
+
+func (m mode) String() string {
+	var names []string
+	for i, name := range []string{"-run", "-exp", "-worker", "-compact-journal"} {
+		if m&modes[i] != 0 {
+			names = append(names, name)
+		}
+	}
+	return strings.Join(names, "|")
 }
 
-// serveOptions bundles the live-telemetry flags.
-type serveOptions struct {
-	addr  string
-	grace time.Duration
+// plan is one resolved invocation: everything the chosen mode does.
+type plan struct {
+	mode mode
+	run  cmcp.Config            // -run: the simulation
+	exp  string                 // -exp: experiment ID
+	opts cmcp.ExperimentOptions // -exp: sweep settings
+	out  output                 // -run and -exp: what to print, write and serve
+	// -exp -coordinate: serve the sweep on coordAddr ("" runs it locally).
+	coordAddr string
+	coord     cmcp.CoordinatorOptions
+	linger    time.Duration
+	worker    cmcp.SweepWorker // -worker
+	// -compact-journal: input and output journal paths.
+	compactIn, compactOut string
+}
+
+// output holds the settings that shape what a simulation emits rather
+// than what it simulates.
+type output struct {
+	csv, plot, progress bool
+	trace               bool
+	traceOut            string
+	sampleEvery         uint64
+	serve               string
+	serveGrace          time.Duration
+}
+
+// inputs are the flags that feed more than one plan field or need
+// parsing; resolve folds them into the plan once the mode is known.
+type inputs struct {
+	run                                bool
+	workload, policy, tables, pageSize string
+	engine, shard, imports             string
+	scale, zipfS, faultRate            float64
+	seed, faultSeed                    uint64
+	hist                               bool
+	tenants, churn, sockets            int
+}
+
+// resolver is what the flag table writes into.
+type resolver struct {
+	plan
+	in inputs
+}
+
+// row is one flag: its name, default and usage, the modes that accept
+// it and the field it sets. When the flag is given, ok (if set) must
+// hold on the resolved plan; want says what it requires.
+type row struct {
+	name  string
+	def   any
+	modes mode
+	usage string
+	field func(*resolver) any
+	ok    func(*resolver) bool
+	want  string
+}
+
+// Rules shared by several rows.
+var (
+	hasTenants = func(r *resolver) bool { return r.in.tenants > 0 }
+	isCMCP     = func(r *resolver) bool { return r.run.Policy.Kind == cmcp.CMCP }
+	unsharded  = func(r *resolver) bool { return r.opts.Shards <= 1 }
+)
+
+// table is every cmcpsim flag.
+var table = []row{
+	// Mode selectors.
+	{"run", false, modeRun, "run a single simulation", func(r *resolver) any { return &r.in.run }, nil, ""},
+	{"exp", "", modeExp, "experiment to regenerate: fig6|fig7|fig8|fig9|fig10|table1|sense|all, or an extension: numa|tenants", func(r *resolver) any { return &r.exp }, nil, ""},
+	{"worker", "", modeWorker, "run as a sweep worker against this coordinator URL (e.g. http://host:9152) until the sweep is done", func(r *resolver) any { return &r.worker.Base }, nil, ""},
+	{"compact-journal", "", modeCompact, "compact this sweep journal (keep the last entry per key, drop torn lines, sort) and exit", func(r *resolver) any { return &r.compactIn }, nil, ""},
+
+	// What to simulate (-run and -exp).
+	{"engine", "serial", modeSim, "simulation engine: serial|parallel (bit-identical results; parallel is faster)", func(r *resolver) any { return &r.in.engine }, nil, ""},
+	{"scale", 1.0, modeSim, "workload footprint/work multiplier", func(r *resolver) any { return &r.in.scale },
+		func(r *resolver) bool { return r.in.scale > 0 }, "must be > 0"},
+	{"seed", uint64(42), modeSim, "random seed", func(r *resolver) any { return &r.in.seed }, nil, ""},
+	{"tenants", 0, modeSim, "simulate N tenant address spaces contending for the frame pool (0 = single-tenant -workload run; with -exp, only the tenants experiment accepts it)", func(r *resolver) any { return &r.in.tenants },
+		func(r *resolver) bool { return r.in.tenants >= 0 }, "must be >= 0"},
+	{"zipf-s", 1.1, modeSim, "with -tenants: Zipfian tenant-popularity exponent (higher = more skew)", func(r *resolver) any { return &r.in.zipfS }, hasTenants, "requires -tenants > 0"},
+	{"churn", 0, modeSim, "with -tenants: rotate the hot tenant set every N touches per core (0 = no churn)", func(r *resolver) any { return &r.in.churn }, hasTenants, "requires -tenants > 0"},
+	{"sockets", 1, modeSim, "NUMA sockets; cores spread evenly across per-socket IPI rings (1 = flat ring, bit-identical to pre-NUMA builds)", func(r *resolver) any { return &r.in.sockets },
+		func(r *resolver) bool { return r.in.sockets >= 1 }, "must be >= 1"},
+	{"fault-rate", 0.0, modeSim, "per-event device fault injection rate for every fault kind (0 = off)", func(r *resolver) any { return &r.in.faultRate },
+		func(r *resolver) bool { return r.in.faultRate >= 0 && r.in.faultRate <= 1 }, "must be in [0, 1]"},
+	{"fault-seed", uint64(1), modeSim, "with -fault-rate: fault injector seed (independent of -seed)", func(r *resolver) any { return &r.in.faultSeed },
+		func(r *resolver) bool { return r.in.faultRate > 0 }, "requires -fault-rate > 0"},
+	{"hist", false, modeSim, "record latency/fan-out histograms (read-only; counters stay bit-identical)", func(r *resolver) any { return &r.in.hist }, nil, ""},
+	{"serve", "", modeSim, "serve live telemetry (/metrics, /progress, /debug/pprof) on this address, e.g. 127.0.0.1:9151", func(r *resolver) any { return &r.out.serve }, nil, ""},
+	{"serve-grace", time.Duration(0), modeSim, "with -serve: keep the telemetry server up this long after the work finishes, so a scraper cannot race a fast run", func(r *resolver) any { return &r.out.serveGrace },
+		func(r *resolver) bool { return r.out.serve != "" && r.out.serveGrace >= 0 }, "requires -serve and a duration >= 0"},
+
+	// -run: one machine.
+	{"workload", "SCALE", modeRun, "workload: bt.B|lu.B|cg.B|SCALE", func(r *resolver) any { return &r.in.workload },
+		func(r *resolver) bool { return r.in.tenants == 0 }, "is replaced by the tenant spec under -tenants"},
+	{"cores", 56, modeRun, "application cores", func(r *resolver) any { return &r.run.Cores },
+		func(r *resolver) bool { return r.run.Cores >= 1 }, "must be >= 1"},
+	{"ratio", 0.5, modeRun, "device memory as a fraction of the footprint, in (0, 1]", func(r *resolver) any { return &r.run.MemoryRatio },
+		func(r *resolver) bool { return r.run.MemoryRatio > 0 && r.run.MemoryRatio <= 1 }, "must be in (0, 1]"},
+	{"policy", "CMCP", modeRun, "policy: FIFO|LRU|CMCP|CLOCK|LFU|Random", func(r *resolver) any { return &r.in.policy }, nil, ""},
+	{"p", -1.0, modeRun, "with -policy CMCP: prioritized-pages ratio (-1 = default)", func(r *resolver) any { return &r.run.Policy.P }, isCMCP, "requires -policy CMCP"},
+	{"dynamic-p", false, modeRun, "with -policy CMCP: enable the fault-feedback p tuner", func(r *resolver) any { return &r.run.Policy.DynamicP }, isCMCP, "requires -policy CMCP"},
+	{"tables", "pspt", modeRun, "page tables: pspt|regular", func(r *resolver) any { return &r.in.tables }, nil, ""},
+	{"pagesize", "4k", modeRun, "page size: 4k|64k|2m|adaptive", func(r *resolver) any { return &r.in.pageSize }, nil, ""},
+	{"trace", false, modeRun, "record a flight-recorder event trace of the simulation", func(r *resolver) any { return &r.out.trace }, nil, ""},
+	{"trace-out", "trace.json", modeRun, "with -trace or -sample-every: output path: .json = Chrome trace_event (Perfetto), .jsonl = JSON Lines", func(r *resolver) any { return &r.out.traceOut },
+		func(r *resolver) bool { return r.out.trace || r.out.sampleEvery > 0 }, "requires -trace or -sample-every"},
+	{"sample-every", uint64(0), modeRun, "time-series sampling interval in cycles (0 = off); CSV lands next to -trace-out", func(r *resolver) any { return &r.out.sampleEvery }, nil, ""},
+
+	// -exp: a sweep.
+	{"quick", false, modeExp, "shrink sweeps (fewer core counts and ratio points)", func(r *resolver) any { return &r.opts.Quick }, nil, ""},
+	{"parallel", 0, modeExp, "max concurrent simulations (0 = GOMAXPROCS)", func(r *resolver) any { return &r.opts.Parallelism },
+		func(r *resolver) bool { return r.opts.Parallelism >= 0 && r.coordAddr == "" }, "must be >= 0 and excludes -coordinate (workers execute the runs)"},
+	{"repeats", 1, modeExp, "replicate each run under N seeds and average", func(r *resolver) any { return &r.opts.Repeats },
+		func(r *resolver) bool { return r.opts.Repeats >= 1 }, "must be >= 1"},
+	{"csv", false, modeExp, "emit CSV instead of aligned text", func(r *resolver) any { return &r.out.csv },
+		unsharded, "has no output under -shard: a shard's only output is its journal"},
+	{"plot", false, modeExp, "render numeric tables as ASCII charts too (not with -csv)", func(r *resolver) any { return &r.out.plot },
+		func(r *resolver) bool { return !r.out.csv && unsharded(r) }, "excludes -csv and -shard"},
+	{"progress", false, modeExp, "report sweep progress (runs done/total, runs/s, ETA) on stderr", func(r *resolver) any { return &r.out.progress }, nil, ""},
+	{"journal", "", modeExp, "checkpoint completed runs to this JSONL journal and resume from it", func(r *resolver) any { return &r.opts.Journal }, nil, ""},
+	{"journal-import", "", modeExp, "comma-separated read-only journals to merge (other shards' output)", func(r *resolver) any { return &r.in.imports }, nil, ""},
+	{"shard", "", modeExp, "run only shard i of n, as \"i/n\"; partitions the grid by content key", func(r *resolver) any { return &r.in.shard },
+		func(r *resolver) bool { return r.opts.Journal != "" }, "requires -journal: a shard's only output is its journal"},
+	{"schedule-from", "", modeExp, "order pending runs longest-first using runtimes recorded in this journal (a previous run's -journal)", func(r *resolver) any { return &r.opts.ScheduleFrom }, nil, ""},
+	{"coordinate", "", modeExp, "serve the sweep as a coordinator on this address (e.g. 127.0.0.1:9152) and dispatch runs to -worker processes instead of executing locally; requires -journal", func(r *resolver) any { return &r.coordAddr },
+		func(r *resolver) bool { return r.opts.Journal != "" && r.in.shard == "" }, "requires -journal (the sweep's durable state) and replaces -shard (the coordinator partitions work by lease)"},
+	{"lease-ttl", 15 * time.Second, modeExp, "with -coordinate: lease expiry without a heartbeat", func(r *resolver) any { return &r.coord.LeaseTTL },
+		func(r *resolver) bool { return r.coordAddr != "" && r.coord.LeaseTTL > 0 }, "requires -coordinate and a duration > 0"},
+	{"max-attempts", 3, modeExp, "with -coordinate: failed leases per key before it is quarantined as poisoned", func(r *resolver) any { return &r.coord.MaxAttempts },
+		func(r *resolver) bool { return r.coordAddr != "" && r.coord.MaxAttempts >= 1 }, "requires -coordinate and a count >= 1"},
+	{"linger", 3 * time.Second, modeExp, "with -coordinate: keep serving this long after the sweep finishes so workers hear 'done' and exit cleanly", func(r *resolver) any { return &r.linger },
+		func(r *resolver) bool { return r.coordAddr != "" && r.linger >= 0 }, "requires -coordinate and a duration >= 0"},
+
+	// -worker and -compact-journal.
+	{"worker-name", "", modeWorker, "name reported in leases and logs (default worker-<pid>)", func(r *resolver) any { return &r.worker.Name }, nil, ""},
+	{"compact-out", "", modeCompact, "output path (default: compact in place)", func(r *resolver) any { return &r.compactOut }, nil, ""},
+}
+
+// register binds the row's flag to its field in r.
+func (rw row) register(fs *flag.FlagSet, r *resolver) {
+	usage := fmt.Sprintf("%s [%v]", rw.usage, rw.modes)
+	switch p := rw.field(r).(type) {
+	case *bool:
+		fs.BoolVar(p, rw.name, rw.def.(bool), usage)
+	case *int:
+		fs.IntVar(p, rw.name, rw.def.(int), usage)
+	case *uint64:
+		fs.Uint64Var(p, rw.name, rw.def.(uint64), usage)
+	case *float64:
+		fs.Float64Var(p, rw.name, rw.def.(float64), usage)
+	case *string:
+		fs.StringVar(p, rw.name, rw.def.(string), usage)
+	case *time.Duration:
+		fs.DurationVar(p, rw.name, rw.def.(time.Duration), usage)
+	default:
+		panic(fmt.Sprintf("cmcpsim: flag -%s binds unsupported field type %T", rw.name, p))
+	}
+}
+
+// resolve parses args through the flag table into a plan. Every error
+// is a usage error that names the offending flag.
+func resolve(args []string, stderr io.Writer) (*plan, error) {
+	r := &resolver{}
+	fs := flag.NewFlagSet("cmcpsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	rows := make(map[string]row, len(table))
+	for _, rw := range table {
+		rw.register(fs, r)
+		rows[rw.name] = rw
+	}
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	if fs.NArg() > 0 {
+		return nil, fmt.Errorf("unexpected argument %q", fs.Arg(0))
+	}
+	var chosen mode
+	for m, on := range map[mode]bool{modeRun: r.in.run, modeExp: r.exp != "", modeWorker: r.worker.Base != "", modeCompact: r.compactIn != ""} {
+		if on {
+			chosen |= m
+		}
+	}
+	switch chosen {
+	case 0:
+		fs.Usage()
+		return nil, fmt.Errorf("choose a mode: %v", modeSim|modeWorker|modeCompact)
+	case modeRun, modeExp, modeWorker, modeCompact:
+		r.mode = chosen
+	default:
+		return nil, fmt.Errorf("%v: choose only one mode", chosen)
+	}
+	var given []*flag.Flag
+	fs.Visit(func(f *flag.Flag) { given = append(given, f) })
+	for _, f := range given {
+		if m := rows[f.Name].modes; m&r.mode == 0 {
+			return nil, fmt.Errorf("-%s is not valid with %v (it applies to %v)", f.Name, r.mode, m)
+		}
+	}
+	if err := r.build(); err != nil {
+		return nil, err
+	}
+	for _, f := range given {
+		if rw := rows[f.Name]; rw.ok != nil && !rw.ok(r) {
+			return nil, fmt.Errorf("-%s %s: %s", f.Name, f.Value, rw.want)
+		}
+	}
+	return &r.plan, nil
+}
+
+// build folds the inputs into the chosen mode's plan fields.
+func (r *resolver) build() error {
+	in := &r.in
+	switch r.mode {
+	case modeWorker:
+		r.worker.Base = strings.TrimRight(r.worker.Base, "/")
+		return nil
+	case modeCompact:
+		if r.compactOut == "" {
+			r.compactOut = r.compactIn
+		}
+		return nil
+	}
+	eng, err := cmcp.ParseEngine(in.engine)
+	if err != nil {
+		return fmt.Errorf("-engine: %w", err)
+	}
+	var faults *cmcp.FaultConfig
+	if in.faultRate > 0 {
+		faults = cmcp.UniformFaults(in.faultSeed, in.faultRate)
+	}
+	var tenants *cmcp.TenantSpec
+	if in.tenants > 0 {
+		spec := cmcp.DefaultTenantSpec(in.tenants, in.zipfS, in.churn)
+		if in.scale != 1.0 {
+			spec.TotalTouches = int(float64(spec.TotalTouches) * in.scale)
+		}
+		tenants = &spec
+	}
+	if r.mode == modeExp {
+		o := &r.opts
+		o.Scale, o.Seed, o.Engine, o.Hist, o.Faults, o.Tenants = in.scale, in.seed, eng, in.hist, faults, tenants
+		if in.sockets > 1 {
+			// Seats per socket are re-derived per grid point (the grids
+			// sweep core counts); only the socket count and costs matter.
+			o.Topology = cmcp.DefaultTopology(in.sockets, 1)
+		}
+		o.Imports = splitList(in.imports)
+		o.Shard, o.Shards, err = parseShard(in.shard)
+		return err
+	}
+	c := &r.run
+	c.Seed, c.Engine, c.Hist, c.Faults, c.Tenants = in.seed, eng, in.hist, faults, tenants
+	if tenants == nil {
+		wl, ok := cmcp.WorkloadByName(in.workload)
+		if !ok {
+			return fmt.Errorf("-workload: unknown workload %q", in.workload)
+		}
+		if in.scale != 1.0 {
+			wl = wl.Scale(in.scale)
+		}
+		c.Workload = wl
+	}
+	if c.Policy.Kind, err = parsePolicy(in.policy); err != nil {
+		return err
+	}
+	var ok bool
+	if c.Tables, ok = tableKinds[strings.ToLower(in.tables)]; !ok {
+		return fmt.Errorf("-tables: unknown tables %q", in.tables)
+	}
+	if c.AdaptivePageSize = strings.EqualFold(in.pageSize, "adaptive"); !c.AdaptivePageSize {
+		if c.PageSize, ok = pageSizes[strings.ToLower(in.pageSize)]; !ok {
+			return fmt.Errorf("-pagesize: unknown page size %q", in.pageSize)
+		}
+	}
+	if in.sockets > 1 {
+		c.Topology = cmcp.DefaultTopology(in.sockets, (c.Cores+in.sockets-1)/in.sockets)
+	}
+	return nil
+}
+
+// run executes one cmcpsim invocation and returns its exit status:
+// 0 on success, 1 when the work fails, 2 on a usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	p, err := resolve(args, stderr)
+	if errors.Is(err, flag.ErrHelp) {
+		return 0
+	}
+	if err != nil {
+		fmt.Fprintln(stderr, "cmcpsim:", err)
+		return 2
+	}
+	switch p.mode {
+	case modeRun:
+		err = simulate(p, stdout, stderr)
+	case modeExp:
+		err = experiment(p, stdout, stderr)
+	case modeWorker:
+		w := p.worker
+		w.Log = func(format string, args ...any) {
+			fmt.Fprintf(stderr, "[worker] "+format+"\n", args...)
+		}
+		err = w.Run()
+	case modeCompact:
+		var st cmcp.SweepCompactStats
+		if st, err = cmcp.CompactSweepJournal(p.compactIn, p.compactOut); err == nil {
+			fmt.Fprintf(stdout, "compacted %s -> %s: %d entries kept, %d duplicates dropped, %d torn lines skipped\n",
+				p.compactIn, p.compactOut, st.Kept, st.Dropped, st.Skipped)
+		}
+	}
+	if err != nil {
+		fmt.Fprintln(stderr, "cmcpsim:", err)
+		return 1
+	}
+	return 0
 }
 
 // startTelemetry starts the live telemetry server when -serve is set.
@@ -79,224 +385,23 @@ type serveOptions struct {
 // holds the server open for the grace period — so a scraper arriving
 // just as a fast sweep finishes still sees the final state — and then
 // shuts it down.
-func startTelemetry(sopt serveOptions, progress *cmcp.SweepProgress) (*cmcp.TelemetryServer, func(), error) {
-	if sopt.addr == "" {
+func startTelemetry(out output, progress *cmcp.SweepProgress, stderr io.Writer) (*cmcp.TelemetryServer, func(), error) {
+	if out.serve == "" {
 		return nil, func() {}, nil
 	}
 	srv := cmcp.NewTelemetryServer(progress)
-	if err := srv.Start(sopt.addr); err != nil {
+	if err := srv.Start(out.serve); err != nil {
 		return nil, nil, err
 	}
-	fmt.Fprintf(os.Stderr, "[telemetry] serving http://%s/ (/metrics, /progress, /debug/pprof)\n", srv.Addr())
+	fmt.Fprintf(stderr, "[telemetry] serving http://%s/ (/metrics, /progress, /debug/pprof)\n", srv.Addr())
 	stop := func() {
-		if sopt.grace > 0 {
-			fmt.Fprintf(os.Stderr, "[telemetry] holding server open for %s\n", sopt.grace)
-			time.Sleep(sopt.grace)
+		if out.serveGrace > 0 {
+			fmt.Fprintf(stderr, "[telemetry] holding server open for %s\n", out.serveGrace)
+			time.Sleep(out.serveGrace)
 		}
 		srv.Close()
 	}
 	return srv, stop, nil
-}
-
-func main() {
-	var (
-		exp      = flag.String("exp", "", "experiment to regenerate: fig6|fig7|fig8|fig9|fig10|table1|sense|all, or an extension: numa|tenants")
-		engine   = flag.String("engine", "serial", "simulation engine: serial|parallel (bit-identical results; parallel is faster)")
-		quick    = flag.Bool("quick", false, "shrink sweeps (fewer core counts and ratio points)")
-		scale    = flag.Float64("scale", 1.0, "workload footprint/work multiplier")
-		seed     = flag.Uint64("seed", 42, "random seed")
-		csv      = flag.Bool("csv", false, "emit CSV instead of aligned text")
-		plotFlag = flag.Bool("plot", false, "render numeric tables as ASCII charts too")
-		parallel = flag.Int("parallel", 0, "max concurrent simulations (0 = GOMAXPROCS)")
-		repeats  = flag.Int("repeats", 1, "replicate each run under N seeds and average")
-
-		journal       = flag.String("journal", "", "with -exp: checkpoint completed runs to this JSONL journal and resume from it")
-		journalImport = flag.String("journal-import", "", "with -exp: comma-separated read-only journals to merge (other shards' output)")
-		shard         = flag.String("shard", "", "with -exp: run only shard i of n, as \"i/n\"; partitions the grid by content key")
-		progress      = flag.Bool("progress", false, "with -exp: report sweep progress (runs done/total, runs/s, ETA) on stderr")
-		scheduleFrom  = flag.String("schedule-from", "", "with -exp: order pending runs longest-first using runtimes recorded in this journal (a previous run's -journal)")
-
-		coordinate  = flag.String("coordinate", "", "with -exp: serve the sweep as a coordinator on this address (e.g. 127.0.0.1:9152) and dispatch runs to -worker processes instead of executing locally; requires -journal")
-		leaseTTL    = flag.Duration("lease-ttl", 15*time.Second, "with -coordinate: lease expiry without a heartbeat")
-		maxAttempts = flag.Int("max-attempts", 3, "with -coordinate: failed leases per key before it is quarantined as poisoned")
-		linger      = flag.Duration("linger", 3*time.Second, "with -coordinate: keep serving this long after the sweep finishes so workers hear 'done' and exit cleanly")
-
-		workerBase = flag.String("worker", "", "run as a sweep worker against this coordinator URL (e.g. http://host:9152) until the sweep is done")
-		workerName = flag.String("worker-name", "", "with -worker: name reported in leases and logs (default worker-<pid>)")
-
-		compactJournal = flag.String("compact-journal", "", "compact this sweep journal (keep the last entry per key, drop torn lines, sort) and exit")
-		compactOut     = flag.String("compact-out", "", "with -compact-journal: output path (default: compact in place)")
-
-		run      = flag.Bool("run", false, "run a single simulation instead of an experiment")
-		wlName   = flag.String("workload", "SCALE", "workload: bt.B|lu.B|cg.B|SCALE")
-		cores    = flag.Int("cores", 56, "application cores")
-		ratio    = flag.Float64("ratio", 0.5, "device memory as a fraction of the footprint")
-		polName  = flag.String("policy", "CMCP", "policy: FIFO|LRU|CMCP|CLOCK|LFU|Random")
-		p        = flag.Float64("p", -1, "CMCP prioritized-pages ratio (-1 = default)")
-		dynamicP = flag.Bool("dynamic-p", false, "enable CMCP's fault-feedback p tuner")
-		tables   = flag.String("tables", "pspt", "page tables: pspt|regular")
-		pageSize = flag.String("pagesize", "4k", "page size: 4k|64k|2m|adaptive")
-
-		tenants = flag.Int("tenants", 0, "with -run or -exp tenants: simulate N tenant address spaces contending for the frame pool (0 = single-tenant -workload run)")
-		zipfS   = flag.Float64("zipf-s", 1.1, "with -tenants: Zipfian tenant-popularity exponent (higher = more skew)")
-		churn   = flag.Int("churn", 0, "with -tenants: rotate the hot tenant set every N touches per core (0 = no churn)")
-
-		sockets = flag.Int("sockets", 1, "with -run or -exp: NUMA sockets; cores spread evenly across per-socket IPI rings (1 = flat ring, bit-identical to pre-NUMA builds)")
-
-		faultRate = flag.Float64("fault-rate", 0, "with -run or -exp: per-event device fault injection rate for every fault kind (0 = off)")
-		faultSeed = flag.Uint64("fault-seed", 1, "with -run or -exp: fault injector seed (independent of -seed)")
-
-		histFlag   = flag.Bool("hist", false, "with -run or -exp: record latency/fan-out histograms (read-only; counters stay bit-identical)")
-		serve      = flag.String("serve", "", "with -run or -exp: serve live telemetry (/metrics, /progress, /debug/pprof) on this address, e.g. 127.0.0.1:9151")
-		serveGrace = flag.Duration("serve-grace", 0, "with -serve: keep the telemetry server up this long after the work finishes, so a scraper cannot race a fast run")
-
-		traceFlag   = flag.Bool("trace", false, "record a flight-recorder event trace of the -run simulation")
-		traceOut    = flag.String("trace-out", "trace.json", "trace output path: .json = Chrome trace_event (Perfetto), .jsonl = JSON Lines")
-		sampleEvery = flag.Uint64("sample-every", 0, "time-series sampling interval in cycles (0 = off); CSV lands next to -trace-out")
-
-		bench     = flag.Bool("bench", false, "run the policy throughput benchmark suite")
-		benchJSON = flag.Bool("json", true, "with -bench: write machine-readable results")
-		benchOut  = flag.String("bench-out", "BENCH_cmcp.json", "with -bench -json: results file")
-		benchN    = flag.Int("bench-n", 3, "with -bench: iterations per configuration")
-	)
-	flag.Parse()
-
-	eng, err := cmcp.ParseEngine(*engine)
-	if err != nil {
-		fatal(err)
-	}
-	var faults *cmcp.FaultConfig
-	if *faultRate > 0 {
-		faults = cmcp.UniformFaults(*faultSeed, *faultRate)
-	}
-	sopt := serveOptions{addr: *serve, grace: *serveGrace}
-	switch {
-	case *compactJournal != "":
-		out := *compactOut
-		if out == "" {
-			out = *compactJournal
-		}
-		st, err := cmcp.CompactSweepJournal(*compactJournal, out)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("compacted %s -> %s: %d entries kept, %d duplicates dropped, %d torn lines skipped\n",
-			*compactJournal, out, st.Kept, st.Dropped, st.Skipped)
-	case *workerBase != "":
-		w := &cmcp.SweepWorker{
-			Base: strings.TrimRight(*workerBase, "/"),
-			Name: *workerName,
-			Log: func(format string, args ...any) {
-				fmt.Fprintf(os.Stderr, "[worker] "+format+"\n", args...)
-			},
-		}
-		if err := w.Run(); err != nil {
-			fatal(err)
-		}
-	case *bench:
-		if faults != nil {
-			// Benchmarks measure the fault-free hot path; injecting
-			// would silently skew every number.
-			fatal(fmt.Errorf("-fault-rate is not supported with -bench (benchmarks measure the fault-free hot path)"))
-		}
-		if sopt.addr != "" {
-			fatal(fmt.Errorf("-serve is not supported with -bench (serve a -run or -exp instead)"))
-		}
-		if err := runBench(*benchN, *benchJSON, *benchOut, *seed); err != nil {
-			fatal(err)
-		}
-	case *run:
-		topt := traceOptions{enabled: *traceFlag, out: *traceOut, sampleEvery: *sampleEvery}
-		if err := runOne(*wlName, *cores, *ratio, *polName, *p, *dynamicP, *tables, *pageSize, *scale, *seed, eng, faults, topt, *histFlag, sopt, *tenants, *zipfS, *churn, *sockets); err != nil {
-			fatal(err)
-		}
-	case *exp != "":
-		shardIdx, shardCount, err := parseShard(*shard)
-		if err != nil {
-			fatal(err)
-		}
-		o := cmcp.ExperimentOptions{
-			Scale:        *scale,
-			Quick:        *quick,
-			Seed:         *seed,
-			Parallelism:  *parallel,
-			Repeats:      *repeats,
-			Faults:       faults,
-			Journal:      *journal,
-			Imports:      splitList(*journalImport),
-			Shard:        shardIdx,
-			Shards:       shardCount,
-			Engine:       eng,
-			Hist:         *histFlag,
-			ScheduleFrom: *scheduleFrom,
-		}
-		// -tenants used to be silently ignored under -exp (the same bug
-		// class -fault-rate once had): the spec is threaded through the
-		// options, and experiments that cannot honor it fail loudly.
-		if *tenants > 0 {
-			spec := cmcp.DefaultTenantSpec(*tenants, *zipfS, *churn)
-			if *scale != 1.0 {
-				spec.TotalTouches = int(float64(spec.TotalTouches) * *scale)
-			}
-			o.Tenants = &spec
-		}
-		if *sockets > 1 {
-			// Seats per socket are re-derived per grid point (the grids
-			// sweep core counts); only the socket count and costs matter.
-			o.Topology = cmcp.DefaultTopology(*sockets, 1)
-		}
-		if shardCount > 1 && *journal == "" {
-			fatal(fmt.Errorf("-shard requires -journal: a shard's only output is its journal"))
-		}
-		var coordinator *cmcp.Coordinator
-		if *coordinate != "" {
-			if *journal == "" {
-				// The journal is the coordinator's only durable state; a
-				// coordinated sweep without one could not survive a restart.
-				fatal(fmt.Errorf("-coordinate requires -journal: the journal is the sweep's durable state"))
-			}
-			if shardCount > 1 {
-				fatal(fmt.Errorf("-coordinate replaces -shard: the coordinator partitions work by lease, not by shard"))
-			}
-			// The meter is shared: the sweep layer advances done counts,
-			// the coordinator adds retried/poisoned.
-			o.Progress = cmcp.NewSweepProgress()
-			coordinator = cmcp.NewCoordinator(cmcp.CoordinatorOptions{
-				LeaseTTL:    *leaseTTL,
-				MaxAttempts: *maxAttempts,
-				Progress:    o.Progress,
-			})
-			if err := coordinator.Start(*coordinate); err != nil {
-				fatal(err)
-			}
-			fmt.Fprintf(os.Stderr, "[coord] serving sweep on http://%s/ — start workers with: cmcpsim -worker http://%s\n",
-				coordinator.Addr(), coordinator.Addr())
-			o.Runner = coordinator
-		}
-		err = runExperiments(*exp, o, *csv, *plotFlag, *progress, sopt, coordinator)
-		if coordinator != nil {
-			// Let the fleet hear "done" (or grab the poisoned report)
-			// before the listener disappears.
-			coordinator.Finish()
-			if *linger > 0 {
-				time.Sleep(*linger)
-			}
-			coordinator.Close()
-			if report := coordinator.PoisonedReport(); len(report) > 0 {
-				fmt.Fprintf(os.Stderr, "[coord] %d poisoned key(s):\n", len(report))
-				for _, p := range report {
-					fmt.Fprintf(os.Stderr, "[coord]   %s (workload %q, seed %d): %d attempts, last error: %s\n",
-						p.Key, p.Workload, p.Seed, p.Attempts, p.LastErr)
-				}
-			}
-		}
-		if err != nil {
-			fatal(err)
-		}
-	default:
-		flag.Usage()
-		os.Exit(2)
-	}
 }
 
 // coordTelemetry maps a coordinator snapshot onto the telemetry
@@ -317,14 +422,17 @@ func coordTelemetry(s cmcp.CoordinatorStats) cmcp.TelemetryCoordStats {
 	}
 }
 
-// parseShard parses "i/n" (e.g. "0/4"); "" means unsharded.
+// parseShard parses "i/n" (e.g. "0/4"); "" means unsharded. The whole
+// string must match: "0/2x" and "1/2/3" are errors.
 func parseShard(s string) (int, int, error) {
 	if s == "" {
 		return 0, 0, nil
 	}
-	var i, n int
-	if _, err := fmt.Sscanf(s, "%d/%d", &i, &n); err != nil || n < 1 || i < 0 || i >= n {
-		return 0, 0, fmt.Errorf("bad -shard %q: want \"i/n\" with 0 <= i < n", s)
+	is, ns, _ := strings.Cut(s, "/")
+	i, ierr := strconv.Atoi(is)
+	n, nerr := strconv.Atoi(ns)
+	if ierr != nil || nerr != nil || n < 1 || i < 0 || i >= n {
+		return 0, 0, fmt.Errorf("-shard: bad value %q: want \"i/n\" with 0 <= i < n", s)
 	}
 	return i, n, nil
 }
@@ -340,21 +448,47 @@ func splitList(s string) []string {
 	return out
 }
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "cmcpsim:", err)
-	os.Exit(1)
-}
-
-func runExperiments(id string, o cmcp.ExperimentOptions, csv, plotCharts, progress bool, sopt serveOptions, coordinator *cmcp.Coordinator) error {
+// experiment runs -exp: each experiment's sweep, executed locally or
+// dispatched to -worker processes by a coordinator.
+func experiment(p *plan, stdout, stderr io.Writer) error {
+	o, id, out := p.opts, p.exp, p.out
 	ids := []string{id}
 	if id == "all" {
 		ids = []string{"fig6", "fig8", "fig7", "table1", "fig9", "fig10", "sense"}
 	}
 	sharded := o.Shards > 1
-	if o.Progress == nil && (progress || sharded || sopt.addr != "") {
+	if out.progress || sharded || out.serve != "" || p.coordAddr != "" {
 		o.Progress = cmcp.NewSweepProgress()
 	}
-	srv, stopSrv, err := startTelemetry(sopt, o.Progress)
+	var coordinator *cmcp.Coordinator
+	if p.coordAddr != "" {
+		// The meter is shared: the sweep layer advances done counts, the
+		// coordinator adds retried/poisoned.
+		copts := p.coord
+		copts.Progress = o.Progress
+		coordinator = cmcp.NewCoordinator(copts)
+		if err := coordinator.Start(p.coordAddr); err != nil {
+			return err
+		}
+		fmt.Fprintf(stderr, "[coord] serving sweep on http://%s/ — start workers with: cmcpsim -worker http://%s\n",
+			coordinator.Addr(), coordinator.Addr())
+		o.Runner = coordinator
+		defer func() {
+			// Let the fleet hear "done" (or grab the poisoned report)
+			// before the listener disappears.
+			coordinator.Finish()
+			time.Sleep(p.linger)
+			coordinator.Close()
+			if report := coordinator.PoisonedReport(); len(report) > 0 {
+				fmt.Fprintf(stderr, "[coord] %d poisoned key(s):\n", len(report))
+				for _, k := range report {
+					fmt.Fprintf(stderr, "[coord]   %s (workload %q, seed %d): %d attempts, last error: %s\n",
+						k.Key, k.Workload, k.Seed, k.Attempts, k.LastErr)
+				}
+			}
+		}()
+	}
+	srv, stopSrv, err := startTelemetry(out, o.Progress, stderr)
 	if err != nil {
 		return err
 	}
@@ -370,7 +504,7 @@ func runExperiments(id string, o cmcp.ExperimentOptions, csv, plotCharts, progre
 			})
 		}
 	}
-	if progress {
+	if out.progress {
 		// Periodic one-line status on stderr while the sweep grinds.
 		stop := make(chan struct{})
 		defer close(stop)
@@ -382,7 +516,7 @@ func runExperiments(id string, o cmcp.ExperimentOptions, csv, plotCharts, progre
 				case <-stop:
 					return
 				case <-tick.C:
-					fmt.Fprintf(os.Stderr, "[sweep] %s\n", o.Progress)
+					fmt.Fprintf(stderr, "[sweep] %s\n", o.Progress)
 				}
 			}
 		}()
@@ -397,25 +531,25 @@ func runExperiments(id string, o cmcp.ExperimentOptions, csv, plotCharts, progre
 		case sharded:
 			// A shard's report is scaffolding full of placeholder rows;
 			// its real output is the journal. Say so instead of printing.
-		case csv:
-			fmt.Print(rep.CSV())
+		case out.csv:
+			fmt.Fprint(stdout, rep.CSV())
 		default:
-			fmt.Print(rep.String())
-			if plotCharts {
+			fmt.Fprint(stdout, rep.String())
+			if out.plot {
 				for _, tab := range rep.Tables {
 					if chart := plot.FromTable(tab, 56, 14); chart != "" {
-						fmt.Println(chart)
+						fmt.Fprintln(stdout, chart)
 					}
 				}
 			}
 		}
-		fmt.Fprintf(os.Stderr, "[%s done in %v]\n", one, time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(stderr, "[%s done in %v]\n", one, time.Since(start).Round(time.Millisecond))
 	}
 	if s := o.Progress; s != nil {
 		snap := s.Snapshot()
-		fmt.Fprintf(os.Stderr, "[sweep] %s\n", snap)
+		fmt.Fprintf(stderr, "[sweep] %s\n", snap)
 		if sharded {
-			fmt.Fprintf(os.Stderr,
+			fmt.Fprintf(stderr,
 				"[sweep] shard %d/%d complete: %d runs journaled to %s (%d reused, %d left to other shards)\n"+
 					"[sweep] run the remaining shards, then merge with: -exp %s -journal %s -journal-import <other journals>\n",
 				o.Shard, o.Shards, snap.Executed, o.Journal, snap.Loaded, snap.Missing, id, o.Journal)
@@ -424,148 +558,95 @@ func runExperiments(id string, o cmcp.ExperimentOptions, csv, plotCharts, progre
 	return nil
 }
 
-func runOne(wlName string, cores int, ratio float64, polName string, p float64, dynamicP bool, tables, pageSize string, scale float64, seed uint64, eng cmcp.EngineKind, faults *cmcp.FaultConfig, topt traceOptions, hist bool, sopt serveOptions, tenants int, zipfS float64, churn int, sockets int) error {
-	srv, stopSrv, err := startTelemetry(sopt, nil)
+// simulate runs -run: one simulation, its summary, and its trace files.
+func simulate(p *plan, stdout, stderr io.Writer) error {
+	srv, stopSrv, err := startTelemetry(p.out, nil, stderr)
 	if err != nil {
 		return err
 	}
 	defer stopSrv()
-	var wl cmcp.Workload
-	var tenantSpec *cmcp.TenantSpec
-	if tenants > 0 {
-		spec := cmcp.DefaultTenantSpec(tenants, zipfS, churn)
-		if scale != 1.0 {
-			spec.TotalTouches = int(float64(spec.TotalTouches) * scale)
-		}
-		tenantSpec = &spec
-	} else {
-		var ok bool
-		wl, ok = cmcp.WorkloadByName(wlName)
-		if !ok {
-			return fmt.Errorf("unknown workload %q", wlName)
-		}
-		if scale != 1.0 {
-			wl = wl.Scale(scale)
-		}
-	}
-	kind, err := parsePolicy(polName)
-	if err != nil {
-		return err
-	}
-	tk := cmcp.PSPT
-	if strings.EqualFold(tables, "regular") {
-		tk = cmcp.RegularPT
-	} else if !strings.EqualFold(tables, "pspt") {
-		return fmt.Errorf("unknown tables %q", tables)
-	}
-	adaptive := strings.EqualFold(pageSize, "adaptive")
-	var size cmcp.PageSize
-	if !adaptive {
-		size, err = parsePageSize(pageSize)
-		if err != nil {
-			return err
-		}
-	}
+	cfg := p.run
 	var rec *cmcp.Recorder
-	if topt.enabled || topt.sampleEvery > 0 {
-		rec = cmcp.NewRecorder(cmcp.RecorderConfig{SampleEvery: cmcp.Cycles(topt.sampleEvery)})
+	if p.out.trace || p.out.sampleEvery > 0 {
+		rec = cmcp.NewRecorder(cmcp.RecorderConfig{SampleEvery: cmcp.Cycles(p.out.sampleEvery)})
+		cfg.Probe = rec
 	}
-	var topo *cmcp.Topology
-	if sockets > 1 {
-		topo = cmcp.DefaultTopology(sockets, (cores+sockets-1)/sockets)
-	}
-	res, err := cmcp.Simulate(cmcp.Config{
-		Cores:            cores,
-		Workload:         wl,
-		Tenants:          tenantSpec,
-		MemoryRatio:      ratio,
-		PageSize:         size,
-		AdaptivePageSize: adaptive,
-		Tables:           tk,
-		Policy:           cmcp.PolicySpec{Kind: kind, P: p, DynamicP: dynamicP},
-		Seed:             seed,
-		Engine:           eng,
-		Probe:            rec,
-		Faults:           faults,
-		Hist:             hist,
-		Topology:         topo,
-	})
+	res, err := cmcp.Simulate(cfg)
 	if err != nil {
 		return err
 	}
 	if srv != nil {
 		srv.Publish(res.Run)
 	}
+	printf := func(format string, args ...any) { fmt.Fprintf(stdout, format, args...) }
 	r := res.Run
-	sizeLabel := size.String()
-	if adaptive {
+	sizeLabel := cfg.PageSize.String()
+	if cfg.AdaptivePageSize {
 		sizeLabel = "adaptive"
 	}
-	name := wl.Name
-	if tenantSpec != nil {
-		name = tenantSpec.Name()
+	name := cfg.Workload.Name
+	if cfg.Tenants != nil {
+		name = cfg.Tenants.Name()
 	}
-	fmt.Printf("workload      %s (%d pages, %d frames, %s, %v)\n",
-		name, res.TotalPages, res.Frames, sizeLabel, tk)
-	fmt.Printf("policy        %s\n", res.PolicyName)
-	fmt.Printf("runtime       %.2f Mcycles (%.2f ms at 1.053 GHz)\n",
+	printf("workload      %s (%d pages, %d frames, %s, %v)\n",
+		name, res.TotalPages, res.Frames, sizeLabel, cfg.Tables)
+	printf("policy        %s\n", res.PolicyName)
+	printf("runtime       %.2f Mcycles (%.2f ms at 1.053 GHz)\n",
 		float64(res.Runtime)/1e6, float64(res.Runtime)/1.053e6)
-	fmt.Printf("page faults   %.0f per core\n", r.PerCoreAvg(cmcp.PageFaults))
-	fmt.Printf("minor faults  %.0f per core\n", r.PerCoreAvg(cmcp.MinorFaults))
-	fmt.Printf("remote invals %.0f per core\n", r.PerCoreAvg(cmcp.RemoteTLBInvalidations))
-	fmt.Printf("dTLB misses   %.0f per core\n", r.PerCoreAvg(cmcp.DTLBMisses))
-	fmt.Printf("evictions     %.0f per core\n", r.PerCoreAvg(cmcp.Evictions))
-	fmt.Printf("data moved    %.1f MB in, %.1f MB out\n",
+	printf("page faults   %.0f per core\n", r.PerCoreAvg(cmcp.PageFaults))
+	printf("minor faults  %.0f per core\n", r.PerCoreAvg(cmcp.MinorFaults))
+	printf("remote invals %.0f per core\n", r.PerCoreAvg(cmcp.RemoteTLBInvalidations))
+	printf("dTLB misses   %.0f per core\n", r.PerCoreAvg(cmcp.DTLBMisses))
+	printf("evictions     %.0f per core\n", r.PerCoreAvg(cmcp.Evictions))
+	printf("data moved    %.1f MB in, %.1f MB out\n",
 		float64(r.Total(cmcp.BytesIn))/1e6, float64(r.Total(cmcp.BytesOut))/1e6)
 	if res.Sharing != nil {
-		fmt.Printf("sharing       %v (pages by core-map count 0..n)\n", res.Sharing[:min(9, len(res.Sharing))])
+		printf("sharing       %v (pages by core-map count 0..n)\n", res.Sharing[:min(9, len(res.Sharing))])
 	}
-	if topo != nil {
-		fmt.Printf("numa          %s topology; %d cross-socket IPIs, %d shootdown targets filtered, %d remote walks, %d remote PT consults, %d replica syncs, %d PT migrations\n",
+	if topo := cfg.Topology; topo != nil {
+		printf("numa          %s topology; %d cross-socket IPIs, %d shootdown targets filtered, %d remote walks, %d remote PT consults, %d replica syncs, %d PT migrations\n",
 			topo, r.Total(cmcp.CrossSocketIPIs), r.Total(cmcp.FilteredShootdowns),
 			r.Total(cmcp.RemoteWalks), r.Total(cmcp.RemotePTConsults),
 			r.Total(cmcp.ReplicaSyncs), r.Total(cmcp.PTMigrations))
 	}
-	if faults != nil {
-		fmt.Printf("faults        %d injected; recovered via %d retries, %d rollbacks, %d resent IPIs; %d frames quarantined, %d pages degraded\n",
+	if cfg.Faults != nil {
+		printf("faults        %d injected; recovered via %d retries, %d rollbacks, %d resent IPIs; %d frames quarantined, %d pages degraded\n",
 			r.Total(cmcp.FaultsInjected), r.Total(cmcp.RecoveryRetries), r.Total(cmcp.TxRollbacks),
 			r.Total(cmcp.ResentShootdowns), res.Quarantined, r.Total(cmcp.DegradedPages))
 	}
 	if hs := r.Hists; hs != nil {
-		fmt.Printf("latency histograms (cycles unless noted):\n")
-		fmt.Printf("  %-26s %10s %12s %8s %8s %8s %8s %10s\n",
+		printf("latency histograms (cycles unless noted):\n")
+		printf("  %-26s %10s %12s %8s %8s %8s %8s %10s\n",
 			"", "count", "mean", "p50", "p90", "p99", "p999", "max")
 		for i, name := range cmcp.HistNames() {
 			s := hs.Get(cmcp.HistID(i)).Summarize()
 			if s.Count == 0 {
 				continue
 			}
-			fmt.Printf("  %-26s %10d %12.1f %8d %8d %8d %8d %10d\n",
+			printf("  %-26s %10d %12.1f %8d %8d %8d %8d %10d\n",
 				name, s.Count, s.Mean, s.P50, s.P90, s.P99, s.P999, s.Max)
 		}
 	}
 	if ts := r.Tenants; ts != nil {
-		fmt.Printf("tenants       %d address spaces; fairness (Jain, over p99 fault service) %.3f\n",
+		printf("tenants       %d address spaces; fairness (Jain, over p99 fault service) %.3f\n",
 			ts.Tenants(), ts.FairnessIndex())
 		show := min(8, ts.Tenants())
-		fmt.Printf("  %-8s %12s %12s %10s %10s %10s %10s\n",
+		printf("  %-8s %12s %12s %10s %10s %10s %10s\n",
 			"tenant", "touches", "page_faults", "evictions", "caused", "p99(cyc)", "max(cyc)")
 		for t := 0; t < show; t++ {
 			s := ts.FaultHist(t).Summarize()
-			fmt.Printf("  %-8d %12d %12d %10d %10d %10d %10d\n", t,
+			printf("  %-8d %12d %12d %10d %10d %10d %10d\n", t,
 				ts.Get(t, cmcp.TenantTouches), ts.Get(t, cmcp.TenantFaults),
 				ts.Get(t, cmcp.TenantEvictions), ts.Get(t, cmcp.TenantEvictionsCaused),
 				s.P99, s.Max)
 		}
 		if ts.Tenants() > show {
-			fmt.Printf("  ... %d more tenants (full record lands in Run.Tenants and journals)\n",
+			printf("  ... %d more tenants (full record lands in Run.Tenants and journals)\n",
 				ts.Tenants()-show)
 		}
 	}
 	if rec != nil {
-		if err := writeTrace(rec, topt, cores); err != nil {
-			return err
-		}
+		return writeTrace(rec, p.out, cfg.Cores, stdout)
 	}
 	return nil
 }
@@ -573,15 +654,15 @@ func runOne(wlName string, cores int, ratio float64, polName string, p float64, 
 // writeTrace exports the recorder's contents according to the flags:
 // events to -trace-out (format by extension), samples to a sibling
 // .samples.csv when -sample-every is set.
-func writeTrace(rec *cmcp.Recorder, topt traceOptions, cores int) error {
-	if topt.enabled {
-		f, err := os.Create(topt.out)
+func writeTrace(rec *cmcp.Recorder, out output, cores int, stdout io.Writer) error {
+	if out.trace {
+		f, err := os.Create(out.traceOut)
 		if err != nil {
 			return err
 		}
 		events := rec.Events()
 		switch {
-		case strings.HasSuffix(topt.out, ".jsonl"):
+		case strings.HasSuffix(out.traceOut, ".jsonl"):
 			// The meta header carries the drop count into the file, so
 			// cmcptrace -replay can warn that the ring overflowed
 			// instead of presenting a truncated trace as complete.
@@ -595,11 +676,11 @@ func writeTrace(rec *cmcp.Recorder, topt traceOptions, cores int) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("trace         %d events (%d dropped) -> %s\n", len(events), rec.Dropped(), topt.out)
+		fmt.Fprintf(stdout, "trace         %d events (%d dropped) -> %s\n", len(events), rec.Dropped(), out.traceOut)
 	}
-	if topt.sampleEvery > 0 {
-		ext := filepath.Ext(topt.out)
-		csvOut := strings.TrimSuffix(topt.out, ext) + ".samples.csv"
+	if out.sampleEvery > 0 {
+		ext := filepath.Ext(out.traceOut)
+		csvOut := strings.TrimSuffix(out.traceOut, ext) + ".samples.csv"
 		f, err := os.Create(csvOut)
 		if err != nil {
 			return err
@@ -611,135 +692,8 @@ func writeTrace(rec *cmcp.Recorder, topt traceOptions, cores int) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("samples       %d points -> %s\n", len(rec.Samples()), csvOut)
+		fmt.Fprintf(stdout, "samples       %d points -> %s\n", len(rec.Samples()), csvOut)
 	}
-	return nil
-}
-
-// benchResult is one configuration's measurement in the -bench output.
-type benchResult struct {
-	Name        string  `json:"name"`
-	Engine      string  `json:"engine"`
-	Iterations  int     `json:"iterations"`
-	NsPerOp     int64   `json:"ns_per_op"`
-	TouchesPerS float64 `json:"touches_per_sec"`
-	// SpeedupVsSerial is parallel-row throughput relative to the same
-	// policy's serial row from this same process (0 on serial rows).
-	SpeedupVsSerial float64           `json:"speedup_vs_serial,omitempty"`
-	RuntimeCyc      uint64            `json:"simulated_runtime_cycles"`
-	Counters        map[string]uint64 `json:"counters"`
-	// Hists carries per-histogram latency summaries (cmcp-bench/v2),
-	// keyed by cmcp.HistNames. They come from a separate hist-enabled
-	// run of the same config — counters are bit-identical either way —
-	// so the timed iterations above keep measuring the bare hot path.
-	Hists map[string]cmcp.HistogramSummary `json:"hists"`
-}
-
-// benchFile is the schema of BENCH_cmcp.json.
-type benchFile struct {
-	Schema    string `json:"schema"`
-	UnixTime  int64  `json:"unix_time"`
-	GoVersion string `json:"go_version,omitempty"`
-	// GoMaxProcs records the measuring host's parallelism: the parallel
-	// engine's speedup is worker-bound, so rows from a 1-P host (where
-	// all probing is inline) are not comparable to multi-core rows.
-	GoMaxProcs int           `json:"gomaxprocs"`
-	Runs       []benchResult `json:"runs"`
-}
-
-// runBench measures raw Simulate throughput for each built-in policy
-// on the SCALE workload (the mirror of bench_test.go's benchSimulate)
-// and optionally writes BENCH_cmcp.json, seeding the perf trajectory
-// with ns/op plus the counter totals that explain them. Every policy is
-// measured on both engines back to back — serial then parallel — so
-// each parallel row carries a speedup against a serial row from the
-// same process on the same host.
-func runBench(iters int, emitJSON bool, out string, seed uint64) error {
-	if iters < 1 {
-		iters = 1
-	}
-	kinds := []cmcp.PolicyKind{cmcp.FIFO, cmcp.LRU, cmcp.CMCP, cmcp.CLOCK, cmcp.LFU, cmcp.Random}
-	engines := []cmcp.EngineKind{cmcp.SerialEngine, cmcp.ParallelEngine}
-	file := benchFile{Schema: "cmcp-bench/v2", UnixTime: time.Now().Unix(),
-		GoVersion: runtime.Version(), GoMaxProcs: runtime.GOMAXPROCS(0)}
-	for _, kind := range kinds {
-		cfg := cmcp.Config{
-			Cores:       56,
-			Workload:    cmcp.SCALE().Scale(0.1),
-			MemoryRatio: 0.5,
-			Tables:      cmcp.PSPT,
-			Policy:      cmcp.PolicySpec{Kind: kind, P: -1},
-			Seed:        seed,
-		}
-		// One hist-enabled reference run per policy: counters and hists
-		// are bit-identical across engines, so both rows share it and the
-		// timed iterations keep measuring the bare hot path.
-		histCfg := cfg
-		histCfg.Hist = true
-		hres, err := cmcp.Simulate(histCfg)
-		if err != nil {
-			return err
-		}
-		hists := make(map[string]cmcp.HistogramSummary, len(cmcp.HistNames()))
-		for i, name := range cmcp.HistNames() {
-			hists[name] = hres.Run.Hists.Get(cmcp.HistID(i)).Summarize()
-		}
-		// Interleave the engines' timed iterations so transient host load
-		// hits both sides alike — the speedup field compares engines, not
-		// the machine's mood across two measurement blocks.
-		elapsed := make(map[cmcp.EngineKind]time.Duration, len(engines))
-		touches := make(map[cmcp.EngineKind]uint64, len(engines))
-		var last *cmcp.Result
-		for i := 0; i < iters; i++ {
-			for _, eng := range engines {
-				ecfg := cfg
-				ecfg.Engine = eng
-				start := time.Now()
-				res, err := cmcp.Simulate(ecfg)
-				if err != nil {
-					return err
-				}
-				elapsed[eng] += time.Since(start)
-				touches[eng] += res.Run.Total(cmcp.Touches)
-				last = res
-			}
-		}
-		counters := make(map[string]uint64, stats.NumCounters)
-		for c, name := range stats.CounterNames() {
-			counters[name] = last.Run.Total(stats.Counter(c))
-		}
-		var serialNs int64
-		for _, eng := range engines {
-			r := benchResult{
-				Name:        "Simulate/" + kind.String() + "/" + eng.String(),
-				Engine:      eng.String(),
-				Iterations:  iters,
-				NsPerOp:     elapsed[eng].Nanoseconds() / int64(iters),
-				TouchesPerS: float64(touches[eng]) / elapsed[eng].Seconds(),
-				RuntimeCyc:  uint64(last.Runtime),
-				Counters:    counters,
-				Hists:       hists,
-			}
-			if eng == cmcp.SerialEngine {
-				serialNs = r.NsPerOp
-			} else if r.NsPerOp > 0 {
-				r.SpeedupVsSerial = float64(serialNs) / float64(r.NsPerOp)
-			}
-			file.Runs = append(file.Runs, r)
-			fmt.Printf("%-26s %12d ns/op %14.0f touches/s\n", r.Name, r.NsPerOp, r.TouchesPerS)
-		}
-	}
-	if !emitJSON {
-		return nil
-	}
-	data, err := json.MarshalIndent(file, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", out)
 	return nil
 }
 
@@ -749,25 +703,12 @@ func parsePolicy(name string) (cmcp.PolicyKind, error) {
 			return k, nil
 		}
 	}
-	return 0, fmt.Errorf("unknown policy %q", name)
+	return 0, fmt.Errorf("-policy: unknown policy %q", name)
 }
 
-func parsePageSize(s string) (cmcp.PageSize, error) {
-	switch strings.ToLower(s) {
-	case "4k", "4kb":
-		return cmcp.Size4k, nil
-	case "64k", "64kb":
-		return cmcp.Size64k, nil
-	case "2m", "2mb":
-		return cmcp.Size2M, nil
-	default:
-		return 0, fmt.Errorf("unknown page size %q", s)
-	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
+// Value spellings of -tables and -pagesize (case-insensitive).
+var (
+	tableKinds = map[string]cmcp.TableKind{"pspt": cmcp.PSPT, "regular": cmcp.RegularPT}
+	pageSizes  = map[string]cmcp.PageSize{"4k": cmcp.Size4k, "4kb": cmcp.Size4k,
+		"64k": cmcp.Size64k, "64kb": cmcp.Size64k, "2m": cmcp.Size2M, "2mb": cmcp.Size2M}
+)

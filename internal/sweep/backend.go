@@ -1,23 +1,16 @@
 package sweep
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
-	"sort"
-	"strings"
 	"sync"
-
-	"cmcp/internal/stats"
 )
 
 // Backend is the journal persistence interface: where a sweep's
 // completed runs durably live. The sweep runner (and the coordinator
 // built on it) speaks only this interface, so the storage substrate —
-// a single JSONL file, an in-memory store for tests, a directory tree
-// of per-key files — is swappable without touching recovery logic.
+// a single JSONL file or an in-memory store for tests — is swappable
+// without touching recovery logic.
 //
 // The contract every implementation honors:
 //
@@ -93,7 +86,7 @@ func (b *FileBackend) Close() error {
 
 // MemBackend journals to process memory — the test and library-embed
 // substrate. Entries round-trip through the same JSON encoding as the
-// file backends, so a MemBackend-run sweep exercises the identical
+// file backend, so a MemBackend-run sweep exercises the identical
 // serialization path (and the identical lenient-read semantics) as a
 // crash-recovered file journal, just without the disk.
 type MemBackend struct {
@@ -136,222 +129,3 @@ func (b *MemBackend) Append(e Entry) error {
 
 // Close is a no-op; memory needs no flushing.
 func (b *MemBackend) Close() error { return nil }
-
-// dirHeaderFile is the provenance record of a DirBackend tree.
-const dirHeaderFile = "header.json"
-
-// dirTmpPrefix marks in-flight entry writes; Load ignores them, so a
-// kill mid-write leaves a stray temp file, never a torn entry.
-const dirTmpPrefix = ".tmp-"
-
-// DirBackend journals to a directory tree: one JSON file per content
-// key at <dir>/<key[:2]>/<key>.json plus a header.json provenance
-// record, each entry written to a temp file, fsynced, atomically
-// renamed into place, and the containing directory fsynced. A kill at
-// any instant therefore leaves either the complete previous state or
-// the complete new state — there is no torn-line case at all, only
-// ignorable temp files. Because rename is atomic and entries are
-// deterministic, multiple processes may even share one tree: duplicate
-// writers race to install byte-identical files.
-//
-// The two-character fan-out keeps any one directory small on large
-// grids (the keys are uniform hex, so ≤256 subdirectories share the
-// load evenly).
-type DirBackend struct {
-	dir string
-	mu  sync.Mutex
-	// headerOK memoizes header validation so Append pays the check once
-	// per process, not once per entry.
-	headerOK bool
-}
-
-// NewDirBackend returns a backend journaling into the directory tree
-// rooted at dir (created on first Append).
-func NewDirBackend(dir string) *DirBackend { return &DirBackend{dir: dir} }
-
-// ensureHeader creates dir and installs or validates header.json.
-func (b *DirBackend) ensureHeader() error {
-	if b.headerOK {
-		return nil
-	}
-	if err := os.MkdirAll(b.dir, 0o755); err != nil {
-		return err
-	}
-	path := filepath.Join(b.dir, dirHeaderFile)
-	data, err := os.ReadFile(path)
-	switch {
-	case err == nil:
-		if err := validateHeader(data); err != nil {
-			return fmt.Errorf("sweep: journal dir %s: %w", b.dir, err)
-		}
-	case os.IsNotExist(err):
-		hdr, err := json.Marshal(header{Schema: Schema, Counters: stats.CounterNames(), Hists: stats.HistNames()})
-		if err != nil {
-			return err
-		}
-		if err := writeFileAtomic(path, hdr); err != nil {
-			return err
-		}
-	default:
-		return err
-	}
-	b.headerOK = true
-	return nil
-}
-
-// Append durably installs one entry file.
-func (b *DirBackend) Append(e Entry) error {
-	b.mu.Lock()
-	err := b.ensureHeader()
-	b.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	if len(e.Key) < 2 {
-		return fmt.Errorf("sweep: journal dir %s: entry key %q too short", b.dir, e.Key)
-	}
-	data, err := json.Marshal(e)
-	if err != nil {
-		return err
-	}
-	sub := filepath.Join(b.dir, e.Key[:2])
-	if err := os.MkdirAll(sub, 0o755); err != nil {
-		return err
-	}
-	return writeFileAtomic(filepath.Join(sub, e.Key+".json"), data)
-}
-
-// Load reads every entry file under the tree, skipping (and counting)
-// any that fails to decode. Temp files from interrupted writes are
-// ignored entirely. A tree with entries but no readable header is
-// rejected — provenance is not optional.
-func (b *DirBackend) Load() ([]Entry, int, error) {
-	hdrData, err := os.ReadFile(filepath.Join(b.dir, dirHeaderFile))
-	if err != nil {
-		if os.IsNotExist(err) {
-			// Fresh (or absent) tree: an empty journal — unless entry
-			// files exist headerless, which means foreign or mutilated
-			// provenance and must not be silently merged.
-			if n, _ := b.countEntryFiles(); n > 0 {
-				return nil, 0, fmt.Errorf("sweep: journal dir %s has entries but no %s; refusing to merge unattributed results", b.dir, dirHeaderFile)
-			}
-			return nil, 0, nil
-		}
-		return nil, 0, err
-	}
-	if err := validateHeader(hdrData); err != nil {
-		return nil, 0, fmt.Errorf("sweep: journal dir %s: %w", b.dir, err)
-	}
-	var entries []Entry
-	skipped := 0
-	for _, path := range b.entryFiles() {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			skipped++
-			continue
-		}
-		var e Entry
-		if err := json.Unmarshal(data, &e); err != nil || e.Key == "" || e.Run == nil || e.Run.Cores != e.Cores {
-			skipped++
-			continue
-		}
-		entries = append(entries, e)
-	}
-	return entries, skipped, nil
-}
-
-// Close is a no-op: every Append already fsynced its way to disk.
-func (b *DirBackend) Close() error { return nil }
-
-// entryFiles returns every installed entry file in deterministic
-// (sorted) order, temp files excluded.
-func (b *DirBackend) entryFiles() []string {
-	subs, err := os.ReadDir(b.dir)
-	if err != nil {
-		return nil
-	}
-	var files []string
-	for _, sub := range subs {
-		if !sub.IsDir() {
-			continue
-		}
-		ents, err := os.ReadDir(filepath.Join(b.dir, sub.Name()))
-		if err != nil {
-			continue
-		}
-		for _, ent := range ents {
-			name := ent.Name()
-			if ent.IsDir() || strings.HasPrefix(name, dirTmpPrefix) || !strings.HasSuffix(name, ".json") {
-				continue
-			}
-			files = append(files, filepath.Join(b.dir, sub.Name(), name))
-		}
-	}
-	sort.Strings(files)
-	return files
-}
-
-// countEntryFiles counts installed entry files (for the headerless
-// check).
-func (b *DirBackend) countEntryFiles() (int, error) {
-	return len(b.entryFiles()), nil
-}
-
-// validateHeader applies the JSONL header checks to a standalone
-// header document.
-func validateHeader(data []byte) error {
-	var h header
-	if err := json.Unmarshal(bytes.TrimSpace(data), &h); err != nil || h.Schema != Schema {
-		if err == nil && staleSchemas[h.Schema] {
-			return fmt.Errorf("journal schema %q is outdated; this build writes %q — start a fresh journal", h.Schema, Schema)
-		}
-		return fmt.Errorf("journal header missing or not %q (corrupt, or not a sweep journal)", Schema)
-	}
-	if want := stats.CounterNames(); !equalStrings(h.Counters, want) {
-		return fmt.Errorf("journal counter set %v does not match this build's %v; re-run the sweep with a fresh journal", h.Counters, want)
-	}
-	if want := stats.HistNames(); !equalStrings(h.Hists, want) {
-		return fmt.Errorf("journal histogram set %v does not match this build's %v; re-run the sweep with a fresh journal", h.Hists, want)
-	}
-	return nil
-}
-
-// writeFileAtomic installs data at path via temp file + fsync + rename
-// + directory fsync: after it returns, the file is durable; if the
-// process dies first, the old state (or absence) survives untouched.
-func writeFileAtomic(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	tmp := filepath.Join(dir, dirTmpPrefix+filepath.Base(path))
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	// fsync the directory so the rename itself survives a crash.
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}

@@ -4,7 +4,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"strings"
 	"testing"
 
 	"cmcp/internal/machine"
@@ -34,7 +33,6 @@ func TestBackendResume(t *testing.T) {
 	backends := map[string]Backend{
 		"file": NewFileBackend(filepath.Join(dir, "file.jsonl")),
 		"mem":  NewMemBackend(),
-		"dir":  NewDirBackend(filepath.Join(dir, "tree")),
 	}
 	for name, b := range backends {
 		t.Run(name, func(t *testing.T) {
@@ -89,72 +87,6 @@ func TestFileBackendMatchesJournalOption(t *testing.T) {
 	}
 	if string(a) != string(bdata) {
 		t.Fatal("FileBackend journal differs from Options.Journal journal after compaction")
-	}
-}
-
-// TestDirBackendCrashArtifacts pins DirBackend's torn-write story:
-// stray temp files from a kill mid-write are invisible to Load, and a
-// tree holding entries without provenance is rejected outright.
-func TestDirBackendCrashArtifacts(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "tree")
-	b := NewDirBackend(dir)
-	ref := runBackend(t, b)
-
-	// A kill mid-Append leaves a temp file; Load must not count or
-	// decode it.
-	sub := filepath.Join(dir, "ab")
-	if err := os.MkdirAll(sub, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(sub, dirTmpPrefix+"abcd.json"), []byte(`{"key":"torn`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	entries, skipped, err := b.Load()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if skipped != 0 || len(entries) != ref.Executed {
-		t.Fatalf("Load = %d entries, %d skipped; want %d and 0 (temp file must be invisible)", len(entries), skipped, ref.Executed)
-	}
-
-	// An installed-but-corrupt entry file is skipped and counted, like a
-	// torn JSONL line.
-	if err := os.WriteFile(filepath.Join(sub, "abcdef.json"), []byte(`{"key":"half`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, skipped, err = b.Load(); err != nil || skipped != 1 {
-		t.Fatalf("corrupt entry: skipped = %d, err = %v; want 1 and nil", skipped, err)
-	}
-
-	// Entries with no header.json mean unattributable provenance: reject.
-	if err := os.Remove(filepath.Join(dir, dirHeaderFile)); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := NewDirBackend(dir).Load(); err == nil || !strings.Contains(err.Error(), dirHeaderFile) {
-		t.Fatalf("headerless tree: err = %v, want provenance rejection", err)
-	}
-}
-
-// TestDirBackendRejectsForeignHeader mirrors the JSONL header checks.
-func TestDirBackendRejectsForeignHeader(t *testing.T) {
-	for name, hdr := range map[string]string{
-		"badschema":   `{"schema":"cmcp-sweep/v0","counters":[]}`,
-		"stale":       `{"schema":"cmcp-sweep/v2","counters":[]}`,
-		"badcounters": `{"schema":"cmcp-sweep/v3","counters":["bogus"]}`,
-	} {
-		t.Run(name, func(t *testing.T) {
-			dir := t.TempDir()
-			if err := os.WriteFile(filepath.Join(dir, dirHeaderFile), []byte(hdr), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			b := NewDirBackend(dir)
-			if _, _, err := b.Load(); err == nil {
-				t.Error("Load accepted a foreign header")
-			}
-			if err := b.Append(EntryOf("0123456789abcdef", testCfg(1), Placeholder(testCfg(1)))); err == nil {
-				t.Error("Append accepted a foreign header")
-			}
-		})
 	}
 }
 

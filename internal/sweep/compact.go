@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"path/filepath"
 	"sort"
 
 	"cmcp/internal/stats"
@@ -97,4 +98,47 @@ func encodeJournal(entries []Entry) ([]byte, error) {
 		buf = append(buf, '\n')
 	}
 	return buf, nil
+}
+
+// tmpPrefix marks an in-flight writeFileAtomic temp file.
+const tmpPrefix = ".tmp-"
+
+// writeFileAtomic installs data at path via temp file + fsync + rename
+// + directory fsync: after it returns, the file is durable; if the
+// process dies first, the old state (or absence) survives untouched.
+func writeFileAtomic(path string, data []byte) error {
+	dir := filepath.Dir(path)
+	tmp := filepath.Join(dir, tmpPrefix+filepath.Base(path))
+	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	if err != nil {
+		return err
+	}
+	if _, err := f.Write(data); err != nil {
+		f.Close()
+		os.Remove(tmp)
+		return err
+	}
+	if err := f.Sync(); err != nil {
+		f.Close()
+		os.Remove(tmp)
+		return err
+	}
+	if err := f.Close(); err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	if err := os.Rename(tmp, path); err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	// fsync the directory so the rename itself survives a crash.
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
