@@ -221,6 +221,21 @@ func TestInvalidInvocationsFail(t *testing.T) {
 	}
 }
 
+// TestOutdatedJournalRefused pins that a journal written under an
+// older schema, whose content keys this build no longer computes, is
+// refused as outdated rather than silently re-run.
+func TestOutdatedJournalRefused(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "v4.jsonl")
+	if err := os.WriteFile(path, []byte(`{"schema":"cmcp-sweep/v4","counters":[],"hists":[]}`+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var stdout, stderr bytes.Buffer
+	code := run([]string{"-exp", "table1", "-quick", "-scale", "0.04", "-journal", path}, &stdout, &stderr)
+	if code == 0 || !strings.Contains(stderr.String(), "outdated") {
+		t.Errorf("v4 journal: exit %d, stderr %q; want a failure saying the journal is outdated", code, stderr.String())
+	}
+}
+
 func TestParseShard(t *testing.T) {
 	for _, s := range []string{"0/2x", "1/2/3", "2/2", "-1/2", "0/0", "0", "a/b", " 0/2", "0/ 2"} {
 		if _, _, err := parseShard(s); err == nil {

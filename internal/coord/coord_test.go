@@ -1,7 +1,6 @@
 package coord
 
 import (
-	"encoding/json"
 	"errors"
 	"reflect"
 	"strings"
@@ -43,11 +42,9 @@ func grid() []machine.Config {
 	return cfgs
 }
 
-// Top-level factories for registry-dependent tests: closures defined at
-// one source location share a code pointer, so these must be distinct
-// named functions. coordTestCrash panics on construction — the
-// poisoned-key scenario.
-func coordTestFIFO(policy.Host) policy.Policy { return policy.NewFIFO() }
+// coordTestCrash is a registered factory that panics on construction —
+// the poisoned-key scenario. It must be a named top-level function:
+// closures defined at one source location share a code pointer.
 func coordTestCrash(policy.Host) policy.Policy {
 	panic("injected crash: policy refuses to construct")
 }
@@ -56,7 +53,6 @@ var registerOnce sync.Once
 
 func registerTestPolicies() {
 	registerOnce.Do(func() {
-		sweep.RegisterPolicy("coord-test-fifo", coordTestFIFO)
 		sweep.RegisterPolicy("coord-test-crash", coordTestCrash)
 	})
 }
@@ -154,62 +150,6 @@ func waitBatch(t *testing.T, ch <-chan batchOut) batchOut {
 	case <-time.After(10 * time.Second):
 		t.Fatal("batch did not complete within 10s")
 		return batchOut{}
-	}
-}
-
-func TestWireRoundTrip(t *testing.T) {
-	registerTestPolicies()
-
-	// Built-in policy: round-trips through JSON with the key intact.
-	builtin := testCfg(3)
-	builtin.Policy = machine.PolicySpec{Kind: machine.CMCP, P: 0.5, DynamicP: true}
-	// Factory policy: transported by registered name.
-	custom := testCfg(4)
-	custom.Policy = machine.PolicySpec{Factory: coordTestFIFO}
-
-	for name, cfg := range map[string]machine.Config{"builtin": builtin, "factory": custom} {
-		wantKey, err := sweep.Key(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		w, err := toWire(cfg)
-		if err != nil {
-			t.Fatalf("%s: toWire: %v", name, err)
-		}
-		blob, err := json.Marshal(w)
-		if err != nil {
-			t.Fatalf("%s: marshal: %v", name, err)
-		}
-		var back configWire
-		if err := json.Unmarshal(blob, &back); err != nil {
-			t.Fatalf("%s: unmarshal: %v", name, err)
-		}
-		got, err := back.config()
-		if err != nil {
-			t.Fatalf("%s: decode: %v", name, err)
-		}
-		gotKey, err := sweep.Key(got)
-		if err != nil {
-			t.Fatalf("%s: key of decoded config: %v", name, err)
-		}
-		if gotKey != wantKey {
-			t.Errorf("%s: config changed key over the wire: %s -> %s", name, wantKey, gotKey)
-		}
-	}
-
-	// Unregistered factory: refused at encode time.
-	rogue := testCfg(5)
-	rogue.Policy = machine.PolicySpec{Factory: func(policy.Host) policy.Policy { return policy.NewFIFO() }}
-	if _, err := toWire(rogue); err == nil || !strings.Contains(err.Error(), "RegisterPolicy") {
-		t.Errorf("unregistered factory encoded without error (err=%v)", err)
-	}
-
-	// Unknown name: refused at decode time with a registration hint.
-	var w configWire
-	w.Config = testCfg(6)
-	w.Policy = policyWire{Factory: "no-such-policy"}
-	if _, err := w.config(); err == nil || !strings.Contains(err.Error(), "no-such-policy") {
-		t.Errorf("unknown factory name decoded without error (err=%v)", err)
 	}
 }
 

@@ -6,6 +6,8 @@ import (
 	"net"
 	"net/http"
 	"time"
+
+	"cmcp/internal/sweep"
 )
 
 // httpState is the Coordinator's server plumbing.
@@ -93,7 +95,7 @@ func (c *Coordinator) Handler() http.Handler {
 		case grant == nil:
 			writeJSON(w, leaseResponse{RetryMS: wait.Milliseconds()})
 		default:
-			cw, err := toWire(grant.Config)
+			cw, err := sweep.ToWire(grant.Config)
 			if err != nil {
 				// Undispatchable config: the worker cannot run it, no
 				// worker ever will. Quarantine through the normal path.

@@ -106,7 +106,7 @@ func (w *Worker) execute(lr leaseResponse) {
 		fail("lease carried no config")
 		return
 	}
-	cfg, err := lr.Config.config()
+	cfg, err := lr.Config.Decode()
 	if err != nil {
 		fail(err.Error())
 		return

@@ -26,7 +26,7 @@ type LRU struct {
 	scanBatch  int
 	nextScan   sim.Cycles
 
-	scratch []sim.PageID
+	scratch, activeScratch []sim.PageID // reusable Tick batch buffers
 }
 
 // LRUOption customizes an LRU instance.
@@ -118,7 +118,7 @@ func (l *LRU) Tick(now sim.Cycles) {
 	// in the inactive pass is not immediately re-examined (and demoted)
 	// in the active pass of the same tick.
 	inactiveBatch := capture(l.inactive, l.scanBatch, l.scratch[:0])
-	activeBatch := capture(l.active, l.scanBatch, nil)
+	activeBatch := capture(l.active, l.scanBatch, l.activeScratch[:0])
 	for _, base := range inactiveBatch {
 		if !l.inactive.Has(base) {
 			continue
@@ -153,7 +153,7 @@ func (l *LRU) Tick(now sim.Cycles) {
 		}
 		l.inactive.PushTail(base)
 	}
-	l.scratch = inactiveBatch[:0]
+	l.scratch, l.activeScratch = inactiveBatch[:0], activeBatch[:0]
 }
 
 // capture copies up to limit bases from the head of list into dst.

@@ -53,6 +53,20 @@ func (s CoreSet) Cores(dst []sim.CoreID) []sim.CoreID {
 	return dst
 }
 
+// Pop removes and returns the lowest member core; ok is false when the
+// set is empty. Popping a copy walks the members in ascending order
+// without building a slice.
+func (s *CoreSet) Pop() (c sim.CoreID, ok bool) {
+	for w := range s {
+		if s[w] != 0 {
+			b := bits.TrailingZeros64(s[w])
+			s[w] &^= 1 << uint(b)
+			return sim.CoreID(w*64 + b), true
+		}
+	}
+	return 0, false
+}
+
 // SocketSet is a bitmap of NUMA socket IDs (Topology caps Sockets at
 // 32, so one word suffices).
 type SocketSet uint32
@@ -321,9 +335,8 @@ func (p *PSPT) Unmap(vpn sim.PageID) (*Mapping, bool) {
 		return nil, false
 	}
 	dirty := false
-	var cores []sim.CoreID
-	cores = m.Cores.Cores(cores)
-	for _, c := range cores {
+	set := m.Cores
+	for c, ok := set.Pop(); ok; c, ok = set.Pop() {
 		old := p.clearInTable(c, m.Base, m.Size)
 		if old.Has(pagetable.Dirty) {
 			dirty = true
@@ -384,9 +397,8 @@ func (p *PSPT) ScanAccessed(vpn sim.PageID, dst []sim.CoreID) (accessed bool, ta
 		return false, dst
 	}
 	targets = dst
-	var cores []sim.CoreID
-	cores = m.Cores.Cores(cores)
-	for _, c := range cores {
+	set := m.Cores
+	for c, ok := set.Pop(); ok; c, ok = set.Pop() {
 		t := p.tables[c]
 		hit := false
 		switch m.Size {

@@ -21,9 +21,10 @@ import (
 // inside Run records); v3 added multi-tenant machines (per-tenant
 // records inside Run, tenant fields in the content key); v4 added the
 // NUMA topology (new counters and a histogram in Run, topology fields
-// in the content key). Stale schemas are rejected: their runs predate
-// fields the keys now select.
-const Schema = "cmcp-sweep/v4"
+// in the content key); v5 derives every content key from the JSON wire
+// encoding of the config (see Key). Stale schemas are rejected: their
+// keys or runs no longer match what this build computes.
+const Schema = "cmcp-sweep/v5"
 
 // staleSchemas are schemas this build once wrote and now refuses, so
 // the rejection can say "outdated" rather than "not a journal".
@@ -31,6 +32,7 @@ var staleSchemas = map[string]bool{
 	"cmcp-sweep/v1": true,
 	"cmcp-sweep/v2": true,
 	"cmcp-sweep/v3": true,
+	"cmcp-sweep/v4": true,
 }
 
 // header is the journal's first line.
@@ -58,10 +60,10 @@ type Entry struct {
 	Run         *stats.Run `json:"run"`
 }
 
-// EntryOf snapshots a completed run for the journal. Exported so the
-// coordinator (and any other Backend client) journals results through
-// the exact encoding the sweep runner uses — the precondition for
-// merged journals being byte-comparable after compaction.
+// EntryOf snapshots a completed run for the journal. Exported so a
+// coordinator worker reports results through the exact encoding the
+// sweep runner journals — the precondition for merged journals being
+// byte-comparable after compaction.
 func EntryOf(key string, cfg machine.Config, res *machine.Result) Entry {
 	return Entry{
 		Key:         key,
@@ -120,7 +122,7 @@ func ReadJournalLenient(r io.Reader) (entries []Entry, skipped int, err error) {
 	var h header
 	if err := json.Unmarshal(sc.Bytes(), &h); err != nil || h.Schema != Schema {
 		if err == nil && staleSchemas[h.Schema] {
-			return nil, 0, fmt.Errorf("sweep: journal schema %q is outdated; this build writes %q (the content key and Run payload have since grown fields — tenants in v3, NUMA topology in v4 — so older entries can never satisfy current sweeps) — start a fresh journal", h.Schema, Schema)
+			return nil, 0, fmt.Errorf("sweep: journal schema %q is outdated; this build writes %q (the content key and Run payload have since changed — tenants in v3, NUMA topology in v4, keys derived from the JSON config encoding in v5 — so older entries can never satisfy current sweeps) — start a fresh journal", h.Schema, Schema)
 		}
 		return nil, 0, fmt.Errorf("sweep: journal header missing or not %q (corrupt first line, or not a sweep journal)", Schema)
 	}

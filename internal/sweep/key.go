@@ -1,167 +1,137 @@
 package sweep
 
 import (
-	"encoding/binary"
+	"encoding/json"
 	"fmt"
-	"hash"
 	"hash/fnv"
 	"io"
-	"math"
 
-	"cmcp/internal/fault"
 	"cmcp/internal/machine"
+	"cmcp/internal/sim"
 )
 
 // keyVersion is folded into every content key. Bump it whenever the
-// meaning of a hashed field changes (not merely when fields are added —
-// added fields change keys by themselves), so journals written under
-// older semantics can never satisfy a new sweep.
+// meaning of an encoded field changes (not merely when fields are
+// added — added fields change keys by themselves), so journals written
+// under older semantics can never satisfy a new sweep.
 //
-// v2: multi-tenant machines. Config.Tenants is hashed (presence plus
-// every field) and the journaled Run payload grew a per-tenant record,
-// so pre-tenant journal entries can never satisfy a tenant sweep.
-const keyVersion = 2
+// v2: multi-tenant machines (Config.Tenants and a per-tenant Run
+// record). v3: the key is derived from the JSON wire encoding instead
+// of a hand-kept field walk, so every key changed.
+const keyVersion = 3
 
-// Key returns the deterministic content key of one run configuration:
-// a 64-bit FNV-1a hash, rendered as 16 hex digits, over every field
-// that can influence the simulation's result — policy, workload spec,
-// cores, memory ratio, page size and table kind, seeds, cost model, TLB
-// geometry, and the fault-injection config. Two Configs share a key iff
-// they describe the same deterministic run, which is what lets a
-// journal replace re-execution and lets shards partition a grid with no
-// coordination.
+// machine.Config is almost JSON: the one exception is Policy.Factory, a
+// function value with no serializable identity. ConfigWire shadows the
+// Policy field with a mirror whose Factory is the registry name (see
+// RegisterPolicy) — the embedded Config's own Policy (and its func) is
+// never encoded, Go's JSON depth rule sees to that. Probe and Audit are
+// single-run observers the sweep layer rejects, so they are always nil
+// here.
 //
-// Probe and Audit are deliberately excluded: both are read-only
-// observers that never change a run's Result. Custom policy factories
-// cannot be content-hashed directly (a function value has no stable
-// identity across processes); a factory registered via RegisterPolicy
-// hashes its registered name instead — appended to the stream only in
-// the factory case, so every built-in config's key is unchanged —
-// while unregistered factories are still rejected.
-func Key(cfg machine.Config) (string, error) {
-	factoryName := ""
+// This one encoding serves three readers: Key hashes it, the
+// coordinator ships it to workers, and the worker recomputes Key over
+// the decoded config and refuses a mismatch. That drift guard turns
+// every silent skew — version skew between coordinator and worker
+// binaries, a registry name bound to a different factory, a field lost
+// in transit — into a loud failure before any wrong result can be
+// journaled under the right key.
+
+// policyWire mirrors machine.PolicySpec with the factory as its
+// registered name.
+type policyWire struct {
+	Factory    string             `json:"factory,omitempty"`
+	Kind       machine.PolicyKind `json:"kind"`
+	P          float64            `json:"p"`
+	DynamicP   bool               `json:"dynamic_p,omitempty"`
+	ScanPeriod sim.Cycles         `json:"scan_period,omitempty"`
+	ScanBatch  int                `json:"scan_batch,omitempty"`
+}
+
+// ConfigWire is machine.Config with the Policy field made
+// serializable. The mirror's JSON name must be exactly "Policy": Go's
+// shadowing rule hides the embedded func-carrying field only when the
+// two fields' JSON names collide — with a different name both would
+// encode, and encoding/json rejects func-typed fields even when nil.
+type ConfigWire struct {
+	machine.Config
+	Policy policyWire `json:"Policy"`
+}
+
+// ToWire encodes cfg for hashing and transport. It fails on an
+// unregistered factory: a function value has no stable cross-process
+// identity, so such a config can be neither keyed nor dispatched.
+func ToWire(cfg machine.Config) (ConfigWire, error) {
+	pw := policyWire{
+		Kind:       cfg.Policy.Kind,
+		P:          cfg.Policy.P,
+		DynamicP:   cfg.Policy.DynamicP,
+		ScanPeriod: cfg.Policy.ScanPeriod,
+		ScanBatch:  cfg.Policy.ScanBatch,
+	}
 	if cfg.Policy.Factory != nil {
 		name, ok := RegisteredPolicyName(cfg.Policy.Factory)
 		if !ok {
-			return "", fmt.Errorf("sweep: custom Policy.Factory configs cannot be content-keyed (no stable cross-process identity); use a built-in PolicyKind or register the factory via sweep.RegisterPolicy")
+			return ConfigWire{}, fmt.Errorf("sweep: custom Policy.Factory configs cannot be content-keyed (no stable cross-process identity); use a built-in PolicyKind or register the factory via sweep.RegisterPolicy")
 		}
-		factoryName = name
+		pw.Factory = name
 	}
-	w := hasher{h: fnv.New64a()}
-	w.u64(keyVersion)
+	c := cfg
+	c.Policy = machine.PolicySpec{} // shadowed; zeroed for hygiene
+	c.Probe, c.Audit = nil, nil
+	return ConfigWire{Config: c, Policy: pw}, nil
+}
 
-	w.i(cfg.Cores)
-
-	// Workload spec, field by field in declaration order.
-	s := cfg.Workload
-	w.str(s.Name)
-	w.i(s.Pages)
-	w.i(s.TotalTouches)
-	w.f64(s.WriteFrac)
-	w.i(len(s.Sharing))
-	for _, b := range s.Sharing {
-		w.i(b.Cores)
-		w.f64(b.Frac)
-		w.f64(b.HotFrac)
+// Decode turns the wire form back into a runnable machine.Config,
+// resolving the factory name through this process's registry.
+func (w ConfigWire) Decode() (machine.Config, error) {
+	cfg := w.Config
+	cfg.Probe, cfg.Audit = nil, nil // observers are never transported
+	cfg.Policy = machine.PolicySpec{
+		Kind:       w.Policy.Kind,
+		P:          w.Policy.P,
+		DynamicP:   w.Policy.DynamicP,
+		ScanPeriod: w.Policy.ScanPeriod,
+		ScanBatch:  w.Policy.ScanBatch,
 	}
-	w.f64(s.SharedHotFrac)
-	w.f64(s.PrivateHotFrac)
-	w.f64(s.HotQ)
-	w.i(s.Burst)
-	w.f64(s.SeqP)
-	w.b(s.PhaseShift)
-	w.i(s.HotStripe)
-	w.f64(s.HotSkew)
-
-	// Tenant spec, field by field in declaration order.
-	if ten := cfg.Tenants; ten != nil {
-		w.b(true)
-		w.i(ten.Tenants)
-		w.i(ten.PagesPerTenant)
-		w.i(ten.TotalTouches)
-		w.f64(ten.WriteFrac)
-		w.f64(ten.ZipfS)
-		w.f64(ten.PageSkew)
-		w.i(ten.Burst)
-		w.i(ten.ChurnEvery)
-		w.i(ten.ChurnStride)
-		w.i(ten.DiurnalEvery)
-		w.i(len(ten.Weights))
-		for _, wt := range ten.Weights {
-			w.f64(wt)
+	if w.Policy.Factory != "" {
+		f, ok := RegisteredPolicy(w.Policy.Factory)
+		if !ok {
+			return machine.Config{}, fmt.Errorf("sweep: no policy registered as %q in this process (register it via sweep.RegisterPolicy before starting the worker)", w.Policy.Factory)
 		}
-		w.b(ten.HardPartition)
-	} else {
-		w.b(false)
+		cfg.Policy.Factory = f
 	}
+	return cfg, nil
+}
 
-	w.f64(cfg.MemoryRatio)
-	w.u64(uint64(cfg.PageSize))
-	w.b(cfg.AdaptivePageSize)
-	w.u64(uint64(cfg.Tables))
-
-	w.u64(uint64(cfg.Policy.Kind))
-	w.f64(cfg.Policy.P)
-	w.b(cfg.Policy.DynamicP)
-	w.u64(uint64(cfg.Policy.ScanPeriod))
-	w.i(cfg.Policy.ScanBatch)
-	if factoryName != "" {
-		// Registered custom policy: the name is its identity. Hashed
-		// only in the factory case so built-in configs keep the keys
-		// their journals were written under.
-		w.str(factoryName)
+// Key returns the deterministic content key of one run configuration: a
+// 64-bit FNV-1a hash, rendered as 16 hex digits, over keyVersion and the
+// JSON encoding of ToWire(cfg). Every exported Config field therefore
+// reaches the key with no hand-kept list, and two Configs share a key
+// iff they describe the same deterministic run — which is what lets a
+// journal replace re-execution and lets shards partition a grid with no
+// coordination.
+//
+// Three fields are left out because they never change a Result: Engine
+// (the parallel engine is bit-identical to serial), and the read-only
+// observers Probe and Audit. Hist is kept: it never changes counters,
+// but it does change the journaled Run payload (histograms present or
+// absent). A registered custom factory is keyed by its name; an
+// unregistered one, or a non-finite float anywhere in the config, is an
+// error.
+func Key(cfg machine.Config) (string, error) {
+	cfg.Engine = machine.SerialEngine
+	w, err := ToWire(cfg)
+	if err != nil {
+		return "", err
 	}
-
-	w.u64(cfg.Seed)
-
-	// CostModel is all fixed-size fields (Cycles, float64), so the
-	// binary encoding covers future fields automatically.
-	if err := binary.Write(w.h, binary.LittleEndian, cfg.Cost); err != nil {
-		return "", fmt.Errorf("sweep: hashing cost model: %w", err)
+	data, err := json.Marshal(w)
+	if err != nil {
+		return "", fmt.Errorf("sweep: encoding config for its content key: %w", err)
 	}
-
-	w.i(cfg.TLB.L1Entries4k)
-	w.i(cfg.TLB.L1Entries64k)
-	w.i(cfg.TLB.L1Entries2M)
-	w.i(cfg.TLB.L2Entries)
-
-	w.b(cfg.Verify)
-	w.u64(uint64(cfg.TickInterval))
-	w.b(cfg.NoWarmup)
-	w.u64(uint64(cfg.PSPTRebuildPeriod))
-	// Hist never changes counters or finish times, but it does change
-	// the journaled Run payload (histograms present or absent), so a
-	// Hist sweep must not be satisfied by a histogram-less journal entry
-	// — it keys separately.
-	w.b(cfg.Hist)
-
-	if cfg.Faults != nil {
-		w.b(true)
-		w.u64(cfg.Faults.Seed)
-		for k := 0; k < fault.NumKinds; k++ {
-			w.f64(cfg.Faults.Rates[k])
-		}
-		w.i(cfg.Faults.MaxRetries)
-	} else {
-		w.b(false)
-	}
-
-	// Topology changes costs and counters, so it must key separately —
-	// but it is hashed only when present (the registered-factory-name
-	// pattern above), so every flat config's key is unchanged and
-	// pre-topology journals keep satisfying flat sweeps.
-	if topo := cfg.Topology; topo != nil {
-		w.str("topology")
-		w.i(topo.Sockets)
-		w.i(topo.CoresPerSocket)
-		w.u64(uint64(topo.CrossSocketIPI))
-		w.u64(uint64(topo.RemoteWalkExtra))
-		w.u64(uint64(topo.ReplicaSync))
-		w.u64(uint64(topo.MigrateCost))
-		w.i(topo.MigrateThreshold)
-	}
-
-	return fmt.Sprintf("%016x", w.h.Sum64()), nil
+	h := fnv.New64a()
+	fmt.Fprintf(h, "cmcp-key/v%d\n", keyVersion)
+	h.Write(data)
+	return fmt.Sprintf("%016x", h.Sum64()), nil
 }
 
 // ShardOf assigns a key to one of n shards: an independent hash of the
@@ -175,29 +145,4 @@ func ShardOf(key string, n int) int {
 	h := fnv.New32a()
 	io.WriteString(h, key)
 	return int(h.Sum32() % uint32(n))
-}
-
-// hasher accumulates fixed-width field encodings into a 64-bit FNV.
-type hasher struct{ h hash.Hash64 }
-
-func (w hasher) u64(v uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	w.h.Write(b[:])
-}
-
-func (w hasher) i(v int)       { w.u64(uint64(int64(v))) }
-func (w hasher) f64(v float64) { w.u64(math.Float64bits(v)) }
-
-func (w hasher) b(v bool) {
-	if v {
-		w.u64(1)
-	} else {
-		w.u64(0)
-	}
-}
-
-func (w hasher) str(s string) {
-	w.u64(uint64(len(s)))
-	io.WriteString(w.h, s)
 }

@@ -69,12 +69,6 @@ type Options struct {
 	// must not retain or mutate the Result. The telemetry server's
 	// live-snapshot feed hangs off this hook.
 	OnResult func(*machine.Result)
-	// Backend, when non-nil, replaces Journal as this sweep's journal
-	// store: completed runs Append to it and resumable runs Load from
-	// it. Journal (if also set) then contributes read-only, like an
-	// import. The caller owns the Backend's lifecycle; Run never closes
-	// a Backend it did not open itself.
-	Backend Backend
 	// Runner, when non-nil, replaces the local in-process executor: the
 	// planned runs are handed to it instead of machine.RunManyNotify.
 	// The coordinator implements Runner to dispatch runs to leased
@@ -169,19 +163,7 @@ func Run(cfgs []machine.Config, opt Options) (*Outcome, error) {
 	// Load every journal: this process's own (resume) plus imports
 	// (other shards). Later entries win within a file; across files the
 	// first hit wins — runs are deterministic, so duplicates agree.
-	// Options.Backend, when set, is the primary store; Options.Journal
-	// then demotes to a read-only import.
 	journaled := make(map[string]Entry)
-	if opt.Backend != nil {
-		entries, skipped, err := opt.Backend.Load()
-		if err != nil {
-			return nil, err
-		}
-		out.SkippedLines += skipped
-		for _, e := range entries {
-			journaled[e.Key] = e
-		}
-	}
 	for _, path := range append([]string{opt.Journal}, opt.Imports...) {
 		if path == "" {
 			continue
@@ -235,14 +217,13 @@ func Run(cfgs []machine.Config, opt Options) (*Outcome, error) {
 	}
 
 	// Execute, journaling each run the moment it completes: that
-	// durable Append is the checkpoint a killed sweep resumes from.
-	// An explicit Backend is caller-owned; a Backend opened here for
-	// Options.Journal is closed here.
-	backend := opt.Backend
-	ownedBackend := false
-	if backend == nil && opt.Journal != "" && len(runCfgs) > 0 {
-		backend = NewFileBackend(opt.Journal)
-		ownedBackend = true
+	// flushed line is the checkpoint a killed sweep resumes from.
+	var jw *journalWriter
+	if opt.Journal != "" && len(runCfgs) > 0 {
+		var err error
+		if jw, err = openJournal(opt.Journal); err != nil {
+			return nil, fmt.Errorf("sweep: journal %s: %w", opt.Journal, err)
+		}
 	}
 	var (
 		jwMu  sync.Mutex
@@ -262,10 +243,10 @@ func Run(cfgs []machine.Config, opt Options) (*Outcome, error) {
 		if opt.OnResult != nil {
 			opt.OnResult(res)
 		}
-		if backend == nil {
+		if jw == nil {
 			return
 		}
-		if aerr := backend.Append(EntryOf(runKeys[i], runCfgs[i], res)); aerr != nil {
+		if aerr := jw.append(EntryOf(runKeys[i], runCfgs[i], res)); aerr != nil {
 			jwMu.Lock()
 			if jwErr == nil {
 				jwErr = aerr
@@ -273,13 +254,13 @@ func Run(cfgs []machine.Config, opt Options) (*Outcome, error) {
 			jwMu.Unlock()
 		}
 	})
-	if ownedBackend {
-		if cerr := backend.Close(); cerr != nil && jwErr == nil {
+	if jw != nil {
+		if cerr := jw.close(); cerr != nil && jwErr == nil {
 			jwErr = cerr
 		}
 	}
 	if jwErr != nil {
-		return nil, fmt.Errorf("sweep: journaling: %w", jwErr)
+		return nil, fmt.Errorf("sweep: journal %s: %w", opt.Journal, jwErr)
 	}
 	out.Executed = len(runCfgs)
 

@@ -63,23 +63,41 @@ func TestKeyDeterministicAndSensitive(t *testing.T) {
 
 	// Every result-influencing field must perturb the key.
 	mutations := map[string]func(*machine.Config){
-		"cores":     func(c *machine.Config) { c.Cores++ },
-		"seed":      func(c *machine.Config) { c.Seed++ },
-		"ratio":     func(c *machine.Config) { c.MemoryRatio = 0.6 },
-		"pagesize":  func(c *machine.Config) { c.PageSize = sim.Size64k },
-		"adaptive":  func(c *machine.Config) { c.AdaptivePageSize = true },
-		"tables":    func(c *machine.Config) { c.Tables = vm.RegularPT },
-		"policy":    func(c *machine.Config) { c.Policy.Kind = machine.LRU },
-		"policy-p":  func(c *machine.Config) { c.Policy.P = 0.875 },
-		"workload":  func(c *machine.Config) { c.Workload.TotalTouches += 5 },
-		"wl-name":   func(c *machine.Config) { c.Workload.Name = "other" },
-		"cost":      func(c *machine.Config) { c.Cost.FaultEntry += 10 },
-		"verify":    func(c *machine.Config) { c.Verify = true },
-		"nowarmup":  func(c *machine.Config) { c.NoWarmup = true },
-		"hist":      func(c *machine.Config) { c.Hist = true },
-		"tick":      func(c *machine.Config) { c.TickInterval = 12345 },
-		"faults":    func(c *machine.Config) { c.Faults = &fault9 },
-		"faultseed": func(c *machine.Config) { f := fault9; f.Seed++; c.Faults = &f },
+		"cores":      func(c *machine.Config) { c.Cores++ },
+		"seed":       func(c *machine.Config) { c.Seed++ },
+		"ratio":      func(c *machine.Config) { c.MemoryRatio = 0.6 },
+		"pagesize":   func(c *machine.Config) { c.PageSize = sim.Size64k },
+		"adaptive":   func(c *machine.Config) { c.AdaptivePageSize = true },
+		"tables":     func(c *machine.Config) { c.Tables = vm.RegularPT },
+		"policy":     func(c *machine.Config) { c.Policy.Kind = machine.LRU },
+		"policy-p":   func(c *machine.Config) { c.Policy.P = 0.875 },
+		"workload":   func(c *machine.Config) { c.Workload.TotalTouches += 5 },
+		"wl-name":    func(c *machine.Config) { c.Workload.Name = "other" },
+		"cost":       func(c *machine.Config) { c.Cost.FaultEntry += 10 },
+		"verify":     func(c *machine.Config) { c.Verify = true },
+		"nowarmup":   func(c *machine.Config) { c.NoWarmup = true },
+		"hist":       func(c *machine.Config) { c.Hist = true },
+		"tick":       func(c *machine.Config) { c.TickInterval = 12345 },
+		"faults":     func(c *machine.Config) { c.Faults = &fault9 },
+		"faultseed":  func(c *machine.Config) { f := fault9; f.Seed++; c.Faults = &f },
+		"dynamic-p":  func(c *machine.Config) { c.Policy.DynamicP = true },
+		"scanperiod": func(c *machine.Config) { c.Policy.ScanPeriod = 77777 },
+		"scanbatch":  func(c *machine.Config) { c.Policy.ScanBatch = 17 },
+		"tlb-l1-4k":  func(c *machine.Config) { c.TLB.L1Entries4k = 48 },
+		"tlb-l1-64k": func(c *machine.Config) { c.TLB.L1Entries64k = 48 },
+		"tlb-l1-2m":  func(c *machine.Config) { c.TLB.L1Entries2M = 48 },
+		"tlb-l2":     func(c *machine.Config) { c.TLB.L2Entries = 48 },
+		"rebuild":    func(c *machine.Config) { c.PSPTRebuildPeriod = 99999 },
+		// Sharing bands and tenant weights are slices: the pairs below
+		// differ only in one element's field.
+		"band": func(c *machine.Config) { c.Workload.Sharing = []workload.ShareBand{{Cores: 2, Frac: 0.5}} },
+		"band-hot": func(c *machine.Config) {
+			c.Workload.Sharing = []workload.ShareBand{{Cores: 2, Frac: 0.5, HotFrac: 0.3}}
+		},
+		"tenants": func(c *machine.Config) { c.Workload, c.Tenants = workload.Spec{}, tenantSpec(1) },
+		"tenant-weight": func(c *machine.Config) {
+			c.Workload, c.Tenants = workload.Spec{}, tenantSpec(2)
+		},
 	}
 	seen := map[string]string{k1: "base"}
 	for name, mutate := range mutations {
@@ -94,6 +112,13 @@ func TestKeyDeterministicAndSensitive(t *testing.T) {
 		}
 		seen[k] = name
 	}
+}
+
+// tenantSpec is a 4-tenant spec whose first tenant has weight w0.
+func tenantSpec(w0 float64) *workload.TenantSpec {
+	spec := workload.DefaultTenantSpec(4, 1.2, 100)
+	spec.Weights = []float64{w0, 1, 1, 1}
+	return &spec
 }
 
 var fault9 = func() (f fault.Config) {
@@ -286,7 +311,7 @@ func TestJournalRejectsForeignHeader(t *testing.T) {
 		"badschema.jsonl":   `{"schema":"cmcp-sweep/v0","counters":[]}` + "\n",
 		"oldschema.jsonl":   `{"schema":"cmcp-sweep/v1","counters":[]}` + "\n",
 		"pretenant.jsonl":   `{"schema":"cmcp-sweep/v2","counters":[]}` + "\n",
-		"badcounters.jsonl": `{"schema":"cmcp-sweep/v3","counters":["bogus"]}` + "\n",
+		"badcounters.jsonl": `{"schema":"cmcp-sweep/v5","counters":["bogus"]}` + "\n",
 		"badhists.jsonl":    validCountersBadHistsHeader() + "\n",
 	} {
 		path := filepath.Join(dir, name)

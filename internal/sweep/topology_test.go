@@ -7,10 +7,7 @@ import (
 )
 
 // TestKeyTopologySensitive extends the key-sensitivity property to the
-// NUMA topology: presence and every field must perturb the content key
-// — and, dually, a nil topology must NOT (flat configs keep the keys
-// their pre-topology journals were written under, modulo the v4 schema
-// gate).
+// NUMA topology: presence and every field must perturb the content key.
 func TestKeyTopologySensitive(t *testing.T) {
 	flat := testCfg(1)
 	flatKey, err := Key(flat)

@@ -7,10 +7,9 @@ import (
 )
 
 // These tests are the allocation-regression guard for the dense
-// rewrite: the TLB-hit path must never touch the heap, and a
-// steady-state fault+eviction cycle may only allocate a small bounded
-// amount (amortized slab growth). A regression here silently costs
-// more than most logic bugs, so it fails the build.
+// rewrite: the TLB-hit path, a steady-state fault+eviction cycle and
+// the accessed-bit scanner must never touch the heap. A regression here
+// silently costs more than most logic bugs, so it fails the build.
 
 func TestAccessTLBHitPathZeroAllocs(t *testing.T) {
 	for _, kind := range []TableKind{PSPTKind, RegularPT} {
@@ -53,7 +52,31 @@ func TestSteadyStateFaultPathAllocsBounded(t *testing.T) {
 		touch() // prime: backing-store entries, slabs, mapping store
 	}
 	avg := testing.AllocsPerRun(200, touch)
-	if avg > 1 {
-		t.Errorf("steady-state fault allocates %.2f objects/op, want ≤ 1", avg)
+	if avg != 0 {
+		t.Errorf("steady-state fault allocates %.2f objects/op, want 0", avg)
+	}
+}
+
+// TestScanAccessedZeroAllocs guards the scanner path the access-bit
+// policies (LRU, CLOCK, LFU) drive on every Tick: testing and clearing
+// a page shared by two cores must walk the sharer set in place.
+func TestScanAccessedZeroAllocs(t *testing.T) {
+	m, err := NewManager(Config{
+		Cores: 2, Frames: 64, PageSize: sim.Size4k, Tables: PSPTKind, Pages: 64,
+	}, fifoFactory)
+	if err != nil {
+		t.Fatal(err)
+	}
+	now := mustAccess(t, m, 0, 3, true, 0)
+	now = mustAccess(t, m, 1, 3, false, now)
+	if n := m.CoreMapCount(3); n != 2 {
+		t.Fatalf("page 3 mapped by %d cores, want 2", n)
+	}
+	avg := testing.AllocsPerRun(500, func() {
+		now, _ = m.Access(0, 3, false, now) // re-set the accessed bit
+		m.ScanAccessed(3)
+	})
+	if avg != 0 {
+		t.Errorf("ScanAccessed allocates %.2f objects/call, want 0", avg)
 	}
 }

@@ -447,11 +447,12 @@ func (m *Manager) lookupAny(vpn sim.PageID) (pagetable.PTE, sim.PageSize, bool) 
 		if mp == nil {
 			return 0, 0, false
 		}
-		cores := mp.Cores.Cores(nil)
-		if len(cores) == 0 {
+		set := mp.Cores
+		c, ok := set.Pop()
+		if !ok {
 			return 0, 0, false
 		}
-		return m.as.Lookup(cores[0], vpn)
+		return m.as.Lookup(c, vpn)
 	}
 	return m.as.Lookup(0, vpn)
 }
