@@ -35,7 +35,6 @@ import (
 	"io"
 
 	"cmcp/internal/check"
-	"cmcp/internal/coord"
 	"cmcp/internal/core"
 	"cmcp/internal/experiments"
 	"cmcp/internal/fault"
@@ -190,7 +189,7 @@ const (
 // becomes a multi-socket machine — per-socket IPI rings joined by a
 // costed interconnect, remote-socket page-walk penalties for shared
 // tables, and numaPTE-style per-socket replicas of PSPT entries with
-// consult-driven migration (DESIGN.md §16). A nil (or single-socket)
+// consult-driven migration (DESIGN.md §15). A nil (or single-socket)
 // Topology is bit-identical to a pre-NUMA build.
 type Topology = sim.Topology
 
@@ -404,11 +403,9 @@ func NewSweepProgress() *SweepProgress { return obs.NewProgress() }
 func SweepKey(cfg Config) (string, error) { return sweep.Key(cfg) }
 
 // RegisterSweepPolicy gives a custom Policy.Factory a stable name for
-// sweep content keys and coordinator dispatch. Register the same name
-// to the same (top-level) factory function in every process of a
-// distributed sweep — the worker resolves the name through its own
-// registry, and a drift guard rejects any skew. Panics on a duplicate
-// name or an already-registered factory.
+// sweep content keys. Register the same name to the same (top-level)
+// factory function in every process that shares a journal (resumes and
+// shards). Panics on a duplicate name or an already-registered factory.
 func RegisterSweepPolicy(name string, factory PolicyFactory) { sweep.RegisterPolicy(name, factory) }
 
 // ReadSweepJournal reads a sweep journal, skipping malformed entry
@@ -421,42 +418,14 @@ func ReadSweepJournal(r io.Reader) ([]SweepEntry, int, error) {
 // CompactSweepJournal rewrites the journal at path to out, keeping only
 // the last entry per content key, dropping torn lines, and emitting
 // entries in sorted key order — the canonical form: any two journals
-// holding the same runs compact to byte-identical files (what the
-// chaos CI job cmps). path == out compacts in place via atomic rename.
+// holding the same runs compact to byte-identical files. path == out
+// compacts in place via atomic rename.
 func CompactSweepJournal(path, out string) (SweepCompactStats, error) {
 	return sweep.CompactJournal(path, out)
 }
 
-// Distributed sweeps: a Coordinator owns a sweep grid and leases runs
-// over HTTP to SweepWorker processes, with heartbeats, capped-backoff
-// retries, work stealing, and poisoned-key quarantine (internal/coord).
-// Durable state lives only in the sweep journal, so any mix of worker
-// kill -9s and coordinator restarts still merges bit-identically to a
-// local sweep. Wire one in as ExperimentOptions.Runner, or use
-// cmcpsim -coordinate / -worker.
-type (
-	// SweepCompactStats reports what CompactSweepJournal kept/dropped.
-	SweepCompactStats = sweep.CompactStats
-	// SweepRunner executes a planned batch of sweep runs; the
-	// Coordinator implements it.
-	SweepRunner = sweep.Runner
-	// Coordinator is the crash-tolerant sweep coordinator.
-	Coordinator = coord.Coordinator
-	// CoordinatorOptions tune lease TTL, retry budget and backoff.
-	CoordinatorOptions = coord.Options
-	// CoordinatorStats snapshots the lease table and lifetime counters.
-	CoordinatorStats = coord.Stats
-	// PoisonedKey is one quarantined config in the coordinator report.
-	PoisonedKey = coord.PoisonedKey
-	// SweepWorker is the coordinator's client: lease, heartbeat, run,
-	// post result, repeat.
-	SweepWorker = coord.Worker
-)
-
-// NewCoordinator builds an idle coordinator; Start(addr) serves the
-// lease protocol, and passing it as ExperimentOptions.Runner (it
-// implements SweepRunner) dispatches experiment grids to workers.
-func NewCoordinator(opt CoordinatorOptions) *Coordinator { return coord.New(opt) }
+// SweepCompactStats reports what CompactSweepJournal kept/dropped.
+type SweepCompactStats = sweep.CompactStats
 
 // Latency histograms: set Config.Hist and the run records log₂
 // distributions of page-fault service time, eviction+write-back
@@ -514,11 +483,6 @@ type (
 	TelemetryServer = telemetry.Server
 	// TelemetrySnapshot is one immutable published aggregate.
 	TelemetrySnapshot = telemetry.Snapshot
-	// TelemetryCoordStats mirrors CoordinatorStats for the telemetry
-	// server's cmcp_coord_* metric families; attach a live source via
-	// TelemetryServer.SetCoordSource (cmcpsim does this under
-	// -coordinate -serve).
-	TelemetryCoordStats = telemetry.CoordStats
 )
 
 // NewTelemetryServer builds a telemetry server; progress (may be nil)

@@ -1,17 +1,16 @@
 // Command cmcpsim drives the CMCP many-core paging simulator in one of
-// four modes:
+// three modes:
 //
 //	cmcpsim -exp fig7 -scale 0.25                 # regenerate a paper figure or table
 //	cmcpsim -run -workload cg.B -cores 56 -ratio 0.4 -policy CMCP -p 0.25
-//	cmcpsim -worker http://127.0.0.1:9152         # lease runs from a -coordinate sweep
 //	cmcpsim -compact-journal sweep.jsonl          # dedup a sweep journal
 //
 // Experiments: fig6..fig10, table1, sense and all reproduce the paper;
-// numa and tenants are extensions. Long sweeps checkpoint to a -journal
-// and resume from it, split across processes with -shard i/n and merge
-// with -journal-import, or run as a crash-tolerant coordinator
-// (-coordinate ADDR) that leases runs to -worker processes. A single
-// -run can record an event trace and time series:
+// numa and tenants are extensions. A sweep runs -parallel simulations
+// at once; long sweeps checkpoint to a -journal and resume from it, or
+// split across processes with -shard i/n and merge with
+// -journal-import. A single -run can record an event trace and time
+// series:
 //
 //	cmcpsim -run -policy CMCP -trace -trace-out run.json -sample-every 100000
 //
@@ -38,23 +37,22 @@ import (
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-// mode is a set of cmcpsim's four exclusive modes of operation.
+// mode is a set of cmcpsim's three exclusive modes of operation.
 type mode uint8
 
 const (
 	modeRun mode = 1 << iota
 	modeExp
-	modeWorker
 	modeCompact
 	// modeSim is both simulating modes.
 	modeSim = modeRun | modeExp
 )
 
-var modes = []mode{modeRun, modeExp, modeWorker, modeCompact}
+var modes = []mode{modeRun, modeExp, modeCompact}
 
 func (m mode) String() string {
 	var names []string
-	for i, name := range []string{"-run", "-exp", "-worker", "-compact-journal"} {
+	for i, name := range []string{"-run", "-exp", "-compact-journal"} {
 		if m&modes[i] != 0 {
 			names = append(names, name)
 		}
@@ -69,11 +67,6 @@ type plan struct {
 	exp  string                 // -exp: experiment ID
 	opts cmcp.ExperimentOptions // -exp: sweep settings
 	out  output                 // -run and -exp: what to print, write and serve
-	// -exp -coordinate: serve the sweep on coordAddr ("" runs it locally).
-	coordAddr string
-	coord     cmcp.CoordinatorOptions
-	linger    time.Duration
-	worker    cmcp.SweepWorker // -worker
 	// -compact-journal: input and output journal paths.
 	compactIn, compactOut string
 }
@@ -132,7 +125,6 @@ var table = []row{
 	// Mode selectors.
 	{"run", false, modeRun, "run a single simulation", func(r *resolver) any { return &r.in.run }, nil, ""},
 	{"exp", "", modeExp, "experiment to regenerate: fig6|fig7|fig8|fig9|fig10|table1|sense|all, or an extension: numa|tenants", func(r *resolver) any { return &r.exp }, nil, ""},
-	{"worker", "", modeWorker, "run as a sweep worker against this coordinator URL (e.g. http://host:9152) until the sweep is done", func(r *resolver) any { return &r.worker.Base }, nil, ""},
 	{"compact-journal", "", modeCompact, "compact this sweep journal (keep the last entry per key, drop torn lines, sort) and exit", func(r *resolver) any { return &r.compactIn }, nil, ""},
 
 	// What to simulate (-run and -exp).
@@ -175,7 +167,7 @@ var table = []row{
 	// -exp: a sweep.
 	{"quick", false, modeExp, "shrink sweeps (fewer core counts and ratio points)", func(r *resolver) any { return &r.opts.Quick }, nil, ""},
 	{"parallel", 0, modeExp, "max concurrent simulations (0 = GOMAXPROCS)", func(r *resolver) any { return &r.opts.Parallelism },
-		func(r *resolver) bool { return r.opts.Parallelism >= 0 && r.coordAddr == "" }, "must be >= 0 and excludes -coordinate (workers execute the runs)"},
+		func(r *resolver) bool { return r.opts.Parallelism >= 0 }, "must be >= 0"},
 	{"repeats", 1, modeExp, "replicate each run under N seeds and average", func(r *resolver) any { return &r.opts.Repeats },
 		func(r *resolver) bool { return r.opts.Repeats >= 1 }, "must be >= 1"},
 	{"csv", false, modeExp, "emit CSV instead of aligned text", func(r *resolver) any { return &r.out.csv },
@@ -188,17 +180,8 @@ var table = []row{
 	{"shard", "", modeExp, "run only shard i of n, as \"i/n\"; partitions the grid by content key", func(r *resolver) any { return &r.in.shard },
 		func(r *resolver) bool { return r.opts.Journal != "" }, "requires -journal: a shard's only output is its journal"},
 	{"schedule-from", "", modeExp, "order pending runs longest-first using runtimes recorded in this journal (a previous run's -journal)", func(r *resolver) any { return &r.opts.ScheduleFrom }, nil, ""},
-	{"coordinate", "", modeExp, "serve the sweep as a coordinator on this address (e.g. 127.0.0.1:9152) and dispatch runs to -worker processes instead of executing locally; requires -journal", func(r *resolver) any { return &r.coordAddr },
-		func(r *resolver) bool { return r.opts.Journal != "" && r.in.shard == "" }, "requires -journal (the sweep's durable state) and replaces -shard (the coordinator partitions work by lease)"},
-	{"lease-ttl", 15 * time.Second, modeExp, "with -coordinate: lease expiry without a heartbeat", func(r *resolver) any { return &r.coord.LeaseTTL },
-		func(r *resolver) bool { return r.coordAddr != "" && r.coord.LeaseTTL > 0 }, "requires -coordinate and a duration > 0"},
-	{"max-attempts", 3, modeExp, "with -coordinate: failed leases per key before it is quarantined as poisoned", func(r *resolver) any { return &r.coord.MaxAttempts },
-		func(r *resolver) bool { return r.coordAddr != "" && r.coord.MaxAttempts >= 1 }, "requires -coordinate and a count >= 1"},
-	{"linger", 3 * time.Second, modeExp, "with -coordinate: keep serving this long after the sweep finishes so workers hear 'done' and exit cleanly", func(r *resolver) any { return &r.linger },
-		func(r *resolver) bool { return r.coordAddr != "" && r.linger >= 0 }, "requires -coordinate and a duration >= 0"},
 
-	// -worker and -compact-journal.
-	{"worker-name", "", modeWorker, "name reported in leases and logs (default worker-<pid>)", func(r *resolver) any { return &r.worker.Name }, nil, ""},
+	// -compact-journal.
 	{"compact-out", "", modeCompact, "output path (default: compact in place)", func(r *resolver) any { return &r.compactOut }, nil, ""},
 }
 
@@ -241,7 +224,7 @@ func resolve(args []string, stderr io.Writer) (*plan, error) {
 		return nil, fmt.Errorf("unexpected argument %q", fs.Arg(0))
 	}
 	var chosen mode
-	for m, on := range map[mode]bool{modeRun: r.in.run, modeExp: r.exp != "", modeWorker: r.worker.Base != "", modeCompact: r.compactIn != ""} {
+	for m, on := range map[mode]bool{modeRun: r.in.run, modeExp: r.exp != "", modeCompact: r.compactIn != ""} {
 		if on {
 			chosen |= m
 		}
@@ -249,8 +232,8 @@ func resolve(args []string, stderr io.Writer) (*plan, error) {
 	switch chosen {
 	case 0:
 		fs.Usage()
-		return nil, fmt.Errorf("choose a mode: %v", modeSim|modeWorker|modeCompact)
-	case modeRun, modeExp, modeWorker, modeCompact:
+		return nil, fmt.Errorf("choose a mode: %v", modeSim|modeCompact)
+	case modeRun, modeExp, modeCompact:
 		r.mode = chosen
 	default:
 		return nil, fmt.Errorf("%v: choose only one mode", chosen)
@@ -276,11 +259,7 @@ func resolve(args []string, stderr io.Writer) (*plan, error) {
 // build folds the inputs into the chosen mode's plan fields.
 func (r *resolver) build() error {
 	in := &r.in
-	switch r.mode {
-	case modeWorker:
-		r.worker.Base = strings.TrimRight(r.worker.Base, "/")
-		return nil
-	case modeCompact:
+	if r.mode == modeCompact {
 		if r.compactOut == "" {
 			r.compactOut = r.compactIn
 		}
@@ -360,12 +339,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		err = simulate(p, stdout, stderr)
 	case modeExp:
 		err = experiment(p, stdout, stderr)
-	case modeWorker:
-		w := p.worker
-		w.Log = func(format string, args ...any) {
-			fmt.Fprintf(stderr, "[worker] "+format+"\n", args...)
-		}
-		err = w.Run()
 	case modeCompact:
 		var st cmcp.SweepCompactStats
 		if st, err = cmcp.CompactSweepJournal(p.compactIn, p.compactOut); err == nil {
@@ -404,24 +377,6 @@ func startTelemetry(out output, progress *cmcp.SweepProgress, stderr io.Writer) 
 	return srv, stop, nil
 }
 
-// coordTelemetry maps a coordinator snapshot onto the telemetry
-// server's cmcp_coord_* families (the facade keeps the two packages
-// decoupled, so the field copy lives here).
-func coordTelemetry(s cmcp.CoordinatorStats) cmcp.TelemetryCoordStats {
-	return cmcp.TelemetryCoordStats{
-		KeysPending:      uint64(s.KeysPending),
-		KeysLeased:       uint64(s.KeysLeased),
-		KeysDone:         s.KeysDone,
-		KeysPoisoned:     s.KeysPoisoned,
-		LeasesGranted:    s.LeasesGranted,
-		LeasesExpired:    s.LeasesExpired,
-		LeasesStolen:     s.LeasesStolen,
-		Heartbeats:       s.Heartbeats,
-		Retries:          s.Retries,
-		DuplicateResults: s.DuplicateResults,
-	}
-}
-
 // parseShard parses "i/n" (e.g. "0/4"); "" means unsharded. The whole
 // string must match: "0/2x" and "1/2/3" are errors.
 func parseShard(s string) (int, int, error) {
@@ -448,8 +403,7 @@ func splitList(s string) []string {
 	return out
 }
 
-// experiment runs -exp: each experiment's sweep, executed locally or
-// dispatched to -worker processes by a coordinator.
+// experiment runs -exp: each experiment's sweep.
 func experiment(p *plan, stdout, stderr io.Writer) error {
 	o, id, out := p.opts, p.exp, p.out
 	ids := []string{id}
@@ -457,36 +411,8 @@ func experiment(p *plan, stdout, stderr io.Writer) error {
 		ids = []string{"fig6", "fig8", "fig7", "table1", "fig9", "fig10", "sense"}
 	}
 	sharded := o.Shards > 1
-	if out.progress || sharded || out.serve != "" || p.coordAddr != "" {
+	if out.progress || sharded || out.serve != "" {
 		o.Progress = cmcp.NewSweepProgress()
-	}
-	var coordinator *cmcp.Coordinator
-	if p.coordAddr != "" {
-		// The meter is shared: the sweep layer advances done counts, the
-		// coordinator adds retried/poisoned.
-		copts := p.coord
-		copts.Progress = o.Progress
-		coordinator = cmcp.NewCoordinator(copts)
-		if err := coordinator.Start(p.coordAddr); err != nil {
-			return err
-		}
-		fmt.Fprintf(stderr, "[coord] serving sweep on http://%s/ — start workers with: cmcpsim -worker http://%s\n",
-			coordinator.Addr(), coordinator.Addr())
-		o.Runner = coordinator
-		defer func() {
-			// Let the fleet hear "done" (or grab the poisoned report)
-			// before the listener disappears.
-			coordinator.Finish()
-			time.Sleep(p.linger)
-			coordinator.Close()
-			if report := coordinator.PoisonedReport(); len(report) > 0 {
-				fmt.Fprintf(stderr, "[coord] %d poisoned key(s):\n", len(report))
-				for _, k := range report {
-					fmt.Fprintf(stderr, "[coord]   %s (workload %q, seed %d): %d attempts, last error: %s\n",
-						k.Key, k.Workload, k.Seed, k.Attempts, k.LastErr)
-				}
-			}
-		}()
 	}
 	srv, stopSrv, err := startTelemetry(out, o.Progress, stderr)
 	if err != nil {
@@ -497,12 +423,6 @@ func experiment(p *plan, stdout, stderr io.Writer) error {
 		// Executed runs stream into the server's atomic snapshot as
 		// they complete; scrapers read the snapshot, never live state.
 		o.OnResult = func(r *cmcp.Result) { srv.Publish(r.Run) }
-		if coordinator != nil {
-			// /metrics polls the lease table live at scrape time.
-			srv.SetCoordSource(func() cmcp.TelemetryCoordStats {
-				return coordTelemetry(coordinator.Stats())
-			})
-		}
 	}
 	if out.progress {
 		// Periodic one-line status on stderr while the sweep grinds.

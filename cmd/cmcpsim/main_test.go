@@ -21,14 +21,11 @@ var update = flag.Bool("update", false, "rewrite the output golden files")
 var modeArgs = map[mode][]string{
 	modeRun:     {"-run"},
 	modeExp:     {"-exp", "fig7"},
-	modeWorker:  {"-worker", "http://127.0.0.1:9152"},
 	modeCompact: {"-compact-journal", "in.jsonl"},
 }
 
 // selector names the flag that selects each mode.
-var selector = map[mode]string{modeRun: "run", modeExp: "exp", modeWorker: "worker", modeCompact: "compact-journal"}
-
-var coordArgs = []string{"-journal", "j.jsonl", "-coordinate", "127.0.0.1:0"}
+var selector = map[mode]string{modeRun: "run", modeExp: "exp", modeCompact: "compact-journal"}
 
 // probes holds one valid non-default value per flag, plus the flags
 // that make it meaningful (added to both sides of the comparison).
@@ -38,7 +35,6 @@ var probes = map[string]struct {
 }{
 	"run":             {"true", nil},
 	"exp":             {"fig9", nil},
-	"worker":          {"http://127.0.0.1:9", nil},
 	"compact-journal": {"other.jsonl", nil},
 	"engine":          {"parallel", nil},
 	"scale":           {"0.5", nil},
@@ -73,11 +69,6 @@ var probes = map[string]struct {
 	"journal-import":  {"a.jsonl,b.jsonl", nil},
 	"shard":           {"1/2", []string{"-journal", "j.jsonl"}},
 	"schedule-from":   {"old.jsonl", nil},
-	"coordinate":      {"127.0.0.1:0", []string{"-journal", "j.jsonl"}},
-	"lease-ttl":       {"2s", coordArgs},
-	"max-attempts":    {"5", coordArgs},
-	"linger":          {"1s", coordArgs},
-	"worker-name":     {"w1", nil},
 	"compact-out":     {"out.jsonl", nil},
 }
 
@@ -96,8 +87,8 @@ func concat(parts ...[]string) []string {
 }
 
 func TestFlagTable(t *testing.T) {
-	if len(table) != 43 {
-		t.Errorf("table has %d flags, want 43", len(table))
+	if len(table) != 37 {
+		t.Errorf("table has %d flags, want 37", len(table))
 	}
 	var names, probed []string
 	for _, rw := range table {
@@ -182,7 +173,7 @@ func TestInvalidInvocationsFail(t *testing.T) {
 	}{
 		{"-run -exp fig7", "-exp"},
 		{"-run -csv", "-csv"},
-		{"-run -worker-name x", "-worker-name"},
+		{"-run -compact-out x", "-compact-out"},
 		{"-exp fig7 -trace", "-trace"},
 		{"-run -policy FIFO -p 0.5", "-p"},
 		{"-run -policy LRU -dynamic-p", "-dynamic-p"},
@@ -200,12 +191,7 @@ func TestInvalidInvocationsFail(t *testing.T) {
 		{"-run -zipf-s 1.5", "-zipf-s"},
 		{"-exp tenants -churn 100", "-churn"},
 		{"-run -serve-grace 1s", "-serve-grace"},
-		{"-exp fig7 -journal j.jsonl -lease-ttl 1s", "-lease-ttl"},
-		{"-exp fig7 -journal j.jsonl -max-attempts 2", "-max-attempts"},
-		{"-exp fig7 -journal j.jsonl -linger 1s", "-linger"},
 		{"-exp fig7 -shard 0/2", "-shard"},
-		{"-exp fig7 -coordinate 127.0.0.1:0", "-coordinate"},
-		{"-exp fig7 -journal j.jsonl -shard 0/2 -coordinate 127.0.0.1:0", "-coordinate"},
 		{"-exp fig7 -csv -plot", "-plot"},
 		{"-bench", "-bench"},
 		{"-run -hist true", "true"},
@@ -263,14 +249,6 @@ var documented = []string{
 	"-exp fig7 -quick -scale 0.04 -shard 0/2 -journal s0.jsonl",
 	"-exp fig7 -quick -scale 0.04 -shard 1/2 -journal s1.jsonl",
 	"-exp fig7 -quick -scale 0.04 -csv -journal s0.jsonl -journal-import s1.jsonl",
-	"-exp fig9 -quick -scale 0.1 -journal ref.jsonl -csv",
-	"-worker http://127.0.0.1:9152 -worker-name victim",
-	"-worker http://127.0.0.1:9152 -worker-name w1",
-	"-worker http://127.0.0.1:9152 -worker-name w2",
-	"-exp fig9 -quick -scale 0.1 -journal coord.jsonl -coordinate 127.0.0.1:9152 -lease-ttl 2s",
-	"-exp fig9 -quick -scale 0.1 -journal coord.jsonl -coordinate 127.0.0.1:9152 -lease-ttl 2s -linger 2s -csv",
-	"-compact-journal ref.jsonl -compact-out ref.compact",
-	"-compact-journal coord.jsonl -compact-out coord.compact",
 	"-exp fig7 -quick -scale 0.04 -parallel 1 -hist -journal served.jsonl -serve 127.0.0.1:9151 -serve-grace 10s",
 	"-exp fig7 -quick -scale 0.04 -parallel 1 -hist -journal unserved.jsonl",
 	// README.md
@@ -284,8 +262,6 @@ var documented = []string{
 	"-exp fig7 -shard 0/2 -journal s0.jsonl",
 	"-exp fig7 -shard 1/2 -journal s1.jsonl",
 	"-exp fig7 -journal s0.jsonl -journal-import s1.jsonl",
-	"-exp fig7 -journal fig7.jsonl -coordinate 127.0.0.1:9152",
-	"-worker http://127.0.0.1:9152",
 	"-compact-journal fig7.jsonl",
 	"-run -policy CMCP -trace -trace-out run.json -sample-every 100000",
 	"-run -policy LRU -trace -trace-out run.jsonl",

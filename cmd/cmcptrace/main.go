@@ -13,8 +13,8 @@
 //	cmcptrace -replay run.jsonl -buckets 24
 //
 // And it summarizes sweep journals (the JSONL files that
-// `cmcpsim -exp -journal x.jsonl` checkpoints, locally or through a
-// coordinator), showing per-policy/workload totals, the longest runs
+// `cmcpsim -exp -journal x.jsonl` checkpoints), showing
+// per-policy/workload totals, the longest runs
 // (what -schedule-from will front-load) and duplicate keys (what
 // -compact-journal will drop):
 //

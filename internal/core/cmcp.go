@@ -174,8 +174,8 @@ func WithObserver(o Observer) Option {
 }
 
 // WithArena pre-sizes the FIFO list and position table for page bases
-// in [0, hint), drawing their slices from sc (RunMany's per-worker
-// scratch pool).
+// in [0, hint), drawing their slices from sc (the scratch pool of
+// a RunMany worker).
 func WithArena(sc *dense.Scratch, hint int) Option {
 	return func(c *CMCP) {
 		c.fifo = policy.NewListIn(sc, hint)

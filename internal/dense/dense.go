@@ -6,7 +6,7 @@
 // instead. That removes hashing, bucket chasing and per-entry
 // allocation from the inner simulation loop.
 //
-// The package also provides Scratch, a per-worker slab recycler that
+// The package also provides Scratch, a per-goroutine slab recycler that
 // lets RunMany sweeps reuse the big per-run slices (TLB state, policy
 // lists, stats buffers) across consecutive Simulate calls instead of
 // reallocating them for every config.
@@ -18,7 +18,7 @@ package dense
 
 import "cmcp/internal/sim"
 
-// Scratch is a per-worker slab recycler. Get methods hand out zeroed
+// Scratch is a per-goroutine slab recycler. Get methods hand out zeroed
 // slices drawn from free lists; Recycle zeroes every slice handed out
 // since the last Recycle (over its full capacity) and returns it to the
 // free lists. A nil *Scratch is valid and degrades to plain make, so

@@ -72,12 +72,6 @@ type Options struct {
 	// OnResult, when non-nil, receives each executed completed run; see
 	// sweep.Options.OnResult (called concurrently from workers).
 	OnResult func(*machine.Result)
-	// Runner, when non-nil, replaces local in-process execution for
-	// every experiment sweep; see sweep.Options.Runner. The coordinator
-	// (internal/coord) implements it, so setting Runner turns an
-	// experiment into a coordinated sweep served to a worker fleet —
-	// with identical journals and bit-identical results.
-	Runner sweep.Runner
 	// ScheduleFrom optionally names a journal from a previous sweep
 	// whose recorded runtimes order pending runs longest-first; see
 	// sweep.Options.ScheduleFrom.
@@ -272,7 +266,6 @@ func (o Options) run(cfgs []machine.Config) ([]*machine.Result, error) {
 		Repeats:      o.Repeats,
 		Progress:     o.Progress,
 		OnResult:     o.OnResult,
-		Runner:       o.Runner,
 		ScheduleFrom: o.ScheduleFrom,
 	})
 	if err != nil {

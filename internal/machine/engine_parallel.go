@@ -310,7 +310,7 @@ func (e *parEngine) refreshPend(c *engCore) {
 	}
 }
 
-// workerBudget is the process-wide probe-worker token pool, sized to
+// workerBudget is the process-wide token pool of probe workers, sized to
 // GOMAXPROCS once. Every parallel engine draws from the same pool, so
 // RunMany sweeps with parallel inner engines stay bounded at
 // sweep-parallelism + GOMAXPROCS live goroutines instead of
@@ -377,14 +377,18 @@ func newParEngine(mgr *vm.Manager, cfg Config) *parEngine {
 		e.taskCh = make(chan *engCore)
 		e.doneCh = make(chan struct{}, e.workers)
 		for i := 0; i < e.workers; i++ {
-			go e.worker()
+			go e.worker(e.taskCh)
 		}
 	}
 	return e
 }
 
-func (e *parEngine) worker() {
-	for c := range e.taskCh {
+// worker probes the cores sent on tasks until it is closed. It takes
+// the channel by value: shutdown nils e.taskCh after closing it, and a
+// worker that first read the field after that would range over a nil
+// channel and block forever.
+func (e *parEngine) worker(tasks <-chan *engCore) {
+	for c := range tasks {
 		e.probe(c)
 		e.doneCh <- struct{}{}
 	}
@@ -467,8 +471,8 @@ func (e *parEngine) minResumeKey() (eventKey, bool) {
 }
 
 // probeAll probes every core whose resume point precedes limit,
-// fanning out across the worker pool; overflow (and the no-worker
-// case) probes inline on the sweep goroutine.
+// fanning out across the worker pool; overflow (and the case with no
+// workers) probes inline on the sweep goroutine.
 func (e *parEngine) probeAll(limit eventKey) {
 	inflight := 0
 	for i := range e.cores {

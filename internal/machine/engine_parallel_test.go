@@ -270,7 +270,7 @@ func TestParallelDifferential(t *testing.T) {
 
 // TestParallelRunManyGoroutineBound runs a parallel-engine sweep and
 // checks the process's live goroutine count stays bounded by the sweep
-// parallelism plus the global GOMAXPROCS probe-worker budget — inner
+// parallelism plus the global GOMAXPROCS budget of probe workers — inner
 // engines must share one pool, not spawn workers·runs goroutines.
 func TestParallelRunManyGoroutineBound(t *testing.T) {
 	base := runtime.NumGoroutine()

@@ -113,7 +113,7 @@ func TestGoldenCountersBitIdentical(t *testing.T) {
 }
 
 // TestGoldenViaRunMany re-runs two golden variants through the
-// parallel driver: the per-worker scratch arenas must not perturb
+// parallel driver: each RunMany worker's scratch arena must not perturb
 // results, and back-to-back runs on one recycled arena must match the
 // fresh-arena outcome exactly.
 func TestGoldenViaRunMany(t *testing.T) {

@@ -179,7 +179,7 @@ type Config struct {
 	// sockets × cores-per-socket NUMA domains: per-socket IPI rings
 	// joined by a priced interconnect, per-domain page-walk costs,
 	// numaPTE-style per-socket page-table replicas under PSPT, and
-	// cross-socket shootdown accounting (see DESIGN.md §16). Plain data
+	// cross-socket shootdown accounting (see DESIGN.md §15). Plain data
 	// like Faults: safe to share across concurrent runs and to journal
 	// in sweeps. Nil (or a single socket) leaves every run bit-identical
 	// to before the field existed — the flat single-ring KNC model.
@@ -400,7 +400,7 @@ func (q *eventQueue) fixTop() {
 func Simulate(cfg Config) (*Result, error) { return simulate(cfg, nil) }
 
 // simulate is Simulate with an optional scratch arena supplying the
-// run's page-indexed tables; RunMany passes a per-worker arena it
+// run's page-indexed tables; each RunMany worker passes an arena it
 // recycles between runs. The Result references no scratch storage.
 func simulate(cfg Config, sc *dense.Scratch) (*Result, error) {
 	if cfg.Cores <= 0 {

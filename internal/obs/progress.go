@@ -21,8 +21,6 @@ type Progress struct {
 	executed int
 	loaded   int
 	missing  int
-	retried  int
-	poisoned int
 }
 
 // NewProgress returns a meter whose clock starts at the first AddTotal.
@@ -63,27 +61,6 @@ func (p *Progress) NoteMissing(n int) {
 	p.mu.Unlock()
 }
 
-// NoteRetried records one run requeued after a failed attempt (a lease
-// that expired or a worker-reported failure, in a coordinated sweep).
-// Retries do not advance Done — the same run will be counted when it
-// finally completes — but surfacing them separates "slow" from
-// "thrashing" on the status line.
-func (p *Progress) NoteRetried() {
-	p.mu.Lock()
-	p.retried++
-	p.mu.Unlock()
-}
-
-// NotePoisoned records n runs quarantined after exhausting their
-// retry budget. A poisoned run will never complete; it is abandoned,
-// not pending — the meter surfaces it so a sweep stuck at 99% says
-// why.
-func (p *Progress) NotePoisoned(n int) {
-	p.mu.Lock()
-	p.poisoned += n
-	p.mu.Unlock()
-}
-
 // ProgressSnapshot is one consistent reading of a Progress meter.
 type ProgressSnapshot struct {
 	// Total is the number of runs the sweep wants overall.
@@ -95,11 +72,6 @@ type ProgressSnapshot struct {
 	// Missing is how many belong to other shards (absent from every
 	// journal seen so far).
 	Missing int
-	// Retried counts failed attempts that were requeued (coordinated
-	// sweeps: lease expiries and worker-reported failures).
-	Retried int
-	// Poisoned counts runs quarantined after exhausting their retries.
-	Poisoned int
 	// Elapsed is the wall time since the meter started.
 	Elapsed time.Duration
 	// RunsPerSec is the execution rate (journal loads excluded: they
@@ -125,8 +97,6 @@ func (p *Progress) Snapshot() ProgressSnapshot {
 		Executed: p.executed,
 		Loaded:   p.loaded,
 		Missing:  p.missing,
-		Retried:  p.retried,
-		Poisoned: p.poisoned,
 	}
 	if !p.start.IsZero() {
 		s.Elapsed = time.Since(p.start)
@@ -160,12 +130,6 @@ func (s ProgressSnapshot) String() string {
 	}
 	if s.Missing > 0 {
 		out += fmt.Sprintf(" (%d in other shards)", s.Missing)
-	}
-	if s.Retried > 0 {
-		out += fmt.Sprintf(" (%d retried)", s.Retried)
-	}
-	if s.Poisoned > 0 {
-		out += fmt.Sprintf(" (%d poisoned)", s.Poisoned)
 	}
 	return out
 }

@@ -10,16 +10,15 @@ import (
 	"cmcp/internal/stats"
 )
 
-// Compact deduplicates a journal's entries — keeping the LAST entry
+// compact deduplicates a journal's entries — keeping the LAST entry
 // recorded for each content key, the same precedence the lenient
 // loader applies — and returns them sorted by key. Runs are
-// deterministic, so duplicates (retries, duplicate-result races,
-// merged shards, coordinator restarts) agree in content; sorting makes
-// the compacted form canonical: two journals that witnessed the same
-// set of completed runs compact to byte-identical output no matter
-// what order, or how many times, each run was recorded. That canonical
-// form is what the chaos CI job cmp's against a serial reference.
-func Compact(entries []Entry) []Entry {
+// deterministic, so duplicates (re-runs after a resume, merged shards)
+// agree in content; sorting makes the compacted form canonical: two
+// journals that witnessed the same set of completed runs compact to
+// byte-identical output no matter what order, or how many times, each
+// run was recorded.
+func compact(entries []Entry) []Entry {
 	last := make(map[string]Entry, len(entries))
 	for _, e := range entries {
 		last[e.Key] = e
@@ -65,7 +64,7 @@ func CompactJournal(path, out string) (CompactStats, error) {
 		// nothing into existence would be surprising, so say so.
 		return CompactStats{}, fmt.Errorf("sweep: compact %s: %w", path, err)
 	}
-	compacted := Compact(entries)
+	compacted := compact(entries)
 	st := CompactStats{Kept: len(compacted), Dropped: len(entries) - len(compacted), Skipped: skipped}
 	if out == "" {
 		out = path

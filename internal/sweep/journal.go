@@ -60,11 +60,8 @@ type Entry struct {
 	Run         *stats.Run `json:"run"`
 }
 
-// EntryOf snapshots a completed run for the journal. Exported so a
-// coordinator worker reports results through the exact encoding the
-// sweep runner journals — the precondition for merged journals being
-// byte-comparable after compaction.
-func EntryOf(key string, cfg machine.Config, res *machine.Result) Entry {
+// entryOf snapshots a completed run for the journal.
+func entryOf(key string, cfg machine.Config, res *machine.Result) Entry {
 	return Entry{
 		Key:         key,
 		Policy:      res.PolicyName,

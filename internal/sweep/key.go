@@ -21,20 +21,12 @@ import (
 const keyVersion = 3
 
 // machine.Config is almost JSON: the one exception is Policy.Factory, a
-// function value with no serializable identity. ConfigWire shadows the
+// function value with no serializable identity. configWire shadows the
 // Policy field with a mirror whose Factory is the registry name (see
 // RegisterPolicy) — the embedded Config's own Policy (and its func) is
 // never encoded, Go's JSON depth rule sees to that. Probe and Audit are
 // single-run observers the sweep layer rejects, so they are always nil
 // here.
-//
-// This one encoding serves three readers: Key hashes it, the
-// coordinator ships it to workers, and the worker recomputes Key over
-// the decoded config and refuses a mismatch. That drift guard turns
-// every silent skew — version skew between coordinator and worker
-// binaries, a registry name bound to a different factory, a field lost
-// in transit — into a loud failure before any wrong result can be
-// journaled under the right key.
 
 // policyWire mirrors machine.PolicySpec with the factory as its
 // registered name.
@@ -47,20 +39,20 @@ type policyWire struct {
 	ScanBatch  int                `json:"scan_batch,omitempty"`
 }
 
-// ConfigWire is machine.Config with the Policy field made
+// configWire is machine.Config with the Policy field made
 // serializable. The mirror's JSON name must be exactly "Policy": Go's
 // shadowing rule hides the embedded func-carrying field only when the
 // two fields' JSON names collide — with a different name both would
 // encode, and encoding/json rejects func-typed fields even when nil.
-type ConfigWire struct {
+type configWire struct {
 	machine.Config
 	Policy policyWire `json:"Policy"`
 }
 
-// ToWire encodes cfg for hashing and transport. It fails on an
-// unregistered factory: a function value has no stable cross-process
-// identity, so such a config can be neither keyed nor dispatched.
-func ToWire(cfg machine.Config) (ConfigWire, error) {
+// toWire encodes cfg for hashing. It fails on an unregistered factory:
+// a function value has no stable cross-process identity, so such a
+// config cannot be keyed.
+func toWire(cfg machine.Config) (configWire, error) {
 	pw := policyWire{
 		Kind:       cfg.Policy.Kind,
 		P:          cfg.Policy.P,
@@ -69,43 +61,21 @@ func ToWire(cfg machine.Config) (ConfigWire, error) {
 		ScanBatch:  cfg.Policy.ScanBatch,
 	}
 	if cfg.Policy.Factory != nil {
-		name, ok := RegisteredPolicyName(cfg.Policy.Factory)
+		name, ok := registeredName(cfg.Policy.Factory)
 		if !ok {
-			return ConfigWire{}, fmt.Errorf("sweep: custom Policy.Factory configs cannot be content-keyed (no stable cross-process identity); use a built-in PolicyKind or register the factory via sweep.RegisterPolicy")
+			return configWire{}, fmt.Errorf("sweep: custom Policy.Factory configs cannot be content-keyed (no stable cross-process identity); use a built-in PolicyKind or register the factory via sweep.RegisterPolicy")
 		}
 		pw.Factory = name
 	}
 	c := cfg
 	c.Policy = machine.PolicySpec{} // shadowed; zeroed for hygiene
 	c.Probe, c.Audit = nil, nil
-	return ConfigWire{Config: c, Policy: pw}, nil
-}
-
-// Decode turns the wire form back into a runnable machine.Config,
-// resolving the factory name through this process's registry.
-func (w ConfigWire) Decode() (machine.Config, error) {
-	cfg := w.Config
-	cfg.Probe, cfg.Audit = nil, nil // observers are never transported
-	cfg.Policy = machine.PolicySpec{
-		Kind:       w.Policy.Kind,
-		P:          w.Policy.P,
-		DynamicP:   w.Policy.DynamicP,
-		ScanPeriod: w.Policy.ScanPeriod,
-		ScanBatch:  w.Policy.ScanBatch,
-	}
-	if w.Policy.Factory != "" {
-		f, ok := RegisteredPolicy(w.Policy.Factory)
-		if !ok {
-			return machine.Config{}, fmt.Errorf("sweep: no policy registered as %q in this process (register it via sweep.RegisterPolicy before starting the worker)", w.Policy.Factory)
-		}
-		cfg.Policy.Factory = f
-	}
-	return cfg, nil
+	return configWire{Config: c, Policy: pw}, nil
 }
 
 // Key returns the deterministic content key of one run configuration: a
 // 64-bit FNV-1a hash, rendered as 16 hex digits, over keyVersion and the
-// JSON encoding of ToWire(cfg). Every exported Config field therefore
+// JSON encoding of toWire(cfg). Every exported Config field therefore
 // reaches the key with no hand-kept list, and two Configs share a key
 // iff they describe the same deterministic run — which is what lets a
 // journal replace re-execution and lets shards partition a grid with no
@@ -120,7 +90,7 @@ func (w ConfigWire) Decode() (machine.Config, error) {
 // error.
 func Key(cfg machine.Config) (string, error) {
 	cfg.Engine = machine.SerialEngine
-	w, err := ToWire(cfg)
+	w, err := toWire(cfg)
 	if err != nil {
 		return "", err
 	}

@@ -3,7 +3,7 @@ package sweep
 import (
 	"encoding/json"
 	"math"
-	"strings"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -12,9 +12,10 @@ import (
 	"cmcp/internal/obs"
 	"cmcp/internal/policy"
 	"cmcp/internal/sim"
+	"cmcp/internal/vm"
 )
 
-// wireTestFIFO is the registered factory of the wire tests and the fuzz
+// wireTestFIFO is the registered factory of the key corpus and the fuzz
 // corpus. It must be a named top-level function: closures defined at
 // one source location share a code pointer.
 func wireTestFIFO(policy.Host) policy.Policy { return policy.NewFIFO() }
@@ -66,70 +67,84 @@ func TestKeyRejectsNonFinite(t *testing.T) {
 	}
 }
 
-// wireRoundTrip encodes cfg, sends it through JSON and decodes it.
-func wireRoundTrip(t testing.TB, cfg machine.Config) machine.Config {
-	t.Helper()
-	w, err := ToWire(cfg)
-	if err != nil {
-		t.Fatalf("ToWire: %v", err)
+// testFactories resolves the factory names the tests register; a
+// name outside it has no factory in this test binary.
+var testFactories = map[string]vm.PolicyFactory{"wire-test-fifo": wireTestFIFO}
+
+// decodeConfig is the inverse of toWire for the tests: it turns a
+// config's JSON encoding back into a runnable machine.Config. ok is
+// false when data is not a config or names an unknown factory.
+func decodeConfig(data []byte) (cfg machine.Config, ok bool) {
+	var w configWire
+	if json.Unmarshal(data, &w) != nil {
+		return machine.Config{}, false
 	}
-	blob, err := json.Marshal(w)
+	cfg = w.Config
+	// Key never encodes the observers, so FuzzKey must not poison
+	// their fields either.
+	cfg.Probe, cfg.Audit = nil, nil
+	cfg.Policy = machine.PolicySpec{
+		Kind:       w.Policy.Kind,
+		P:          w.Policy.P,
+		DynamicP:   w.Policy.DynamicP,
+		ScanPeriod: w.Policy.ScanPeriod,
+		ScanBatch:  w.Policy.ScanBatch,
+	}
+	if w.Policy.Factory != "" {
+		if cfg.Policy.Factory, ok = testFactories[w.Policy.Factory]; !ok {
+			return machine.Config{}, false
+		}
+	}
+	return cfg, true
+}
+
+// encodeConfig is the JSON encoding Key hashes.
+func encodeConfig(t testing.TB, cfg machine.Config) []byte {
+	t.Helper()
+	w, err := toWire(cfg)
+	if err != nil {
+		t.Fatalf("toWire: %v", err)
+	}
+	data, err := json.Marshal(w)
 	if err != nil {
 		t.Fatalf("marshal: %v", err)
 	}
-	var back ConfigWire
-	if err := json.Unmarshal(blob, &back); err != nil {
-		t.Fatalf("unmarshal: %v", err)
-	}
-	got, err := back.Decode()
-	if err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	return got
+	return data
 }
 
-func TestWireRoundTrip(t *testing.T) {
+// TestKeyCorpus keys one config per shape the encoding must carry:
+// each keys deterministically, no two shapes share a key, and a config
+// decoded from the encoding keys the same as the original, so the key
+// is a function of the encoding alone.
+func TestKeyCorpus(t *testing.T) {
 	registerWireTestPolicy()
-	for name, cfg := range wireCorpus() {
-		wantKey, err := Key(cfg)
+	seen := map[string]string{}
+	for name, cfg := range keyCorpus() {
+		key, err := Key(cfg)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", name, err)
 		}
-		got := wireRoundTrip(t, cfg)
-		gotKey, err := Key(got)
-		if err != nil {
-			t.Fatalf("%s: key of decoded config: %v", name, err)
+		if again, err := Key(cfg); err != nil || again != key {
+			t.Errorf("%s: keyed %s then %s (err %v)", name, key, again, err)
 		}
-		if gotKey != wantKey {
-			t.Errorf("%s: config changed key over the wire: %s -> %s", name, wantKey, gotKey)
+		if prev, dup := seen[key]; dup {
+			t.Errorf("%s and %s share key %s", name, prev, key)
 		}
-	}
-
-	// The transport keeps the engine even though the key ignores it.
-	par := testCfg(2)
-	par.Engine = machine.ParallelEngine
-	if got := wireRoundTrip(t, par); got.Engine != machine.ParallelEngine {
-		t.Errorf("engine lost over the wire: got %v", got.Engine)
-	}
-
-	// Unregistered factory: refused at encode time.
-	rogue := testCfg(5)
-	rogue.Policy = machine.PolicySpec{Factory: func(policy.Host) policy.Policy { return policy.NewFIFO() }}
-	if _, err := ToWire(rogue); err == nil || !strings.Contains(err.Error(), "RegisterPolicy") {
-		t.Errorf("unregistered factory encoded without error (err=%v)", err)
-	}
-
-	// Unknown name: refused at decode time with a registration hint.
-	w := ConfigWire{Config: testCfg(6), Policy: policyWire{Factory: "no-such-policy"}}
-	if _, err := w.Decode(); err == nil || !strings.Contains(err.Error(), "no-such-policy") {
-		t.Errorf("unknown factory name decoded without error (err=%v)", err)
+		seen[key] = name
+		back, ok := decodeConfig(encodeConfig(t, cfg))
+		if !ok {
+			t.Fatalf("%s: encoding does not decode", name)
+		}
+		if got, err := Key(back); err != nil || got != key {
+			t.Errorf("%s: decoded config keys %s (err %v), want %s", name, got, err, key)
+		}
 	}
 }
 
-// wireCorpus is one config per shape the encoding must carry: the
-// fuzz target's seed corpus under testdata/fuzz/FuzzConfigWire holds
-// their encodings.
-func wireCorpus() map[string]machine.Config {
+// keyCorpus is one config per shape the encoding must carry: the
+// fuzz target's seed corpus under testdata/fuzz/FuzzKey holds their
+// encodings.
+func keyCorpus() map[string]machine.Config {
 	builtin := testCfg(3)
 	builtin.Policy = machine.PolicySpec{Kind: machine.CMCP, P: 0.5, DynamicP: true}
 	topo := testCfg(4)
@@ -147,31 +162,69 @@ func wireCorpus() map[string]machine.Config {
 	}
 }
 
-// FuzzConfigWire feeds arbitrary bytes to the coordinator-wire decoder.
-// Nothing may panic, and any input that decodes must keep its content
-// key across a further encode/decode round trip, so a config can never
-// drift between coordinator and worker.
-func FuzzConfigWire(f *testing.F) {
+// floatFields returns every settable float64 reachable from v through
+// struct fields, non-nil pointers, slices and arrays.
+func floatFields(v reflect.Value) []reflect.Value {
+	switch v.Kind() {
+	case reflect.Float64:
+		if v.CanSet() {
+			return []reflect.Value{v}
+		}
+	case reflect.Pointer:
+		if !v.IsNil() {
+			return floatFields(v.Elem())
+		}
+	case reflect.Struct:
+		var out []reflect.Value
+		for i := 0; i < v.NumField(); i++ {
+			out = append(out, floatFields(v.Field(i))...)
+		}
+		return out
+	case reflect.Slice, reflect.Array:
+		var out []reflect.Value
+		for i := 0; i < v.Len(); i++ {
+			out = append(out, floatFields(v.Index(i))...)
+		}
+		return out
+	}
+	return nil
+}
+
+// FuzzKey feeds arbitrary bytes, decoded as a config, to Key. Nothing
+// may panic; every decodable config must key, deterministically and
+// identically after a further encode/decode round trip; and a
+// non-finite value in any of its float fields must make Key fail with
+// an error rather than hash a partial encoding.
+func FuzzKey(f *testing.F) {
 	registerWireTestPolicy()
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var w ConfigWire
-		if json.Unmarshal(data, &w) != nil {
-			return
-		}
-		cfg, err := w.Decode()
-		if err != nil {
+		cfg, ok := decodeConfig(data)
+		if !ok {
 			return
 		}
 		key, err := Key(cfg)
 		if err != nil {
-			return
+			t.Fatalf("decoded config cannot be keyed: %v", err)
 		}
-		again, err := Key(wireRoundTrip(t, cfg))
-		if err != nil {
-			t.Fatalf("round-tripped config cannot be keyed: %v", err)
+		if again, err := Key(cfg); err != nil || again != key {
+			t.Fatalf("key not deterministic: %s then %s (err %v)", key, again, err)
 		}
-		if again != key {
-			t.Fatalf("key drifted over a round trip: %s -> %s", key, again)
+		back, ok := decodeConfig(encodeConfig(t, cfg))
+		if !ok {
+			t.Fatal("re-encoded config does not decode")
+		}
+		if again, err := Key(back); err != nil || again != key {
+			t.Fatalf("key drifted over a round trip: %s -> %s (err %v)", key, again, err)
+		}
+		// One field and one non-finite value per input, picked from the
+		// input's length, keeps an execution at three encodings; the
+		// fuzzer's stream of inputs covers the rest.
+		if fields := floatFields(reflect.ValueOf(&cfg).Elem()); len(fields) > 0 {
+			bad := []float64{math.NaN(), math.Inf(1), math.Inf(-1)}[len(data)%3]
+			fields[len(data)%len(fields)].SetFloat(bad)
+			if k, err := Key(cfg); err == nil {
+				t.Fatalf("non-finite %v keyed as %s", bad, k)
+			}
 		}
 	})
 }

@@ -11,13 +11,11 @@ import (
 // The policy registry gives custom replacement policies a stable
 // cross-process identity. A bare Policy.Factory is a function value:
 // it has no name that survives serialization, so the content key —
-// and with it journaling, sharding and coordinator leasing — used to
-// reject custom-policy configs outright. Registering the factory under
-// a name fixes that: the key hashes the registered name (plus the rest
-// of the config as usual), and the coordinator wire format ships the
-// name so a worker process resolves the same factory from its own
-// registry. Unregistered factories still error, exactly as before —
-// an unnameable function cannot be content-addressed.
+// and with it journaling and sharding — used to reject custom-policy
+// configs outright. Registering the factory under a name fixes that:
+// the key hashes the registered name (plus the rest of the config as
+// usual). Unregistered factories still error, exactly as before — an
+// unnameable function cannot be content-addressed.
 //
 // Names are part of the experiment's identity: re-registering a
 // DIFFERENT factory under an old name would silently let stale journal
@@ -26,15 +24,15 @@ import (
 // which would make the reverse lookup ambiguous).
 var (
 	regMu     sync.RWMutex
-	regByName = map[string]vm.PolicyFactory{}
+	regByName = map[string]bool{}
 	regByPtr  = map[uintptr]string{}
 )
 
 // RegisterPolicy registers a custom policy factory under a stable
 // name, giving configs that carry it a deterministic content key. Call
 // it once per factory, typically from an init function or test setup;
-// worker processes must register the same name before decoding leased
-// configs that use it.
+// every process sharing a journal (shards, resumes) must register the
+// same name for the same factory.
 //
 // RegisterPolicy panics on a duplicate name, on a factory already
 // registered under another name, and on two distinct closures sharing
@@ -54,22 +52,13 @@ func RegisterPolicy(name string, factory vm.PolicyFactory) {
 	if prev, dup := regByPtr[ptr]; dup {
 		panic(fmt.Sprintf("sweep: policy factory already registered as %q (distinct closures from one source location share a code pointer; use distinct top-level functions)", prev))
 	}
-	regByName[name] = factory
+	regByName[name] = true
 	regByPtr[ptr] = name
 }
 
-// RegisteredPolicy resolves a registered name back to its factory —
-// how a worker process rebuilds a leased custom-policy config.
-func RegisteredPolicy(name string) (vm.PolicyFactory, bool) {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	f, ok := regByName[name]
-	return f, ok
-}
-
-// RegisteredPolicyName reverse-resolves a factory to its registered
-// name; ok is false for unregistered factories.
-func RegisteredPolicyName(factory vm.PolicyFactory) (string, bool) {
+// registeredName reverse-resolves a factory to its registered name;
+// ok is false for unregistered factories.
+func registeredName(factory vm.PolicyFactory) (string, bool) {
 	if factory == nil {
 		return "", false
 	}

@@ -69,36 +69,12 @@ type Options struct {
 	// must not retain or mutate the Result. The telemetry server's
 	// live-snapshot feed hangs off this hook.
 	OnResult func(*machine.Result)
-	// Runner, when non-nil, replaces the local in-process executor: the
-	// planned runs are handed to it instead of machine.RunManyNotify.
-	// The coordinator implements Runner to dispatch runs to leased
-	// workers; everything around execution — planning, journaling,
-	// resume, sharding, the deterministic merge — is identical either
-	// way, which is what makes coordinated and local sweeps
-	// bit-comparable.
-	Runner Runner
 	// ScheduleFrom is an optional journal path whose recorded simulated
 	// runtimes order the pending runs longest-first (LPT) before
 	// execution. Runs absent from that journal keep their grid order
 	// after the known ones. Ordering never changes any result — the
 	// merge is grid-ordered — only the wall-clock shape of the sweep.
 	ScheduleFrom string
-}
-
-// Runner executes a planned batch of runs. keys[i] is cfgs[i]'s
-// content key; notify fires once per run as it completes (with either
-// a result or an error), from arbitrary goroutines. The returned slice
-// aligns with cfgs, nil for failed runs, and the returned error joins
-// per-run failures — the machine.RunManyNotify contract.
-type Runner interface {
-	Run(cfgs []machine.Config, keys []string, parallelism int, notify func(i int, res *machine.Result, err error)) ([]*machine.Result, error)
-}
-
-// localRunner is the default in-process Runner.
-type localRunner struct{}
-
-func (localRunner) Run(cfgs []machine.Config, keys []string, parallelism int, notify func(int, *machine.Result, error)) ([]*machine.Result, error) {
-	return machine.RunManyNotify(cfgs, parallelism, notify)
 }
 
 // Outcome is one sweep's merged result set plus its provenance.
@@ -229,11 +205,7 @@ func Run(cfgs []machine.Config, opt Options) (*Outcome, error) {
 		jwMu  sync.Mutex
 		jwErr error
 	)
-	runner := opt.Runner
-	if runner == nil {
-		runner = localRunner{}
-	}
-	results, runErr := runner.Run(runCfgs, runKeys, opt.Parallelism, func(i int, res *machine.Result, err error) {
+	results, runErr := machine.RunManyNotify(runCfgs, opt.Parallelism, func(i int, res *machine.Result, err error) {
 		if opt.Progress != nil {
 			opt.Progress.NoteExecuted()
 		}
@@ -246,7 +218,7 @@ func Run(cfgs []machine.Config, opt Options) (*Outcome, error) {
 		if jw == nil {
 			return
 		}
-		if aerr := jw.append(EntryOf(runKeys[i], runCfgs[i], res)); aerr != nil {
+		if aerr := jw.append(entryOf(runKeys[i], runCfgs[i], res)); aerr != nil {
 			jwMu.Lock()
 			if jwErr == nil {
 				jwErr = aerr

@@ -304,6 +304,69 @@ func TestDuplicateGridPointsRunOnce(t *testing.T) {
 	}
 }
 
+// panicTestPolicy is a registered custom policy whose construction
+// panics: a config that crashes every time it runs.
+func panicTestPolicy(policy.Host) policy.Policy { panic("panic-test policy") }
+
+// TestPanickingRunLeavesSiblingsJournaled pins what a sweep does with a
+// run that crashes on every attempt: Run names that run in its error,
+// every sibling is journaled anyway, and a resume re-executes only the
+// crashing run.
+func TestPanickingRunLeavesSiblingsJournaled(t *testing.T) {
+	RegisterPolicy("panic-test", panicTestPolicy)
+	bad := testCfg(9)
+	bad.Policy = machine.PolicySpec{Factory: panicTestPolicy}
+	cfgs := append(grid(), bad)
+	j := filepath.Join(t.TempDir(), "sweep.jsonl")
+
+	out, err := Run(cfgs, Options{Journal: j, Parallelism: 2})
+	if err == nil {
+		t.Fatal("sweep with a panicking run reported no error")
+	}
+	for _, want := range []string{"policy custom", "seed 9", "panicked"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error does not name the crashing run (%q missing): %v", want, err)
+		}
+	}
+	if out == nil || out.Executed != len(cfgs) {
+		t.Fatalf("outcome %+v, want all %d runs executed", out, len(cfgs))
+	}
+
+	f, err := os.Open(j)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries, skipped, err := ReadJournalLenient(f)
+	f.Close()
+	if err != nil || skipped != 0 {
+		t.Fatalf("journal: %v (%d lines skipped)", err, skipped)
+	}
+	journaled := map[string]bool{}
+	for _, e := range entries {
+		journaled[e.Key] = true
+	}
+	for i, c := range cfgs {
+		key, err := Key(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := c.Seed != 9; journaled[key] != want {
+			t.Errorf("config %d (seed %d): journaled = %v, want %v", i, c.Seed, journaled[key], want)
+		}
+	}
+	if len(entries) != len(cfgs)-1 {
+		t.Errorf("journal holds %d entries, want %d", len(entries), len(cfgs)-1)
+	}
+
+	again, err := Run(cfgs, Options{Journal: j, Parallelism: 2})
+	if err == nil {
+		t.Error("resumed sweep lost the crashing run's error")
+	}
+	if again == nil || again.Executed != 1 || again.Loaded != len(cfgs)-1 {
+		t.Fatalf("resume outcome %+v, want 1 executed and %d loaded", again, len(cfgs)-1)
+	}
+}
+
 func TestJournalRejectsForeignHeader(t *testing.T) {
 	dir := t.TempDir()
 	for name, contents := range map[string]string{

@@ -63,48 +63,6 @@ type Snapshot struct {
 	Hists stats.HistSet
 	// HistRuns is the number of published runs that carried histograms.
 	HistRuns int
-	// Coord is the coordinated-sweep lease-table reading taken when
-	// this snapshot was rendered; all zeros when no coordinator is
-	// attached (the families are still exposed, so dashboards need no
-	// conditional scrape config).
-	Coord CoordStats
-}
-
-// CoordStats mirrors the sweep coordinator's gauges and counters for
-// the cmcp_coord_* metric families. It is a plain value type so the
-// telemetry package needs no dependency on the coordinator; cmcpsim
-// converts coord.Stats into it.
-type CoordStats struct {
-	// Gauges over the current batch.
-	KeysPending, KeysLeased uint64
-	// Cumulative counters.
-	KeysDone, KeysPoisoned                     uint64
-	LeasesGranted, LeasesExpired, LeasesStolen uint64
-	Heartbeats, Retries, DuplicateResults      uint64
-}
-
-// coordFamily describes one cmcp_coord_* family: its name suffix,
-// exposition TYPE, help text, and how to read its value from a
-// CoordStats.
-type coordFamily struct {
-	suffix string
-	typ    string
-	help   string
-	value  func(CoordStats) uint64
-}
-
-// coordFamilies is the cmcp_coord_* registry, in emission order.
-var coordFamilies = []coordFamily{
-	{"coord_keys_pending", "gauge", "Sweep keys waiting for a lease in the current batch.", func(c CoordStats) uint64 { return c.KeysPending }},
-	{"coord_keys_leased", "gauge", "Sweep keys currently leased to workers.", func(c CoordStats) uint64 { return c.KeysLeased }},
-	{"coord_keys_done_total", "counter", "Sweep keys completed by workers.", func(c CoordStats) uint64 { return c.KeysDone }},
-	{"coord_keys_poisoned_total", "counter", "Sweep keys quarantined after exhausting their retry budget.", func(c CoordStats) uint64 { return c.KeysPoisoned }},
-	{"coord_leases_granted_total", "counter", "Leases handed to workers (including stolen backups).", func(c CoordStats) uint64 { return c.LeasesGranted }},
-	{"coord_leases_expired_total", "counter", "Leases reclaimed after their worker stopped heartbeating.", func(c CoordStats) uint64 { return c.LeasesExpired }},
-	{"coord_leases_stolen_total", "counter", "Speculative backup leases granted on stragglers.", func(c CoordStats) uint64 { return c.LeasesStolen }},
-	{"coord_heartbeats_total", "counter", "Heartbeats accepted from workers.", func(c CoordStats) uint64 { return c.Heartbeats }},
-	{"coord_retries_total", "counter", "Failed attempts requeued with backoff.", func(c CoordStats) uint64 { return c.Retries }},
-	{"coord_results_duplicate_total", "counter", "Duplicate results discarded idempotently (expired leases finishing, stolen-lease losers).", func(c CoordStats) uint64 { return c.DuplicateResults }},
 }
 
 // Server accumulates published runs and serves them over HTTP. The
@@ -116,9 +74,6 @@ type Server struct {
 
 	progress *obs.Progress // nil when no sweep progress is wired
 	started  time.Time
-
-	coordMu sync.Mutex
-	coordFn func() CoordStats // nil when no coordinator is attached
 
 	httpSrv *http.Server
 	ln      net.Listener
@@ -155,27 +110,6 @@ func (s *Server) Publish(run *stats.Run) {
 
 // Snapshot returns the current immutable snapshot.
 func (s *Server) Snapshot() *Snapshot { return s.snap.Load() }
-
-// SetCoordSource attaches a live reader for the cmcp_coord_* families
-// — typically the coordinator's Stats method, adapted. The source is
-// polled at scrape time, never stored into snapshots, so attaching a
-// coordinator cannot perturb the published-run state.
-func (s *Server) SetCoordSource(fn func() CoordStats) {
-	s.coordMu.Lock()
-	s.coordFn = fn
-	s.coordMu.Unlock()
-}
-
-// coordStats reads the attached source (zeros when none).
-func (s *Server) coordStats() CoordStats {
-	s.coordMu.Lock()
-	fn := s.coordFn
-	s.coordMu.Unlock()
-	if fn == nil {
-		return CoordStats{}
-	}
-	return fn()
-}
 
 // Handler returns the server's HTTP mux: /, /metrics, /progress and
 // /debug/pprof. Exposed for tests; Start wires it to a listener.
@@ -227,16 +161,13 @@ func (s *Server) Close() error {
 // registry the drift-guard test pins against stats.CounterNames() /
 // stats.HistNames() and against the rendered /metrics output.
 func MetricNames() []string {
-	names := make([]string, 0, 1+stats.NumCounters+stats.NumHists+len(coordFamilies))
+	names := make([]string, 0, 1+stats.NumCounters+stats.NumHists)
 	names = append(names, runsFamily)
 	for _, n := range stats.CounterNames() {
 		names = append(names, namespace+"_"+n+"_total")
 	}
 	for _, n := range stats.HistNames() {
 		names = append(names, namespace+"_"+n)
-	}
-	for _, f := range coordFamilies {
-		names = append(names, namespace+"_"+f.suffix)
 	}
 	return names
 }
@@ -267,12 +198,6 @@ func WriteMetrics(w io.Writer, snap *Snapshot) error {
 		bw.printf("%s_sum %d\n", fam, hg.Sum)
 		bw.printf("%s_count %d\n", fam, hg.Count)
 	}
-	for _, f := range coordFamilies {
-		fam := namespace + "_" + f.suffix
-		bw.printf("# HELP %s %s\n", fam, f.help)
-		bw.printf("# TYPE %s %s\n", fam, f.typ)
-		bw.printf("%s %d\n", fam, f.value(snap.Coord))
-	}
 	return bw.err
 }
 
@@ -291,11 +216,7 @@ func (e *errWriter) printf(format string, args ...any) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	// The coordinator source is polled at scrape time: gauge families
-	// must read current, not as-of-last-Publish.
-	snap := *s.snap.Load()
-	snap.Coord = s.coordStats()
-	WriteMetrics(w, &snap) //nolint:errcheck // client went away
+	WriteMetrics(w, s.snap.Load()) //nolint:errcheck // client went away
 }
 
 // progressJSON is the /progress payload: the sweep meter plus the
@@ -305,8 +226,6 @@ type progressJSON struct {
 	Executed   int     `json:"executed"`
 	Loaded     int     `json:"loaded"`
 	Missing    int     `json:"missing"`
-	Retried    int     `json:"retried"`
-	Poisoned   int     `json:"poisoned"`
 	Done       int     `json:"done"`
 	RunsPerSec float64 `json:"runs_per_sec"`
 	ETASeconds float64 `json:"eta_seconds"`
@@ -323,8 +242,6 @@ func (s *Server) handleProgress(w http.ResponseWriter, r *http.Request) {
 			Executed:   ps.Executed,
 			Loaded:     ps.Loaded,
 			Missing:    ps.Missing,
-			Retried:    ps.Retried,
-			Poisoned:   ps.Poisoned,
 			Done:       ps.Done(),
 			RunsPerSec: ps.RunsPerSec,
 			ETASeconds: ps.ETA.Seconds(),
@@ -394,19 +311,6 @@ func histFamilies() map[string]bool {
 	return m
 }
 
-// gaugeFamilies returns the set of gauge family names (the
-// coordinator's current-batch gauges; everything else is a counter or
-// histogram).
-func gaugeFamilies() map[string]bool {
-	m := map[string]bool{}
-	for _, f := range coordFamilies {
-		if f.typ == "gauge" {
-			m[namespace+"_"+f.suffix] = true
-		}
-	}
-	return m
-}
-
 // ValidateExposition is the schema check CI runs against a scraped
 // /metrics body: every line must parse as a HELP/TYPE comment or a
 // sample; every family in MetricNames() must appear with the right
@@ -423,7 +327,6 @@ func ValidateExposition(r io.Reader) error {
 		registry[n] = true
 	}
 	hists := histFamilies()
-	gauges := gaugeFamilies()
 
 	typed := map[string]string{}   // family -> declared TYPE
 	sampled := map[string]bool{}   // family -> saw at least one sample
@@ -452,11 +355,8 @@ func ValidateExposition(r io.Reader) error {
 				}
 				typed[fam] = fields[3]
 				want := "counter"
-				switch {
-				case hists[fam]:
+				if hists[fam] {
 					want = "histogram"
-				case gauges[fam]:
-					want = "gauge"
 				}
 				if fields[3] != want {
 					return fmt.Errorf("line %d: family %q must be a %s, declared %q", lineNo, fam, want, fields[3])

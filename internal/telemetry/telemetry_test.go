@@ -98,12 +98,12 @@ func TestPublishConcurrent(t *testing.T) {
 
 // TestMetricNamesDriftGuard is the satellite drift guard: the metric
 // registry must be exactly the runs family plus one family per
-// stats counter, per stats histogram, and per coordinator family, and
+// stats counter and per stats histogram, and
 // the rendered exposition must contain every registered family and
 // nothing else (ValidateExposition rejects unregistered families).
 func TestMetricNamesDriftGuard(t *testing.T) {
 	names := MetricNames()
-	want := 1 + stats.NumCounters + stats.NumHists + len(coordFamilies)
+	want := 1 + stats.NumCounters + stats.NumHists
 	if len(names) != want {
 		t.Fatalf("MetricNames has %d entries, want %d", len(names), want)
 	}
@@ -243,62 +243,6 @@ func TestHTTPEndpoints(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown path: %d", resp.StatusCode)
-	}
-}
-
-// TestCoordMetricsFromSource pins the coordinator families: absent a
-// source they expose as zeros (dashboards need no conditional scrape
-// config), and an attached source is polled at scrape time, not
-// snapshotted at Publish time.
-func TestCoordMetricsFromSource(t *testing.T) {
-	s := New(nil)
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	get := func() string {
-		resp, err := http.Get(ts.URL + "/metrics")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(body)
-	}
-
-	body := get()
-	if !strings.Contains(body, "cmcp_coord_keys_pending 0") {
-		t.Error("coord gauges not exposed as zeros without a source")
-	}
-	if err := ValidateExposition(strings.NewReader(body)); err != nil {
-		t.Errorf("sourceless exposition fails schema check: %v", err)
-	}
-
-	var cs CoordStats
-	s.SetCoordSource(func() CoordStats { return cs })
-	cs = CoordStats{KeysPending: 3, KeysLeased: 2, LeasesGranted: 7, Retries: 1}
-	body = get()
-	for _, want := range []string{
-		"cmcp_coord_keys_pending 3",
-		"cmcp_coord_keys_leased 2",
-		"cmcp_coord_leases_granted_total 7",
-		"cmcp_coord_retries_total 1",
-		"# TYPE cmcp_coord_keys_pending gauge",
-		"# TYPE cmcp_coord_leases_granted_total counter",
-	} {
-		if !strings.Contains(body, want) {
-			t.Errorf("exposition missing %q", want)
-		}
-	}
-	// Mutate and re-scrape: the source is live, not cached.
-	cs.KeysPending = 1
-	if body = get(); !strings.Contains(body, "cmcp_coord_keys_pending 1") {
-		t.Error("coord source not polled at scrape time")
-	}
-	if err := ValidateExposition(strings.NewReader(body)); err != nil {
-		t.Errorf("coord exposition fails schema check: %v", err)
 	}
 }
 

@@ -944,7 +944,7 @@ func (m *Manager) evict(core sim.CoreID, vbase sim.PageID) (sim.Cycles, int64, e
 		// only. The statistics scanner is a hyperthread sharing a booked
 		// core's ring stop (the paper dedicates hyperthreads, not
 		// cores), so it adds no stop of its own and the active-core ring
-		// size is the correct wrap modulus; see DESIGN.md §16.
+		// size is the correct wrap modulus; see DESIGN.md §15.
 		rtt := m.cost.IPIDeliveryCostOn(m.topo, core, tc, m.cfg.Cores)
 		if multi {
 			if s := m.topo.SocketOf(tc); s != initSocket {
