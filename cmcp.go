@@ -45,7 +45,6 @@ import (
 	"cmcp/internal/sim"
 	"cmcp/internal/stats"
 	"cmcp/internal/sweep"
-	"cmcp/internal/telemetry"
 	"cmcp/internal/tlb"
 	"cmcp/internal/trace"
 	"cmcp/internal/vm"
@@ -397,16 +396,9 @@ type (
 func NewSweepProgress() *SweepProgress { return obs.NewProgress() }
 
 // SweepKey returns the deterministic content key identifying cfg's run
-// in sweep journals. A custom Policy.Factory must be registered first
-// (RegisterSweepPolicy) so its name gives the config a stable
-// cross-process identity; unregistered factories are rejected.
+// in sweep journals. A config with a custom Policy.Factory has no
+// stable cross-process identity and is rejected with an error.
 func SweepKey(cfg Config) (string, error) { return sweep.Key(cfg) }
-
-// RegisterSweepPolicy gives a custom Policy.Factory a stable name for
-// sweep content keys. Register the same name to the same (top-level)
-// factory function in every process that shares a journal (resumes and
-// shards). Panics on a duplicate name or an already-registered factory.
-func RegisterSweepPolicy(name string, factory PolicyFactory) { sweep.RegisterPolicy(name, factory) }
 
 // ReadSweepJournal reads a sweep journal, skipping malformed entry
 // lines (e.g. the torn last line of a killed sweep) and reporting how
@@ -469,33 +461,8 @@ const (
 )
 
 // HistNames returns the histogram names in HistID order (the same
-// string table the JSON forms, sweep journals and /metrics use).
+// string table the JSON forms and sweep journals use).
 func HistNames() []string { return stats.HistNames() }
-
-// Live telemetry: a TelemetryServer exposes Prometheus text-format
-// /metrics (counters + histograms), /progress JSON and net/http/pprof
-// while runs execute. It is push-only — completed runs are published
-// into an atomically swapped immutable snapshot, so HTTP readers never
-// touch (or perturb) live simulation state. cmcpsim wires one behind
-// -serve; library users feed it from ExperimentOptions.OnResult.
-type (
-	// TelemetryServer is the live /metrics, /progress and pprof server.
-	TelemetryServer = telemetry.Server
-	// TelemetrySnapshot is one immutable published aggregate.
-	TelemetrySnapshot = telemetry.Snapshot
-)
-
-// NewTelemetryServer builds a telemetry server; progress (may be nil)
-// backs /progress. Call Start(addr) to listen and Publish per run.
-func NewTelemetryServer(progress *SweepProgress) *TelemetryServer {
-	return telemetry.New(progress)
-}
-
-// ValidateMetricsExposition schema-checks a Prometheus text-format
-// /metrics body served by a TelemetryServer: every registered family
-// present with correct TYPE and cumulative histogram buckets, and no
-// unregistered families (the drift guard CI scrapes against).
-func ValidateMetricsExposition(r io.Reader) error { return telemetry.ValidateExposition(r) }
 
 // Observability: attach a Recorder through Config.Probe to capture a
 // flight-recorder event trace and periodic time-series samples, then

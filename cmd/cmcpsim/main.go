@@ -66,7 +66,7 @@ type plan struct {
 	run  cmcp.Config            // -run: the simulation
 	exp  string                 // -exp: experiment ID
 	opts cmcp.ExperimentOptions // -exp: sweep settings
-	out  output                 // -run and -exp: what to print, write and serve
+	out  output                 // -run and -exp: what to print and write
 	// -compact-journal: input and output journal paths.
 	compactIn, compactOut string
 }
@@ -78,8 +78,6 @@ type output struct {
 	trace               bool
 	traceOut            string
 	sampleEvery         uint64
-	serve               string
-	serveGrace          time.Duration
 }
 
 // inputs are the flags that feed more than one plan field or need
@@ -143,9 +141,6 @@ var table = []row{
 	{"fault-seed", uint64(1), modeSim, "with -fault-rate: fault injector seed (independent of -seed)", func(r *resolver) any { return &r.in.faultSeed },
 		func(r *resolver) bool { return r.in.faultRate > 0 }, "requires -fault-rate > 0"},
 	{"hist", false, modeSim, "record latency/fan-out histograms (read-only; counters stay bit-identical)", func(r *resolver) any { return &r.in.hist }, nil, ""},
-	{"serve", "", modeSim, "serve live telemetry (/metrics, /progress, /debug/pprof) on this address, e.g. 127.0.0.1:9151", func(r *resolver) any { return &r.out.serve }, nil, ""},
-	{"serve-grace", time.Duration(0), modeSim, "with -serve: keep the telemetry server up this long after the work finishes, so a scraper cannot race a fast run", func(r *resolver) any { return &r.out.serveGrace },
-		func(r *resolver) bool { return r.out.serve != "" && r.out.serveGrace >= 0 }, "requires -serve and a duration >= 0"},
 
 	// -run: one machine.
 	{"workload", "SCALE", modeRun, "workload: bt.B|lu.B|cg.B|SCALE", func(r *resolver) any { return &r.in.workload },
@@ -199,8 +194,6 @@ func (rw row) register(fs *flag.FlagSet, r *resolver) {
 		fs.Float64Var(p, rw.name, rw.def.(float64), usage)
 	case *string:
 		fs.StringVar(p, rw.name, rw.def.(string), usage)
-	case *time.Duration:
-		fs.DurationVar(p, rw.name, rw.def.(time.Duration), usage)
 	default:
 		panic(fmt.Sprintf("cmcpsim: flag -%s binds unsupported field type %T", rw.name, p))
 	}
@@ -336,7 +329,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	switch p.mode {
 	case modeRun:
-		err = simulate(p, stdout, stderr)
+		err = simulate(p, stdout)
 	case modeExp:
 		err = experiment(p, stdout, stderr)
 	case modeCompact:
@@ -351,30 +344,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	return 0
-}
-
-// startTelemetry starts the live telemetry server when -serve is set.
-// It returns the server (nil when disabled) and a stop function that
-// holds the server open for the grace period — so a scraper arriving
-// just as a fast sweep finishes still sees the final state — and then
-// shuts it down.
-func startTelemetry(out output, progress *cmcp.SweepProgress, stderr io.Writer) (*cmcp.TelemetryServer, func(), error) {
-	if out.serve == "" {
-		return nil, func() {}, nil
-	}
-	srv := cmcp.NewTelemetryServer(progress)
-	if err := srv.Start(out.serve); err != nil {
-		return nil, nil, err
-	}
-	fmt.Fprintf(stderr, "[telemetry] serving http://%s/ (/metrics, /progress, /debug/pprof)\n", srv.Addr())
-	stop := func() {
-		if out.serveGrace > 0 {
-			fmt.Fprintf(stderr, "[telemetry] holding server open for %s\n", out.serveGrace)
-			time.Sleep(out.serveGrace)
-		}
-		srv.Close()
-	}
-	return srv, stop, nil
 }
 
 // parseShard parses "i/n" (e.g. "0/4"); "" means unsharded. The whole
@@ -411,18 +380,8 @@ func experiment(p *plan, stdout, stderr io.Writer) error {
 		ids = []string{"fig6", "fig8", "fig7", "table1", "fig9", "fig10", "sense"}
 	}
 	sharded := o.Shards > 1
-	if out.progress || sharded || out.serve != "" {
+	if out.progress || sharded {
 		o.Progress = cmcp.NewSweepProgress()
-	}
-	srv, stopSrv, err := startTelemetry(out, o.Progress, stderr)
-	if err != nil {
-		return err
-	}
-	defer stopSrv()
-	if srv != nil {
-		// Executed runs stream into the server's atomic snapshot as
-		// they complete; scrapers read the snapshot, never live state.
-		o.OnResult = func(r *cmcp.Result) { srv.Publish(r.Run) }
 	}
 	if out.progress {
 		// Periodic one-line status on stderr while the sweep grinds.
@@ -479,12 +438,7 @@ func experiment(p *plan, stdout, stderr io.Writer) error {
 }
 
 // simulate runs -run: one simulation, its summary, and its trace files.
-func simulate(p *plan, stdout, stderr io.Writer) error {
-	srv, stopSrv, err := startTelemetry(p.out, nil, stderr)
-	if err != nil {
-		return err
-	}
-	defer stopSrv()
+func simulate(p *plan, stdout io.Writer) error {
 	cfg := p.run
 	var rec *cmcp.Recorder
 	if p.out.trace || p.out.sampleEvery > 0 {
@@ -494,9 +448,6 @@ func simulate(p *plan, stdout, stderr io.Writer) error {
 	res, err := cmcp.Simulate(cfg)
 	if err != nil {
 		return err
-	}
-	if srv != nil {
-		srv.Publish(res.Run)
 	}
 	printf := func(format string, args ...any) { fmt.Fprintf(stdout, format, args...) }
 	r := res.Run

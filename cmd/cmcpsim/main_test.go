@@ -46,8 +46,6 @@ var probes = map[string]struct {
 	"fault-rate":      {"0.001", nil},
 	"fault-seed":      {"9", []string{"-fault-rate", "0.001"}},
 	"hist":            {"true", nil},
-	"serve":           {"127.0.0.1:0", nil},
-	"serve-grace":     {"1s", []string{"-serve", "127.0.0.1:0"}},
 	"workload":        {"bt.B", nil},
 	"cores":           {"8", nil},
 	"ratio":           {"0.25", nil},
@@ -87,8 +85,8 @@ func concat(parts ...[]string) []string {
 }
 
 func TestFlagTable(t *testing.T) {
-	if len(table) != 37 {
-		t.Errorf("table has %d flags, want 37", len(table))
+	if len(table) != 35 {
+		t.Errorf("table has %d flags, want 35", len(table))
 	}
 	var names, probed []string
 	for _, rw := range table {
@@ -249,8 +247,6 @@ var documented = []string{
 	"-exp fig7 -quick -scale 0.04 -shard 0/2 -journal s0.jsonl",
 	"-exp fig7 -quick -scale 0.04 -shard 1/2 -journal s1.jsonl",
 	"-exp fig7 -quick -scale 0.04 -csv -journal s0.jsonl -journal-import s1.jsonl",
-	"-exp fig7 -quick -scale 0.04 -parallel 1 -hist -journal served.jsonl -serve 127.0.0.1:9151 -serve-grace 10s",
-	"-exp fig7 -quick -scale 0.04 -parallel 1 -hist -journal unserved.jsonl",
 	// README.md
 	"-exp all",
 	"-exp fig7 -quick",
@@ -267,7 +263,7 @@ var documented = []string{
 	"-run -policy LRU -trace -trace-out run.jsonl",
 	"-run -policy CMCP -hist",
 	"-exp fig7 -hist -journal f7.jsonl",
-	"-exp all -hist -serve 127.0.0.1:9151 -progress",
+	"-exp all -hist -journal all.jsonl -progress",
 }
 
 func TestDocumentedInvocationsResolve(t *testing.T) {

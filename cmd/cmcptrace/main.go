@@ -19,9 +19,14 @@
 // -compact-journal will drop):
 //
 //	cmcptrace -journal sweep.jsonl
+//
+// The four modes are exclusive. A stray argument, a flag the chosen
+// mode does not read, or an out-of-range value is a usage error (exit
+// 2) that names the flag, never silently ignored.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -37,43 +42,107 @@ import (
 	"cmcp/internal/workload"
 )
 
-func main() {
-	var (
-		record  = flag.Bool("record", false, "record a workload trace")
-		analyze = flag.String("analyze", "", "trace file to analyze")
-		replay  = flag.String("replay", "", "flight-recorder JSONL event trace to render as a timeline")
-		buckets = flag.Int("buckets", 20, "time buckets for -replay")
-		journal = flag.String("journal", "", "sweep journal (JSONL) to summarize: per-workload/policy run counts, runtimes, duplicate keys")
-		wlName  = flag.String("workload", "cg.B", "workload: bt.B|lu.B|cg.B|SCALE")
-		cores   = flag.Int("cores", 16, "cores")
-		scale   = flag.Float64("scale", 0.1, "workload scale")
-		seed    = flag.Uint64("seed", 42, "seed")
-		out     = flag.String("o", "workload.trace", "output file for -record")
-		ratio   = flag.Float64("ratio", 0.5, "memory capacity as a fraction of the footprint")
-	)
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	switch {
-	case *record:
-		if err := doRecord(*wlName, *cores, *scale, *seed, *out); err != nil {
-			fatal(err)
+// modes are cmcptrace's exclusive modes, each selected by the flag of
+// the same name.
+var modes = []string{"record", "analyze", "replay", "journal"}
+
+// flagMode names the one mode that reads each non-selector flag.
+var flagMode = map[string]string{
+	"workload": "record", "cores": "record", "scale": "record", "seed": "record", "o": "record",
+	"ratio":   "analyze",
+	"buckets": "replay",
+}
+
+// run executes one cmcptrace invocation and returns its exit status:
+// 0 on success, 1 when the work fails, 2 on a usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("cmcptrace", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		record  = fs.Bool("record", false, "record a workload trace")
+		analyze = fs.String("analyze", "", "trace file to analyze")
+		replay  = fs.String("replay", "", "flight-recorder JSONL event trace to render as a timeline")
+		journal = fs.String("journal", "", "sweep journal (JSONL) to summarize: per-workload/policy run counts, runtimes, duplicate keys")
+		buckets = fs.Int("buckets", 20, "with -replay: time buckets, >= 1")
+		wlName  = fs.String("workload", "cg.B", "with -record: workload: bt.B|lu.B|cg.B|SCALE")
+		cores   = fs.Int("cores", 16, "with -record: cores, >= 1")
+		scale   = fs.Float64("scale", 0.1, "with -record: workload scale, > 0")
+		seed    = fs.Uint64("seed", 42, "with -record: seed")
+		out     = fs.String("o", "workload.trace", "with -record: output file")
+		ratio   = fs.Float64("ratio", 0.5, "with -analyze: memory capacity as a fraction of the footprint, in (0, 1]")
+	)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
 		}
-	case *analyze != "":
-		if err := doAnalyze(*analyze, *ratio); err != nil {
-			fatal(err)
-		}
-	case *replay != "":
-		if err := doReplay(os.Stdout, *replay, *buckets); err != nil {
-			fatal(err)
-		}
-	case *journal != "":
-		if err := doJournal(os.Stdout, *journal); err != nil {
-			fatal(err)
-		}
-	default:
-		flag.Usage()
-		os.Exit(2)
+		return 2
 	}
+	usage := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "cmcptrace: "+format+"\n", a...)
+		return 2
+	}
+	if fs.NArg() > 0 {
+		return usage("unexpected argument %q: flags after it would be ignored", fs.Arg(0))
+	}
+	var chosen []string
+	for i, on := range []bool{*record, *analyze != "", *replay != "", *journal != ""} {
+		if on {
+			chosen = append(chosen, modes[i])
+		}
+	}
+	switch len(chosen) {
+	case 0:
+		fs.Usage()
+		return usage("choose a mode: -record, -analyze, -replay or -journal")
+	case 1:
+	default:
+		return usage("-%s and -%s: choose only one mode", chosen[0], chosen[1])
+	}
+	mode := chosen[0]
+	var misplaced string
+	fs.Visit(func(f *flag.Flag) {
+		if m, ok := flagMode[f.Name]; ok && m != mode && misplaced == "" {
+			misplaced = fmt.Sprintf("-%s is not valid with -%s (it applies to -%s)", f.Name, mode, m)
+		}
+	})
+	if misplaced != "" {
+		return usage("%s", misplaced)
+	}
+	// NaN fails every comparison, so each range is written as a
+	// negated "in range" test.
+	for _, c := range []struct {
+		name string
+		ok   bool
+		want string
+	}{
+		{"ratio", *ratio > 0 && *ratio <= 1, "must be in (0, 1]"},
+		{"scale", *scale > 0, "must be > 0"},
+		{"cores", *cores >= 1, "must be >= 1"},
+		{"buckets", *buckets >= 1, "must be >= 1"},
+	} {
+		if !c.ok {
+			return usage("-%s %s: %s", c.name, fs.Lookup(c.name).Value, c.want)
+		}
+	}
+
+	var err error
+	switch mode {
+	case "record":
+		err = doRecord(stdout, *wlName, *cores, *scale, *seed, *out)
+	case "analyze":
+		err = doAnalyze(stdout, *analyze, *ratio)
+	case "replay":
+		err = doReplay(stdout, *replay, *buckets)
+	case "journal":
+		err = doJournal(stdout, *journal)
+	}
+	if err != nil {
+		fmt.Fprintln(stderr, "cmcptrace:", err)
+		return 1
+	}
+	return 0
 }
 
 // doReplay loads a flight-recorder JSONL event trace and writes the
@@ -152,12 +221,13 @@ func coreSummary(events []obs.Event) string {
 }
 
 // doJournal summarizes a sweep journal: how many runs it holds, which
-// keys appear more than once (retries, duplicate deliveries, repeats —
-// the lines `cmcpsim -compact-journal` drops), per policy/workload
-// totals, and the longest runs by recorded runtime — the ones a
-// `-schedule-from` resume will hand out first. The read is lenient for
-// the same reason -replay's is: the journal of a crashed sweep
-// legitimately ends in a torn line.
+// keys appear more than once (concatenated journals, or one journal
+// appended by overlapping sweeps — the lines `cmcpsim -compact-journal`
+// drops), per policy/workload totals, and the longest runs by recorded
+// runtime — the ones a `-schedule-from` resume will hand out first.
+// The read is lenient for the same reason -replay's is: the journal of
+// a crashed sweep legitimately ends in a torn line, and a live one may
+// end in a half-written one.
 func doJournal(w io.Writer, path string) error {
 	f, err := os.Open(path)
 	if err != nil {
@@ -250,12 +320,7 @@ func sortCoreIDs(ids []sim.CoreID) {
 	}
 }
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "cmcptrace:", err)
-	os.Exit(1)
-}
-
-func doRecord(wlName string, cores int, scale float64, seed uint64, out string) error {
+func doRecord(w io.Writer, wlName string, cores int, scale float64, seed uint64, out string) error {
 	spec, ok := workload.ByName(wlName)
 	if !ok {
 		return fmt.Errorf("unknown workload %q", wlName)
@@ -277,13 +342,13 @@ func doRecord(wlName string, cores int, scale float64, seed uint64, out string) 
 	if err != nil {
 		return err
 	}
-	fmt.Printf("recorded %d accesses on %d cores (%d distinct pages) to %s (%.1f KB, %.2f B/access)\n",
+	fmt.Fprintf(w, "recorded %d accesses on %d cores (%d distinct pages) to %s (%.1f KB, %.2f B/access)\n",
 		len(tr.Records), tr.Cores, tr.MaxVPN()+1, out,
 		float64(fi.Size())/1024, float64(fi.Size())/float64(len(tr.Records)))
 	return f.Close()
 }
 
-func doAnalyze(path string, ratio float64) error {
+func doAnalyze(w io.Writer, path string, ratio float64) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -298,14 +363,14 @@ func doAnalyze(path string, ratio float64) error {
 	if capacity < 1 {
 		capacity = 1
 	}
-	fmt.Printf("trace: %d accesses, %d cores, %d pages; capacity %d pages (%.0f%%)\n\n",
+	fmt.Fprintf(w, "trace: %d accesses, %d cores, %d pages; capacity %d pages (%.0f%%)\n\n",
 		len(tr.Records), tr.Cores, footprint, capacity, ratio*100)
 
 	opt, err := trace.OPT(tr, capacity, sim.Size4k)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("  %-22s %9d faults (%.2f%% of accesses)  [lower bound]\n",
+	fmt.Fprintf(w, "  %-22s %9d faults (%.2f%% of accesses)  [lower bound]\n",
 		"OPT (Belady/MIN)", opt.Faults, 100*opt.FaultRatio())
 
 	// Online policies replayed with perfect reference information.
@@ -323,12 +388,12 @@ func doAnalyze(path string, ratio float64) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("  %-22s %9d faults (%.2f%% of accesses, %.2fx OPT)\n",
+		fmt.Fprintf(w, "  %-22s %9d faults (%.2f%% of accesses, %.2fx OPT)\n",
 			pc.name, faults, 100*float64(faults)/float64(opt.Accesses),
 			float64(faults)/float64(opt.Faults))
 	}
-	fmt.Println("\nNote: fault counts ignore TLB shootdown costs — the very costs")
-	fmt.Println("that make LRU lose at runtime despite its low fault count.")
+	fmt.Fprintln(w, "\nNote: fault counts ignore TLB shootdown costs — the very costs")
+	fmt.Fprintln(w, "that make LRU lose at runtime despite its low fault count.")
 	return nil
 }
 

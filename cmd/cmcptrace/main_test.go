@@ -128,3 +128,65 @@ func TestCoreSummaryAggregation(t *testing.T) {
 		t.Errorf("summary rows wrong:\n%s", s)
 	}
 }
+
+// TestInvalidInvocationsFail pins that no flag is silently ignored: a
+// stray argument (after which the flag package stops parsing), two
+// modes at once, a flag the chosen mode does not read and an
+// out-of-range value each exit 2 with a message naming the offender,
+// before any input is read or output written.
+func TestInvalidInvocationsFail(t *testing.T) {
+	dir := t.TempDir()
+	tr := filepath.Join(dir, "t.trace")
+	for _, tc := range []struct {
+		args string
+		name string
+	}{
+		{"", "choose a mode"},
+		{"-analyze t.trace extra -ratio 0.3", `"extra"`},
+		{"-analyze t.trace -ratio 0", "-ratio"},
+		{"-analyze t.trace -ratio -1", "-ratio"},
+		{"-analyze t.trace -ratio NaN", "-ratio"},
+		{"-analyze t.trace -ratio 2", "-ratio"},
+		{"-record -scale 0 -o " + tr, "-scale"},
+		{"-record -scale -1 -o " + tr, "-scale"},
+		{"-record -cores 0 -o " + tr, "-cores"},
+		{"-replay x.jsonl -buckets 0", "-buckets"},
+		{"-record -analyze t.trace -o " + tr, "-analyze"},
+		{"-replay x.jsonl -journal j.jsonl", "-journal"},
+		{"-analyze t.trace -cores 4", "-cores"},
+		{"-analyze t.trace -o out.trace", "-o"},
+		{"-record -ratio 0.3 -o " + tr, "-ratio"},
+		{"-journal j.jsonl -buckets 5", "-buckets"},
+		{"-replay x.jsonl -workload bt.B", "-workload"},
+	} {
+		var stdout, stderr bytes.Buffer
+		code := run(strings.Fields(tc.args), &stdout, &stderr)
+		if code != 2 || !strings.Contains(stderr.String(), tc.name) {
+			t.Errorf("cmcptrace %s: exit %d, stderr %q; want exit 2 naming %s", tc.args, code, stderr.String(), tc.name)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("cmcptrace %s: printed %q", tc.args, stdout.String())
+		}
+	}
+	if _, err := os.Stat(tr); err == nil {
+		t.Error("a refused -record invocation wrote its trace")
+	}
+}
+
+// TestRecordAnalyze runs both trace modes through run: the trace that
+// -record writes is analyzed at the -ratio given.
+func TestRecordAnalyze(t *testing.T) {
+	tr := filepath.Join(t.TempDir(), "cg.trace")
+	for _, tc := range []struct{ args, want string }{
+		{"-record -workload cg.B -cores 2 -scale 0.01 -o " + tr, "recorded "},
+		{"-analyze " + tr + " -ratio 0.3", "(30%)"},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run(strings.Fields(tc.args), &stdout, &stderr); code != 0 {
+			t.Fatalf("cmcptrace %s: exit %d: %s", tc.args, code, stderr.String())
+		}
+		if !strings.Contains(stdout.String(), tc.want) {
+			t.Errorf("cmcptrace %s: output lacks %q:\n%s", tc.args, tc.want, stdout.String())
+		}
+	}
+}

@@ -69,9 +69,6 @@ type Options struct {
 	// config (machine.Config.Hist). Read-only instrumentation: counters
 	// and runtimes are bit-identical either way.
 	Hist bool
-	// OnResult, when non-nil, receives each executed completed run; see
-	// sweep.Options.OnResult (called concurrently from workers).
-	OnResult func(*machine.Result)
 	// ScheduleFrom optionally names a journal from a previous sweep
 	// whose recorded runtimes order pending runs longest-first; see
 	// sweep.Options.ScheduleFrom.
@@ -265,7 +262,6 @@ func (o Options) run(cfgs []machine.Config) ([]*machine.Result, error) {
 		Parallelism:  o.Parallelism,
 		Repeats:      o.Repeats,
 		Progress:     o.Progress,
-		OnResult:     o.OnResult,
 		ScheduleFrom: o.ScheduleFrom,
 	})
 	if err != nil {

@@ -143,7 +143,7 @@ func (h *H) CheckInvariant() bool {
 }
 
 // Summary is the compact rendering of one histogram: the numbers that
-// land in reports, bench JSON and the Prometheus-adjacent summaries.
+// land in reports and bench JSON.
 type Summary struct {
 	Count uint64  `json:"count"`
 	Mean  float64 `json:"mean"`

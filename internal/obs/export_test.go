@@ -306,3 +306,47 @@ func TestJSONLMetaSecondHeaderSkipped(t *testing.T) {
 		t.Errorf("got %d events, want 4", len(events))
 	}
 }
+
+// FuzzReadJSONLMeta feeds arbitrary bytes to the lenient trace reader.
+// Nothing may panic, and whatever decodes must survive a round trip:
+// re-encoded (header first when there was one) and read back by the
+// strict reader, it yields the same events and header with no line
+// skipped.
+func FuzzReadJSONLMeta(f *testing.F) {
+	var headered, plain bytes.Buffer
+	if err := WriteJSONLWithMeta(&headered, fixtureEvents(), 3); err != nil {
+		f.Fatal(err)
+	}
+	if err := WriteJSONL(&plain, fixtureEvents()); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(headered.Bytes())
+	f.Add(plain.Bytes())
+	f.Add(headered.Bytes()[:headered.Len()-7]) // torn last line
+	f.Add([]byte("{\"t\":1,\"core\":0,\"ev\":\"fault\",\"page\":7,\"arg\":0}\nnot json\n{\"schema\":\"cmcp-trace/v1\",\"events\":9}\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		// JSON escaping can grow a line up to sixfold; keep re-encoded
+		// lines inside the reader's 1 MB line limit.
+		if len(data) > 64<<10 {
+			return
+		}
+		events, meta, _, err := ReadJSONLMeta(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := writeJSONL(&buf, events, meta); err != nil {
+			t.Fatalf("re-encoding: %v", err)
+		}
+		again, meta2, skipped, err := readJSONL(&buf, true)
+		if err != nil || skipped != 0 {
+			t.Fatalf("re-encoded trace: %v (%d lines skipped)\n%s", err, skipped, buf.Bytes())
+		}
+		if !reflect.DeepEqual(again, events) {
+			t.Fatalf("events drifted over a round trip:\n%v\n%v", events, again)
+		}
+		if !reflect.DeepEqual(meta2, meta) {
+			t.Fatalf("header drifted over a round trip: %+v -> %+v", meta, meta2)
+		}
+	})
+}

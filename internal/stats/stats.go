@@ -187,7 +187,7 @@ const NumHists = int(numHists)
 
 // histNames is the single string table for histogram names, the same
 // single-source-of-truth contract as counterNames: every renderer
-// (JSON, Prometheus exposition, bench output) derives its labels from
+// (JSON, journal header, -run summary) derives its labels from
 // HistNames, and a test cross-checks the table for gaps/duplicates.
 var histNames = [numHists]string{
 	"fault_service_cycles",

@@ -174,9 +174,9 @@ func TestCounterNamesComplete(t *testing.T) {
 
 // TestHistNamesComplete mirrors TestCounterNamesComplete for the
 // histogram string table: distinct, non-empty snake_case names, and no
-// collision with any counter name — the Prometheus exposition derives
-// metric families from both tables, so a cross-table duplicate would
-// emit one family twice.
+// collision with any counter name — the journal header and the -run
+// summary label values from both tables, so a cross-table duplicate
+// would give two quantities one name.
 func TestHistNamesComplete(t *testing.T) {
 	names := HistNames()
 	if len(names) != NumHists {

@@ -139,6 +139,9 @@ func ReadJournalLenient(r io.Reader) (entries []Entry, skipped int, err error) {
 			skipped++
 			continue
 		}
+		if len(e.Sharing) == 0 {
+			e.Sharing = nil // "sharing":[] reads as the omitted field it re-encodes to
+		}
 		entries = append(entries, e)
 	}
 	if err := sc.Err(); err != nil {

@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -20,18 +21,21 @@ import (
 // of a hand-kept field walk, so every key changed.
 const keyVersion = 3
 
-// machine.Config is almost JSON: the one exception is Policy.Factory, a
-// function value with no serializable identity. configWire shadows the
-// Policy field with a mirror whose Factory is the registry name (see
-// RegisterPolicy) — the embedded Config's own Policy (and its func) is
-// never encoded, Go's JSON depth rule sees to that. Probe and Audit are
-// single-run observers the sweep layer rejects, so they are always nil
-// here.
+// ErrCustomFactory is the error Key returns for a config whose policy
+// is a custom Policy.Factory. A function value has no identity that
+// survives serialization, so such a run cannot be journaled, resumed or
+// sharded; sweep a built-in PolicyKind instead.
+var ErrCustomFactory = errors.New("sweep: custom Policy.Factory configs cannot be content-keyed (a function value has no stable cross-process identity); use a built-in PolicyKind")
 
-// policyWire mirrors machine.PolicySpec with the factory as its
-// registered name.
+// machine.Config is almost JSON: the one exception is Policy.Factory, a
+// function value that encoding/json rejects even when nil. configWire
+// shadows the Policy field with a mirror that leaves it out — the
+// embedded Config's own Policy is never encoded, Go's JSON depth rule
+// sees to that. Probe and Audit are single-run observers the sweep
+// layer rejects, so they are always nil here.
+
+// policyWire mirrors machine.PolicySpec without its Factory.
 type policyWire struct {
-	Factory    string             `json:"factory,omitempty"`
 	Kind       machine.PolicyKind `json:"kind"`
 	P          float64            `json:"p"`
 	DynamicP   bool               `json:"dynamic_p,omitempty"`
@@ -49,23 +53,18 @@ type configWire struct {
 	Policy policyWire `json:"Policy"`
 }
 
-// toWire encodes cfg for hashing. It fails on an unregistered factory:
-// a function value has no stable cross-process identity, so such a
-// config cannot be keyed.
+// toWire encodes cfg for hashing. It fails with ErrCustomFactory on a
+// custom policy factory.
 func toWire(cfg machine.Config) (configWire, error) {
+	if cfg.Policy.Factory != nil {
+		return configWire{}, ErrCustomFactory
+	}
 	pw := policyWire{
 		Kind:       cfg.Policy.Kind,
 		P:          cfg.Policy.P,
 		DynamicP:   cfg.Policy.DynamicP,
 		ScanPeriod: cfg.Policy.ScanPeriod,
 		ScanBatch:  cfg.Policy.ScanBatch,
-	}
-	if cfg.Policy.Factory != nil {
-		name, ok := registeredName(cfg.Policy.Factory)
-		if !ok {
-			return configWire{}, fmt.Errorf("sweep: custom Policy.Factory configs cannot be content-keyed (no stable cross-process identity); use a built-in PolicyKind or register the factory via sweep.RegisterPolicy")
-		}
-		pw.Factory = name
 	}
 	c := cfg
 	c.Policy = machine.PolicySpec{} // shadowed; zeroed for hygiene
@@ -85,9 +84,8 @@ func toWire(cfg machine.Config) (configWire, error) {
 // (the parallel engine is bit-identical to serial), and the read-only
 // observers Probe and Audit. Hist is kept: it never changes counters,
 // but it does change the journaled Run payload (histograms present or
-// absent). A registered custom factory is keyed by its name; an
-// unregistered one, or a non-finite float anywhere in the config, is an
-// error.
+// absent). A custom Policy.Factory (ErrCustomFactory) or a non-finite
+// float anywhere in the config is an error.
 func Key(cfg machine.Config) (string, error) {
 	cfg.Engine = machine.SerialEngine
 	w, err := toWire(cfg)

@@ -2,9 +2,9 @@ package sweep
 
 import (
 	"encoding/json"
+	"errors"
 	"math"
 	"reflect"
-	"sync"
 	"testing"
 
 	"cmcp/internal/check"
@@ -15,16 +15,9 @@ import (
 	"cmcp/internal/vm"
 )
 
-// wireTestFIFO is the registered factory of the key corpus and the fuzz
-// corpus. It must be a named top-level function: closures defined at
-// one source location share a code pointer.
-func wireTestFIFO(policy.Host) policy.Policy { return policy.NewFIFO() }
-
-var registerWireOnce sync.Once
-
-func registerWireTestPolicy() {
-	registerWireOnce.Do(func() { RegisterPolicy("wire-test-fifo", wireTestFIFO) })
-}
+// customFIFO is a custom policy factory: Key must refuse any config
+// that carries one.
+func customFIFO(policy.Host) policy.Policy { return policy.NewFIFO() }
 
 // TestKeyIgnoresEngineAndObservers is the converse of the sensitivity
 // tests: fields that never change a Result must not change the key, or
@@ -52,6 +45,23 @@ func TestKeyIgnoresEngineAndObservers(t *testing.T) {
 	}
 }
 
+// TestKeyRejectsCustomFactory pins that any config carrying a custom
+// policy factory, a named function or a closure, fails with
+// ErrCustomFactory: a function value has no identity a journal could
+// key it by.
+func TestKeyRejectsCustomFactory(t *testing.T) {
+	for name, factory := range map[string]vm.PolicyFactory{
+		"function": customFIFO,
+		"closure":  func(policy.Host) policy.Policy { return policy.NewFIFO() },
+	} {
+		c := testCfg(1)
+		c.Policy = machine.PolicySpec{Factory: factory}
+		if k, err := Key(c); !errors.Is(err, ErrCustomFactory) {
+			t.Errorf("%s: key %q, err %v; want ErrCustomFactory", name, k, err)
+		}
+	}
+}
+
 // TestKeyRejectsNonFinite pins that a config JSON cannot encode fails
 // with an error instead of panicking or hashing a partial encoding.
 func TestKeyRejectsNonFinite(t *testing.T) {
@@ -67,15 +77,18 @@ func TestKeyRejectsNonFinite(t *testing.T) {
 	}
 }
 
-// testFactories resolves the factory names the tests register; a
-// name outside it has no factory in this test binary.
-var testFactories = map[string]vm.PolicyFactory{"wire-test-fifo": wireTestFIFO}
-
 // decodeConfig is the inverse of toWire for the tests: it turns a
 // config's JSON encoding back into a runnable machine.Config. ok is
-// false when data is not a config or names an unknown factory.
+// false when data is not a config. A "factory" field in the policy,
+// which toWire never writes, decodes as a custom factory.
 func decodeConfig(data []byte) (cfg machine.Config, ok bool) {
-	var w configWire
+	var w struct {
+		configWire
+		Policy struct {
+			policyWire
+			Factory string `json:"factory"`
+		} `json:"Policy"`
+	}
 	if json.Unmarshal(data, &w) != nil {
 		return machine.Config{}, false
 	}
@@ -83,17 +96,16 @@ func decodeConfig(data []byte) (cfg machine.Config, ok bool) {
 	// Key never encodes the observers, so FuzzKey must not poison
 	// their fields either.
 	cfg.Probe, cfg.Audit = nil, nil
+	p := w.Policy.policyWire
 	cfg.Policy = machine.PolicySpec{
-		Kind:       w.Policy.Kind,
-		P:          w.Policy.P,
-		DynamicP:   w.Policy.DynamicP,
-		ScanPeriod: w.Policy.ScanPeriod,
-		ScanBatch:  w.Policy.ScanBatch,
+		Kind:       p.Kind,
+		P:          p.P,
+		DynamicP:   p.DynamicP,
+		ScanPeriod: p.ScanPeriod,
+		ScanBatch:  p.ScanBatch,
 	}
 	if w.Policy.Factory != "" {
-		if cfg.Policy.Factory, ok = testFactories[w.Policy.Factory]; !ok {
-			return machine.Config{}, false
-		}
+		cfg.Policy.Factory = customFIFO
 	}
 	return cfg, true
 }
@@ -117,7 +129,6 @@ func encodeConfig(t testing.TB, cfg machine.Config) []byte {
 // decoded from the encoding keys the same as the original, so the key
 // is a function of the encoding alone.
 func TestKeyCorpus(t *testing.T) {
-	registerWireTestPolicy()
 	seen := map[string]string{}
 	for name, cfg := range keyCorpus() {
 		key, err := Key(cfg)
@@ -143,7 +154,7 @@ func TestKeyCorpus(t *testing.T) {
 
 // keyCorpus is one config per shape the encoding must carry: the
 // fuzz target's seed corpus under testdata/fuzz/FuzzKey holds their
-// encodings.
+// encodings, plus a "factory" seed whose config Key must refuse.
 func keyCorpus() map[string]machine.Config {
 	builtin := testCfg(3)
 	builtin.Policy = machine.PolicySpec{Kind: machine.CMCP, P: 0.5, DynamicP: true}
@@ -151,14 +162,11 @@ func keyCorpus() map[string]machine.Config {
 	topo.Topology = sim.DefaultTopology(2, 1)
 	faults := testCfg(5)
 	faults.Faults = &fault9
-	factory := testCfg(6)
-	factory.Policy = machine.PolicySpec{Factory: wireTestFIFO}
 	return map[string]machine.Config{
 		"builtin":  builtin,
 		"tenants":  tenantCfg(1),
 		"topology": topo,
 		"faults":   faults,
-		"factory":  factory,
 	}
 }
 
@@ -191,15 +199,21 @@ func floatFields(v reflect.Value) []reflect.Value {
 }
 
 // FuzzKey feeds arbitrary bytes, decoded as a config, to Key. Nothing
-// may panic; every decodable config must key, deterministically and
-// identically after a further encode/decode round trip; and a
-// non-finite value in any of its float fields must make Key fail with
-// an error rather than hash a partial encoding.
+// may panic; a config with a custom factory must fail with
+// ErrCustomFactory; every other decodable config must key,
+// deterministically and identically after a further encode/decode
+// round trip; and a non-finite value in any of its float fields must
+// make Key fail with an error rather than hash a partial encoding.
 func FuzzKey(f *testing.F) {
-	registerWireTestPolicy()
 	f.Fuzz(func(t *testing.T, data []byte) {
 		cfg, ok := decodeConfig(data)
 		if !ok {
+			return
+		}
+		if cfg.Policy.Factory != nil {
+			if k, err := Key(cfg); !errors.Is(err, ErrCustomFactory) {
+				t.Fatalf("custom-factory config: key %q, err %v; want ErrCustomFactory", k, err)
+			}
 			return
 		}
 		key, err := Key(cfg)

@@ -62,13 +62,6 @@ type Options struct {
 	// Progress, when non-nil, is advanced as the sweep plans and
 	// completes runs; see obs.Progress.
 	Progress *obs.Progress
-	// OnResult, when non-nil, receives every successfully executed run
-	// the moment it completes (journal-loaded runs are not replayed
-	// through it). It is called from RunMany worker goroutines,
-	// concurrently — the callback must be safe for concurrent use and
-	// must not retain or mutate the Result. The telemetry server's
-	// live-snapshot feed hangs off this hook.
-	OnResult func(*machine.Result)
 	// ScheduleFrom is an optional journal path whose recorded simulated
 	// runtimes order the pending runs longest-first (LPT) before
 	// execution. Runs absent from that journal keep their grid order
@@ -209,13 +202,7 @@ func Run(cfgs []machine.Config, opt Options) (*Outcome, error) {
 		if opt.Progress != nil {
 			opt.Progress.NoteExecuted()
 		}
-		if err != nil {
-			return
-		}
-		if opt.OnResult != nil {
-			opt.OnResult(res)
-		}
-		if jw == nil {
+		if err != nil || jw == nil {
 			return
 		}
 		if aerr := jw.append(entryOf(runKeys[i], runCfgs[i], res)); aerr != nil {

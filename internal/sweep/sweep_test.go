@@ -1,17 +1,16 @@
 package sweep
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
-	"sync"
 	"testing"
 
 	"cmcp/internal/fault"
 	"cmcp/internal/machine"
-	"cmcp/internal/policy"
 	"cmcp/internal/sim"
 	"cmcp/internal/stats"
 	"cmcp/internal/vm"
@@ -126,14 +125,6 @@ var fault9 = func() (f fault.Config) {
 	f.Rates[0] = 1e-4
 	return
 }()
-
-func TestKeyRejectsCustomFactory(t *testing.T) {
-	c := testCfg(1)
-	c.Policy = machine.PolicySpec{Factory: func(policy.Host) policy.Policy { return policy.NewFIFO() }}
-	if _, err := Key(c); err == nil || !strings.Contains(err.Error(), "Factory") {
-		t.Fatalf("err = %v, want custom-factory rejection", err)
-	}
-}
 
 func TestShardOfPartitions(t *testing.T) {
 	var keys []string
@@ -304,28 +295,24 @@ func TestDuplicateGridPointsRunOnce(t *testing.T) {
 	}
 }
 
-// panicTestPolicy is a registered custom policy whose construction
-// panics: a config that crashes every time it runs.
-func panicTestPolicy(policy.Host) policy.Policy { panic("panic-test policy") }
-
-// TestPanickingRunLeavesSiblingsJournaled pins what a sweep does with a
-// run that crashes on every attempt: Run names that run in its error,
+// TestFailingRunLeavesSiblingsJournaled pins what a sweep does with a
+// run that fails on every attempt: Run names that run in its error,
 // every sibling is journaled anyway, and a resume re-executes only the
-// crashing run.
-func TestPanickingRunLeavesSiblingsJournaled(t *testing.T) {
-	RegisterPolicy("panic-test", panicTestPolicy)
+// failing run. (machine.RunMany turns a panicking run into the same
+// per-run error; TestRunManyPanicRecovered pins that.)
+func TestFailingRunLeavesSiblingsJournaled(t *testing.T) {
 	bad := testCfg(9)
-	bad.Policy = machine.PolicySpec{Factory: panicTestPolicy}
+	bad.Policy = machine.PolicySpec{Kind: machine.CMCP, P: 2}
 	cfgs := append(grid(), bad)
 	j := filepath.Join(t.TempDir(), "sweep.jsonl")
 
 	out, err := Run(cfgs, Options{Journal: j, Parallelism: 2})
 	if err == nil {
-		t.Fatal("sweep with a panicking run reported no error")
+		t.Fatal("sweep with a failing run reported no error")
 	}
-	for _, want := range []string{"policy custom", "seed 9", "panicked"} {
+	for _, want := range []string{"policy CMCP", "seed 9", "p=2 out of [0,1]"} {
 		if !strings.Contains(err.Error(), want) {
-			t.Errorf("error does not name the crashing run (%q missing): %v", want, err)
+			t.Errorf("error does not name the failing run (%q missing): %v", want, err)
 		}
 	}
 	if out == nil || out.Executed != len(cfgs) {
@@ -360,7 +347,7 @@ func TestPanickingRunLeavesSiblingsJournaled(t *testing.T) {
 
 	again, err := Run(cfgs, Options{Journal: j, Parallelism: 2})
 	if err == nil {
-		t.Error("resumed sweep lost the crashing run's error")
+		t.Error("resumed sweep lost the failing run's error")
 	}
 	if again == nil || again.Executed != 1 || again.Loaded != len(cfgs)-1 {
 		t.Fatalf("resume outcome %+v, want 1 executed and %d loaded", again, len(cfgs)-1)
@@ -493,39 +480,49 @@ func TestHistKeysDisjointFromBare(t *testing.T) {
 	}
 }
 
-// TestOnResultHook pins the live-result hook's contract: every executed
-// run is delivered exactly once, and journal-loaded runs are not
-// replayed through it.
-func TestOnResultHook(t *testing.T) {
-	cfgs := grid()
-	j := filepath.Join(t.TempDir(), "hook.jsonl")
-	var mu sync.Mutex
-	var got int
-	o := Options{
-		Journal: j,
-		OnResult: func(res *machine.Result) {
-			mu.Lock()
-			defer mu.Unlock()
-			if res == nil || res.Run == nil {
-				t.Error("OnResult delivered a nil result")
+// FuzzReadJournalLenient feeds arbitrary bytes to the journal reader.
+// Nothing may panic, and whatever decodes must survive a round trip:
+// re-encoded line by line as the journal writer encodes it and read
+// back, it yields the same entries with no line skipped.
+func FuzzReadJournalLenient(f *testing.F) {
+	j := filepath.Join(f.TempDir(), "seed.jsonl")
+	hist := testCfg(1)
+	hist.Hist = true
+	if _, err := Run([]machine.Config{hist, tenantCfg(1)}, Options{Journal: j}); err != nil {
+		f.Fatal(err)
+	}
+	seed, err := os.ReadFile(j)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed)
+	f.Add(seed[:len(seed)-9]) // torn last line
+	head, err := json.Marshal(header{Schema: Schema, Counters: stats.CounterNames(), Hists: stats.HistNames()})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		entries, _, err := ReadJournalLenient(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		buf.Write(head)
+		buf.WriteByte('\n')
+		for _, e := range entries {
+			line, err := json.Marshal(e)
+			if err != nil {
+				t.Fatalf("re-encoding %s: %v", e.Key, err)
 			}
-			got++
-		},
-	}
-	out, err := Run(cfgs, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != out.Executed {
-		t.Errorf("OnResult fired %d times, want %d", got, out.Executed)
-	}
-	// Resume from the journal: nothing executes, the hook stays silent.
-	got = 0
-	again, err := Run(cfgs, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again.Executed != 0 || got != 0 {
-		t.Errorf("journal-only sweep fired OnResult %d times (executed %d)", got, again.Executed)
-	}
+			buf.Write(line)
+			buf.WriteByte('\n')
+		}
+		again, skipped, err := ReadJournalLenient(&buf)
+		if err != nil || skipped != 0 {
+			t.Fatalf("re-encoded journal: %v (%d lines skipped)", err, skipped)
+		}
+		if !reflect.DeepEqual(again, entries) {
+			t.Fatalf("entries drifted over a round trip:\n%+v\n%+v", entries, again)
+		}
+	})
 }
