@@ -23,6 +23,7 @@ import (
 	"strings"
 
 	"cmcp/internal/mem"
+	"cmcp/internal/pagetable"
 	"cmcp/internal/pspt"
 	"cmcp/internal/sim"
 	"cmcp/internal/vm"
@@ -224,10 +225,12 @@ func (a *Auditor) auditTLBs(m *vm.Manager) {
 }
 
 // auditPSPT checks PSPT's derived metadata — the per-mapping core set
-// and its count, which CMCP's priorities are computed from — against
-// the actual per-core PTE population: CoreMapCount must equal the
-// number of cores whose table actually resolves the base, and each
-// per-core PTE must agree on size and frame.
+// and its count, which CMCP's priorities are computed from, and the
+// accessed/dirty summary the hit path trusts instead of walking —
+// against the actual per-core PTE population: CoreMapCount must equal
+// the number of cores whose table actually resolves the base, each
+// per-core PTE must agree on size and frame, and each summary bit must
+// equal the PTE bit it mirrors.
 func (a *Auditor) auditPSPT(m *vm.Manager) {
 	p, ok := m.PSPT()
 	if !ok {
@@ -270,9 +273,35 @@ func (a *Auditor) auditPSPT(m *vm.Manager) {
 			a.report("pspt", "page %d: CoreMapCount=%d, %d per-core tables resolve it",
 				mp.Base, count, populated)
 		}
+		if mp.Size != sim.Size2M {
+			a.auditSummary(p, mp)
+		}
 	})
 	if got := p.ResidentMappings(); got != mappings {
 		a.report("pspt", "ResidentMappings=%d, iteration found %d", got, mappings)
+	}
+}
+
+// auditSummary checks the accessed/dirty summary of one 4 kB or 64 kB
+// mapping: on every core, each member page's summary bits must equal
+// its PTE's accessed and dirty bits, and be clear where the core holds
+// no PTE. A stale set bit would let Touch skip the walk for a page the
+// core does not map; a stale clear bit only costs a walk, but would let
+// a scan skip a core whose accessed bit is set.
+func (a *Auditor) auditSummary(p *pspt.PSPT, mp *pspt.Mapping) {
+	for c := 0; c < p.Cores(); c++ {
+		core := sim.CoreID(c)
+		for vpn := mp.Base; vpn < mp.Base+mp.Size.Span(); vpn++ {
+			acc, dirty, tracked := p.Summary(core, vpn)
+			if !tracked {
+				return
+			}
+			pte, _, ok := p.Lookup(core, vpn)
+			if wantA, wantD := ok && pte.Has(pagetable.Accessed), ok && pte.Has(pagetable.Dirty); acc != wantA || dirty != wantD {
+				a.report("pspt", "page %d: core %d summary accessed=%v dirty=%v, PTE accessed=%v dirty=%v",
+					vpn, c, acc, dirty, wantA, wantD)
+			}
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"cmcp/internal/check"
+	"cmcp/internal/pagetable"
 	"cmcp/internal/policy"
 	"cmcp/internal/sim"
 	"cmcp/internal/vm"
@@ -74,6 +75,44 @@ func TestAuditorCatchesStaleTLBEntry(t *testing.T) {
 	aud := check.New(check.Config{})
 	aud.Audit(m)
 	assertViolation(t, aud, "tlb")
+}
+
+// TestAuditorCatchesStaleAccessSummary desynchronizes one bit of PSPT's
+// accessed/dirty summary from the PTE bit it mirrors — the signature of
+// an attribute path that forgot the summary — in both directions: a
+// summary bit left set over a cleared PTE bit, and a PTE bit the
+// summary never saw. The PTE is edited behind PSPT's back, so the
+// summary bit is the stale side.
+func TestAuditorCatchesStaleAccessSummary(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		core sim.CoreID
+		vpn  sim.PageID
+		edit func(pagetable.PTE) pagetable.PTE
+	}{
+		// touch wrote page 0 from core 0 and read page 3 from core 1.
+		{"stale accessed", 0, 0, func(e pagetable.PTE) pagetable.PTE { return e.Without(pagetable.Accessed) }},
+		{"unseen dirty", 1, 3, func(e pagetable.PTE) pagetable.PTE { return e.With(pagetable.Dirty) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := newManager(t, vm.Config{
+				Cores: 2, Frames: 64, PageSize: sim.Size4k, Tables: vm.PSPTKind, Pages: 256,
+			}, nil)
+			touch(t, m, 2, 20)
+			aud := check.New(check.Config{})
+			aud.Audit(m)
+			if err := aud.Err(); err != nil {
+				t.Fatalf("clean manager failed audit: %v", err)
+			}
+			p, _ := m.PSPT()
+			if !p.Table(tc.core).Update(tc.vpn, tc.edit) {
+				t.Fatalf("core %d does not map page %d", tc.core, tc.vpn)
+			}
+			aud = check.New(check.Config{})
+			aud.Audit(m)
+			assertViolation(t, aud, "pspt")
+		})
+	}
 }
 
 // miscountingPolicy reports one more resident mapping than it tracks —

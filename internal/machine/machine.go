@@ -368,32 +368,51 @@ func (q *eventQueue) pop() eventKey {
 // The engine's dominant operation is "take the earliest core, advance
 // its clock, reschedule it": doing that as an in-place root update plus
 // one sift-down costs half of a pop+push round trip.
+//
+// A full group of 4 children is reduced with the min builtin and the
+// winner located by key equality: keys are unique, so exactly one of
+// the one-hot matches is set and OR-ing them yields its offset. The
+// compiler emits conditional moves and SETcc for both steps instead of
+// data-dependent branches, which mispredict often. Only the partial
+// last group takes the scalar loop.
 func (q *eventQueue) fixTop() {
-	n := len(q.ev)
-	e := q.ev[0]
+	ev := q.ev
+	n := len(ev)
+	e := ev[0]
 	i := 0
 	for {
 		c := i<<2 + 1
-		if c >= n {
-			break
-		}
-		least := c
-		end := c + 4
-		if end > n {
-			end = n
-		}
-		for k := c + 1; k < end; k++ {
-			if q.ev[k] < q.ev[least] {
-				least = k
+		var least int
+		var m eventKey
+		if c+4 <= n {
+			g := ev[c : c+4 : c+4]
+			m = min(g[0], g[1], g[2], g[3])
+			least = c + (b2i(g[1] == m) | b2i(g[2] == m)<<1 | b2i(g[3] == m)*3)
+		} else if c < n {
+			least, m = c, ev[c]
+			for k := c + 1; k < n; k++ {
+				if ev[k] < m {
+					least, m = k, ev[k]
+				}
 			}
-		}
-		if q.ev[least] >= e {
+		} else {
 			break
 		}
-		q.ev[i] = q.ev[least]
+		if m >= e {
+			break
+		}
+		ev[i] = m
 		i = least
 	}
-	q.ev[i] = e
+	ev[i] = e
+}
+
+// b2i is 1 for true and 0 for false; it compiles to a SETcc.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // Simulate executes one run to completion and returns its Result.

@@ -62,7 +62,7 @@ func FuzzTableOps(f *testing.F) {
 					delete(groups, base)
 				}
 			case 4: // touch
-				tab.Touch64k(vpn, arg%2 == 0)
+				tab.Touch(vpn, arg%2 == 0)
 			}
 		}
 		// Invariants: counters match a full walk; groups validate.

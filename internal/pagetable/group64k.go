@@ -39,27 +39,16 @@ func (t *Table) Set64k(vpn sim.PageID, pfn int64, flags PTE) error {
 }
 
 // Clear64k removes the 64 kB group covering vpn and returns the first
-// member's previous entry (whose PFN identifies the physical run).
+// member's previous entry (whose PFN identifies the physical run) with
+// the accessed and dirty bits of all 16 members folded in, so a store
+// to any member reads as a dirty group.
 func (t *Table) Clear64k(vpn sim.PageID) PTE {
 	vpn = sim.Size64k.Align(vpn)
 	first := t.Clear(vpn)
 	for i := sim.PageID(1); i < sim.Span64k; i++ {
-		t.Clear(vpn + i)
+		first |= t.Clear(vpn+i) & (Accessed | Dirty)
 	}
 	return first
-}
-
-// Touch64k simulates the hardware behaviour on an access to offset
-// page `member` of the group covering vpn: the accessed (and, for
-// writes, dirty) bit is set on that individual sub-entry only.
-func (t *Table) Touch64k(vpn sim.PageID, write bool) {
-	t.Update(vpn, func(e PTE) PTE {
-		e = e.With(Accessed)
-		if write {
-			e = e.With(Dirty)
-		}
-		return e
-	})
 }
 
 // Stat64k gathers accessed/dirty statistics for the 64 kB group

@@ -56,7 +56,7 @@ func TestTouch64kSetsIndividualSubEntry(t *testing.T) {
 	if err := tab.Set64k(0, 0, Writable); err != nil {
 		t.Fatal(err)
 	}
-	tab.Touch64k(9, true)
+	tab.Touch(9, true)
 	first, _, _ := tab.Lookup(0)
 	ninth, _, _ := tab.Lookup(9)
 	if first.Has(Dirty) || first.Has(Accessed) {
@@ -76,12 +76,12 @@ func TestStat64kIteratesGroup(t *testing.T) {
 	if a || d {
 		t.Error("untouched group must be clean")
 	}
-	tab.Touch64k(40, false) // read on member 8
+	tab.Touch(40, false) // read on member 8
 	a, d = tab.Stat64k(35, false)
 	if !a || d {
 		t.Errorf("accessed=%v dirty=%v, want true,false", a, d)
 	}
-	tab.Touch64k(47, true) // write on member 15
+	tab.Touch(47, true) // write on member 15
 	a, d = tab.Stat64k(32, true)
 	if !a || !d {
 		t.Error("accessed+dirty must be visible via group stat")
@@ -101,9 +101,13 @@ func TestClear64k(t *testing.T) {
 	if err := tab.Set64k(64, 128, 0); err != nil {
 		t.Fatal(err)
 	}
+	tab.Touch(71, true)       // store to member 7 only
 	first := tab.Clear64k(70) // clearing via a member vpn
 	if first.PFN() != 128 {
 		t.Errorf("Clear64k returned pfn %d, want 128", first.PFN())
+	}
+	if !first.Has(Accessed | Dirty) {
+		t.Error("Clear64k must fold member 7's accessed and dirty bits into its result")
 	}
 	for i := sim.PageID(64); i < 80; i++ {
 		if _, _, ok := tab.Lookup(i); ok {

@@ -109,7 +109,7 @@ func (t *Table) leaf(vpn sim.PageID, create bool) *node {
 // For a 64 kB group it returns the individual 4 kB member entry (which
 // carries the Hint64k bit); callers decide group behaviour.
 func (t *Table) Lookup(vpn sim.PageID) (PTE, sim.PageSize, bool) {
-	return lookupIn(t.walk(vpn, false), vpn)
+	return deref(slotIn(t.walk(vpn, false), vpn))
 }
 
 // LookupRO resolves vpn exactly like Lookup but never writes the PMD
@@ -117,7 +117,7 @@ func (t *Table) Lookup(vpn sim.PageID) (PTE, sim.PageSize, bool) {
 // race under concurrency). Any number of goroutines may call LookupRO
 // on a table nothing is mutating.
 func (t *Table) LookupRO(vpn sim.PageID) (PTE, sim.PageSize, bool) {
-	return lookupIn(t.walkRO(vpn), vpn)
+	return deref(slotIn(t.walkRO(vpn), vpn))
 }
 
 // walkRO is walk(vpn, false) without the memo refresh: it may read the
@@ -137,27 +137,38 @@ func (t *Table) walkRO(vpn sim.PageID) *node {
 	return n
 }
 
-func lookupIn(pmd *node, vpn sim.PageID) (PTE, sim.PageSize, bool) {
+// slotIn returns the present entry translating vpn below pmd — the
+// 2 MB PMD entry or the 4 kB leaf entry — and its mapping size, or nil
+// when there is none.
+func slotIn(pmd *node, vpn sim.PageID) (*PTE, sim.PageSize) {
 	if pmd == nil {
-		return 0, sim.Size4k, false
+		return nil, sim.Size4k
 	}
 	if pmd.ptes != nil {
-		if e := pmd.ptes[levelIndex(vpn, 1)]; e.Has(Present | Large) {
-			return e, sim.Size2M, true
+		if e := &pmd.ptes[levelIndex(vpn, 1)]; e.Has(Present | Large) {
+			return e, sim.Size2M
 		}
 	}
 	leafNode := pmd.children[levelIndex(vpn, 1)]
 	if leafNode == nil || leafNode.ptes == nil {
-		return 0, sim.Size4k, false
+		return nil, sim.Size4k
 	}
-	e := leafNode.ptes[levelIndex(vpn, 0)]
+	e := &leafNode.ptes[levelIndex(vpn, 0)]
 	if !e.Has(Present) {
-		return 0, sim.Size4k, false
+		return nil, sim.Size4k
 	}
 	if e.Has(Hint64k) {
-		return e, sim.Size64k, true
+		return e, sim.Size64k
 	}
-	return e, sim.Size4k, true
+	return e, sim.Size4k
+}
+
+// deref turns slotIn's result into Lookup's.
+func deref(e *PTE, size sim.PageSize) (PTE, sim.PageSize, bool) {
+	if e == nil {
+		return 0, sim.Size4k, false
+	}
+	return *e, size, true
 }
 
 // Set installs a 4 kB entry for vpn, replacing any previous 4 kB entry.
@@ -213,6 +224,23 @@ func (t *Table) Update(vpn sim.PageID, fn func(PTE) PTE) bool {
 	}
 	*slot = fn(*slot)
 	return true
+}
+
+// Touch simulates the MMU on an access to vpn: it sets the accessed
+// bit (and, for writes, the dirty bit) on the entry translating vpn in
+// one walk and returns the updated entry and its size. For a 64 kB
+// group the bits land on the touched member only (§4); a 2 MB mapping
+// carries them on its PMD entry. ok is false when vpn has no
+// translation.
+func (t *Table) Touch(vpn sim.PageID, write bool) (e PTE, size sim.PageSize, ok bool) {
+	slot, size := slotIn(t.walk(vpn, false), vpn)
+	if slot != nil {
+		*slot |= Accessed
+		if write {
+			*slot |= Dirty
+		}
+	}
+	return deref(slot, size)
 }
 
 // Set2M installs a 2 MB mapping at the PMD level. vpn must be 2 MB

@@ -79,6 +79,31 @@ func TestTableUpdate(t *testing.T) {
 	}
 }
 
+func TestTableTouch(t *testing.T) {
+	tab := New()
+	if _, _, ok := tab.Touch(9, true); ok {
+		t.Error("Touch on an absent entry must report false")
+	}
+	tab.Set(9, MakePTE(3, Present))
+	e, size, ok := tab.Touch(9, false)
+	if !ok || size != sim.Size4k || e.PFN() != 3 || !e.Has(Accessed) || e.Has(Dirty) {
+		t.Fatalf("read Touch = %v %v %v, want pfn 3 accessed clean 4k", e, size, ok)
+	}
+	if e, _, _ = tab.Touch(9, true); !e.Has(Accessed | Dirty) {
+		t.Error("write Touch must set accessed and dirty")
+	}
+	if err := tab.Set2M(1024, MakePTE(512, Writable)); err != nil {
+		t.Fatal(err)
+	}
+	e, size, ok = tab.Touch(1024+7, true)
+	if !ok || size != sim.Size2M || e.PFN() != 512 || !e.Has(Accessed|Dirty) {
+		t.Fatalf("2M Touch = %v %v %v", e, size, ok)
+	}
+	if e, _, _ := tab.Lookup(1024); !e.Has(Accessed | Dirty) {
+		t.Error("2M Touch must land on the PMD entry")
+	}
+}
+
 func TestTableSetLargePanics(t *testing.T) {
 	tab := New()
 	defer func() {

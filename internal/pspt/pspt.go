@@ -108,12 +108,23 @@ type Mapping struct {
 // with stable pointers; a page-indexed table maps each size-aligned
 // base VPN to its record handle, replacing the old map lookup on the
 // fault path with an array read.
+//
+// acc and dirty summarize the per-core attribute bits so the hit path
+// need not walk a table to set bits that are already set. Bit
+// vpn&63 of word core*words + vpn>>6 mirrors the accessed (dirty) bit
+// of core's 4 kB PTE or 64 kB member PTE for vpn: set exactly when
+// that PTE is present and carries the bit. 2 MB mappings and VPNs past
+// the sized range are not tracked (their bits stay clear) and always
+// walk.
 type PSPT struct {
 	n      int
 	tables []*pagetable.Table
 	store  dense.Store[Mapping]
 	idx    dense.Index // base VPN -> store handle
 	count  int         // live mapping records
+
+	words      int      // summary words per core: ceil(pages/64)
+	acc, dirty []uint64 // accessed/dirty summary, n*words each
 
 	topo *sim.Topology // nil on flat runs: no replica bookkeeping
 
@@ -124,13 +135,17 @@ type PSPT struct {
 // New creates a PSPT for n application cores.
 func New(n int) *PSPT { return NewSized(n, 0, nil) }
 
-// NewSized is New with the base-VPN index pre-sized for page IDs in
-// [0, pages) and drawn from sc (both optional).
+// NewSized is New with the base-VPN index and the accessed/dirty
+// summary sized for page IDs in [0, pages) and drawn from sc (both
+// optional). The summary never grows: pages beyond the range walk.
 func NewSized(n, pages int, sc *dense.Scratch) *PSPT {
 	if n <= 0 || n > MaxCores {
 		panic(fmt.Sprintf("pspt: %d cores out of range 1..%d", n, MaxCores))
 	}
-	p := &PSPT{n: n, tables: make([]*pagetable.Table, n), idx: dense.NewIndex(sc, pages)}
+	words := (pages + 63) / 64
+	sum := sc.U64(2 * n * words) // one slab for both bitmaps
+	p := &PSPT{n: n, tables: make([]*pagetable.Table, n), idx: dense.NewIndex(sc, pages),
+		words: words, acc: sum[:n*words], dirty: sum[n*words:]}
 	for i := range p.tables {
 		p.tables[i] = pagetable.New()
 	}
@@ -191,24 +206,72 @@ func (p *PSPT) MappingCores(vpn sim.PageID, dst []sim.CoreID) []sim.CoreID {
 	return dst
 }
 
+// summaryMask locates core's summary bits for the mapping of the given
+// size at base (one bit for 4 kB, the group's 16 for 64 kB; an aligned
+// group never straddles a word). tracked is false for 2 MB mappings and
+// for VPNs past the sized range.
+func (p *PSPT) summaryMask(core sim.CoreID, base sim.PageID, size sim.PageSize) (w int, mask uint64, tracked bool) {
+	if size == sim.Size2M || uint64(base>>6) >= uint64(p.words) {
+		return 0, 0, false
+	}
+	return int(core)*p.words + int(base>>6), (1<<uint(size.Span()) - 1) << (uint(base) & 63), true
+}
+
+// setSummary makes core's summary bits for a mapping match the
+// accessed and dirty bits of flags, the attributes of its freshly
+// installed (or, with flags 0, cleared) PTEs.
+func (p *PSPT) setSummary(core sim.CoreID, base sim.PageID, size sim.PageSize, flags pagetable.PTE) {
+	w, mask, tracked := p.summaryMask(core, base, size)
+	if !tracked {
+		return
+	}
+	p.acc[w] &^= mask
+	p.dirty[w] &^= mask
+	if flags.Has(pagetable.Accessed) {
+		p.acc[w] |= mask
+	}
+	if flags.Has(pagetable.Dirty) {
+		p.dirty[w] |= mask
+	}
+}
+
+// Summary reports core's accessed and dirty summary bits for vpn;
+// tracked is false when vpn lies past the sized range. The invariant
+// auditor checks them against the PTE bits.
+func (p *PSPT) Summary(core sim.CoreID, vpn sim.PageID) (accessed, dirty, tracked bool) {
+	w, bit, tracked := p.summaryMask(core, vpn, sim.Size4k)
+	if !tracked {
+		return false, false, false
+	}
+	return p.acc[w]&bit != 0, p.dirty[w]&bit != 0, true
+}
+
 // setInTable installs the PTEs for one mapping into a single core's
 // private table.
 func (p *PSPT) setInTable(core sim.CoreID, base sim.PageID, size sim.PageSize, pfn int64, flags pagetable.PTE) error {
 	t := p.tables[core]
+	var err error
 	switch size {
 	case sim.Size4k:
 		t.Set(base, pagetable.MakePTE(pfn, flags|pagetable.Present))
-		return nil
 	case sim.Size64k:
-		return t.Set64k(base, pfn, flags)
+		err = t.Set64k(base, pfn, flags)
 	case sim.Size2M:
-		return t.Set2M(base, pagetable.MakePTE(pfn, flags))
+		err = t.Set2M(base, pagetable.MakePTE(pfn, flags))
 	default:
-		return fmt.Errorf("pspt: unknown page size %v", size)
+		err = fmt.Errorf("pspt: unknown page size %v", size)
 	}
+	if err == nil {
+		p.setSummary(core, base, size, flags)
+	}
+	return err
 }
 
+// clearInTable removes one mapping's PTEs from a single core's private
+// table and returns the previous entry; for a 64 kB group it carries
+// the accessed and dirty bits of all 16 members.
 func (p *PSPT) clearInTable(core sim.CoreID, base sim.PageID, size sim.PageSize) pagetable.PTE {
+	p.setSummary(core, base, size, 0)
 	t := p.tables[core]
 	switch size {
 	case sim.Size64k:
@@ -337,14 +400,9 @@ func (p *PSPT) Unmap(vpn sim.PageID) (*Mapping, bool) {
 	dirty := false
 	set := m.Cores
 	for c, ok := set.Pop(); ok; c, ok = set.Pop() {
-		old := p.clearInTable(c, m.Base, m.Size)
-		if old.Has(pagetable.Dirty) {
+		if p.clearInTable(c, m.Base, m.Size).Has(pagetable.Dirty) {
 			dirty = true
 		}
-		// For 64 kB groups the dirty bit may sit on any sub-entry;
-		// clearInTable returned only the first. Checked via Stat64k
-		// before clearing would be cleaner but costs a second walk;
-		// instead the caller tracks frame dirtiness in mem.Device.
 	}
 	// The record is returned to the caller (shootdown targets), so copy
 	// it out before its store slot is zeroed and recycled. The copy
@@ -365,24 +423,35 @@ func (p *PSPT) deleteMapping(base sim.PageID) {
 
 // Touch simulates the MMU setting accessed/dirty bits on core's private
 // PTE for vpn. For 64 kB groups the bits land on the touched sub-entry.
-func (p *PSPT) Touch(core sim.CoreID, vpn sim.PageID, write bool) {
-	t := p.tables[core]
-	_, size, ok := t.Lookup(vpn)
+// written reports a write to a page core maps, and frame is then the
+// frame backing vpn. When the summary shows the bits already set, no
+// table is walked: a read returns at once and a write takes its frame
+// from the mapping record.
+func (p *PSPT) Touch(core sim.CoreID, vpn sim.PageID, write bool) (frame int64, written bool) {
+	w, bit, tracked := p.summaryMask(core, vpn, sim.Size4k)
+	if tracked && p.acc[w]&bit != 0 {
+		if !write {
+			return 0, false
+		}
+		if p.dirty[w]&bit != 0 {
+			m := p.Mapping(vpn)
+			return m.PFN + int64(vpn-m.Base), true
+		}
+	}
+	e, size, ok := p.tables[core].Touch(vpn, write)
 	if !ok {
-		return
+		return 0, false
 	}
-	switch size {
-	case sim.Size2M:
-		t.Update2M(vpn, func(e pagetable.PTE) pagetable.PTE {
-			e = e.With(pagetable.Accessed)
-			if write {
-				e = e.With(pagetable.Dirty)
-			}
-			return e
-		})
-	default: // 4k and 64k members both carry bits on the individual PTE
-		t.Touch64k(vpn, write)
+	if size == sim.Size2M {
+		return e.PFN() + int64(vpn-sim.Size2M.Align(vpn)), write
 	}
+	if tracked {
+		p.acc[w] |= bit
+		if write {
+			p.dirty[w] |= bit
+		}
+	}
+	return e.PFN(), write // 64 kB member PTEs carry the member frame
 }
 
 // ScanAccessed implements the statistics pass the LRU scanner performs
@@ -390,7 +459,8 @@ func (p *PSPT) Touch(core sim.CoreID, vpn sim.PageID, write bool) {
 // core's private table. It returns whether any core had accessed the
 // region since the last scan and the set of cores whose TLBs must be
 // invalidated (every core whose PTE was modified — on x86, clearing an
-// accessed bit requires invalidating the cached translation).
+// accessed bit requires invalidating the cached translation). A core
+// whose summary shows no accessed bit is skipped without a walk.
 func (p *PSPT) ScanAccessed(vpn sim.PageID, dst []sim.CoreID) (accessed bool, targets []sim.CoreID) {
 	m := p.Mapping(vpn)
 	if m == nil {
@@ -399,6 +469,12 @@ func (p *PSPT) ScanAccessed(vpn sim.PageID, dst []sim.CoreID) (accessed bool, ta
 	targets = dst
 	set := m.Cores
 	for c, ok := set.Pop(); ok; c, ok = set.Pop() {
+		if w, mask, tracked := p.summaryMask(c, m.Base, m.Size); tracked {
+			if p.acc[w]&mask == 0 {
+				continue
+			}
+			p.acc[w] &^= mask
+		}
 		t := p.tables[c]
 		hit := false
 		switch m.Size {

@@ -63,8 +63,9 @@ type addressSpace interface {
 	Unmap(vpn sim.PageID) (base sim.PageID, size sim.PageSize, pfn int64, targets []sim.CoreID, ok bool)
 
 	// Touch simulates the MMU setting accessed (and dirty, for writes)
-	// bits for core's view of vpn.
-	Touch(core sim.CoreID, vpn sim.PageID, write bool)
+	// bits for core's view of vpn. written reports a write to a page
+	// core maps, and frame is then the device frame backing vpn.
+	Touch(core sim.CoreID, vpn sim.PageID, write bool) (frame sim.FrameID, written bool)
 
 	// CoreMapCount returns the number of cores mapping base, or -1 when
 	// the organization cannot know (regular tables).
@@ -198,22 +199,15 @@ func (s *sharedAS) Unmap(vpn sim.PageID) (sim.PageID, sim.PageSize, int64, []sim
 	return base, mi.size, mi.pfn, s.targets, true
 }
 
-func (s *sharedAS) Touch(_ sim.CoreID, vpn sim.PageID, write bool) {
-	_, size, ok := s.table.Lookup(vpn)
-	if !ok {
-		return
+func (s *sharedAS) Touch(_ sim.CoreID, vpn sim.PageID, write bool) (sim.FrameID, bool) {
+	e, size, ok := s.table.Touch(vpn, write)
+	if !ok || !write {
+		return 0, false
 	}
 	if size == sim.Size2M {
-		s.table.Update2M(vpn, func(e pagetable.PTE) pagetable.PTE {
-			e = e.With(pagetable.Accessed)
-			if write {
-				e = e.With(pagetable.Dirty)
-			}
-			return e
-		})
-		return
+		return sim.FrameID(e.PFN() + int64(vpn-sim.Size2M.Align(vpn))), true
 	}
-	s.table.Touch64k(vpn, write)
+	return sim.FrameID(e.PFN()), true // 64k member PTEs carry the member frame
 }
 
 func (s *sharedAS) CoreMapCount(sim.PageID) int { return -1 }
@@ -307,8 +301,9 @@ func (a *psptAS) Unmap(vpn sim.PageID) (sim.PageID, sim.PageSize, int64, []sim.C
 	return m.Base, m.Size, m.PFN, a.scratch, true
 }
 
-func (a *psptAS) Touch(core sim.CoreID, vpn sim.PageID, write bool) {
-	a.p.Touch(core, vpn, write)
+func (a *psptAS) Touch(core sim.CoreID, vpn sim.PageID, write bool) (sim.FrameID, bool) {
+	f, written := a.p.Touch(core, vpn, write)
+	return sim.FrameID(f), written
 }
 
 func (a *psptAS) CoreMapCount(base sim.PageID) int { return a.p.CoreMapCount(base) }

@@ -11,22 +11,29 @@ import (
 // the accessed-bit scanner must never touch the heap. A regression here
 // silently costs more than most logic bugs, so it fails the build.
 
+// TestAccessTLBHitPathZeroAllocs covers reads and writes on the TLB-hit
+// path, both for a page inside the sized range (under PSPT, the
+// accessed/dirty summary answers without a walk) and for one past it
+// (the summary does not track it, so every touch walks). Pages is 64,
+// so vpn 200 lies past it.
 func TestAccessTLBHitPathZeroAllocs(t *testing.T) {
 	for _, kind := range []TableKind{PSPTKind, RegularPT} {
 		t.Run(kind.String(), func(t *testing.T) {
-			m, err := NewManager(Config{
-				Cores: 2, Frames: 64, PageSize: sim.Size4k, Tables: kind, Pages: 64,
-			}, fifoFactory)
-			if err != nil {
-				t.Fatal(err)
-			}
-			now := mustAccess(t, m, 0, 3, true, 0) // fault the page in
-			for _, write := range []bool{false, true} {
-				avg := testing.AllocsPerRun(500, func() {
-					now, _ = m.Access(0, 3, write, now)
-				})
-				if avg != 0 {
-					t.Errorf("write=%v: TLB-hit access allocates %.1f objects, want 0", write, avg)
+			for _, vpn := range []sim.PageID{3, 200} {
+				m, err := NewManager(Config{
+					Cores: 2, Frames: 64, PageSize: sim.Size4k, Tables: kind, Pages: 64,
+				}, fifoFactory)
+				if err != nil {
+					t.Fatal(err)
+				}
+				now := mustAccess(t, m, 0, vpn, true, 0) // fault the page in
+				for _, write := range []bool{false, true} {
+					avg := testing.AllocsPerRun(500, func() {
+						now, _ = m.Access(0, vpn, write, now)
+					})
+					if avg != 0 {
+						t.Errorf("vpn %d write=%v: TLB-hit access allocates %.1f objects, want 0", vpn, write, avg)
+					}
 				}
 			}
 		})

@@ -399,12 +399,7 @@ func (m *Manager) CoreMapCount(base sim.PageID) int {
 // interrupts — are charged to the right cores either way, matching the
 // paper's setup of dedicating hyperthreads to statistics collection.
 func (m *Manager) ScanAccessed(base sim.PageID) bool {
-	// Scanning a 64 kB group iterates its 16 sub-entries (§4).
-	ptes := sim.Cycles(1)
-	if _, size, ok := m.lookupAny(base); ok && size == sim.Size64k {
-		ptes = sim.Span64k
-	}
-	m.scanCost += ptes * m.cost.ScanPTE
+	m.scanCost += m.scanPTEs(base) * m.cost.ScanPTE
 	accessed, targets := m.as.ScanAccessed(base)
 	if accessed && m.degraded != nil {
 		if _, deg := m.degraded[base]; deg {
@@ -440,21 +435,25 @@ func (m *Manager) ScanAccessed(base sim.PageID) bool {
 	return accessed
 }
 
-// lookupAny resolves vpn through any core's view (bookkeeping only).
-func (m *Manager) lookupAny(vpn sim.PageID) (pagetable.PTE, sim.PageSize, bool) {
-	if a, ok := m.as.(*psptAS); ok {
-		mp := a.PSPT().Mapping(vpn)
-		if mp == nil {
-			return 0, 0, false
+// scanPTEs returns how many PTEs one ScanAccessed of base tests: the
+// 16 sub-entries of a 64 kB group some table maps (§4), else one. The
+// size comes from the mapping record, so it costs no table walk.
+func (m *Manager) scanPTEs(base sim.PageID) sim.Cycles {
+	size := sim.Size4k
+	switch as := m.as.(type) {
+	case *psptAS:
+		if mp := as.p.Mapping(base); mp != nil && mp.Cores.Count() > 0 {
+			size = mp.Size
 		}
-		set := mp.Cores
-		c, ok := set.Pop()
-		if !ok {
-			return 0, 0, false
+	case *sharedAS:
+		if _, mi, ok := as.find(base); ok {
+			size = mi.size
 		}
-		return m.as.Lookup(c, vpn)
 	}
-	return m.as.Lookup(0, vpn)
+	if size == sim.Size64k {
+		return sim.Span64k
+	}
+	return 1
 }
 
 // Access executes one page touch by core at virtual time now and
@@ -503,27 +502,9 @@ func (m *Manager) Access(core sim.CoreID, vpn sim.PageID, write bool, now sim.Cy
 // touchBookkeeping simulates the MMU attribute updates and the data
 // write for one touch (zero cost: included in TouchCompute).
 func (m *Manager) touchBookkeeping(core sim.CoreID, vpn sim.PageID, write bool) {
-	m.as.Touch(core, vpn, write)
-	if !write {
-		return
-	}
-	if f, ok := m.frameOf(core, vpn); ok {
+	if f, written := m.as.Touch(core, vpn, write); written {
 		m.writeSeq++
 		m.dev.Write(f, core, m.writeSeq)
-	}
-}
-
-// frameOf resolves the device frame backing vpn in core's view.
-func (m *Manager) frameOf(core sim.CoreID, vpn sim.PageID) (sim.FrameID, bool) {
-	pte, size, ok := m.as.Lookup(core, vpn)
-	if !ok {
-		return 0, false
-	}
-	switch size {
-	case sim.Size2M:
-		return sim.FrameID(pte.PFN() + int64(vpn-sim.Size2M.Align(vpn))), true
-	default: // 4k; 64k member PTEs carry the member frame directly
-		return sim.FrameID(pte.PFN()), true
 	}
 }
 

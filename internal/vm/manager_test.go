@@ -197,11 +197,14 @@ func TestDirtyWriteBackAndIntegrity(t *testing.T) {
 
 func mustFrame(t *testing.T, m *Manager, core sim.CoreID, vpn sim.PageID) sim.FrameID {
 	t.Helper()
-	f, ok := m.frameOf(core, vpn)
+	pte, size, ok := m.Lookup(core, vpn)
 	if !ok {
 		t.Fatalf("vpn %d not mapped", vpn)
 	}
-	return f
+	if size == sim.Size2M {
+		return sim.FrameID(pte.PFN() + int64(vpn-sim.Size2M.Align(vpn)))
+	}
+	return sim.FrameID(pte.PFN()) // 64k member PTEs carry the member frame
 }
 
 func TestCleanEvictionNoWriteBack(t *testing.T) {
