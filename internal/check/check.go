@@ -24,6 +24,7 @@ import (
 
 	"cmcp/internal/mem"
 	"cmcp/internal/pagetable"
+	"cmcp/internal/policy"
 	"cmcp/internal/pspt"
 	"cmcp/internal/sim"
 	"cmcp/internal/vm"
@@ -414,8 +415,10 @@ func (a *Auditor) auditReplicas(m *vm.Manager) {
 // must be owned by exactly the tenant whose page occupies it (no frame
 // owned by two tenants — ownership is single-valued and must match the
 // device), free and quarantined frames must be unowned, the per-tenant
-// frame totals must sum to the device's frames in use, and each
-// tenant's policy residency must equal its actual mapping count.
+// frame totals must sum to the device's frames in use, each tenant's
+// policy residency must equal its actual mapping count, and the
+// scanner's tenant deadline must not be later than any tenant policy's
+// own (policy.Deadline, 0 without one) — else a due tick is skipped.
 func (a *Auditor) auditTenants(m *vm.Manager) {
 	n := m.TenantCount()
 	if n == 0 {
@@ -469,6 +472,10 @@ func (a *Auditor) auditTenants(m *vm.Manager) {
 		if got := m.TenantPolicy(t).Resident(); got != perTenant[t] {
 			a.report("tenant", "tenant %d: policy tracks %d resident, address space holds %d",
 				t, got, perTenant[t])
+		}
+		if next, due := m.TenantNextTick(), policy.NextTick(m.TenantPolicy(t)); next > due {
+			a.report("tenant", "tenant %d: policy is due at cycle %d but the scanner skips tenants until %d",
+				t, due, next)
 		}
 	}
 }

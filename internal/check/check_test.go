@@ -133,6 +133,44 @@ func TestAuditorCatchesMiscountingPolicy(t *testing.T) {
 	assertViolation(t, aud, "residency")
 }
 
+// movableDeadline is a FIFO whose policy.Deadline the test can move
+// outside Tick — a breach of the Deadline contract that leaves the
+// tenant machine's cached deadline stale.
+type movableDeadline struct {
+	*policy.FIFO
+	next sim.Cycles
+}
+
+func (p *movableDeadline) NextTick() sim.Cycles { return p.next }
+
+func TestAuditorCatchesLateTenantDeadline(t *testing.T) {
+	var pols []*movableDeadline
+	m := newManager(t, vm.Config{
+		Cores: 2, Frames: 32, PageSize: sim.Size4k, Tables: vm.PSPTKind, Pages: 64,
+		Tenants: &vm.TenantConfig{Count: 4, PagesPerTenant: 16},
+	}, func(policy.Host) policy.Policy {
+		p := &movableDeadline{FIFO: policy.NewFIFO(), next: 1000}
+		pols = append(pols, p)
+		return p
+	})
+	touch(t, m, 2, 20)
+	m.Tick(0)
+	if got := m.TenantNextTick(); got != 1000 {
+		t.Fatalf("TenantNextTick = %d after a tick, want the tenants' deadline 1000", got)
+	}
+	aud := check.New(check.Config{})
+	aud.Audit(m)
+	if err := aud.Err(); err != nil {
+		t.Fatalf("clean tenant manager failed audit: %v", err)
+	}
+	// Tenant 2 becomes due at 500, but the scanner would skip every
+	// tenant until 1000.
+	pols[2].next = 500
+	aud = check.New(check.Config{})
+	aud.Audit(m)
+	assertViolation(t, aud, "tenant")
+}
+
 func TestAuditorCatchesAdaptiveCounterDrift(t *testing.T) {
 	m := newManager(t, vm.Config{
 		Cores: 2, Frames: 1024, PageSize: sim.Size4k, Tables: vm.PSPTKind,

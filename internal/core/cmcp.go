@@ -337,6 +337,19 @@ func (c *CMCP) Resident() int { return c.fifo.Len() + len(c.prio) }
 // Figure 9 analysis.
 func (c *CMCP) Groups() (fifo, prio int) { return c.fifo.Len(), len(c.prio) }
 
+// NextTick implements policy.Deadline: the aging timer, or the tuner's
+// evaluation if that comes first. Before the first tick arms the timer
+// the policy is always due.
+func (c *CMCP) NextTick() sim.Cycles {
+	if c.nextAge == 0 {
+		return 0
+	}
+	if c.tuner != nil {
+		return min(c.nextAge, c.tuner.nextEval)
+	}
+	return c.nextAge
+}
+
 // Tick implements policy.Policy: the aging sweep. Every agePeriod all
 // prioritized pages' keys decay by ageDecay; pages whose key drops
 // below 1 (no better than core-private) fall back to the FIFO list, so

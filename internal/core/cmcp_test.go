@@ -482,3 +482,76 @@ func TestCMCPNoObserverNoPanic(t *testing.T) {
 		t.Fatal("victim expected")
 	}
 }
+
+// TestCMCPDeadlineTickBeforeDueIsNoOp checks the policy.Deadline
+// contract with and without the dynamic-p tuner: after any prefix of a
+// random PTESetup/Remove/Victim/Tick/NoteFault sequence,
+// Tick(NextTick()-1) leaves the deadline, p, the tuner history, the
+// heap invariants and the Victim order exactly as a twin instance that
+// never receives the early ticks.
+func TestCMCPDeadlineTickBeforeDueIsNoOp(t *testing.T) {
+	for _, dynamic := range []bool{false, true} {
+		build := func(h *scriptHost) *CMCP {
+			opts := []Option{WithP(0.5), WithAgePeriod(500)}
+			if dynamic {
+				opts = append(opts, WithTuner(NewTuner(TunerConfig{Window: 800})))
+			}
+			return New(h, 16, opts...)
+		}
+		f := func(ops []uint16) bool {
+			h := &scriptHost{counts: make(map[sim.PageID]int)}
+			a, b := build(h), build(h)
+			var now sim.Cycles
+			for _, op := range ops {
+				base := sim.PageID(op % 48)
+				switch op >> 13 {
+				case 0, 1, 2:
+					h.counts[base] = int(op%6) + 1
+					a.PTESetup(base)
+					b.PTESetup(base)
+				case 3:
+					a.Remove(base)
+					b.Remove(base)
+				case 4:
+					a.NoteFault()
+					b.NoteFault()
+				case 5:
+					now += sim.Cycles(op % 400)
+					a.Tick(now)
+					b.Tick(now)
+				default:
+					va, oka := a.Victim()
+					vb, okb := b.Victim()
+					if va != vb || oka != okb {
+						return false
+					}
+				}
+				if d := a.NextTick(); d > 0 {
+					a.Tick(d - 1)
+					if a.NextTick() != d {
+						return false
+					}
+				}
+				if a.CheckInvariants() != nil || a.P() != b.P() {
+					return false
+				}
+				if dynamic && len(a.tuner.History) != len(b.tuner.History) {
+					return false
+				}
+			}
+			for {
+				va, oka := a.Victim()
+				vb, okb := b.Victim()
+				if va != vb || oka != okb {
+					return false
+				}
+				if !oka {
+					return true
+				}
+			}
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+			t.Errorf("dynamic=%v: %v", dynamic, err)
+		}
+	}
+}

@@ -670,8 +670,8 @@ func sample(rec *obs.Recorder, mgr *vm.Manager, now sim.Cycles, events []eventKe
 			s.Counters[c] = run.Total(stats.Counter(c))
 		}
 		s.Resident = mgr.Resident()
-		if g, ok := mgr.Policy().(interface{ Groups() (int, int) }); ok {
-			s.FIFOLen, s.PrioLen = g.Groups()
+		if fifo, prio, ok := mgr.PolicyGroups(); ok {
+			s.FIFOLen, s.PrioLen = fifo, prio
 		}
 		var lo, hi sim.Cycles
 		active := 0

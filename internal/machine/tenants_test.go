@@ -4,10 +4,15 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"reflect"
 	"testing"
 
 	"cmcp/internal/check"
+	"cmcp/internal/core"
 	"cmcp/internal/fault"
+	"cmcp/internal/obs"
+	"cmcp/internal/policy"
+	"cmcp/internal/sim"
 	"cmcp/internal/stats"
 	"cmcp/internal/vm"
 	"cmcp/internal/workload"
@@ -237,6 +242,146 @@ func TestTenantQuarantineHighCorruption(t *testing.T) {
 		}
 		if res.Run.Total(stats.QuarantinedFrames) == 0 {
 			t.Errorf("seed %d: survived a 50%% corruption rate without quarantining anything", seed)
+		}
+	}
+}
+
+// alwaysDue wraps a policy and hides its policy.Deadline, so the tenant
+// machine ticks it on every scanner tick. NoteFault is forwarded so the
+// dynamic-p tuner still sees faults.
+type alwaysDue struct{ policy.Policy }
+
+func (p alwaysDue) NoteFault() {
+	if o, ok := p.Policy.(vm.FaultObserver); ok {
+		o.NoteFault()
+	}
+}
+
+// countTicks wraps a policy, counting Tick calls into n and forwarding
+// NextTick and NoteFault.
+type countTicks struct {
+	alwaysDue
+	n *int
+}
+
+func (p countTicks) Tick(now sim.Cycles) {
+	*p.n++
+	p.Policy.Tick(now)
+}
+
+func (p countTicks) NextTick() sim.Cycles { return p.Policy.(policy.Deadline).NextTick() }
+
+// tenantFactory returns the factory Simulate would build for cfg's
+// per-tenant policies, with each instance passed through wrap.
+func tenantFactory(t *testing.T, cfg Config, wrap func(policy.Policy) policy.Policy) vm.PolicyFactory {
+	t.Helper()
+	frames := Frames(cfg.Tenants.Tenants*cfg.Tenants.PagesPerTenant, cfg.MemoryRatio, cfg.PageSize)
+	inner, err := buildPolicy(cfg, max(frames/cfg.Tenants.Tenants, 1), cfg.Tenants.PagesPerTenant, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return func(h policy.Host) policy.Policy { return wrap(inner(h)) }
+}
+
+// TestTenantDeadlineBitIdentical pins the scanner lane's due-only
+// ticking: every built-in policy (and CMCP with the dynamic-p tuner),
+// weighted or hard-partitioned, on both engines, produces a Result
+// deep-equal to the same run with every tenant ticked on every
+// scanner tick.
+func TestTenantDeadlineBitIdentical(t *testing.T) {
+	specs := []PolicySpec{{Kind: CMCP, P: -1, DynamicP: true}}
+	for _, k := range []PolicyKind{FIFO, LRU, CMCP, CLOCK, LFU, Random} {
+		specs = append(specs, PolicySpec{Kind: k, P: -1})
+	}
+	for _, ps := range specs {
+		for _, hard := range []bool{false, true} {
+			for _, eng := range []EngineKind{SerialEngine, ParallelEngine} {
+				name := ps.Kind.String()
+				if ps.DynamicP {
+					name += "+dynamicP"
+				}
+				name += map[bool]string{false: "/weighted/", true: "/hard-partition/"}[hard] + eng.String()
+				t.Run(name, func(t *testing.T) {
+					cfg := tenantConfig(24)
+					cfg.Policy = ps
+					cfg.Engine = eng
+					if ps.DynamicP {
+						// Long enough for several tuner windows.
+						cfg.Tenants.TotalTouches = 300_000
+					}
+					cfg.Tenants.HardPartition = hard
+					if !hard {
+						w := make([]float64, cfg.Tenants.Tenants)
+						for i := range w {
+							w[i] = 1 + float64(i%3)
+						}
+						cfg.Tenants.Weights = w
+					}
+					due, err := Simulate(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					every := cfg
+					every.Policy.Factory = tenantFactory(t, cfg, func(p policy.Policy) policy.Policy { return alwaysDue{p} })
+					all, err := Simulate(every)
+					if err != nil {
+						t.Fatal(err)
+					}
+					all.Config.Policy.Factory = nil // funcs never compare equal
+					if !reflect.DeepEqual(due, all) {
+						t.Errorf("due-only ticking diverged: runtime %d vs %d", due.Runtime, all.Runtime)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestTenantTicksOnlyWhenDue counts tenant Tick calls on a CMCP tenant
+// machine: the scanner lane calls every tenant once per due tick (the
+// arming tick plus one per aging sweep) instead of once per scanner
+// tick.
+func TestTenantTicksOnlyWhenDue(t *testing.T) {
+	cfg := tenantConfig(64)
+	var due, every int
+	run := func(wrap func(policy.Policy) policy.Policy) {
+		c := cfg
+		c.Policy.Factory = func(h policy.Host) policy.Policy {
+			// An aging sweep every 40 scanner ticks: several per run.
+			return wrap(core.New(h, 8, core.WithAgePeriod(40*25_000)))
+		}
+		if _, err := Simulate(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run(func(p policy.Policy) policy.Policy { return countTicks{alwaysDue{p}, &due} })
+	run(func(p policy.Policy) policy.Policy { return alwaysDue{countTicks{alwaysDue{p}, &every}} })
+	if due <= 64 || due%64 != 0 {
+		t.Errorf("due-only run made %d tenant Tick calls, want a multiple of 64 above the arming tick", due)
+	}
+	if due*20 > every {
+		t.Errorf("due-only run made %d tenant Tick calls, ticking every time made %d; want < 5%%", due, every)
+	}
+}
+
+// TestTenantSamplerSumsGroups checks the sampler reports CMCP's group
+// split summed over all tenants, not tenant 0's alone: every sample's
+// FIFO plus priority length equals the resident count.
+func TestTenantSamplerSumsGroups(t *testing.T) {
+	cfg := tenantConfig(8)
+	rec := obs.NewRecorder(obs.Config{Events: -1, SampleEvery: 100_000})
+	cfg.Probe = rec
+	if _, err := Simulate(cfg); err != nil {
+		t.Fatal(err)
+	}
+	samples := rec.Samples()
+	if len(samples) == 0 {
+		t.Fatal("sampled run recorded no samples")
+	}
+	for i, s := range samples {
+		if s.FIFOLen+s.PrioLen != s.Resident {
+			t.Fatalf("sample %d at cycle %d: FIFOLen+PrioLen = %d+%d, resident %d",
+				i, s.Time, s.FIFOLen, s.PrioLen, s.Resident)
 		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 
+	"cmcp/internal/dense"
 	"cmcp/internal/sim"
 )
 
@@ -192,21 +193,30 @@ func (d *Device) SetSignature(f sim.FrameID, s Signature) {
 
 // Host models the host machine's RAM acting as backing store for the
 // computation area. Pages are identified by VPN; absent entries read as
-// the zero signature (fresh anonymous memory).
+// the zero signature (fresh anonymous memory). Signatures live in a
+// page-indexed table with a presence bitmap beside it, so write-backs
+// and page-ins never hash; both grow for VPNs past the sized range.
 type Host struct {
-	pages map[sim.PageID]Signature
+	sigs    dense.Words // signature by VPN
+	present dense.Words // bit vpn%64 of word vpn/64: written back at least once
+	n       int         // pages written back at least once
 	// InBytes and OutBytes track total transfer volume for stats.
 	InBytes, OutBytes int64
 }
 
-// NewHost returns an empty backing store.
-func NewHost() *Host {
-	return &Host{pages: make(map[sim.PageID]Signature)}
+// NewHost returns an empty backing store pre-sized for VPNs in
+// [0, pages), drawing its slices from sc (both optional).
+func NewHost(sc *dense.Scratch, pages int) *Host {
+	return &Host{sigs: dense.NewWords(sc, pages), present: dense.NewWords(sc, (pages+63)/64)}
 }
 
 // PageOut stores sig as the content of vpn (device-to-host write-back).
 func (h *Host) PageOut(vpn sim.PageID, sig Signature) {
-	h.pages[vpn] = sig
+	h.sigs.Set(vpn, uint64(sig))
+	if w, bit := h.present.Get(vpn>>6), uint64(1)<<(vpn&63); w&bit == 0 {
+		h.present.Set(vpn>>6, w|bit)
+		h.n++
+	}
 	h.OutBytes += sim.PageSize4k
 }
 
@@ -214,15 +224,17 @@ func (h *Host) PageOut(vpn sim.PageID, sig Signature) {
 // written before reads as zero-filled.
 func (h *Host) PageIn(vpn sim.PageID) Signature {
 	h.InBytes += sim.PageSize4k
-	return h.pages[vpn]
+	return Signature(h.sigs.Get(vpn))
 }
 
 // Peek returns the stored signature without accounting a transfer;
 // tests use it to verify write-back contents.
 func (h *Host) Peek(vpn sim.PageID) (Signature, bool) {
-	s, ok := h.pages[vpn]
-	return s, ok
+	if h.present.Get(vpn>>6)&(1<<(vpn&63)) == 0 {
+		return 0, false
+	}
+	return Signature(h.sigs.Get(vpn)), true
 }
 
 // Len returns the number of pages ever written back.
-func (h *Host) Len() int { return len(h.pages) }
+func (h *Host) Len() int { return h.n }

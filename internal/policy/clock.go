@@ -68,5 +68,8 @@ func (c *Clock) Remove(base sim.PageID) { c.list.Remove(base) }
 // Tick implements Policy (CLOCK scans at eviction time, not on a timer).
 func (c *Clock) Tick(sim.Cycles) {}
 
+// NextTick implements Deadline: Tick has no work, ever.
+func (*Clock) NextTick() sim.Cycles { return Never }
+
 // Resident implements Policy.
 func (c *Clock) Resident() int { return c.list.Len() }

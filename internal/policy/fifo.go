@@ -43,5 +43,8 @@ func (f *FIFO) Remove(base sim.PageID) { f.list.Remove(base) }
 // Tick implements Policy (no periodic work).
 func (f *FIFO) Tick(sim.Cycles) {}
 
+// NextTick implements Deadline: Tick has no work, ever.
+func (*FIFO) NextTick() sim.Cycles { return Never }
+
 // Resident implements Policy.
 func (f *FIFO) Resident() int { return f.list.Len() }

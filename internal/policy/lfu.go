@@ -168,6 +168,9 @@ func (l *LFU) Remove(base sim.PageID) {
 // Resident implements Policy.
 func (l *LFU) Resident() int { return len(l.heap) }
 
+// NextTick implements Deadline: the scan timer.
+func (l *LFU) NextTick() sim.Cycles { return l.nextScan }
+
 // Tick implements Policy: sample a batch of pages round-robin by base,
 // incrementing frequencies of accessed pages and decaying the rest.
 func (l *LFU) Tick(now sim.Cycles) {

@@ -106,6 +106,9 @@ func (l *LRU) Remove(base sim.PageID) {
 // Resident implements Policy.
 func (l *LRU) Resident() int { return l.active.Len() + l.inactive.Len() }
 
+// NextTick implements Deadline: the scan timer.
+func (l *LRU) NextTick() sim.Cycles { return l.nextScan }
+
 // Tick implements Policy: when the scan timer expires, examine a batch
 // of pages from both lists, clearing accessed bits (via the host, which
 // charges shootdowns) and rebalancing the lists.

@@ -15,6 +15,8 @@
 package policy
 
 import (
+	"math"
+
 	"cmcp/internal/dense"
 	"cmcp/internal/sim"
 )
@@ -63,6 +65,26 @@ type Policy interface {
 
 	// Resident returns the number of mappings currently tracked.
 	Resident() int
+}
+
+// Deadline is an optional Policy extension that tells the scanner lane
+// when the policy next has periodic work. Contract: Tick(now) with
+// now < NextTick() changes no state, so the caller may skip it. The
+// deadline may only move inside Tick. A policy without the method is
+// ticked every time, as if its deadline were always 0.
+type Deadline interface {
+	NextTick() sim.Cycles
+}
+
+// Never is the deadline of a policy whose Tick does nothing.
+const Never = sim.Cycles(math.MaxUint64)
+
+// NextTick returns p's Deadline, or 0 (always due) when p has none.
+func NextTick(p Policy) sim.Cycles {
+	if d, ok := p.(Deadline); ok {
+		return d.NextTick()
+	}
+	return 0
 }
 
 // List is an intrusive doubly-linked list of page bases with O(1)

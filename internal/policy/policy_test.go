@@ -419,3 +419,71 @@ func TestAllPoliciesResidencyInvariantProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestDeadlineTickBeforeDueIsNoOp checks the Deadline contract on every
+// baseline policy: after any prefix of a random PTESetup/Remove/Victim/
+// Tick sequence, Tick(NextTick()-1) scans nothing and moves neither the
+// deadline nor the Victim order, compared against a twin instance that
+// never receives the early ticks.
+func TestDeadlineTickBeforeDueIsNoOp(t *testing.T) {
+	builders := []func(Host) Policy{
+		func(Host) Policy { return NewFIFO() },
+		func(h Host) Policy { return NewLRU(h, WithScanPeriod(1000), WithScanBatch(8)) },
+		func(h Host) Policy { return NewClock(h) },
+		func(h Host) Policy { return NewLFU(h, WithLFUScanPeriod(1000), WithLFUScanBatch(8)) },
+		func(Host) Policy { return NewRandom(3) },
+	}
+	for _, build := range builders {
+		f := func(ops []uint16) bool {
+			ha, hb := newFakeHost(), newFakeHost()
+			a, b := build(ha), build(hb)
+			var now sim.Cycles
+			for _, op := range ops {
+				base := sim.PageID(op % 64)
+				switch op >> 13 {
+				case 0, 1:
+					a.PTESetup(base)
+					b.PTESetup(base)
+				case 2:
+					ha.accessed[base] = true
+					hb.accessed[base] = true
+				case 3:
+					a.Remove(base)
+					b.Remove(base)
+				case 4, 5:
+					now += sim.Cycles(op % 700)
+					a.Tick(now)
+					b.Tick(now)
+				default:
+					va, oka := a.Victim()
+					vb, okb := b.Victim()
+					if va != vb || oka != okb {
+						return false
+					}
+				}
+				d := a.(Deadline).NextTick()
+				if d == 0 {
+					continue
+				}
+				scans := ha.scans
+				a.Tick(d - 1)
+				if ha.scans != scans || a.(Deadline).NextTick() != d {
+					return false
+				}
+			}
+			for {
+				va, oka := a.Victim()
+				vb, okb := b.Victim()
+				if va != vb || oka != okb {
+					return false
+				}
+				if !oka {
+					return true
+				}
+			}
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+			t.Errorf("%s: %v", build(newFakeHost()).Name(), err)
+		}
+	}
+}

@@ -66,5 +66,8 @@ func (r *Random) removeAt(base sim.PageID, i int) {
 // Tick implements Policy (no periodic work).
 func (r *Random) Tick(sim.Cycles) {}
 
+// NextTick implements Deadline: Tick has no work, ever.
+func (*Random) NextTick() sim.Cycles { return Never }
+
 // Resident implements Policy.
 func (r *Random) Resident() int { return len(r.pages) }

@@ -155,7 +155,7 @@ func NewManager(cfg Config, factory PolicyFactory) (*Manager, error) {
 		cfg:     cfg,
 		cost:    cfg.Cost,
 		dev:     mem.NewDevice(cfg.Frames),
-		host:    mem.NewHost(),
+		host:    mem.NewHost(sc, cfg.Pages),
 		run:     stats.NewRun(cfg.Cores),
 		scanner: sim.ScannerCore(cfg.Cores),
 		debt:    sc.Cycles(cfg.Cores),
@@ -307,9 +307,7 @@ func (m *Manager) Tick(now sim.Cycles) sim.Cycles {
 		m.rec.Advance(now)
 	}
 	if m.mt != nil {
-		for _, p := range m.mt.pols {
-			p.Tick(now)
-		}
+		m.mt.tick(now)
 	} else {
 		m.pol.Tick(now)
 	}

@@ -47,6 +47,12 @@ type tenantState struct {
 	quota []int     // hard-partition frame quotas; nil under weighted pressure
 	invw  []float64 // 1/weight per tenant; nil under hard partition
 	heap  tenantHeap
+
+	// nextTick is the earliest policy.Deadline over the tenants (0 for a
+	// policy without one); the scanner lane skips the tenant loop until
+	// then. One scalar suffices: every tenant is ticked on the same
+	// scanner ticks, so same-kind policies share their deadlines.
+	nextTick sim.Cycles
 }
 
 // newTenantState validates the tenant config and builds the per-tenant
@@ -179,6 +185,22 @@ func (h tenantHost) CoreMapCount(local sim.PageID) int {
 // ScanAccessed implements policy.Host.
 func (h tenantHost) ScanAccessed(local sim.PageID) bool {
 	return h.m.ScanAccessed(h.base + local)
+}
+
+// tick runs the tenants' periodic policy work. While now is before the
+// earliest tenant deadline every Tick would be a no-op, so the loop is
+// skipped; otherwise every tenant ticks in index order and the deadline
+// is recomputed.
+func (s *tenantState) tick(now sim.Cycles) {
+	if now < s.nextTick {
+		return
+	}
+	next := policy.Never
+	for _, p := range s.pols {
+		p.Tick(now)
+		next = min(next, policy.NextTick(p))
+	}
+	s.nextTick = next
 }
 
 // tenantOf returns the tenant owning global page vpn.
@@ -406,9 +428,39 @@ func (m *Manager) CoreMap() *mem.CoreMap {
 	return m.mt.cmap
 }
 
+// TenantNextTick returns the scanner deadline before which the tenant
+// policies are not ticked, or 0 on single-tenant runs. Read-only: the
+// invariant auditor checks it is never later than any tenant's
+// policy.Deadline.
+func (m *Manager) TenantNextTick() sim.Cycles {
+	if m.mt == nil {
+		return 0
+	}
+	return m.mt.nextTick
+}
+
 // TenantPolicy returns tenant t's policy instance (multi-tenant runs
 // only). Its page IDs are tenant-local.
 func (m *Manager) TenantPolicy(t int) policy.Policy { return m.mt.pols[t] }
+
+// PolicyGroups returns CMCP's (FIFO, priority) group sizes, summed
+// across tenants on multi-tenant runs. ok is false when the policy does
+// not expose groups.
+func (m *Manager) PolicyGroups() (fifo, prio int, ok bool) {
+	pols := []policy.Policy{m.pol}
+	if m.mt != nil {
+		pols = m.mt.pols
+	}
+	for _, p := range pols {
+		if g, isG := p.(interface{ Groups() (int, int) }); isG {
+			f, pr := g.Groups()
+			fifo += f
+			prio += pr
+			ok = true
+		}
+	}
+	return fifo, prio, ok
+}
 
 // PolicyResident returns the resident-mapping count the policy layer
 // tracks, summed across tenants on multi-tenant runs.

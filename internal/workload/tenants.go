@@ -132,9 +132,9 @@ func (s *TenantSpec) Build(cores int) (*TenantLayout, error) {
 		TotalPages: s.Tenants * s.PagesPerTenant,
 	}
 	if s.ZipfS > 0 {
-		l.peak = zipfCDF(s.Tenants, s.ZipfS)
+		l.peak = newZipfTable(zipfCDF(s.Tenants, s.ZipfS))
 		if s.DiurnalEvery > 0 {
-			l.trough = zipfCDF(s.Tenants, s.ZipfS/2)
+			l.trough = newZipfTable(zipfCDF(s.Tenants, s.ZipfS/2))
 		}
 	}
 	return l, nil
@@ -147,8 +147,42 @@ type TenantLayout struct {
 	Cores      int
 	TotalPages int
 
-	peak   []float64 // cumulative tenant popularity by rank; nil = uniform
-	trough []float64 // flattened off-peak CDF; nil unless diurnal
+	peak   *zipfTable // tenant popularity by rank; nil = uniform
+	trough *zipfTable // flattened off-peak popularity; nil unless diurnal
+}
+
+// zipfTable draws a popularity rank from a CDF in O(1) expected time.
+// guide[k] is the first rank whose cumulative share reaches k/K, with
+// K the smallest power of two ≥ len(cum); a draw u starts at bucket
+// ⌊u·K⌋ and scans forward. K is a power of two, so u·K and k/K are
+// exact in float64 and the result equals sort.SearchFloat64s(cum, u)
+// for every u.
+type zipfTable struct {
+	cum   []float64
+	guide []int32
+	k     float64 // len(guide), as a float
+}
+
+func newZipfTable(cum []float64) *zipfTable {
+	k := 1
+	for k < len(cum) {
+		k <<= 1
+	}
+	z := &zipfTable{cum: cum, guide: make([]int32, k), k: float64(k)}
+	for i := range z.guide {
+		z.guide[i] = int32(sort.SearchFloat64s(cum, float64(i)/z.k))
+	}
+	return z
+}
+
+// rank returns the first rank whose cumulative share is ≥ u, for u in
+// [0, 1); len(cum) when there is none.
+func (z *zipfTable) rank(u float64) int {
+	i := int(z.guide[int(u*z.k)])
+	for i < len(z.cum) && z.cum[i] < u {
+		i++
+	}
+	return i
 }
 
 // zipfCDF returns the cumulative distribution over n ranks with
@@ -263,17 +297,16 @@ func (t *tenantStream) Next() (Access, bool) {
 	t.remaining--
 	if t.curLeft <= 0 {
 		spec := &t.layout.Spec
-		cum := t.layout.peak
+		pop := t.layout.peak
 		if spec.DiurnalEvery > 0 && t.layout.trough != nil &&
 			(idx/spec.DiurnalEvery)%2 == 1 {
-			cum = t.layout.trough
+			pop = t.layout.trough
 		}
 		var rank int
-		if cum == nil {
+		if pop == nil {
 			rank = t.rng.Intn(spec.Tenants)
 		} else {
-			u := t.rng.Float64()
-			rank = sort.SearchFloat64s(cum, u)
+			rank = pop.rank(t.rng.Float64())
 			if rank >= spec.Tenants {
 				rank = spec.Tenants - 1
 			}
