@@ -8,6 +8,7 @@ import (
 	"cmcp/internal/pagetable"
 	"cmcp/internal/policy"
 	"cmcp/internal/sim"
+	"cmcp/internal/tlb"
 	"cmcp/internal/vm"
 )
 
@@ -75,6 +76,35 @@ func TestAuditorCatchesStaleTLBEntry(t *testing.T) {
 	aud := check.New(check.Config{})
 	aud.Audit(m)
 	assertViolation(t, aud, "tlb")
+}
+
+// TestAuditorCatchesStrayTLBBits plants an entry bit that no FIFO queue
+// slot backs, through a misused journal: an insert made while logging
+// is off survives the rollback of the window around it in the state
+// table, but the restored set count and queue no longer include it.
+// The page is mapped, so only the TLB's own invariant check can see it.
+func TestAuditorCatchesStrayTLBBits(t *testing.T) {
+	m := newManager(t, vm.Config{
+		Cores: 2, Frames: 64, PageSize: sim.Size4k, Tables: vm.RegularPT, Pages: 256,
+	}, nil)
+	touch(t, m, 2, 20) // core 1 maps pages 3 and 9 in the shared table
+	tb := m.TLBFor(0)
+	var j tlb.Journal
+	tb.SetJournal(&j)
+	j.Enable()
+	tb.Insert(3, sim.Size4k)
+	j.Disable()
+	tb.Insert(9, sim.Size4k)
+	j.Rollback()
+	tb.SetJournal(nil)
+	aud := check.New(check.Config{})
+	aud.Audit(m)
+	assertViolation(t, aud, "tlb")
+	for _, v := range aud.Violations() {
+		if !strings.Contains(v.Detail, "page 9") {
+			t.Errorf("violation does not name the stray page: %v", v)
+		}
+	}
 }
 
 // TestAuditorCatchesStaleAccessSummary desynchronizes one bit of PSPT's

@@ -3,8 +3,8 @@
 // bit-identical Results at a multiple of the throughput.
 //
 // The serial engine interleaves every touch of every core through one
-// heap. Almost all of those touches are TLB hits that read and write
-// nothing shared: their only effects are the core's own clock advance,
+// scheduler. Almost all of those touches are TLB hits that read and
+// write nothing shared: their only effects are the core's own clock advance,
 // its own TLB's FIFO evolution, per-core counters and idempotent
 // accessed/dirty bits. The parallel engine exploits that by splitting
 // the loop in two:
@@ -19,10 +19,10 @@
 //
 //   - Sweep (serial): the engine repeatedly picks the earliest
 //     serializing event E — a page fault, a stream retirement or a
-//     scanner tick — in the same packed (clock, coreID) order the heap
-//     would use, commits every speculative touch strictly before E in
-//     one call per burst, and then runs the event against the real
-//     manager exactly as the serial loop would.
+//     scanner tick — in the same packed (clock, coreID) order the
+//     scheduler would use, commits every speculative touch strictly
+//     before E in one call per burst, and then runs the event against
+//     the real manager exactly as the serial loop would.
 //
 // Speculation is only wrong when a serializing event invalidates a TLB
 // entry that a pending window observed or produced (TLB.InvalDisturbs).
@@ -53,7 +53,7 @@ import (
 type EngineKind uint8
 
 const (
-	// SerialEngine is the reference event loop: one heap, one goroutine,
+	// SerialEngine is the reference event loop: one scheduler, one goroutine,
 	// every touch scheduled individually.
 	SerialEngine EngineKind = iota
 	// ParallelEngine is the epoch-parallel engine in this file.
@@ -94,8 +94,9 @@ type phaseRunner struct {
 }
 
 func newPhaseRunner(mgr *vm.Manager, cfg Config) *phaseRunner {
-	pr := &phaseRunner{mgr: mgr, cfg: cfg,
-		events: eventQueue{ev: make([]eventKey, 0, cfg.Cores+2)}}
+	pr := &phaseRunner{mgr: mgr, cfg: cfg}
+	// Sized once here; both phases' resets reuse the storage.
+	pr.events.reset(cfg.Cores + 1)
 	if cfg.Engine == ParallelEngine && !needsSerialEngine(cfg) {
 		pr.par = newParEngine(mgr, cfg)
 	}
@@ -108,8 +109,8 @@ func newPhaseRunner(mgr *vm.Manager, cfg Config) *phaseRunner {
 // bit-identity is then trivial.
 func needsSerialEngine(cfg Config) bool {
 	if cfg.Probe != nil && cfg.Probe.Sampling() {
-		// Time-series samples read the per-pop heap picture (clock skew
-		// across scheduled cores), which the parallel engine never forms.
+		// Time-series samples read the scheduler's per-pop picture (clock
+		// skew across scheduled cores), which the parallel engine never forms.
 		return true
 	}
 	if cfg.Audit != nil && cfg.Faults != nil &&
@@ -277,10 +278,6 @@ type parEngine struct {
 	taskCh  chan *engCore
 	doneCh  chan struct{}
 }
-
-// noKey marks an absent per-core key; it compares greater than every
-// real packed (clock, id) key.
-const noKey = ^eventKey(0)
 
 // refreshKeys recomputes c's cached key slots from its current state.
 func (e *parEngine) refreshKeys(c *engCore) {

@@ -301,14 +301,15 @@ func buildPolicy(cfg Config, frames, pages int, sc *dense.Scratch) (vm.PolicyFac
 // eventKey packs one schedulable entity — an application core or the
 // scanner pseudo-core — into a single uint64: the virtual clock in the
 // high 48 bits, the core ID in the low 16. Unsigned comparison of keys
-// IS the scheduler's deterministic (clock, id) order, so the heap works
-// on plain integers: one-instruction compares, 8-byte moves, no GC
-// write barriers. IDs are unique, making the order total with no equal
-// elements; every correct heap pops the same sequence regardless of
-// its internal layout, so bit-reproducibility does not depend on the
-// heap's shape. The packing bounds one run at 2^48 cycles (~3 days of
-// simulated 1 GHz time; real runs are under 2^27) and 2^16-1 schedulable
-// entities; Simulate rejects configs beyond the latter.
+// IS the scheduler's deterministic (clock, id) order, so the scheduler
+// works on plain integers: one-instruction compares, 8-byte moves, no
+// GC write barriers. IDs are unique, making the order total with no
+// equal elements; every correct priority queue yields the same
+// sequence regardless of its internal layout, so bit-reproducibility
+// does not depend on the queue's shape. The packing bounds one run at
+// 2^48 cycles (~3 days of simulated 1 GHz time; real runs are under
+// 2^27) and 2^16-1 schedulable entities; Simulate rejects configs
+// beyond the latter.
 type eventKey uint64
 
 const eventIDBits = 16
@@ -317,6 +318,10 @@ const eventIDBits = 16
 // event key: all application cores plus the scanner must fit in 16 bits.
 const maxEngineCores = 1<<eventIDBits - 2
 
+// noKey marks an absent key (a retired entity, a padding leaf); it
+// compares greater than every real packed (clock, id) key.
+const noKey = ^eventKey(0)
+
 func makeEvent(clock sim.Cycles, id sim.CoreID) eventKey {
 	return eventKey(clock)<<eventIDBits | eventKey(uint16(id))
 }
@@ -324,95 +329,52 @@ func makeEvent(clock sim.Cycles, id sim.CoreID) eventKey {
 func (e eventKey) clock() sim.Cycles { return sim.Cycles(e >> eventIDBits) }
 func (e eventKey) id() sim.CoreID    { return sim.CoreID(e & (1<<eventIDBits - 1)) }
 
-// eventQueue is a monomorphic 4-ary min-heap over packed event keys.
-// Versus container/heap it removes all interface dispatch and per-push
-// boxing, and the wider nodes halve the tree depth: sift-down does more
-// comparisons per level but far fewer cache-missing loads (a 64-byte
-// line holds a full 4-child group plus its neighbors). push and the
-// sifts hold the moving element out and shift holes instead of
-// swapping.
+// eventQueue is a winner tree over packed event keys with one leaf per
+// schedulable entity: leaf i holds entity i's next event, noKey once it
+// has retired. Each inner node holds the smaller of its two children,
+// so the root is the earliest event and its id names the leaf to
+// update. The engine's one operation is "take the earliest entity,
+// advance its clock, reschedule it"; set does that by rewriting the
+// leaf and replaying its matches on the fixed log₂ path to the root,
+// one min against the sibling per level. Unlike a heap sift, no step
+// decides from the data whether to stop, so the loop has no branch to
+// mispredict.
 type eventQueue struct {
-	ev []eventKey
+	t []eventKey // t[1] is the root, the leaves are t[len(t)/2:]
 }
 
-func (q *eventQueue) reset() { q.ev = q.ev[:0] }
-
-func (q *eventQueue) push(e eventKey) {
-	q.ev = append(q.ev, e)
-	i := len(q.ev) - 1
-	for i > 0 {
-		p := (i - 1) >> 2
-		if e >= q.ev[p] {
-			break
-		}
-		q.ev[i] = q.ev[p]
-		i = p
+// reset sizes the tree for n leaves, all holding noKey, reusing the
+// storage when it is large enough.
+func (q *eventQueue) reset(n int) {
+	size := 1
+	for size < n {
+		size <<= 1
 	}
-	q.ev[i] = e
+	if cap(q.t) < 2*size {
+		q.t = make([]eventKey, 2*size)
+	}
+	q.t = q.t[:2*size]
+	for i := range q.t {
+		q.t[i] = noKey
+	}
 }
 
-// pop removes and returns the minimum event.
-func (q *eventQueue) pop() eventKey {
-	top := q.ev[0]
-	n := len(q.ev) - 1
-	e := q.ev[n]
-	q.ev = q.ev[:n]
-	if n > 0 {
-		q.ev[0] = e
-		q.fixTop()
-	}
-	return top
-}
+// min returns the earliest event (noKey once every leaf has retired).
+func (q *eventQueue) min() eventKey { return q.t[1] }
 
-// fixTop restores heap order after the root's clock advanced in place.
-// The engine's dominant operation is "take the earliest core, advance
-// its clock, reschedule it": doing that as an in-place root update plus
-// one sift-down costs half of a pop+push round trip.
-//
-// A full group of 4 children is reduced with the min builtin and the
-// winner located by key equality: keys are unique, so exactly one of
-// the one-hot matches is set and OR-ing them yields its offset. The
-// compiler emits conditional moves and SETcc for both steps instead of
-// data-dependent branches, which mispredict often. Only the partial
-// last group takes the scalar loop.
-func (q *eventQueue) fixTop() {
-	ev := q.ev
-	n := len(ev)
-	e := ev[0]
-	i := 0
-	for {
-		c := i<<2 + 1
-		var least int
-		var m eventKey
-		if c+4 <= n {
-			g := ev[c : c+4 : c+4]
-			m = min(g[0], g[1], g[2], g[3])
-			least = c + (b2i(g[1] == m) | b2i(g[2] == m)<<1 | b2i(g[3] == m)*3)
-		} else if c < n {
-			least, m = c, ev[c]
-			for k := c + 1; k < n; k++ {
-				if ev[k] < m {
-					least, m = k, ev[k]
-				}
-			}
-		} else {
-			break
-		}
-		if m >= e {
-			break
-		}
-		ev[i] = m
-		i = least
-	}
-	ev[i] = e
-}
+// leaves returns the leaf row, padding included.
+func (q *eventQueue) leaves() []eventKey { return q.t[len(q.t)/2:] }
 
-// b2i is 1 for true and 0 for false; it compiles to a SETcc.
-func b2i(b bool) int {
-	if b {
-		return 1
+// set schedules leaf i at e (noKey retires it).
+func (q *eventQueue) set(i int, e eventKey) {
+	t := q.t
+	j := len(t)/2 + i
+	t[j] = e
+	for j > 1 {
+		e = min(e, t[j^1])
+		j >>= 1
+		t[j] = e
 	}
-	return 0
 }
 
 // Simulate executes one run to completion and returns its Result.
@@ -597,21 +559,20 @@ func simulate(cfg Config, sc *dense.Scratch) (*Result, error) {
 // reported an internal inconsistency and the phase was abandoned.
 func runPhase(mgr *vm.Manager, cfg Config, events *eventQueue, streams []workload.Stream, start sim.Cycles) (sim.Cycles, error) {
 	run := mgr.Run()
-	events.reset()
-	for c := 0; c < cfg.Cores; c++ {
-		events.push(makeEvent(start, sim.CoreID(c)))
-	}
 	scannerID := sim.ScannerCore(cfg.Cores)
+	events.reset(int(scannerID) + 1)
+	for c := 0; c <= int(scannerID); c++ {
+		events.set(c, makeEvent(start, sim.CoreID(c)))
+	}
 	scannerClock := start
-	events.push(makeEvent(start, scannerID))
 
 	remaining := cfg.Cores
 	var barrier sim.Cycles
 	for remaining > 0 {
-		// Peek the earliest event and reschedule it in place; only a
-		// retiring core actually leaves the queue.
-		id := events.ev[0].id()
-		clock := events.ev[0].clock()
+		// Take the earliest event and reschedule its entity; a retiring
+		// core's leaf becomes noKey.
+		top := events.min()
+		id, clock := top.id(), top.clock()
 		if cfg.Audit != nil {
 			cfg.Audit.Note(mgr)
 		}
@@ -620,21 +581,19 @@ func runPhase(mgr *vm.Manager, cfg Config, events *eventQueue, streams []workloa
 			// schedule the next tick after the work completes.
 			cost := mgr.Tick(clock)
 			if rec := cfg.Probe; rec != nil && rec.Sampling() {
-				sample(rec, mgr, clock, events.ev, scannerID)
+				sample(rec, mgr, clock, events.leaves(), scannerID)
 			}
 			next := clock + cfg.TickInterval
 			if done := clock + cost; done > next {
 				next = done
 			}
 			scannerClock = next
-			events.ev[0] = makeEvent(next, id)
-			events.fixTop()
+			events.set(int(id), makeEvent(next, id))
 			continue
 		}
 		// Deliver pending invalidation IPIs before the next access.
 		if debt := mgr.TakeDebt(id); debt > 0 {
-			events.ev[0] = makeEvent(clock+debt, id)
-			events.fixTop()
+			events.set(int(id), makeEvent(clock+debt, id))
 			continue
 		}
 		a, ok := streams[id].Next()
@@ -644,15 +603,14 @@ func runPhase(mgr *vm.Manager, cfg Config, events *eventQueue, streams []workloa
 				barrier = clock
 			}
 			remaining--
-			events.pop() // core retires
+			events.set(int(id), noKey) // core retires
 			continue
 		}
 		done, err := mgr.Access(id, a.VPN, a.Write, clock)
 		if err != nil {
 			return 0, fmt.Errorf("machine: core %d at cycle %d: %w", id, clock, err)
 		}
-		events.ev[0] = makeEvent(done, id)
-		events.fixTop()
+		events.set(int(id), makeEvent(done, id))
 	}
 	run.Finish[scannerID] = scannerClock
 	return barrier, nil
@@ -676,7 +634,7 @@ func sample(rec *obs.Recorder, mgr *vm.Manager, now sim.Cycles, events []eventKe
 		var lo, hi sim.Cycles
 		active := 0
 		for _, ev := range events {
-			if ev.id() == scannerID {
+			if ev == noKey || ev.id() == scannerID {
 				continue
 			}
 			if c := ev.clock(); active == 0 || c < lo {

@@ -13,22 +13,29 @@ import (
 // now stay within a small multiple of the set capacity, and compaction
 // must preserve the eviction order of everything live.
 
+// only4k is a TLB whose sole set is a 4 kB L1 of the given capacity:
+// with no L2 to demote into, its set behaves exactly as a lone fifoSet.
+func only4k(capacity int) (*TLB, *fifoSet) {
+	tb := New(Config{L1Entries4k: capacity})
+	return tb, &tb.l1[sim.Size4k]
+}
+
 func TestFifoSetQueueBoundedUnderChurn(t *testing.T) {
-	s := newFifoSet(16, 0, nil)
+	tb, s := only4k(16)
 	bound := 4*s.cap + 64
 	for i := 0; i < 50_000; i++ {
-		s.insert(sim.PageID(i%96), entry{size: sim.Size4k})
-		s.invalidate(sim.PageID((i + 37) % 96))
+		tb.Insert(sim.PageID(i%96), sim.Size4k)
+		tb.Invalidate(sim.PageID((i + 37) % 96))
 		if len(s.queue) > bound {
 			t.Fatalf("iteration %d: queue length %d exceeds bound %d", i, len(s.queue), bound)
 		}
 		if i%1000 == 0 {
-			if err := s.checkInvariants("churn"); err != nil {
+			if err := tb.checkSet(s, "churn"); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	if err := s.checkInvariants("churn"); err != nil {
+	if err := tb.checkSet(s, "churn"); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -58,24 +65,24 @@ func TestTLBChurnBoundedAndConsistent(t *testing.T) {
 // compaction threshold and then verifies the surviving live entries
 // still evict in their original FIFO order.
 func TestCompactLivePreservesEvictionOrder(t *testing.T) {
-	s := newFifoSet(4, 0, nil)
+	tb, s := only4k(4)
 	for i := 0; i < 4; i++ {
-		s.insert(sim.PageID(i), entry{size: sim.Size4k})
+		tb.Insert(sim.PageID(i), sim.Size4k)
 	}
 	// Open one slot so churn inserts never trigger eviction, then pile
 	// stale slots for page 10 until compaction must fire.
-	s.invalidate(3)
+	tb.Invalidate(3)
 	for i := 0; i < 300; i++ {
-		s.insert(10, entry{size: sim.Size4k})
-		s.invalidate(10)
+		tb.Insert(10, sim.Size4k)
+		tb.Invalidate(10)
 	}
 	if len(s.queue) > 4*s.cap+64 {
 		t.Fatalf("compaction never fired: queue length %d", len(s.queue))
 	}
-	s.insert(10, entry{size: sim.Size4k}) // back to capacity: 0,1,2,10
+	tb.Insert(10, sim.Size4k) // back to capacity: 0,1,2,10
 	want := []sim.PageID{0, 1, 2, 10}
 	for i, p := range []sim.PageID{20, 21, 22, 23} {
-		vb, _, ok := s.insert(p, entry{size: sim.Size4k})
+		vb, ok := tb.insert(s, p, s.mask)
 		if !ok {
 			t.Fatalf("insert %d evicted nothing", p)
 		}

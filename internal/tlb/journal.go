@@ -9,8 +9,10 @@ import "cmcp/internal/sim"
 // that Rollback can restore the TLB to its last committed state when a
 // cross-core invalidation truncates the speculation.
 //
-// One journal serves all four fifoSets of one core's TLB (attach with
-// TLB.SetJournal). Ops below the floor are committed and can never be
+// One journal serves one core's TLB (attach with TLB.SetJournal). State
+// ops record whole state bytes, so restoring them in reverse order is
+// exact: every write to the table inside a journaled window is logged,
+// whichever set's bits it touched. Ops below the floor are committed and can never be
 // rolled back; Release raises the floor as the engine commits touches.
 // Queue compaction keeps firing at its usual trigger points while the
 // journal is attached (its timing is semantically visible); a full
@@ -20,6 +22,7 @@ import "cmcp/internal/sim"
 // is released, so a caller may hold a mark across commit boundaries
 // (the engine's partially committed bursts do).
 type Journal struct {
+	t       *TLB
 	ops     []journalOp
 	floor   int // ops[:floor] are committed
 	base    int // virtual position of ops[0]
@@ -34,7 +37,7 @@ type Journal struct {
 // determine a re-inserted page's effective FIFO position, so it must
 // run at exactly the serial trigger points and be undoable).
 type journalOp struct {
-	set  *fifoSet
+	set  *fifoSet   // meta and queue ops
 	base sim.PageID // state op: page whose byte changed
 	old  uint8      // state op: previous byte value
 	meta bool
@@ -77,7 +80,7 @@ func (j *Journal) Release(mark int) {
 }
 
 // Rollback undoes every unreleased op in reverse order, restoring the
-// attached sets to their state as of the floor.
+// attached TLB to its state as of the floor.
 func (j *Journal) Rollback() {
 	for i := len(j.ops) - 1; i >= j.floor; i-- {
 		op := &j.ops[i]
@@ -91,7 +94,7 @@ func (j *Journal) Rollback() {
 			s.head = op.head
 			s.queue = s.queue[:op.qlen]
 		default:
-			s.state[op.base] = op.old
+			j.t.state[op.base] = op.old
 		}
 	}
 	j.ops = j.ops[:j.floor]
@@ -103,7 +106,7 @@ func (j *Journal) Rollback() {
 func (j *Journal) Touched(b0, b1, b2 sim.PageID) bool {
 	for i := j.floor; i < len(j.ops); i++ {
 		op := &j.ops[i]
-		if !op.meta && (op.base == b0 || op.base == b1 || op.base == b2) {
+		if op.set == nil && (op.base == b0 || op.base == b1 || op.base == b2) {
 			return true
 		}
 	}
@@ -120,10 +123,6 @@ func (j *Journal) logQueue(s *fifoSet) {
 	j.ops = append(j.ops, journalOp{set: s, snap: snap, head: s.head})
 }
 
-func (j *Journal) logState(s *fifoSet, base sim.PageID) {
-	var old uint8
-	if base < sim.PageID(len(s.state)) {
-		old = s.state[base]
-	}
-	j.ops = append(j.ops, journalOp{set: s, base: base, old: old})
+func (j *Journal) logState(base sim.PageID, old uint8) {
+	j.ops = append(j.ops, journalOp{base: base, old: old})
 }

@@ -14,6 +14,7 @@ package tlb
 
 import (
 	"fmt"
+	"math/bits"
 
 	"cmcp/internal/dense"
 	"cmcp/internal/sim"
@@ -46,55 +47,42 @@ func DefaultConfig() Config {
 	return Config{L1Entries4k: 64, L1Entries64k: 32, L1Entries2M: 8, L2Entries: 64}
 }
 
-// entry is a cached translation, keyed by size-aligned base VPN.
-type entry struct {
-	size sim.PageSize
-}
+// The TLB's presence state is one byte per page: the byte at page b
+// describes the entries whose size-aligned base is b, in every set.
+//
+//	bits 0–2  an L1 entry of size class 4 kB / 64 kB / 2 MB (bit = class)
+//	bits 3–4  the L2 entry: its size class + 1, 0 = absent
+//	bits 5–6  reserved, zero
+//	bit  7    transient mark (compaction and the invariant check), zero at rest
+//
+// A lookup therefore reads at most the bytes of vpn's three aligned
+// bases from one table, and a broadcast shootdown that finds all three
+// zero — what nearly every remote target of a regular-table eviction
+// finds — returns without touching any set.
+const (
+	l2Shift  = 3
+	l2Mask   = 3 << l2Shift
+	markBit  = 0x80
+	reserved = 0xe0 // bits 5–7: zero whenever no call is in progress
+)
 
 // fifoSet is a fixed-capacity, fully associative set with FIFO
 // replacement and lazy queue cleanup (invalidated entries leave stale
-// queue slots that are skipped at eviction time). Presence lives in a
-// page-indexed state table (0 = absent, otherwise size+1) instead of a
-// map: page IDs are dense small integers, so membership is one array
-// read on the per-touch path.
+// queue slots that are skipped at eviction time). Membership lives in
+// the owning TLB's state table, under mask.
 type fifoSet struct {
 	cap   int
-	n     int // live entries
-	sc    *dense.Scratch
-	state []uint8 // base -> size+1; 0 = absent
+	n     int     // live entries
+	mask  uint8   // this set's bits in the state byte
 	queue []int32 // FIFO order of bases, with stale slots
 	head  int
-	j     *Journal // nil outside the parallel engine
 }
 
-func newFifoSet(capacity, pages int, sc *dense.Scratch) fifoSet {
+func newFifoSet(capacity int, mask uint8, sc *dense.Scratch) fifoSet {
 	// The queue holds live entries plus stale slots from invalidations;
 	// compact() trims once the consumed prefix passes 64, so size for
 	// that regime to keep append from reallocating.
-	return fifoSet{
-		cap:   capacity,
-		sc:    sc,
-		state: sc.U8(pages),
-		queue: sc.I32(2*capacity + 80)[:0],
-	}
-}
-
-func (s *fifoSet) has(base sim.PageID) (entry, bool) {
-	if base < sim.PageID(len(s.state)) {
-		if v := s.state[base]; v != 0 {
-			return entry{size: sim.PageSize(v - 1)}, true
-		}
-	}
-	return entry{}, false
-}
-
-func (s *fifoSet) setState(base sim.PageID, v uint8) {
-	if base >= sim.PageID(len(s.state)) {
-		ns := s.sc.U8(growCap(int(base) + 1))
-		copy(ns, s.state)
-		s.state = ns
-	}
-	s.state[base] = v
+	return fifoSet{cap: capacity, mask: mask, queue: sc.I32(2*capacity + 80)[:0]}
 }
 
 // growCap rounds n up to the next power of two (minimum 8).
@@ -106,38 +94,153 @@ func growCap(n int) int {
 	return c
 }
 
-// insert adds base and returns the entry evicted to make room, if any.
-func (s *fifoSet) insert(base sim.PageID, e entry) (sim.PageID, entry, bool) {
-	if s.cap <= 0 {
-		return 0, entry{}, false
+// wouldCompact mirrors compact's trigger conditions (for undo logging).
+func (s *fifoSet) wouldCompact() bool {
+	return len(s.queue) > 4*s.cap+64 || (s.head > 64 && s.head*2 > len(s.queue))
+}
+
+// TLB is one core's data TLB: three L1 size classes plus a unified L2.
+// It is not safe for concurrent use; the event engine serializes cores.
+// The zero value is unusable; construct with New or NewSized. TLB is a
+// plain value so a machine's per-core TLBs pack into one slice.
+type TLB struct {
+	state []uint8    // page -> entry bits (layout above)
+	l1    [3]fifoSet // indexed by sim.PageSize
+	l2    fifoSet
+	sc    *dense.Scratch
+	j     *Journal // nil outside the parallel engine
+}
+
+// New creates a TLB with the given geometry, sizing its page-state
+// table on demand.
+func New(cfg Config) *TLB {
+	t := NewSized(cfg, 0, nil)
+	return &t
+}
+
+// NewSized creates a TLB whose state table is pre-sized for page IDs
+// in [0, pages) and drawn from sc (both optional: pages 0 grows on
+// demand, sc nil allocates normally).
+func NewSized(cfg Config, pages int, sc *dense.Scratch) TLB {
+	return TLB{
+		state: sc.U8(pages),
+		l1: [3]fifoSet{
+			sim.Size4k:  newFifoSet(cfg.L1Entries4k, 1<<sim.Size4k, sc),
+			sim.Size64k: newFifoSet(cfg.L1Entries64k, 1<<sim.Size64k, sc),
+			sim.Size2M:  newFifoSet(cfg.L1Entries2M, 1<<sim.Size2M, sc),
+		},
+		l2: newFifoSet(cfg.L2Entries, l2Mask, sc),
+		sc: sc,
 	}
-	if _, ok := s.has(base); ok {
-		return 0, entry{}, false // refresh: FIFO ignores re-reference
+}
+
+var sizes = [3]sim.PageSize{sim.Size4k, sim.Size64k, sim.Size2M}
+
+// at is base's state byte; pages past the table hold nothing.
+func (t *TLB) at(base sim.PageID) uint8 {
+	if base < sim.PageID(len(t.state)) {
+		return t.state[base]
 	}
-	logging := s.j != nil && s.j.enabled
+	return 0
+}
+
+// cover decodes which cached entries translate vpn: bit s of l1 (l2)
+// is set when an L1 (L2) entry of size class s covers vpn.
+func (t *TLB) cover(vpn sim.PageID) (l1, l2 uint8) {
+	v0, v1, v2 := t.at(vpn), t.at(sim.Size64k.Align(vpn)), t.at(sim.Size2M.Align(vpn))
+	l1 = v0&(1<<sim.Size4k) | v1&(1<<sim.Size64k) | v2&(1<<sim.Size2M)
+	l2 = b2u(v0&l2Mask == (uint8(sim.Size4k)+1)<<l2Shift) |
+		b2u(v1&l2Mask == (uint8(sim.Size64k)+1)<<l2Shift)<<1 |
+		b2u(v2&l2Mask == (uint8(sim.Size2M)+1)<<l2Shift)<<2
+	return l1, l2
+}
+
+// b2u is 1 for true and 0 for false; it compiles to a SETcc.
+func b2u(b bool) uint8 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// Lookup probes the TLB for vpn. Hardware probes each size class with
+// the correspondingly aligned tag. An L2 hit promotes the entry to the
+// proper L1 class.
+func (t *TLB) Lookup(vpn sim.PageID) HitLevel {
+	_, _, level := t.LookupInfo(vpn)
+	return level
+}
+
+// LookupInfo is Lookup also returning the hit entry's base and size
+// class (valid only when level != Miss). The parallel engine's probe
+// uses it to stamp speculative touches with the translation entry they
+// rely on, so a later invalidation of that entry can be detected.
+func (t *TLB) LookupInfo(vpn sim.PageID) (base sim.PageID, size sim.PageSize, level HitLevel) {
+	if t.at(vpn)&(1<<sim.Size4k) != 0 {
+		return vpn, sim.Size4k, HitL1 // the common case: one byte read
+	}
+	l1, l2 := t.cover(vpn)
+	if l1 != 0 {
+		size = sim.PageSize(bits.TrailingZeros8(l1))
+		return size.Align(vpn), size, HitL1
+	}
+	if l2 != 0 {
+		size = sim.PageSize(bits.TrailingZeros8(l2))
+		base = size.Align(vpn)
+		t.drop(&t.l2, base)
+		t.installL1(base, size)
+		return base, size, HitL2
+	}
+	return 0, 0, Miss
+}
+
+// Insert caches the translation for the mapping of the given size
+// covering vpn, as the hardware does after a successful page walk.
+func (t *TLB) Insert(vpn sim.PageID, size sim.PageSize) {
+	t.installL1(size.Align(vpn), size)
+}
+
+func (t *TLB) installL1(base sim.PageID, size sim.PageSize) {
+	if vb, ok := t.insert(&t.l1[size], base, 1<<size); ok {
+		// L1 victim is demoted into the unified L2.
+		t.insert(&t.l2, vb, (uint8(size)+1)<<l2Shift)
+	}
+}
+
+// insert adds base to s with field value v (already shifted under
+// s.mask) and returns the base evicted to make room, if any.
+func (t *TLB) insert(s *fifoSet, base sim.PageID, v uint8) (sim.PageID, bool) {
+	if s.cap <= 0 || t.at(base)&s.mask != 0 {
+		return 0, false // refresh: FIFO ignores re-reference
+	}
+	logging := t.j != nil && t.j.enabled
 	if logging {
-		s.j.logMeta(s)
+		t.j.logMeta(s)
 	}
-	var evictedBase sim.PageID
-	var evicted entry
+	var evicted sim.PageID
 	var hasEvicted bool
 	for s.n >= s.cap {
 		// Pop queue head; skip slots whose entry was invalidated.
 		vb := sim.PageID(s.queue[s.head])
 		s.head++
-		if v := s.state[vb]; v != 0 {
+		if t.state[vb]&s.mask != 0 {
 			if logging {
-				s.j.logState(s, vb)
+				t.j.logState(vb, t.state[vb])
 			}
-			s.state[vb] = 0
+			t.state[vb] &^= s.mask
 			s.n--
-			evictedBase, evicted, hasEvicted = vb, entry{size: sim.PageSize(v - 1)}, true
+			evicted, hasEvicted = vb, true
 		}
 	}
-	if logging {
-		s.j.logState(s, base)
+	if base >= sim.PageID(len(t.state)) {
+		ns := t.sc.U8(growCap(int(base) + 1))
+		copy(ns, t.state)
+		t.state = ns
 	}
-	s.setState(base, uint8(e.size)+1)
+	if logging {
+		t.j.logState(base, t.state[base])
+	}
+	t.state[base] |= v
 	s.n++
 	s.queue = append(s.queue, int32(base))
 	// Compaction runs at exactly the trigger points the serial engine
@@ -145,44 +248,25 @@ func (s *fifoSet) insert(base sim.PageID, e entry) (sim.PageID, entry, bool) {
 	// queue dedupes the stale slots that give a re-inserted page its
 	// effective FIFO position. Under speculation the pre-compaction
 	// queue is snapshotted for undo first.
-	if s.j != nil && (s.j.enabled || s.j.Unreleased() > 0) && s.wouldCompact() {
-		s.j.logQueue(s)
+	if t.j != nil && (t.j.enabled || t.j.Unreleased() > 0) && s.wouldCompact() {
+		t.j.logQueue(s)
 	}
-	s.compact()
-	return evictedBase, evicted, hasEvicted
+	t.compact(s)
+	return evicted, hasEvicted
 }
 
-func (s *fifoSet) invalidate(base sim.PageID) bool {
-	if base < sim.PageID(len(s.state)) && s.state[base] != 0 {
-		if s.j != nil && s.j.enabled {
-			s.j.logMeta(s)
-			s.j.logState(s, base)
-		}
-		s.state[base] = 0
-		s.n--
-		return true
+// drop removes the entry at base, which s must hold.
+func (t *TLB) drop(s *fifoSet, base sim.PageID) {
+	if t.j != nil && t.j.enabled {
+		t.j.logMeta(s)
+		t.j.logState(base, t.state[base])
 	}
-	return false
+	t.state[base] &^= s.mask
+	s.n--
 }
 
-func (s *fifoSet) flush() {
-	// Every live entry has a queue slot, so clearing the un-consumed
-	// suffix empties the state table in O(queue), not O(pages).
-	for _, qb := range s.queue[s.head:] {
-		s.state[qb] = 0
-	}
-	s.queue = s.queue[:0]
-	s.head = 0
-	s.n = 0
-}
-
-// wouldCompact mirrors compact's trigger conditions (for undo logging).
-func (s *fifoSet) wouldCompact() bool {
-	return len(s.queue) > 4*s.cap+64 || (s.head > 64 && s.head*2 > len(s.queue))
-}
-
-// compact reclaims queue space when stale slots dominate.
-func (s *fifoSet) compact() {
+// compact reclaims s's queue space when stale slots dominate.
+func (t *TLB) compact(s *fifoSet) {
 	// Invalidation-heavy traffic (shootdown storms, PSPT rebuilds)
 	// leaves stale slots in the un-consumed suffix that only eviction
 	// pops would reclaim; a set running below capacity never pops, so
@@ -190,7 +274,7 @@ func (s *fifoSet) compact() {
 	// it outgrows a small multiple of capacity, rewrite it with live
 	// entries only.
 	if len(s.queue) > 4*s.cap+64 {
-		s.compactLive()
+		t.compactLive(s)
 		return
 	}
 	if s.head > 64 && s.head*2 > len(s.queue) {
@@ -199,19 +283,15 @@ func (s *fifoSet) compact() {
 	}
 }
 
-// keptBit transiently marks state entries during compaction and
-// invariant checking. It is well above any size+1 value (max 3).
-const keptBit = 0x80
-
-// compactLive rewrites the queue keeping only each live base's earliest
+// compactLive rewrites s's queue keeping only each live base's earliest
 // slot, in order. That slot alone determines when the entry reaches the
 // FIFO head, so the effective eviction order of everything currently
 // cached is preserved exactly.
-func (s *fifoSet) compactLive() {
+func (t *TLB) compactLive(s *fifoSet) {
 	w := 0
 	for _, qb := range s.queue[s.head:] {
-		if v := s.state[qb]; v != 0 && v&keptBit == 0 {
-			s.state[qb] = v | keptBit
+		if v := t.state[qb]; v&s.mask != 0 && v&markBit == 0 {
+			t.state[qb] = v | markBit
 			s.queue[w] = qb
 			w++
 		}
@@ -219,142 +299,7 @@ func (s *fifoSet) compactLive() {
 	s.queue = s.queue[:w]
 	s.head = 0
 	for _, qb := range s.queue {
-		s.state[qb] &^= keptBit
-	}
-}
-
-func (s *fifoSet) len() int { return s.n }
-
-// forEach visits every live entry (order unspecified; audit only).
-func (s *fifoSet) forEach(fn func(base sim.PageID, size sim.PageSize)) {
-	for b, v := range s.state {
-		if v != 0 {
-			fn(sim.PageID(b), sim.PageSize(v-1))
-		}
-	}
-}
-
-// checkInvariants verifies the set's internal consistency: the live
-// count matches the state table and the capacity bound, and every live
-// entry still owns at least one un-consumed queue slot (otherwise it
-// could never be evicted).
-func (s *fifoSet) checkInvariants(name string) error {
-	live := 0
-	for _, v := range s.state {
-		if v != 0 {
-			live++
-		}
-	}
-	if live != s.n {
-		return fmt.Errorf("tlb %s: n=%d but %d live state entries", name, s.n, live)
-	}
-	if s.cap >= 0 && s.n > s.cap {
-		return fmt.Errorf("tlb %s: %d live entries exceed capacity %d", name, s.n, s.cap)
-	}
-	if s.head > len(s.queue) {
-		return fmt.Errorf("tlb %s: head %d past queue length %d", name, s.head, len(s.queue))
-	}
-	covered := 0
-	for _, qb := range s.queue[s.head:] {
-		if v := s.state[qb]; v != 0 && v&keptBit == 0 {
-			s.state[qb] = v | keptBit
-			covered++
-		}
-	}
-	for _, qb := range s.queue[s.head:] {
-		s.state[qb] &^= keptBit
-	}
-	if covered != s.n {
-		return fmt.Errorf("tlb %s: %d of %d live entries have a queue slot", name, covered, s.n)
-	}
-	return nil
-}
-
-// TLB is one core's data TLB: three L1 size classes plus a unified L2.
-// It is not safe for concurrent use; the event engine serializes cores.
-// The zero value is unusable; construct with New or NewSized. TLB is a
-// plain value so a machine's per-core TLBs pack into one slice.
-type TLB struct {
-	l1 [3]fifoSet // indexed by sim.PageSize
-	l2 fifoSet
-}
-
-// New creates a TLB with the given geometry, sizing its page-state
-// tables on demand.
-func New(cfg Config) *TLB {
-	t := NewSized(cfg, 0, nil)
-	return &t
-}
-
-// NewSized creates a TLB whose state tables are pre-sized for page IDs
-// in [0, pages) and drawn from sc (both optional: pages 0 grows on
-// demand, sc nil allocates normally).
-func NewSized(cfg Config, pages int, sc *dense.Scratch) TLB {
-	return TLB{
-		l1: [3]fifoSet{
-			sim.Size4k:  newFifoSet(cfg.L1Entries4k, pages, sc),
-			sim.Size64k: newFifoSet(cfg.L1Entries64k, pages, sc),
-			sim.Size2M:  newFifoSet(cfg.L1Entries2M, pages, sc),
-		},
-		l2: newFifoSet(cfg.L2Entries, pages, sc),
-	}
-}
-
-var sizes = [3]sim.PageSize{sim.Size4k, sim.Size64k, sim.Size2M}
-
-// Lookup probes the TLB for vpn. Hardware probes each size class with
-// the correspondingly aligned tag. An L2 hit promotes the entry to the
-// proper L1 class.
-func (t *TLB) Lookup(vpn sim.PageID) HitLevel {
-	for _, s := range sizes {
-		if _, ok := t.l1[s].has(s.Align(vpn)); ok {
-			return HitL1
-		}
-	}
-	for _, s := range sizes {
-		base := s.Align(vpn)
-		if e, ok := t.l2.has(base); ok && e.size == s {
-			t.l2.invalidate(base)
-			t.installL1(base, e)
-			return HitL2
-		}
-	}
-	return Miss
-}
-
-// LookupInfo is Lookup also returning the hit entry's base and size
-// class (valid only when level != Miss). The parallel engine's probe
-// uses it to stamp speculative touches with the translation entry they
-// rely on, so a later invalidation of that entry can be detected.
-func (t *TLB) LookupInfo(vpn sim.PageID) (base sim.PageID, size sim.PageSize, level HitLevel) {
-	for _, s := range sizes {
-		b := s.Align(vpn)
-		if _, ok := t.l1[s].has(b); ok {
-			return b, s, HitL1
-		}
-	}
-	for _, s := range sizes {
-		b := s.Align(vpn)
-		if e, ok := t.l2.has(b); ok && e.size == s {
-			t.l2.invalidate(b)
-			t.installL1(b, e)
-			return b, s, HitL2
-		}
-	}
-	return 0, 0, Miss
-}
-
-// Insert caches the translation for the mapping of the given size
-// covering vpn, as the hardware does after a successful page walk.
-func (t *TLB) Insert(vpn sim.PageID, size sim.PageSize) {
-	base := size.Align(vpn)
-	t.installL1(base, entry{size: size})
-}
-
-func (t *TLB) installL1(base sim.PageID, e entry) {
-	if vb, ve, ok := t.l1[e.size].insert(base, e); ok {
-		// L1 victim is demoted into the unified L2.
-		t.l2.insert(vb, ve)
+		t.state[qb] &^= markBit
 	}
 }
 
@@ -362,18 +307,19 @@ func (t *TLB) installL1(base sim.PageID, e entry) {
 // operation). It reports whether an entry was actually present, which
 // determines whether the invalidation had any effect.
 func (t *TLB) Invalidate(vpn sim.PageID) bool {
-	hit := false
+	l1, l2 := t.cover(vpn)
+	if l1|l2 == 0 {
+		return false
+	}
 	for _, s := range sizes {
-		base := s.Align(vpn)
-		if t.l1[s].invalidate(base) {
-			hit = true
+		if l1>>s&1 != 0 {
+			t.drop(&t.l1[s], s.Align(vpn))
 		}
-		if e, ok := t.l2.has(base); ok && e.size == s {
-			t.l2.invalidate(base)
-			hit = true
+		if l2>>s&1 != 0 {
+			t.drop(&t.l2, s.Align(vpn))
 		}
 	}
-	return hit
+	return true
 }
 
 // InvalDisturbs reports whether Invalidate(vpn) would interact with TLB
@@ -387,44 +333,30 @@ func (t *TLB) Invalidate(vpn sim.PageID) bool {
 // engine must roll the window back, because replaying it after the
 // invalidation could classify touches differently.
 func (t *TLB) InvalDisturbs(vpn sim.PageID) bool {
-	for _, s := range sizes {
-		base := s.Align(vpn)
-		if _, ok := t.l1[s].has(base); ok {
-			return true
-		}
-		if e, ok := t.l2.has(base); ok && e.size == s {
-			return true
-		}
+	if l1, l2 := t.cover(vpn); l1|l2 != 0 {
+		return true
 	}
-	if j := t.l2.j; j != nil {
-		return j.Touched(sim.Size4k.Align(vpn), sim.Size64k.Align(vpn), sim.Size2M.Align(vpn))
+	if t.j != nil {
+		return t.j.Touched(sim.Size4k.Align(vpn), sim.Size64k.Align(vpn), sim.Size2M.Align(vpn))
 	}
 	return false
 }
 
-// SetJournal attaches j to all four sets so that speculative mutations
-// are logged while j is enabled. Pass nil to detach.
+// SetJournal attaches j so that speculative mutations are logged while
+// j is enabled. A journal serves one TLB. Pass nil to detach.
 func (t *TLB) SetJournal(j *Journal) {
-	for _, s := range sizes {
-		t.l1[s].j = j
+	t.j = j
+	if j != nil {
+		j.t = t
 	}
-	t.l2.j = j
-}
-
-// Flush empties the TLB (full flush, e.g. on context switch).
-func (t *TLB) Flush() {
-	for _, s := range sizes {
-		t.l1[s].flush()
-	}
-	t.l2.flush()
 }
 
 // Entries returns the current number of cached translations across
 // both levels (diagnostics).
 func (t *TLB) Entries() int {
-	n := t.l2.len()
+	n := t.l2.n
 	for _, s := range sizes {
-		n += t.l1[s].len()
+		n += t.l1[s].n
 	}
 	return n
 }
@@ -433,17 +365,67 @@ func (t *TLB) Entries() int {
 // invariant auditor cross-checks each against the page tables.
 func (t *TLB) ForEachEntry(fn func(base sim.PageID, size sim.PageSize, level int)) {
 	for _, s := range sizes {
-		t.l1[s].forEach(func(base sim.PageID, size sim.PageSize) { fn(base, size, 1) })
+		for b, v := range t.state {
+			if v&t.l1[s].mask != 0 {
+				fn(sim.PageID(b), s, 1)
+			}
+		}
 	}
-	t.l2.forEach(func(base sim.PageID, size sim.PageSize) { fn(base, size, 2) })
+	for b, v := range t.state {
+		if f := v & l2Mask; f != 0 {
+			fn(sim.PageID(b), sim.PageSize(f>>l2Shift-1), 2)
+		}
+	}
 }
 
-// CheckInvariants verifies the internal consistency of all four sets.
+// CheckInvariants verifies the state table and all four sets: no
+// reserved or mark bit is set at rest, every set bit belongs to a live
+// entry that still owns an un-consumed queue slot (otherwise it could
+// never be evicted), and each set's live count matches the table and
+// its capacity.
 func (t *TLB) CheckInvariants() error {
+	for b, v := range t.state {
+		if v&reserved != 0 {
+			return fmt.Errorf("tlb: page %d state byte %#02x has reserved bits set", b, v)
+		}
+	}
 	for _, s := range sizes {
-		if err := t.l1[s].checkInvariants(fmt.Sprintf("L1/%v", s)); err != nil {
+		if err := t.checkSet(&t.l1[s], fmt.Sprintf("L1/%v", s)); err != nil {
 			return err
 		}
 	}
-	return t.l2.checkInvariants("L2")
+	return t.checkSet(&t.l2, "L2")
+}
+
+func (t *TLB) checkSet(s *fifoSet, name string) error {
+	if s.head > len(s.queue) {
+		return fmt.Errorf("tlb %s: head %d past queue length %d", name, s.head, len(s.queue))
+	}
+	for _, qb := range s.queue[s.head:] {
+		if v := t.state[qb]; v&s.mask != 0 {
+			t.state[qb] = v | markBit
+		}
+	}
+	live, stray := 0, -1
+	for b, v := range t.state {
+		if v&s.mask != 0 {
+			live++
+			if v&markBit == 0 && stray < 0 {
+				stray = b
+			}
+		}
+	}
+	for _, qb := range s.queue[s.head:] {
+		t.state[qb] &^= markBit
+	}
+	if stray >= 0 {
+		return fmt.Errorf("tlb %s: page %d is cached but has no live queue slot", name, stray)
+	}
+	if live != s.n {
+		return fmt.Errorf("tlb %s: n=%d but %d live state entries", name, s.n, live)
+	}
+	if s.cap >= 0 && s.n > s.cap {
+		return fmt.Errorf("tlb %s: %d live entries exceed capacity %d", name, s.n, s.cap)
+	}
+	return nil
 }

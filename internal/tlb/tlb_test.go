@@ -125,22 +125,6 @@ func TestInvalidateReachesL2(t *testing.T) {
 	}
 }
 
-func TestFlush(t *testing.T) {
-	tb := New(small())
-	for v := sim.PageID(0); v < 6; v++ {
-		tb.Insert(v, sim.Size4k)
-	}
-	tb.Flush()
-	if tb.Entries() != 0 {
-		t.Errorf("Entries after flush = %d", tb.Entries())
-	}
-	for v := sim.PageID(0); v < 6; v++ {
-		if tb.Lookup(v) != Miss {
-			t.Error("flushed TLB must miss everywhere")
-		}
-	}
-}
-
 func TestZeroCapacityClass(t *testing.T) {
 	tb := New(Config{L1Entries4k: 0, L1Entries64k: 0, L1Entries2M: 0, L2Entries: 0})
 	tb.Insert(1, sim.Size4k) // must not panic
@@ -208,5 +192,37 @@ func TestInsertLookupConsistencyProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestCheckInvariantsRejectsStrayBits plants bits behind the sets'
+// bookkeeping: a reserved bit, the transient mark left at rest, and an
+// entry bit with no queue slot in each set's field.
+func TestCheckInvariantsRejectsStrayBits(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		bits uint8
+	}{
+		{"reserved bit 5", 1 << 5},
+		{"reserved bit 6", 1 << 6},
+		{"mark bit at rest", markBit},
+		{"L1 4kB without a slot", 1 << sim.Size4k},
+		{"L1 64kB without a slot", 1 << sim.Size64k},
+		{"L1 2MB without a slot", 1 << sim.Size2M},
+		{"L2 without a slot", (uint8(sim.Size4k) + 1) << l2Shift},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tb := New(small())
+			tb.Insert(0, sim.Size4k)
+			tb.Insert(16, sim.Size64k)
+			tb.Insert(600, sim.Size2M) // the table now covers page 1023
+			if err := tb.CheckInvariants(); err != nil {
+				t.Fatalf("clean TLB: %v", err)
+			}
+			tb.state[32] |= tc.bits
+			if err := tb.CheckInvariants(); err == nil {
+				t.Fatalf("state byte %#02x at page 32 passed the check", tb.state[32])
+			}
+		})
 	}
 }
