@@ -238,7 +238,7 @@ func (a *Auditor) auditPSPT(m *vm.Manager) {
 		return
 	}
 	mappings := 0
-	p.ForEachMapping(func(mp *pspt.Mapping) {
+	p.ForEachMapping(func(mp pspt.Mapping) {
 		mappings++
 		populated := 0
 		for c := 0; c < p.Cores(); c++ {
@@ -254,6 +254,7 @@ func (a *Auditor) auditPSPT(m *vm.Manager) {
 				// regular-table semantics — and only report when the
 				// manager declines (no fault injection: a genuine bug).
 				if !ok && m.DegradePage(mp.Base) {
+					mp, _ = p.Mapping(mp.Base) // the resynced core set
 					continue
 				}
 				a.report("pspt", "page %d: core set says core %d mapped=%v, table lookup says %v",
@@ -289,7 +290,7 @@ func (a *Auditor) auditPSPT(m *vm.Manager) {
 // no PTE. A stale set bit would let Touch skip the walk for a page the
 // core does not map; a stale clear bit only costs a walk, but would let
 // a scan skip a core whose accessed bit is set.
-func (a *Auditor) auditSummary(p *pspt.PSPT, mp *pspt.Mapping) {
+func (a *Auditor) auditSummary(p *pspt.PSPT, mp pspt.Mapping) {
 	for c := 0; c < p.Cores(); c++ {
 		core := sim.CoreID(c)
 		for vpn := mp.Base; vpn < mp.Base+mp.Size.Span(); vpn++ {
@@ -392,19 +393,20 @@ func (a *Auditor) auditReplicas(m *vm.Manager) {
 	if !ok {
 		return
 	}
-	p.ForEachMapping(func(mp *pspt.Mapping) {
-		if h := int(mp.Home); h < 0 || h >= topo.Sockets {
+	p.ForEachMapping(func(mp pspt.Mapping) {
+		ns := p.NUMA(mp.Base)
+		if h := int(ns.Home); h < 0 || h >= topo.Sockets {
 			a.report("numa", "page %d: home socket %d outside topology %s", mp.Base, h, topo)
 		}
 		var cores []sim.CoreID
 		cores = mp.Cores.Cores(cores)
 		for _, c := range cores {
-			if s := topo.SocketOf(c); !mp.Replicas.Has(s) {
+			if s := topo.SocketOf(c); !ns.Replicas.Has(s) {
 				a.report("numa", "page %d: core %d (socket %d) holds a PTE but replica set %b misses its socket",
-					mp.Base, c, s, mp.Replicas)
+					mp.Base, c, s, ns.Replicas)
 			}
 		}
-		if len(cores) > 0 && mp.Replicas.Count() == 0 {
+		if len(cores) > 0 && ns.Replicas.Count() == 0 {
 			a.report("numa", "page %d: %d cores map it but the replica set is empty", mp.Base, len(cores))
 		}
 	})

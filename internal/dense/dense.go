@@ -1,10 +1,13 @@
 // Package dense provides the flat, page-indexed data structures the
 // simulator's hot path runs on. Workload layouts assign page IDs
 // densely from 0..TotalPages (see workload.Build), so every map keyed
-// by sim.PageID in the per-touch path — TLB sets, PSPT mapping records,
-// per-page locks, policy indexes — can be a slice indexed by page
-// instead. That removes hashing, bucket chasing and per-entry
-// allocation from the inner simulation loop.
+// by sim.PageID in the per-touch path can be a slice indexed by page
+// instead: Index (policy heap positions and slice offsets), Words
+// (regular-table mapping records, host page signatures) and List (the
+// FIFO/LRU queues). That removes hashing, bucket chasing and per-entry
+// allocation from the inner simulation loop. PSPT keeps its own
+// page-indexed record table (pspt.entry): its records are wider than a
+// word.
 //
 // The package also provides Scratch, a per-goroutine slab recycler that
 // lets RunMany sweeps reuse the big per-run slices (TLB state, policy
@@ -30,7 +33,6 @@ type Scratch struct {
 	i32 slabs[int32]
 	u64 slabs[uint64]
 	cyc slabs[sim.Cycles]
-	res slabs[sim.Resource]
 }
 
 // U8 returns a zeroed []uint8 of length n.
@@ -65,14 +67,6 @@ func (s *Scratch) Cycles(n int) []sim.Cycles {
 	return s.cyc.get(n)
 }
 
-// Resources returns a zeroed []sim.Resource of length n.
-func (s *Scratch) Resources(n int) []sim.Resource {
-	if s == nil {
-		return make([]sim.Resource, n)
-	}
-	return s.res.get(n)
-}
-
 // Recycle reclaims every slice handed out since the last Recycle. The
 // caller promises that no such slice is referenced anymore (in RunMany,
 // the previous run's Result holds only independently allocated data).
@@ -86,7 +80,6 @@ func (s *Scratch) Recycle() {
 	s.i32.recycle()
 	s.u64.recycle()
 	s.cyc.recycle()
-	s.res.recycle()
 }
 
 // slabs is one element type's free list plus the outstanding slices.

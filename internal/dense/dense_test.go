@@ -38,8 +38,8 @@ func TestScratchNilFallsBackToMake(t *testing.T) {
 	if got := len(sc.U8(7)); got != 7 {
 		t.Fatalf("nil scratch U8 len = %d", got)
 	}
-	if got := len(sc.Resources(3)); got != 3 {
-		t.Fatalf("nil scratch Resources len = %d", got)
+	if got := len(sc.Cycles(3)); got != 3 {
+		t.Fatalf("nil scratch Cycles len = %d", got)
 	}
 	sc.Recycle() // must not panic
 }
@@ -164,27 +164,5 @@ func TestListMatchesReference(t *testing.T) {
 		if order[i] != ref[i] {
 			t.Fatalf("final order[%d] = %d want %d", i, order[i], ref[i])
 		}
-	}
-}
-
-func TestStoreStablePointersAndRecycling(t *testing.T) {
-	var st Store[[4]uint64]
-	h0, p0 := st.Alloc()
-	// Force several chunks so chunk-slice growth happens.
-	for i := 0; i < 3*storeChunkSize; i++ {
-		_, p := st.Alloc()
-		p[0] = uint64(i)
-	}
-	if st.At(h0) != p0 {
-		t.Fatal("pointer moved across growth")
-	}
-	p0[1] = 77
-	st.Free(h0)
-	h1, p1 := st.Alloc() // free list: same slot back, zeroed
-	if h1 != h0 {
-		t.Fatalf("handle %d want recycled %d", h1, h0)
-	}
-	if *p1 != ([4]uint64{}) {
-		t.Fatalf("recycled record not zeroed: %v", *p1)
 	}
 }

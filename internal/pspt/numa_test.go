@@ -25,33 +25,32 @@ func TestSocketSet(t *testing.T) {
 // other sockets add replicas, and a rebuild drops replicas but keeps
 // the home.
 func TestReplicasTrackSockets(t *testing.T) {
-	p := New(8)
-	topo := sim.DefaultTopology(2, 4) // cores 0-3 socket 0, 4-7 socket 1
-	p.SetTopology(topo)
+	// cores 0-3 socket 0, 4-7 socket 1
+	p := NewSized(8, 0, sim.DefaultTopology(2, 4), nil)
 
-	m, first, err := p.Map(5, 0, sim.Size4k, 7, pagetable.Writable)
+	first, err := p.Map(5, 0, sim.Size4k, 7, pagetable.Writable)
 	if err != nil || !first {
 		t.Fatalf("Map: %v first=%v", err, first)
 	}
-	if m.Home != 1 || !m.Replicas.Has(1) || m.Replicas.Has(0) {
+	if m := p.NUMA(0); m.Home != 1 || !m.Replicas.Has(1) || m.Replicas.Has(0) {
 		t.Fatalf("first mapper on socket 1: home=%d replicas=%b", m.Home, m.Replicas)
 	}
-	if _, _, err := p.Map(2, 0, sim.Size4k, 7, pagetable.Writable); err != nil {
+	if _, err := p.Map(2, 0, sim.Size4k, 7, pagetable.Writable); err != nil {
 		t.Fatalf("second Map: %v", err)
 	}
-	if !m.Replicas.Has(0) || !m.Replicas.Has(1) || m.Home != 1 {
+	if m := p.NUMA(0); !m.Replicas.Has(0) || !m.Replicas.Has(1) || m.Home != 1 {
 		t.Fatalf("after socket-0 mapper: home=%d replicas=%b", m.Home, m.Replicas)
 	}
 
-	cm, err := p.CopyFromSibling(3, 0, pagetable.Writable)
-	if err != nil || cm != m {
-		t.Fatalf("CopyFromSibling: %v", err)
+	if cm, ok, err := p.CopyFromSibling(3, 0, pagetable.Writable); err != nil || !ok || cm.Base != 0 {
+		t.Fatalf("CopyFromSibling: %+v %v %v", cm, ok, err)
 	}
-	if m.Replicas.Count() != 2 {
+	if m := p.NUMA(0); m.Replicas.Count() != 2 {
 		t.Fatalf("replicas after sibling copy: %b", m.Replicas)
 	}
 
 	p.Rebuild(nil)
+	m := p.NUMA(0)
 	if m.Replicas != 0 || m.RemoteStreak != 0 {
 		t.Fatalf("rebuild did not clear replicas: %b streak=%d", m.Replicas, m.RemoteStreak)
 	}
@@ -65,13 +64,10 @@ func TestReplicasTrackSockets(t *testing.T) {
 // replica, and a streak of consults from one remote socket past the
 // threshold re-homes the page-table page there.
 func TestNoteConsultMigration(t *testing.T) {
-	p := New(8)
-	topo := sim.DefaultTopology(2, 4)
-	p.SetTopology(topo)
-	if _, _, err := p.Map(0, 0, sim.Size4k, 7, pagetable.Writable); err != nil {
+	p := NewSized(8, 0, sim.DefaultTopology(2, 4), nil)
+	if _, err := p.Map(0, 0, sim.Size4k, 7, pagetable.Writable); err != nil {
 		t.Fatal(err)
 	}
-	m := p.Mapping(0)
 
 	// Not resident: no-op.
 	if r, mig := p.NoteConsult(999, 1, 3); r || mig {
@@ -81,7 +77,7 @@ func TestNoteConsultMigration(t *testing.T) {
 	if r, mig := p.NoteConsult(0, 1, 3); !r || mig {
 		t.Fatalf("first remote consult: remote=%v migrated=%v", r, mig)
 	}
-	if !m.Replicas.Has(1) {
+	if !p.NUMA(0).Replicas.Has(1) {
 		t.Fatal("consult did not materialize a replica")
 	}
 	// Second consult: replica exists, not remote; streak 2.
@@ -92,7 +88,7 @@ func TestNoteConsultMigration(t *testing.T) {
 	if r, mig := p.NoteConsult(0, 1, 3); r || !mig {
 		t.Fatalf("third consult: remote=%v migrated=%v", r, mig)
 	}
-	if m.Home != 1 || m.RemoteStreak != 0 {
+	if m := p.NUMA(0); m.Home != 1 || m.RemoteStreak != 0 {
 		t.Fatalf("after migration: home=%d streak=%d", m.Home, m.RemoteStreak)
 	}
 	// Consult from the new home resets nothing further; no migration.
@@ -102,11 +98,11 @@ func TestNoteConsultMigration(t *testing.T) {
 	// A home-socket consult resets a foreign streak.
 	p.NoteConsult(0, 0, 3)
 	p.NoteConsult(0, 0, 3)
-	if m.RemoteStreak != 2 {
+	if m := p.NUMA(0); m.RemoteStreak != 2 {
 		t.Fatalf("streak from socket 0: %d", m.RemoteStreak)
 	}
 	p.NoteConsult(0, 1, 3)
-	if m.RemoteStreak != 0 {
+	if m := p.NUMA(0); m.RemoteStreak != 0 {
 		t.Fatalf("home consult did not reset streak: %d", m.RemoteStreak)
 	}
 	// Threshold <= 0 disables migration entirely.
@@ -115,7 +111,7 @@ func TestNoteConsultMigration(t *testing.T) {
 			t.Fatal("migration fired with threshold 0")
 		}
 	}
-	if m.Home != 1 {
+	if m := p.NUMA(0); m.Home != 1 {
 		t.Fatalf("home moved with threshold 0: %d", m.Home)
 	}
 }
@@ -124,16 +120,17 @@ func TestNoteConsultMigration(t *testing.T) {
 // no topology (or a single socket) the replica fields never change.
 func TestFlatRunsWriteNoReplicaState(t *testing.T) {
 	for _, topo := range []*sim.Topology{nil, sim.DefaultTopology(1, 8)} {
-		p := New(8)
-		p.SetTopology(topo)
-		if _, _, err := p.Map(3, 0, sim.Size4k, 7, pagetable.Writable); err != nil {
+		p := NewSized(8, 0, topo, nil)
+		if _, err := p.Map(3, 0, sim.Size4k, 7, pagetable.Writable); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := p.CopyFromSibling(5, 0, pagetable.Writable); err != nil {
+		if _, _, err := p.CopyFromSibling(5, 0, pagetable.Writable); err != nil {
 			t.Fatal(err)
 		}
-		m := p.Mapping(0)
-		if m.Replicas != 0 || m.Home != 0 || m.RemoteStreak != 0 {
+		if r, mig := p.NoteConsult(0, 1, 1); r || mig {
+			t.Fatalf("topo=%v: a consult reported remote=%v migrated=%v", topo, r, mig)
+		}
+		if m := p.NUMA(0); m != (NUMAState{}) || p.numa != nil {
 			t.Fatalf("topo=%v wrote replica state: %+v", topo, m)
 		}
 	}
@@ -142,22 +139,20 @@ func TestFlatRunsWriteNoReplicaState(t *testing.T) {
 // TestResyncCoresRecomputesReplicas: the skew-recovery path must leave
 // Replicas a superset of the mapping cores' sockets.
 func TestResyncCoresRecomputesReplicas(t *testing.T) {
-	p := New(8)
-	p.SetTopology(sim.DefaultTopology(2, 4))
-	if _, _, err := p.Map(1, 0, sim.Size4k, 7, pagetable.Writable); err != nil {
+	p := NewSized(8, 0, sim.DefaultTopology(2, 4), nil)
+	if _, err := p.Map(1, 0, sim.Size4k, 7, pagetable.Writable); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := p.Map(6, 0, sim.Size4k, 7, pagetable.Writable); err != nil {
+	if _, err := p.Map(6, 0, sim.Size4k, 7, pagetable.Writable); err != nil {
 		t.Fatal(err)
 	}
-	m := p.Mapping(0)
 	if _, ok := p.InjectPhantomCoreBit(0); !ok {
 		t.Fatal("inject failed")
 	}
 	if !p.ResyncCores(0) {
 		t.Fatal("resync found nothing to fix")
 	}
-	if !m.Replicas.Has(0) || !m.Replicas.Has(1) || m.Replicas.Count() != 2 {
+	if m := p.NUMA(0); !m.Replicas.Has(0) || !m.Replicas.Has(1) || m.Replicas.Count() != 2 {
 		t.Fatalf("replicas after resync: %b", m.Replicas)
 	}
 }

@@ -80,34 +80,54 @@ func (ss SocketSet) Has(s int) bool { return ss&(1<<uint(s)) != 0 }
 // Count returns the number of sockets in the set.
 func (ss SocketSet) Count() int { return bits.OnesCount32(uint32(ss)) }
 
-// Mapping is the bookkeeping record for one mapped region of the
-// computation area: its size class, base physical frame, the set of
-// cores holding a private PTE for it, and the per-page lock used to
-// model fine-grained synchronization in virtual time.
-//
-// Under a multi-socket topology the record also carries the numaPTE
-// state for the page-table page backing this region: which sockets
-// hold a replica (Replicas), which socket the authoritative copy is
-// homed on (Home), and how many consecutive consults arrived from a
-// non-home socket (RemoteStreak — the migration trigger). All three
-// stay zero on flat runs.
+// Mapping is a view of the record for one mapped region of the
+// computation area: its size-aligned base, size class, base physical
+// frame and the set of cores holding a private PTE for it. It is a
+// copy: later operations on the PSPT do not change it.
 type Mapping struct {
-	Base  sim.PageID // size-aligned virtual base page
+	Base  sim.PageID
 	Size  sim.PageSize
 	PFN   int64
 	Cores CoreSet
-	Lock  sim.Resource
+}
 
-	Replicas     SocketSet // sockets holding a page-table replica
-	Home         int8      // socket owning the authoritative copy
-	RemoteStreak uint8     // consecutive consults from one remote socket
+// NUMAState is the numaPTE state of the page-table page backing one
+// mapping under a multi-socket topology: which sockets hold a replica
+// (Replicas), which socket the authoritative copy is homed on (Home),
+// and how many consecutive consults arrived from a non-home socket
+// (RemoteStreak — the migration trigger). Flat runs keep none.
+type NUMAState struct {
+	Replicas     SocketSet
+	Home         int8
+	RemoteStreak uint8
+}
+
+// entry is the record of the mapping whose size-aligned base is this
+// entry's index, in the shape of a kernel coremap entry: one flat slot
+// per page, so finding a record is an array read. An entry whose page
+// is no mapping's base keeps only its faultLock in use.
+type entry struct {
+	size  uint8 // size class + 1 (sim.Size4k is 0); 0 = no mapping
+	pfn   int64
+	cores CoreSet
+	// lock serializes page-table updates to the resident mapping; Unmap
+	// zeroes it with the rest of the record, Rebuild keeps it.
+	lock sim.Resource
+	// faultLock serializes cores faulting the page while it is absent.
+	// It is never zeroed: it persists across residency cycles.
+	faultLock sim.Resource
+}
+
+func (e *entry) pageSize() sim.PageSize { return sim.PageSize(e.size - 1) }
+
+func (e *entry) view(base sim.PageID) Mapping {
+	return Mapping{Base: base, Size: e.pageSize(), PFN: e.pfn, Cores: e.cores}
 }
 
 // PSPT is the per-core partially separated page table set for one
-// address space on n cores. Mapping records live in a chunked store
-// with stable pointers; a page-indexed table maps each size-aligned
-// base VPN to its record handle, replacing the old map lookup on the
-// fault path with an array read.
+// address space on n cores. Mapping records live in ents, indexed by
+// base VPN; on multi-socket runs a parallel slice holds each record's
+// numaPTE state.
 //
 // acc and dirty summarize the per-core attribute bits so the hit path
 // need not walk a table to set bits that are already set. Bit
@@ -119,33 +139,38 @@ type Mapping struct {
 type PSPT struct {
 	n      int
 	tables []*pagetable.Table
-	store  dense.Store[Mapping]
-	idx    dense.Index // base VPN -> store handle
+	ents   []entry     // base VPN -> record; grows by doubling
+	numa   []NUMAState // parallel to ents; nil unless topo.Multi()
 	count  int         // live mapping records
 
 	words      int      // summary words per core: ceil(pages/64)
 	acc, dirty []uint64 // accessed/dirty summary, n*words each
 
-	topo *sim.Topology // nil on flat runs: no replica bookkeeping
+	topo *sim.Topology // nil on flat runs
 
-	unmapOut   Mapping      // reusable Unmap return record
 	rebuildOut []sim.CoreID // reusable Rebuild target buffer
 }
 
-// New creates a PSPT for n application cores.
-func New(n int) *PSPT { return NewSized(n, 0, nil) }
+// New creates a PSPT for n application cores on a flat machine.
+func New(n int) *PSPT { return NewSized(n, 0, nil, nil) }
 
-// NewSized is New with the base-VPN index and the accessed/dirty
-// summary sized for page IDs in [0, pages) and drawn from sc (both
-// optional). The summary never grows: pages beyond the range walk.
-func NewSized(n, pages int, sc *dense.Scratch) *PSPT {
+// NewSized is New with the record table and the accessed/dirty summary
+// sized for page IDs in [0, pages) (the summary drawn from sc, which is
+// optional). The record table grows past that range; the summary never
+// does: pages beyond it walk. A multi-socket topo turns on per-socket
+// page-table replica bookkeeping; a nil or single-socket one keeps the
+// flat behavior, which writes no replica state.
+func NewSized(n, pages int, topo *sim.Topology, sc *dense.Scratch) *PSPT {
 	if n <= 0 || n > MaxCores {
 		panic(fmt.Sprintf("pspt: %d cores out of range 1..%d", n, MaxCores))
 	}
 	words := (pages + 63) / 64
 	sum := sc.U64(2 * n * words) // one slab for both bitmaps
-	p := &PSPT{n: n, tables: make([]*pagetable.Table, n), idx: dense.NewIndex(sc, pages),
+	p := &PSPT{n: n, tables: make([]*pagetable.Table, n), ents: make([]entry, pages), topo: topo,
 		words: words, acc: sum[:n*words], dirty: sum[n*words:]}
+	if topo.Multi() {
+		p.numa = make([]NUMAState, pages)
+	}
 	for i := range p.tables {
 		p.tables[i] = pagetable.New()
 	}
@@ -155,15 +180,6 @@ func NewSized(n, pages int, sc *dense.Scratch) *PSPT {
 // Cores returns the number of application cores.
 func (p *PSPT) Cores() int { return p.n }
 
-// SetTopology attaches the machine topology, enabling per-socket
-// page-table replica bookkeeping on every subsequent Map/CopyFromSibling.
-// A nil or single-socket topology keeps the flat behavior (no replica
-// state is ever written), preserving bit-identity.
-func (p *PSPT) SetTopology(t *sim.Topology) { p.topo = t }
-
-// Topology returns the attached topology (nil on flat runs).
-func (p *PSPT) Topology() *sim.Topology { return p.topo }
-
 // Table exposes core's private table (tests and the scanner use it).
 func (p *PSPT) Table(core sim.CoreID) *pagetable.Table { return p.tables[core] }
 
@@ -172,38 +188,75 @@ func (p *PSPT) Lookup(core sim.CoreID, vpn sim.PageID) (pagetable.PTE, sim.PageS
 	return p.tables[core].Lookup(vpn)
 }
 
-// Mapping returns the bookkeeping record covering vpn, trying each size
-// class's alignment, or nil if the page is not resident.
-func (p *PSPT) Mapping(vpn sim.PageID) *Mapping {
+// find returns the base and record of the mapping covering vpn, trying
+// each size class's alignment; e is nil when vpn is not resident. e is
+// valid until the table next grows (in Map or Lock).
+func (p *PSPT) find(vpn sim.PageID) (base sim.PageID, e *entry) {
 	for _, s := range sizeClasses {
-		if h := p.idx.Get(s.Align(vpn)); h >= 0 {
-			m := p.store.At(h)
-			if vpn < m.Base+m.Size.Span() {
-				return m
+		base = s.Align(vpn)
+		if uint64(base) < uint64(len(p.ents)) {
+			if e = &p.ents[base]; e.size != 0 && vpn < base+e.pageSize().Span() {
+				return base, e
 			}
 		}
 	}
-	return nil
+	return 0, nil
 }
 
 var sizeClasses = [3]sim.PageSize{sim.Size4k, sim.Size64k, sim.Size2M}
 
+// at returns base's entry, doubling the table until it covers base.
+func (p *PSPT) at(base sim.PageID) *entry {
+	if int(base) >= len(p.ents) {
+		n := max(8, 2*len(p.ents))
+		for n <= int(base) {
+			n *= 2
+		}
+		p.ents = append(p.ents, make([]entry, n-len(p.ents))...)
+		if p.numa != nil {
+			p.numa = append(p.numa, make([]NUMAState, n-len(p.numa))...)
+		}
+	}
+	return &p.ents[base]
+}
+
+// Mapping returns the record covering vpn; ok is false if the page is
+// not resident.
+func (p *PSPT) Mapping(vpn sim.PageID) (m Mapping, ok bool) {
+	base, e := p.find(vpn)
+	if e == nil {
+		return Mapping{}, false
+	}
+	return e.view(base), true
+}
+
+// NUMA returns the replica state of the mapping covering vpn: zero when
+// vpn is not resident or the run is flat.
+func (p *PSPT) NUMA(vpn sim.PageID) NUMAState {
+	if base, e := p.find(vpn); e != nil && p.numa != nil {
+		return p.numa[base]
+	}
+	return NUMAState{}
+}
+
 // CoreMapCount returns the number of cores mapping vpn — the quantity
 // CMCP prioritizes by. Zero means not resident.
 func (p *PSPT) CoreMapCount(vpn sim.PageID) int {
-	if m := p.Mapping(vpn); m != nil {
-		return m.Cores.Count()
+	if _, e := p.find(vpn); e != nil {
+		return e.cores.Count()
 	}
 	return 0
 }
 
-// MappingCores appends the IDs of cores mapping vpn to dst. This is the
-// precise shootdown target set PSPT makes available.
-func (p *PSPT) MappingCores(vpn sim.PageID, dst []sim.CoreID) []sim.CoreID {
-	if m := p.Mapping(vpn); m != nil {
-		return m.Cores.Cores(dst)
+// Lock returns the virtual-time lock serializing page-table updates
+// for base: the resident-page lock of the mapping covering base, else
+// base's absent-page lock, so two cores faulting the same absent page
+// queue on one lock. The pointer is valid until the next Map or Lock.
+func (p *PSPT) Lock(base sim.PageID) *sim.Resource {
+	if _, e := p.find(base); e != nil {
+		return &e.lock
 	}
-	return dst
+	return &p.at(base).faultLock
 }
 
 // summaryMask locates core's summary bits for the mapping of the given
@@ -286,75 +339,70 @@ func (p *PSPT) clearInTable(core sim.CoreID, base sim.PageID, size sim.PageSize)
 // Map establishes (or extends to another core) the mapping of the
 // region with the given size-aligned base. The first call creates the
 // bookkeeping record; later calls from other cores must agree on size
-// and frame. It returns the record and whether this was the first core.
-func (p *PSPT) Map(core sim.CoreID, base sim.PageID, size sim.PageSize, pfn int64, flags pagetable.PTE) (*Mapping, bool, error) {
+// and frame. first reports whether core is the record's first mapper.
+func (p *PSPT) Map(core sim.CoreID, base sim.PageID, size sim.PageSize, pfn int64, flags pagetable.PTE) (first bool, err error) {
 	if !size.Aligned(base) {
-		return nil, false, fmt.Errorf("pspt: Map base %d not %v aligned", base, size)
+		return false, fmt.Errorf("pspt: Map base %d not %v aligned", base, size)
 	}
-	var m *Mapping
-	fresh := false
-	if h := p.idx.Get(base); h >= 0 {
-		m = p.store.At(h)
-		if m.Size != size || m.PFN != pfn {
-			return nil, false, fmt.Errorf("pspt: inconsistent remap of base %d: %v/%d vs %v/%d",
-				base, m.Size, m.PFN, size, pfn)
-		}
-		if m.Cores.Has(core) {
-			return m, false, nil // already mapped by this core
-		}
-	} else {
-		var h int32
-		h, m = p.store.Alloc()
-		m.Base, m.Size, m.PFN = base, size, pfn
-		p.idx.Set(base, h)
+	e := p.at(base)
+	fresh := e.size == 0
+	if fresh {
+		e.size, e.pfn = uint8(size)+1, pfn
 		p.count++
-		fresh = true
+	} else {
+		if e.pageSize() != size || e.pfn != pfn {
+			return false, fmt.Errorf("pspt: inconsistent remap of base %d: %v/%d vs %v/%d",
+				base, e.pageSize(), e.pfn, size, pfn)
+		}
+		if e.cores.Has(core) {
+			return false, nil // already mapped by this core
+		}
 	}
 	if err := p.setInTable(core, base, size, pfn, flags); err != nil {
-		if m.Cores.Count() == 0 {
+		if e.cores.Count() == 0 {
 			p.deleteMapping(base)
 		}
-		return nil, false, err
+		return false, err
 	}
-	first := m.Cores.Count() == 0
-	m.Cores.Add(core)
-	if p.topo.Multi() {
+	first = e.cores.Count() == 0
+	e.cores.Add(core)
+	if p.numa != nil {
 		s := p.topo.SocketOf(core)
 		if fresh {
 			// Brand-new mapping: the page-table page is created on the
 			// first mapper's socket. A record that survived a Rebuild
 			// keeps its Home — only the replicas were dropped.
-			m.Home, m.Replicas, m.RemoteStreak = int8(s), 0, 0
+			p.numa[base] = NUMAState{Home: int8(s)}
 		}
-		m.Replicas.Add(s)
+		p.numa[base].Replicas.Add(s)
 	}
-	return m, first, nil
+	return first, nil
 }
 
 // CopyFromSibling implements the PSPT minor-fault path: when core
 // faults on vpn but some sibling core already maps the region, the
 // faulting core copies the sibling's PTE into its own table. It returns
-// the mapping record, or nil when no sibling maps the page (major
+// the mapping record; ok is false when no sibling maps the page (major
 // fault).
-func (p *PSPT) CopyFromSibling(core sim.CoreID, vpn sim.PageID, flags pagetable.PTE) (*Mapping, error) {
-	m := p.Mapping(vpn)
-	if m == nil {
-		return nil, nil
+func (p *PSPT) CopyFromSibling(core sim.CoreID, vpn sim.PageID, flags pagetable.PTE) (m Mapping, ok bool, err error) {
+	base, e := p.find(vpn)
+	if e == nil {
+		return Mapping{}, false, nil
 	}
 	// A mapping record with zero cores occurs after a PSPT rebuild
 	// (all private PTEs dropped): the page is still resident, the
 	// kernel's frame bookkeeping resolves it without data movement.
-	if m.Cores.Has(core) {
-		return m, nil // racing fault; mapping already present
+	// A core already in the set is a racing fault: nothing to copy.
+	if !e.cores.Has(core) {
+		if err := p.setInTable(core, base, e.pageSize(), e.pfn, flags); err != nil {
+			return Mapping{}, false, err
+		}
+		e.cores.Add(core)
+		if p.numa != nil {
+			p.numa[base].Replicas.Add(p.topo.SocketOf(core))
+		}
 	}
-	if err := p.setInTable(core, m.Base, m.Size, m.PFN, flags); err != nil {
-		return nil, err
-	}
-	m.Cores.Add(core)
-	if p.topo.Multi() {
-		m.Replicas.Add(p.topo.SocketOf(core))
-	}
-	return m, nil
+	return e.view(base), true, nil
 }
 
 // NoteConsult records one sibling-table consult from the given socket
@@ -366,59 +414,59 @@ func (p *PSPT) CopyFromSibling(core sim.CoreID, vpn sim.PageID, flags pagetable.
 // the consulting socket (the caller charges MigrateCost). The replica
 // set then includes the consulting socket either way: a consult
 // materializes a local replica, which is exactly the behavior whose
-// cost numaPTE amortizes.
+// cost numaPTE amortizes. Flat runs have no replicas: it reports
+// nothing.
 func (p *PSPT) NoteConsult(vpn sim.PageID, socket, threshold int) (remote, migrated bool) {
-	m := p.Mapping(vpn)
-	if m == nil {
+	base, e := p.find(vpn)
+	if e == nil || p.numa == nil {
 		return false, false
 	}
-	remote = !m.Replicas.Has(socket)
-	if int(m.Home) == socket {
-		m.RemoteStreak = 0
+	ns := &p.numa[base]
+	remote = !ns.Replicas.Has(socket)
+	if int(ns.Home) == socket {
+		ns.RemoteStreak = 0
 	} else {
-		if m.RemoteStreak < 255 {
-			m.RemoteStreak++
+		if ns.RemoteStreak < 255 {
+			ns.RemoteStreak++
 		}
-		if threshold > 0 && int(m.RemoteStreak) >= threshold {
-			m.Home, m.RemoteStreak = int8(socket), 0
+		if threshold > 0 && int(ns.RemoteStreak) >= threshold {
+			ns.Home, ns.RemoteStreak = int8(socket), 0
 			migrated = true
 		}
 	}
-	m.Replicas.Add(socket)
+	ns.Replicas.Add(socket)
 	return remote, migrated
 }
 
 // Unmap removes the mapping covering vpn from every core's table and
 // deletes the bookkeeping record. It returns the record (whose Cores
 // field is the precise shootdown target set) and whether any core's PTE
-// carried the dirty bit. Returns nil if vpn is not resident.
-func (p *PSPT) Unmap(vpn sim.PageID) (*Mapping, bool) {
-	m := p.Mapping(vpn)
-	if m == nil {
-		return nil, false
+// carried the dirty bit; ok is false if vpn is not resident.
+func (p *PSPT) Unmap(vpn sim.PageID) (m Mapping, dirty, ok bool) {
+	base, e := p.find(vpn)
+	if e == nil {
+		return Mapping{}, false, false
 	}
-	dirty := false
+	m = e.view(base)
 	set := m.Cores
-	for c, ok := set.Pop(); ok; c, ok = set.Pop() {
-		if p.clearInTable(c, m.Base, m.Size).Has(pagetable.Dirty) {
+	for c, more := set.Pop(); more; c, more = set.Pop() {
+		if p.clearInTable(c, base, m.Size).Has(pagetable.Dirty) {
 			dirty = true
 		}
 	}
-	// The record is returned to the caller (shootdown targets), so copy
-	// it out before its store slot is zeroed and recycled. The copy
-	// lives in a reusable field: valid until the next Unmap.
-	p.unmapOut = *m
-	p.deleteMapping(m.Base)
-	return &p.unmapOut, dirty
+	p.deleteMapping(base)
+	return m, dirty, true
 }
 
-// deleteMapping frees base's record and index slot.
+// deleteMapping zeroes base's record, resident-page lock and replica
+// state; the absent-page lock survives.
 func (p *PSPT) deleteMapping(base sim.PageID) {
-	if h := p.idx.Get(base); h >= 0 {
-		p.store.Free(h)
-		p.idx.Delete(base)
-		p.count--
+	e := &p.ents[base]
+	*e = entry{faultLock: e.faultLock}
+	if p.numa != nil {
+		p.numa[base] = NUMAState{}
 	}
+	p.count--
 }
 
 // Touch simulates the MMU setting accessed/dirty bits on core's private
@@ -434,8 +482,8 @@ func (p *PSPT) Touch(core sim.CoreID, vpn sim.PageID, write bool) (frame int64, 
 			return 0, false
 		}
 		if p.dirty[w]&bit != 0 {
-			m := p.Mapping(vpn)
-			return m.PFN + int64(vpn-m.Base), true
+			base, e := p.find(vpn)
+			return e.pfn + int64(vpn-base), true
 		}
 	}
 	e, size, ok := p.tables[core].Touch(vpn, write)
@@ -457,19 +505,26 @@ func (p *PSPT) Touch(core sim.CoreID, vpn sim.PageID, write bool) (frame int64, 
 // ScanAccessed implements the statistics pass the LRU scanner performs
 // on one region: it tests and clears the accessed bit in every mapping
 // core's private table. It returns whether any core had accessed the
-// region since the last scan and the set of cores whose TLBs must be
+// region since the last scan, the set of cores whose TLBs must be
 // invalidated (every core whose PTE was modified — on x86, clearing an
-// accessed bit requires invalidating the cached translation). A core
-// whose summary shows no accessed bit is skipped without a walk.
-func (p *PSPT) ScanAccessed(vpn sim.PageID, dst []sim.CoreID) (accessed bool, targets []sim.CoreID) {
-	m := p.Mapping(vpn)
-	if m == nil {
-		return false, dst
+// accessed bit requires invalidating the cached translation), and the
+// number of PTEs one scan tests: the 16 sub-entries of a 64 kB group
+// some core maps (§4), else one. A core whose summary shows no accessed
+// bit is skipped without a walk.
+func (p *PSPT) ScanAccessed(vpn sim.PageID, dst []sim.CoreID) (accessed bool, targets []sim.CoreID, ptes int) {
+	base, e := p.find(vpn)
+	if e == nil {
+		return false, dst, 1
+	}
+	size := e.pageSize()
+	ptes = 1
+	if size == sim.Size64k && e.cores.Count() > 0 {
+		ptes = sim.Span64k
 	}
 	targets = dst
-	set := m.Cores
+	set := e.cores
 	for c, ok := set.Pop(); ok; c, ok = set.Pop() {
-		if w, mask, tracked := p.summaryMask(c, m.Base, m.Size); tracked {
+		if w, mask, tracked := p.summaryMask(c, base, size); tracked {
 			if p.acc[w]&mask == 0 {
 				continue
 			}
@@ -477,9 +532,9 @@ func (p *PSPT) ScanAccessed(vpn sim.PageID, dst []sim.CoreID) (accessed bool, ta
 		}
 		t := p.tables[c]
 		hit := false
-		switch m.Size {
+		switch size {
 		case sim.Size2M:
-			t.Update2M(m.Base, func(e pagetable.PTE) pagetable.PTE {
+			t.Update2M(base, func(e pagetable.PTE) pagetable.PTE {
 				if e.Has(pagetable.Accessed) {
 					hit = true
 					return e.Without(pagetable.Accessed)
@@ -487,10 +542,9 @@ func (p *PSPT) ScanAccessed(vpn sim.PageID, dst []sim.CoreID) (accessed bool, ta
 				return e
 			})
 		case sim.Size64k:
-			a, _ := t.Stat64k(m.Base, true)
-			hit = a
+			hit, _ = t.Stat64k(base, true)
 		default:
-			t.Update(m.Base, func(e pagetable.PTE) pagetable.PTE {
+			t.Update(base, func(e pagetable.PTE) pagetable.PTE {
 				if e.Has(pagetable.Accessed) {
 					hit = true
 					return e.Without(pagetable.Accessed)
@@ -498,16 +552,14 @@ func (p *PSPT) ScanAccessed(vpn sim.PageID, dst []sim.CoreID) (accessed bool, ta
 				return e
 			})
 		}
-		if hit {
-			accessed = true
-		}
 		// Clearing (or even scanning-with-clear finding nothing set)
 		// only requires invalidation when a bit actually changed.
 		if hit {
+			accessed = true
 			targets = append(targets, c)
 		}
 	}
-	return accessed, targets
+	return accessed, targets, ptes
 }
 
 // InjectPhantomCoreBit simulates lost teardown bookkeeping on the
@@ -518,14 +570,14 @@ func (p *PSPT) ScanAccessed(vpn sim.PageID, dst []sim.CoreID) (accessed bool, ta
 // auditor detects and ResyncCores repairs; ok is false when the page is
 // not resident or every core already maps it.
 func (p *PSPT) InjectPhantomCoreBit(vpn sim.PageID) (sim.CoreID, bool) {
-	m := p.Mapping(vpn)
-	if m == nil {
+	_, e := p.find(vpn)
+	if e == nil {
 		return 0, false
 	}
 	for c := 0; c < p.n; c++ {
 		core := sim.CoreID(c)
-		if !m.Cores.Has(core) {
-			m.Cores.Add(core)
+		if !e.cores.Has(core) {
+			e.cores.Add(core)
 			return core, true
 		}
 	}
@@ -537,28 +589,25 @@ func (p *PSPT) InjectPhantomCoreBit(vpn sim.PageID) (sim.CoreID, bool) {
 // injected core-set skew. It reports whether the set changed; false
 // also covers a non-resident vpn.
 func (p *PSPT) ResyncCores(vpn sim.PageID) bool {
-	m := p.Mapping(vpn)
-	if m == nil {
+	base, e := p.find(vpn)
+	if e == nil {
 		return false
 	}
 	var rebuilt CoreSet
+	var rs SocketSet
 	for c := 0; c < p.n; c++ {
 		core := sim.CoreID(c)
-		if _, _, ok := p.tables[c].Lookup(m.Base); ok {
+		if _, _, ok := p.tables[c].Lookup(base); ok {
 			rebuilt.Add(core)
+			rs.Add(p.topo.SocketOf(core))
 		}
 	}
-	changed := rebuilt != m.Cores
-	m.Cores = rebuilt
-	if p.topo.Multi() {
+	changed := rebuilt != e.cores
+	e.cores = rebuilt
+	if p.numa != nil {
 		// Replicas must stay a superset of the mapping cores' sockets;
 		// recompute the minimal set from the rebuilt population.
-		var rs SocketSet
-		var cores []sim.CoreID
-		for _, c := range rebuilt.Cores(cores) {
-			rs.Add(p.topo.SocketOf(c))
-		}
-		m.Replicas = rs
+		p.numa[base].Replicas = rs
 	}
 	return changed
 }
@@ -568,11 +617,12 @@ func (p *PSPT) ResidentMappings() int { return p.count }
 
 // ForEachMapping calls fn for every live mapping record, in ascending
 // base order (the page-indexed table makes that order free).
-func (p *PSPT) ForEachMapping(fn func(*Mapping)) {
-	p.idx.Range(func(_ sim.PageID, h int32) bool {
-		fn(p.store.At(h))
-		return true
-	})
+func (p *PSPT) ForEachMapping(fn func(Mapping)) {
+	for base := range p.ents {
+		if e := &p.ents[base]; e.size != 0 {
+			fn(e.view(sim.PageID(base)))
+		}
+	}
 }
 
 // Rebuild drops every core's private PTEs while keeping the mapping
@@ -584,22 +634,25 @@ func (p *PSPT) ForEachMapping(fn func(*Mapping)) {
 // pair so the caller can invalidate the affected TLBs.
 func (p *PSPT) Rebuild(fn func(base sim.PageID, targets []sim.CoreID)) {
 	scratch := p.rebuildOut
-	p.ForEachMapping(func(m *Mapping) {
-		if m.Cores.Count() == 0 {
-			return
+	for i := range p.ents {
+		e, base := &p.ents[i], sim.PageID(i)
+		if e.size == 0 || e.cores.Count() == 0 {
+			continue
 		}
-		scratch = m.Cores.Cores(scratch[:0])
+		scratch = e.cores.Cores(scratch[:0])
 		for _, c := range scratch {
-			p.clearInTable(c, m.Base, m.Size)
+			p.clearInTable(c, base, e.pageSize())
 		}
-		m.Cores = CoreSet{}
-		// Dropping every private PTE drops the replicas too; Home stays
-		// (the authoritative copy survives a rebuild).
-		m.Replicas, m.RemoteStreak = 0, 0
+		e.cores = CoreSet{}
+		if p.numa != nil {
+			// Dropping every private PTE drops the replicas too; Home
+			// stays (the authoritative copy survives a rebuild).
+			p.numa[base].Replicas, p.numa[base].RemoteStreak = 0, 0
+		}
 		if fn != nil {
-			fn(m.Base, scratch)
+			fn(base, scratch)
 		}
-	})
+	}
 	p.rebuildOut = scratch[:0]
 }
 
@@ -608,7 +661,7 @@ func (p *PSPT) Rebuild(fn func(base sim.PageID, targets []sim.CoreID)) {
 // This is the quantity Figure 6 of the paper plots.
 func (p *PSPT) SharingHistogram() []int {
 	hist := make([]int, p.n+1)
-	p.ForEachMapping(func(m *Mapping) {
+	p.ForEachMapping(func(m Mapping) {
 		hist[m.Cores.Count()]++
 	})
 	return hist

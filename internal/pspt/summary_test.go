@@ -31,7 +31,7 @@ func checkSummary(t *testing.T, p *PSPT, pages int, when string) {
 }
 
 func TestSummary4kScan(t *testing.T) {
-	p := NewSized(2, 64, nil)
+	p := NewSized(2, 64, nil, nil)
 	p.Map(0, 5, sim.Size4k, 9, pagetable.Writable)
 	p.CopyFromSibling(1, 5, pagetable.Writable)
 	checkSummary(t, p, 64, "fresh map")
@@ -47,7 +47,7 @@ func TestSummary4kScan(t *testing.T) {
 	if f, written := p.Touch(1, 5, true); !written || f != 9 {
 		t.Errorf("summary-hit write Touch = %d, %v; want frame 9", f, written)
 	}
-	acc, targets := p.ScanAccessed(5, nil)
+	acc, targets, _ := p.ScanAccessed(5, nil)
 	if !acc || len(targets) != 2 {
 		t.Errorf("scan = %v %v, want both cores", acc, targets)
 	}
@@ -55,13 +55,13 @@ func TestSummary4kScan(t *testing.T) {
 	if a, d, _ := p.Summary(1, 5); a || !d {
 		t.Errorf("scan must clear A and keep D: A=%v D=%v", a, d)
 	}
-	if acc, targets := p.ScanAccessed(5, nil); acc || len(targets) != 0 {
+	if acc, targets, _ := p.ScanAccessed(5, nil); acc || len(targets) != 0 {
 		t.Errorf("idle rescan = %v %v", acc, targets)
 	}
 }
 
 func TestSummary64kGroupScan(t *testing.T) {
-	p := NewSized(2, 128, nil)
+	p := NewSized(2, 128, nil, nil)
 	p.Map(0, 32, sim.Size64k, 64, pagetable.Writable)
 	p.CopyFromSibling(1, 40, pagetable.Writable)
 	p.Touch(0, 35, false)
@@ -72,20 +72,20 @@ func TestSummary64kGroupScan(t *testing.T) {
 		t.Errorf("summary-hit member 7 write frame = %d, %v; want 71", f, written)
 	}
 	checkSummary(t, p, 128, "after member touches")
-	acc, targets := p.ScanAccessed(32, nil)
+	acc, targets, _ := p.ScanAccessed(32, nil)
 	if !acc || len(targets) != 2 {
 		t.Errorf("group scan = %v %v, want both cores", acc, targets)
 	}
 	checkSummary(t, p, 128, "after 64k group scan")
 	p.Touch(1, 47, false)
-	if acc, targets := p.ScanAccessed(40, nil); !acc || len(targets) != 1 || targets[0] != 1 {
+	if acc, targets, _ := p.ScanAccessed(40, nil); !acc || len(targets) != 1 || targets[0] != 1 {
 		t.Errorf("rescan = %v %v, want core 1 only", acc, targets)
 	}
 	checkSummary(t, p, 128, "after second group scan")
 }
 
 func TestSummary2MNeverTracked(t *testing.T) {
-	p := NewSized(1, 1024, nil)
+	p := NewSized(1, 1024, nil, nil)
 	p.Map(0, 512, sim.Size2M, 1024, pagetable.Writable)
 	for i := 0; i < 2; i++ { // the second write must walk again
 		if f, written := p.Touch(0, 700, true); !written || f != 1024+188 {
@@ -93,7 +93,7 @@ func TestSummary2MNeverTracked(t *testing.T) {
 		}
 	}
 	checkSummary(t, p, 1024, "after 2M touch")
-	if acc, _ := p.ScanAccessed(512, nil); !acc {
+	if acc, _, _ := p.ScanAccessed(512, nil); !acc {
 		t.Error("2M scan must see the accessed bit")
 	}
 	checkSummary(t, p, 1024, "after 2M scan")
@@ -101,11 +101,11 @@ func TestSummary2MNeverTracked(t *testing.T) {
 
 func TestSummaryUnmapThenFreshMap(t *testing.T) {
 	for _, size := range []sim.PageSize{sim.Size4k, sim.Size64k} {
-		p := NewSized(2, 64, nil)
+		p := NewSized(2, 64, nil, nil)
 		p.Map(0, 16, size, 16, pagetable.Writable)
 		p.CopyFromSibling(1, 16, pagetable.Writable)
 		p.Touch(1, 16, true)
-		if _, dirty := p.Unmap(16); !dirty {
+		if _, dirty, _ := p.Unmap(16); !dirty {
 			t.Errorf("%v: Unmap must report the write", size)
 		}
 		checkSummary(t, p, 64, size.String()+" after Unmap")
@@ -118,7 +118,7 @@ func TestSummaryUnmapThenFreshMap(t *testing.T) {
 }
 
 func TestSummaryRebuildThenCopyFromSibling(t *testing.T) {
-	p := NewSized(3, 64, nil)
+	p := NewSized(3, 64, nil, nil)
 	p.Map(0, 3, sim.Size4k, 3, pagetable.Writable)
 	p.Map(1, 16, sim.Size64k, 16, pagetable.Writable)
 	p.CopyFromSibling(2, 3, pagetable.Writable)
@@ -141,24 +141,24 @@ func TestSummaryRebuildThenCopyFromSibling(t *testing.T) {
 // second mapping core, tracked range or not.
 func TestUnmapDirty64kMemberOnNonFirstCore(t *testing.T) {
 	for _, pages := range []int{0, 64} {
-		p := NewSized(2, pages, nil)
+		p := NewSized(2, pages, nil, nil)
 		p.Map(0, 32, sim.Size64k, 64, pagetable.Writable)
 		p.CopyFromSibling(1, 32, pagetable.Writable)
 		p.Touch(0, 32, false)
 		p.Touch(1, 39, true)
-		if _, dirty := p.Unmap(32); !dirty {
+		if _, dirty, _ := p.Unmap(32); !dirty {
 			t.Errorf("pages=%d: Unmap missed the write to member 7 on core 1", pages)
 		}
 		p.Map(0, 32, sim.Size64k, 64, pagetable.Writable)
 		p.Touch(0, 47, false)
-		if _, dirty := p.Unmap(32); dirty {
+		if _, dirty, _ := p.Unmap(32); dirty {
 			t.Errorf("pages=%d: a read-only group must unmap clean", pages)
 		}
 	}
 }
 
 func TestTouchBeyondSizedRangeWalks(t *testing.T) {
-	p := NewSized(1, 64, nil)
+	p := NewSized(1, 64, nil, nil)
 	p.Map(0, 200, sim.Size4k, 7, pagetable.Writable)
 	if _, _, tracked := p.Summary(0, 200); tracked {
 		t.Fatal("vpn 200 lies past the 64-page summary")
@@ -171,7 +171,7 @@ func TestTouchBeyondSizedRangeWalks(t *testing.T) {
 	if e, _, _ := p.Lookup(0, 200); !e.Has(pagetable.Accessed | pagetable.Dirty) {
 		t.Error("the walk must set the PTE bits")
 	}
-	if acc, _ := p.ScanAccessed(200, nil); !acc {
+	if acc, _, _ := p.ScanAccessed(200, nil); !acc {
 		t.Error("untracked scan must walk and find the bit")
 	}
 }
@@ -182,7 +182,7 @@ func TestTouchBeyondSizedRangeWalks(t *testing.T) {
 // equals the one a fresh lookup resolves.
 func TestSummaryRandomOps(t *testing.T) {
 	const pages, cores = 1024, 3
-	p := NewSized(cores, pages, nil)
+	p := NewSized(cores, pages, nil, nil)
 	r := rand.New(rand.NewSource(7))
 	// Disjoint regions per size class keep maps from colliding: 4 kB
 	// in [0,256), 64 kB groups in [256,512), one 2 MB block at 512.
@@ -209,13 +209,13 @@ func TestSummaryRandomOps(t *testing.T) {
 		vpn := randVPN()
 		switch op := r.Intn(10); {
 		case op < 2:
-			if p.Mapping(vpn) != nil {
+			if _, ok := p.Mapping(vpn); ok {
 				p.CopyFromSibling(core, vpn, pagetable.Writable)
 				break
 			}
 			size := sizeOf(vpn)
 			base := size.Align(vpn)
-			if _, _, err := p.Map(core, base, size, int64(base), pagetable.Writable); err != nil {
+			if _, err := p.Map(core, base, size, int64(base), pagetable.Writable); err != nil {
 				t.Fatal(err)
 			}
 		case op < 7:

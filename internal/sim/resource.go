@@ -12,8 +12,6 @@ package sim
 // that lets PSPT scale.
 type Resource struct {
 	freeAt Cycles
-	waits  Cycles // accumulated wait time, for diagnostics
-	grants uint64
 }
 
 // Acquire requests the resource at virtual time now for hold cycles.
@@ -26,20 +24,9 @@ func (r *Resource) Acquire(now, hold Cycles) (done, waited Cycles) {
 	}
 	waited = start - now
 	r.freeAt = start + hold
-	r.waits += waited
-	r.grants++
 	return r.freeAt, waited
 }
 
 // FreeAt returns the virtual time at which the resource next becomes
 // available.
 func (r *Resource) FreeAt() Cycles { return r.freeAt }
-
-// Waited returns the total queueing delay accumulated by all grants.
-func (r *Resource) Waited() Cycles { return r.waits }
-
-// Grants returns the number of times the resource was acquired.
-func (r *Resource) Grants() uint64 { return r.grants }
-
-// Reset returns the resource to its initial idle state.
-func (r *Resource) Reset() { *r = Resource{} }

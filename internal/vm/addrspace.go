@@ -72,9 +72,11 @@ type addressSpace interface {
 	CoreMapCount(base sim.PageID) int
 
 	// ScanAccessed tests and clears accessed bits for the mapping at
-	// base, returning whether it was accessed and the cores whose TLBs
-	// must be invalidated because a bit changed.
-	ScanAccessed(base sim.PageID) (accessed bool, targets []sim.CoreID)
+	// base, returning whether it was accessed, the cores whose TLBs
+	// must be invalidated because a bit changed, and how many PTEs the
+	// scan tested: the 16 sub-entries of a 64 kB group some table maps
+	// (§4), else one.
+	ScanAccessed(base sim.PageID) (accessed bool, targets []sim.CoreID, ptes int)
 
 	// LockFor returns the virtual-time lock protecting updates to the
 	// mapping at base: a single address-space lock for regular tables,
@@ -212,12 +214,12 @@ func (s *sharedAS) Touch(_ sim.CoreID, vpn sim.PageID, write bool) (sim.FrameID,
 
 func (s *sharedAS) CoreMapCount(sim.PageID) int { return -1 }
 
-func (s *sharedAS) ScanAccessed(base sim.PageID) (bool, []sim.CoreID) {
+func (s *sharedAS) ScanAccessed(base sim.PageID) (bool, []sim.CoreID, int) {
 	b, mi, ok := s.find(base)
 	if !ok {
-		return false, nil
+		return false, nil, 1
 	}
-	accessed := false
+	accessed, ptes := false, 1
 	switch mi.size {
 	case sim.Size2M:
 		s.table.Update2M(b, func(e pagetable.PTE) pagetable.PTE {
@@ -229,6 +231,7 @@ func (s *sharedAS) ScanAccessed(base sim.PageID) (bool, []sim.CoreID) {
 		})
 	case sim.Size64k:
 		accessed, _ = s.table.Stat64k(b, true)
+		ptes = sim.Span64k
 	default:
 		s.table.Update(b, func(e pagetable.PTE) pagetable.PTE {
 			if e.Has(pagetable.Accessed) {
@@ -239,9 +242,9 @@ func (s *sharedAS) ScanAccessed(base sim.PageID) (bool, []sim.CoreID) {
 		})
 	}
 	if !accessed {
-		return false, nil
+		return false, nil, ptes
 	}
-	return true, s.targets // cleared a bit: broadcast invalidation
+	return true, s.targets, ptes // cleared a bit: broadcast invalidation
 }
 
 func (s *sharedAS) LockFor(sim.PageID) *sim.Resource { return &s.lock }
@@ -260,13 +263,11 @@ func (s *sharedAS) ForEachMapping(fn func(base sim.PageID, size sim.PageSize, pf
 // psptAS adapts pspt.PSPT to the addressSpace interface.
 type psptAS struct {
 	p       *pspt.PSPT
-	sc      *dense.Scratch
 	scratch []sim.CoreID
-	locks   []sim.Resource // per-base fault locks, persistent across residency
 }
 
-func newPSPTAS(cores, pages int, sc *dense.Scratch) *psptAS {
-	return &psptAS{p: pspt.NewSized(cores, pages, sc), sc: sc, locks: sc.Resources(pages)}
+func newPSPTAS(cores, pages int, topo *sim.Topology, sc *dense.Scratch) *psptAS {
+	return &psptAS{p: pspt.NewSized(cores, pages, topo, sc)}
 }
 
 func (a *psptAS) Lookup(core sim.CoreID, vpn sim.PageID) (pagetable.PTE, sim.PageSize, bool) {
@@ -280,21 +281,21 @@ func (a *psptAS) LookupRO(core sim.CoreID, vpn sim.PageID) (pagetable.PTE, sim.P
 }
 
 func (a *psptAS) ResolveSibling(core sim.CoreID, vpn sim.PageID, flags pagetable.PTE) (sim.PageID, bool) {
-	m, err := a.p.CopyFromSibling(core, vpn, flags)
-	if err != nil || m == nil {
+	m, ok, err := a.p.CopyFromSibling(core, vpn, flags)
+	if err != nil || !ok {
 		return 0, false
 	}
 	return m.Base, true
 }
 
 func (a *psptAS) Map(core sim.CoreID, base sim.PageID, size sim.PageSize, pfn int64, flags pagetable.PTE) error {
-	_, _, err := a.p.Map(core, base, size, pfn, flags)
+	_, err := a.p.Map(core, base, size, pfn, flags)
 	return err
 }
 
 func (a *psptAS) Unmap(vpn sim.PageID) (sim.PageID, sim.PageSize, int64, []sim.CoreID, bool) {
-	m, _ := a.p.Unmap(vpn)
-	if m == nil {
+	m, _, ok := a.p.Unmap(vpn)
+	if !ok {
 		return 0, 0, 0, nil, false
 	}
 	a.scratch = m.Cores.Cores(a.scratch[:0])
@@ -308,43 +309,21 @@ func (a *psptAS) Touch(core sim.CoreID, vpn sim.PageID, write bool) (sim.FrameID
 
 func (a *psptAS) CoreMapCount(base sim.PageID) int { return a.p.CoreMapCount(base) }
 
-func (a *psptAS) ScanAccessed(base sim.PageID) (bool, []sim.CoreID) {
-	accessed, targets := a.p.ScanAccessed(base, a.scratch[:0])
+func (a *psptAS) ScanAccessed(base sim.PageID) (bool, []sim.CoreID, int) {
+	accessed, targets, ptes := a.p.ScanAccessed(base, a.scratch[:0])
 	a.scratch = targets
-	return accessed, targets
+	return accessed, targets, ptes
 }
 
-func (a *psptAS) LockFor(base sim.PageID) *sim.Resource {
-	m := a.p.Mapping(base)
-	if m != nil {
-		return &m.Lock
-	}
-	// Major fault on a not-yet-resident page: synchronize on the
-	// allocator-side lock table (per-base, persistent across residency).
-	return a.lockTable(base)
-}
-
-// lockTable keeps per-base locks alive across residency cycles so two
-// cores faulting the same absent page serialize correctly. The table is
-// page-indexed: a zero Resource is an idle lock, so no sentinel or
-// insertion is needed.
-func (a *psptAS) lockTable(base sim.PageID) *sim.Resource {
-	if base >= sim.PageID(len(a.locks)) {
-		c := 8
-		for c < int(base)+1 {
-			c <<= 1
-		}
-		nl := a.sc.Resources(c)
-		copy(nl, a.locks)
-		a.locks = nl
-	}
-	return &a.locks[base]
-}
+// LockFor returns the mapping's per-page lock, or, on a major fault of
+// a not-yet-resident page, the page's absent-page lock (persistent
+// across residency cycles).
+func (a *psptAS) LockFor(base sim.PageID) *sim.Resource { return a.p.Lock(base) }
 
 func (a *psptAS) Resident() int { return a.p.ResidentMappings() }
 
 func (a *psptAS) ForEachMapping(fn func(base sim.PageID, size sim.PageSize, pfn int64)) {
-	a.p.ForEachMapping(func(m *pspt.Mapping) { fn(m.Base, m.Size, m.PFN) })
+	a.p.ForEachMapping(func(m pspt.Mapping) { fn(m.Base, m.Size, m.PFN) })
 }
 
 // PSPT exposes the underlying PSPT for experiments (Figure 6 reads the

@@ -173,9 +173,7 @@ func NewManager(cfg Config, factory PolicyFactory) (*Manager, error) {
 		m.rebuildCount = sc.U64(cfg.Cores)
 	}
 	if cfg.Tables == PSPTKind {
-		a := newPSPTAS(cfg.Cores, cfg.Pages, sc)
-		a.PSPT().SetTopology(cfg.Topology)
-		m.as = a
+		m.as = newPSPTAS(cfg.Cores, cfg.Pages, cfg.Topology, sc)
 	} else {
 		m.as = newSharedAS(cfg.Cores, cfg.Pages, sc)
 	}
@@ -397,8 +395,8 @@ func (m *Manager) CoreMapCount(base sim.PageID) int {
 // interrupts — are charged to the right cores either way, matching the
 // paper's setup of dedicating hyperthreads to statistics collection.
 func (m *Manager) ScanAccessed(base sim.PageID) bool {
-	m.scanCost += m.scanPTEs(base) * m.cost.ScanPTE
-	accessed, targets := m.as.ScanAccessed(base)
+	accessed, targets, ptes := m.as.ScanAccessed(base)
+	m.scanCost += sim.Cycles(ptes) * m.cost.ScanPTE
 	if accessed && m.degraded != nil {
 		if _, deg := m.degraded[base]; deg {
 			// Degraded page: sharer set untrusted, broadcast like the
@@ -431,27 +429,6 @@ func (m *Manager) ScanAccessed(base sim.PageID) bool {
 		}
 	}
 	return accessed
-}
-
-// scanPTEs returns how many PTEs one ScanAccessed of base tests: the
-// 16 sub-entries of a 64 kB group some table maps (§4), else one. The
-// size comes from the mapping record, so it costs no table walk.
-func (m *Manager) scanPTEs(base sim.PageID) sim.Cycles {
-	size := sim.Size4k
-	switch as := m.as.(type) {
-	case *psptAS:
-		if mp := as.p.Mapping(base); mp != nil && mp.Cores.Count() > 0 {
-			size = mp.Size
-		}
-	case *sharedAS:
-		if _, mi, ok := as.find(base); ok {
-			size = mi.size
-		}
-	}
-	if size == sim.Size64k {
-		return sim.Span64k
-	}
-	return 1
 }
 
 // Access executes one page touch by core at virtual time now and
