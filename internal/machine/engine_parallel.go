@@ -13,9 +13,8 @@
 //     window of upcoming touches against live state — the real TLB
 //     lookups and walk-inserts run, journaled for undo — batching
 //     consecutive same-page L1 hits into bursts. Probers touch only
-//     core-local state (own TLB, own PSPT table memo) and read the
-//     shared tables through read-only walks, so any number of cores
-//     probe concurrently on worker goroutines.
+//     core-local state (own TLB) and only read the page tables, so
+//     any number of cores probe concurrently on worker goroutines.
 //
 //   - Sweep (serial): the engine repeatedly picks the earliest
 //     serializing event E — a page fault, a stream retirement or a

@@ -2,10 +2,12 @@ package machine
 
 import (
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 
 	"cmcp/internal/mem"
+	"cmcp/internal/pagetable"
 	"cmcp/internal/policy"
 	"cmcp/internal/sim"
 	"cmcp/internal/vm"
@@ -128,5 +130,31 @@ func TestRunManyAggregatesFailures(t *testing.T) {
 	}
 	if results[1] != nil || results[3] != nil {
 		t.Error("failed runs must leave nil result slots")
+	}
+}
+
+// TestSimulateFootprintOverVPNSpaceIsError: a footprint past the
+// page-table VPN space fails with ErrFootprint before any layout is
+// built. Exactly VPNSpace pages (VPNs 0 .. 2^36-1) still fit.
+func TestSimulateFootprintOverVPNSpaceIsError(t *testing.T) {
+	for name, cfg := range map[string]Config{
+		"workload": {Cores: 1, Workload: workload.Spec{Pages: pagetable.VPNSpace + 1}},
+		"tenants":  {Cores: 1, Tenants: &workload.TenantSpec{Tenants: 1 << 20, PagesPerTenant: 1<<16 + 1}},
+		"overflow": {Cores: 1, Tenants: &workload.TenantSpec{Tenants: 1 << 40, PagesPerTenant: 1 << 40}},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Simulate(cfg)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrFootprint) {
+			t.Errorf("%s: err = %v, want ErrFootprint", name, err)
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n > 64<<10 {
+			t.Errorf("%s: allocated %d bytes, want the error before any layout", name, n)
+		}
+	}
+	fits := Config{Workload: workload.Spec{Pages: pagetable.VPNSpace}}
+	if !fits.footprintFits() {
+		t.Error("a footprint of exactly VPNSpace pages must fit")
 	}
 }

@@ -9,6 +9,7 @@
 package machine
 
 import (
+	"errors"
 	"fmt"
 
 	"cmcp/internal/check"
@@ -16,6 +17,7 @@ import (
 	"cmcp/internal/dense"
 	"cmcp/internal/fault"
 	"cmcp/internal/obs"
+	"cmcp/internal/pagetable"
 	"cmcp/internal/policy"
 	"cmcp/internal/sim"
 	"cmcp/internal/stats"
@@ -377,6 +379,20 @@ func (q *eventQueue) set(i int, e eventKey) {
 	}
 }
 
+// ErrFootprint: the workload lays out more pages than a page table can
+// map (pagetable.VPNSpace). Simulate reports it before building the
+// layout. Match with errors.Is.
+var ErrFootprint = errors.New("machine: footprint exceeds the page-table VPN space")
+
+// footprintFits reports whether the pages cfg's workload or tenants
+// ask for fit in a page table's VPN space.
+func (cfg *Config) footprintFits() bool {
+	if t := cfg.Tenants; t != nil {
+		return t.PagesPerTenant <= 0 || t.Tenants <= pagetable.VPNSpace/t.PagesPerTenant
+	}
+	return cfg.Workload.Pages <= pagetable.VPNSpace
+}
+
 // Simulate executes one run to completion and returns its Result.
 func Simulate(cfg Config) (*Result, error) { return simulate(cfg, nil) }
 
@@ -400,6 +416,9 @@ func simulate(cfg Config, sc *dense.Scratch) (*Result, error) {
 	}
 	if err := cfg.Topology.Validate(cfg.Cores); err != nil {
 		return nil, fmt.Errorf("machine: %w", err)
+	}
+	if !cfg.footprintFits() {
+		return nil, fmt.Errorf("%w: more than %d pages", ErrFootprint, pagetable.VPNSpace)
 	}
 	var (
 		totalPages int

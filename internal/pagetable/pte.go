@@ -1,12 +1,13 @@
 // Package pagetable implements the software page tables of the
-// simulated kernel: x86-style 64-bit PTEs in a four-level radix tree,
-// plus the Xeon Phi's experimental 64 kB page-group format (16
-// consecutive, aligned 4 kB PTEs carrying a hint bit, with accessed and
-// dirty bits landing on individual sub-entries so statistics collection
-// must iterate the group — exactly as described in §4 of the paper).
+// simulated kernel: x86-style 64-bit PTEs in page-indexed 4 KB leaf
+// arrays under a directory of 1 GB chunks of 2 MB regions, plus the
+// Xeon Phi's experimental 64 kB page-group format (16 consecutive,
+// aligned 4 kB PTEs carrying a hint bit, with accessed and dirty bits
+// landing on individual sub-entries so statistics collection must
+// iterate the group — exactly as described in §4 of the paper).
 //
 // The package provides the Table used both by the regular shared page
-// table (one tree per address space, one lock) and by PSPT (one tree
+// table (one table per address space, one lock) and by PSPT (one table
 // per core for the computation area).
 package pagetable
 

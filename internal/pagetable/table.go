@@ -6,48 +6,47 @@ import (
 	"cmcp/internal/sim"
 )
 
-// Radix geometry: four levels of 9 bits index a 36-bit VPN space
-// (256 TB of virtual address space at 4 kB granularity), mirroring
-// x86-64 long mode.
+// Geometry: a VPN is 36 bits (256 TB of virtual address space at 4 kB
+// granularity, as in x86-64 long mode). The low 9 bits index a leaf of
+// 512 PTEs, the next 9 a region within a chunk (one region per 2 MB
+// block), and the top 18 the table's directory of chunks (1 GB each).
 const (
-	radixBits   = 9
-	radixFanout = 1 << radixBits
-	radixMask   = radixFanout - 1
-	numLevels   = 4
+	leafBits  = 9
+	fanout    = 1 << leafBits
+	mask      = fanout - 1
+	chunkBits = 2 * leafBits
+
+	// VPNSpace is the number of virtual pages a table can map: it
+	// holds VPNs in [0, VPNSpace).
+	VPNSpace = 1 << 36
 )
 
-// node is one radix-tree node. Leaf nodes (level 0) use ptes; interior
-// nodes use children, except that a level-1 (PMD) slot holding a 2 MB
-// mapping stores the large PTE in ptes and leaves children nil.
-type node struct {
-	children [radixFanout]*node
-	ptes     []PTE // lazily allocated; used at level 0 and for 2M entries at level 1
+// region is the 2 MB block of VPNs one PMD entry would cover: either a
+// 2 MB mapping in large, or 4 kB entries (64 kB group members among
+// them) in leaf, allocated on first use. A leaf holds no pointers, so
+// the garbage collector never scans it.
+type region struct {
+	leaf  *[fanout]PTE
+	large PTE // Present|Large when the block is one 2 MB mapping
 }
 
-func (n *node) pteSlot(idx int) *PTE {
-	if n.ptes == nil {
-		n.ptes = make([]PTE, radixFanout)
-	}
-	return &n.ptes[idx]
-}
+// chunk is the 512 regions of one 1 GB span of VPNs.
+type chunk [fanout]region
 
-// Table is one four-level radix page table. It is not safe for
-// concurrent use; the simulation engine serializes mutations and models
-// locking costs separately (sim.Resource).
+// Table is one page table, indexed directly by VPN: a 4 kB lookup is
+// top[vpn>>18][(vpn>>9)&511].leaf[vpn&511]. The directory grows on
+// demand to the highest chunk mapped. It is not safe for concurrent
+// use while anything mutates it; the simulation engine serializes
+// mutations and models locking costs separately (sim.Resource).
 type Table struct {
-	root     node
+	top      []*chunk
 	present  int // number of present 4 kB-equivalent leaf PTEs (2M counts as 512)
 	mappings int // number of present mappings of any size
-
-	// One-entry PMD memo for walk. Interior nodes are created lazily
-	// but never removed or replaced, so a cached pointer cannot go
-	// stale. pmdKey is vpn>>(2*radixBits) + 1; zero means empty.
-	pmdKey sim.PageID
-	pmd    *node
 }
 
-// New returns an empty table.
-func New() *Table { return &Table{} }
+// New returns an empty table. Address spaces start at VPN 0, so the
+// directory starts with one (empty) chunk slot.
+func New() *Table { return &Table{top: make([]*chunk, 1)} }
 
 // PresentPages returns the number of present base pages (a 2 MB mapping
 // counts as 512, a 64 kB group as its 16 member PTEs).
@@ -56,104 +55,51 @@ func (t *Table) PresentPages() int { return t.present }
 // Mappings returns the number of distinct present mappings.
 func (t *Table) Mappings() int { return t.mappings }
 
-func levelIndex(vpn sim.PageID, level int) int {
-	return int(vpn>>(uint(level)*radixBits)) & radixMask
-}
-
-// walk descends to the level-1 (PMD) node for vpn, allocating interior
-// nodes when create is true. It returns nil when the path is absent.
-// Consecutive touches overwhelmingly land in the same 1 GB-ish region,
-// so the PMD memo turns the two-level descent into one compare.
-func (t *Table) walk(vpn sim.PageID, create bool) *node {
-	key := vpn>>(2*radixBits) + 1
-	if t.pmdKey == key {
-		return t.pmd
-	}
-	n := &t.root
-	for level := numLevels - 1; level > 1; level-- {
-		idx := levelIndex(vpn, level)
-		next := n.children[idx]
-		if next == nil {
-			if !create {
-				return nil
-			}
-			next = &node{}
-			n.children[idx] = next
+// region returns the region holding vpn, or nil when its chunk is
+// absent or vpn lies outside [0, VPNSpace).
+func (t *Table) region(vpn sim.PageID) *region {
+	if i := uint64(vpn) >> chunkBits; i < uint64(len(t.top)) {
+		if c := t.top[i]; c != nil {
+			return &c[(vpn>>leafBits)&mask]
 		}
-		n = next
 	}
-	t.pmdKey, t.pmd = key, n
-	return n
+	return nil
 }
 
-// leaf returns the level-0 node for vpn.
-func (t *Table) leaf(vpn sim.PageID, create bool) *node {
-	pmd := t.walk(vpn, create)
-	if pmd == nil {
-		return nil
+// regionFor is region that allocates the chunk (and grows the
+// directory) as needed. A VPN outside [0, VPNSpace) is a kernel bug
+// and panics.
+func (t *Table) regionFor(vpn sim.PageID) *region {
+	if uint64(vpn) >= VPNSpace {
+		panic(fmt.Sprintf("pagetable: vpn %d outside the %d-page space", vpn, VPNSpace))
 	}
-	idx := levelIndex(vpn, 1)
-	n := pmd.children[idx]
-	if n == nil {
-		if !create {
-			return nil
-		}
-		n = &node{}
-		pmd.children[idx] = n
+	i := int(vpn >> chunkBits)
+	if i >= len(t.top) {
+		t.top = append(t.top, make([]*chunk, i+1-len(t.top))...)
 	}
-	return n
+	c := t.top[i]
+	if c == nil {
+		c = new(chunk)
+		t.top[i] = c
+	}
+	return &c[(vpn>>leafBits)&mask]
 }
 
-// Lookup resolves vpn. It follows 2 MB PMD entries and returns the
-// governing PTE, the mapping size, and whether a translation exists.
-// For a 64 kB group it returns the individual 4 kB member entry (which
-// carries the Hint64k bit); callers decide group behaviour.
-func (t *Table) Lookup(vpn sim.PageID) (PTE, sim.PageSize, bool) {
-	return deref(slotIn(t.walk(vpn, false), vpn))
-}
-
-// LookupRO resolves vpn exactly like Lookup but never writes the PMD
-// memo (walk refreshes it even on read-only descents, which is a data
-// race under concurrency). Any number of goroutines may call LookupRO
-// on a table nothing is mutating.
-func (t *Table) LookupRO(vpn sim.PageID) (PTE, sim.PageSize, bool) {
-	return deref(slotIn(t.walkRO(vpn), vpn))
-}
-
-// walkRO is walk(vpn, false) without the memo refresh: it may read the
-// memo but never writes it.
-func (t *Table) walkRO(vpn sim.PageID) *node {
-	if key := vpn>>(2*radixBits) + 1; t.pmdKey == key {
-		return t.pmd
-	}
-	n := &t.root
-	for level := numLevels - 1; level > 1; level-- {
-		next := n.children[levelIndex(vpn, level)]
-		if next == nil {
-			return nil
-		}
-		n = next
-	}
-	return n
-}
-
-// slotIn returns the present entry translating vpn below pmd — the
-// 2 MB PMD entry or the 4 kB leaf entry — and its mapping size, or nil
-// when there is none.
-func slotIn(pmd *node, vpn sim.PageID) (*PTE, sim.PageSize) {
-	if pmd == nil {
+// slot returns the present entry translating vpn — the 2 MB entry or
+// the 4 kB leaf entry — and its mapping size, or nil when there is
+// none.
+func (t *Table) slot(vpn sim.PageID) (*PTE, sim.PageSize) {
+	r := t.region(vpn)
+	if r == nil {
 		return nil, sim.Size4k
 	}
-	if pmd.ptes != nil {
-		if e := &pmd.ptes[levelIndex(vpn, 1)]; e.Has(Present | Large) {
-			return e, sim.Size2M
-		}
+	if r.large.Has(Present | Large) {
+		return &r.large, sim.Size2M
 	}
-	leafNode := pmd.children[levelIndex(vpn, 1)]
-	if leafNode == nil || leafNode.ptes == nil {
+	if r.leaf == nil {
 		return nil, sim.Size4k
 	}
-	e := &leafNode.ptes[levelIndex(vpn, 0)]
+	e := &r.leaf[vpn&mask]
 	if !e.Has(Present) {
 		return nil, sim.Size4k
 	}
@@ -163,7 +109,16 @@ func slotIn(pmd *node, vpn sim.PageID) (*PTE, sim.PageSize) {
 	return e, sim.Size4k
 }
 
-// deref turns slotIn's result into Lookup's.
+// leafSlot returns vpn's 4 kB leaf entry, present or not, or nil when
+// its leaf is absent.
+func (t *Table) leafSlot(vpn sim.PageID) *PTE {
+	if r := t.region(vpn); r != nil && r.leaf != nil {
+		return &r.leaf[vpn&mask]
+	}
+	return nil
+}
+
+// deref turns slot's result into Lookup's.
 func deref(e *PTE, size sim.PageSize) (PTE, sim.PageSize, bool) {
 	if e == nil {
 		return 0, sim.Size4k, false
@@ -171,18 +126,31 @@ func deref(e *PTE, size sim.PageSize) (PTE, sim.PageSize, bool) {
 	return *e, size, true
 }
 
+// Lookup resolves vpn. It follows 2 MB entries and returns the
+// governing PTE, the mapping size, and whether a translation exists.
+// For a 64 kB group it returns the individual 4 kB member entry (which
+// carries the Hint64k bit); callers decide group behaviour. Lookup
+// writes nothing, so any number of goroutines may call it on a table
+// nothing is mutating.
+func (t *Table) Lookup(vpn sim.PageID) (PTE, sim.PageSize, bool) {
+	return deref(t.slot(vpn))
+}
+
 // Set installs a 4 kB entry for vpn, replacing any previous 4 kB entry.
-// Installing over a 2 MB mapping is a kernel bug and panics.
+// Installing over a 2 MB mapping or outside [0, VPNSpace) is a kernel
+// bug and panics.
 func (t *Table) Set(vpn sim.PageID, e PTE) {
 	if e.Has(Large) {
 		panic("pagetable: Set with Large bit; use Set2M")
 	}
-	pmd := t.walk(vpn, true)
-	if pmd.ptes != nil && pmd.ptes[levelIndex(vpn, 1)].Has(Present|Large) {
+	r := t.regionFor(vpn)
+	if r.large.Has(Present | Large) {
 		panic(fmt.Sprintf("pagetable: 4k Set inside live 2M mapping at vpn %d", vpn))
 	}
-	leafNode := t.leaf(vpn, true)
-	slot := leafNode.pteSlot(levelIndex(vpn, 0))
+	if r.leaf == nil {
+		r.leaf = new([fanout]PTE)
+	}
+	slot := &r.leaf[vpn&mask]
 	was := slot.Has(Present)
 	*slot = e
 	if e.Has(Present) && !was {
@@ -196,11 +164,10 @@ func (t *Table) Set(vpn sim.PageID, e PTE) {
 
 // Clear removes the 4 kB entry for vpn, returning the previous entry.
 func (t *Table) Clear(vpn sim.PageID) PTE {
-	leafNode := t.leaf(vpn, false)
-	if leafNode == nil || leafNode.ptes == nil {
+	slot := t.leafSlot(vpn)
+	if slot == nil {
 		return 0
 	}
-	slot := &leafNode.ptes[levelIndex(vpn, 0)]
 	old := *slot
 	if old.Has(Present) {
 		t.present--
@@ -214,12 +181,8 @@ func (t *Table) Clear(vpn sim.PageID) PTE {
 // result. It reports whether an entry was present. fn must not change
 // the Present or Large bits.
 func (t *Table) Update(vpn sim.PageID, fn func(PTE) PTE) bool {
-	leafNode := t.leaf(vpn, false)
-	if leafNode == nil || leafNode.ptes == nil {
-		return false
-	}
-	slot := &leafNode.ptes[levelIndex(vpn, 0)]
-	if !slot.Has(Present) {
+	slot := t.leafSlot(vpn)
+	if slot == nil || !slot.Has(Present) {
 		return false
 	}
 	*slot = fn(*slot)
@@ -230,10 +193,10 @@ func (t *Table) Update(vpn sim.PageID, fn func(PTE) PTE) bool {
 // bit (and, for writes, the dirty bit) on the entry translating vpn in
 // one walk and returns the updated entry and its size. For a 64 kB
 // group the bits land on the touched member only (§4); a 2 MB mapping
-// carries them on its PMD entry. ok is false when vpn has no
+// carries them on its 2 MB entry. ok is false when vpn has no
 // translation.
 func (t *Table) Touch(vpn sim.PageID, write bool) (e PTE, size sim.PageSize, ok bool) {
-	slot, size := slotIn(t.walk(vpn, false), vpn)
+	slot, size := t.slot(vpn)
 	if slot != nil {
 		*slot |= Accessed
 		if write {
@@ -243,24 +206,23 @@ func (t *Table) Touch(vpn sim.PageID, write bool) (e PTE, size sim.PageSize, ok 
 	return deref(slot, size)
 }
 
-// Set2M installs a 2 MB mapping at the PMD level. vpn must be 2 MB
-// aligned and no 4 kB mappings may exist underneath.
+// Set2M installs a 2 MB mapping. vpn must be 2 MB aligned, inside
+// [0, VPNSpace) (else it panics), and no 4 kB mappings may exist
+// underneath.
 func (t *Table) Set2M(vpn sim.PageID, e PTE) error {
 	if !sim.Size2M.Aligned(vpn) {
 		return fmt.Errorf("pagetable: Set2M at unaligned vpn %d", vpn)
 	}
-	pmd := t.walk(vpn, true)
-	idx := levelIndex(vpn, 1)
-	if under := pmd.children[idx]; under != nil {
-		for _, p := range under.ptes {
+	r := t.regionFor(vpn)
+	if r.leaf != nil {
+		for _, p := range r.leaf {
 			if p.Has(Present) {
 				return fmt.Errorf("pagetable: Set2M over live 4k mappings at vpn %d", vpn)
 			}
 		}
 	}
-	slot := pmd.pteSlot(idx)
-	was := slot.Has(Present)
-	*slot = e | Large | Present
+	was := r.large.Has(Present)
+	r.large = e | Large | Present
 	if !was {
 		t.present += sim.Span2M
 		t.mappings++
@@ -271,33 +233,26 @@ func (t *Table) Set2M(vpn sim.PageID, e PTE) error {
 // Clear2M removes the 2 MB mapping covering vpn, returning the previous
 // entry.
 func (t *Table) Clear2M(vpn sim.PageID) PTE {
-	vpn = sim.Size2M.Align(vpn)
-	pmd := t.walk(vpn, false)
-	if pmd == nil || pmd.ptes == nil {
+	r := t.region(vpn)
+	if r == nil {
 		return 0
 	}
-	slot := &pmd.ptes[levelIndex(vpn, 1)]
-	old := *slot
+	old := r.large
 	if old.Has(Present | Large) {
 		t.present -= sim.Span2M
 		t.mappings--
-		*slot = 0
+		r.large = 0
 	}
 	return old
 }
 
 // Update2M applies fn to the present 2 MB entry covering vpn.
 func (t *Table) Update2M(vpn sim.PageID, fn func(PTE) PTE) bool {
-	vpn = sim.Size2M.Align(vpn)
-	pmd := t.walk(vpn, false)
-	if pmd == nil || pmd.ptes == nil {
+	r := t.region(vpn)
+	if r == nil || !r.large.Has(Present|Large) {
 		return false
 	}
-	slot := &pmd.ptes[levelIndex(vpn, 1)]
-	if !slot.Has(Present | Large) {
-		return false
-	}
-	*slot = fn(*slot)
+	r.large = fn(r.large)
 	return true
 }
 
@@ -305,35 +260,30 @@ func (t *Table) Update2M(vpn sim.PageID, fn func(PTE) PTE) bool {
 // entry (including 64 kB group members) and once per 2 MB entry with
 // its aligned VPN. Iteration order is ascending VPN.
 func (t *Table) ForEachPresent(fn func(vpn sim.PageID, e PTE, size sim.PageSize)) {
-	t.forEach(&t.root, 0, numLevels-1, fn)
-}
-
-func (t *Table) forEach(n *node, base sim.PageID, level int, fn func(sim.PageID, PTE, sim.PageSize)) {
-	if level == 0 {
-		if n.ptes == nil {
-			return
+	for ci, c := range t.top {
+		if c == nil {
+			continue
 		}
-		for i, e := range n.ptes {
-			if e.Has(Present) {
+		for ri := range c {
+			r := &c[ri]
+			base := sim.PageID(ci)<<chunkBits | sim.PageID(ri)<<leafBits
+			if r.large.Has(Present | Large) {
+				fn(base, r.large, sim.Size2M)
+				continue
+			}
+			if r.leaf == nil {
+				continue
+			}
+			for i, e := range r.leaf {
+				if !e.Has(Present) {
+					continue
+				}
 				size := sim.Size4k
 				if e.Has(Hint64k) {
 					size = sim.Size64k
 				}
 				fn(base+sim.PageID(i), e, size)
 			}
-		}
-		return
-	}
-	span := sim.PageID(1) << (uint(level) * radixBits)
-	for i := 0; i < radixFanout; i++ {
-		if level == 1 && n.ptes != nil {
-			if e := n.ptes[i]; e.Has(Present | Large) {
-				fn(base+sim.PageID(i)*span, e, sim.Size2M)
-				continue
-			}
-		}
-		if c := n.children[i]; c != nil {
-			t.forEach(c, base+sim.PageID(i)*span, level-1, fn)
 		}
 	}
 }

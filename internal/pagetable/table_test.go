@@ -231,3 +231,67 @@ func TestTableCountInvariantProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+func TestTableRejectsVPNOutsideSpace(t *testing.T) {
+	tab := New()
+	tab.Set(0, MakePTE(1, Present))
+	mustPanic := func(name string, fn func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s outside the VPN space must panic", name)
+			}
+		}()
+		fn()
+	}
+	mustPanic("Set(2^36)", func() { tab.Set(VPNSpace, MakePTE(9, Present)) })
+	mustPanic("Set(-1)", func() { tab.Set(-1, MakePTE(9, Present)) })
+	mustPanic("Set2M(2^36)", func() { _ = tab.Set2M(VPNSpace, MakePTE(0, Writable)) })
+	mustPanic("Set64k(2^36)", func() { _ = tab.Set64k(VPNSpace, 0, Writable) })
+	if e, _, ok := tab.Lookup(0); !ok || e.PFN() != 1 {
+		t.Fatalf("VPN 0 = %v %v after writes outside the space, want pfn 1", e, ok)
+	}
+	for _, vpn := range []sim.PageID{VPNSpace, -VPNSpace, -1, 1 << 40} {
+		if _, _, ok := tab.Lookup(vpn); ok {
+			t.Errorf("Lookup(%d) resolved", vpn)
+		}
+		if _, _, ok := tab.Touch(vpn, true); ok {
+			t.Errorf("Touch(%d) resolved", vpn)
+		}
+		if old := tab.Clear(vpn); old != 0 {
+			t.Errorf("Clear(%d) = %v", vpn, old)
+		}
+		if tab.Update(vpn, func(e PTE) PTE { return e }) || tab.Update2M(vpn, func(e PTE) PTE { return e }) {
+			t.Errorf("Update(%d) reported a mapping", vpn)
+		}
+	}
+	if e, _, ok := tab.Lookup(0); !ok || e.Has(Accessed) || tab.PresentPages() != 1 {
+		t.Errorf("VPN 0 = %v %v, present %d: disturbed from outside the space", e, ok, tab.PresentPages())
+	}
+}
+
+// TestTableLeafAllocs pins the layout's allocations: mapping all 512
+// pages of a 2 MB region allocates its one leaf, plus the chunk when
+// the table is fresh.
+func TestTableLeafAllocs(t *testing.T) {
+	mapRegion := func(tab *Table, region sim.PageID) {
+		for i := sim.PageID(0); i < sim.Span2M; i++ {
+			tab.Set(region*sim.Span2M+i, MakePTE(int64(i), Present))
+		}
+	}
+	const runs = 10
+	fresh := make([]*Table, runs+1) // AllocsPerRun adds a warm-up run
+	for i := range fresh {
+		fresh[i] = New()
+	}
+	n := 0
+	if a := testing.AllocsPerRun(runs, func() { mapRegion(fresh[n], 0); n++ }); a != 2 {
+		t.Errorf("fresh table: %v allocations per region, want 2 (chunk and leaf)", a)
+	}
+	tab := New()
+	mapRegion(tab, 0)
+	next := sim.PageID(1)
+	if a := testing.AllocsPerRun(runs, func() { mapRegion(tab, next); next++ }); a != 1 {
+		t.Errorf("%v allocations per region, want 1 (the leaf)", a)
+	}
+}

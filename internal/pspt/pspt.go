@@ -104,8 +104,7 @@ type NUMAState struct {
 
 // entry is the record of the mapping whose size-aligned base is this
 // entry's index, in the shape of a kernel coremap entry: one flat slot
-// per page, so finding a record is an array read. An entry whose page
-// is no mapping's base keeps only its faultLock in use.
+// per page, so finding a record is an array read.
 type entry struct {
 	size  uint8 // size class + 1 (sim.Size4k is 0); 0 = no mapping
 	pfn   int64
@@ -113,9 +112,6 @@ type entry struct {
 	// lock serializes page-table updates to the resident mapping; Unmap
 	// zeroes it with the rest of the record, Rebuild keeps it.
 	lock sim.Resource
-	// faultLock serializes cores faulting the page while it is absent.
-	// It is never zeroed: it persists across residency cycles.
-	faultLock sim.Resource
 }
 
 func (e *entry) pageSize() sim.PageSize { return sim.PageSize(e.size - 1) }
@@ -190,7 +186,7 @@ func (p *PSPT) Lookup(core sim.CoreID, vpn sim.PageID) (pagetable.PTE, sim.PageS
 
 // find returns the base and record of the mapping covering vpn, trying
 // each size class's alignment; e is nil when vpn is not resident. e is
-// valid until the table next grows (in Map or Lock).
+// valid until the table next grows (in Map).
 func (p *PSPT) find(vpn sim.PageID) (base sim.PageID, e *entry) {
 	for _, s := range sizeClasses {
 		base = s.Align(vpn)
@@ -249,14 +245,16 @@ func (p *PSPT) CoreMapCount(vpn sim.PageID) int {
 }
 
 // Lock returns the virtual-time lock serializing page-table updates
-// for base: the resident-page lock of the mapping covering base, else
-// base's absent-page lock, so two cores faulting the same absent page
-// queue on one lock. The pointer is valid until the next Map or Lock.
+// to the mapping covering base. The fault handler takes it only once
+// the page is mapped, so a second core faulting the same page finds it
+// resident and queues here; locking an absent page is a kernel bug and
+// panics. The pointer is valid until the next Map.
 func (p *PSPT) Lock(base sim.PageID) *sim.Resource {
-	if _, e := p.find(base); e != nil {
-		return &e.lock
+	_, e := p.find(base)
+	if e == nil {
+		panic(fmt.Sprintf("pspt: lock of non-resident page %d", base))
 	}
-	return &p.at(base).faultLock
+	return &e.lock
 }
 
 // summaryMask locates core's summary bits for the mapping of the given
@@ -458,11 +456,9 @@ func (p *PSPT) Unmap(vpn sim.PageID) (m Mapping, dirty, ok bool) {
 	return m, dirty, true
 }
 
-// deleteMapping zeroes base's record, resident-page lock and replica
-// state; the absent-page lock survives.
+// deleteMapping zeroes base's record, lock and replica state.
 func (p *PSPT) deleteMapping(base sim.PageID) {
-	e := &p.ents[base]
-	*e = entry{faultLock: e.faultLock}
+	p.ents[base] = entry{}
 	if p.numa != nil {
 		p.numa[base] = NUMAState{}
 	}

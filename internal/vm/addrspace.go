@@ -40,13 +40,9 @@ func (k TableKind) String() string {
 // fault handler. All methods are bookkeeping-only; costs are charged by
 // the Manager from the sim.CostModel.
 type addressSpace interface {
-	// Lookup resolves vpn as seen by core.
+	// Lookup resolves vpn as seen by core. It writes nothing, so probe
+	// workers may call it concurrently while nothing mutates the tables.
 	Lookup(core sim.CoreID, vpn sim.PageID) (pagetable.PTE, sim.PageSize, bool)
-
-	// LookupRO is Lookup without any memo refresh: probe workers may
-	// call it concurrently (at most one per core) while nothing mutates
-	// the tables.
-	LookupRO(core sim.CoreID, vpn sim.PageID) (pagetable.PTE, sim.PageSize, bool)
 
 	// ResolveSibling implements the PSPT minor-fault path: if the page
 	// is resident via another core, replicate its PTE into core's table
@@ -134,10 +130,6 @@ func newSharedAS(cores, pages int, sc *dense.Scratch) *sharedAS {
 
 func (s *sharedAS) Lookup(_ sim.CoreID, vpn sim.PageID) (pagetable.PTE, sim.PageSize, bool) {
 	return s.table.Lookup(vpn)
-}
-
-func (s *sharedAS) LookupRO(_ sim.CoreID, vpn sim.PageID) (pagetable.PTE, sim.PageSize, bool) {
-	return s.table.LookupRO(vpn)
 }
 
 func (s *sharedAS) ResolveSibling(sim.CoreID, sim.PageID, pagetable.PTE) (sim.PageID, bool) {
@@ -274,12 +266,6 @@ func (a *psptAS) Lookup(core sim.CoreID, vpn sim.PageID) (pagetable.PTE, sim.Pag
 	return a.p.Lookup(core, vpn)
 }
 
-func (a *psptAS) LookupRO(core sim.CoreID, vpn sim.PageID) (pagetable.PTE, sim.PageSize, bool) {
-	// Per-core tables: the (single) prober for core owns the table's
-	// memo, so the plain lookup is already race-free.
-	return a.p.Lookup(core, vpn)
-}
-
 func (a *psptAS) ResolveSibling(core sim.CoreID, vpn sim.PageID, flags pagetable.PTE) (sim.PageID, bool) {
 	m, ok, err := a.p.CopyFromSibling(core, vpn, flags)
 	if err != nil || !ok {
@@ -315,9 +301,7 @@ func (a *psptAS) ScanAccessed(base sim.PageID) (bool, []sim.CoreID, int) {
 	return accessed, targets, ptes
 }
 
-// LockFor returns the mapping's per-page lock, or, on a major fault of
-// a not-yet-resident page, the page's absent-page lock (persistent
-// across residency cycles).
+// LockFor returns the resident mapping's per-page lock.
 func (a *psptAS) LockFor(base sim.PageID) *sim.Resource { return a.p.Lock(base) }
 
 func (a *psptAS) Resident() int { return a.p.ResidentMappings() }

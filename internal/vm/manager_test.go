@@ -87,6 +87,28 @@ func TestPSPTMinorFaultOnSecondCore(t *testing.T) {
 	}
 }
 
+// TestPSPTSecondFaulterQueuesOnResidentLock pins the page-lock model:
+// the first faulter maps the page before it takes the page's lock, so
+// a second core faulting the same page in the meantime finds the page
+// resident, takes a minor fault and waits on the resident mapping's
+// lock. PSPT keeps no lock for absent pages.
+func TestPSPTSecondFaulterQueuesOnResidentLock(t *testing.T) {
+	m := newMgr(t, 2, 16, PSPTKind, sim.Size4k)
+	first := mustAccess(t, m, 0, 5, false, 0)
+	second := mustAccess(t, m, 1, 5, false, 0)
+	r := m.Run()
+	if r.Get(1, stats.PageFaults) != 0 || r.Get(1, stats.MinorFaults) != 1 {
+		t.Fatalf("second core: %d major, %d minor faults, want 0 and 1",
+			r.Get(1, stats.PageFaults), r.Get(1, stats.MinorFaults))
+	}
+	if w := r.Get(1, stats.LockWaitCycles); w == 0 {
+		t.Error("second faulter must wait on the page's lock")
+	}
+	if second <= first {
+		t.Errorf("second faulter done at %d, not after the first (%d)", second, first)
+	}
+}
+
 func TestRegularPTNoMinorFault(t *testing.T) {
 	m := newMgr(t, 2, 16, RegularPT, sim.Size4k)
 	m.Access(0, 5, false, 0)

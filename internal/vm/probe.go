@@ -42,8 +42,7 @@ func (m *Manager) Cost() sim.CostModel { return m.cost }
 // Concurrency: at most one prober per core, and no Manager mutation
 // (commit, fault, tick) may run concurrently with any prober. Under
 // that discipline probers only write core-local state (the core's own
-// TLB and, under PSPT, the core's own table memo) and read the frozen
-// shared tables via LookupRO.
+// TLB) and only read the frozen page tables.
 func (m *Manager) ProbeAccess(core sim.CoreID, vpn sim.PageID) (extra sim.Cycles, level tlb.HitLevel, entryBase sim.PageID, entrySize sim.PageSize, ok bool) {
 	base, size, lv := m.tlbs[core].LookupInfo(vpn)
 	switch lv {
@@ -52,7 +51,7 @@ func (m *Manager) ProbeAccess(core sim.CoreID, vpn sim.PageID) (extra sim.Cycles
 	case tlb.HitL2:
 		return m.cost.TLBL2Hit, tlb.HitL2, base, size, true
 	}
-	if _, sz, found := m.as.LookupRO(core, vpn); found {
+	if _, sz, found := m.as.Lookup(core, vpn); found {
 		m.tlbs[core].Insert(vpn, sz)
 		// walkExtra mirrors the serial path's per-domain walk surcharge;
 		// the RemoteWalks counter lands in CommitTouches.
