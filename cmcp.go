@@ -45,7 +45,6 @@ import (
 	"cmcp/internal/sim"
 	"cmcp/internal/stats"
 	"cmcp/internal/sweep"
-	"cmcp/internal/tlb"
 	"cmcp/internal/trace"
 	"cmcp/internal/vm"
 	"cmcp/internal/workload"
@@ -75,8 +74,6 @@ type (
 	PageID = sim.PageID
 	// CostModel is the cycle-cost calibration; see DefaultCostModel.
 	CostModel = sim.CostModel
-	// TLBConfig is the per-core TLB geometry.
-	TLBConfig = tlb.Config
 	// Run is the per-core counter record of a simulation.
 	Run = stats.Run
 	// Counter identifies one per-core event counter in a Run.
@@ -238,9 +235,6 @@ func DefaultCostModel() CostModel { return sim.DefaultCostModel() }
 // unchanged, so the shootdown economics — and CMCP's advantage —
 // carry over.
 func KNLCostModel() CostModel { return sim.KNLCostModel() }
-
-// DefaultTLBConfig returns the KNC-like TLB geometry.
-func DefaultTLBConfig() TLBConfig { return tlb.DefaultConfig() }
 
 // BT returns the NAS Block Tridiagonal workload model (B-class
 // footprint; use Workload.Scale to shrink or grow it).

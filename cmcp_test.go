@@ -55,10 +55,6 @@ func TestPublicAPIDefaults(t *testing.T) {
 	if cost.TouchCompute == 0 || cost.DMABytesPerCycle == 0 {
 		t.Error("cost model defaults empty")
 	}
-	tlbCfg := cmcp.DefaultTLBConfig()
-	if tlbCfg.L1Entries4k == 0 {
-		t.Error("TLB defaults empty")
-	}
 	if cmcp.Size64k.Span() != 16 || cmcp.Size2M.Span() != 512 {
 		t.Error("page size spans")
 	}

@@ -230,8 +230,10 @@ func (a *Auditor) auditTLBs(m *vm.Manager) {
 // accessed/dirty summary the hit path trusts instead of walking —
 // against the actual per-core PTE population: CoreMapCount must equal
 // the number of cores whose table actually resolves the base, each
-// per-core PTE must agree on size and frame, and each summary bit must
-// equal the PTE bit it mirrors.
+// per-core PTE must agree on size and frame, each summary bit must
+// equal the PTE bit it mirrors, and every resident record must have at
+// least one mapping core (the fault path creates a record by mapping
+// it, and eviction removes it whole).
 func (a *Auditor) auditPSPT(m *vm.Manager) {
 	p, ok := m.PSPT()
 	if !ok {
@@ -274,6 +276,9 @@ func (a *Auditor) auditPSPT(m *vm.Manager) {
 		if count := p.CoreMapCount(mp.Base); count != populated {
 			a.report("pspt", "page %d: CoreMapCount=%d, %d per-core tables resolve it",
 				mp.Base, count, populated)
+		}
+		if mp.Cores.Count() == 0 {
+			a.report("pspt", "page %d: resident record has no mapping core", mp.Base)
 		}
 		if mp.Size != sim.Size2M {
 			a.auditSummary(p, mp)

@@ -145,6 +145,29 @@ func TestAuditorCatchesStaleAccessSummary(t *testing.T) {
 	}
 }
 
+// TestAuditorCatchesCorelessRecord strips the only mapping core from a
+// resident PSPT record: the PTE is cleared behind PSPT's back and the
+// core set resynced from the tables, which leaves the record resident
+// with an empty core set.
+func TestAuditorCatchesCorelessRecord(t *testing.T) {
+	m := newManager(t, vm.Config{
+		Cores: 2, Frames: 64, PageSize: sim.Size4k, Tables: vm.PSPTKind, Pages: 256,
+	}, nil)
+	touch(t, m, 2, 20) // core 1 alone maps page 3
+	p, _ := m.PSPT()
+	p.Table(1).Clear(3)
+	p.ResyncCores(3)
+	aud := check.New(check.Config{})
+	aud.Audit(m)
+	assertViolation(t, aud, "pspt")
+	for _, v := range aud.Violations() {
+		if strings.Contains(v.Detail, "page 3: resident record has no mapping core") {
+			return
+		}
+	}
+	t.Fatalf("no coreless-record violation among: %v", aud.Violations())
+}
+
 // miscountingPolicy reports one more resident mapping than it tracks —
 // the signature of a missed Remove or double PTESetup in a policy.
 type miscountingPolicy struct{ policy.Policy }

@@ -696,7 +696,7 @@ func (e *parEngine) processEvent(ev eventKey) error {
 	clock := ev.clock()
 	if ev.id() == e.scannerID {
 		cost := e.mgr.Tick(clock)
-		next := clock + e.cfg.TickInterval
+		next := clock + tickInterval
 		if done := clock + cost; done > next {
 			next = done
 		}

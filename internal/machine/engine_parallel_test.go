@@ -237,7 +237,7 @@ func TestParallelDifferential(t *testing.T) {
 			cfg.Policy.P = rng.Float64()
 		}
 		if cfg.Tables == vm.PSPTKind && rng.Intn(4) == 0 {
-			cfg.PSPTRebuildPeriod = sim.Cycles(100_000 + rng.Intn(400_000))
+			rng.Intn(400_000) // no-op slot; its draws keep the seeded configs stable
 		}
 		if rng.Intn(5) == 0 {
 			cfg.AdaptivePageSize = true

@@ -23,7 +23,7 @@ import (
 // inherit an older slot and be evicted early, so variants whose
 // queues cross the threshold ("FIFO", "CMCP", "CLOCK", "Random",
 // "FIFO/regularPT") shifted slightly. "LRU", "LFU" and the adaptive /
-// 64k / rebuild CMCP variants were bit-identical across both fixes.
+// 64k CMCP variants were bit-identical across both fixes.
 
 type goldenRun struct {
 	Runtime  sim.Cycles
@@ -41,7 +41,6 @@ var goldenRuns = map[string]goldenRun{
 	"FIFO/regularPT": {Runtime: 63760892, Resident: 461, Counters: [stats.NumCounters]uint64{2905, 0, 20335, 20335, 9580, 4708, 4872, 2905, 2445, 11898880, 10014720, 0, 0, 180000}},
 	"CMCP/adaptive":  {Runtime: 60531062, Resident: 100, Counters: [stats.NumCounters]uint64{3872, 210, 3547, 3547, 4082, 0, 4082, 3828, 3256, 56410112, 38465536, 7848036, 0, 180000}},
 	"CMCP/64k":       {Runtime: 45522393, Resident: 29, Counters: [stats.NumCounters]uint64{1892, 574, 2146, 2146, 2466, 0, 2466, 1892, 1876, 123994112, 122945536, 13939812, 0, 180000}},
-	"CMCP/rebuild":   {Runtime: 48536231, Resident: 461, Counters: [stats.NumCounters]uint64{2251, 19129, 21344, 140, 21380, 0, 21380, 2251, 2007, 9220096, 8220672, 462859, 0, 180000}},
 }
 
 // goldenConfig is the pinned run configuration the table was captured
@@ -79,10 +78,6 @@ func goldenVariants() map[string]Config {
 	cfg.PageSize = sim.Size64k
 	vs["CMCP/64k"] = cfg
 
-	cfg = goldenConfig()
-	cfg.Policy = PolicySpec{Kind: CMCP, P: 0.5}
-	cfg.PSPTRebuildPeriod = 300_000
-	vs["CMCP/rebuild"] = cfg
 	return vs
 }
 

@@ -21,7 +21,6 @@ import (
 	"cmcp/internal/policy"
 	"cmcp/internal/sim"
 	"cmcp/internal/stats"
-	"cmcp/internal/tlb"
 	"cmcp/internal/vm"
 	"cmcp/internal/workload"
 )
@@ -117,24 +116,13 @@ type Config struct {
 	Seed uint64
 	// Cost overrides the cycle-cost model (zero value = defaults).
 	Cost sim.CostModel
-	// TLB overrides the TLB geometry (zero value = defaults).
-	TLB tlb.Config
 	// Verify enables page-content integrity checking.
 	Verify bool
-	// TickInterval is the granularity at which the scanner pseudo-core
-	// runs policy periodic work. 0 selects the default of 25,000 cycles
-	// — half the compressed default scan period (≈24 µs at KNC's
-	// 1.053 GHz), so timer-driven policies never miss a deadline by
-	// more than half a period.
-	TickInterval sim.Cycles
 	// NoWarmup skips the steady-state warm-up phase (each core touching
 	// its population once before measurement begins). The default
 	// warm-up mirrors the paper's steady-state measurements; disabling
 	// it exposes cold-start demand paging to the measured counters.
 	NoWarmup bool
-	// PSPTRebuildPeriod periodically drops all private PTEs so the
-	// sharing picture re-forms (paper §5.6; PSPT only; 0 = off).
-	PSPTRebuildPeriod sim.Cycles
 	// Hist attaches latency/fan-out histograms to the run (see
 	// internal/hist and stats.HistID): fault service time, eviction
 	// latency, shootdown ack RTT, lock waits and shootdown fan-out.
@@ -320,6 +308,12 @@ const eventIDBits = 16
 // event key: all application cores plus the scanner must fit in 16 bits.
 const maxEngineCores = 1<<eventIDBits - 2
 
+// tickInterval is the granularity at which the scanner pseudo-core
+// runs policy periodic work: half the compressed default scan period
+// (≈24 µs at KNC's 1.053 GHz), so timer-driven policies never miss a
+// deadline by more than half a period.
+const tickInterval sim.Cycles = 25_000
+
 // noKey marks an absent key (a retired entity, a padding leaf); it
 // compares greater than every real packed (clock, id) key.
 const noKey = ^eventKey(0)
@@ -409,11 +403,6 @@ func simulate(cfg Config, sc *dense.Scratch) (*Result, error) {
 	if cfg.MemoryRatio <= 0 {
 		cfg.MemoryRatio = 1
 	}
-	if cfg.TickInterval == 0 {
-		// Half the compressed default scan period, so timer-driven
-		// policies never miss a deadline by more than half a period.
-		cfg.TickInterval = 25_000
-	}
 	if err := cfg.Topology.Validate(cfg.Cores); err != nil {
 		return nil, fmt.Errorf("machine: %w", err)
 	}
@@ -484,7 +473,6 @@ func simulate(cfg Config, sc *dense.Scratch) (*Result, error) {
 		Frames:   frames,
 		PageSize: cfg.PageSize,
 		Tables:   cfg.Tables,
-		TLB:      cfg.TLB,
 		Cost:     cfg.Cost,
 		Verify:   cfg.Verify,
 		Adaptive: cfg.AdaptivePageSize,
@@ -493,10 +481,8 @@ func simulate(cfg Config, sc *dense.Scratch) (*Result, error) {
 		Hist:     cfg.Hist,
 		Tenants:  vmTenants,
 		Topology: cfg.Topology,
-
-		PSPTRebuildPeriod: cfg.PSPTRebuildPeriod,
-		Probe:             cfg.Probe,
-		Faults:            inj,
+		Probe:    cfg.Probe,
+		Faults:   inj,
 	}, factory)
 	if err != nil {
 		return nil, err
@@ -602,7 +588,7 @@ func runPhase(mgr *vm.Manager, cfg Config, events *eventQueue, streams []workloa
 			if rec := cfg.Probe; rec != nil && rec.Sampling() {
 				sample(rec, mgr, clock, events.leaves(), scannerID)
 			}
-			next := clock + cfg.TickInterval
+			next := clock + tickInterval
 			if done := clock + cost; done > next {
 				next = done
 			}
@@ -639,7 +625,7 @@ func runPhase(mgr *vm.Manager, cfg Config, events *eventQueue, streams []workloa
 // cumulative counter totals, the resident-set size, CMCP's group split
 // (when the policy exposes one) and the virtual-clock skew across the
 // still-running application cores. It runs on the scanner lane, so the
-// sampling resolution is bounded below by Config.TickInterval.
+// sampling resolution is bounded below by tickInterval.
 func sample(rec *obs.Recorder, mgr *vm.Manager, now sim.Cycles, events []eventKey, scannerID sim.CoreID) {
 	rec.MaybeSample(now, func(s *obs.Sample) {
 		run := mgr.Run()

@@ -172,7 +172,7 @@ type Config struct {
 	Events int
 	// SampleEvery is the virtual-cycle sampling interval; 0 disables
 	// the sampler. The effective resolution is bounded below by the
-	// engine's TickInterval, which drives sampling.
+	// engine's 25,000-cycle scanner tick, which drives sampling.
 	SampleEvery sim.Cycles
 }
 

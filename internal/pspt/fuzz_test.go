@@ -73,9 +73,8 @@ func (r *refPSPT) mapOp(core sim.CoreID, base sim.PageID, size sim.PageSize, pfn
 			rm.home = int8(r.topo.SocketOf(core))
 		}
 	}
-	first = rm.cores.Count() == 0
 	r.install(rm, core, flags)
-	return first, false
+	return !ok, false
 }
 
 // frame is the frame a write to vpn through rm reports.
@@ -125,14 +124,15 @@ var fuzzProbes = func() []sim.PageID {
 
 // FuzzPSPT drives PSPT and a map-and-slice model through the same op
 // stream and checks, after every op, the core-map counts, the mapping
-// records, the per-core PTE bits, the accessed/dirty summary and the
-// numaPTE replica state.
+// records (each with at least one mapping core), the per-core PTE bits,
+// the accessed/dirty summary and the numaPTE replica state.
 //
 // data[0] picks the shape: cores (2, 8 or 72), sized pages (0, 64 or
 // 1024, so some or all pages lie past the summary and pre-sized
 // storage) and, with bit 7 clear, a 2-socket topology. Then each op is
 // three bytes: an op code (its quotient by 11 picks PTE flags or a
-// migration threshold), a core (or socket) and a page.
+// migration threshold; code 7 is a no-op), a core (or socket) and a
+// page.
 func FuzzPSPT(f *testing.F) {
 	f.Add([]byte{0x01, 0, 0, 5, 2, 1, 5, 4, 1, 5, 5, 0, 5, 6, 0, 5})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -195,7 +195,7 @@ func FuzzPSPT(f *testing.F) {
 				var want []sim.CoreID
 				wantPTEs := 1
 				if _, rm := r.find(vpn); rm != nil {
-					if rm.size == sim.Size64k && rm.cores.Count() > 0 {
+					if rm.size == sim.Size64k {
 						wantPTEs = sim.Span64k
 					}
 					set := rm.cores
@@ -232,26 +232,6 @@ func FuzzPSPT(f *testing.F) {
 				}
 				if ok && (m.Base != mb || m.Size != rm.size || m.PFN != rm.pfn || m.Cores != rm.cores || dirty != wantDirty) {
 					t.Fatalf("step %d: Unmap(%d) = %+v dirty=%v; model base %d %+v dirty=%v", step, vpn, m, dirty, mb, *rm, wantDirty)
-				}
-			case 7: // Rebuild
-				type drop struct {
-					base  sim.PageID
-					cores []sim.CoreID
-				}
-				var want, got []drop
-				for _, b := range sortedBases(r) {
-					rm := r.m[b]
-					if rm.cores.Count() == 0 {
-						continue
-					}
-					want = append(want, drop{b, rm.cores.Cores(nil)})
-					rm.cores, rm.ptes, rm.replicas, rm.streak = CoreSet{}, map[sim.CoreID][]refBits{}, 0, 0
-				}
-				p.Rebuild(func(base sim.PageID, targets []sim.CoreID) {
-					got = append(got, drop{base, slices.Clone(targets)})
-				})
-				if !slices.EqualFunc(got, want, func(a, b drop) bool { return a.base == b.base && slices.Equal(a.cores, b.cores) }) {
-					t.Fatalf("step %d: Rebuild dropped %v, want %v", step, got, want)
 				}
 			case 8: // NoteConsult: the kernel consults only on multi-socket runs
 				if !topo.Multi() {
@@ -343,6 +323,9 @@ func checkAgainstModel(t *testing.T, step int, p *PSPT, r *refPSPT, pages int) {
 	p.ForEachMapping(func(m Mapping) {
 		if i >= len(bases) || m.Base != bases[i] {
 			t.Fatalf("step %d: ForEachMapping visit %d is base %d, model order %v", step, i, m.Base, bases)
+		}
+		if m.Cores.Count() == 0 || r.m[m.Base].cores.Count() == 0 {
+			t.Fatalf("step %d: resident base %d has no mapping core: %v, model %v", step, m.Base, m.Cores, r.m[m.Base].cores)
 		}
 		i++
 	})

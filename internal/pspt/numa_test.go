@@ -22,8 +22,7 @@ func TestSocketSet(t *testing.T) {
 
 // TestReplicasTrackSockets pins the replica bookkeeping: the first
 // mapper homes the page-table page on its socket, later mappers from
-// other sockets add replicas, and a rebuild drops replicas but keeps
-// the home.
+// other sockets add replicas, and the home stays put.
 func TestReplicasTrackSockets(t *testing.T) {
 	// cores 0-3 socket 0, 4-7 socket 1
 	p := NewSized(8, 0, sim.DefaultTopology(2, 4), nil)
@@ -45,17 +44,8 @@ func TestReplicasTrackSockets(t *testing.T) {
 	if cm, ok, err := p.CopyFromSibling(3, 0, pagetable.Writable); err != nil || !ok || cm.Base != 0 {
 		t.Fatalf("CopyFromSibling: %+v %v %v", cm, ok, err)
 	}
-	if m := p.NUMA(0); m.Replicas.Count() != 2 {
-		t.Fatalf("replicas after sibling copy: %b", m.Replicas)
-	}
-
-	p.Rebuild(nil)
-	m := p.NUMA(0)
-	if m.Replicas != 0 || m.RemoteStreak != 0 {
-		t.Fatalf("rebuild did not clear replicas: %b streak=%d", m.Replicas, m.RemoteStreak)
-	}
-	if m.Home != 1 {
-		t.Fatalf("rebuild moved home: %d", m.Home)
+	if m := p.NUMA(0); m.Replicas.Count() != 2 || m.Home != 1 {
+		t.Fatalf("after sibling copy: home=%d replicas=%b", m.Home, m.Replicas)
 	}
 }
 

@@ -110,7 +110,7 @@ type entry struct {
 	pfn   int64
 	cores CoreSet
 	// lock serializes page-table updates to the resident mapping; Unmap
-	// zeroes it with the rest of the record, Rebuild keeps it.
+	// zeroes it with the rest of the record.
 	lock sim.Resource
 }
 
@@ -143,8 +143,6 @@ type PSPT struct {
 	acc, dirty []uint64 // accessed/dirty summary, n*words each
 
 	topo *sim.Topology // nil on flat runs
-
-	rebuildOut []sim.CoreID // reusable Rebuild target buffer
 }
 
 // New creates a PSPT for n application cores on a flat machine.
@@ -357,24 +355,22 @@ func (p *PSPT) Map(core sim.CoreID, base sim.PageID, size sim.PageSize, pfn int6
 		}
 	}
 	if err := p.setInTable(core, base, size, pfn, flags); err != nil {
-		if e.cores.Count() == 0 {
+		if fresh {
 			p.deleteMapping(base)
 		}
 		return false, err
 	}
-	first = e.cores.Count() == 0
 	e.cores.Add(core)
 	if p.numa != nil {
 		s := p.topo.SocketOf(core)
 		if fresh {
 			// Brand-new mapping: the page-table page is created on the
-			// first mapper's socket. A record that survived a Rebuild
-			// keeps its Home — only the replicas were dropped.
+			// first mapper's socket.
 			p.numa[base] = NUMAState{Home: int8(s)}
 		}
 		p.numa[base].Replicas.Add(s)
 	}
-	return first, nil
+	return fresh, nil
 }
 
 // CopyFromSibling implements the PSPT minor-fault path: when core
@@ -387,10 +383,9 @@ func (p *PSPT) CopyFromSibling(core sim.CoreID, vpn sim.PageID, flags pagetable.
 	if e == nil {
 		return Mapping{}, false, nil
 	}
-	// A mapping record with zero cores occurs after a PSPT rebuild
-	// (all private PTEs dropped): the page is still resident, the
-	// kernel's frame bookkeeping resolves it without data movement.
-	// A core already in the set is a racing fault: nothing to copy.
+	// A resident record always has at least one mapping core, so a core
+	// not yet in the set copies a sibling's PTE; a core already in the
+	// set is a racing fault: nothing to copy.
 	if !e.cores.Has(core) {
 		if err := p.setInTable(core, base, e.pageSize(), e.pfn, flags); err != nil {
 			return Mapping{}, false, err
@@ -514,7 +509,7 @@ func (p *PSPT) ScanAccessed(vpn sim.PageID, dst []sim.CoreID) (accessed bool, ta
 	}
 	size := e.pageSize()
 	ptes = 1
-	if size == sim.Size64k && e.cores.Count() > 0 {
+	if size == sim.Size64k {
 		ptes = sim.Span64k
 	}
 	targets = dst
@@ -619,37 +614,6 @@ func (p *PSPT) ForEachMapping(fn func(Mapping)) {
 			fn(e.view(sim.PageID(base)))
 		}
 	}
-}
-
-// Rebuild drops every core's private PTEs while keeping the mapping
-// records (frames stay owned): the sharing picture then re-forms from
-// scratch as cores re-fault, which is the paper's §5.6 answer to
-// workloads whose inter-core access pattern drifts over time ("a more
-// dynamic solution with periodically rebuilding PSPT could address
-// this issue as well"). It calls fn for every dropped (base, cores)
-// pair so the caller can invalidate the affected TLBs.
-func (p *PSPT) Rebuild(fn func(base sim.PageID, targets []sim.CoreID)) {
-	scratch := p.rebuildOut
-	for i := range p.ents {
-		e, base := &p.ents[i], sim.PageID(i)
-		if e.size == 0 || e.cores.Count() == 0 {
-			continue
-		}
-		scratch = e.cores.Cores(scratch[:0])
-		for _, c := range scratch {
-			p.clearInTable(c, base, e.pageSize())
-		}
-		e.cores = CoreSet{}
-		if p.numa != nil {
-			// Dropping every private PTE drops the replicas too; Home
-			// stays (the authoritative copy survives a rebuild).
-			p.numa[base].Replicas, p.numa[base].RemoteStreak = 0, 0
-		}
-		if fn != nil {
-			fn(base, scratch)
-		}
-	}
-	p.rebuildOut = scratch[:0]
 }
 
 // SharingHistogram returns hist where hist[k] is the number of resident

@@ -346,42 +346,3 @@ func TestMappingInvariantProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestRebuildDropsPTEsKeepsResidency(t *testing.T) {
-	p := New(3)
-	p.Map(0, 10, sim.Size4k, 1, pagetable.Writable)
-	p.CopyFromSibling(1, 10, pagetable.Writable)
-	p.Map(0, 20, sim.Size4k, 2, pagetable.Writable)
-	dropped := make(map[sim.PageID][]sim.CoreID)
-	p.Rebuild(func(base sim.PageID, targets []sim.CoreID) {
-		dropped[base] = append([]sim.CoreID{}, targets...)
-	})
-	if len(dropped) != 2 {
-		t.Fatalf("dropped %d mappings, want 2", len(dropped))
-	}
-	if len(dropped[10]) != 2 || len(dropped[20]) != 1 {
-		t.Errorf("targets: %v", dropped)
-	}
-	// PTEs gone from every table, but the records (and frames) remain.
-	for c := sim.CoreID(0); c < 3; c++ {
-		if _, _, ok := p.Lookup(c, 10); ok {
-			t.Errorf("core %d still maps after rebuild", c)
-		}
-	}
-	if p.ResidentMappings() != 2 {
-		t.Error("records must survive rebuild")
-	}
-	if p.CoreMapCount(10) != 0 {
-		t.Error("count must reset")
-	}
-	// Re-faulting resolves from the record, not the host: the sharing
-	// picture re-forms with the new access pattern.
-	if _, ok, err := p.CopyFromSibling(2, 10, pagetable.Writable); err != nil || !ok {
-		t.Fatalf("post-rebuild resolve failed: %v", err)
-	}
-	if p.CoreMapCount(10) != 1 {
-		t.Errorf("count = %d after re-fault", p.CoreMapCount(10))
-	}
-	// A second rebuild with nil fn must not panic and skips empty sets.
-	p.Rebuild(nil)
-}

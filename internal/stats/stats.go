@@ -172,7 +172,7 @@ const (
 	// injected stuck locks) in cycles.
 	LockWaitHist
 	// FanoutHist is the number of target cores of one TLB-shootdown
-	// broadcast (eviction, scanner clear, or PSPT rebuild).
+	// broadcast (eviction or scanner clear).
 	FanoutHist
 	// CrossSocketFanoutHist is the number of distinct remote sockets
 	// one eviction shootdown reached (recorded only on multi-socket

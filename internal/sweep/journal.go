@@ -22,9 +22,11 @@ import (
 // records inside Run, tenant fields in the content key); v4 added the
 // NUMA topology (new counters and a histogram in Run, topology fields
 // in the content key); v5 derives every content key from the JSON wire
-// encoding of the config (see Key). Stale schemas are rejected: their
-// keys or runs no longer match what this build computes.
-const Schema = "cmcp-sweep/v5"
+// encoding of the config (see Key); v6 drops four config fields that
+// nothing outside tests set (DESIGN.md §16), which changes every key.
+// Stale schemas are rejected: their keys or runs no longer match what
+// this build computes.
+const Schema = "cmcp-sweep/v6"
 
 // staleSchemas are schemas this build once wrote and now refuses, so
 // the rejection can say "outdated" rather than "not a journal".
@@ -33,6 +35,7 @@ var staleSchemas = map[string]bool{
 	"cmcp-sweep/v2": true,
 	"cmcp-sweep/v3": true,
 	"cmcp-sweep/v4": true,
+	"cmcp-sweep/v5": true,
 }
 
 // header is the journal's first line.

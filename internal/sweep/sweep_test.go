@@ -76,17 +76,11 @@ func TestKeyDeterministicAndSensitive(t *testing.T) {
 		"verify":     func(c *machine.Config) { c.Verify = true },
 		"nowarmup":   func(c *machine.Config) { c.NoWarmup = true },
 		"hist":       func(c *machine.Config) { c.Hist = true },
-		"tick":       func(c *machine.Config) { c.TickInterval = 12345 },
 		"faults":     func(c *machine.Config) { c.Faults = &fault9 },
 		"faultseed":  func(c *machine.Config) { f := fault9; f.Seed++; c.Faults = &f },
 		"dynamic-p":  func(c *machine.Config) { c.Policy.DynamicP = true },
 		"scanperiod": func(c *machine.Config) { c.Policy.ScanPeriod = 77777 },
 		"scanbatch":  func(c *machine.Config) { c.Policy.ScanBatch = 17 },
-		"tlb-l1-4k":  func(c *machine.Config) { c.TLB.L1Entries4k = 48 },
-		"tlb-l1-64k": func(c *machine.Config) { c.TLB.L1Entries64k = 48 },
-		"tlb-l1-2m":  func(c *machine.Config) { c.TLB.L1Entries2M = 48 },
-		"tlb-l2":     func(c *machine.Config) { c.TLB.L2Entries = 48 },
-		"rebuild":    func(c *machine.Config) { c.PSPTRebuildPeriod = 99999 },
 		// Sharing bands and tenant weights are slices: the pairs below
 		// differ only in one element's field.
 		"band": func(c *machine.Config) { c.Workload.Sharing = []workload.ShareBand{{Cores: 2, Frac: 0.5}} },
@@ -361,7 +355,7 @@ func TestJournalRejectsForeignHeader(t *testing.T) {
 		"badschema.jsonl":   `{"schema":"cmcp-sweep/v0","counters":[]}` + "\n",
 		"oldschema.jsonl":   `{"schema":"cmcp-sweep/v1","counters":[]}` + "\n",
 		"pretenant.jsonl":   `{"schema":"cmcp-sweep/v2","counters":[]}` + "\n",
-		"badcounters.jsonl": `{"schema":"cmcp-sweep/v5","counters":["bogus"]}` + "\n",
+		"badcounters.jsonl": `{"schema":"cmcp-sweep/v6","counters":["bogus"]}` + "\n",
 		"badhists.jsonl":    validCountersBadHistsHeader() + "\n",
 	} {
 		path := filepath.Join(dir, name)

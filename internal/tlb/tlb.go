@@ -267,7 +267,7 @@ func (t *TLB) drop(s *fifoSet, base sim.PageID) {
 
 // compact reclaims s's queue space when stale slots dominate.
 func (t *TLB) compact(s *fifoSet) {
-	// Invalidation-heavy traffic (shootdown storms, PSPT rebuilds)
+	// Invalidation-heavy traffic (shootdown storms, scan clears)
 	// leaves stale slots in the un-consumed suffix that only eviction
 	// pops would reclaim; a set running below capacity never pops, so
 	// the queue would otherwise grow linearly with total inserts. Once

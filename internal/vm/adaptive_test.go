@@ -153,48 +153,3 @@ func TestAdaptiveContentIntegrity(t *testing.T) {
 		t.Error("expected write-backs under thrash")
 	}
 }
-
-func TestPSPTRebuildThroughManager(t *testing.T) {
-	m, err := NewManager(Config{
-		Cores: 2, Frames: 32, PageSize: sim.Size4k, Tables: PSPTKind,
-		PSPTRebuildPeriod: 1000, Verify: true,
-	}, fifoFactory)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.Access(0, 5, false, 0)
-	m.Access(1, 5, false, 0)
-	if m.CoreMapCount(5) != 2 {
-		t.Fatal("setup")
-	}
-	m.Tick(1000) // rebuild fires
-	if m.CoreMapCount(5) != 0 {
-		t.Errorf("count = %d after rebuild, want 0", m.CoreMapCount(5))
-	}
-	if m.Resident() != 1 {
-		t.Error("page must stay resident across rebuild")
-	}
-	// Targets took invalidation IPIs.
-	if m.TakeDebt(0) == 0 || m.TakeDebt(1) == 0 {
-		t.Error("rebuild must interrupt previously-mapping cores")
-	}
-	// Next access re-resolves as a minor fault (no data movement).
-	faults := m.Run().Get(1, stats.PageFaults)
-	m.Access(1, 5, false, 2000)
-	if m.Run().Get(1, stats.PageFaults) != faults {
-		t.Error("post-rebuild access must not major-fault")
-	}
-	if m.CoreMapCount(5) != 1 {
-		t.Errorf("sharing must re-form: count = %d", m.CoreMapCount(5))
-	}
-	// Rebuild under regular tables is a no-op (no panic).
-	reg, err := NewManager(Config{
-		Cores: 2, Frames: 32, PageSize: sim.Size4k, Tables: RegularPT,
-		PSPTRebuildPeriod: 1000,
-	}, fifoFactory)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg.Access(0, 1, false, 0)
-	reg.Tick(5000)
-}

@@ -32,8 +32,6 @@ type Config struct {
 	PageSize sim.PageSize
 	// Tables selects regular shared page tables or PSPT.
 	Tables TableKind
-	// TLB is the per-core TLB geometry; zero value means defaults.
-	TLB tlb.Config
 	// Cost is the cycle-cost model; zero value means defaults.
 	Cost sim.CostModel
 	// Verify enables page-content integrity checking across swap
@@ -44,11 +42,6 @@ type Config struct {
 	// ignored for the computation area; each fault picks 4 kB, 64 kB or
 	// 2 MB per 2 MB block.
 	Adaptive bool
-	// PSPTRebuildPeriod, when non-zero, periodically drops all private
-	// PTEs so the sharing picture (and CMCP's core-map counts) re-form
-	// from the current access pattern — the paper's §5.6 answer to
-	// workloads whose inter-core sharing drifts over time. PSPT only.
-	PSPTRebuildPeriod sim.Cycles
 	// Probe, when non-nil, receives flight-recorder events from the
 	// fault, eviction and scan paths. Disabled tracing costs one
 	// nil-check branch per instrumented site.
@@ -107,11 +100,9 @@ type Manager struct {
 	pol  policy.Policy
 	run  *stats.Run
 
-	scanner      sim.CoreID
-	debt         []sim.Cycles // pending IPI-interrupt cycles per app core
-	scanCost     sim.Cycles   // accumulated scanner-side cost since TakeScanCost
-	nextRebuild  sim.Cycles
-	rebuildCount []uint64 // per-core invalidation tally, reused across rebuilds
+	scanner  sim.CoreID
+	debt     []sim.Cycles // pending IPI-interrupt cycles per app core
+	scanCost sim.Cycles   // accumulated scanner-side cost since TakeScanCost
 
 	allocLock sim.Resource
 	dmaBus    sim.Resource // serializes PCIe wire time (latency overlaps)
@@ -144,9 +135,6 @@ func NewManager(cfg Config, factory PolicyFactory) (*Manager, error) {
 	if cfg.Tables == PSPTKind && cfg.Cores > pspt.MaxCores {
 		return nil, fmt.Errorf("vm: %d cores exceeds PSPT limit of %d", cfg.Cores, pspt.MaxCores)
 	}
-	if cfg.TLB == (tlb.Config{}) {
-		cfg.TLB = tlb.DefaultConfig()
-	}
 	if cfg.Cost == (sim.CostModel{}) {
 		cfg.Cost = sim.DefaultCostModel()
 	}
@@ -169,9 +157,6 @@ func NewManager(cfg Config, factory PolicyFactory) (*Manager, error) {
 	if cfg.Hist {
 		m.hs = m.run.EnableHists()
 	}
-	if cfg.PSPTRebuildPeriod != 0 {
-		m.rebuildCount = sc.U64(cfg.Cores)
-	}
 	if cfg.Tables == PSPTKind {
 		m.as = newPSPTAS(cfg.Cores, cfg.Pages, cfg.Topology, sc)
 	} else {
@@ -179,7 +164,7 @@ func NewManager(cfg Config, factory PolicyFactory) (*Manager, error) {
 	}
 	m.tlbs = make([]tlb.TLB, cfg.Cores)
 	for i := range m.tlbs {
-		m.tlbs[i] = tlb.NewSized(cfg.TLB, cfg.Pages, sc)
+		m.tlbs[i] = tlb.NewSized(tlb.DefaultConfig(), cfg.Pages, sc)
 	}
 	if cfg.Verify {
 		m.verify = make(map[sim.PageID]mem.Signature)
@@ -312,64 +297,11 @@ func (m *Manager) Tick(now sim.Cycles) sim.Cycles {
 	if m.adapter != nil {
 		m.adapter.tick(now)
 	}
-	m.maybeRebuildPSPT(now)
 	cost := m.TakeScanCost()
 	if m.rec != nil && cost > 0 {
 		m.rec.Emit(now, m.scanner, obs.EvScanTick, 0, int64(cost))
 	}
 	return cost
-}
-
-// maybeRebuildPSPT periodically drops all private PTEs (PSPT only) so
-// the sharing picture re-forms; see Config.PSPTRebuildPeriod. Dropping
-// a PTE invalidates the owning core's cached translation, so each
-// previously-mapping core takes an asynchronous invalidation IPI.
-func (m *Manager) maybeRebuildPSPT(now sim.Cycles) {
-	if m.cfg.PSPTRebuildPeriod == 0 || now < m.nextRebuild {
-		return
-	}
-	m.nextRebuild = now + m.cfg.PSPTRebuildPeriod
-	a, ok := m.as.(*psptAS)
-	if !ok {
-		return
-	}
-	// A rebuild is a planned, batched sweep: each core receives ONE
-	// interrupt per rebuild carrying its whole invalidation list (one
-	// INVLPG per dropped page), not one IPI per page — that is what
-	// makes periodic rebuilding affordable at all.
-	//
-	// The tally lives in a dense per-core slice swept in core-ID order:
-	// no allocation per rebuild, and anything ordered inside the sweep
-	// (debt charging, future event emission) stays deterministic.
-	perCore := m.rebuildCount
-	clear(perCore)
-	a.PSPT().Rebuild(func(base sim.PageID, targets []sim.CoreID) {
-		m.scanCost += m.cost.ScanPTE
-		for _, tc := range targets {
-			if m.invalObs != nil {
-				m.invalObs(tc, base)
-			}
-			m.tlbs[tc].Invalidate(base)
-			perCore[tc]++
-			m.run.Add(tc, stats.RemoteTLBInvalidations, 1)
-		}
-	})
-	cores := 0
-	for tc, pages := range perCore {
-		if pages == 0 {
-			continue
-		}
-		cores++
-		m.debt[sim.CoreID(tc)] += m.cost.IPIInterrupt + sim.Cycles(pages)*m.cost.InvlpgLocal
-		m.run.Add(m.scanner, stats.IPIsSent, 1)
-		m.scanCost += m.cost.ScanIPIPerTarget
-	}
-	if m.rec != nil && cores > 0 {
-		m.rec.Emit(now, m.scanner, obs.EvShootdown, 0, int64(cores))
-	}
-	if m.hs != nil && cores > 0 {
-		m.hs.Record(stats.FanoutHist, uint64(cores))
-	}
 }
 
 // CoreMapCount implements policy.Host. Degraded pages answer -1 — the
@@ -610,30 +542,14 @@ func (m *Manager) faultService(core sim.CoreID, vpn sim.PageID, t sim.Cycles) (s
 	base := size.Align(vpn)
 	span := int(size.Span())
 
-	done, waited := m.allocLock.Acquire(t, m.cost.AllocLock)
-	m.run.Add(core, stats.LockWaitCycles, uint64(waited))
-	if m.rec != nil && waited > 0 {
-		m.rec.Emit(done, core, obs.EvLockWait, base, int64(waited))
-	}
-	if m.hs != nil && waited > 0 {
-		m.hs.Record(stats.LockWaitHist, uint64(waited))
-	}
-	t = done
+	t = m.acquire(&m.allocLock, core, base, t, m.cost.AllocLock)
 	work, wire, err := m.service(core, vpn, base, size, span)
 	if err != nil {
 		return t, err
 	}
 	t += work
 	if wire > 0 {
-		busDone, busWaited := m.dmaBus.Acquire(t, wire)
-		m.run.Add(core, stats.LockWaitCycles, uint64(busWaited))
-		if m.rec != nil && busWaited > 0 {
-			m.rec.Emit(busDone, core, obs.EvLockWait, base, int64(busWaited))
-		}
-		if m.hs != nil && busWaited > 0 {
-			m.hs.Record(stats.LockWaitHist, uint64(busWaited))
-		}
-		t = busDone + m.dmaLatencyFor(wire)
+		t = m.acquire(&m.dmaBus, core, base, t, wire) + m.dmaLatencyFor(wire)
 	}
 	return m.acquirePageLock(core, base, t), nil
 }
@@ -657,13 +573,22 @@ func (m *Manager) acquirePageLock(core sim.CoreID, base sim.PageID, t sim.Cycles
 		}
 		t += stall
 	}
-	done, waited := m.as.LockFor(base).Acquire(t, m.cost.LockBase)
+	return m.acquire(m.as.LockFor(base), core, base, t, m.cost.LockBase)
+}
+
+// acquire has core take r at time t for hold cycles on base's behalf
+// and returns the time the hold ends. Any queueing delay is charged to
+// LockWaitCycles, traced as EvLockWait and recorded in LockWaitHist.
+func (m *Manager) acquire(r *sim.Resource, core sim.CoreID, base sim.PageID, t, hold sim.Cycles) sim.Cycles {
+	done, waited := r.Acquire(t, hold)
 	m.run.Add(core, stats.LockWaitCycles, uint64(waited))
-	if m.rec != nil && waited > 0 {
-		m.rec.Emit(done, core, obs.EvLockWait, base, int64(waited))
-	}
-	if m.hs != nil && waited > 0 {
-		m.hs.Record(stats.LockWaitHist, uint64(waited))
+	if waited > 0 {
+		if m.rec != nil {
+			m.rec.Emit(done, core, obs.EvLockWait, base, int64(waited))
+		}
+		if m.hs != nil {
+			m.hs.Record(stats.LockWaitHist, uint64(waited))
+		}
 	}
 	return done
 }

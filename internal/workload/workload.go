@@ -82,13 +82,6 @@ type Spec struct {
 	// sweeps. Sequential runs are what large mappings prefetch for:
 	// one 64 kB fault brings the next 15 pages of a walk.
 	SeqP float64
-	// PhaseShift, when true, changes the inter-core sharing pattern
-	// halfway through each core's stream: cores switch to the pools of
-	// the core (id + Cores/2) mod Cores. The page-sharing profile stays
-	// identical but WHICH cores map each page drifts — the scenario the
-	// paper's §5.6 notes would need periodic PSPT rebuilding, since
-	// stale core-map counts stop reflecting reality.
-	PhaseShift bool
 	// HotStripe is the spatial clustering granularity of the hot set,
 	// in contiguous base pages: heat is decided per stripe rather than
 	// per page, reflecting that HPC arrays have spatially clustered hot
@@ -275,17 +268,10 @@ func (l *Layout) Streams(seed uint64) []Stream {
 	}
 	root := sim.NewRNG(seed)
 	for c := 0; c < l.Cores; c++ {
-		hot2, cold2 := l.hot[c], l.cold[c]
-		if l.Spec.PhaseShift {
-			partner := (c + l.Cores/2) % l.Cores
-			hot2, cold2 = l.hot[partner], l.cold[partner]
-		}
 		streams[c] = &randStream{
 			rng:       root.Split(),
 			hot:       l.hot[c],
 			cold:      l.cold[c],
-			hot2:      hot2,
-			cold2:     cold2,
 			hotQ:      l.Spec.HotQ,
 			hotSkew:   l.Spec.HotSkew,
 			seqP:      l.Spec.SeqP,
@@ -337,16 +323,15 @@ func (s *sliceStream) Len() int { return len(s.pages) }
 // randStream draws pages from the two-tier population and touches each
 // selected page `burst` consecutive times (intra-page reuse).
 type randStream struct {
-	rng         *sim.RNG
-	hot, cold   []sim.PageID
-	hot2, cold2 []sim.PageID // post-phase-shift pools (same as hot/cold without PhaseShift)
-	hotQ        float64
-	hotSkew     float64
-	seqP        float64
-	writeFrac   float64
-	burst       int
-	remaining   int
-	total       int
+	rng       *sim.RNG
+	hot, cold []sim.PageID
+	hotQ      float64
+	hotSkew   float64
+	seqP      float64
+	writeFrac float64
+	burst     int
+	remaining int
+	total     int
 
 	cur     sim.PageID
 	curPool []sim.PageID // pool the current page came from
@@ -359,9 +344,10 @@ func (r *randStream) Next() (Access, bool) {
 	if r.remaining <= 0 {
 		return Access{}, false
 	}
-	if r.remaining == r.total/2 && (len(r.hot2) > 0 || len(r.cold2) > 0) {
-		// Phase shift: adopt the second-half pools.
-		r.hot, r.cold = r.hot2, r.cold2
+	if r.remaining == r.total/2 {
+		// The current burst ends halfway through the stream, so the
+		// second half starts on a fresh page draw. The RNG sequence
+		// depends on it and the goldens pin it.
 		r.curLeft = 0
 	}
 	r.remaining--

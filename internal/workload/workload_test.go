@@ -312,61 +312,38 @@ func TestScaleClamps(t *testing.T) {
 	}
 }
 
-func TestPhaseShiftChangesPools(t *testing.T) {
+// TestBurstEndsAtHalfway pins the mid-stream burst break: with a burst
+// longer than the whole stream, a core touches one page for the first
+// half and draws a new one exactly at the halfway touch. The goldens
+// depend on that extra draw.
+func TestBurstEndsAtHalfway(t *testing.T) {
 	spec := SCALE().Scale(0.02)
-	spec.PhaseShift = true
+	spec.SeqP, spec.HotSkew = 0, 0
+	spec.Burst = spec.TotalTouches
 	l, err := spec.Build(4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := l.Streams(9)[0]
-	// Collect the pages touched in each half.
-	firstHalf := make(map[sim.PageID]bool)
-	secondHalf := make(map[sim.PageID]bool)
-	n := s.Len()
-	for i := 0; i < n; i++ {
-		a, ok := s.Next()
-		if !ok {
-			t.Fatal("stream ended early")
+	for c, s := range l.Streams(9) {
+		n := s.Len()
+		half := n - n/2 // the touch at which n/2 touches remain
+		var first, second sim.PageID
+		for i := 0; i < n; i++ {
+			a, ok := s.Next()
+			if !ok {
+				t.Fatalf("core %d: stream ended after %d of %d touches", c, i, n)
+			}
+			switch {
+			case i == 0:
+				first = a.VPN
+			case i == half:
+				second = a.VPN
+			case i < half && a.VPN != first, i > half && a.VPN != second:
+				t.Fatalf("core %d: touch %d of %d went to page %d inside a burst (halfway at %d)", c, i, n, a.VPN, half)
+			}
 		}
-		if i < n/2 {
-			firstHalf[a.VPN] = true
-		} else {
-			secondHalf[a.VPN] = true
+		if second == first {
+			t.Errorf("core %d: the halfway touch stayed on page %d", c, first)
 		}
-	}
-	// The partner core's pools differ, so the second half must touch
-	// many pages the first half never did.
-	fresh := 0
-	for p := range secondHalf {
-		if !firstHalf[p] {
-			fresh++
-		}
-	}
-	if fresh < len(secondHalf)/2 {
-		t.Errorf("phase shift: only %d/%d second-half pages are new", fresh, len(secondHalf))
-	}
-	// Without PhaseShift the halves overlap heavily.
-	spec.PhaseShift = false
-	l2, _ := spec.Build(4)
-	s2 := l2.Streams(9)[0]
-	h1 := make(map[sim.PageID]bool)
-	h2 := make(map[sim.PageID]bool)
-	for i := 0; i < n; i++ {
-		a, _ := s2.Next()
-		if i < n/2 {
-			h1[a.VPN] = true
-		} else {
-			h2[a.VPN] = true
-		}
-	}
-	overlap := 0
-	for p := range h2 {
-		if h1[p] {
-			overlap++
-		}
-	}
-	if overlap < len(h2)/2 {
-		t.Errorf("baseline: halves overlap only %d/%d", overlap, len(h2))
 	}
 }
