@@ -545,9 +545,9 @@ func WriteSamplesCSV(w io.Writer, samples []TraceSample) error {
 }
 
 // Invariant auditing: attach an Auditor through Config.Audit to
-// cross-check the engine's five bookkeeping views (policy residency,
-// page tables, device frames, TLBs, adaptive-size counters) against
-// each other every few thousand events; any violation fails the run.
+// cross-check the engine's four bookkeeping views (policy residency,
+// page tables, device frames, TLBs) against each other every few
+// thousand events; any violation fails the run.
 type (
 	// Auditor is the cross-module invariant auditor. One Auditor serves
 	// one run at a time; do not share across RunMany.

@@ -25,6 +25,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -126,7 +127,7 @@ var table = []row{
 	{"compact-journal", "", modeCompact, "compact this sweep journal (keep the last entry per key, drop torn lines, sort) and exit", func(r *resolver) any { return &r.compactIn }, nil, ""},
 
 	// What to simulate (-run and -exp).
-	{"engine", "serial", modeSim, "simulation engine: serial|parallel (bit-identical results; parallel is faster)", func(r *resolver) any { return &r.in.engine }, nil, ""},
+	{"engine", "serial", modeSim, "simulation engine: serial|parallel (bit-identical results)", func(r *resolver) any { return &r.in.engine }, nil, ""},
 	{"scale", 1.0, modeSim, "workload footprint/work multiplier", func(r *resolver) any { return &r.in.scale },
 		func(r *resolver) bool { return r.in.scale > 0 }, "must be > 0"},
 	{"seed", uint64(42), modeSim, "random seed", func(r *resolver) any { return &r.in.seed }, nil, ""},
@@ -153,7 +154,7 @@ var table = []row{
 	{"p", -1.0, modeRun, "with -policy CMCP: prioritized-pages ratio (-1 = default)", func(r *resolver) any { return &r.run.Policy.P }, isCMCP, "requires -policy CMCP"},
 	{"dynamic-p", false, modeRun, "with -policy CMCP: enable the fault-feedback p tuner", func(r *resolver) any { return &r.run.Policy.DynamicP }, isCMCP, "requires -policy CMCP"},
 	{"tables", "pspt", modeRun, "page tables: pspt|regular", func(r *resolver) any { return &r.in.tables }, nil, ""},
-	{"pagesize", "4k", modeRun, "page size: 4k|64k|2m|adaptive", func(r *resolver) any { return &r.in.pageSize }, nil, ""},
+	{"pagesize", "4k", modeRun, "page size: 4k|64k|2m", func(r *resolver) any { return &r.in.pageSize }, nil, ""},
 	{"trace", false, modeRun, "record a flight-recorder event trace of the simulation", func(r *resolver) any { return &r.out.trace }, nil, ""},
 	{"trace-out", "trace.json", modeRun, "with -trace or -sample-every: output path: .json = Chrome trace_event (Perfetto), .jsonl = JSON Lines", func(r *resolver) any { return &r.out.traceOut },
 		func(r *resolver) bool { return r.out.trace || r.out.sampleEvery > 0 }, "requires -trace or -sample-every"},
@@ -234,8 +235,12 @@ func resolve(args []string, stderr io.Writer) (*plan, error) {
 	var given []*flag.Flag
 	fs.Visit(func(f *flag.Flag) { given = append(given, f) })
 	for _, f := range given {
-		if m := rows[f.Name].modes; m&r.mode == 0 {
+		rw := rows[f.Name]
+		if m := rw.modes; m&r.mode == 0 {
 			return nil, fmt.Errorf("-%s is not valid with %v (it applies to %v)", f.Name, r.mode, m)
+		}
+		if v, ok := rw.field(r).(*float64); ok && (math.IsNaN(*v) || math.IsInf(*v, 0)) {
+			return nil, fmt.Errorf("-%s %s: must be a finite number", f.Name, f.Value)
 		}
 	}
 	if err := r.build(); err != nil {
@@ -305,10 +310,8 @@ func (r *resolver) build() error {
 	if c.Tables, ok = tableKinds[strings.ToLower(in.tables)]; !ok {
 		return fmt.Errorf("-tables: unknown tables %q", in.tables)
 	}
-	if c.AdaptivePageSize = strings.EqualFold(in.pageSize, "adaptive"); !c.AdaptivePageSize {
-		if c.PageSize, ok = pageSizes[strings.ToLower(in.pageSize)]; !ok {
-			return fmt.Errorf("-pagesize: unknown page size %q", in.pageSize)
-		}
+	if c.PageSize, ok = pageSizes[strings.ToLower(in.pageSize)]; !ok {
+		return fmt.Errorf("-pagesize: unknown page size %q", in.pageSize)
 	}
 	if in.sockets > 1 {
 		c.Topology = cmcp.DefaultTopology(in.sockets, (c.Cores+in.sockets-1)/in.sockets)
@@ -451,16 +454,12 @@ func simulate(p *plan, stdout io.Writer) error {
 	}
 	printf := func(format string, args ...any) { fmt.Fprintf(stdout, format, args...) }
 	r := res.Run
-	sizeLabel := cfg.PageSize.String()
-	if cfg.AdaptivePageSize {
-		sizeLabel = "adaptive"
-	}
 	name := cfg.Workload.Name
 	if cfg.Tenants != nil {
 		name = cfg.Tenants.Name()
 	}
 	printf("workload      %s (%d pages, %d frames, %s, %v)\n",
-		name, res.TotalPages, res.Frames, sizeLabel, cfg.Tables)
+		name, res.TotalPages, res.Frames, cfg.PageSize, cfg.Tables)
 	printf("policy        %s\n", res.PolicyName)
 	printf("runtime       %.2f Mcycles (%.2f ms at 1.053 GHz)\n",
 		float64(res.Runtime)/1e6, float64(res.Runtime)/1.053e6)

@@ -193,6 +193,10 @@ func TestInvalidInvocationsFail(t *testing.T) {
 		{"-exp fig7 -csv -plot", "-plot"},
 		{"-bench", "-bench"},
 		{"-run -hist true", "true"},
+		{"-run -pagesize adaptive", "-pagesize"},
+		{"-run -policy CMCP -p NaN", "-p"},
+		{"-run -tenants 4 -zipf-s NaN", "-zipf-s"},
+		{"-run -scale +Inf", "-scale"},
 	} {
 		var stdout, stderr bytes.Buffer
 		code := run(strings.Fields(tc.args), &stdout, &stderr)

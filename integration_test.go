@@ -91,54 +91,3 @@ func TestRegularPTScalingCollapse(t *testing.T) {
 			regSpeedup, psptSpeedup)
 	}
 }
-
-// TestAdaptivePageSizeTracksEnvelope verifies the §5.7 extension: the
-// adaptive manager lands within a reasonable factor of the best fixed
-// page size at both a mild and a harsh memory constraint, and crucially
-// avoids the 2 MB deep-constraint catastrophe.
-func TestAdaptivePageSizeTracksEnvelope(t *testing.T) {
-	if testing.Short() {
-		t.Skip("integration test")
-	}
-	spec := cmcp.BT().Scale(0.1)
-	for _, ratio := range []float64{0.95, 0.5} {
-		mk := func(size cmcp.PageSize, adaptive bool) cmcp.Config {
-			return cmcp.Config{
-				Cores:            16,
-				Workload:         spec,
-				MemoryRatio:      ratio,
-				PageSize:         size,
-				AdaptivePageSize: adaptive,
-				Tables:           cmcp.PSPT,
-				Policy:           cmcp.PolicySpec{Kind: cmcp.FIFO},
-				Seed:             3,
-			}
-		}
-		results, err := cmcp.RunMany([]cmcp.Config{
-			mk(cmcp.Size4k, false), mk(cmcp.Size64k, false),
-			mk(cmcp.Size2M, false), mk(0, true),
-		}, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		best := results[0].Runtime
-		for _, r := range results[:3] {
-			if r.Runtime < best {
-				best = r.Runtime
-			}
-		}
-		adaptive := results[3].Runtime
-		// The adapter is a heuristic: require it within 1.5x of the best
-		// fixed size (it is usually much closer at realistic scales).
-		if float64(adaptive) > 1.5*float64(best) {
-			t.Errorf("ratio %.2f: adaptive %d vs best fixed %d (>50%% off the envelope)",
-				ratio, adaptive, best)
-		}
-		// At the harsh constraint 2 MB thrashes; adaptive must not.
-		if ratio == 0.5 {
-			if twoMB := results[2].Runtime; float64(adaptive) > 0.5*float64(twoMB) {
-				t.Errorf("adaptive %d did not avoid the 2MB catastrophe %d", adaptive, twoMB)
-			}
-		}
-	}
-}

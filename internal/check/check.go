@@ -1,13 +1,12 @@
 // Package check is the simulator's cross-module invariant auditor.
 //
 // The engine's central promise — same seed ⇒ bit-identical results —
-// only holds while five independently maintained views of "what is
+// only holds while four independently maintained views of "what is
 // resident" agree: the replacement policy's lists, the address-space
-// page tables, the device frame array, the per-core TLBs, and (when
-// enabled) the adaptive-size residency counters. Each module keeps its
-// own bookkeeping for speed; nothing at runtime forces them to match.
-// A single missed decrement produces plausible-looking but wrong
-// results that the golden tests may or may not pin.
+// page tables, the device frame array and the per-core TLBs. Each
+// module keeps its own bookkeeping for speed; nothing at runtime forces
+// them to match. A single missed decrement produces plausible-looking
+// but wrong results that the golden tests may or may not pin.
 //
 // An Auditor cross-checks all of these against each other. Attach one
 // to a run via machine.Config.Audit: the engine calls Note once per
@@ -49,7 +48,7 @@ type Config struct {
 // Violation is one detected invariant breach.
 type Violation struct {
 	// Module names the bookkeeping layer at fault: "residency", "tlb",
-	// "pspt", "policy", "adaptive", "tenant" or "numa".
+	// "pspt", "policy", "tenant" or "numa".
 	Module string
 	// Detail says what disagreed with what.
 	Detail string
@@ -154,7 +153,6 @@ func (a *Auditor) Audit(m *vm.Manager) {
 	a.auditTLBs(m)
 	a.auditPSPT(m)
 	a.auditPolicy(m)
-	a.auditAdaptive(m)
 	a.auditTenants(m)
 	a.auditReplicas(m)
 }
@@ -167,9 +165,10 @@ func (a *Auditor) auditResidency(m *vm.Manager) {
 	dev := m.Device()
 	mappings := 0
 	var framesMapped int64
-	m.ForEachMapping(func(base sim.PageID, size sim.PageSize, pfn int64) {
+	size := m.PageSize()
+	span := int64(size.Span())
+	m.ForEachMapping(func(base sim.PageID, pfn int64) {
 		mappings++
-		span := int64(size.Span())
 		framesMapped += span
 		if !size.Aligned(base) {
 			a.report("residency", "mapping base %d not %v-aligned", base, size)
@@ -266,8 +265,8 @@ func (a *Auditor) auditPSPT(m *vm.Manager) {
 			if !ok {
 				continue
 			}
-			if size != mp.Size {
-				a.report("pspt", "page %d: core %d PTE size %v, mapping size %v", mp.Base, c, size, mp.Size)
+			if size != p.PageSize() {
+				a.report("pspt", "page %d: core %d PTE size %v, mapping size %v", mp.Base, c, size, p.PageSize())
 			}
 			if got := pte.PFN(); got != mp.PFN {
 				a.report("pspt", "page %d: core %d PTE pfn %d, mapping pfn %d", mp.Base, c, got, mp.PFN)
@@ -280,7 +279,7 @@ func (a *Auditor) auditPSPT(m *vm.Manager) {
 		if mp.Cores.Count() == 0 {
 			a.report("pspt", "page %d: resident record has no mapping core", mp.Base)
 		}
-		if mp.Size != sim.Size2M {
+		if p.PageSize() != sim.Size2M {
 			a.auditSummary(p, mp)
 		}
 	})
@@ -298,7 +297,7 @@ func (a *Auditor) auditPSPT(m *vm.Manager) {
 func (a *Auditor) auditSummary(p *pspt.PSPT, mp pspt.Mapping) {
 	for c := 0; c < p.Cores(); c++ {
 		core := sim.CoreID(c)
-		for vpn := mp.Base; vpn < mp.Base+mp.Size.Span(); vpn++ {
+		for vpn := mp.Base; vpn < mp.Base+p.PageSize().Span(); vpn++ {
 			acc, dirty, tracked := p.Summary(core, vpn)
 			if !tracked {
 				return
@@ -331,53 +330,6 @@ func (a *Auditor) auditPolicy(m *vm.Manager) {
 			a.report("policy", "%v", err)
 		}
 	}
-}
-
-// auditAdaptive recomputes the size adapter's residency counters from
-// the actual mappings and compares.
-func (a *Auditor) auditAdaptive(m *vm.Manager) {
-	blocks, groups, ok := m.AdaptiveResidency()
-	if !ok {
-		return
-	}
-	expB := make([]int32, len(blocks))
-	expG := make([]int32, len(groups))
-	bump := func(s []int32, i int64) []int32 {
-		for int64(len(s)) <= i {
-			s = append(s, 0)
-		}
-		s[i]++
-		return s
-	}
-	m.ForEachMapping(func(base sim.PageID, size sim.PageSize, _ int64) {
-		expB = bump(expB, int64(base)>>9)
-		if size == sim.Size2M {
-			for g := sim.PageID(0); g < sim.Size2M.Span(); g += sim.Size64k.Span() {
-				expG = bump(expG, int64(base+g)>>4)
-			}
-		} else {
-			expG = bump(expG, int64(base)>>4)
-		}
-	})
-	compare := func(name string, got, want []int32) {
-		n := len(got)
-		if len(want) > n {
-			n = len(want)
-		}
-		at := func(s []int32, i int) int32 {
-			if i < len(s) {
-				return s[i]
-			}
-			return 0
-		}
-		for i := 0; i < n; i++ {
-			if at(got, i) != at(want, i) {
-				a.report("adaptive", "%s[%d] = %d, recomputed %d", name, i, at(got, i), at(want, i))
-			}
-		}
-	}
-	compare("resInBlock", blocks, expB)
-	compare("resInGroup", groups, expG)
 }
 
 // auditReplicas checks the NUMA page-table replica bookkeeping on
@@ -470,7 +422,7 @@ func (a *Auditor) auditTenants(m *vm.Manager) {
 		a.report("tenant", "per-tenant frame counts sum to %d, device has %d frames in use", sum, inUse)
 	}
 	perTenant := make([]int, n)
-	m.ForEachMapping(func(base sim.PageID, size sim.PageSize, pfn int64) {
+	m.ForEachMapping(func(base sim.PageID, _ int64) {
 		if t := m.TenantOf(base); t >= 0 && t < n {
 			perTenant[t]++
 		}

@@ -150,7 +150,7 @@ func TestFig10Quick(t *testing.T) {
 		t.Fatalf("tables = %d", len(rep.Tables))
 	}
 	for _, tab := range rep.Tables {
-		if len(tab.Columns) != 4 { // 4k, 64k, 2M + adaptive extension
+		if len(tab.Columns) != 3 { // 4k, 64k, 2M
 			t.Errorf("%s columns = %v", tab.Title, tab.Columns)
 		}
 	}

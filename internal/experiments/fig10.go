@@ -18,8 +18,7 @@ import (
 // and then 4 kB become best for BT and LU, while CG and SCALE keep
 // 64 kB ahead of 4 kB deeper into the constraint range. All series are
 // normalized to the 4 kB no-data-movement runtime, so the large pages'
-// TLB advantage is visible above 1.0 at full memory. A fourth series
-// reports the adaptive per-region size manager (§5.7 future work).
+// TLB advantage is visible above 1.0 at full memory.
 func Fig10(o Options) (*Report, error) {
 	if err := o.rejectTenants("fig10"); err != nil {
 		return nil, err
@@ -46,14 +45,6 @@ func Fig10(o Options) (*Report, error) {
 				cfgs = append(cfgs, cfg)
 			}
 		}
-		// Extension (paper §5.7 future work): the fault-frequency-driven
-		// adaptive page-size manager as a fourth series.
-		for _, r := range ratios {
-			cfg := o.baseConfig(big, cores)
-			cfg.AdaptivePageSize = true
-			cfg.MemoryRatio = r
-			cfgs = append(cfgs, cfg)
-		}
 		results, err := o.run(cfgs)
 		if err != nil {
 			return nil, err
@@ -62,11 +53,10 @@ func Fig10(o Options) (*Report, error) {
 		for _, size := range sizes {
 			tab.Columns = append(tab.Columns, size.String())
 		}
-		tab.Columns = append(tab.Columns, "adaptive")
 		base := results[0].Runtime // 4 kB at 100% memory
 		for ri, r := range ratios {
-			cells := make([]any, len(sizes)+1)
-			for si := 0; si <= len(sizes); si++ {
+			cells := make([]any, len(sizes))
+			for si := range sizes {
 				rt := results[si*len(ratios)+ri].Runtime
 				cells[si] = fmt.Sprintf("%.2f", float64(base)/float64(rt))
 			}

@@ -2,6 +2,7 @@ package machine
 
 import (
 	"errors"
+	"math"
 	"runtime"
 	"strings"
 	"testing"
@@ -156,5 +157,56 @@ func TestSimulateFootprintOverVPNSpaceIsError(t *testing.T) {
 	fits := Config{Workload: workload.Spec{Pages: pagetable.VPNSpace}}
 	if !fits.footprintFits() {
 		t.Error("a footprint of exactly VPNSpace pages must fit")
+	}
+}
+
+// TestNonFiniteInputsRejected pins that a NaN in any float input is an
+// error naming the field, not a run whose meaning silently changed
+// (NaN fails no `<` check, so a range check written the other way
+// round lets it through).
+func TestNonFiniteInputsRejected(t *testing.T) {
+	nan := math.NaN()
+	tenants := func(c *Config) *workload.TenantSpec {
+		spec := workload.DefaultTenantSpec(4, 1.1, 0)
+		c.Workload, c.Tenants = workload.Spec{}, &spec
+		return &spec
+	}
+	for _, tc := range []struct {
+		field string
+		set   func(*Config)
+	}{
+		{"MemoryRatio", func(c *Config) { c.MemoryRatio = nan }},
+		{"PolicySpec.P", func(c *Config) { c.Policy.P = nan }},
+		{"WriteFrac", func(c *Config) { c.Workload.WriteFrac = nan }},
+		{"SharedHotFrac", func(c *Config) { c.Workload.SharedHotFrac = nan }},
+		{"PrivateHotFrac", func(c *Config) { c.Workload.PrivateHotFrac = nan }},
+		{"HotQ", func(c *Config) { c.Workload.HotQ = nan }},
+		{"SeqP", func(c *Config) { c.Workload.SeqP = nan }},
+		{"HotSkew", func(c *Config) { c.Workload.HotSkew = nan }},
+		{"Frac", func(c *Config) { c.Workload.Sharing[0].Frac = nan }},
+		{"HotFrac", func(c *Config) { c.Workload.Sharing[0].HotFrac = nan }},
+		{"WriteFrac", func(c *Config) { tenants(c).WriteFrac = nan }},
+		{"ZipfS", func(c *Config) { tenants(c).ZipfS = nan }},
+		{"PageSkew", func(c *Config) { tenants(c).PageSkew = nan }},
+	} {
+		cfg := Config{
+			Cores:       4,
+			Workload:    workload.SCALE().Scale(0.02),
+			MemoryRatio: 0.5,
+			Tables:      vm.PSPTKind,
+			Policy:      PolicySpec{Kind: CMCP, P: -1},
+			Seed:        1,
+		}
+		tc.set(&cfg)
+		func() {
+			defer func() {
+				if p := recover(); p != nil {
+					t.Errorf("%s = NaN panicked: %v", tc.field, p)
+				}
+			}()
+			if _, err := Simulate(cfg); err == nil || !strings.Contains(err.Error(), tc.field) {
+				t.Errorf("%s = NaN: err = %v, want an error naming %s", tc.field, err, tc.field)
+			}
+		}()
 	}
 }

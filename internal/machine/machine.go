@@ -11,6 +11,7 @@ package machine
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"cmcp/internal/check"
 	"cmcp/internal/core"
@@ -93,8 +94,8 @@ type Config struct {
 	// deterministic Zipfian serving workload, per-tenant policy
 	// instances over the shared frame pool, weighted or hard-partition
 	// eviction pressure, and per-tenant counters/fault-latency
-	// histograms on the Run (stats.TenantSet). Requires 4 kB pages
-	// without adaptive sizing. Plain data like Faults: safe to share
+	// histograms on the Run (stats.TenantSet). Requires 4 kB pages.
+	// Plain data like Faults: safe to share
 	// across concurrent runs and to journal in sweeps. Nil leaves
 	// single-tenant behavior bit-identical to before the field existed.
 	Tenants *workload.TenantSpec
@@ -102,12 +103,9 @@ type Config struct {
 	// footprint (1.0 = everything fits, no data movement). Values are
 	// clamped to at least one mapping.
 	MemoryRatio float64
-	// PageSize is the computation-area mapping granularity (ignored
-	// when AdaptivePageSize is set).
+	// PageSize is the computation-area mapping granularity: every
+	// mapping of the run has this size.
 	PageSize sim.PageSize
-	// AdaptivePageSize lets the kernel pick 4 kB/64 kB/2 MB per 2 MB
-	// block from fault-frequency feedback (paper §5.7 future work).
-	AdaptivePageSize bool
 	// Tables picks regular shared page tables or PSPT.
 	Tables vm.TableKind
 	// Policy selects the replacement policy.
@@ -142,10 +140,10 @@ type Config struct {
 	Probe *obs.Recorder
 	// Audit attaches the cross-module invariant auditor (see
 	// internal/check): every few thousand engine events it cross-checks
-	// policy residency, device frames, page tables, TLBs and the
-	// adaptive-size counters against each other, and any violation fails
-	// the run. nil disables auditing. Like Probe, an Auditor serves one
-	// run at a time — never share one across concurrent RunMany calls.
+	// policy residency, device frames, page tables and TLBs against
+	// each other, and any violation fails the run. nil disables
+	// auditing. Like Probe, an Auditor serves one run at a time — never
+	// share one across concurrent RunMany calls.
 	Audit *check.Auditor
 	// Faults attaches the deterministic fault injector (see
 	// internal/fault): seeded per-event-kind rates for transient transfer
@@ -223,6 +221,9 @@ func Frames(pages int, ratio float64, size sim.PageSize) int {
 func buildPolicy(cfg Config, frames, pages int, sc *dense.Scratch) (vm.PolicyFactory, error) {
 	if cfg.Policy.Factory != nil {
 		return cfg.Policy.Factory, nil
+	}
+	if math.IsNaN(cfg.Policy.P) || math.IsInf(cfg.Policy.P, 0) {
+		return nil, fmt.Errorf("machine: PolicySpec.P %v is not a finite number", cfg.Policy.P)
 	}
 	span := int(cfg.PageSize.Span())
 	capacity := frames / span
@@ -400,6 +401,9 @@ func simulate(cfg Config, sc *dense.Scratch) (*Result, error) {
 	if cfg.Cores > maxEngineCores {
 		return nil, fmt.Errorf("machine: %d cores exceeds the scheduler limit of %d", cfg.Cores, maxEngineCores)
 	}
+	if math.IsNaN(cfg.MemoryRatio) || math.IsInf(cfg.MemoryRatio, 0) {
+		return nil, fmt.Errorf("machine: MemoryRatio %v is not a finite number", cfg.MemoryRatio)
+	}
 	if cfg.MemoryRatio <= 0 {
 		cfg.MemoryRatio = 1
 	}
@@ -418,8 +422,8 @@ func simulate(cfg Config, sc *dense.Scratch) (*Result, error) {
 		if cfg.Workload.Pages != 0 || cfg.Workload.TotalTouches != 0 || cfg.Workload.Name != "" {
 			return nil, fmt.Errorf("machine: Config.Tenants and Config.Workload are mutually exclusive")
 		}
-		if cfg.AdaptivePageSize || cfg.PageSize != sim.Size4k {
-			return nil, fmt.Errorf("machine: multi-tenant runs require 4 kB pages without adaptive sizing")
+		if cfg.PageSize != sim.Size4k {
+			return nil, fmt.Errorf("machine: multi-tenant runs require 4 kB pages")
 		}
 		tl, err := cfg.Tenants.Build(cfg.Cores)
 		if err != nil {
@@ -475,7 +479,6 @@ func simulate(cfg Config, sc *dense.Scratch) (*Result, error) {
 		Tables:   cfg.Tables,
 		Cost:     cfg.Cost,
 		Verify:   cfg.Verify,
-		Adaptive: cfg.AdaptivePageSize,
 		Pages:    totalPages,
 		Scratch:  sc,
 		Hist:     cfg.Hist,

@@ -322,26 +322,6 @@ func TestScannerAdvancesWithLongPolicyWork(t *testing.T) {
 	}
 }
 
-func TestSimulateAdaptivePageSize(t *testing.T) {
-	cfg := quickCfg()
-	cfg.AdaptivePageSize = true
-	res, err := Simulate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Runtime == 0 || res.Run.Total(stats.PageFaults) == 0 {
-		t.Error("adaptive run must execute")
-	}
-	// Deterministic like everything else.
-	res2, err := Simulate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Runtime != res2.Runtime {
-		t.Error("adaptive mode must stay deterministic")
-	}
-}
-
 func TestWarmupExcludedFromCounters(t *testing.T) {
 	// With warm-up, measured touches equal exactly the stream volume;
 	// warm-up's one-touch-per-page does not leak into the counters.

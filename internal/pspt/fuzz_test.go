@@ -15,7 +15,6 @@ type refBits struct{ a, d bool }
 // (cores, replica state) next to what the per-core tables hold (ptes:
 // one refBits per 4 kB member for 64 kB groups, one otherwise).
 type refMapping struct {
-	size     sim.PageSize
 	pfn      int64
 	cores    CoreSet
 	ptes     map[sim.CoreID][]refBits
@@ -25,25 +24,22 @@ type refMapping struct {
 }
 
 // refPSPT is the naive model FuzzPSPT checks PSPT against: a map of
-// records keyed by base, probed at every size class's alignment.
+// records keyed by base, all of one page size.
 type refPSPT struct {
 	n    int
+	size sim.PageSize
 	topo *sim.Topology
 	m    map[sim.PageID]*refMapping
 }
 
 func (r *refPSPT) find(vpn sim.PageID) (sim.PageID, *refMapping) {
-	for _, s := range sizeClasses {
-		if rm, ok := r.m[s.Align(vpn)]; ok && vpn < s.Align(vpn)+rm.size.Span() {
-			return s.Align(vpn), rm
-		}
-	}
-	return 0, nil
+	base := r.size.Align(vpn)
+	return base, r.m[base]
 }
 
 func (r *refPSPT) install(rm *refMapping, core sim.CoreID, flags pagetable.PTE) {
 	n := 1
-	if rm.size == sim.Size64k {
+	if r.size == sim.Size64k {
 		n = sim.Span64k
 	}
 	bits := make([]refBits, n)
@@ -57,17 +53,17 @@ func (r *refPSPT) install(rm *refMapping, core sim.CoreID, flags pagetable.PTE) 
 	}
 }
 
-func (r *refPSPT) mapOp(core sim.CoreID, base sim.PageID, size sim.PageSize, pfn int64, flags pagetable.PTE) (first, failed bool) {
+func (r *refPSPT) mapOp(core sim.CoreID, base sim.PageID, pfn int64, flags pagetable.PTE) (first, failed bool) {
 	rm, ok := r.m[base]
 	switch {
-	case ok && (rm.size != size || rm.pfn != pfn):
+	case ok && rm.pfn != pfn:
 		return false, true
 	case ok && rm.cores.Has(core):
 		return false, false
-	case !ok && size == sim.Size64k && pfn%sim.Span64k != 0:
+	case !ok && r.size == sim.Size64k && pfn%sim.Span64k != 0:
 		return false, true
 	case !ok:
-		rm = &refMapping{size: size, pfn: pfn, ptes: map[sim.CoreID][]refBits{}}
+		rm = &refMapping{pfn: pfn, ptes: map[sim.CoreID][]refBits{}}
 		r.m[base] = rm
 		if r.topo.Multi() {
 			rm.home = int8(r.topo.SocketOf(core))
@@ -77,35 +73,26 @@ func (r *refPSPT) mapOp(core sim.CoreID, base sim.PageID, size sim.PageSize, pfn
 	return !ok, false
 }
 
-// frame is the frame a write to vpn through rm reports.
-func (rm *refMapping) frame(base, vpn sim.PageID) int64 {
-	if rm.size == sim.Size4k {
-		return rm.pfn
-	}
-	return rm.pfn + int64(vpn-base)
-}
-
 // member is the index of vpn's refBits in a pte slice.
-func (rm *refMapping) member(base, vpn sim.PageID) int {
-	if rm.size == sim.Size64k {
+func (r *refPSPT) member(base, vpn sim.PageID) int {
+	if r.size == sim.Size64k {
 		return int(vpn - base)
 	}
 	return 0
 }
 
-// fuzzVPN maps an op byte onto the fuzzed address range: 4 kB pages in
-// [0,64), four 64 kB groups in [64,128), and two 2 MB blocks at 512
-// and 1024. Pages in [128,512) are never mapped.
-func fuzzVPN(b byte) (sim.PageID, sim.PageSize) {
+// fuzzVPN maps an op byte onto the fuzzed address range: every page in
+// [0,128), then every eighth page of [512,1024) and of [1024,1536).
+// Pages in [128,512) are never touched (for 2 MB mappings, only
+// through the block at 0).
+func fuzzVPN(b byte) sim.PageID {
 	switch {
-	case b < 64:
-		return sim.PageID(b), sim.Size4k
 	case b < 128:
-		return sim.PageID(b), sim.Size64k
+		return sim.PageID(b)
 	case b < 192:
-		return 512 + sim.PageID(b-128)*8, sim.Size2M
+		return 512 + sim.PageID(b-128)*8
 	}
-	return 1024 + sim.PageID(b-192)*8, sim.Size2M
+	return 1024 + sim.PageID(b-192)*8
 }
 
 // fuzzProbes are the VPNs checked after every op: every 4 kB and 64 kB
@@ -127,9 +114,11 @@ var fuzzProbes = func() []sim.PageID {
 // records (each with at least one mapping core), the per-core PTE bits,
 // the accessed/dirty summary and the numaPTE replica state.
 //
-// data[0] picks the shape: cores (2, 8 or 72), sized pages (0, 64 or
-// 1024, so some or all pages lie past the summary and pre-sized
-// storage) and, with bit 7 clear, a 2-socket topology. Then each op is
+// data[0] picks the shape: cores (2, 8 or 72, by data[0]%3), sized
+// pages (0, 64 or 1024, by data[0]/3%3, so some or all pages lie past
+// the summary and pre-sized storage), the page size of every mapping
+// (4 kB, 64 kB or 2 MB, by data[0]/9%3) and, with bit 7 clear, a
+// 2-socket topology. Then each op is
 // three bytes: an op code (its quotient by 11 picks PTE flags or a
 // migration threshold; code 7 is a no-op), a core (or socket) and a
 // page.
@@ -141,29 +130,30 @@ func FuzzPSPT(f *testing.F) {
 		}
 		n := [3]int{2, 8, 72}[data[0]%3]
 		pages := [3]int{0, 64, 1024}[data[0]/3%3]
+		size := [3]sim.PageSize{sim.Size4k, sim.Size64k, sim.Size2M}[data[0]/9%3]
 		var topo *sim.Topology
 		if data[0]&0x80 == 0 {
 			topo = sim.DefaultTopology(2, n/2)
 		}
-		p := NewSized(n, pages, topo, nil)
-		r := &refPSPT{n: n, topo: topo, m: map[sim.PageID]*refMapping{}}
+		p := NewSized(n, size, pages, topo, nil)
+		r := &refPSPT{n: n, size: size, topo: topo, m: map[sim.PageID]*refMapping{}}
 		flagSets := [4]pagetable.PTE{0, pagetable.Writable, pagetable.Writable | pagetable.Accessed,
 			pagetable.Writable | pagetable.Accessed | pagetable.Dirty}
 		ops := data[1:]
 		for step := 0; len(ops) >= 3 && step < 300; step, ops = step+1, ops[3:] {
 			code, sel := ops[0]%11, ops[0]/11%4
 			core := sim.CoreID(int(ops[1]) % n)
-			vpn, size := fuzzVPN(ops[2])
+			vpn := fuzzVPN(ops[2])
 			base := size.Align(vpn)
 			flags := flagSets[sel]
 			switch code {
 			case 0, 1: // Map; code 1 with a frame off by one
 				pfn := int64(base) + 4096 + int64(code)
-				first, failed := r.mapOp(core, base, size, pfn, flags)
-				gotFirst, err := p.Map(core, base, size, pfn, flags)
+				first, failed := r.mapOp(core, base, pfn, flags)
+				gotFirst, err := p.Map(core, base, pfn, flags)
 				if (err != nil) != failed || gotFirst != first {
-					t.Fatalf("step %d: Map(%d, %d, %v, %d) first=%v err=%v, model first=%v failed=%v",
-						step, core, base, size, pfn, gotFirst, err, first, failed)
+					t.Fatalf("step %d: Map(%d, %d, %d) first=%v err=%v, model first=%v failed=%v",
+						step, core, base, pfn, gotFirst, err, first, failed)
 				}
 			case 2: // CopyFromSibling
 				mb, rm := r.find(vpn)
@@ -180,10 +170,10 @@ func FuzzPSPT(f *testing.F) {
 				wantWritten := false
 				if mb, rm := r.find(vpn); rm != nil {
 					if bits, ok := rm.ptes[core]; ok {
-						b := &bits[rm.member(mb, vpn)]
+						b := &bits[r.member(mb, vpn)]
 						b.a = true
 						b.d = b.d || write
-						want, wantWritten = rm.frame(mb, vpn), write
+						want, wantWritten = rm.pfn+int64(vpn-mb), write
 					}
 				}
 				frame, written := p.Touch(core, vpn, write)
@@ -195,7 +185,7 @@ func FuzzPSPT(f *testing.F) {
 				var want []sim.CoreID
 				wantPTEs := 1
 				if _, rm := r.find(vpn); rm != nil {
-					if rm.size == sim.Size64k {
+					if size == sim.Size64k {
 						wantPTEs = sim.Span64k
 					}
 					set := rm.cores
@@ -230,7 +220,7 @@ func FuzzPSPT(f *testing.F) {
 				if ok != (rm != nil) {
 					t.Fatalf("step %d: Unmap(%d) found=%v, model resident=%v", step, vpn, ok, rm != nil)
 				}
-				if ok && (m.Base != mb || m.Size != rm.size || m.PFN != rm.pfn || m.Cores != rm.cores || dirty != wantDirty) {
+				if ok && (m.Base != mb || m.PFN != rm.pfn || m.Cores != rm.cores || dirty != wantDirty) {
 					t.Fatalf("step %d: Unmap(%d) = %+v dirty=%v; model base %d %+v dirty=%v", step, vpn, m, dirty, mb, *rm, wantDirty)
 				}
 			case 8: // NoteConsult: the kernel consults only on multi-socket runs
@@ -343,9 +333,9 @@ func checkAgainstModel(t *testing.T, step int, p *PSPT, r *refPSPT, pages int) {
 		wantCount := 0
 		if rm != nil {
 			wantCount = rm.cores.Count()
-			if m.Base != mb || m.Size != rm.size || m.PFN != rm.pfn || m.Cores != rm.cores {
-				t.Fatalf("step %d: Mapping(%d) = {%d %v %d %v}, model {%d %v %d %v}",
-					step, vpn, m.Base, m.Size, m.PFN, m.Cores, mb, rm.size, rm.pfn, rm.cores)
+			if m.Base != mb || m.PFN != rm.pfn || m.Cores != rm.cores {
+				t.Fatalf("step %d: Mapping(%d) = {%d %d %v}, model {%d %d %v}",
+					step, vpn, m.Base, m.PFN, m.Cores, mb, rm.pfn, rm.cores)
 			}
 			if want := (NUMAState{Replicas: rm.replicas, Home: rm.home, RemoteStreak: rm.streak}); ns != want {
 				t.Fatalf("step %d: NUMA(%d) = %+v, model %+v", step, vpn, ns, want)
@@ -368,15 +358,15 @@ func checkAgainstModel(t *testing.T, step int, p *PSPT, r *refPSPT, pages int) {
 				t.Fatalf("step %d: core %d Lookup(%d) ok=%v, model PTE=%v", step, c, vpn, ok, bits != nil)
 			}
 			if ok {
-				want = bits[rm.member(mb, vpn)]
+				want = bits[r.member(mb, vpn)]
 				wantPFN := rm.pfn
-				if rm.size == sim.Size64k {
-					wantPFN = rm.frame(mb, vpn)
+				if r.size == sim.Size64k {
+					wantPFN += int64(vpn - mb) // member PTEs carry the member frame
 				}
-				if size != rm.size || pte.PFN() != wantPFN ||
+				if size != r.size || pte.PFN() != wantPFN ||
 					pte.Has(pagetable.Accessed) != want.a || pte.Has(pagetable.Dirty) != want.d {
 					t.Fatalf("step %d: core %d Lookup(%d) = %v %v, model size %v pfn %d %+v",
-						step, c, vpn, pte, size, rm.size, wantPFN, want)
+						step, c, vpn, pte, size, r.size, wantPFN, want)
 				}
 			}
 			a, d, tracked := p.Summary(core, vpn)

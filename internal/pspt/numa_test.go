@@ -25,16 +25,16 @@ func TestSocketSet(t *testing.T) {
 // other sockets add replicas, and the home stays put.
 func TestReplicasTrackSockets(t *testing.T) {
 	// cores 0-3 socket 0, 4-7 socket 1
-	p := NewSized(8, 0, sim.DefaultTopology(2, 4), nil)
+	p := NewSized(8, sim.Size4k, 0, sim.DefaultTopology(2, 4), nil)
 
-	first, err := p.Map(5, 0, sim.Size4k, 7, pagetable.Writable)
+	first, err := p.Map(5, 0, 7, pagetable.Writable)
 	if err != nil || !first {
 		t.Fatalf("Map: %v first=%v", err, first)
 	}
 	if m := p.NUMA(0); m.Home != 1 || !m.Replicas.Has(1) || m.Replicas.Has(0) {
 		t.Fatalf("first mapper on socket 1: home=%d replicas=%b", m.Home, m.Replicas)
 	}
-	if _, err := p.Map(2, 0, sim.Size4k, 7, pagetable.Writable); err != nil {
+	if _, err := p.Map(2, 0, 7, pagetable.Writable); err != nil {
 		t.Fatalf("second Map: %v", err)
 	}
 	if m := p.NUMA(0); !m.Replicas.Has(0) || !m.Replicas.Has(1) || m.Home != 1 {
@@ -54,8 +54,8 @@ func TestReplicasTrackSockets(t *testing.T) {
 // replica, and a streak of consults from one remote socket past the
 // threshold re-homes the page-table page there.
 func TestNoteConsultMigration(t *testing.T) {
-	p := NewSized(8, 0, sim.DefaultTopology(2, 4), nil)
-	if _, err := p.Map(0, 0, sim.Size4k, 7, pagetable.Writable); err != nil {
+	p := NewSized(8, sim.Size4k, 0, sim.DefaultTopology(2, 4), nil)
+	if _, err := p.Map(0, 0, 7, pagetable.Writable); err != nil {
 		t.Fatal(err)
 	}
 
@@ -110,8 +110,8 @@ func TestNoteConsultMigration(t *testing.T) {
 // no topology (or a single socket) the replica fields never change.
 func TestFlatRunsWriteNoReplicaState(t *testing.T) {
 	for _, topo := range []*sim.Topology{nil, sim.DefaultTopology(1, 8)} {
-		p := NewSized(8, 0, topo, nil)
-		if _, err := p.Map(3, 0, sim.Size4k, 7, pagetable.Writable); err != nil {
+		p := NewSized(8, sim.Size4k, 0, topo, nil)
+		if _, err := p.Map(3, 0, 7, pagetable.Writable); err != nil {
 			t.Fatal(err)
 		}
 		if _, _, err := p.CopyFromSibling(5, 0, pagetable.Writable); err != nil {
@@ -129,11 +129,11 @@ func TestFlatRunsWriteNoReplicaState(t *testing.T) {
 // TestResyncCoresRecomputesReplicas: the skew-recovery path must leave
 // Replicas a superset of the mapping cores' sockets.
 func TestResyncCoresRecomputesReplicas(t *testing.T) {
-	p := NewSized(8, 0, sim.DefaultTopology(2, 4), nil)
-	if _, err := p.Map(1, 0, sim.Size4k, 7, pagetable.Writable); err != nil {
+	p := NewSized(8, sim.Size4k, 0, sim.DefaultTopology(2, 4), nil)
+	if _, err := p.Map(1, 0, 7, pagetable.Writable); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Map(6, 0, sim.Size4k, 7, pagetable.Writable); err != nil {
+	if _, err := p.Map(6, 0, 7, pagetable.Writable); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := p.InjectPhantomCoreBit(0); !ok {

@@ -81,12 +81,11 @@ func (ss SocketSet) Has(s int) bool { return ss&(1<<uint(s)) != 0 }
 func (ss SocketSet) Count() int { return bits.OnesCount32(uint32(ss)) }
 
 // Mapping is a view of the record for one mapped region of the
-// computation area: its size-aligned base, size class, base physical
-// frame and the set of cores holding a private PTE for it. It is a
-// copy: later operations on the PSPT do not change it.
+// computation area: its size-aligned base, base physical frame and the
+// set of cores holding a private PTE for it. It is a copy: later
+// operations on the PSPT do not change it.
 type Mapping struct {
 	Base  sim.PageID
-	Size  sim.PageSize
 	PFN   int64
 	Cores CoreSet
 }
@@ -106,24 +105,23 @@ type NUMAState struct {
 // entry's index, in the shape of a kernel coremap entry: one flat slot
 // per page, so finding a record is an array read.
 type entry struct {
-	size  uint8 // size class + 1 (sim.Size4k is 0); 0 = no mapping
-	pfn   int64
-	cores CoreSet
+	present bool
+	pfn     int64
+	cores   CoreSet
 	// lock serializes page-table updates to the resident mapping; Unmap
 	// zeroes it with the rest of the record.
 	lock sim.Resource
 }
 
-func (e *entry) pageSize() sim.PageSize { return sim.PageSize(e.size - 1) }
-
 func (e *entry) view(base sim.PageID) Mapping {
-	return Mapping{Base: base, Size: e.pageSize(), PFN: e.pfn, Cores: e.cores}
+	return Mapping{Base: base, PFN: e.pfn, Cores: e.cores}
 }
 
 // PSPT is the per-core partially separated page table set for one
-// address space on n cores. Mapping records live in ents, indexed by
-// base VPN; on multi-socket runs a parallel slice holds each record's
-// numaPTE state.
+// address space on n cores. Every mapping has the one page size fixed
+// at construction. Mapping records live in ents, indexed by base VPN;
+// on multi-socket runs a parallel slice holds each record's numaPTE
+// state.
 //
 // acc and dirty summarize the per-core attribute bits so the hit path
 // need not walk a table to set bits that are already set. Bit
@@ -134,6 +132,7 @@ func (e *entry) view(base sim.PageID) Mapping {
 // walk.
 type PSPT struct {
 	n      int
+	size   sim.PageSize
 	tables []*pagetable.Table
 	ents   []entry     // base VPN -> record; grows by doubling
 	numa   []NUMAState // parallel to ents; nil unless topo.Multi()
@@ -145,8 +144,9 @@ type PSPT struct {
 	topo *sim.Topology // nil on flat runs
 }
 
-// New creates a PSPT for n application cores on a flat machine.
-func New(n int) *PSPT { return NewSized(n, 0, nil, nil) }
+// New creates a PSPT of size mappings for n application cores on a
+// flat machine.
+func New(n int, size sim.PageSize) *PSPT { return NewSized(n, size, 0, nil, nil) }
 
 // NewSized is New with the record table and the accessed/dirty summary
 // sized for page IDs in [0, pages) (the summary drawn from sc, which is
@@ -154,13 +154,13 @@ func New(n int) *PSPT { return NewSized(n, 0, nil, nil) }
 // does: pages beyond it walk. A multi-socket topo turns on per-socket
 // page-table replica bookkeeping; a nil or single-socket one keeps the
 // flat behavior, which writes no replica state.
-func NewSized(n, pages int, topo *sim.Topology, sc *dense.Scratch) *PSPT {
+func NewSized(n int, size sim.PageSize, pages int, topo *sim.Topology, sc *dense.Scratch) *PSPT {
 	if n <= 0 || n > MaxCores {
 		panic(fmt.Sprintf("pspt: %d cores out of range 1..%d", n, MaxCores))
 	}
 	words := (pages + 63) / 64
 	sum := sc.U64(2 * n * words) // one slab for both bitmaps
-	p := &PSPT{n: n, tables: make([]*pagetable.Table, n), ents: make([]entry, pages), topo: topo,
+	p := &PSPT{n: n, size: size, tables: make([]*pagetable.Table, n), ents: make([]entry, pages), topo: topo,
 		words: words, acc: sum[:n*words], dirty: sum[n*words:]}
 	if topo.Multi() {
 		p.numa = make([]NUMAState, pages)
@@ -174,6 +174,9 @@ func NewSized(n, pages int, topo *sim.Topology, sc *dense.Scratch) *PSPT {
 // Cores returns the number of application cores.
 func (p *PSPT) Cores() int { return p.n }
 
+// PageSize returns the size of every mapping.
+func (p *PSPT) PageSize() sim.PageSize { return p.size }
+
 // Table exposes core's private table (tests and the scanner use it).
 func (p *PSPT) Table(core sim.CoreID) *pagetable.Table { return p.tables[core] }
 
@@ -182,22 +185,16 @@ func (p *PSPT) Lookup(core sim.CoreID, vpn sim.PageID) (pagetable.PTE, sim.PageS
 	return p.tables[core].Lookup(vpn)
 }
 
-// find returns the base and record of the mapping covering vpn, trying
-// each size class's alignment; e is nil when vpn is not resident. e is
-// valid until the table next grows (in Map).
+// find returns the base and record of the mapping covering vpn; e is
+// nil when vpn is not resident. e is valid until the table next grows
+// (in Map).
 func (p *PSPT) find(vpn sim.PageID) (base sim.PageID, e *entry) {
-	for _, s := range sizeClasses {
-		base = s.Align(vpn)
-		if uint64(base) < uint64(len(p.ents)) {
-			if e = &p.ents[base]; e.size != 0 && vpn < base+e.pageSize().Span() {
-				return base, e
-			}
-		}
+	base = p.size.Align(vpn)
+	if uint64(base) < uint64(len(p.ents)) && p.ents[base].present {
+		return base, &p.ents[base]
 	}
 	return 0, nil
 }
-
-var sizeClasses = [3]sim.PageSize{sim.Size4k, sim.Size64k, sim.Size2M}
 
 // at returns base's entry, doubling the table until it covers base.
 func (p *PSPT) at(base sim.PageID) *entry {
@@ -266,11 +263,11 @@ func (p *PSPT) summaryMask(core sim.CoreID, base sim.PageID, size sim.PageSize) 
 	return int(core)*p.words + int(base>>6), (1<<uint(size.Span()) - 1) << (uint(base) & 63), true
 }
 
-// setSummary makes core's summary bits for a mapping match the
-// accessed and dirty bits of flags, the attributes of its freshly
+// setSummary makes core's summary bits for the mapping at base match
+// the accessed and dirty bits of flags, the attributes of its freshly
 // installed (or, with flags 0, cleared) PTEs.
-func (p *PSPT) setSummary(core sim.CoreID, base sim.PageID, size sim.PageSize, flags pagetable.PTE) {
-	w, mask, tracked := p.summaryMask(core, base, size)
+func (p *PSPT) setSummary(core sim.CoreID, base sim.PageID, flags pagetable.PTE) {
+	w, mask, tracked := p.summaryMask(core, base, p.size)
 	if !tracked {
 		return
 	}
@@ -297,21 +294,19 @@ func (p *PSPT) Summary(core sim.CoreID, vpn sim.PageID) (accessed, dirty, tracke
 
 // setInTable installs the PTEs for one mapping into a single core's
 // private table.
-func (p *PSPT) setInTable(core sim.CoreID, base sim.PageID, size sim.PageSize, pfn int64, flags pagetable.PTE) error {
+func (p *PSPT) setInTable(core sim.CoreID, base sim.PageID, pfn int64, flags pagetable.PTE) error {
 	t := p.tables[core]
 	var err error
-	switch size {
+	switch p.size {
 	case sim.Size4k:
 		t.Set(base, pagetable.MakePTE(pfn, flags|pagetable.Present))
 	case sim.Size64k:
 		err = t.Set64k(base, pfn, flags)
 	case sim.Size2M:
 		err = t.Set2M(base, pagetable.MakePTE(pfn, flags))
-	default:
-		err = fmt.Errorf("pspt: unknown page size %v", size)
 	}
 	if err == nil {
-		p.setSummary(core, base, size, flags)
+		p.setSummary(core, base, flags)
 	}
 	return err
 }
@@ -319,10 +314,10 @@ func (p *PSPT) setInTable(core sim.CoreID, base sim.PageID, size sim.PageSize, p
 // clearInTable removes one mapping's PTEs from a single core's private
 // table and returns the previous entry; for a 64 kB group it carries
 // the accessed and dirty bits of all 16 members.
-func (p *PSPT) clearInTable(core sim.CoreID, base sim.PageID, size sim.PageSize) pagetable.PTE {
-	p.setSummary(core, base, size, 0)
+func (p *PSPT) clearInTable(core sim.CoreID, base sim.PageID) pagetable.PTE {
+	p.setSummary(core, base, 0)
 	t := p.tables[core]
-	switch size {
+	switch p.size {
 	case sim.Size64k:
 		return t.Clear64k(base)
 	case sim.Size2M:
@@ -334,27 +329,26 @@ func (p *PSPT) clearInTable(core sim.CoreID, base sim.PageID, size sim.PageSize)
 
 // Map establishes (or extends to another core) the mapping of the
 // region with the given size-aligned base. The first call creates the
-// bookkeeping record; later calls from other cores must agree on size
-// and frame. first reports whether core is the record's first mapper.
-func (p *PSPT) Map(core sim.CoreID, base sim.PageID, size sim.PageSize, pfn int64, flags pagetable.PTE) (first bool, err error) {
-	if !size.Aligned(base) {
-		return false, fmt.Errorf("pspt: Map base %d not %v aligned", base, size)
+// bookkeeping record; later calls from other cores must agree on the
+// frame. first reports whether core is the record's first mapper.
+func (p *PSPT) Map(core sim.CoreID, base sim.PageID, pfn int64, flags pagetable.PTE) (first bool, err error) {
+	if !p.size.Aligned(base) {
+		return false, fmt.Errorf("pspt: Map base %d not %v aligned", base, p.size)
 	}
 	e := p.at(base)
-	fresh := e.size == 0
+	fresh := !e.present
 	if fresh {
-		e.size, e.pfn = uint8(size)+1, pfn
+		e.present, e.pfn = true, pfn
 		p.count++
 	} else {
-		if e.pageSize() != size || e.pfn != pfn {
-			return false, fmt.Errorf("pspt: inconsistent remap of base %d: %v/%d vs %v/%d",
-				base, e.pageSize(), e.pfn, size, pfn)
+		if e.pfn != pfn {
+			return false, fmt.Errorf("pspt: inconsistent remap of base %d: frame %d vs %d", base, e.pfn, pfn)
 		}
 		if e.cores.Has(core) {
 			return false, nil // already mapped by this core
 		}
 	}
-	if err := p.setInTable(core, base, size, pfn, flags); err != nil {
+	if err := p.setInTable(core, base, pfn, flags); err != nil {
 		if fresh {
 			p.deleteMapping(base)
 		}
@@ -387,7 +381,7 @@ func (p *PSPT) CopyFromSibling(core sim.CoreID, vpn sim.PageID, flags pagetable.
 	// not yet in the set copies a sibling's PTE; a core already in the
 	// set is a racing fault: nothing to copy.
 	if !e.cores.Has(core) {
-		if err := p.setInTable(core, base, e.pageSize(), e.pfn, flags); err != nil {
+		if err := p.setInTable(core, base, e.pfn, flags); err != nil {
 			return Mapping{}, false, err
 		}
 		e.cores.Add(core)
@@ -443,7 +437,7 @@ func (p *PSPT) Unmap(vpn sim.PageID) (m Mapping, dirty, ok bool) {
 	m = e.view(base)
 	set := m.Cores
 	for c, more := set.Pop(); more; c, more = set.Pop() {
-		if p.clearInTable(c, base, m.Size).Has(pagetable.Dirty) {
+		if p.clearInTable(c, base).Has(pagetable.Dirty) {
 			dirty = true
 		}
 	}
@@ -507,7 +501,7 @@ func (p *PSPT) ScanAccessed(vpn sim.PageID, dst []sim.CoreID) (accessed bool, ta
 	if e == nil {
 		return false, dst, 1
 	}
-	size := e.pageSize()
+	size := p.size
 	ptes = 1
 	if size == sim.Size64k {
 		ptes = sim.Span64k
@@ -610,7 +604,7 @@ func (p *PSPT) ResidentMappings() int { return p.count }
 // base order (the page-indexed table makes that order free).
 func (p *PSPT) ForEachMapping(fn func(Mapping)) {
 	for base := range p.ents {
-		if e := &p.ents[base]; e.size != 0 {
+		if e := &p.ents[base]; e.present {
 			fn(e.view(sim.PageID(base)))
 		}
 	}

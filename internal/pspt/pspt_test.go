@@ -76,17 +76,17 @@ func TestNewBounds(t *testing.T) {
 					t.Errorf("New(%d) must panic", n)
 				}
 			}()
-			New(n)
+			New(n, sim.Size4k)
 		}()
 	}
-	if New(60).Cores() != 60 {
+	if New(60, sim.Size4k).Cores() != 60 {
 		t.Error("Cores()")
 	}
 }
 
 func TestMapAndCoreMapCount(t *testing.T) {
-	p := New(4)
-	first, err := p.Map(0, 100, sim.Size4k, 7, pagetable.Writable)
+	p := New(4, sim.Size4k)
+	first, err := p.Map(0, 100, 7, pagetable.Writable)
 	if err != nil || !first {
 		t.Fatalf("first Map: %v first=%v", err, first)
 	}
@@ -94,7 +94,7 @@ func TestMapAndCoreMapCount(t *testing.T) {
 		t.Errorf("count = %d", p.CoreMapCount(100))
 	}
 	// Second core maps the same page.
-	first2, err := p.Map(2, 100, sim.Size4k, 7, pagetable.Writable)
+	first2, err := p.Map(2, 100, 7, pagetable.Writable)
 	if err != nil || first2 {
 		t.Fatalf("second Map: %v first=%v", err, first2)
 	}
@@ -102,7 +102,7 @@ func TestMapAndCoreMapCount(t *testing.T) {
 		t.Errorf("count = %d", p.CoreMapCount(100))
 	}
 	// Idempotent remap by the same core.
-	f3, err := p.Map(2, 100, sim.Size4k, 7, 0)
+	f3, err := p.Map(2, 100, 7, 0)
 	if err != nil || f3 {
 		t.Error("re-map by same core must be a no-op")
 	}
@@ -126,31 +126,27 @@ func TestMapAndCoreMapCount(t *testing.T) {
 }
 
 func TestMapInconsistent(t *testing.T) {
-	p := New(2)
-	if _, err := p.Map(0, 100, sim.Size4k, 7, 0); err != nil {
+	p := New(2, sim.Size64k)
+	if _, err := p.Map(0, 96, 96, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Map(1, 100, sim.Size4k, 8, 0); err == nil {
+	if _, err := p.Map(1, 96, 112, 0); err == nil {
 		t.Error("different frame must be rejected")
 	}
-	if _, err := p.Map(1, 96, sim.Size64k, 96, 0); err == nil {
-		// base 96 is 64k-aligned but overlaps the live 4k mapping at
-		// 100 only logically; the record conflict is keyed by base, so
-		// this particular call succeeds — the kernel (vm) prevents
-		// overlapping maps. Just ensure unaligned bases are rejected:
-		_ = err
-	}
-	if _, err := p.Map(1, 101, sim.Size64k, 0, 0); err == nil {
+	if _, err := p.Map(1, 101, 0, 0); err == nil {
 		t.Error("unaligned 64k base must be rejected")
+	}
+	if m, ok := p.Mapping(100); !ok || m.Base != 96 || m.PFN != 96 || m.Cores.Count() != 1 {
+		t.Errorf("rejected maps changed the record: %+v, %v", m, ok)
 	}
 }
 
 func TestCopyFromSibling(t *testing.T) {
-	p := New(3)
+	p := New(3, sim.Size4k)
 	if _, ok, err := p.CopyFromSibling(1, 50, 0); ok || err != nil {
 		t.Error("copy with no sibling mapping must find nothing")
 	}
-	if _, err := p.Map(0, 50, sim.Size4k, 3, pagetable.Writable); err != nil {
+	if _, err := p.Map(0, 50, 3, pagetable.Writable); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok, err := p.CopyFromSibling(1, 50, pagetable.Writable); err != nil || !ok {
@@ -170,8 +166,8 @@ func TestCopyFromSibling(t *testing.T) {
 }
 
 func TestUnmapReturnsTargets(t *testing.T) {
-	p := New(4)
-	p.Map(0, 10, sim.Size4k, 1, pagetable.Writable)
+	p := New(4, sim.Size4k)
+	p.Map(0, 10, 1, pagetable.Writable)
 	p.CopyFromSibling(2, 10, pagetable.Writable)
 	p.CopyFromSibling(3, 10, pagetable.Writable)
 	p.Touch(2, 10, true) // dirty on core 2's private PTE
@@ -199,8 +195,8 @@ func TestUnmapReturnsTargets(t *testing.T) {
 }
 
 func TestTouchSetsBits(t *testing.T) {
-	p := New(2)
-	p.Map(0, 5, sim.Size4k, 1, pagetable.Writable)
+	p := New(2, sim.Size4k)
+	p.Map(0, 5, 1, pagetable.Writable)
 	p.Touch(0, 5, false)
 	e, _, _ := p.Lookup(0, 5)
 	if !e.Has(pagetable.Accessed) || e.Has(pagetable.Dirty) {
@@ -215,8 +211,8 @@ func TestTouchSetsBits(t *testing.T) {
 }
 
 func TestScanAccessed(t *testing.T) {
-	p := New(3)
-	p.Map(0, 5, sim.Size4k, 1, 0)
+	p := New(3, sim.Size4k)
+	p.Map(0, 5, 1, 0)
 	p.CopyFromSibling(1, 5, 0)
 	p.Touch(0, 5, false)
 	// Only core 0 touched; scan must clear its bit and target core 0.
@@ -240,8 +236,8 @@ func TestScanAccessed(t *testing.T) {
 }
 
 func TestPSPT64kMapping(t *testing.T) {
-	p := New(2)
-	first, err := p.Map(0, 32, sim.Size64k, 64, pagetable.Writable)
+	p := New(2, sim.Size64k)
+	first, err := p.Map(0, 32, 64, pagetable.Writable)
 	if err != nil || !first {
 		t.Fatal(err)
 	}
@@ -249,7 +245,7 @@ func TestPSPT64kMapping(t *testing.T) {
 		t.Errorf("group invalid: %v", err)
 	}
 	// A fault anywhere in the group resolves via the same record.
-	if got, ok := p.Mapping(40); !ok || got.Base != 32 || got.Size != sim.Size64k || got.PFN != 64 {
+	if got, ok := p.Mapping(40); !ok || got.Base != 32 || got.PFN != 64 {
 		t.Error("member vpn must find the group record")
 	}
 	if p.CoreMapCount(47) != 1 {
@@ -263,8 +259,7 @@ func TestPSPT64kMapping(t *testing.T) {
 	if _, _, ptes := p.ScanAccessed(33, nil); ptes != sim.Span64k {
 		t.Errorf("a 64k group scan tests %d PTEs, want 16", ptes)
 	}
-	mm, _, ok := p.Unmap(33)
-	if !ok || mm.Size != sim.Size64k {
+	if mm, _, ok := p.Unmap(33); !ok || mm.Base != 32 {
 		t.Fatal("group unmap failed")
 	}
 	for c := sim.CoreID(0); c < 2; c++ {
@@ -277,8 +272,8 @@ func TestPSPT64kMapping(t *testing.T) {
 }
 
 func TestPSPT2MMapping(t *testing.T) {
-	p := New(2)
-	if _, err := p.Map(0, 512, sim.Size2M, 0, pagetable.Writable); err != nil {
+	p := New(2, sim.Size2M)
+	if _, err := p.Map(0, 512, 0, pagetable.Writable); err != nil {
 		t.Fatal(err)
 	}
 	if p.CoreMapCount(512+300) != 1 {
@@ -299,11 +294,11 @@ func TestPSPT2MMapping(t *testing.T) {
 }
 
 func TestSharingHistogram(t *testing.T) {
-	p := New(4)
-	p.Map(0, 1, sim.Size4k, 1, 0) // 1 core
-	p.Map(0, 2, sim.Size4k, 2, 0) // will get 2 cores
+	p := New(4, sim.Size4k)
+	p.Map(0, 1, 1, 0) // 1 core
+	p.Map(0, 2, 2, 0) // will get 2 cores
 	p.CopyFromSibling(1, 2, 0)
-	p.Map(0, 3, sim.Size4k, 3, 0) // will get 4 cores
+	p.Map(0, 3, 3, 0) // will get 4 cores
 	for c := sim.CoreID(1); c < 4; c++ {
 		p.CopyFromSibling(c, 3, 0)
 	}
@@ -318,13 +313,13 @@ func TestMappingInvariantProperty(t *testing.T) {
 	// record's core set matches exactly the cores whose private tables
 	// resolve the base VPN.
 	f := func(ops []uint16) bool {
-		p := New(8)
+		p := New(8, sim.Size4k)
 		for _, op := range ops {
 			core := sim.CoreID(op % 8)
 			vpn := sim.PageID((op >> 3) % 32)
 			switch (op >> 8) % 3 {
 			case 0:
-				p.Map(core, vpn, sim.Size4k, int64(vpn), 0)
+				p.Map(core, vpn, int64(vpn), 0)
 			case 1:
 				p.CopyFromSibling(core, vpn, 0)
 			case 2:

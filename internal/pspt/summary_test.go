@@ -31,8 +31,8 @@ func checkSummary(t *testing.T, p *PSPT, pages int, when string) {
 }
 
 func TestSummary4kScan(t *testing.T) {
-	p := NewSized(2, 64, nil, nil)
-	p.Map(0, 5, sim.Size4k, 9, pagetable.Writable)
+	p := NewSized(2, sim.Size4k, 64, nil, nil)
+	p.Map(0, 5, 9, pagetable.Writable)
 	p.CopyFromSibling(1, 5, pagetable.Writable)
 	checkSummary(t, p, 64, "fresh map")
 	if _, written := p.Touch(0, 5, false); written {
@@ -61,8 +61,8 @@ func TestSummary4kScan(t *testing.T) {
 }
 
 func TestSummary64kGroupScan(t *testing.T) {
-	p := NewSized(2, 128, nil, nil)
-	p.Map(0, 32, sim.Size64k, 64, pagetable.Writable)
+	p := NewSized(2, sim.Size64k, 128, nil, nil)
+	p.Map(0, 32, 64, pagetable.Writable)
 	p.CopyFromSibling(1, 40, pagetable.Writable)
 	p.Touch(0, 35, false)
 	if f, written := p.Touch(1, 39, true); !written || f != 64+7 {
@@ -85,8 +85,8 @@ func TestSummary64kGroupScan(t *testing.T) {
 }
 
 func TestSummary2MNeverTracked(t *testing.T) {
-	p := NewSized(1, 1024, nil, nil)
-	p.Map(0, 512, sim.Size2M, 1024, pagetable.Writable)
+	p := NewSized(1, sim.Size2M, 1024, nil, nil)
+	p.Map(0, 512, 1024, pagetable.Writable)
 	for i := 0; i < 2; i++ { // the second write must walk again
 		if f, written := p.Touch(0, 700, true); !written || f != 1024+188 {
 			t.Fatalf("2M write frame = %d, %v; want 1212", f, written)
@@ -101,15 +101,15 @@ func TestSummary2MNeverTracked(t *testing.T) {
 
 func TestSummaryUnmapThenFreshMap(t *testing.T) {
 	for _, size := range []sim.PageSize{sim.Size4k, sim.Size64k} {
-		p := NewSized(2, 64, nil, nil)
-		p.Map(0, 16, size, 16, pagetable.Writable)
+		p := NewSized(2, size, 64, nil, nil)
+		p.Map(0, 16, 16, pagetable.Writable)
 		p.CopyFromSibling(1, 16, pagetable.Writable)
 		p.Touch(1, 16, true)
 		if _, dirty, _ := p.Unmap(16); !dirty {
 			t.Errorf("%v: Unmap must report the write", size)
 		}
 		checkSummary(t, p, 64, size.String()+" after Unmap")
-		p.Map(0, 16, size, 32, pagetable.Writable)
+		p.Map(0, 16, 32, pagetable.Writable)
 		checkSummary(t, p, 64, size.String()+" after fresh Map")
 		if f, written := p.Touch(0, 16, true); !written || f != 32 {
 			t.Errorf("%v: write after remap = %d, %v; want the new frame 32", size, f, written)
@@ -122,15 +122,15 @@ func TestSummaryUnmapThenFreshMap(t *testing.T) {
 // second mapping core, tracked range or not.
 func TestUnmapDirty64kMemberOnNonFirstCore(t *testing.T) {
 	for _, pages := range []int{0, 64} {
-		p := NewSized(2, pages, nil, nil)
-		p.Map(0, 32, sim.Size64k, 64, pagetable.Writable)
+		p := NewSized(2, sim.Size64k, pages, nil, nil)
+		p.Map(0, 32, 64, pagetable.Writable)
 		p.CopyFromSibling(1, 32, pagetable.Writable)
 		p.Touch(0, 32, false)
 		p.Touch(1, 39, true)
 		if _, dirty, _ := p.Unmap(32); !dirty {
 			t.Errorf("pages=%d: Unmap missed the write to member 7 on core 1", pages)
 		}
-		p.Map(0, 32, sim.Size64k, 64, pagetable.Writable)
+		p.Map(0, 32, 64, pagetable.Writable)
 		p.Touch(0, 47, false)
 		if _, dirty, _ := p.Unmap(32); dirty {
 			t.Errorf("pages=%d: a read-only group must unmap clean", pages)
@@ -139,8 +139,8 @@ func TestUnmapDirty64kMemberOnNonFirstCore(t *testing.T) {
 }
 
 func TestTouchBeyondSizedRangeWalks(t *testing.T) {
-	p := NewSized(1, 64, nil, nil)
-	p.Map(0, 200, sim.Size4k, 7, pagetable.Writable)
+	p := NewSized(1, sim.Size4k, 64, nil, nil)
+	p.Map(0, 200, 7, pagetable.Writable)
 	if _, _, tracked := p.Summary(0, 200); tracked {
 		t.Fatal("vpn 200 lies past the 64-page summary")
 	}
@@ -157,71 +157,50 @@ func TestTouchBeyondSizedRangeWalks(t *testing.T) {
 	}
 }
 
-// TestSummaryRandomOps drives a sized PSPT with a random mix of every
-// path that installs, touches, scans or clears PTEs and checks the
-// summary invariant after each step, plus that each write's frame
-// equals the one a fresh lookup resolves.
+// TestSummaryRandomOps drives a sized PSPT of each page size with a
+// random mix of every path that installs, touches, scans or clears PTEs
+// and checks the summary invariant after each step, plus that each
+// write's frame equals the one a fresh lookup resolves.
 func TestSummaryRandomOps(t *testing.T) {
 	const pages, cores = 1024, 3
-	p := NewSized(cores, pages, nil, nil)
 	r := rand.New(rand.NewSource(7))
-	// Disjoint regions per size class keep maps from colliding: 4 kB
-	// in [0,256), 64 kB groups in [256,512), one 2 MB block at 512.
-	randVPN := func() sim.PageID {
-		switch r.Intn(3) {
-		case 0:
-			return sim.PageID(r.Intn(256))
-		case 1:
-			return sim.PageID(256 + r.Intn(256))
-		}
-		return sim.PageID(512 + r.Intn(512))
-	}
-	sizeOf := func(vpn sim.PageID) sim.PageSize {
-		switch {
-		case vpn < 256:
-			return sim.Size4k
-		case vpn < 512:
-			return sim.Size64k
-		}
-		return sim.Size2M
-	}
-	for step := 0; step < 4000; step++ {
-		core := sim.CoreID(r.Intn(cores))
-		vpn := randVPN()
-		switch op := r.Intn(10); {
-		case op < 2:
-			if _, ok := p.Mapping(vpn); ok {
-				p.CopyFromSibling(core, vpn, pagetable.Writable)
-				break
-			}
-			size := sizeOf(vpn)
-			base := size.Align(vpn)
-			if _, err := p.Map(core, base, size, int64(base), pagetable.Writable); err != nil {
-				t.Fatal(err)
-			}
-		case op < 7:
-			write := r.Intn(2) == 0
-			pte, size, ok := p.Lookup(core, vpn)
-			f, written := p.Touch(core, vpn, write)
-			if written != (ok && write) {
-				t.Fatalf("step %d: Touch(core %d, vpn %d, write %v) written=%v, mapped=%v", step, core, vpn, write, written, ok)
-			}
-			if written {
-				want := pte.PFN()
-				if size == sim.Size2M {
-					want += int64(vpn - size.Align(vpn))
+	for _, size := range []sim.PageSize{sim.Size4k, sim.Size64k, sim.Size2M} {
+		p := NewSized(cores, size, pages, nil, nil)
+		for step := 0; step < 2000; step++ {
+			core := sim.CoreID(r.Intn(cores))
+			vpn := sim.PageID(r.Intn(pages))
+			switch op := r.Intn(10); {
+			case op < 2:
+				if _, ok := p.Mapping(vpn); ok {
+					p.CopyFromSibling(core, vpn, pagetable.Writable)
+					break
 				}
-				if f != want {
-					t.Fatalf("step %d: Touch frame %d, lookup resolves %d", step, f, want)
+				base := size.Align(vpn)
+				if _, err := p.Map(core, base, int64(base), pagetable.Writable); err != nil {
+					t.Fatal(err)
 				}
+			case op < 7:
+				write := r.Intn(2) == 0
+				pte, _, ok := p.Lookup(core, vpn)
+				f, written := p.Touch(core, vpn, write)
+				if written != (ok && write) {
+					t.Fatalf("%v step %d: Touch(core %d, vpn %d, write %v) written=%v, mapped=%v", size, step, core, vpn, write, written, ok)
+				}
+				if written {
+					want := pte.PFN()
+					if size == sim.Size2M {
+						want += int64(vpn - size.Align(vpn))
+					}
+					if f != want {
+						t.Fatalf("%v step %d: Touch frame %d, lookup resolves %d", size, step, f, want)
+					}
+				}
+			case op < 8:
+				p.ScanAccessed(vpn, nil)
+			case op < 9:
+				p.Unmap(vpn)
 			}
-		case op < 8:
-			p.ScanAccessed(vpn, nil)
-		case op < 9:
-			p.Unmap(vpn)
-		default:
-			r.Intn(20) // no-op slot; its draw keeps the seeded op sequence
+			checkSummary(t, p, pages, size.String()+" random ops")
 		}
-		checkSummary(t, p, pages, "random ops")
 	}
 }

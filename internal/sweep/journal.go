@@ -23,10 +23,11 @@ import (
 // NUMA topology (new counters and a histogram in Run, topology fields
 // in the content key); v5 derives every content key from the JSON wire
 // encoding of the config (see Key); v6 drops four config fields that
-// nothing outside tests set (DESIGN.md §16), which changes every key.
-// Stale schemas are rejected: their keys or runs no longer match what
+// nothing outside tests set (DESIGN.md §16), which changes every key;
+// v7 drops Config.AdaptivePageSize and two TenantSpec fields, which
+// changes every key again. Stale schemas are rejected: their keys or runs no longer match what
 // this build computes.
-const Schema = "cmcp-sweep/v6"
+const Schema = "cmcp-sweep/v7"
 
 // staleSchemas are schemas this build once wrote and now refuses, so
 // the rejection can say "outdated" rather than "not a journal".
@@ -36,6 +37,7 @@ var staleSchemas = map[string]bool{
 	"cmcp-sweep/v3": true,
 	"cmcp-sweep/v4": true,
 	"cmcp-sweep/v5": true,
+	"cmcp-sweep/v6": true,
 }
 
 // header is the journal's first line.

@@ -66,7 +66,6 @@ func TestKeyDeterministicAndSensitive(t *testing.T) {
 		"seed":       func(c *machine.Config) { c.Seed++ },
 		"ratio":      func(c *machine.Config) { c.MemoryRatio = 0.6 },
 		"pagesize":   func(c *machine.Config) { c.PageSize = sim.Size64k },
-		"adaptive":   func(c *machine.Config) { c.AdaptivePageSize = true },
 		"tables":     func(c *machine.Config) { c.Tables = vm.RegularPT },
 		"policy":     func(c *machine.Config) { c.Policy.Kind = machine.LRU },
 		"policy-p":   func(c *machine.Config) { c.Policy.P = 0.875 },
@@ -355,7 +354,7 @@ func TestJournalRejectsForeignHeader(t *testing.T) {
 		"badschema.jsonl":   `{"schema":"cmcp-sweep/v0","counters":[]}` + "\n",
 		"oldschema.jsonl":   `{"schema":"cmcp-sweep/v1","counters":[]}` + "\n",
 		"pretenant.jsonl":   `{"schema":"cmcp-sweep/v2","counters":[]}` + "\n",
-		"badcounters.jsonl": `{"schema":"cmcp-sweep/v6","counters":["bogus"]}` + "\n",
+		"badcounters.jsonl": `{"schema":"cmcp-sweep/v7","counters":["bogus"]}` + "\n",
 		"badhists.jsonl":    validCountersBadHistsHeader() + "\n",
 	} {
 		path := filepath.Join(dir, name)

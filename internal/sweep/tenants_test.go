@@ -49,9 +49,7 @@ func TestKeyTenantSensitive(t *testing.T) {
 		"writefrac": func(s *workload.TenantSpec) { s.WriteFrac = 0.5 },
 		"zipf":      func(s *workload.TenantSpec) { s.ZipfS = 0.9 },
 		"pageskew":  func(s *workload.TenantSpec) { s.PageSkew = 3 },
-		"burst":     func(s *workload.TenantSpec) { s.Burst = 4 },
 		"churn":     func(s *workload.TenantSpec) { s.ChurnEvery = 500 },
-		"stride":    func(s *workload.TenantSpec) { s.ChurnStride = 3 },
 		"diurnal":   func(s *workload.TenantSpec) { s.DiurnalEvery = 900 },
 		"weights":   func(s *workload.TenantSpec) { s.Weights = []float64{1, 1, 1, 1, 2, 2, 2, 2} },
 		"hard":      func(s *workload.TenantSpec) { s.HardPartition = true },

@@ -37,7 +37,8 @@ func (k TableKind) String() string {
 }
 
 // addressSpace abstracts the two page-table organizations for the
-// fault handler. All methods are bookkeeping-only; costs are charged by
+// fault handler. Every mapping has the page size the address space was
+// built with. All methods are bookkeeping-only; costs are charged by
 // the Manager from the sim.CostModel.
 type addressSpace interface {
 	// Lookup resolves vpn as seen by core. It writes nothing, so probe
@@ -51,12 +52,12 @@ type addressSpace interface {
 	ResolveSibling(core sim.CoreID, vpn sim.PageID, flags pagetable.PTE) (base sim.PageID, ok bool)
 
 	// Map establishes a new mapping for core at the size-aligned base.
-	Map(core sim.CoreID, base sim.PageID, size sim.PageSize, pfn int64, flags pagetable.PTE) error
+	Map(core sim.CoreID, base sim.PageID, pfn int64, flags pagetable.PTE) error
 
 	// Unmap removes the mapping covering vpn from all tables. targets
 	// is the set of cores whose TLBs must be invalidated: the precise
 	// mapping set under PSPT, all cores under regular tables.
-	Unmap(vpn sim.PageID) (base sim.PageID, size sim.PageSize, pfn int64, targets []sim.CoreID, ok bool)
+	Unmap(vpn sim.PageID) (base sim.PageID, pfn int64, targets []sim.CoreID, ok bool)
 
 	// Touch simulates the MMU setting accessed (and dirty, for writes)
 	// bits for core's view of vpn. written reports a write to a page
@@ -84,40 +85,27 @@ type addressSpace interface {
 
 	// ForEachMapping visits every live mapping in ascending base order
 	// (read-only; the invariant auditor and experiments iterate it).
-	ForEachMapping(fn func(base sim.PageID, size sim.PageSize, pfn int64))
+	ForEachMapping(fn func(base sim.PageID, pfn int64))
 }
 
-// mappingInfo is the kernel's record of one resident mapping under
-// regular page tables (the OS knows what is mapped; it just cannot know
-// which cores cached the translation). Records pack into one word of a
-// page-indexed table: bit 0 present, bits 1-2 the size class, bits 8+
-// the PFN. A zero word means "not mapped".
-type mappingInfo struct {
-	size sim.PageSize
-	pfn  int64
-}
-
-func (mi mappingInfo) pack() uint64 {
-	return 1 | uint64(mi.size)<<1 | uint64(mi.pfn)<<8
-}
-
-func unpackMappingInfo(w uint64) mappingInfo {
-	return mappingInfo{size: sim.PageSize(w >> 1 & 3), pfn: int64(w >> 8)}
-}
-
-// sharedAS is the regular-page-table organization.
+// sharedAS is the regular-page-table organization. maps is the
+// kernel's record of the resident mappings (the OS knows what is
+// mapped; it just cannot know which cores cached the translation): a
+// page-indexed word per base, pfn+1 for a mapping and 0 for none.
 type sharedAS struct {
 	cores    int
+	size     sim.PageSize
 	table    *pagetable.Table
-	maps     dense.Words // base -> packed mappingInfo
+	maps     dense.Words // base -> pfn+1
 	resident int
 	lock     sim.Resource
 	targets  []sim.CoreID // reusable all-cores slice
 }
 
-func newSharedAS(cores, pages int, sc *dense.Scratch) *sharedAS {
+func newSharedAS(cores, pages int, size sim.PageSize, sc *dense.Scratch) *sharedAS {
 	s := &sharedAS{
 		cores: cores,
+		size:  size,
 		table: pagetable.New(),
 		maps:  dense.NewWords(sc, pages),
 	}
@@ -136,11 +124,11 @@ func (s *sharedAS) ResolveSibling(sim.CoreID, sim.PageID, pagetable.PTE) (sim.Pa
 	return 0, false // shared PTEs are visible to every core; no minor faults
 }
 
-func (s *sharedAS) Map(_ sim.CoreID, base sim.PageID, size sim.PageSize, pfn int64, flags pagetable.PTE) error {
+func (s *sharedAS) Map(_ sim.CoreID, base sim.PageID, pfn int64, flags pagetable.PTE) error {
 	if s.maps.Get(base) != 0 {
 		return fmt.Errorf("vm: double map of base %d", base)
 	}
-	switch size {
+	switch s.size {
 	case sim.Size4k:
 		s.table.Set(base, pagetable.MakePTE(pfn, flags|pagetable.Present))
 	case sim.Size64k:
@@ -152,33 +140,24 @@ func (s *sharedAS) Map(_ sim.CoreID, base sim.PageID, size sim.PageSize, pfn int
 			return err
 		}
 	}
-	s.maps.Set(base, mappingInfo{size: size, pfn: pfn}.pack())
+	s.maps.Set(base, uint64(pfn)+1)
 	s.resident++
 	return nil
 }
 
-// find locates the mapping record covering vpn by probing each size
-// class's alignment.
-func (s *sharedAS) find(vpn sim.PageID) (sim.PageID, mappingInfo, bool) {
-	for _, sz := range sizeClasses {
-		base := sz.Align(vpn)
-		if w := s.maps.Get(base); w != 0 {
-			if mi := unpackMappingInfo(w); vpn < base+mi.size.Span() {
-				return base, mi, true
-			}
-		}
-	}
-	return 0, mappingInfo{}, false
+// find returns the base and frame of the mapping covering vpn.
+func (s *sharedAS) find(vpn sim.PageID) (base sim.PageID, pfn int64, ok bool) {
+	base = s.size.Align(vpn)
+	w := s.maps.Get(base)
+	return base, int64(w) - 1, w != 0
 }
 
-var sizeClasses = [3]sim.PageSize{sim.Size4k, sim.Size64k, sim.Size2M}
-
-func (s *sharedAS) Unmap(vpn sim.PageID) (sim.PageID, sim.PageSize, int64, []sim.CoreID, bool) {
-	base, mi, ok := s.find(vpn)
+func (s *sharedAS) Unmap(vpn sim.PageID) (sim.PageID, int64, []sim.CoreID, bool) {
+	base, pfn, ok := s.find(vpn)
 	if !ok {
-		return 0, 0, 0, nil, false
+		return 0, 0, nil, false
 	}
-	switch mi.size {
+	switch s.size {
 	case sim.Size64k:
 		s.table.Clear64k(base)
 	case sim.Size2M:
@@ -190,7 +169,7 @@ func (s *sharedAS) Unmap(vpn sim.PageID) (sim.PageID, sim.PageSize, int64, []sim
 	s.resident--
 	// Centralized bookkeeping: the kernel cannot tell which cores have
 	// the translation cached, so the shootdown must broadcast.
-	return base, mi.size, mi.pfn, s.targets, true
+	return base, pfn, s.targets, true
 }
 
 func (s *sharedAS) Touch(_ sim.CoreID, vpn sim.PageID, write bool) (sim.FrameID, bool) {
@@ -207,12 +186,12 @@ func (s *sharedAS) Touch(_ sim.CoreID, vpn sim.PageID, write bool) (sim.FrameID,
 func (s *sharedAS) CoreMapCount(sim.PageID) int { return -1 }
 
 func (s *sharedAS) ScanAccessed(base sim.PageID) (bool, []sim.CoreID, int) {
-	b, mi, ok := s.find(base)
+	b, _, ok := s.find(base)
 	if !ok {
 		return false, nil, 1
 	}
 	accessed, ptes := false, 1
-	switch mi.size {
+	switch s.size {
 	case sim.Size2M:
 		s.table.Update2M(b, func(e pagetable.PTE) pagetable.PTE {
 			if e.Has(pagetable.Accessed) {
@@ -243,11 +222,10 @@ func (s *sharedAS) LockFor(sim.PageID) *sim.Resource { return &s.lock }
 
 func (s *sharedAS) Resident() int { return s.resident }
 
-func (s *sharedAS) ForEachMapping(fn func(base sim.PageID, size sim.PageSize, pfn int64)) {
+func (s *sharedAS) ForEachMapping(fn func(base sim.PageID, pfn int64)) {
 	for p, w := range s.maps.Slice() {
 		if w != 0 {
-			mi := unpackMappingInfo(w)
-			fn(sim.PageID(p), mi.size, mi.pfn)
+			fn(sim.PageID(p), int64(w)-1)
 		}
 	}
 }
@@ -258,8 +236,8 @@ type psptAS struct {
 	scratch []sim.CoreID
 }
 
-func newPSPTAS(cores, pages int, topo *sim.Topology, sc *dense.Scratch) *psptAS {
-	return &psptAS{p: pspt.NewSized(cores, pages, topo, sc)}
+func newPSPTAS(cores, pages int, size sim.PageSize, topo *sim.Topology, sc *dense.Scratch) *psptAS {
+	return &psptAS{p: pspt.NewSized(cores, size, pages, topo, sc)}
 }
 
 func (a *psptAS) Lookup(core sim.CoreID, vpn sim.PageID) (pagetable.PTE, sim.PageSize, bool) {
@@ -274,18 +252,18 @@ func (a *psptAS) ResolveSibling(core sim.CoreID, vpn sim.PageID, flags pagetable
 	return m.Base, true
 }
 
-func (a *psptAS) Map(core sim.CoreID, base sim.PageID, size sim.PageSize, pfn int64, flags pagetable.PTE) error {
-	_, err := a.p.Map(core, base, size, pfn, flags)
+func (a *psptAS) Map(core sim.CoreID, base sim.PageID, pfn int64, flags pagetable.PTE) error {
+	_, err := a.p.Map(core, base, pfn, flags)
 	return err
 }
 
-func (a *psptAS) Unmap(vpn sim.PageID) (sim.PageID, sim.PageSize, int64, []sim.CoreID, bool) {
+func (a *psptAS) Unmap(vpn sim.PageID) (sim.PageID, int64, []sim.CoreID, bool) {
 	m, _, ok := a.p.Unmap(vpn)
 	if !ok {
-		return 0, 0, 0, nil, false
+		return 0, 0, nil, false
 	}
 	a.scratch = m.Cores.Cores(a.scratch[:0])
-	return m.Base, m.Size, m.PFN, a.scratch, true
+	return m.Base, m.PFN, a.scratch, true
 }
 
 func (a *psptAS) Touch(core sim.CoreID, vpn sim.PageID, write bool) (sim.FrameID, bool) {
@@ -306,8 +284,8 @@ func (a *psptAS) LockFor(base sim.PageID) *sim.Resource { return a.p.Lock(base) 
 
 func (a *psptAS) Resident() int { return a.p.ResidentMappings() }
 
-func (a *psptAS) ForEachMapping(fn func(base sim.PageID, size sim.PageSize, pfn int64)) {
-	a.p.ForEachMapping(func(m pspt.Mapping) { fn(m.Base, m.Size, m.PFN) })
+func (a *psptAS) ForEachMapping(fn func(base sim.PageID, pfn int64)) {
+	a.p.ForEachMapping(func(m pspt.Mapping) { fn(m.Base, m.PFN) })
 }
 
 // PSPT exposes the underlying PSPT for experiments (Figure 6 reads the

@@ -28,7 +28,8 @@ type Config struct {
 	// Frames is the device memory size in 4 kB frames. This is the
 	// memory-constraint knob of the experiments.
 	Frames int
-	// PageSize is the mapping granularity of the computation area.
+	// PageSize is the mapping granularity of the computation area:
+	// every mapping of the run has this size.
 	PageSize sim.PageSize
 	// Tables selects regular shared page tables or PSPT.
 	Tables TableKind
@@ -37,11 +38,6 @@ type Config struct {
 	// Verify enables page-content integrity checking across swap
 	// cycles (tests; small overhead).
 	Verify bool
-	// Adaptive enables dynamic per-region page-size selection driven by
-	// block fault frequency (the paper's §5.7 future work). PageSize is
-	// ignored for the computation area; each fault picks 4 kB, 64 kB or
-	// 2 MB per 2 MB block.
-	Adaptive bool
 	// Probe, when non-nil, receives flight-recorder events from the
 	// fault, eviction and scan paths. Disabled tracing costs one
 	// nil-check branch per instrumented site.
@@ -70,7 +66,7 @@ type Config struct {
 	// address spaces contending for the one frame pool: per-tenant
 	// policy instances, a frame-ownership table, weighted or
 	// hard-partitioned eviction pressure, and per-tenant counters on
-	// the run. Requires 4 kB pages without adaptive sizing.
+	// the run. Requires 4 kB pages.
 	Tenants *TenantConfig
 	// Topology, when non-nil and multi-socket, replaces the flat
 	// single-ring IPI model with per-socket rings joined by an
@@ -111,10 +107,9 @@ type Manager struct {
 	verify   map[sim.PageID]mem.Signature
 	faultObs FaultObserver
 	invalObs func(core sim.CoreID, base sim.PageID) // fires before each TLB invalidation
-	adapter  *sizeAdapter
-	rec      *obs.Recorder   // nil = tracing disabled
-	inj      *fault.Injector // nil = fault injection disabled
-	hs       *stats.HistSet  // nil = histograms disabled
+	rec      *obs.Recorder                          // nil = tracing disabled
+	inj      *fault.Injector                        // nil = fault injection disabled
+	hs       *stats.HistSet                         // nil = histograms disabled
 
 	degraded map[sim.PageID]struct{} // pages on regular-table semantics after skew repair
 	allCores []sim.CoreID            // lazily built broadcast target list (degraded pages)
@@ -128,6 +123,9 @@ type Manager struct {
 func NewManager(cfg Config, factory PolicyFactory) (*Manager, error) {
 	if cfg.Cores <= 0 {
 		return nil, fmt.Errorf("vm: %d cores", cfg.Cores)
+	}
+	if cfg.PageSize > sim.Size2M {
+		return nil, fmt.Errorf("vm: unknown page size %v", cfg.PageSize)
 	}
 	if cfg.Frames < int(cfg.PageSize.Span()) {
 		return nil, fmt.Errorf("vm: %d frames cannot hold one %v mapping", cfg.Frames, cfg.PageSize)
@@ -158,9 +156,9 @@ func NewManager(cfg Config, factory PolicyFactory) (*Manager, error) {
 		m.hs = m.run.EnableHists()
 	}
 	if cfg.Tables == PSPTKind {
-		m.as = newPSPTAS(cfg.Cores, cfg.Pages, cfg.Topology, sc)
+		m.as = newPSPTAS(cfg.Cores, cfg.Pages, cfg.PageSize, cfg.Topology, sc)
 	} else {
-		m.as = newSharedAS(cfg.Cores, cfg.Pages, sc)
+		m.as = newSharedAS(cfg.Cores, cfg.Pages, cfg.PageSize, sc)
 	}
 	m.tlbs = make([]tlb.TLB, cfg.Cores)
 	for i := range m.tlbs {
@@ -168,9 +166,6 @@ func NewManager(cfg Config, factory PolicyFactory) (*Manager, error) {
 	}
 	if cfg.Verify {
 		m.verify = make(map[sim.PageID]mem.Signature)
-	}
-	if cfg.Adaptive {
-		m.adapter = newSizeAdapter(cfg.Pages, sc)
 	}
 	if cfg.Tenants != nil {
 		mt, err := newTenantState(m, *cfg.Tenants, factory)
@@ -242,8 +237,11 @@ func (m *Manager) Lookup(core sim.CoreID, vpn sim.PageID) (pagetable.PTE, sim.Pa
 	return m.as.Lookup(core, vpn)
 }
 
+// PageSize returns the size of every mapping.
+func (m *Manager) PageSize() sim.PageSize { return m.cfg.PageSize }
+
 // ForEachMapping visits every resident mapping in ascending base order.
-func (m *Manager) ForEachMapping(fn func(base sim.PageID, size sim.PageSize, pfn int64)) {
+func (m *Manager) ForEachMapping(fn func(base sim.PageID, pfn int64)) {
 	m.as.ForEachMapping(fn)
 }
 
@@ -254,16 +252,6 @@ func (m *Manager) PSPT() (*pspt.PSPT, bool) {
 		return a.PSPT(), true
 	}
 	return nil, false
-}
-
-// AdaptiveResidency exposes the size adapter's per-block and per-group
-// residency counters (ok=false when Config.Adaptive is off). The slices
-// are live views; callers must not modify them.
-func (m *Manager) AdaptiveResidency() (perBlock, perGroup []int32, ok bool) {
-	if m.adapter == nil {
-		return nil, nil, false
-	}
-	return m.adapter.resInBlock, m.adapter.resInGroup, true
 }
 
 // TakeDebt drains and returns the pending interrupt cycles of core —
@@ -293,9 +281,6 @@ func (m *Manager) Tick(now sim.Cycles) sim.Cycles {
 		m.mt.tick(now)
 	} else {
 		m.pol.Tick(now)
-	}
-	if m.adapter != nil {
-		m.adapter.tick(now)
 	}
 	cost := m.TakeScanCost()
 	if m.rec != nil && cost > 0 {
@@ -527,23 +512,10 @@ func (m *Manager) faultService(core sim.CoreID, vpn sim.PageID, t sim.Cycles) (s
 	} else if m.faultObs != nil {
 		m.faultObs.NoteFault()
 	}
-	size := m.cfg.PageSize
-	if m.adapter != nil {
-		size = m.adapter.choose(vpn)
-		for size.Span() > sim.PageID(m.cfg.Frames) {
-			size-- // device too small for this granularity
-		}
-		if size == sim.Size2M && m.dev.FreeFrames() < sim.Span2M {
-			// Carving a 512-frame aligned hole out of live mappings is
-			// a compaction storm; fall back to the middle size.
-			size = sim.Size64k
-		}
-	}
-	base := size.Align(vpn)
-	span := int(size.Span())
+	base := m.cfg.PageSize.Align(vpn)
 
 	t = m.acquire(&m.allocLock, core, base, t, m.cost.AllocLock)
-	work, wire, err := m.service(core, vpn, base, size, span)
+	work, wire, err := m.service(core, vpn, base)
 	if err != nil {
 		return t, err
 	}
@@ -611,8 +583,10 @@ func (m *Manager) dmaLatencyFor(wire sim.Cycles) sim.Cycles {
 // an attempt can roll back (frames released, backoff charged, nothing
 // mapped) and retry, so a transient transfer failure or a corrupt frame
 // never leaves a half-installed mapping behind.
-func (m *Manager) service(core sim.CoreID, vpn, base sim.PageID, size sim.PageSize, span int) (work, wire sim.Cycles, err error) {
+func (m *Manager) service(core sim.CoreID, vpn, base sim.PageID) (work, wire sim.Cycles, err error) {
 	work = m.cost.FaultService
+	size := m.cfg.PageSize
+	span := int(size.Span())
 
 	var frame sim.FrameID
 	var bytes int64
@@ -639,11 +613,8 @@ func (m *Manager) service(core sim.CoreID, vpn, base sim.PageID, size sim.PageSi
 	m.run.Add(core, stats.BytesIn, uint64(size.Bytes()))
 	bytes += size.Bytes()
 
-	if mapErr := m.as.Map(core, base, size, int64(frame), pagetable.Writable); mapErr != nil {
+	if mapErr := m.as.Map(core, base, int64(frame), pagetable.Writable); mapErr != nil {
 		return 0, 0, fmt.Errorf("%w: %v", ErrMapFailed, mapErr)
-	}
-	if m.adapter != nil {
-		m.adapter.mapped(base, size)
 	}
 	if m.mt != nil {
 		m.mt.pteSetup(base)
@@ -778,7 +749,7 @@ func (m *Manager) allocFrames(core sim.CoreID, base sim.PageID, span int) (sim.F
 // affected cores, writes dirty content back and frees the frames. It
 // returns the evictor-side CPU work and the write-back byte count.
 func (m *Manager) evict(core sim.CoreID, vbase sim.PageID) (sim.Cycles, int64, error) {
-	base, size, pfn, targets, ok := m.as.Unmap(vbase)
+	base, pfn, targets, ok := m.as.Unmap(vbase)
 	if !ok {
 		return 0, 0, fmt.Errorf("%w: victim %d", ErrBadVictim, vbase)
 	}
@@ -792,9 +763,6 @@ func (m *Manager) evict(core sim.CoreID, vbase sim.PageID) (sim.Cycles, int64, e
 		}
 	}
 	m.run.Add(core, stats.Evictions, 1)
-	if m.adapter != nil {
-		m.adapter.unmapped(base, size)
-	}
 
 	var work sim.Cycles
 	remote := 0
@@ -896,6 +864,7 @@ func (m *Manager) evict(core sim.CoreID, vbase sim.PageID) (sim.Cycles, int64, e
 		}
 	}
 
+	size := m.cfg.PageSize
 	span := int(size.Span())
 	if m.mt != nil {
 		owner := m.mt.release(sim.FrameID(pfn), span)

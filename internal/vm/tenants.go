@@ -66,8 +66,8 @@ func newTenantState(m *Manager, tc TenantConfig, factory PolicyFactory) (*tenant
 	if tc.PagesPerTenant <= 0 {
 		return nil, fmt.Errorf("vm: %d pages per tenant", tc.PagesPerTenant)
 	}
-	if m.cfg.PageSize != sim.Size4k || m.cfg.Adaptive {
-		return nil, fmt.Errorf("vm: multi-tenant runs require 4 kB pages without adaptive sizing")
+	if m.cfg.PageSize != sim.Size4k {
+		return nil, fmt.Errorf("vm: multi-tenant runs require 4 kB pages")
 	}
 	if len(tc.Weights) != 0 && len(tc.Weights) != tc.Count {
 		return nil, fmt.Errorf("vm: %d tenant weights for %d tenants", len(tc.Weights), tc.Count)

@@ -33,14 +33,10 @@ type TenantSpec struct {
 	// grades the hot pool: page index = ⌊pages·u^PageSkew⌋. Values ≤ 1
 	// mean uniform.
 	PageSkew float64
-	// Burst is the intra-page reuse factor. Zero means DefaultBurst.
-	Burst int
 	// ChurnEvery rotates which tenants are popular after that many
 	// touches on each core: popularity rank r maps to tenant
-	// (r + epoch·ChurnStride) mod Tenants. Zero disables churn.
+	// (r + epoch) mod Tenants. Zero disables churn.
 	ChurnEvery int
-	// ChurnStride is the rotation distance per churn epoch. Zero means 1.
-	ChurnStride int
 	// DiurnalEvery alternates peak and trough traffic shape with that
 	// half-period (in per-core touches): trough phases flatten the
 	// tenant popularity exponent to ZipfS/2, spreading load across the
@@ -76,7 +72,8 @@ func (s *TenantSpec) Name() string {
 	return fmt.Sprintf("tenants-%dx%d", s.Tenants, s.PagesPerTenant)
 }
 
-// Validate checks the spec for internal consistency.
+// Validate checks the spec for internal consistency. Every range check
+// is written so that NaN fails it.
 func (s *TenantSpec) Validate() error {
 	if s.Tenants <= 0 {
 		return fmt.Errorf("tenants: non-positive tenant count %d", s.Tenants)
@@ -91,19 +88,16 @@ func (s *TenantSpec) Validate() error {
 	if s.TotalTouches <= 0 {
 		return fmt.Errorf("tenants: non-positive touch count %d", s.TotalTouches)
 	}
-	if s.WriteFrac < 0 || s.WriteFrac > 1 {
-		return fmt.Errorf("tenants: write fraction %g outside [0,1]", s.WriteFrac)
+	if !(s.WriteFrac >= 0 && s.WriteFrac <= 1) {
+		return fmt.Errorf("tenants: WriteFrac %g outside [0,1]", s.WriteFrac)
 	}
-	if s.ZipfS < 0 {
-		return fmt.Errorf("tenants: negative Zipf exponent %g", s.ZipfS)
+	if !(s.ZipfS >= 0) || math.IsInf(s.ZipfS, 1) {
+		return fmt.Errorf("tenants: ZipfS %g is not a finite non-negative number", s.ZipfS)
 	}
-	if s.PageSkew < 0 {
-		return fmt.Errorf("tenants: negative page skew %g", s.PageSkew)
+	if !(s.PageSkew >= 0) || math.IsInf(s.PageSkew, 1) {
+		return fmt.Errorf("tenants: PageSkew %g is not a finite non-negative number", s.PageSkew)
 	}
-	if s.Burst < 0 {
-		return fmt.Errorf("tenants: negative burst %d", s.Burst)
-	}
-	if s.ChurnEvery < 0 || s.ChurnStride < 0 || s.DiurnalEvery < 0 {
+	if s.ChurnEvery < 0 || s.DiurnalEvery < 0 {
 		return fmt.Errorf("tenants: negative churn/diurnal schedule")
 	}
 	if len(s.Weights) != 0 && len(s.Weights) != s.Tenants {
@@ -211,19 +205,9 @@ func (l *TenantLayout) Streams(seed uint64) []Stream {
 	}
 	root := sim.NewRNG(seed)
 	for c := 0; c < l.Cores; c++ {
-		burst := l.Spec.Burst
-		if burst <= 0 {
-			burst = DefaultBurst
-		}
-		stride := l.Spec.ChurnStride
-		if stride <= 0 {
-			stride = 1
-		}
 		streams[c] = &tenantStream{
 			rng:       root.Split(),
 			layout:    l,
-			stride:    stride,
-			burst:     burst,
 			remaining: perCore,
 			total:     perCore,
 		}
@@ -275,12 +259,10 @@ func (r *rangeStream) Len() int {
 // tenantStream draws (tenant, page) pairs from the layout's popularity
 // tables: a Zipf draw picks the popularity rank, the churn epoch maps
 // rank to tenant, and PageSkew grades the page inside the tenant. Each
-// selected page is touched burst consecutive times.
+// selected page is touched DefaultBurst consecutive times.
 type tenantStream struct {
 	rng       *sim.RNG
 	layout    *TenantLayout
-	stride    int
-	burst     int
 	remaining int
 	total     int
 
@@ -314,7 +296,7 @@ func (t *tenantStream) Next() (Access, bool) {
 		tenant := rank
 		if spec.ChurnEvery > 0 {
 			epoch := idx / spec.ChurnEvery
-			tenant = (rank + epoch*t.stride) % spec.Tenants
+			tenant = (rank + epoch) % spec.Tenants
 		}
 		var page int
 		if spec.PageSkew > 1 {
@@ -327,7 +309,7 @@ func (t *tenantStream) Next() (Access, bool) {
 			page = t.rng.Intn(spec.PagesPerTenant)
 		}
 		t.cur = sim.PageID(tenant*spec.PagesPerTenant + page)
-		t.curLeft = t.burst
+		t.curLeft = DefaultBurst
 	}
 	t.curLeft--
 	return Access{VPN: t.cur, Write: t.rng.Float64() < t.layout.Spec.WriteFrac}, true

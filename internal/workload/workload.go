@@ -108,7 +108,8 @@ const DefaultBurst = 8
 // when Spec.HotStripe is zero: 128 pages = 512 kB.
 const DefaultHotStripe = 128
 
-// Validate reports structural problems in the spec.
+// Validate reports structural problems in the spec. Every range check
+// is written so that NaN fails it.
 func (s Spec) Validate() error {
 	if s.Pages <= 0 || s.TotalTouches <= 0 {
 		return fmt.Errorf("workload %s: pages/touches must be positive", s.Name)
@@ -118,27 +119,30 @@ func (s Spec) Validate() error {
 		if b.Cores < 1 {
 			return fmt.Errorf("workload %s: band with %d cores", s.Name, b.Cores)
 		}
-		if b.Frac < 0 {
-			return fmt.Errorf("workload %s: negative band fraction", s.Name)
+		if !(b.Frac >= 0) {
+			return fmt.Errorf("workload %s: band Frac %v is not a non-negative number", s.Name, b.Frac)
 		}
-		if b.HotFrac < 0 || b.HotFrac > 1 {
-			return fmt.Errorf("workload %s: band hot fraction %v out of range", s.Name, b.HotFrac)
+		if !(b.HotFrac >= 0 && b.HotFrac <= 1) {
+			return fmt.Errorf("workload %s: band HotFrac %v outside [0,1]", s.Name, b.HotFrac)
 		}
 		sum += b.Frac
 	}
-	if sum < 0.999 || sum > 1.001 {
+	if !(sum >= 0.999 && sum <= 1.001) {
 		return fmt.Errorf("workload %s: band fractions sum to %v", s.Name, sum)
 	}
-	for _, f := range []float64{s.WriteFrac, s.SharedHotFrac, s.PrivateHotFrac, s.HotQ, s.SeqP} {
-		if f < 0 || f > 1 {
-			return fmt.Errorf("workload %s: probability %v out of range", s.Name, f)
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"WriteFrac", s.WriteFrac}, {"SharedHotFrac", s.SharedHotFrac}, {"PrivateHotFrac", s.PrivateHotFrac}, {"HotQ", s.HotQ}, {"SeqP", s.SeqP}} {
+		if !(f.v >= 0 && f.v <= 1) {
+			return fmt.Errorf("workload %s: %s %v outside [0,1]", s.Name, f.name, f.v)
 		}
 	}
 	if s.Burst < 0 {
 		return fmt.Errorf("workload %s: negative burst %d", s.Name, s.Burst)
 	}
-	if s.HotSkew < 0 {
-		return fmt.Errorf("workload %s: negative hot skew %v", s.Name, s.HotSkew)
+	if !(s.HotSkew >= 0) || math.IsInf(s.HotSkew, 1) {
+		return fmt.Errorf("workload %s: HotSkew %v is not a finite non-negative number", s.Name, s.HotSkew)
 	}
 	if s.HotStripe < 0 {
 		return fmt.Errorf("workload %s: negative hot stripe %d", s.Name, s.HotStripe)
