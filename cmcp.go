@@ -37,7 +37,6 @@ import (
 	"cmcp/internal/check"
 	"cmcp/internal/core"
 	"cmcp/internal/experiments"
-	"cmcp/internal/fault"
 	"cmcp/internal/hist"
 	"cmcp/internal/machine"
 	"cmcp/internal/obs"
@@ -163,22 +162,6 @@ const (
 	BytesOut = stats.BytesOut
 	// Touches counts simulated page touches executed.
 	Touches = stats.Touches
-)
-
-// Recovery counters fed by fault injection (zero on fault-free runs).
-const (
-	// FaultsInjected counts injector trips that took effect.
-	FaultsInjected = stats.FaultsInjected
-	// RecoveryRetries counts recovery retry decisions of every kind.
-	RecoveryRetries = stats.RecoveryRetries
-	// TxRollbacks counts page-in transactions rolled back.
-	TxRollbacks = stats.TxRollbacks
-	// QuarantinedFrames counts device frames permanently retired.
-	QuarantinedFrames = stats.QuarantinedFrames
-	// ResentShootdowns counts invalidation IPIs re-sent after ack loss.
-	ResentShootdowns = stats.ResentShootdowns
-	// DegradedPages counts pages dropped to regular-table semantics.
-	DegradedPages = stats.DegradedPages
 )
 
 // NUMA-aware machines: set Config.Topology and the flat core ring
@@ -438,7 +421,7 @@ type (
 // Per-run histograms (indexes into a HistSet).
 const (
 	// FaultServiceHist is end-to-end page-fault service time in cycles,
-	// including lock waits, eviction work and fault-injection retries.
+	// including lock waits and eviction work.
 	FaultServiceHist = stats.FaultServiceHist
 	// EvictionHist is victim eviction + write-back latency in cycles.
 	EvictionHist = stats.EvictionHist
@@ -495,22 +478,6 @@ const (
 	EvDemotion = obs.EvDemotion
 	// EvLockWait is a non-zero wait on a lock or the DMA bus.
 	EvLockWait = obs.EvLockWait
-	// EvRollback is a page-in transaction rolled back by an injected
-	// transfer failure or corruption; Arg is the attempt number.
-	EvRollback = obs.EvRollback
-	// EvQuarantine is a corrupt frame being retired; Arg is the frame.
-	EvQuarantine = obs.EvQuarantine
-	// EvResend is a shootdown IPI re-sent after a dropped ack; Arg is
-	// the re-send count for that target.
-	EvResend = obs.EvResend
-	// EvLockStuck is an injected stuck page lock; Arg is the stall.
-	EvLockStuck = obs.EvLockStuck
-	// EvPSPTSkew is injected PSPT bookkeeping skew; Arg is the core
-	// whose phantom bit was planted.
-	EvPSPTSkew = obs.EvPSPTSkew
-	// EvDegraded is a page dropped to regular-table semantics after
-	// skew repair.
-	EvDegraded = obs.EvDegraded
 	// EvPTMigration is a PSPT page-table page migrating to the socket
 	// that keeps consulting it; Arg is the new home socket.
 	EvPTMigration = obs.EvPTMigration
@@ -577,48 +544,4 @@ var (
 	// ErrCorruption: page content returned from the host does not match
 	// what was swapped out (Config.Verify runs only).
 	ErrCorruption = vm.ErrCorruption
-	// ErrIOFailure: injected transient transfer failures exhausted the
-	// retry budget (fault-injection runs only).
-	ErrIOFailure = vm.ErrIOFailure
 )
-
-// Fault injection: attach a FaultConfig through Config.Faults to inject
-// deterministic device faults — transient page-in/page-out transfer
-// failures, frame corruption on swap, dropped shootdown acks, stuck
-// page locks, PSPT bookkeeping skew — which the simulated kernel's
-// recovery machinery (transactional page migration with capped backoff,
-// frame quarantine, ack re-send, degraded-mode fallback) survives
-// instead of aborting. Injection is seeded per event kind: runs with
-// the same Config replay identically, recovery counters included, and
-// a nil (or all-zero-rate) FaultConfig is bit-identical to a fault-free
-// run.
-type (
-	// FaultConfig seeds and rates the deterministic fault injector.
-	FaultConfig = fault.Config
-	// FaultKind identifies one injectable fault class.
-	FaultKind = fault.Kind
-)
-
-// Injectable fault kinds (indexes into FaultConfig.Rates).
-const (
-	// FaultPageIn is a transient host-to-device transfer failure.
-	FaultPageIn = fault.PageIn
-	// FaultPageOut is a transient device-to-host write-back failure.
-	FaultPageOut = fault.PageOut
-	// FaultCorrupt is frame corruption during page-in; the frame is
-	// quarantined and device capacity shrinks.
-	FaultCorrupt = fault.Corrupt
-	// FaultDropAck is a lost TLB-shootdown acknowledgement.
-	FaultDropAck = fault.DropAck
-	// FaultStuckLock is a page lock that wedges until timed out.
-	FaultStuckLock = fault.StuckLock
-	// FaultMapSkew is PSPT core-set bookkeeping skew (repaired by the
-	// auditor through degraded mode).
-	FaultMapSkew = fault.MapSkew
-)
-
-// UniformFaults returns a FaultConfig injecting every fault kind at the
-// same per-event rate under the given seed.
-func UniformFaults(seed uint64, rate float64) *FaultConfig {
-	return fault.Uniform(seed, rate)
-}

@@ -87,8 +87,8 @@ type inputs struct {
 	run                                bool
 	workload, policy, tables, pageSize string
 	engine, shard, imports             string
-	scale, zipfS, faultRate            float64
-	seed, faultSeed                    uint64
+	scale, zipfS                       float64
+	seed                               uint64
 	hist                               bool
 	tenants, churn, sockets            int
 }
@@ -137,10 +137,6 @@ var table = []row{
 	{"churn", 0, modeSim, "with -tenants: rotate the hot tenant set every N touches per core (0 = no churn)", func(r *resolver) any { return &r.in.churn }, hasTenants, "requires -tenants > 0"},
 	{"sockets", 1, modeSim, "NUMA sockets; cores spread evenly across per-socket IPI rings (1 = flat ring, bit-identical to pre-NUMA builds)", func(r *resolver) any { return &r.in.sockets },
 		func(r *resolver) bool { return r.in.sockets >= 1 }, "must be >= 1"},
-	{"fault-rate", 0.0, modeSim, "per-event device fault injection rate for every fault kind (0 = off)", func(r *resolver) any { return &r.in.faultRate },
-		func(r *resolver) bool { return r.in.faultRate >= 0 && r.in.faultRate <= 1 }, "must be in [0, 1]"},
-	{"fault-seed", uint64(1), modeSim, "with -fault-rate: fault injector seed (independent of -seed)", func(r *resolver) any { return &r.in.faultSeed },
-		func(r *resolver) bool { return r.in.faultRate > 0 }, "requires -fault-rate > 0"},
 	{"hist", false, modeSim, "record latency/fan-out histograms (read-only; counters stay bit-identical)", func(r *resolver) any { return &r.in.hist }, nil, ""},
 
 	// -run: one machine.
@@ -267,10 +263,6 @@ func (r *resolver) build() error {
 	if err != nil {
 		return fmt.Errorf("-engine: %w", err)
 	}
-	var faults *cmcp.FaultConfig
-	if in.faultRate > 0 {
-		faults = cmcp.UniformFaults(in.faultSeed, in.faultRate)
-	}
 	var tenants *cmcp.TenantSpec
 	if in.tenants > 0 {
 		spec := cmcp.DefaultTenantSpec(in.tenants, in.zipfS, in.churn)
@@ -281,7 +273,7 @@ func (r *resolver) build() error {
 	}
 	if r.mode == modeExp {
 		o := &r.opts
-		o.Scale, o.Seed, o.Engine, o.Hist, o.Faults, o.Tenants = in.scale, in.seed, eng, in.hist, faults, tenants
+		o.Scale, o.Seed, o.Engine, o.Hist, o.Tenants = in.scale, in.seed, eng, in.hist, tenants
 		if in.sockets > 1 {
 			// Seats per socket are re-derived per grid point (the grids
 			// sweep core counts); only the socket count and costs matter.
@@ -292,7 +284,7 @@ func (r *resolver) build() error {
 		return err
 	}
 	c := &r.run
-	c.Seed, c.Engine, c.Hist, c.Faults, c.Tenants = in.seed, eng, in.hist, faults, tenants
+	c.Seed, c.Engine, c.Hist, c.Tenants = in.seed, eng, in.hist, tenants
 	if tenants == nil {
 		wl, ok := cmcp.WorkloadByName(in.workload)
 		if !ok {
@@ -478,11 +470,6 @@ func simulate(p *plan, stdout io.Writer) error {
 			topo, r.Total(cmcp.CrossSocketIPIs), r.Total(cmcp.FilteredShootdowns),
 			r.Total(cmcp.RemoteWalks), r.Total(cmcp.RemotePTConsults),
 			r.Total(cmcp.ReplicaSyncs), r.Total(cmcp.PTMigrations))
-	}
-	if cfg.Faults != nil {
-		printf("faults        %d injected; recovered via %d retries, %d rollbacks, %d resent IPIs; %d frames quarantined, %d pages degraded\n",
-			r.Total(cmcp.FaultsInjected), r.Total(cmcp.RecoveryRetries), r.Total(cmcp.TxRollbacks),
-			r.Total(cmcp.ResentShootdowns), res.Quarantined, r.Total(cmcp.DegradedPages))
 	}
 	if hs := r.Hists; hs != nil {
 		printf("latency histograms (cycles unless noted):\n")

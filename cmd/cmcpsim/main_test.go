@@ -43,8 +43,6 @@ var probes = map[string]struct {
 	"zipf-s":          {"1.5", []string{"-tenants", "8"}},
 	"churn":           {"100", []string{"-tenants", "8"}},
 	"sockets":         {"2", nil},
-	"fault-rate":      {"0.001", nil},
-	"fault-seed":      {"9", []string{"-fault-rate", "0.001"}},
 	"hist":            {"true", nil},
 	"workload":        {"bt.B", nil},
 	"cores":           {"8", nil},
@@ -85,8 +83,8 @@ func concat(parts ...[]string) []string {
 }
 
 func TestFlagTable(t *testing.T) {
-	if len(table) != 35 {
-		t.Errorf("table has %d flags, want 35", len(table))
+	if len(table) != 33 {
+		t.Errorf("table has %d flags, want 33", len(table))
 	}
 	var names, probed []string
 	for _, rw := range table {
@@ -162,8 +160,9 @@ func TestEveryFlagReachesThePlanOrErrors(t *testing.T) {
 }
 
 // TestInvalidInvocationsFail: a flag from another mode, an
-// out-of-range value, or a flag without its prerequisite fails before
-// any work starts, with a message naming the offending flag.
+// out-of-range value, a flag without its prerequisite or a removed flag
+// exits 2 before any work starts, with a message naming the offending
+// flag.
 func TestInvalidInvocationsFail(t *testing.T) {
 	for _, tc := range []struct {
 		args string
@@ -185,7 +184,8 @@ func TestInvalidInvocationsFail(t *testing.T) {
 		{"-exp fig7 -parallel -1", "-parallel"},
 		{"-run -sockets 0", "-sockets"},
 		{"-run -cores 0", "-cores"},
-		{"-run -fault-seed 7", "-fault-seed"},
+		{"-run -fault-rate 1e-4", "-fault-rate"},
+		{"-run -fault-seed 2", "-fault-seed"},
 		{"-run -zipf-s 1.5", "-zipf-s"},
 		{"-exp tenants -churn 100", "-churn"},
 		{"-run -serve-grace 1s", "-serve-grace"},
@@ -200,8 +200,8 @@ func TestInvalidInvocationsFail(t *testing.T) {
 	} {
 		var stdout, stderr bytes.Buffer
 		code := run(strings.Fields(tc.args), &stdout, &stderr)
-		if code == 0 || !names(stderr.String(), tc.flag) {
-			t.Errorf("cmcpsim %s: exit %d, stderr %q; want a failure naming %s", tc.args, code, stderr.String(), tc.flag)
+		if code != 2 || !names(stderr.String(), tc.flag) {
+			t.Errorf("cmcpsim %s: exit %d, stderr %q; want exit 2 naming %s", tc.args, code, stderr.String(), tc.flag)
 		}
 		if stdout.Len() != 0 {
 			t.Errorf("cmcpsim %s: printed %q before failing", tc.args, stdout.String())
@@ -354,7 +354,7 @@ func TestOutputGoldens(t *testing.T) {
 	for name, args := range map[string]string{
 		"run_cmcp.golden":    "-run -cores 4 -scale 0.05",
 		"run_tenants.golden": "-run -cores 4 -scale 0.05 -tenants 16 -zipf-s 1.2 -churn 100",
-		"run_numa.golden":    "-run -cores 4 -scale 0.05 -sockets 2 -hist -fault-rate 1e-3 -policy LRU",
+		"run_numa.golden":    "-run -cores 4 -scale 0.05 -sockets 2 -hist -policy LRU",
 		"exp_table1.golden":  "-exp table1 -quick -scale 0.04 -csv",
 	} {
 		golden(t, name, runOK(t, strings.Fields(args)...))

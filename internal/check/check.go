@@ -97,10 +97,7 @@ func (a *Auditor) Note(m *vm.Manager) {
 // provably independent touches in batches — and audits m when the
 // period elapses. At most one audit runs per call: the batch commits
 // atomically between operations, so no intermediate state exists for
-// extra audit points to observe. Audits stay read-only here; the
-// parallel engine falls back to serial for the one configuration where
-// audit timing can alter simulated state (MapSkew injection under
-// PSPT, whose repairs run from the audit itself).
+// extra audit points to observe.
 func (a *Auditor) NoteN(m *vm.Manager, n int) {
 	a.events += n
 	if a.events >= a.every {
@@ -143,10 +140,7 @@ func (a *Auditor) report(module, format string, args ...any) {
 
 // Audit cross-checks every bookkeeping layer of m once. The manager
 // must be between operations (the engine calls it from the event loop,
-// never mid-fault). Without fault injection it is read-only; under
-// fault injection the PSPT pass additionally acts as the recovery
-// trigger for injected bookkeeping skew (vm.Manager.DegradePage), so an
-// audited faulty run repairs what it finds instead of reporting it.
+// never mid-fault). It is read-only.
 func (a *Auditor) Audit(m *vm.Manager) {
 	a.audits++
 	a.auditResidency(m)
@@ -186,7 +180,7 @@ func (a *Auditor) auditResidency(m *vm.Manager) {
 			}
 		}
 	})
-	if inUse := int64(dev.NumFrames() - dev.FreeFrames() - dev.Quarantined()); inUse != framesMapped {
+	if inUse := int64(dev.NumFrames() - dev.FreeFrames()); inUse != framesMapped {
 		a.report("residency", "device has %d frames in use, mappings cover %d", inUse, framesMapped)
 	}
 	if got := m.Resident(); got != mappings {
@@ -249,15 +243,6 @@ func (a *Auditor) auditPSPT(m *vm.Manager) {
 				populated++
 			}
 			if ok != mp.Cores.Has(core) {
-				// A phantom core bit (set without a PTE behind it) is the
-				// signature of injected PSPT skew. Hand it to the manager
-				// for recovery — resync the set, degrade the page to
-				// regular-table semantics — and only report when the
-				// manager declines (no fault injection: a genuine bug).
-				if !ok && m.DegradePage(mp.Base) {
-					mp, _ = p.Mapping(mp.Base) // the resynced core set
-					continue
-				}
 				a.report("pspt", "page %d: core set says core %d mapped=%v, table lookup says %v",
 					mp.Base, c, mp.Cores.Has(core), ok)
 				continue
@@ -373,7 +358,7 @@ func (a *Auditor) auditReplicas(m *vm.Manager) {
 // against the device and the per-tenant policies: every in-use frame
 // must be owned by exactly the tenant whose page occupies it (no frame
 // owned by two tenants — ownership is single-valued and must match the
-// device), free and quarantined frames must be unowned, the per-tenant
+// device), free frames must be unowned, the per-tenant
 // frame totals must sum to the device's frames in use, each tenant's
 // policy residency must equal its actual mapping count, and the
 // scanner's tenant deadline must not be later than any tenant policy's
@@ -392,7 +377,7 @@ func (a *Auditor) auditTenants(m *vm.Manager) {
 		page := dev.Owner(frame)
 		if page < 0 {
 			if owner != mem.NoTenant {
-				a.report("tenant", "frame %d is free or quarantined but the coremap says tenant %d owns it",
+				a.report("tenant", "frame %d is free but the coremap says tenant %d owns it",
 					f, owner)
 			}
 			continue
@@ -418,7 +403,7 @@ func (a *Auditor) auditTenants(m *vm.Manager) {
 		}
 		sum += cm.Used(t)
 	}
-	if inUse := dev.NumFrames() - dev.FreeFrames() - dev.Quarantined(); sum != inUse {
+	if inUse := dev.NumFrames() - dev.FreeFrames(); sum != inUse {
 		a.report("tenant", "per-tenant frame counts sum to %d, device has %d frames in use", sum, inUse)
 	}
 	perTenant := make([]int, n)

@@ -1,8 +1,10 @@
 package check_test
 
 import (
+	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"cmcp/internal/check"
 	"cmcp/internal/pagetable"
@@ -147,8 +149,9 @@ func TestAuditorCatchesStaleAccessSummary(t *testing.T) {
 
 // TestAuditorCatchesCorelessRecord strips the only mapping core from a
 // resident PSPT record: the PTE is cleared behind PSPT's back and the
-// core set resynced from the tables, which leaves the record resident
-// with an empty core set.
+// record's core set is zeroed in place, which leaves the record resident
+// with an empty core set. No PSPT method can produce that state, so the
+// test writes the unexported field directly.
 func TestAuditorCatchesCorelessRecord(t *testing.T) {
 	m := newManager(t, vm.Config{
 		Cores: 2, Frames: 64, PageSize: sim.Size4k, Tables: vm.PSPTKind, Pages: 256,
@@ -156,7 +159,11 @@ func TestAuditorCatchesCorelessRecord(t *testing.T) {
 	touch(t, m, 2, 20) // core 1 alone maps page 3
 	p, _ := m.PSPT()
 	p.Table(1).Clear(3)
-	p.ResyncCores(3)
+	cores := reflect.ValueOf(p).Elem().FieldByName("ents").Index(3).FieldByName("cores")
+	reflect.NewAt(cores.Type(), unsafe.Pointer(cores.UnsafeAddr())).Elem().SetZero()
+	if mp, ok := p.Mapping(3); !ok || mp.Cores.Count() != 0 {
+		t.Fatalf("setup: page 3 resident=%v with cores %v, want a coreless record", ok, mp.Cores)
+	}
 	aud := check.New(check.Config{})
 	aud.Audit(m)
 	assertViolation(t, aud, "pspt")
@@ -166,6 +173,31 @@ func TestAuditorCatchesCorelessRecord(t *testing.T) {
 		}
 	}
 	t.Fatalf("no coreless-record violation among: %v", aud.Violations())
+}
+
+// TestAuditorReportsPhantomCoreBit leaves a core bit in a PSPT record
+// with no PTE behind it. The audit must report it and leave the record
+// as it found it.
+func TestAuditorReportsPhantomCoreBit(t *testing.T) {
+	m := newManager(t, vm.Config{
+		Cores: 2, Frames: 64, PageSize: sim.Size4k, Tables: vm.PSPTKind, Pages: 256,
+	}, nil)
+	touch(t, m, 2, 20) // core 1 alone maps page 3
+	p, _ := m.PSPT()
+	p.Table(1).Clear(3)
+	before, _ := p.Mapping(3)
+	aud := check.New(check.Config{})
+	aud.Audit(m)
+	assertViolation(t, aud, "pspt")
+	if after, _ := p.Mapping(3); after != before {
+		t.Errorf("audit changed the record: %+v, was %+v", after, before)
+	}
+	for _, v := range aud.Violations() {
+		if strings.Contains(v.Detail, "page 3: core set says core 1 mapped=true, table lookup says false") {
+			return
+		}
+	}
+	t.Fatalf("no phantom-core violation among: %v", aud.Violations())
 }
 
 // miscountingPolicy reports one more resident mapping than it tracks —

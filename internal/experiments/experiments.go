@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"strings"
 
-	"cmcp/internal/fault"
 	"cmcp/internal/machine"
 	"cmcp/internal/obs"
 	"cmcp/internal/sim"
@@ -42,11 +41,6 @@ type Options struct {
 	// (0 or 1 = single run). The replication and averaging are the
 	// sweep runner's deterministic merge step (internal/sweep).
 	Repeats int
-	// Faults, when non-nil, attaches the deterministic fault injector
-	// to every generated run config, so whole experiment grids run
-	// under injected device faults (cmcpsim -exp -fault-rate). Safe to
-	// share across concurrent runs: each run builds its own injector.
-	Faults *fault.Config
 	// Journal checkpoints every completed run to a JSONL file and
 	// resumes from it on restart; see sweep.Options.Journal.
 	Journal string
@@ -77,7 +71,7 @@ type Options struct {
 	// for experiments that support it (TenantGrid). The paper-figure
 	// experiments model one HPC application per machine and reject a
 	// tenant spec loudly — cmcpsim used to silently drop -tenants under
-	// -exp, the same bug class -fault-rate once had.
+	// -exp.
 	Tenants *workload.TenantSpec
 	// Topology, when non-nil, attaches a NUMA topology to every
 	// generated run config (machine.Config.Topology), so whole grids
@@ -201,7 +195,6 @@ func (o Options) baseConfig(spec workload.Spec, cores int) machine.Config {
 		Tables:      vm.PSPTKind,
 		Policy:      machine.PolicySpec{Kind: machine.FIFO, P: -1},
 		Seed:        o.Seed,
-		Faults:      o.Faults,
 		Topology:    o.topologyFor(cores),
 	}
 }

@@ -5,30 +5,27 @@ import (
 	"reflect"
 	"testing"
 
-	"cmcp/internal/fault"
 	"cmcp/internal/obs"
+	"cmcp/internal/sim"
 )
 
 // These tests pin the experiment harness's sweep-runner integration:
-// the CLI's fault flags actually reach the generated configs, and a
+// the CLI's options actually reach the generated configs, and a
 // journaled experiment resumes without re-executing anything.
 
-func TestFaultsReachGeneratedConfigs(t *testing.T) {
-	// The -fault-rate/-fault-seed regression: Options.Faults must land
-	// in every config the harness generates, not be silently dropped.
+func TestOptionsReachGeneratedConfigs(t *testing.T) {
+	// Options.Topology must land in every config the harness generates,
+	// shaped to the grid point's core count, not be silently dropped.
 	o := quickOpts()
-	o.Faults = fault.Uniform(7, 1e-4)
+	o.Topology = sim.DefaultTopology(2, 1)
 	for _, spec := range o.apps() {
-		cfg := o.baseConfig(spec, 4)
-		if cfg.Faults != o.Faults {
-			t.Fatalf("%s: baseConfig dropped Faults", spec.Name)
+		for _, cores := range []int{4, 7} {
+			cfg := o.baseConfig(spec, cores)
+			if cfg.Topology == nil || cfg.Topology.Sockets != 2 || cfg.Topology.CoresPerSocket != (cores+1)/2 {
+				t.Fatalf("%s on %d cores: baseConfig topology %+v, want 2 sockets of %d cores",
+					spec.Name, cores, cfg.Topology, (cores+1)/2)
+			}
 		}
-	}
-
-	// And a full quick experiment must survive the injected faults.
-	o.Faults = fault.Uniform(7, 1e-5)
-	if _, err := Fig8(o); err != nil {
-		t.Fatalf("fig8 under fault injection: %v", err)
 	}
 }
 

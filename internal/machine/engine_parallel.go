@@ -41,7 +41,6 @@ import (
 	"runtime"
 	"sync"
 
-	"cmcp/internal/fault"
 	"cmcp/internal/sim"
 	"cmcp/internal/tlb"
 	"cmcp/internal/vm"
@@ -107,19 +106,9 @@ func newPhaseRunner(mgr *vm.Manager, cfg Config) *phaseRunner {
 // order. These run serially even when Config.Engine asks for parallel;
 // bit-identity is then trivial.
 func needsSerialEngine(cfg Config) bool {
-	if cfg.Probe != nil && cfg.Probe.Sampling() {
-		// Time-series samples read the scheduler's per-pop picture (clock
-		// skew across scheduled cores), which the parallel engine never forms.
-		return true
-	}
-	if cfg.Audit != nil && cfg.Faults != nil &&
-		cfg.Faults.Rates[fault.MapSkew] > 0 && cfg.Tables == vm.PSPTKind {
-		// The auditor's PSPT pass doubles as the recovery trigger for
-		// injected bookkeeping skew (DegradePage mutates state), so the
-		// audit cadence — counted in serial pops — becomes Result-bearing.
-		return true
-	}
-	return false
+	// Time-series samples read the scheduler's per-pop picture (clock
+	// skew across scheduled cores), which the parallel engine never forms.
+	return cfg.Probe != nil && cfg.Probe.Sampling()
 }
 
 func (pr *phaseRunner) run(streams []workload.Stream, start sim.Cycles) (sim.Cycles, error) {

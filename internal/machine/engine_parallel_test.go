@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"cmcp/internal/check"
-	"cmcp/internal/fault"
 	"cmcp/internal/obs"
 	"cmcp/internal/sim"
 	"cmcp/internal/stats"
@@ -39,8 +38,7 @@ func TestParseEngine(t *testing.T) {
 
 // compareResults requires the two results to be bit-identical in every
 // observable: runtime, per-core counters (scanner row included), finish
-// times, resident count, quarantined frames, sharing histogram and
-// latency histograms.
+// times, resident count, sharing histogram and latency histograms.
 func compareResults(t *testing.T, serial, parallel *Result) {
 	t.Helper()
 	if serial.Runtime != parallel.Runtime {
@@ -48,9 +46,6 @@ func compareResults(t *testing.T, serial, parallel *Result) {
 	}
 	if serial.Resident != parallel.Resident {
 		t.Errorf("resident: serial %d, parallel %d", serial.Resident, parallel.Resident)
-	}
-	if serial.Quarantined != parallel.Quarantined {
-		t.Errorf("quarantined: serial %d, parallel %d", serial.Quarantined, parallel.Quarantined)
 	}
 	for core := 0; core <= serial.Run.Cores; core++ {
 		for c := 0; c < stats.NumCounters; c++ {
@@ -155,32 +150,9 @@ func TestParallelGoldenBitIdentical(t *testing.T) {
 	}
 }
 
-// TestParallelGoldenFaultInjection runs the golden variants under
-// deterministic fault injection on both engines, auditor attached, and
-// requires bit-identical outcomes (including quarantined frames and the
-// recovery counters). Under PSPT the MapSkew rate makes the audit
-// cadence Result-bearing, which the parallel engine handles by serial
-// fallback — also covered here.
-func TestParallelGoldenFaultInjection(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode: differential matrix covers fault injection")
-	}
-	for _, name := range []string{"FIFO", "CMCP", "FIFO/regularPT"} {
-		cfg := goldenVariants()[name]
-		cfg.Faults = &fault.Config{Seed: 99, Rates: func() [fault.NumKinds]float64 {
-			var r [fault.NumKinds]float64
-			for i := range r {
-				r[i] = 0.02
-			}
-			return r
-		}()}
-		t.Run(name, func(t *testing.T) { runBoth(t, cfg) })
-	}
-}
-
 // TestParallelDifferential is the randomized property harness: a
-// deterministic matrix over six policies × faults on/off × hist on/off
-// (auditor and flight recorder always attached) plus randomized
+// deterministic matrix over six policies × hist on/off (auditor and
+// flight recorder always attached) plus randomized
 // configurations varying cores, scale, memory ratio, page size, table
 // kind and seeds. Every configuration
 // must produce byte-identical Results and trace event sequences on both
@@ -192,27 +164,21 @@ func TestParallelDifferential(t *testing.T) {
 	}
 	var variants []variant
 
-	// Matrix: 6 policies × faults × hist = 24 configurations.
+	// Matrix: 6 policies × hist = 12 configurations.
 	kinds := []PolicyKind{FIFO, LRU, CMCP, CLOCK, LFU, Random}
 	for _, k := range kinds {
-		for _, withFaults := range []bool{false, true} {
-			for _, withHist := range []bool{false, true} {
-				cfg := Config{
-					Cores:       6,
-					Workload:    workload.SCALE().Scale(0.02),
-					MemoryRatio: 0.5,
-					PageSize:    sim.Size4k,
-					Tables:      vm.PSPTKind,
-					Policy:      PolicySpec{Kind: k, P: -1},
-					Seed:        11,
-					Hist:        withHist,
-				}
-				if withFaults {
-					cfg.Faults = fault.Uniform(123, 0.01)
-				}
-				variants = append(variants, variant{
-					fmt.Sprintf("%v/faults=%v/hist=%v", k, withFaults, withHist), cfg})
+		for _, withHist := range []bool{false, true} {
+			cfg := Config{
+				Cores:       6,
+				Workload:    workload.SCALE().Scale(0.02),
+				MemoryRatio: 0.5,
+				PageSize:    sim.Size4k,
+				Tables:      vm.PSPTKind,
+				Policy:      PolicySpec{Kind: k, P: -1},
+				Seed:        11,
+				Hist:        withHist,
 			}
+			variants = append(variants, variant{fmt.Sprintf("%v/hist=%v", k, withHist), cfg})
 		}
 	}
 
@@ -239,24 +205,20 @@ func TestParallelDifferential(t *testing.T) {
 		if cfg.Tables == vm.PSPTKind && rng.Intn(4) == 0 {
 			rng.Intn(400_000) // no-op slot; its draws keep the seeded configs stable
 		}
-		// No-op slot: this draw once picked adaptive page sizing, which
-		// also skipped the fault draw below. Both stay so the other
-		// configs keep their seeded values.
+		// No-op slots: these draws once picked adaptive page sizing and
+		// fault injection. They stay so the other configs keep their
+		// seeded values.
 		slot := rng.Intn(5) == 0
-		// Injected frame corruption permanently quarantines frames; under
-		// multi-frame spans (64 kB pages) or high rates a small device
-		// legitimately runs out of allocatable frames and the run errors
-		// on either engine. Keep injection on the 4 kB draws at rates the
-		// footprint survives.
 		if cfg.PageSize == sim.Size4k && !slot && rng.Intn(3) == 0 {
-			cfg.Faults = fault.Uniform(rng.Uint64(), 0.002+rng.Float64()*0.008)
+			rng.Uint64()
+			rng.Float64()
 		}
 		variants = append(variants, variant{fmt.Sprintf("rand%02d/%v", i, k), cfg})
 	}
 
 	if testing.Short() {
-		// Every 5th configuration still crosses all six policies and both
-		// fault/hist axes over the matrix part.
+		// Every 5th configuration: three matrix cells, both hist settings
+		// among them, plus a sample of the random draws.
 		var subset []variant
 		for i := 0; i < len(variants); i += 5 {
 			subset = append(subset, variants[i])

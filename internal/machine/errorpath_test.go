@@ -163,7 +163,8 @@ func TestSimulateFootprintOverVPNSpaceIsError(t *testing.T) {
 // TestNonFiniteInputsRejected pins that a NaN in any float input is an
 // error naming the field, not a run whose meaning silently changed
 // (NaN fails no `<` check, so a range check written the other way
-// round lets it through).
+// round lets it through). The PCIe bandwidth must also be positive and
+// finite: an infinite one deletes the wire time like NaN does.
 func TestNonFiniteInputsRejected(t *testing.T) {
 	nan := math.NaN()
 	tenants := func(c *Config) *workload.TenantSpec {
@@ -171,7 +172,11 @@ func TestNonFiniteInputsRejected(t *testing.T) {
 		c.Workload, c.Tenants = workload.Spec{}, &spec
 		return &spec
 	}
-	for _, tc := range []struct {
+	dma := func(c *Config, v float64) {
+		c.Cost = sim.DefaultCostModel()
+		c.Cost.DMABytesPerCycle = v
+	}
+	for i, tc := range []struct {
 		field string
 		set   func(*Config)
 	}{
@@ -188,6 +193,10 @@ func TestNonFiniteInputsRejected(t *testing.T) {
 		{"WriteFrac", func(c *Config) { tenants(c).WriteFrac = nan }},
 		{"ZipfS", func(c *Config) { tenants(c).ZipfS = nan }},
 		{"PageSkew", func(c *Config) { tenants(c).PageSkew = nan }},
+		{"DMABytesPerCycle", func(c *Config) { dma(c, nan) }},
+		{"DMABytesPerCycle", func(c *Config) { dma(c, math.Inf(1)) }},
+		{"DMABytesPerCycle", func(c *Config) { dma(c, 0) }},
+		{"DMABytesPerCycle", func(c *Config) { dma(c, -10) }},
 	} {
 		cfg := Config{
 			Cores:       4,
@@ -201,11 +210,11 @@ func TestNonFiniteInputsRejected(t *testing.T) {
 		func() {
 			defer func() {
 				if p := recover(); p != nil {
-					t.Errorf("%s = NaN panicked: %v", tc.field, p)
+					t.Errorf("case %d (%s) panicked: %v", i, tc.field, p)
 				}
 			}()
 			if _, err := Simulate(cfg); err == nil || !strings.Contains(err.Error(), tc.field) {
-				t.Errorf("%s = NaN: err = %v, want an error naming %s", tc.field, err, tc.field)
+				t.Errorf("case %d (%s): err = %v, want an error naming it", i, tc.field, err)
 			}
 		}()
 	}

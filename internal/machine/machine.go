@@ -16,7 +16,6 @@ import (
 	"cmcp/internal/check"
 	"cmcp/internal/core"
 	"cmcp/internal/dense"
-	"cmcp/internal/fault"
 	"cmcp/internal/obs"
 	"cmcp/internal/pagetable"
 	"cmcp/internal/policy"
@@ -95,9 +94,9 @@ type Config struct {
 	// instances over the shared frame pool, weighted or hard-partition
 	// eviction pressure, and per-tenant counters/fault-latency
 	// histograms on the Run (stats.TenantSet). Requires 4 kB pages.
-	// Plain data like Faults: safe to share
-	// across concurrent runs and to journal in sweeps. Nil leaves
-	// single-tenant behavior bit-identical to before the field existed.
+	// Plain data: safe to share across concurrent runs and to journal in
+	// sweeps. Nil leaves single-tenant behavior bit-identical to before
+	// the field existed.
 	Tenants *workload.TenantSpec
 	// MemoryRatio sets device memory as a fraction of the workload
 	// footprint (1.0 = everything fits, no data movement). Values are
@@ -112,7 +111,8 @@ type Config struct {
 	Policy PolicySpec
 	// Seed drives all randomness (workload streams, Random policy).
 	Seed uint64
-	// Cost overrides the cycle-cost model (zero value = defaults).
+	// Cost overrides the cycle-cost model (zero value = defaults). A
+	// non-zero model must carry a positive, finite DMABytesPerCycle.
 	Cost sim.CostModel
 	// Verify enables page-content integrity checking.
 	Verify bool
@@ -127,8 +127,8 @@ type Config struct {
 	// Disabled, the hot paths pay one nil-check branch per site.
 	// Histograms never alter simulated state or costs, so a Hist run is
 	// bit-identical to a non-Hist run in every counter and finish time.
-	// Plain data (like Faults, unlike Probe/Audit): one Config is safe
-	// to reuse across concurrent RunMany runs, and sweeps may journal it.
+	// Plain data (unlike Probe/Audit): one Config is safe to reuse
+	// across concurrent RunMany runs, and sweeps may journal it.
 	// With warm-up enabled, histograms cover the measured phase only —
 	// distributions are reset at the warm-up barrier, because unlike
 	// counters a prefix distribution cannot be subtracted out.
@@ -145,32 +145,21 @@ type Config struct {
 	// auditing. Like Probe, an Auditor serves one run at a time — never
 	// share one across concurrent RunMany calls.
 	Audit *check.Auditor
-	// Faults attaches the deterministic fault injector (see
-	// internal/fault): seeded per-event-kind rates for transient transfer
-	// failures, frame corruption, dropped shootdown acks, stuck page
-	// locks and PSPT bookkeeping skew, which the VM layer recovers from
-	// instead of aborting. nil disables injection entirely; a non-nil
-	// config with all-zero rates never draws from any RNG, so such a run
-	// is bit-identical to a nil-Faults run. Unlike Probe/Audit this is
-	// plain data — each run builds its own Injector — so one Config is
-	// safe to reuse across concurrent RunMany runs.
-	Faults *fault.Config
 	// Engine selects the event-loop implementation: the serial reference
 	// engine (zero value) or the epoch-parallel engine, which produces
 	// bit-identical Results — counters, histograms, traces, audit state —
-	// at a multiple of the serial throughput (see DESIGN.md §13). A few
-	// configurations are inherently serial (time-series sampling, and
-	// MapSkew injection with an auditor under PSPT); those fall back to
-	// the serial engine silently, identity preserved by construction.
+	// at a multiple of the serial throughput (see DESIGN.md §13).
+	// Time-series sampling is inherently serial; such a run falls back
+	// to the serial engine silently, identity preserved by construction.
 	Engine EngineKind
 	// Topology, when non-nil and multi-socket, models the machine as
 	// sockets × cores-per-socket NUMA domains: per-socket IPI rings
 	// joined by a priced interconnect, per-domain page-walk costs,
 	// numaPTE-style per-socket page-table replicas under PSPT, and
-	// cross-socket shootdown accounting (see DESIGN.md §15). Plain data
-	// like Faults: safe to share across concurrent runs and to journal
-	// in sweeps. Nil (or a single socket) leaves every run bit-identical
-	// to before the field existed — the flat single-ring KNC model.
+	// cross-socket shootdown accounting (see DESIGN.md §15). Plain data:
+	// safe to share across concurrent runs and to journal in sweeps. Nil
+	// (or a single socket) leaves every run bit-identical to before the
+	// field existed — the flat single-ring KNC model.
 	Topology *sim.Topology
 }
 
@@ -190,11 +179,6 @@ type Result struct {
 	Resident int
 	// PolicyName is the resolved policy's display name.
 	PolicyName string
-	// Quarantined is the number of device frames permanently retired by
-	// injected corruption over the whole run, warm-up included (frame
-	// retirement is device state and survives the counter rebase; the
-	// QuarantinedFrames counter covers the measured phase only).
-	Quarantined int
 }
 
 // Frames computes the device size in 4 kB frames for a footprint of
@@ -407,6 +391,13 @@ func simulate(cfg Config, sc *dense.Scratch) (*Result, error) {
 	if cfg.MemoryRatio <= 0 {
 		cfg.MemoryRatio = 1
 	}
+	if cfg.Cost != (sim.CostModel{}) {
+		// A NaN or infinite bandwidth would turn the PCIe wire time into
+		// an arbitrary integer, and a non-positive one has no meaning.
+		if b := cfg.Cost.DMABytesPerCycle; math.IsNaN(b) || math.IsInf(b, 0) || b <= 0 {
+			return nil, fmt.Errorf("machine: Cost.DMABytesPerCycle %v is not a positive finite number", b)
+		}
+	}
 	if err := cfg.Topology.Validate(cfg.Cores); err != nil {
 		return nil, fmt.Errorf("machine: %w", err)
 	}
@@ -466,12 +457,6 @@ func simulate(cfg Config, sc *dense.Scratch) (*Result, error) {
 			HardPartition:  cfg.Tenants.HardPartition,
 		}
 	}
-	var inj *fault.Injector
-	if cfg.Faults != nil {
-		// Built fresh per run so Configs stay shareable and reruns with
-		// the same fault seed replay the same injection stream.
-		inj = fault.NewInjector(*cfg.Faults)
-	}
 	mgr, err := vm.NewManager(vm.Config{
 		Cores:    cfg.Cores,
 		Frames:   frames,
@@ -485,7 +470,6 @@ func simulate(cfg Config, sc *dense.Scratch) (*Result, error) {
 		Tenants:  vmTenants,
 		Topology: cfg.Topology,
 		Probe:    cfg.Probe,
-		Faults:   inj,
 	}, factory)
 	if err != nil {
 		return nil, err
@@ -545,14 +529,13 @@ func simulate(cfg Config, sc *dense.Scratch) (*Result, error) {
 	}
 
 	res := &Result{
-		Config:      cfg,
-		Run:         run,
-		Runtime:     run.Runtime(),
-		Frames:      frames,
-		TotalPages:  totalPages,
-		PolicyName:  mgr.Policy().Name(),
-		Resident:    mgr.Resident(),
-		Quarantined: mgr.Device().Quarantined(),
+		Config:     cfg,
+		Run:        run,
+		Runtime:    run.Runtime(),
+		Frames:     frames,
+		TotalPages: totalPages,
+		PolicyName: mgr.Policy().Name(),
+		Resident:   mgr.Resident(),
 	}
 	if h, ok := mgr.SharingHistogram(); ok {
 		res.Sharing = h

@@ -3,13 +3,11 @@ package machine
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"reflect"
 	"testing"
 
 	"cmcp/internal/check"
 	"cmcp/internal/core"
-	"cmcp/internal/fault"
 	"cmcp/internal/obs"
 	"cmcp/internal/policy"
 	"cmcp/internal/sim"
@@ -218,31 +216,6 @@ func TestTenantAudited(t *testing.T) {
 				t.Fatalf("%d violations: %v", len(vs), vs)
 			}
 		})
-	}
-}
-
-// TestTenantQuarantineHighCorruption is the satellite regression for
-// the Quarantine double-retirement panic: at a corruption rate high
-// enough that retries repeatedly revisit condemned frames, a
-// multi-tenant run must either survive or fail with the usual wrapped
-// errors — never panic and never wedge.
-func TestTenantQuarantineHighCorruption(t *testing.T) {
-	var rates [fault.NumKinds]float64
-	rates[fault.Corrupt] = 0.5
-	for seed := uint64(1); seed <= 3; seed++ {
-		cfg := tenantConfig(8)
-		cfg.NoWarmup = true
-		cfg.Faults = &fault.Config{Seed: seed, Rates: rates}
-		res, err := Simulate(cfg)
-		if err != nil {
-			if !errors.Is(err, vm.ErrNoVictim) && !errors.Is(err, vm.ErrIOFailure) {
-				t.Fatalf("seed %d: err = %v, want wrapped ErrNoVictim or ErrIOFailure", seed, err)
-			}
-			continue
-		}
-		if res.Run.Total(stats.QuarantinedFrames) == 0 {
-			t.Errorf("seed %d: survived a 50%% corruption rate without quarantining anything", seed)
-		}
 	}
 }
 

@@ -34,19 +34,17 @@ func (s Signature) Mix(core sim.CoreID, seq uint64) Signature {
 
 // frame is the per-frame record of device memory.
 type frame struct {
-	vpn         sim.PageID // owner page, or -1 when free
-	sig         Signature
-	dirty       bool
-	quarantined bool // permanently retired; never free, never allocated
+	vpn   sim.PageID // owner page, or -1 when free
+	sig   Signature
+	dirty bool
 }
 
 // Device models the co-processor's on-board RAM as an array of 4 kB
 // frames with a free list. It is not safe for concurrent use; the
 // discrete-event engine serializes access.
 type Device struct {
-	frames      []frame
-	free        []sim.FrameID
-	quarantined int
+	frames []frame
+	free   []sim.FrameID
 }
 
 // NewDevice creates a device memory with n 4 kB frames.
@@ -96,7 +94,7 @@ func (d *Device) AllocRange(vpn sim.PageID, span int) (sim.FrameID, error) {
 	for base := 0; base+span <= n; base += span {
 		ok := true
 		for i := 0; i < span; i++ {
-			if d.frames[base+i].vpn != -1 || d.frames[base+i].quarantined {
+			if d.frames[base+i].vpn != -1 {
 				ok = false
 				break
 			}
@@ -136,36 +134,6 @@ func (d *Device) Free(f sim.FrameID) {
 	fr.dirty = false
 	d.free = append(d.free, f)
 }
-
-// Quarantine permanently retires frame f: it leaves its owner (the
-// caller must have rolled the mapping back), never rejoins the free
-// list, and is skipped by every future allocation — the device degrades
-// to a smaller healthy capacity instead of serving a bad frame again.
-// Quarantining an already-retired frame is a no-op reporting false:
-// under high corruption rates a retried page-in can trip on a frame a
-// previous attempt already condemned, and retiring it "again" must not
-// double-count the capacity loss (this used to panic).
-func (d *Device) Quarantine(f sim.FrameID) bool {
-	fr := &d.frames[f]
-	if fr.quarantined {
-		return false
-	}
-	fr.vpn = -1
-	fr.dirty = false
-	fr.sig = 0
-	fr.quarantined = true
-	d.quarantined++
-	return true
-}
-
-// Quarantined returns the number of permanently retired frames.
-func (d *Device) Quarantined() int { return d.quarantined }
-
-// HealthyFrames returns the device capacity excluding retired frames.
-func (d *Device) HealthyFrames() int { return len(d.frames) - d.quarantined }
-
-// IsQuarantined reports whether frame f has been retired.
-func (d *Device) IsQuarantined(f sim.FrameID) bool { return d.frames[f].quarantined }
 
 // Owner returns the page occupying frame f, or -1 if free.
 func (d *Device) Owner(f sim.FrameID) sim.PageID { return d.frames[f].vpn }

@@ -229,58 +229,3 @@ func TestHostSizedStore(t *testing.T) {
 		t.Errorf("Len = %d, want 4", h.Len())
 	}
 }
-
-// TestQuarantine pins the frame-retirement contract: a quarantined
-// frame leaves its owner, never rejoins the free list, is skipped by
-// both allocation paths, and shrinks the healthy capacity — allocation
-// keeps working on the survivors until they run out.
-func TestQuarantine(t *testing.T) {
-	d := NewDevice(4)
-	f, err := d.Alloc(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.Quarantine(f)
-	if !d.IsQuarantined(f) || d.Quarantined() != 1 || d.HealthyFrames() != 3 {
-		t.Fatalf("after quarantine: q=%d healthy=%d", d.Quarantined(), d.HealthyFrames())
-	}
-	if d.Owner(f) != -1 {
-		t.Fatalf("quarantined frame still owned by %d", d.Owner(f))
-	}
-	// The retired frame must never come back from Alloc.
-	seen := map[sim.FrameID]bool{}
-	for {
-		g, err := d.Alloc(sim.PageID(20 + len(seen)))
-		if err != nil {
-			break
-		}
-		if g == f {
-			t.Fatalf("Alloc handed out quarantined frame %d", f)
-		}
-		seen[g] = true
-	}
-	if len(seen) != 3 {
-		t.Fatalf("allocated %d frames from a 4-frame device with 1 quarantined", len(seen))
-	}
-
-	// AllocRange must refuse runs that cross a quarantined frame.
-	d2 := NewDevice(4)
-	g, err := d2.Alloc(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d2.Quarantine(g)
-	if _, err := d2.AllocRange(0, 4); err == nil {
-		t.Fatal("AllocRange spanned a quarantined frame")
-	}
-
-	// Double quarantine is a guarded no-op: the retry path of a corrupt
-	// page-in can legitimately revisit a condemned frame, and the
-	// capacity loss must not be double-counted.
-	if d.Quarantine(f) {
-		t.Error("second Quarantine reported a fresh retirement")
-	}
-	if d.Quarantined() != 1 || d.HealthyFrames() != 3 {
-		t.Errorf("after double quarantine: q=%d healthy=%d, want 1/3", d.Quarantined(), d.HealthyFrames())
-	}
-}

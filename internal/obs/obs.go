@@ -56,24 +56,6 @@ const (
 	// EvLockWait is a non-zero wait on a serialization point (allocator
 	// lock, page-table lock, DMA bus); Arg is the cycles waited.
 	EvLockWait
-	// EvRollback is a transactional page-in attempt rolled back after an
-	// injected transfer failure; Arg is the retry attempt number.
-	EvRollback
-	// EvQuarantine is a frame retired after corrupting content; Arg is
-	// the frame ID.
-	EvQuarantine
-	// EvResend is a remote-TLB-shootdown IPI re-sent after an
-	// acknowledgement timeout; Arg is the re-send count for the target.
-	EvResend
-	// EvLockStuck is a stuck page lock waited out; Arg is the timeout
-	// cycles charged.
-	EvLockStuck
-	// EvPSPTSkew is injected PSPT core-set skew (a phantom core bit with
-	// no backing PTE); Arg is the phantom core ID.
-	EvPSPTSkew
-	// EvDegraded is a page demoted to regular-table semantics after the
-	// auditor repaired its core set.
-	EvDegraded
 	// EvPTMigration is a hot page-table page re-homed to the accessing
 	// socket after a streak of remote consults; Arg is the new home
 	// socket.
@@ -102,12 +84,6 @@ var eventNames = [numEventTypes]string{
 	"cmcp_promotion",
 	"cmcp_demotion",
 	"lock_wait",
-	"tx_rollback",
-	"frame_quarantine",
-	"shootdown_resend",
-	"lock_stuck",
-	"pspt_skew",
-	"page_degraded",
 	"pt_migration",
 	"replica_sync",
 }

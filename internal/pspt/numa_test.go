@@ -125,24 +125,3 @@ func TestFlatRunsWriteNoReplicaState(t *testing.T) {
 		}
 	}
 }
-
-// TestResyncCoresRecomputesReplicas: the skew-recovery path must leave
-// Replicas a superset of the mapping cores' sockets.
-func TestResyncCoresRecomputesReplicas(t *testing.T) {
-	p := NewSized(8, sim.Size4k, 0, sim.DefaultTopology(2, 4), nil)
-	if _, err := p.Map(1, 0, 7, pagetable.Writable); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Map(6, 0, 7, pagetable.Writable); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := p.InjectPhantomCoreBit(0); !ok {
-		t.Fatal("inject failed")
-	}
-	if !p.ResyncCores(0) {
-		t.Fatal("resync found nothing to fix")
-	}
-	if m := p.NUMA(0); !m.Replicas.Has(0) || !m.Replicas.Has(1) || m.Replicas.Count() != 2 {
-		t.Fatalf("replicas after resync: %b", m.Replicas)
-	}
-}

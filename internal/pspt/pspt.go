@@ -547,56 +547,6 @@ func (p *PSPT) ScanAccessed(vpn sim.PageID, dst []sim.CoreID) (accessed bool, ta
 	return accessed, targets, ptes
 }
 
-// InjectPhantomCoreBit simulates lost teardown bookkeeping on the
-// mapping covering vpn: the lowest core NOT currently in the core set
-// gains a set bit with no backing PTE, so the derived metadata (core-map
-// count, shootdown targets) overcounts until repaired. This is the
-// fault-injection entry point for the inconsistency the invariant
-// auditor detects and ResyncCores repairs; ok is false when the page is
-// not resident or every core already maps it.
-func (p *PSPT) InjectPhantomCoreBit(vpn sim.PageID) (sim.CoreID, bool) {
-	_, e := p.find(vpn)
-	if e == nil {
-		return 0, false
-	}
-	for c := 0; c < p.n; c++ {
-		core := sim.CoreID(c)
-		if !e.cores.Has(core) {
-			e.cores.Add(core)
-			return core, true
-		}
-	}
-	return 0, false
-}
-
-// ResyncCores rebuilds the core set of the mapping covering vpn from
-// the actual per-core table population — the recovery action for
-// injected core-set skew. It reports whether the set changed; false
-// also covers a non-resident vpn.
-func (p *PSPT) ResyncCores(vpn sim.PageID) bool {
-	base, e := p.find(vpn)
-	if e == nil {
-		return false
-	}
-	var rebuilt CoreSet
-	var rs SocketSet
-	for c := 0; c < p.n; c++ {
-		core := sim.CoreID(c)
-		if _, _, ok := p.tables[c].Lookup(base); ok {
-			rebuilt.Add(core)
-			rs.Add(p.topo.SocketOf(core))
-		}
-	}
-	changed := rebuilt != e.cores
-	e.cores = rebuilt
-	if p.numa != nil {
-		// Replicas must stay a superset of the mapping cores' sockets;
-		// recompute the minimal set from the rebuilt population.
-		p.numa[base].Replicas = rs
-	}
-	return changed
-}
-
 // ResidentMappings returns the number of live mapping records.
 func (p *PSPT) ResidentMappings() int { return p.count }
 

@@ -109,24 +109,6 @@ type CostModel struct {
 
 	// AgePeriod is the simulated time between two CMCP aging sweeps.
 	AgePeriod Cycles
-
-	// RetryBackoffBase is the delay charged before the first retry of a
-	// failed page transfer (fault injection); each further retry doubles
-	// it up to RetryBackoffCap. Deterministic, charged in virtual time.
-	RetryBackoffBase Cycles
-
-	// RetryBackoffCap bounds the exponential transfer-retry backoff.
-	RetryBackoffCap Cycles
-
-	// AckTimeout is how long a shootdown initiator waits for a remote
-	// invalidation acknowledgement before re-sending the IPI (only
-	// reachable under fault injection; real acks are modelled as
-	// reliable).
-	AckTimeout Cycles
-
-	// LockStuckTimeout is the stall charged when an injected stuck-lock
-	// fault delays a page-lock acquisition.
-	LockStuckTimeout Cycles
 }
 
 // DefaultCostModel returns the calibrated Knights Corner model used by
@@ -152,27 +134,7 @@ func DefaultCostModel() CostModel {
 		ScanPTE:          20,
 		ScanPeriod:       10_530_000, // 10 ms at 1.053 GHz
 		AgePeriod:        21_060_000, // 20 ms
-		RetryBackoffBase: 4000,
-		RetryBackoffCap:  64000,
-		AckTimeout:       12000,
-		LockStuckTimeout: 30000,
 	}
-}
-
-// RetryBackoff returns the deterministic capped-exponential delay
-// charged before retry attempt n (1-based) of a failed page transfer.
-func (c *CostModel) RetryBackoff(attempt int) Cycles {
-	d := c.RetryBackoffBase
-	for i := 1; i < attempt; i++ {
-		d *= 2
-		if d >= c.RetryBackoffCap {
-			return c.RetryBackoffCap
-		}
-	}
-	if c.RetryBackoffCap > 0 && d > c.RetryBackoffCap {
-		return c.RetryBackoffCap
-	}
-	return d
 }
 
 // KNLCostModel returns a cost model for a Knights Landing-like

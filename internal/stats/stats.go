@@ -53,23 +53,16 @@ const (
 	ScanClears
 	// Touches counts simulated page touches executed.
 	Touches
-	// FaultsInjected counts injector trips of any kind charged to this
-	// core (zero unless a fault.Injector is attached to the run).
+	// The six counters from FaultsInjected to DegradedPages belonged to
+	// the fault injector, which is gone: they are always zero. They stay
+	// in place under their names because the benchmark's fingerprints
+	// pin every counter name, so renaming or removing them waits for a
+	// change to the benchmark.
 	FaultsInjected
-	// RecoveryRetries counts recovered transient failures: page-in and
-	// page-out re-transfers plus stuck-lock timeouts waited out.
 	RecoveryRetries
-	// TxRollbacks counts transactional page-in attempts that were rolled
-	// back (frames released, state unchanged) before a retry.
 	TxRollbacks
-	// QuarantinedFrames counts device frames permanently retired after
-	// corrupting content in flight.
 	QuarantinedFrames
-	// ResentShootdowns counts remote TLB invalidation IPIs re-sent after
-	// an acknowledgement timeout.
 	ResentShootdowns
-	// DegradedPages counts pages demoted to regular-table semantics
-	// after the auditor repaired injected PSPT core-set skew.
 	DegradedPages
 	// FilteredShootdowns counts cores skipped by PSPT's precise
 	// shootdown target set relative to a full broadcast — the numaPTE

@@ -25,9 +25,11 @@ import (
 // encoding of the config (see Key); v6 drops four config fields that
 // nothing outside tests set (DESIGN.md §16), which changes every key;
 // v7 drops Config.AdaptivePageSize and two TenantSpec fields, which
-// changes every key again. Stale schemas are rejected: their keys or runs no longer match what
-// this build computes.
-const Schema = "cmcp-sweep/v7"
+// changes every key again; v8 drops the fault-injection config, its
+// four cost fields and the entry's "quarantined" field, which changes
+// every key once more. Stale schemas are rejected: their keys or runs
+// no longer match what this build computes.
+const Schema = "cmcp-sweep/v8"
 
 // staleSchemas are schemas this build once wrote and now refuses, so
 // the rejection can say "outdated" rather than "not a journal".
@@ -38,6 +40,7 @@ var staleSchemas = map[string]bool{
 	"cmcp-sweep/v4": true,
 	"cmcp-sweep/v5": true,
 	"cmcp-sweep/v6": true,
+	"cmcp-sweep/v7": true,
 }
 
 // header is the journal's first line.
@@ -51,35 +54,33 @@ type header struct {
 // human-readable identity to grep a journal by hand, and the full
 // Result payload needed to merge bit-identically with live runs.
 type Entry struct {
-	Key         string     `json:"key"`
-	Policy      string     `json:"policy"`
-	Workload    string     `json:"workload"`
-	Cores       int        `json:"cores"`
-	Seed        uint64     `json:"seed"`
-	Runtime     sim.Cycles `json:"runtime"`
-	Frames      int        `json:"frames"`
-	TotalPages  int        `json:"total_pages"`
-	Resident    int        `json:"resident"`
-	Quarantined int        `json:"quarantined"`
-	Sharing     []int      `json:"sharing,omitempty"`
-	Run         *stats.Run `json:"run"`
+	Key        string     `json:"key"`
+	Policy     string     `json:"policy"`
+	Workload   string     `json:"workload"`
+	Cores      int        `json:"cores"`
+	Seed       uint64     `json:"seed"`
+	Runtime    sim.Cycles `json:"runtime"`
+	Frames     int        `json:"frames"`
+	TotalPages int        `json:"total_pages"`
+	Resident   int        `json:"resident"`
+	Sharing    []int      `json:"sharing,omitempty"`
+	Run        *stats.Run `json:"run"`
 }
 
 // entryOf snapshots a completed run for the journal.
 func entryOf(key string, cfg machine.Config, res *machine.Result) Entry {
 	return Entry{
-		Key:         key,
-		Policy:      res.PolicyName,
-		Workload:    cfg.Workload.Name,
-		Cores:       cfg.Cores,
-		Seed:        cfg.Seed,
-		Runtime:     res.Runtime,
-		Frames:      res.Frames,
-		TotalPages:  res.TotalPages,
-		Resident:    res.Resident,
-		Quarantined: res.Quarantined,
-		Sharing:     res.Sharing,
-		Run:         res.Run,
+		Key:        key,
+		Policy:     res.PolicyName,
+		Workload:   cfg.Workload.Name,
+		Cores:      cfg.Cores,
+		Seed:       cfg.Seed,
+		Runtime:    res.Runtime,
+		Frames:     res.Frames,
+		TotalPages: res.TotalPages,
+		Resident:   res.Resident,
+		Sharing:    res.Sharing,
+		Run:        res.Run,
 	}
 }
 
@@ -89,15 +90,14 @@ func entryOf(key string, cfg machine.Config, res *machine.Result) Entry {
 // the entry losslessly.
 func (e Entry) Result(cfg machine.Config) *machine.Result {
 	return &machine.Result{
-		Config:      cfg,
-		Run:         e.Run,
-		Runtime:     e.Runtime,
-		Frames:      e.Frames,
-		TotalPages:  e.TotalPages,
-		Sharing:     e.Sharing,
-		Resident:    e.Resident,
-		PolicyName:  e.Policy,
-		Quarantined: e.Quarantined,
+		Config:     cfg,
+		Run:        e.Run,
+		Runtime:    e.Runtime,
+		Frames:     e.Frames,
+		TotalPages: e.TotalPages,
+		Sharing:    e.Sharing,
+		Resident:   e.Resident,
+		PolicyName: e.Policy,
 	}
 }
 

@@ -160,13 +160,10 @@ func keyCorpus() map[string]machine.Config {
 	builtin.Policy = machine.PolicySpec{Kind: machine.CMCP, P: 0.5, DynamicP: true}
 	topo := testCfg(4)
 	topo.Topology = sim.DefaultTopology(2, 1)
-	faults := testCfg(5)
-	faults.Faults = &fault9
 	return map[string]machine.Config{
 		"builtin":  builtin,
 		"tenants":  tenantCfg(1),
 		"topology": topo,
-		"faults":   faults,
 	}
 }
 

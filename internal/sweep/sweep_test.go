@@ -9,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"cmcp/internal/fault"
 	"cmcp/internal/machine"
 	"cmcp/internal/sim"
 	"cmcp/internal/stats"
@@ -75,8 +74,6 @@ func TestKeyDeterministicAndSensitive(t *testing.T) {
 		"verify":     func(c *machine.Config) { c.Verify = true },
 		"nowarmup":   func(c *machine.Config) { c.NoWarmup = true },
 		"hist":       func(c *machine.Config) { c.Hist = true },
-		"faults":     func(c *machine.Config) { c.Faults = &fault9 },
-		"faultseed":  func(c *machine.Config) { f := fault9; f.Seed++; c.Faults = &f },
 		"dynamic-p":  func(c *machine.Config) { c.Policy.DynamicP = true },
 		"scanperiod": func(c *machine.Config) { c.Policy.ScanPeriod = 77777 },
 		"scanbatch":  func(c *machine.Config) { c.Policy.ScanBatch = 17 },
@@ -112,12 +109,6 @@ func tenantSpec(w0 float64) *workload.TenantSpec {
 	spec.Weights = []float64{w0, 1, 1, 1}
 	return &spec
 }
-
-var fault9 = func() (f fault.Config) {
-	f.Seed = 9
-	f.Rates[0] = 1e-4
-	return
-}()
 
 func TestShardOfPartitions(t *testing.T) {
 	var keys []string
@@ -354,7 +345,7 @@ func TestJournalRejectsForeignHeader(t *testing.T) {
 		"badschema.jsonl":   `{"schema":"cmcp-sweep/v0","counters":[]}` + "\n",
 		"oldschema.jsonl":   `{"schema":"cmcp-sweep/v1","counters":[]}` + "\n",
 		"pretenant.jsonl":   `{"schema":"cmcp-sweep/v2","counters":[]}` + "\n",
-		"badcounters.jsonl": `{"schema":"cmcp-sweep/v7","counters":["bogus"]}` + "\n",
+		"badcounters.jsonl": `{"schema":"` + Schema + `","counters":["bogus"]}` + "\n",
 		"badhists.jsonl":    validCountersBadHistsHeader() + "\n",
 	} {
 		path := filepath.Join(dir, name)

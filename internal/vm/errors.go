@@ -26,10 +26,4 @@ var (
 	// ErrCorruption: Verify mode found a page whose content signature
 	// changed across a swap cycle — the paging machinery lost data.
 	ErrCorruption = errors.New("vm: content corruption")
-
-	// ErrIOFailure: injected transient transfer failures exhausted the
-	// retry budget for one page-in or write-back (fault-injection runs
-	// only). All state mutations are committed or rolled back before it
-	// surfaces, so the simulated kernel is consistent when the run stops.
-	ErrIOFailure = errors.New("vm: transfer retries exhausted")
 )

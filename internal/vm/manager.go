@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"cmcp/internal/dense"
-	"cmcp/internal/fault"
 	"cmcp/internal/mem"
 	"cmcp/internal/obs"
 	"cmcp/internal/pagetable"
@@ -48,11 +47,6 @@ type Config struct {
 	// per site; unlike Probe, Hist is plain data, so histogram-bearing
 	// configs remain sweepable and journalable.
 	Hist bool
-	// Faults, when non-nil, injects deterministic device faults into the
-	// transfer, shootdown and locking paths; the manager's recovery
-	// machinery (transactional page-in, frame quarantine, ack re-send,
-	// degraded mode) then survives them. One Injector serves one run.
-	Faults *fault.Injector
 	// Pages is an optional hint: the number of distinct page IDs the
 	// workload touches. The page-indexed tables (TLB sets, page-table
 	// bookkeeping, policy indexes) pre-size to it and avoid growth on
@@ -108,11 +102,7 @@ type Manager struct {
 	faultObs FaultObserver
 	invalObs func(core sim.CoreID, base sim.PageID) // fires before each TLB invalidation
 	rec      *obs.Recorder                          // nil = tracing disabled
-	inj      *fault.Injector                        // nil = fault injection disabled
 	hs       *stats.HistSet                         // nil = histograms disabled
-
-	degraded map[sim.PageID]struct{} // pages on regular-table semantics after skew repair
-	allCores []sim.CoreID            // lazily built broadcast target list (degraded pages)
 
 	topo *sim.Topology // nil = flat single-ring model
 
@@ -146,7 +136,6 @@ func NewManager(cfg Config, factory PolicyFactory) (*Manager, error) {
 		scanner: sim.ScannerCore(cfg.Cores),
 		debt:    sc.Cycles(cfg.Cores),
 		rec:     cfg.Probe,
-		inj:     cfg.Faults,
 		topo:    cfg.Topology,
 	}
 	if err := cfg.Topology.Validate(cfg.Cores); err != nil {
@@ -289,15 +278,8 @@ func (m *Manager) Tick(now sim.Cycles) sim.Cycles {
 	return cost
 }
 
-// CoreMapCount implements policy.Host. Degraded pages answer -1 — the
-// regular-table "sharer count unknown" value — so a count-driven policy
-// (CMCP) treats them exactly as it would under shared tables.
+// CoreMapCount implements policy.Host.
 func (m *Manager) CoreMapCount(base sim.PageID) int {
-	if m.degraded != nil {
-		if _, deg := m.degraded[base]; deg {
-			return -1
-		}
-	}
 	return m.as.CoreMapCount(base)
 }
 
@@ -314,13 +296,6 @@ func (m *Manager) CoreMapCount(base sim.PageID) int {
 func (m *Manager) ScanAccessed(base sim.PageID) bool {
 	accessed, targets, ptes := m.as.ScanAccessed(base)
 	m.scanCost += sim.Cycles(ptes) * m.cost.ScanPTE
-	if accessed && m.degraded != nil {
-		if _, deg := m.degraded[base]; deg {
-			// Degraded page: sharer set untrusted, broadcast like the
-			// regular tables would.
-			targets = m.allCoresList()
-		}
-	}
 	if accessed {
 		m.run.Add(m.scanner, stats.ScanClears, 1)
 	}
@@ -403,8 +378,8 @@ func (m *Manager) touchBookkeeping(core sim.CoreID, vpn sim.PageID, write bool) 
 // fault handles a translation fault by core for vpn starting at virtual
 // time t and returns the completion time. When histograms are enabled it
 // records the end-to-end service time — fault entry through the last
-// lock release, including injected-fault retries and backoff — so the
-// distribution captures exactly what the faulting core experienced.
+// lock release — so the distribution captures exactly what the faulting
+// core experienced.
 func (m *Manager) fault(core sim.CoreID, vpn sim.PageID, t sim.Cycles) (sim.Cycles, error) {
 	if m.hs == nil && m.mt == nil {
 		return m.faultService(core, vpn, t)
@@ -461,23 +436,9 @@ func (m *Manager) faultService(core sim.CoreID, vpn sim.PageID, t sim.Cycles) (s
 				m.rec.Emit(t, core, obs.EvPTMigration, vpn, int64(m.topo.SocketOf(core)))
 			}
 		}
-		t = m.acquirePageLock(core, base, t)
+		t = m.acquire(m.as.LockFor(base), core, base, t, m.cost.LockBase)
 		if m.rec != nil {
 			m.rec.Emit(t, core, obs.EvMinorFault, base, 0)
-		}
-		if m.inj.Trip(fault.MapSkew) {
-			// Injected PSPT bookkeeping skew: a core bit appears in the
-			// shared mapping descriptor with no PTE behind it. Harmless
-			// (the phantom core just re-minor-faults and over-receives
-			// shootdowns) until the invariant auditor notices, at which
-			// point DegradePage repairs the set and drops the page to
-			// regular-table semantics.
-			m.run.Add(core, stats.FaultsInjected, 1)
-			if a, isPSPT := m.as.(*psptAS); isPSPT {
-				if pc, did := a.PSPT().InjectPhantomCoreBit(base); did && m.rec != nil {
-					m.rec.Emit(t, core, obs.EvPSPTSkew, base, int64(pc))
-				}
-			}
 		}
 		if m.mt != nil {
 			m.mt.pteSetup(base)
@@ -523,29 +484,7 @@ func (m *Manager) faultService(core sim.CoreID, vpn sim.PageID, t sim.Cycles) (s
 	if wire > 0 {
 		t = m.acquire(&m.dmaBus, core, base, t, wire) + m.dmaLatencyFor(wire)
 	}
-	return m.acquirePageLock(core, base, t), nil
-}
-
-// acquirePageLock serializes core on base's page-table lock starting at
-// time t and returns the time the critical section completes. Under
-// fault injection a stuck-lock trip first stalls the acquisition for
-// LockStuckTimeout — a wedged holder that recovery times out and kicks
-// loose — before the normal queued acquire.
-func (m *Manager) acquirePageLock(core sim.CoreID, base sim.PageID, t sim.Cycles) sim.Cycles {
-	if m.inj.Trip(fault.StuckLock) {
-		stall := m.cost.LockStuckTimeout
-		m.run.Add(core, stats.FaultsInjected, 1)
-		m.run.Add(core, stats.RecoveryRetries, 1)
-		m.run.Add(core, stats.LockWaitCycles, uint64(stall))
-		if m.rec != nil {
-			m.rec.Emit(t+stall, core, obs.EvLockStuck, base, int64(stall))
-		}
-		if m.hs != nil {
-			m.hs.Record(stats.LockWaitHist, uint64(stall))
-		}
-		t += stall
-	}
-	return m.acquire(m.as.LockFor(base), core, base, t, m.cost.LockBase)
+	return m.acquire(m.as.LockFor(base), core, base, t, m.cost.LockBase), nil
 }
 
 // acquire has core take r at time t for hold cycles on base's behalf
@@ -578,37 +517,25 @@ func (m *Manager) dmaLatencyFor(wire sim.Cycles) sim.Cycles {
 // service performs the state mutations of a major fault — allocate
 // (evicting as needed), page-in, map, policy bookkeeping, TLB install —
 // and returns the CPU work it cost plus the PCIe wire time consumed.
-//
-// The allocate+page-in pair runs as a transaction: under fault injection
-// an attempt can roll back (frames released, backoff charged, nothing
-// mapped) and retry, so a transient transfer failure or a corrupt frame
-// never leaves a half-installed mapping behind.
 func (m *Manager) service(core sim.CoreID, vpn, base sim.PageID) (work, wire sim.Cycles, err error) {
 	work = m.cost.FaultService
 	size := m.cfg.PageSize
 	span := int(size.Span())
 
-	var frame sim.FrameID
-	var bytes int64
-	attempt := 0
-	for {
-		f, evWork, evBytes, allocErr := m.allocFrames(core, base, span)
-		if allocErr != nil {
-			return 0, 0, allocErr
+	frame, evWork, bytes, err := m.allocFrames(core, base, span)
+	if err != nil {
+		return 0, 0, err
+	}
+	work += evWork
+	for i := 0; i < span; i++ {
+		v := base + sim.PageID(i)
+		sig := m.host.PageIn(v)
+		if m.verify != nil {
+			if want, ok := m.verify[v]; ok && want != sig {
+				return 0, 0, fmt.Errorf("%w on page %d: got %x want %x", ErrCorruption, v, sig, want)
+			}
 		}
-		work += evWork
-		bytes += evBytes
-
-		committed, txWork, txBytes, txErr := m.pageInTx(core, base, f, span, &attempt)
-		work += txWork
-		bytes += txBytes
-		if txErr != nil {
-			return 0, 0, txErr
-		}
-		if committed {
-			frame = f
-			break
-		}
+		m.dev.SetSignature(frame+sim.FrameID(i), sig)
 	}
 	m.run.Add(core, stats.BytesIn, uint64(size.Bytes()))
 	bytes += size.Bytes()
@@ -627,94 +554,6 @@ func (m *Manager) service(core sim.CoreID, vpn, base sim.PageID) (work, wire sim
 	return work, wire, nil
 }
 
-// pageInTx attempts the host-to-device transfer of one mapping into the
-// span frames starting at frame. Under fault injection an attempt can
-// fail two ways: a transient transfer failure (the whole attempt rolls
-// back and retries after a deterministic backoff, bounded by the
-// injector's MaxRetries) or frame corruption (the bad frame is
-// permanently quarantined and the attempt rolls back onto fresh frames —
-// bounded naturally, because every corruption costs the device a frame,
-// so sustained corruption ends in ErrNoVictim rather than a hang). A
-// rolled-back attempt returns committed=false with every frame released
-// or retired and bytes holding only the wasted wire traffic; simulated
-// state is exactly as before the attempt.
-func (m *Manager) pageInTx(core sim.CoreID, base sim.PageID, frame sim.FrameID, span int, attempt *int) (committed bool, work sim.Cycles, bytes int64, err error) {
-	if m.inj.Trip(fault.PageIn) {
-		// Transient link failure before the payload moved: roll the
-		// allocation back and either back off and retry or, once the
-		// retry budget is spent, fail the run with consistent state.
-		*attempt++
-		m.rollbackFrames(frame, span)
-		m.run.Add(core, stats.FaultsInjected, 1)
-		m.run.Add(core, stats.TxRollbacks, 1)
-		if m.rec != nil {
-			m.rec.EmitNow(core, obs.EvRollback, base, int64(*attempt))
-		}
-		if *attempt > m.inj.MaxRetries() {
-			return false, 0, 0, fmt.Errorf("%w: page-in of %d failed %d times", ErrIOFailure, base, *attempt)
-		}
-		m.run.Add(core, stats.RecoveryRetries, 1)
-		return false, m.cost.RetryBackoff(*attempt), 0, nil
-	}
-	var moved int64
-	for i := 0; i < span; i++ {
-		v := base + sim.PageID(i)
-		f := frame + sim.FrameID(i)
-		sig := m.host.PageIn(v)
-		moved += sim.PageSize4k
-		if m.inj.Trip(fault.Corrupt) {
-			// The frame mangled the payload: retire it for good (the
-			// device shrinks to a smaller healthy capacity) and roll the
-			// attempt back onto fresh frames. Deliberately not counted
-			// against the transient-retry budget — the finite frame pool
-			// bounds it instead.
-			m.run.Add(core, stats.FaultsInjected, 1)
-			m.run.Add(core, stats.TxRollbacks, 1)
-			m.run.Add(core, stats.QuarantinedFrames, 1)
-			m.run.Add(core, stats.RecoveryRetries, 1)
-			if m.rec != nil {
-				m.rec.EmitNow(core, obs.EvQuarantine, base, int64(f))
-				m.rec.EmitNow(core, obs.EvRollback, base, int64(*attempt))
-			}
-			m.quarantineFrame(frame, span, i)
-			return false, m.cost.RetryBackoff(1), moved, nil
-		}
-		if m.verify != nil {
-			if want, ok := m.verify[v]; ok && want != sig {
-				return false, 0, 0, fmt.Errorf("%w on page %d: got %x want %x", ErrCorruption, v, sig, want)
-			}
-		}
-		m.dev.SetSignature(f, sig)
-	}
-	return true, 0, 0, nil
-}
-
-// rollbackFrames releases a failed attempt's whole allocation.
-func (m *Manager) rollbackFrames(frame sim.FrameID, span int) {
-	if m.mt != nil {
-		m.mt.release(frame, span)
-	}
-	for i := 0; i < span; i++ {
-		m.dev.Free(frame + sim.FrameID(i))
-	}
-}
-
-// quarantineFrame retires the bad frame of a failed attempt and releases
-// the healthy rest.
-func (m *Manager) quarantineFrame(frame sim.FrameID, span, bad int) {
-	if m.mt != nil {
-		m.mt.release(frame, span)
-	}
-	for i := 0; i < span; i++ {
-		f := frame + sim.FrameID(i)
-		if i == bad {
-			m.dev.Quarantine(f)
-		} else {
-			m.dev.Free(f)
-		}
-	}
-}
-
 // allocFrames obtains span naturally aligned contiguous frames,
 // evicting victims until the allocation succeeds.
 func (m *Manager) allocFrames(core sim.CoreID, base sim.PageID, span int) (sim.FrameID, sim.Cycles, int64, error) {
@@ -730,10 +569,6 @@ func (m *Manager) allocFrames(core sim.CoreID, base sim.PageID, span int) (sim.F
 		}
 		vbase, ok := m.pol.Victim()
 		if !ok {
-			if q := m.dev.Quarantined(); q > 0 {
-				return 0, 0, 0, fmt.Errorf("%w (span %d, free %d; %d of %d frames quarantined)",
-					ErrNoVictim, span, m.dev.FreeFrames(), q, m.dev.NumFrames())
-			}
 			return 0, 0, 0, fmt.Errorf("%w (span %d, free %d)", ErrNoVictim, span, m.dev.FreeFrames())
 		}
 		w, b, evErr := m.evict(core, vbase)
@@ -752,15 +587,6 @@ func (m *Manager) evict(core sim.CoreID, vbase sim.PageID) (sim.Cycles, int64, e
 	base, pfn, targets, ok := m.as.Unmap(vbase)
 	if !ok {
 		return 0, 0, fmt.Errorf("%w: victim %d", ErrBadVictim, vbase)
-	}
-	if m.degraded != nil {
-		if _, deg := m.degraded[base]; deg {
-			// Degraded page: its precise sharer set is untrusted, so the
-			// shootdown broadcasts to every core — regular-table
-			// semantics. Eviction retires the degraded state.
-			targets = m.allCoresList()
-			delete(m.degraded, base)
-		}
 	}
 	m.run.Add(core, stats.Evictions, 1)
 
@@ -785,9 +611,8 @@ func (m *Manager) evict(core sim.CoreID, vbase sim.PageID) (sim.Cycles, int64, e
 		m.debt[tc] += m.cost.IPIInterrupt
 		m.run.Add(tc, stats.RemoteTLBInvalidations, 1)
 		// Delivery rides the bidirectional ring: distant targets cost
-		// the initiating core more. rtt accumulates this target's full
-		// ack round trip — delivery plus any timeout+re-send cycles —
-		// which is what the shootdown-RTT histogram records.
+		// the initiating core more. rtt is this target's full ack round
+		// trip, which is what the shootdown-RTT histogram records.
 		//
 		// Ring size: m.cfg.Cores counts the booked application cores
 		// only. The statistics scanner is a hyperthread sharing a booked
@@ -799,26 +624,6 @@ func (m *Manager) evict(core sim.CoreID, vbase sim.PageID) (sim.Cycles, int64, e
 			if s := m.topo.SocketOf(tc); s != initSocket {
 				m.run.Add(core, stats.CrossSocketIPIs, 1)
 				remoteSockets.Add(s)
-			}
-		}
-		if m.inj != nil {
-			// Dropped acknowledgement: the initiator waits out the ack
-			// timeout and re-sends the IPI (the loss is modelled before
-			// delivery, so the target is interrupted once, by whichever
-			// send finally lands). Bounded by the retry budget; acks are
-			// reliable past it.
-			resent := 0
-			for resent < m.inj.MaxRetries() && m.inj.Trip(fault.DropAck) {
-				resent++
-				rtt += m.cost.AckTimeout + m.cost.IPIDeliveryCostOn(m.topo, core, tc, m.cfg.Cores)
-			}
-			if resent > 0 {
-				m.run.Add(core, stats.FaultsInjected, uint64(resent))
-				m.run.Add(core, stats.ResentShootdowns, uint64(resent))
-				m.run.Add(core, stats.RecoveryRetries, uint64(resent))
-				if m.rec != nil {
-					m.rec.EmitNow(core, obs.EvResend, base, int64(resent))
-				}
 			}
 		}
 		work += rtt
@@ -894,75 +699,12 @@ func (m *Manager) evict(core sim.CoreID, vbase sim.PageID) (sim.Cycles, int64, e
 		if m.rec != nil {
 			m.rec.EmitNow(core, obs.EvWriteBack, base, bytes)
 		}
-		if m.inj != nil {
-			// Transient write-back failure. Every state mutation above is
-			// already committed (unmap, shootdown, host copy, free), so a
-			// retry is a pure re-transfer: backoff plus another trip of
-			// the payload over the wire. Exhausting the budget fails the
-			// run with consistent state.
-			attempt := 0
-			for m.inj.Trip(fault.PageOut) {
-				attempt++
-				m.run.Add(core, stats.FaultsInjected, 1)
-				if attempt > m.inj.MaxRetries() {
-					return 0, 0, fmt.Errorf("%w: write-back of %d failed %d times", ErrIOFailure, base, attempt)
-				}
-				m.run.Add(core, stats.RecoveryRetries, 1)
-				work += m.cost.RetryBackoff(attempt)
-				bytes += size.Bytes()
-			}
-		}
 	}
 	// Eviction latency: the evictor-side CPU work for this victim —
-	// unmap, shootdown round trips, write-back retries and backoff. The
-	// wire time is excluded (it is serialized on the DMA bus by the
-	// caller, shared with the page-in).
+	// unmap and shootdown round trips. The wire time is excluded (it is
+	// serialized on the DMA bus by the caller, shared with the page-in).
 	if m.hs != nil {
 		m.hs.Record(stats.EvictionHist, uint64(work))
 	}
 	return work, bytes, nil
-}
-
-// allCoresList returns the lazily built every-core shootdown target list
-// used for degraded pages.
-func (m *Manager) allCoresList() []sim.CoreID {
-	if m.allCores == nil {
-		m.allCores = make([]sim.CoreID, m.cfg.Cores)
-		for i := range m.allCores {
-			m.allCores[i] = sim.CoreID(i)
-		}
-	}
-	return m.allCores
-}
-
-// DegradePage is the invariant auditor's recovery hook for PSPT
-// bookkeeping skew: it rebuilds the page's sharer set from the actual
-// per-core table population and drops the page to regular-table
-// semantics — unknown core-map count, broadcast shootdowns — until the
-// page is next evicted. It reports whether a repair happened; false
-// (no fault injection active, regular tables, or nothing actually
-// skewed) tells the auditor the violation is a genuine invariant breach
-// that must be reported, not recovered.
-func (m *Manager) DegradePage(base sim.PageID) bool {
-	if m.inj == nil {
-		return false
-	}
-	a, ok := m.as.(*psptAS)
-	if !ok {
-		return false
-	}
-	if !a.PSPT().ResyncCores(base) {
-		return false
-	}
-	if m.degraded == nil {
-		m.degraded = make(map[sim.PageID]struct{})
-	}
-	if _, dup := m.degraded[base]; !dup {
-		m.degraded[base] = struct{}{}
-		m.run.Add(0, stats.DegradedPages, 1)
-		if m.rec != nil {
-			m.rec.EmitNow(m.scanner, obs.EvDegraded, base, 0)
-		}
-	}
-	return true
 }

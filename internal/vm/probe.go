@@ -16,7 +16,7 @@ import (
 
 // SetInvalObserver registers fn to run immediately before each TLB
 // invalidation is applied to a core (shootdowns from evictions, scan
-// clears and degraded-page recovery all funnel through it). Passing nil
+// clears both funnel through it). Passing nil
 // detaches. The serial engine never sets one; the disabled path costs
 // one nil check per invalidation.
 func (m *Manager) SetInvalObserver(fn func(core sim.CoreID, base sim.PageID)) {

@@ -372,10 +372,6 @@ func (m *Manager) allocFramesTenant(core sim.CoreID, base sim.PageID, span int) 
 		}
 		vt := s.victimTenant()
 		if vt < 0 {
-			if q := m.dev.Quarantined(); q > 0 {
-				return 0, 0, 0, fmt.Errorf("%w (span %d, free %d; %d of %d frames quarantined)",
-					ErrNoVictim, span, m.dev.FreeFrames(), q, m.dev.NumFrames())
-			}
 			return 0, 0, 0, fmt.Errorf("%w (span %d, free %d)", ErrNoVictim, span, m.dev.FreeFrames())
 		}
 		w, b, evErr := m.evictFromTenant(core, vt, t)
