@@ -242,8 +242,8 @@ func WorkloadByName(name string) (Workload, bool) { return workload.ByName(name)
 // and the run becomes many address spaces — one per tenant, each with
 // its own replacement-policy instance — contending for the shared
 // device frame pool under a deterministic Zipfian request driver.
-// Frame ownership is tracked in a coremap-style table; cross-tenant
-// eviction pressure follows proportional weights or hard partitions.
+// Frame ownership is tracked in a coremap-style table; a fault with no
+// free frame evicts from the tenant holding the most frames.
 // Per-tenant counters and fault-service histograms land in
 // Result.Run.Tenants; a nil Config.Tenants run is bit-identical to a
 // pre-tenant build.

@@ -211,16 +211,19 @@ func TestInvalidInvocationsFail(t *testing.T) {
 
 // TestOutdatedJournalRefused pins that a journal written under an
 // older schema, whose content keys this build no longer computes, is
-// refused as outdated rather than silently re-run.
+// refused as outdated rather than silently re-run: v4, and v8, the
+// schema just before the current one.
 func TestOutdatedJournalRefused(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "v4.jsonl")
-	if err := os.WriteFile(path, []byte(`{"schema":"cmcp-sweep/v4","counters":[],"hists":[]}`+"\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var stdout, stderr bytes.Buffer
-	code := run([]string{"-exp", "table1", "-quick", "-scale", "0.04", "-journal", path}, &stdout, &stderr)
-	if code == 0 || !strings.Contains(stderr.String(), "outdated") {
-		t.Errorf("v4 journal: exit %d, stderr %q; want a failure saying the journal is outdated", code, stderr.String())
+	for _, v := range []string{"v4", "v8"} {
+		path := filepath.Join(t.TempDir(), v+".jsonl")
+		if err := os.WriteFile(path, []byte(`{"schema":"cmcp-sweep/`+v+`","counters":[],"hists":[]}`+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var stdout, stderr bytes.Buffer
+		code := run([]string{"-exp", "table1", "-quick", "-scale", "0.04", "-journal", path}, &stdout, &stderr)
+		if code == 0 || !strings.Contains(stderr.String(), "outdated") {
+			t.Errorf("%s journal: exit %d, stderr %q; want a failure saying the journal is outdated", v, code, stderr.String())
+		}
 	}
 }
 

@@ -8,8 +8,9 @@
 // serving-fleet question: who keeps the slowest tenant fast?
 //
 // The same Config runs bit-identically on both engines; this demo uses
-// the parallel one for speed and a weighted (non-partitioned) pool so
-// the policies, not quotas, decide who loses frames.
+// the parallel one for speed. A fault that finds no free frame evicts
+// from the tenant holding the most frames, and that tenant's policy
+// picks the page, so the policies decide which pages go.
 package main
 
 import (

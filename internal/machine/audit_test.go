@@ -2,6 +2,7 @@ package machine
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"cmcp/internal/check"
@@ -115,11 +116,14 @@ func TestAuditRandomConfigs(t *testing.T) {
 }
 
 // TestAuditFIFODifferentialReplay cross-validates the live engine
-// against the offline replayer: for a single-core FIFO run (no warm-up,
-// so the measured phase is the whole access stream) the simulator's
-// fault count must equal what internal/trace computes by replaying the
-// captured access trace through the same policy at the same capacity.
-// TLBs, costs and locks must not change *which* accesses fault.
+// against the offline replayer: for a single-core FIFO run the
+// simulator's measured fault count must equal what internal/trace
+// computes by replaying the warm-up records followed by the measured
+// records through the same policy at the same capacity, minus the
+// faults of the warm-up records alone. FIFO's state after a prefix is
+// deterministic, so the difference is exact, and it also covers the
+// warm-up barrier and the counter rebase (Run.Subtract). TLBs, costs
+// and locks must not change *which* accesses fault.
 func TestAuditFIFODifferentialReplay(t *testing.T) {
 	wl := workload.Uniform(400, 6000)
 	const seed = 9
@@ -127,7 +131,16 @@ func TestAuditFIFODifferentialReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := trace.Capture(layout, seed)
+	warm := &trace.Trace{Cores: 1}
+	for s := layout.WarmupStreams()[0]; ; {
+		a, ok := s.Next()
+		if !ok {
+			break
+		}
+		warm.Records = append(warm.Records, trace.Record{VPN: a.VPN, Write: a.Write})
+	}
+	measured := trace.Capture(layout, seed)
+	whole := &trace.Trace{Cores: 1, Records: append(slices.Clip(warm.Records), measured.Records...)}
 
 	cfg := Config{
 		Cores:       1,
@@ -137,18 +150,26 @@ func TestAuditFIFODifferentialReplay(t *testing.T) {
 		Tables:      vm.PSPTKind,
 		Policy:      PolicySpec{Kind: FIFO, P: -1},
 		Seed:        seed,
-		NoWarmup:    true,
 		Audit:       check.New(check.Config{Every: 512}),
 	}
 	res, err := Simulate(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := trace.CountFaults(tr, res.Frames, sim.Size4k, policy.NewFIFO())
-	if err != nil {
-		t.Fatal(err)
+	count := func(tr *trace.Trace) uint64 {
+		n, err := trace.CountFaults(tr, res.Frames, sim.Size4k, policy.NewFIFO())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
 	}
+	warmFaults := count(warm)
+	if warmFaults == 0 {
+		t.Fatal("warm-up records fault nowhere; the prefix tests nothing")
+	}
+	want := count(whole) - warmFaults
 	if got := res.Run.Total(stats.PageFaults); got != want {
-		t.Errorf("live simulation faulted %d times, offline replay says %d", got, want)
+		t.Errorf("live simulation faulted %d times in the measured phase, offline replay says %d (%d with warm-up, %d in it)",
+			got, want, want+warmFaults, warmFaults)
 	}
 }

@@ -197,8 +197,8 @@ func TestParallelDifferential(t *testing.T) {
 			Policy:      PolicySpec{Kind: k, P: -1},
 			Seed:        rng.Uint64(),
 			Hist:        rng.Intn(2) == 0,
-			NoWarmup:    rng.Intn(4) == 0,
 		}
+		rng.Intn(4) // no-op slot: it once picked Config.NoWarmup
 		if k == CMCP && rng.Intn(2) == 0 {
 			cfg.Policy.P = rng.Float64()
 		}

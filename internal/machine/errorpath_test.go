@@ -64,7 +64,6 @@ func errConfig(factory vm.PolicyFactory) Config {
 		Tables:      vm.PSPTKind,
 		Policy:      PolicySpec{Factory: factory},
 		Seed:        3,
-		NoWarmup:    true,
 	}
 }
 

@@ -91,8 +91,8 @@ type Config struct {
 	// Tenants, when non-nil, runs a multi-tenant machine instead of a
 	// single workload: Tenants.Tenants address spaces driven by the
 	// deterministic Zipfian serving workload, per-tenant policy
-	// instances over the shared frame pool, weighted or hard-partition
-	// eviction pressure, and per-tenant counters/fault-latency
+	// instances over the shared frame pool, evictions charged to the
+	// tenant holding the most frames, and per-tenant counters/fault-latency
 	// histograms on the Run (stats.TenantSet). Requires 4 kB pages.
 	// Plain data: safe to share across concurrent runs and to journal in
 	// sweeps. Nil leaves single-tenant behavior bit-identical to before
@@ -116,11 +116,6 @@ type Config struct {
 	Cost sim.CostModel
 	// Verify enables page-content integrity checking.
 	Verify bool
-	// NoWarmup skips the steady-state warm-up phase (each core touching
-	// its population once before measurement begins). The default
-	// warm-up mirrors the paper's steady-state measurements; disabling
-	// it exposes cold-start demand paging to the measured counters.
-	NoWarmup bool
 	// Hist attaches latency/fan-out histograms to the run (see
 	// internal/hist and stats.HistID): fault service time, eviction
 	// latency, shootdown ack RTT, lock waits and shootdown fan-out.
@@ -129,9 +124,9 @@ type Config struct {
 	// bit-identical to a non-Hist run in every counter and finish time.
 	// Plain data (unlike Probe/Audit): one Config is safe to reuse
 	// across concurrent RunMany runs, and sweeps may journal it.
-	// With warm-up enabled, histograms cover the measured phase only —
-	// distributions are reset at the warm-up barrier, because unlike
-	// counters a prefix distribution cannot be subtracted out.
+	// Histograms cover the measured phase only — distributions are
+	// reset at the warm-up barrier, because unlike counters a prefix
+	// distribution cannot be subtracted out.
 	Hist bool
 	// Probe attaches a flight recorder / sampler to the run (see
 	// internal/obs). nil disables tracing; the hot paths then pay one
@@ -453,8 +448,6 @@ func simulate(cfg Config, sc *dense.Scratch) (*Result, error) {
 		vmTenants = &vm.TenantConfig{
 			Count:          cfg.Tenants.Tenants,
 			PagesPerTenant: cfg.Tenants.PagesPerTenant,
-			Weights:        cfg.Tenants.Weights,
-			HardPartition:  cfg.Tenants.HardPartition,
 		}
 	}
 	mgr, err := vm.NewManager(vm.Config{
@@ -478,44 +471,37 @@ func simulate(cfg Config, sc *dense.Scratch) (*Result, error) {
 	run := mgr.Run()
 	engine := newPhaseRunner(mgr, cfg)
 	defer engine.close()
-	var t0 sim.Cycles
-	if !cfg.NoWarmup {
-		// Warm-up: every core touches its population once, bringing the
-		// resident set and TLBs to steady state, then all cores
-		// synchronize at a barrier and the counters are rebased.
-		t0, err = engine.run(warmupFn(), 0)
-		if err != nil {
-			return nil, err
-		}
-		warm := run.CloneIn(sc)
-		for c := 0; c < cfg.Cores; c++ {
-			mgr.TakeDebt(sim.CoreID(c)) // drop warm-up interrupt debt
-		}
-		// Counters are rebased below by subtracting the warm-up snapshot;
-		// distributions cannot be, so the histograms restart here and
-		// cover exactly the measured phase.
-		if run.Hists != nil {
-			run.Hists.Reset()
-		}
-		if run.Tenants != nil {
-			run.Tenants.ResetHists()
-		}
-		if _, err = engine.run(streamsFn(cfg.Seed), t0); err != nil {
-			return nil, err
-		}
-		if err := run.Subtract(warm); err != nil {
-			return nil, err
-		}
-		for i := range run.Finish {
-			if run.Finish[i] > t0 {
-				run.Finish[i] -= t0
-			} else {
-				run.Finish[i] = 0
-			}
-		}
-	} else {
-		if _, err = engine.run(streamsFn(cfg.Seed), 0); err != nil {
-			return nil, err
+	// Warm-up: every core touches its population once, bringing the
+	// resident set and TLBs to steady state, then all cores synchronize
+	// at a barrier and the counters are rebased.
+	t0, err := engine.run(warmupFn(), 0)
+	if err != nil {
+		return nil, err
+	}
+	warm := run.CloneIn(sc)
+	for c := 0; c < cfg.Cores; c++ {
+		mgr.TakeDebt(sim.CoreID(c)) // drop warm-up interrupt debt
+	}
+	// Counters are rebased below by subtracting the warm-up snapshot;
+	// distributions cannot be, so the histograms restart here and cover
+	// exactly the measured phase.
+	if run.Hists != nil {
+		run.Hists.Reset()
+	}
+	if run.Tenants != nil {
+		run.Tenants.ResetHists()
+	}
+	if _, err = engine.run(streamsFn(cfg.Seed), t0); err != nil {
+		return nil, err
+	}
+	if err := run.Subtract(warm); err != nil {
+		return nil, err
+	}
+	for i := range run.Finish {
+		if run.Finish[i] > t0 {
+			run.Finish[i] -= t0
+		} else {
+			run.Finish[i] = 0
 		}
 	}
 

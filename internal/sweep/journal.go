@@ -27,9 +27,11 @@ import (
 // v7 drops Config.AdaptivePageSize and two TenantSpec fields, which
 // changes every key again; v8 drops the fault-injection config, its
 // four cost fields and the entry's "quarantined" field, which changes
-// every key once more. Stale schemas are rejected: their keys or runs
-// no longer match what this build computes.
-const Schema = "cmcp-sweep/v8"
+// every key once more; v9 drops the switch that skipped warm-up and
+// the tenant frame shares (per-tenant weights and hard partitions),
+// which changes every key again. Stale schemas are rejected: their keys or runs no longer
+// match what this build computes.
+const Schema = "cmcp-sweep/v9"
 
 // staleSchemas are schemas this build once wrote and now refuses, so
 // the rejection can say "outdated" rather than "not a journal".
@@ -41,6 +43,7 @@ var staleSchemas = map[string]bool{
 	"cmcp-sweep/v5": true,
 	"cmcp-sweep/v6": true,
 	"cmcp-sweep/v7": true,
+	"cmcp-sweep/v8": true,
 }
 
 // header is the journal's first line.

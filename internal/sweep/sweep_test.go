@@ -72,20 +72,19 @@ func TestKeyDeterministicAndSensitive(t *testing.T) {
 		"wl-name":    func(c *machine.Config) { c.Workload.Name = "other" },
 		"cost":       func(c *machine.Config) { c.Cost.FaultEntry += 10 },
 		"verify":     func(c *machine.Config) { c.Verify = true },
-		"nowarmup":   func(c *machine.Config) { c.NoWarmup = true },
 		"hist":       func(c *machine.Config) { c.Hist = true },
 		"dynamic-p":  func(c *machine.Config) { c.Policy.DynamicP = true },
 		"scanperiod": func(c *machine.Config) { c.Policy.ScanPeriod = 77777 },
 		"scanbatch":  func(c *machine.Config) { c.Policy.ScanBatch = 17 },
-		// Sharing bands and tenant weights are slices: the pairs below
-		// differ only in one element's field.
+		// Sharing bands are a slice: the pair below differs only in one
+		// element's field.
 		"band": func(c *machine.Config) { c.Workload.Sharing = []workload.ShareBand{{Cores: 2, Frac: 0.5}} },
 		"band-hot": func(c *machine.Config) {
 			c.Workload.Sharing = []workload.ShareBand{{Cores: 2, Frac: 0.5, HotFrac: 0.3}}
 		},
-		"tenants": func(c *machine.Config) { c.Workload, c.Tenants = workload.Spec{}, tenantSpec(1) },
-		"tenant-weight": func(c *machine.Config) {
-			c.Workload, c.Tenants = workload.Spec{}, tenantSpec(2)
+		"tenants": func(c *machine.Config) {
+			spec := workload.DefaultTenantSpec(4, 1.2, 100)
+			c.Workload, c.Tenants = workload.Spec{}, &spec
 		},
 	}
 	seen := map[string]string{k1: "base"}
@@ -101,13 +100,6 @@ func TestKeyDeterministicAndSensitive(t *testing.T) {
 		}
 		seen[k] = name
 	}
-}
-
-// tenantSpec is a 4-tenant spec whose first tenant has weight w0.
-func tenantSpec(w0 float64) *workload.TenantSpec {
-	spec := workload.DefaultTenantSpec(4, 1.2, 100)
-	spec.Weights = []float64{w0, 1, 1, 1}
-	return &spec
 }
 
 func TestShardOfPartitions(t *testing.T) {

@@ -51,8 +51,6 @@ func TestKeyTenantSensitive(t *testing.T) {
 		"pageskew":  func(s *workload.TenantSpec) { s.PageSkew = 3 },
 		"churn":     func(s *workload.TenantSpec) { s.ChurnEvery = 500 },
 		"diurnal":   func(s *workload.TenantSpec) { s.DiurnalEvery = 900 },
-		"weights":   func(s *workload.TenantSpec) { s.Weights = []float64{1, 1, 1, 1, 2, 2, 2, 2} },
-		"hard":      func(s *workload.TenantSpec) { s.HardPartition = true },
 	}
 	seen := map[string]string{baseKey: "base", bareKey: "bare"}
 	for name, mutate := range mutations {

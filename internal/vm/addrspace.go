@@ -88,26 +88,26 @@ type addressSpace interface {
 	ForEachMapping(fn func(base sim.PageID, pfn int64))
 }
 
-// sharedAS is the regular-page-table organization. maps is the
-// kernel's record of the resident mappings (the OS knows what is
-// mapped; it just cannot know which cores cached the translation): a
-// page-indexed word per base, pfn+1 for a mapping and 0 for none.
+// sharedAS is the regular-page-table organization. The one shared
+// table is also the kernel's record of the resident mappings (the OS
+// knows what is mapped; it just cannot know which cores cached the
+// translation): every mapping has the run's page size, so the entry at
+// a size-aligned base says whether that base is mapped and to which
+// frame.
 type sharedAS struct {
 	cores    int
 	size     sim.PageSize
 	table    *pagetable.Table
-	maps     dense.Words // base -> pfn+1
 	resident int
 	lock     sim.Resource
 	targets  []sim.CoreID // reusable all-cores slice
 }
 
-func newSharedAS(cores, pages int, size sim.PageSize, sc *dense.Scratch) *sharedAS {
+func newSharedAS(cores int, size sim.PageSize) *sharedAS {
 	s := &sharedAS{
 		cores: cores,
 		size:  size,
 		table: pagetable.New(),
-		maps:  dense.NewWords(sc, pages),
 	}
 	s.targets = make([]sim.CoreID, cores)
 	for i := range s.targets {
@@ -125,7 +125,7 @@ func (s *sharedAS) ResolveSibling(sim.CoreID, sim.PageID, pagetable.PTE) (sim.Pa
 }
 
 func (s *sharedAS) Map(_ sim.CoreID, base sim.PageID, pfn int64, flags pagetable.PTE) error {
-	if s.maps.Get(base) != 0 {
+	if _, _, ok := s.table.Lookup(base); ok {
 		return fmt.Errorf("vm: double map of base %d", base)
 	}
 	switch s.size {
@@ -140,16 +140,17 @@ func (s *sharedAS) Map(_ sim.CoreID, base sim.PageID, pfn int64, flags pagetable
 			return err
 		}
 	}
-	s.maps.Set(base, uint64(pfn)+1)
 	s.resident++
 	return nil
 }
 
-// find returns the base and frame of the mapping covering vpn.
+// find returns the base and frame of the mapping covering vpn: the
+// entry at the size-aligned base (a 64 kB group's first member carries
+// the group's first frame).
 func (s *sharedAS) find(vpn sim.PageID) (base sim.PageID, pfn int64, ok bool) {
 	base = s.size.Align(vpn)
-	w := s.maps.Get(base)
-	return base, int64(w) - 1, w != 0
+	e, _, ok := s.table.Lookup(base)
+	return base, e.PFN(), ok
 }
 
 func (s *sharedAS) Unmap(vpn sim.PageID) (sim.PageID, int64, []sim.CoreID, bool) {
@@ -165,7 +166,6 @@ func (s *sharedAS) Unmap(vpn sim.PageID) (sim.PageID, int64, []sim.CoreID, bool)
 	default:
 		s.table.Clear(base)
 	}
-	s.maps.Set(base, 0)
 	s.resident--
 	// Centralized bookkeeping: the kernel cannot tell which cores have
 	// the translation cached, so the shootdown must broadcast.
@@ -222,12 +222,14 @@ func (s *sharedAS) LockFor(sim.PageID) *sim.Resource { return &s.lock }
 
 func (s *sharedAS) Resident() int { return s.resident }
 
+// ForEachMapping walks the shared table in ascending VPN order and
+// reports a 64 kB group once, at its first member.
 func (s *sharedAS) ForEachMapping(fn func(base sim.PageID, pfn int64)) {
-	for p, w := range s.maps.Slice() {
-		if w != 0 {
-			fn(sim.PageID(p), int64(w)-1)
+	s.table.ForEachPresent(func(vpn sim.PageID, e pagetable.PTE, size sim.PageSize) {
+		if size != sim.Size64k || sim.Size64k.Aligned(vpn) {
+			fn(vpn, e.PFN())
 		}
-	}
+	})
 }
 
 // psptAS adapts pspt.PSPT to the addressSpace interface.

@@ -58,8 +58,8 @@ type Config struct {
 	Scratch *dense.Scratch
 	// Tenants, when non-nil, splits the page space into that many
 	// address spaces contending for the one frame pool: per-tenant
-	// policy instances, a frame-ownership table, weighted or
-	// hard-partitioned eviction pressure, and per-tenant counters on
+	// policy instances, a frame-ownership table, evictions charged to
+	// the tenant holding the most frames, and per-tenant counters on
 	// the run. Requires 4 kB pages.
 	Tenants *TenantConfig
 	// Topology, when non-nil and multi-socket, replaces the flat
@@ -147,7 +147,7 @@ func NewManager(cfg Config, factory PolicyFactory) (*Manager, error) {
 	if cfg.Tables == PSPTKind {
 		m.as = newPSPTAS(cfg.Cores, cfg.Pages, cfg.PageSize, cfg.Topology, sc)
 	} else {
-		m.as = newSharedAS(cfg.Cores, cfg.Pages, cfg.PageSize, sc)
+		m.as = newSharedAS(cfg.Cores, cfg.PageSize)
 	}
 	m.tlbs = make([]tlb.TLB, cfg.Cores)
 	for i := range m.tlbs {

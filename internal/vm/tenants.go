@@ -2,7 +2,6 @@ package vm
 
 import (
 	"fmt"
-	"math"
 
 	"cmcp/internal/mem"
 	"cmcp/internal/policy"
@@ -22,21 +21,13 @@ type TenantConfig struct {
 	Count int
 	// PagesPerTenant is each tenant's footprint in 4 kB pages.
 	PagesPerTenant int
-	// Weights are the tenants' shares of the frame pool; nil means
-	// uniform, otherwise length must equal Count.
-	Weights []float64
-	// HardPartition carves fixed per-tenant frame quotas from the
-	// weights. Off, the weights steer proportional eviction pressure:
-	// a fault evicts from whichever tenant holds the most frames per
-	// unit of weight.
-	HardPartition bool
 }
 
 // tenantState is the Manager's multi-tenant extension: one policy
 // instance per tenant (operating on tenant-local page IDs so its
 // tables size to the tenant footprint, not the machine), the
 // frame-ownership table, per-tenant counters, and the eviction
-// arbiter's score heap.
+// arbiter's heap of frames held.
 type tenantState struct {
 	count int
 	ppt   sim.PageID // pages per tenant
@@ -44,8 +35,6 @@ type tenantState struct {
 	fobs  []FaultObserver // per-tenant fault observers; nil entries allowed
 	cmap  *mem.CoreMap
 	ts    *stats.TenantSet
-	quota []int     // hard-partition frame quotas; nil under weighted pressure
-	invw  []float64 // 1/weight per tenant; nil under hard partition
 	heap  tenantHeap
 
 	// nextTick is the earliest policy.Deadline over the tenants (0 for a
@@ -56,9 +45,8 @@ type tenantState struct {
 }
 
 // newTenantState validates the tenant config and builds the per-tenant
-// machinery. Multi-tenant runs are restricted to plain 4 kB mappings:
-// span-1 frames keep the ownership table and the partition arithmetic
-// exact (a 64 kB or 2 MB mapping could straddle a quota boundary).
+// machinery. Multi-tenant runs are restricted to plain 4 kB mappings,
+// so every frame has exactly one owning tenant in the ownership table.
 func newTenantState(m *Manager, tc TenantConfig, factory PolicyFactory) (*tenantState, error) {
 	if tc.Count <= 0 {
 		return nil, fmt.Errorf("vm: %d tenants", tc.Count)
@@ -68,14 +56,6 @@ func newTenantState(m *Manager, tc TenantConfig, factory PolicyFactory) (*tenant
 	}
 	if m.cfg.PageSize != sim.Size4k {
 		return nil, fmt.Errorf("vm: multi-tenant runs require 4 kB pages")
-	}
-	if len(tc.Weights) != 0 && len(tc.Weights) != tc.Count {
-		return nil, fmt.Errorf("vm: %d tenant weights for %d tenants", len(tc.Weights), tc.Count)
-	}
-	for i, w := range tc.Weights {
-		if w <= 0 || math.IsNaN(w) || math.IsInf(w, 0) {
-			return nil, fmt.Errorf("vm: tenant weight[%d] = %g must be positive and finite", i, w)
-		}
 	}
 	s := &tenantState{
 		count: tc.Count,
@@ -91,82 +71,8 @@ func newTenantState(m *Manager, tc TenantConfig, factory PolicyFactory) (*tenant
 			s.fobs[t] = o
 		}
 	}
-	if tc.HardPartition {
-		q, err := partitionQuotas(m.cfg.Frames, tc.Count, tc.Weights)
-		if err != nil {
-			return nil, err
-		}
-		s.quota = q
-	} else {
-		s.invw = make([]float64, tc.Count)
-		for t := range s.invw {
-			w := 1.0
-			if len(tc.Weights) > 0 {
-				w = tc.Weights[t]
-			}
-			s.invw[t] = 1 / w
-		}
-	}
 	s.heap.init(tc.Count)
-	for t := 0; t < tc.Count; t++ {
-		s.refresh(t)
-	}
 	return s, nil
-}
-
-// partitionQuotas splits frames into per-tenant quotas proportional to
-// the weights (uniform when nil), largest remainder first, every tenant
-// at least one frame. Deterministic: ties go to the lowest tenant ID.
-func partitionQuotas(frames, n int, weights []float64) ([]int, error) {
-	if frames < n {
-		return nil, fmt.Errorf("vm: hard partition needs one frame per tenant (%d frames, %d tenants)", frames, n)
-	}
-	w := func(t int) float64 {
-		if len(weights) > 0 {
-			return weights[t]
-		}
-		return 1
-	}
-	var total float64
-	for t := 0; t < n; t++ {
-		total += w(t)
-	}
-	q := make([]int, n)
-	rem := make([]float64, n)
-	assigned := 0
-	for t := 0; t < n; t++ {
-		exact := float64(frames) * w(t) / total
-		q[t] = int(exact)
-		if q[t] < 1 {
-			q[t] = 1
-		}
-		rem[t] = exact - float64(q[t])
-		assigned += q[t]
-	}
-	for assigned < frames {
-		best := 0
-		for t := 1; t < n; t++ {
-			if rem[t] > rem[best] {
-				best = t
-			}
-		}
-		q[best]++
-		rem[best]--
-		assigned++
-	}
-	// The one-frame floor can overshoot when many tiny weights round up;
-	// claw back from the largest quotas (never below the floor).
-	for assigned > frames {
-		best := -1
-		for t := 0; t < n; t++ {
-			if q[t] > 1 && (best < 0 || q[t] > q[best]) {
-				best = t
-			}
-		}
-		q[best]--
-		assigned--
-	}
-	return q, nil
 }
 
 // tenantHost adapts the Manager's policy.Host to one tenant's local
@@ -220,40 +126,24 @@ func (s *tenantState) pteSetup(base sim.PageID) {
 	s.pols[s.tenantOf(base)].PTESetup(s.local(base))
 }
 
-// claim records tenant t taking span frames at f and refreshes its
-// arbitration score.
+// claim records tenant t taking span frames at f and updates its
+// frame count in the arbiter's heap.
 func (s *tenantState) claim(f sim.FrameID, span, t int) {
 	s.cmap.Claim(f, span, t)
-	s.refresh(t)
+	s.heap.update(t, s.cmap.Used(t))
 }
 
-// release clears ownership of span frames at f, refreshes the previous
-// owner's score and returns it.
+// release clears ownership of span frames at f, updates the previous
+// owner's frame count in the arbiter's heap and returns that owner.
 func (s *tenantState) release(f sim.FrameID, span int) int {
 	t := s.cmap.Release(f, span)
-	s.refresh(t)
+	s.heap.update(t, s.cmap.Used(t))
 	return t
 }
 
-// refresh recomputes tenant t's eviction-pressure score. Weighted mode
-// scores frames held per unit of weight; hard partition scores overage
-// beyond the quota. Tenants holding nothing score -Inf so the arbiter
-// never picks them.
-func (s *tenantState) refresh(t int) {
-	u := s.cmap.Used(t)
-	score := math.Inf(-1)
-	if u > 0 {
-		if s.quota != nil {
-			score = float64(u - s.quota[t])
-		} else {
-			score = float64(u) * s.invw[t]
-		}
-	}
-	s.heap.update(t, score)
-}
-
 // victimTenant returns the tenant the arbiter charges the next eviction
-// to, or -1 when no tenant holds any frame.
+// to — the one holding the most frames, the lowest tenant ID on ties —
+// or -1 when no tenant holds any frame.
 func (s *tenantState) victimTenant() int {
 	t := s.heap.top()
 	if s.cmap.Used(t) == 0 {
@@ -262,33 +152,33 @@ func (s *tenantState) victimTenant() int {
 	return t
 }
 
-// tenantHeap is a positioned binary max-heap over tenant scores with a
-// deterministic tie-break (lower tenant ID wins), so victim-tenant
-// selection is O(log tenants) per eviction — the difference between a
-// 10,000-tenant run finishing in seconds and in minutes — and identical
-// across runs and engines.
+// tenantHeap is a positioned binary max-heap over the frames each
+// tenant holds, with a deterministic tie-break (lower tenant ID wins),
+// so victim-tenant selection is O(log tenants) per eviction — the
+// difference between a 10,000-tenant run finishing in seconds and in
+// minutes — and identical across runs and engines.
 type tenantHeap struct {
-	score []float64
+	score []int   // frames held per tenant
 	order []int32 // heap array of tenant IDs
 	pos   []int32 // tenant ID → index in order
 }
 
+// init sizes the heap for n tenants, each holding no frame.
 func (h *tenantHeap) init(n int) {
-	h.score = make([]float64, n)
+	h.score = make([]int, n)
 	h.order = make([]int32, n)
 	h.pos = make([]int32, n)
 	for i := 0; i < n; i++ {
-		h.score[i] = math.Inf(-1)
 		h.order[i] = int32(i)
 		h.pos[i] = int32(i)
 	}
 }
 
-// top returns the highest-scoring tenant (lowest ID on ties).
+// top returns the tenant holding the most frames (lowest ID on ties).
 func (h *tenantHeap) top() int { return int(h.order[0]) }
 
-// update sets tenant t's score and restores the heap property.
-func (h *tenantHeap) update(t int, score float64) {
+// update sets tenant t's frame count and restores the heap property.
+func (h *tenantHeap) update(t, score int) {
 	if h.score[t] == score {
 		return
 	}
@@ -347,23 +237,14 @@ func (h *tenantHeap) down(i int) {
 	}
 }
 
-// allocFramesTenant is allocFrames under multi-tenancy: the faulting
-// tenant first recycles its own frames when a hard partition caps it,
-// then allocation failures evict from whichever tenant the arbiter
-// scores highest — most frames per unit weight, or deepest over quota.
+// allocFramesTenant is allocFrames under multi-tenancy: each
+// allocation failure evicts from the tenant holding the most frames
+// (lowest tenant ID on ties) until the allocation succeeds.
 func (m *Manager) allocFramesTenant(core sim.CoreID, base sim.PageID, span int) (sim.FrameID, sim.Cycles, int64, error) {
 	s := m.mt
 	t := s.tenantOf(base)
 	var work sim.Cycles
 	var bytes int64
-	for s.quota != nil && s.cmap.Used(t)+span > s.quota[t] {
-		w, b, err := m.evictFromTenant(core, t, t)
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		work += w
-		bytes += b
-	}
 	for {
 		f, err := m.dev.AllocRange(base, span)
 		if err == nil {

@@ -42,13 +42,6 @@ type TenantSpec struct {
 	// tenant popularity exponent to ZipfS/2, spreading load across the
 	// long tail the way off-peak serving traffic does. Zero disables it.
 	DiurnalEvery int
-	// Weights are the per-tenant eviction weights (shares of the frame
-	// pool). Nil means uniform. Length must equal Tenants otherwise.
-	Weights []float64
-	// HardPartition carves the frame pool into fixed per-tenant quotas
-	// proportional to Weights instead of applying proportional
-	// eviction pressure.
-	HardPartition bool
 }
 
 // DefaultTenantSpec returns a serving-shaped spec sized so every tenant
@@ -99,14 +92,6 @@ func (s *TenantSpec) Validate() error {
 	}
 	if s.ChurnEvery < 0 || s.DiurnalEvery < 0 {
 		return fmt.Errorf("tenants: negative churn/diurnal schedule")
-	}
-	if len(s.Weights) != 0 && len(s.Weights) != s.Tenants {
-		return fmt.Errorf("tenants: %d weights for %d tenants", len(s.Weights), s.Tenants)
-	}
-	for i, w := range s.Weights {
-		if w <= 0 || math.IsNaN(w) || math.IsInf(w, 0) {
-			return fmt.Errorf("tenants: weight[%d] = %g must be positive and finite", i, w)
-		}
 	}
 	return nil
 }

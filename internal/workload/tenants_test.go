@@ -24,8 +24,6 @@ func TestTenantSpecValidate(t *testing.T) {
 		"negative zipf":       func(s *TenantSpec) { s.ZipfS = -1 },
 		"negative skew":       func(s *TenantSpec) { s.PageSkew = -2 },
 		"negative churn":      func(s *TenantSpec) { s.ChurnEvery = -5 },
-		"short weights":       func(s *TenantSpec) { s.Weights = []float64{1, 2} },
-		"zero weight":         func(s *TenantSpec) { s.Weights = make([]float64, 32) },
 		"negative core count": func(s *TenantSpec) {},
 	}
 	for name, mod := range cases {

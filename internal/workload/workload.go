@@ -222,7 +222,7 @@ func (s Spec) Build(cores int) (*Layout, error) {
 			page := next
 			next++
 			// Deterministic striping at HotStripe granularity: stripe b
-			// is hot iff the running quota floor(hotFrac*(b+1)) advances
+			// is hot iff the running count floor(hotFrac*(b+1)) advances
 			// at b, which marks a hotFrac share of the band's stripes
 			// (and hence pages) as hot while keeping heat spatially
 			// clustered for the large-page experiments.
