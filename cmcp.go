@@ -164,43 +164,6 @@ const (
 	Touches = stats.Touches
 )
 
-// NUMA-aware machines: set Config.Topology and the flat core ring
-// becomes a multi-socket machine — per-socket IPI rings joined by a
-// costed interconnect, remote-socket page-walk penalties for shared
-// tables, and numaPTE-style per-socket replicas of PSPT entries with
-// consult-driven migration (DESIGN.md §15). A nil (or single-socket)
-// Topology is bit-identical to a pre-NUMA build.
-type Topology = sim.Topology
-
-// DefaultTopology returns a sockets × coresPerSocket topology with
-// calibrated cross-socket costs. Tune the returned fields before
-// Simulate; Sockets <= 1 behaves exactly like a nil Topology.
-func DefaultTopology(sockets, coresPerSocket int) *Topology {
-	return sim.DefaultTopology(sockets, coresPerSocket)
-}
-
-// NUMA counters fed by multi-socket runs (zero on flat runs).
-const (
-	// FilteredShootdowns counts shootdown targets PSPT's core map
-	// filtered out of the broadcast (cores that never mapped the page).
-	FilteredShootdowns = stats.FilteredShootdowns
-	// CrossSocketIPIs counts shootdown IPIs that crossed a socket
-	// boundary and paid the interconnect charge.
-	CrossSocketIPIs = stats.CrossSocketIPIs
-	// RemoteWalks counts page walks into a table homed on another
-	// socket (regular shared tables only; PSPT tables are socket-local).
-	RemoteWalks = stats.RemoteWalks
-	// RemotePTConsults counts PSPT consults that missed every local
-	// replica and crossed the interconnect.
-	RemotePTConsults = stats.RemotePTConsults
-	// ReplicaSyncs counts per-socket replica synchronizations charged
-	// by PTE updates during eviction.
-	ReplicaSyncs = stats.ReplicaSyncs
-	// PTMigrations counts page-table pages migrated toward the socket
-	// that keeps consulting them.
-	PTMigrations = stats.PTMigrations
-)
-
 // Simulate executes one deterministic run to completion.
 func Simulate(cfg Config) (*Result, error) { return machine.Simulate(cfg) }
 
@@ -342,10 +305,9 @@ type ExperimentOptions = experiments.Options
 type ExperimentReport = experiments.Report
 
 // RunExperiment regenerates one of the paper's results — "fig6",
-// "fig7", "fig8", "fig9", "fig10", "table1", "sense" — or runs an
-// extension experiment: "numa" (2-socket shootdown-filtering grid) or
-// "tenants" (multi-tenant policy grid; the one consumer of
-// ExperimentOptions.Tenants).
+// "fig7", "fig8", "fig9", "fig10", "table1", "sense" — or runs the
+// extension experiment "tenants" (multi-tenant policy grid; the one
+// consumer of ExperimentOptions.Tenants).
 func RunExperiment(id string, o ExperimentOptions) (*ExperimentReport, error) {
 	return experiments.ByID(id, o)
 }
@@ -432,9 +394,6 @@ const (
 	LockWaitHist = stats.LockWaitHist
 	// FanoutHist is the remote-core fan-out of shootdown broadcasts.
 	FanoutHist = stats.FanoutHist
-	// CrossSocketFanoutHist is the remote-socket fan-out of shootdown
-	// broadcasts on multi-socket runs (empty on flat runs).
-	CrossSocketFanoutHist = stats.CrossSocketFanoutHist
 )
 
 // HistNames returns the histogram names in HistID order (the same
@@ -478,12 +437,6 @@ const (
 	EvDemotion = obs.EvDemotion
 	// EvLockWait is a non-zero wait on a lock or the DMA bus.
 	EvLockWait = obs.EvLockWait
-	// EvPTMigration is a PSPT page-table page migrating to the socket
-	// that keeps consulting it; Arg is the new home socket.
-	EvPTMigration = obs.EvPTMigration
-	// EvReplicaSync is an eviction synchronizing remote-socket PSPT
-	// replicas; Arg is the remote socket count.
-	EvReplicaSync = obs.EvReplicaSync
 )
 
 // NewRecorder builds a flight recorder to attach via Config.Probe.

@@ -6,7 +6,7 @@
 //	cmcpsim -compact-journal sweep.jsonl          # dedup a sweep journal
 //
 // Experiments: fig6..fig10, table1, sense and all reproduce the paper;
-// numa and tenants are extensions. A sweep runs -parallel simulations
+// tenants is an extension. A sweep runs -parallel simulations
 // at once; long sweeps checkpoint to a -journal and resume from it, or
 // split across processes with -shard i/n and merge with
 // -journal-import. A single -run can record an event trace and time
@@ -90,7 +90,7 @@ type inputs struct {
 	scale, zipfS                       float64
 	seed                               uint64
 	hist                               bool
-	tenants, churn, sockets            int
+	tenants, churn                     int
 }
 
 // resolver is what the flag table writes into.
@@ -123,7 +123,7 @@ var (
 var table = []row{
 	// Mode selectors.
 	{"run", false, modeRun, "run a single simulation", func(r *resolver) any { return &r.in.run }, nil, ""},
-	{"exp", "", modeExp, "experiment to regenerate: fig6|fig7|fig8|fig9|fig10|table1|sense|all, or an extension: numa|tenants", func(r *resolver) any { return &r.exp }, nil, ""},
+	{"exp", "", modeExp, "experiment to regenerate: fig6|fig7|fig8|fig9|fig10|table1|sense|all, or the extension: tenants", func(r *resolver) any { return &r.exp }, nil, ""},
 	{"compact-journal", "", modeCompact, "compact this sweep journal (keep the last entry per key, drop torn lines, sort) and exit", func(r *resolver) any { return &r.compactIn }, nil, ""},
 
 	// What to simulate (-run and -exp).
@@ -135,8 +135,6 @@ var table = []row{
 		func(r *resolver) bool { return r.in.tenants >= 0 }, "must be >= 0"},
 	{"zipf-s", 1.1, modeSim, "with -tenants: Zipfian tenant-popularity exponent (higher = more skew)", func(r *resolver) any { return &r.in.zipfS }, hasTenants, "requires -tenants > 0"},
 	{"churn", 0, modeSim, "with -tenants: rotate the hot tenant set every N touches per core (0 = no churn)", func(r *resolver) any { return &r.in.churn }, hasTenants, "requires -tenants > 0"},
-	{"sockets", 1, modeSim, "NUMA sockets; cores spread evenly across per-socket IPI rings (1 = flat ring, bit-identical to pre-NUMA builds)", func(r *resolver) any { return &r.in.sockets },
-		func(r *resolver) bool { return r.in.sockets >= 1 }, "must be >= 1"},
 	{"hist", false, modeSim, "record latency/fan-out histograms (read-only; counters stay bit-identical)", func(r *resolver) any { return &r.in.hist }, nil, ""},
 
 	// -run: one machine.
@@ -274,11 +272,6 @@ func (r *resolver) build() error {
 	if r.mode == modeExp {
 		o := &r.opts
 		o.Scale, o.Seed, o.Engine, o.Hist, o.Tenants = in.scale, in.seed, eng, in.hist, tenants
-		if in.sockets > 1 {
-			// Seats per socket are re-derived per grid point (the grids
-			// sweep core counts); only the socket count and costs matter.
-			o.Topology = cmcp.DefaultTopology(in.sockets, 1)
-		}
 		o.Imports = splitList(in.imports)
 		o.Shard, o.Shards, err = parseShard(in.shard)
 		return err
@@ -304,9 +297,6 @@ func (r *resolver) build() error {
 	}
 	if c.PageSize, ok = pageSizes[strings.ToLower(in.pageSize)]; !ok {
 		return fmt.Errorf("-pagesize: unknown page size %q", in.pageSize)
-	}
-	if in.sockets > 1 {
-		c.Topology = cmcp.DefaultTopology(in.sockets, (c.Cores+in.sockets-1)/in.sockets)
 	}
 	return nil
 }
@@ -464,12 +454,6 @@ func simulate(p *plan, stdout io.Writer) error {
 		float64(r.Total(cmcp.BytesIn))/1e6, float64(r.Total(cmcp.BytesOut))/1e6)
 	if res.Sharing != nil {
 		printf("sharing       %v (pages by core-map count 0..n)\n", res.Sharing[:min(9, len(res.Sharing))])
-	}
-	if topo := cfg.Topology; topo != nil {
-		printf("numa          %s topology; %d cross-socket IPIs, %d shootdown targets filtered, %d remote walks, %d remote PT consults, %d replica syncs, %d PT migrations\n",
-			topo, r.Total(cmcp.CrossSocketIPIs), r.Total(cmcp.FilteredShootdowns),
-			r.Total(cmcp.RemoteWalks), r.Total(cmcp.RemotePTConsults),
-			r.Total(cmcp.ReplicaSyncs), r.Total(cmcp.PTMigrations))
 	}
 	if hs := r.Hists; hs != nil {
 		printf("latency histograms (cycles unless noted):\n")

@@ -48,7 +48,7 @@ type Config struct {
 // Violation is one detected invariant breach.
 type Violation struct {
 	// Module names the bookkeeping layer at fault: "residency", "tlb",
-	// "pspt", "policy", "tenant" or "numa".
+	// "pspt", "policy" or "tenant".
 	Module string
 	// Detail says what disagreed with what.
 	Detail string
@@ -148,7 +148,6 @@ func (a *Auditor) Audit(m *vm.Manager) {
 	a.auditPSPT(m)
 	a.auditPolicy(m)
 	a.auditTenants(m)
-	a.auditReplicas(m)
 }
 
 // auditResidency checks the first-order agreement: the mappings the
@@ -315,43 +314,6 @@ func (a *Auditor) auditPolicy(m *vm.Manager) {
 			a.report("policy", "%v", err)
 		}
 	}
-}
-
-// auditReplicas checks the NUMA page-table replica bookkeeping on
-// multi-socket PSPT runs: a mapping's replica set must cover the
-// socket of every core holding a PTE for it (a walk through a core's
-// private table is by construction socket-local, so a missing replica
-// bit would mean the model charged a crossing that cannot happen), its
-// home socket must be a valid domain and hold the set non-empty when
-// any core maps the region. The replica set may exceed the minimal
-// cover — consults materialize replicas ahead of PTE copies — which
-// only over-approximates locality, never understates a crossing.
-func (a *Auditor) auditReplicas(m *vm.Manager) {
-	topo := m.Topology()
-	if !topo.Multi() {
-		return
-	}
-	p, ok := m.PSPT()
-	if !ok {
-		return
-	}
-	p.ForEachMapping(func(mp pspt.Mapping) {
-		ns := p.NUMA(mp.Base)
-		if h := int(ns.Home); h < 0 || h >= topo.Sockets {
-			a.report("numa", "page %d: home socket %d outside topology %s", mp.Base, h, topo)
-		}
-		var cores []sim.CoreID
-		cores = mp.Cores.Cores(cores)
-		for _, c := range cores {
-			if s := topo.SocketOf(c); !ns.Replicas.Has(s) {
-				a.report("numa", "page %d: core %d (socket %d) holds a PTE but replica set %b misses its socket",
-					mp.Base, c, s, ns.Replicas)
-			}
-		}
-		if len(cores) > 0 && ns.Replicas.Count() == 0 {
-			a.report("numa", "page %d: %d cores map it but the replica set is empty", mp.Base, len(cores))
-		}
-	})
 }
 
 // auditTenants cross-checks the multi-tenant frame-ownership table

@@ -73,26 +73,6 @@ type Options struct {
 	// tenant spec loudly — cmcpsim used to silently drop -tenants under
 	// -exp.
 	Tenants *workload.TenantSpec
-	// Topology, when non-nil, attaches a NUMA topology to every
-	// generated run config (machine.Config.Topology), so whole grids
-	// run multi-socket. Its Sockets and cost fields are taken as given;
-	// CoresPerSocket is re-derived per grid point so every run's cores
-	// spread evenly across the sockets (the grids sweep core counts).
-	// The Numa experiment builds its own 2-socket topology and rejects
-	// a caller-supplied one.
-	Topology *sim.Topology
-}
-
-// topologyFor shapes Options.Topology to one grid point's core count:
-// the socket count and costs are the caller's, the seats per socket
-// follow the machine size. Nil stays nil (flat, bit-identical).
-func (o Options) topologyFor(cores int) *sim.Topology {
-	if o.Topology == nil {
-		return nil
-	}
-	t := *o.Topology
-	t.CoresPerSocket = (cores + t.Sockets - 1) / t.Sockets
-	return &t
 }
 
 // rejectTenants errors when a tenant spec was supplied to an experiment
@@ -195,7 +175,6 @@ func (o Options) baseConfig(spec workload.Spec, cores int) machine.Config {
 		Tables:      vm.PSPTKind,
 		Policy:      machine.PolicySpec{Kind: machine.FIFO, P: -1},
 		Seed:        o.Seed,
-		Topology:    o.topologyFor(cores),
 	}
 }
 
@@ -269,7 +248,7 @@ func (o Options) run(cfgs []machine.Config) ([]*machine.Result, error) {
 }
 
 // All runs every experiment in paper order (the paper figures; the
-// extension experiments "numa" and "tenants" run only by ID).
+// extension experiment "tenants" runs only by ID).
 func All(o Options) ([]*Report, error) {
 	if err := o.rejectTenants("all"); err != nil {
 		return nil, err
@@ -302,11 +281,9 @@ func ByID(id string, o Options) (*Report, error) {
 		return Table1(o)
 	case "sense", "sensitivity":
 		return Sensitivity(o)
-	case "numa":
-		return Numa(o)
 	case "tenants":
 		return TenantGrid(o)
 	default:
-		return nil, fmt.Errorf("experiments: unknown experiment %q (fig6..fig10, table1, sense, numa, tenants)", id)
+		return nil, fmt.Errorf("experiments: unknown experiment %q (fig6..fig10, table1, sense, tenants)", id)
 	}
 }

@@ -6,29 +6,11 @@ import (
 	"testing"
 
 	"cmcp/internal/obs"
-	"cmcp/internal/sim"
 )
 
-// These tests pin the experiment harness's sweep-runner integration:
-// the CLI's options actually reach the generated configs, and a
-// journaled experiment resumes without re-executing anything.
-
-func TestOptionsReachGeneratedConfigs(t *testing.T) {
-	// Options.Topology must land in every config the harness generates,
-	// shaped to the grid point's core count, not be silently dropped.
-	o := quickOpts()
-	o.Topology = sim.DefaultTopology(2, 1)
-	for _, spec := range o.apps() {
-		for _, cores := range []int{4, 7} {
-			cfg := o.baseConfig(spec, cores)
-			if cfg.Topology == nil || cfg.Topology.Sockets != 2 || cfg.Topology.CoresPerSocket != (cores+1)/2 {
-				t.Fatalf("%s on %d cores: baseConfig topology %+v, want 2 sockets of %d cores",
-					spec.Name, cores, cfg.Topology, (cores+1)/2)
-			}
-		}
-	}
-}
-
+// TestExperimentJournalResume pins the experiment harness's
+// sweep-runner integration: a journaled experiment resumes without
+// re-executing anything.
 func TestExperimentJournalResume(t *testing.T) {
 	o := quickOpts()
 	ref, err := Fig8(o)

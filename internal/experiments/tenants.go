@@ -43,7 +43,6 @@ func TenantGrid(o Options) (*Report, error) {
 			Tables:      vm.PSPTKind,
 			Policy:      pol,
 			Seed:        o.Seed,
-			Topology:    o.topologyFor(cores),
 		})
 	}
 	results, err := o.run(cfgs)

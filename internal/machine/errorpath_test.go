@@ -163,7 +163,10 @@ func TestSimulateFootprintOverVPNSpaceIsError(t *testing.T) {
 // error naming the field, not a run whose meaning silently changed
 // (NaN fails no `<` check, so a range check written the other way
 // round lets it through). The PCIe bandwidth must also be positive and
-// finite: an infinite one deletes the wire time like NaN does.
+// finite: an infinite one deletes the wire time like NaN does. A
+// MemoryRatio outside [0, 1] and a negative ScanBatch are errors too:
+// the first used to run with the whole footprint resident, the second
+// scanned one page per list on each tick, or panicked under LFU.
 func TestNonFiniteInputsRejected(t *testing.T) {
 	nan := math.NaN()
 	tenants := func(c *Config) *workload.TenantSpec {
@@ -180,6 +183,8 @@ func TestNonFiniteInputsRejected(t *testing.T) {
 		set   func(*Config)
 	}{
 		{"MemoryRatio", func(c *Config) { c.MemoryRatio = nan }},
+		{"MemoryRatio", func(c *Config) { c.MemoryRatio = -0.5 }},
+		{"MemoryRatio", func(c *Config) { c.MemoryRatio = 3 }},
 		{"PolicySpec.P", func(c *Config) { c.Policy.P = nan }},
 		{"WriteFrac", func(c *Config) { c.Workload.WriteFrac = nan }},
 		{"SharedHotFrac", func(c *Config) { c.Workload.SharedHotFrac = nan }},
@@ -196,6 +201,8 @@ func TestNonFiniteInputsRejected(t *testing.T) {
 		{"DMABytesPerCycle", func(c *Config) { dma(c, math.Inf(1)) }},
 		{"DMABytesPerCycle", func(c *Config) { dma(c, 0) }},
 		{"DMABytesPerCycle", func(c *Config) { dma(c, -10) }},
+		{"PolicySpec.ScanBatch", func(c *Config) { c.Policy = PolicySpec{Kind: LRU, ScanBatch: -1} }},
+		{"PolicySpec.ScanBatch", func(c *Config) { c.Policy = PolicySpec{Kind: LFU, ScanBatch: -1} }},
 	} {
 		cfg := Config{
 			Cores:       4,

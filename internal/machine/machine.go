@@ -77,7 +77,8 @@ type PolicySpec struct {
 	// ScanPeriod overrides the LRU/LFU statistics timer (0 = default).
 	ScanPeriod sim.Cycles
 	// ScanBatch overrides pages scanned per timer tick (0 = adaptive:
-	// the whole resident set, the high-pressure Linux regime).
+	// the whole resident set, the high-pressure Linux regime). A
+	// negative batch is an error.
 	ScanBatch int
 }
 
@@ -99,8 +100,9 @@ type Config struct {
 	// the field existed.
 	Tenants *workload.TenantSpec
 	// MemoryRatio sets device memory as a fraction of the workload
-	// footprint (1.0 = everything fits, no data movement). Values are
-	// clamped to at least one mapping.
+	// footprint, in [0, 1] (1.0 = everything fits, no data movement).
+	// The zero value means 1. The device always holds at least one
+	// mapping. A ratio outside [0, 1] is an error.
 	MemoryRatio float64
 	// PageSize is the computation-area mapping granularity: every
 	// mapping of the run has this size.
@@ -147,15 +149,6 @@ type Config struct {
 	// Time-series sampling is inherently serial; such a run falls back
 	// to the serial engine silently, identity preserved by construction.
 	Engine EngineKind
-	// Topology, when non-nil and multi-socket, models the machine as
-	// sockets × cores-per-socket NUMA domains: per-socket IPI rings
-	// joined by a priced interconnect, per-domain page-walk costs,
-	// numaPTE-style per-socket page-table replicas under PSPT, and
-	// cross-socket shootdown accounting (see DESIGN.md §15). Plain data:
-	// safe to share across concurrent runs and to journal in sweeps. Nil
-	// (or a single socket) leaves every run bit-identical to before the
-	// field existed — the flat single-ring KNC model.
-	Topology *sim.Topology
 }
 
 // Result is one run's outcome.
@@ -203,6 +196,9 @@ func buildPolicy(cfg Config, frames, pages int, sc *dense.Scratch) (vm.PolicyFac
 	}
 	if math.IsNaN(cfg.Policy.P) || math.IsInf(cfg.Policy.P, 0) {
 		return nil, fmt.Errorf("machine: PolicySpec.P %v is not a finite number", cfg.Policy.P)
+	}
+	if cfg.Policy.ScanBatch < 0 {
+		return nil, fmt.Errorf("machine: PolicySpec.ScanBatch %d is negative", cfg.Policy.ScanBatch)
 	}
 	span := int(cfg.PageSize.Span())
 	capacity := frames / span
@@ -380,10 +376,11 @@ func simulate(cfg Config, sc *dense.Scratch) (*Result, error) {
 	if cfg.Cores > maxEngineCores {
 		return nil, fmt.Errorf("machine: %d cores exceeds the scheduler limit of %d", cfg.Cores, maxEngineCores)
 	}
-	if math.IsNaN(cfg.MemoryRatio) || math.IsInf(cfg.MemoryRatio, 0) {
-		return nil, fmt.Errorf("machine: MemoryRatio %v is not a finite number", cfg.MemoryRatio)
+	// Written so that NaN fails it too: NaN compares false either way.
+	if !(cfg.MemoryRatio >= 0 && cfg.MemoryRatio <= 1) {
+		return nil, fmt.Errorf("machine: MemoryRatio %v is outside [0, 1]", cfg.MemoryRatio)
 	}
-	if cfg.MemoryRatio <= 0 {
+	if cfg.MemoryRatio == 0 {
 		cfg.MemoryRatio = 1
 	}
 	if cfg.Cost != (sim.CostModel{}) {
@@ -392,9 +389,6 @@ func simulate(cfg Config, sc *dense.Scratch) (*Result, error) {
 		if b := cfg.Cost.DMABytesPerCycle; math.IsNaN(b) || math.IsInf(b, 0) || b <= 0 {
 			return nil, fmt.Errorf("machine: Cost.DMABytesPerCycle %v is not a positive finite number", b)
 		}
-	}
-	if err := cfg.Topology.Validate(cfg.Cores); err != nil {
-		return nil, fmt.Errorf("machine: %w", err)
 	}
 	if !cfg.footprintFits() {
 		return nil, fmt.Errorf("%w: more than %d pages", ErrFootprint, pagetable.VPNSpace)
@@ -461,7 +455,6 @@ func simulate(cfg Config, sc *dense.Scratch) (*Result, error) {
 		Scratch:  sc,
 		Hist:     cfg.Hist,
 		Tenants:  vmTenants,
-		Topology: cfg.Topology,
 		Probe:    cfg.Probe,
 	}, factory)
 	if err != nil {

@@ -56,13 +56,6 @@ const (
 	// EvLockWait is a non-zero wait on a serialization point (allocator
 	// lock, page-table lock, DMA bus); Arg is the cycles waited.
 	EvLockWait
-	// EvPTMigration is a hot page-table page re-homed to the accessing
-	// socket after a streak of remote consults; Arg is the new home
-	// socket.
-	EvPTMigration
-	// EvReplicaSync is a page-table replica synchronization on PTE
-	// teardown; Arg is the number of remote sockets synchronized.
-	EvReplicaSync
 
 	numEventTypes
 )
@@ -84,8 +77,6 @@ var eventNames = [numEventTypes]string{
 	"cmcp_promotion",
 	"cmcp_demotion",
 	"lock_wait",
-	"pt_migration",
-	"replica_sync",
 }
 
 // String returns the snake_case event name.

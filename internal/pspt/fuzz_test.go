@@ -12,15 +12,12 @@ import (
 type refBits struct{ a, d bool }
 
 // refMapping is the model of one mapping record: what PSPT claims
-// (cores, replica state) next to what the per-core tables hold (ptes:
-// one refBits per 4 kB member for 64 kB groups, one otherwise).
+// (cores) next to what the per-core tables hold (ptes: one refBits per
+// 4 kB member for 64 kB groups, one otherwise).
 type refMapping struct {
-	pfn      int64
-	cores    CoreSet
-	ptes     map[sim.CoreID][]refBits
-	home     int8
-	replicas SocketSet
-	streak   uint8
+	pfn   int64
+	cores CoreSet
+	ptes  map[sim.CoreID][]refBits
 }
 
 // refPSPT is the naive model FuzzPSPT checks PSPT against: a map of
@@ -28,7 +25,6 @@ type refMapping struct {
 type refPSPT struct {
 	n    int
 	size sim.PageSize
-	topo *sim.Topology
 	m    map[sim.PageID]*refMapping
 }
 
@@ -48,9 +44,6 @@ func (r *refPSPT) install(rm *refMapping, core sim.CoreID, flags pagetable.PTE) 
 	}
 	rm.ptes[core] = bits
 	rm.cores.Add(core)
-	if r.topo.Multi() {
-		rm.replicas.Add(r.topo.SocketOf(core))
-	}
 }
 
 func (r *refPSPT) mapOp(core sim.CoreID, base sim.PageID, pfn int64, flags pagetable.PTE) (first, failed bool) {
@@ -65,9 +58,6 @@ func (r *refPSPT) mapOp(core sim.CoreID, base sim.PageID, pfn int64, flags paget
 	case !ok:
 		rm = &refMapping{pfn: pfn, ptes: map[sim.CoreID][]refBits{}}
 		r.m[base] = rm
-		if r.topo.Multi() {
-			rm.home = int8(r.topo.SocketOf(core))
-		}
 	}
 	r.install(rm, core, flags)
 	return !ok, false
@@ -111,17 +101,16 @@ var fuzzProbes = func() []sim.PageID {
 
 // FuzzPSPT drives PSPT and a map-and-slice model through the same op
 // stream and checks, after every op, the core-map counts, the mapping
-// records (each with at least one mapping core), the per-core PTE bits,
-// the accessed/dirty summary and the numaPTE replica state.
+// records (each with at least one mapping core), the per-core PTE bits
+// and the accessed/dirty summary.
 //
 // data[0] picks the shape: cores (2, 8 or 72, by data[0]%3), sized
 // pages (0, 64 or 1024, by data[0]/3%3, so some or all pages lie past
-// the summary and pre-sized storage), the page size of every mapping
-// (4 kB, 64 kB or 2 MB, by data[0]/9%3) and, with bit 7 clear, a
-// 2-socket topology. Then each op is
-// three bytes: an op code (its quotient by 11 picks PTE flags or a
-// migration threshold; codes 7, 9 and 10 are no-ops, so every seed
-// keeps its meaning), a core (or socket) and a page.
+// the summary and pre-sized storage) and the page size of every mapping
+// (4 kB, 64 kB or 2 MB, by data[0]/9%3); its bit 7 is unused. Then each
+// op is three bytes: an op code (its quotient by 11 picks PTE flags;
+// codes 7 to 10 are no-ops, so every seed keeps its meaning), a core
+// and a page.
 func FuzzPSPT(f *testing.F) {
 	f.Add([]byte{0x01, 0, 0, 5, 2, 1, 5, 4, 1, 5, 5, 0, 5, 6, 0, 5})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -131,12 +120,8 @@ func FuzzPSPT(f *testing.F) {
 		n := [3]int{2, 8, 72}[data[0]%3]
 		pages := [3]int{0, 64, 1024}[data[0]/3%3]
 		size := [3]sim.PageSize{sim.Size4k, sim.Size64k, sim.Size2M}[data[0]/9%3]
-		var topo *sim.Topology
-		if data[0]&0x80 == 0 {
-			topo = sim.DefaultTopology(2, n/2)
-		}
-		p := NewSized(n, size, pages, topo, nil)
-		r := &refPSPT{n: n, size: size, topo: topo, m: map[sim.PageID]*refMapping{}}
+		p := NewSized(n, size, pages, nil)
+		r := &refPSPT{n: n, size: size, m: map[sim.PageID]*refMapping{}}
 		flagSets := [4]pagetable.PTE{0, pagetable.Writable, pagetable.Writable | pagetable.Accessed,
 			pagetable.Writable | pagetable.Accessed | pagetable.Dirty}
 		ops := data[1:]
@@ -223,30 +208,6 @@ func FuzzPSPT(f *testing.F) {
 				if ok && (m.Base != mb || m.PFN != rm.pfn || m.Cores != rm.cores || dirty != wantDirty) {
 					t.Fatalf("step %d: Unmap(%d) = %+v dirty=%v; model base %d %+v dirty=%v", step, vpn, m, dirty, mb, *rm, wantDirty)
 				}
-			case 8: // NoteConsult: the kernel consults only on multi-socket runs
-				if !topo.Multi() {
-					break
-				}
-				socket, threshold := int(ops[1]%2), int(sel)
-				var wantRemote, wantMig bool
-				if _, rm := r.find(vpn); rm != nil {
-					wantRemote = !rm.replicas.Has(socket)
-					if int(rm.home) == socket {
-						rm.streak = 0
-					} else {
-						if rm.streak < 255 {
-							rm.streak++
-						}
-						if threshold > 0 && int(rm.streak) >= threshold {
-							rm.home, rm.streak, wantMig = int8(socket), 0, true
-						}
-					}
-					rm.replicas.Add(socket)
-				}
-				if remote, mig := p.NoteConsult(vpn, socket, threshold); remote != wantRemote || mig != wantMig {
-					t.Fatalf("step %d: NoteConsult(%d, %d, %d) = %v, %v; want %v, %v",
-						step, vpn, socket, threshold, remote, mig, wantRemote, wantMig)
-				}
 			}
 			checkAgainstModel(t, step, p, r, pages)
 		}
@@ -296,7 +257,6 @@ func checkAgainstModel(t *testing.T, step int, p *PSPT, r *refPSPT, pages int) {
 		if ok != (rm != nil) {
 			t.Fatalf("step %d: Mapping(%d) resident=%v, model %v", step, vpn, ok, rm != nil)
 		}
-		ns := p.NUMA(vpn)
 		wantCount := 0
 		if rm != nil {
 			wantCount = rm.cores.Count()
@@ -304,11 +264,6 @@ func checkAgainstModel(t *testing.T, step int, p *PSPT, r *refPSPT, pages int) {
 				t.Fatalf("step %d: Mapping(%d) = {%d %d %v}, model {%d %d %v}",
 					step, vpn, m.Base, m.PFN, m.Cores, mb, rm.pfn, rm.cores)
 			}
-			if want := (NUMAState{Replicas: rm.replicas, Home: rm.home, RemoteStreak: rm.streak}); ns != want {
-				t.Fatalf("step %d: NUMA(%d) = %+v, model %+v", step, vpn, ns, want)
-			}
-		} else if ns != (NUMAState{}) {
-			t.Fatalf("step %d: NUMA(%d) = %+v on a page that is not resident", step, vpn, ns)
 		}
 		if got := p.CoreMapCount(vpn); got != wantCount {
 			t.Fatalf("step %d: CoreMapCount(%d) = %d, model %d", step, vpn, got, wantCount)

@@ -67,19 +67,6 @@ func (s *CoreSet) Pop() (c sim.CoreID, ok bool) {
 	return 0, false
 }
 
-// SocketSet is a bitmap of NUMA socket IDs (Topology caps Sockets at
-// 32, so one word suffices).
-type SocketSet uint32
-
-// Add sets socket s's bit.
-func (ss *SocketSet) Add(s int) { *ss |= 1 << uint(s) }
-
-// Has reports whether socket s's bit is set.
-func (ss SocketSet) Has(s int) bool { return ss&(1<<uint(s)) != 0 }
-
-// Count returns the number of sockets in the set.
-func (ss SocketSet) Count() int { return bits.OnesCount32(uint32(ss)) }
-
 // Mapping is a view of the record for one mapped region of the
 // computation area: its size-aligned base, base physical frame and the
 // set of cores holding a private PTE for it. It is a copy: later
@@ -88,17 +75,6 @@ type Mapping struct {
 	Base  sim.PageID
 	PFN   int64
 	Cores CoreSet
-}
-
-// NUMAState is the numaPTE state of the page-table page backing one
-// mapping under a multi-socket topology: which sockets hold a replica
-// (Replicas), which socket the authoritative copy is homed on (Home),
-// and how many consecutive consults arrived from a non-home socket
-// (RemoteStreak — the migration trigger). Flat runs keep none.
-type NUMAState struct {
-	Replicas     SocketSet
-	Home         int8
-	RemoteStreak uint8
 }
 
 // entry is the record of the mapping whose size-aligned base is this
@@ -119,9 +95,7 @@ func (e *entry) view(base sim.PageID) Mapping {
 
 // PSPT is the per-core partially separated page table set for one
 // address space on n cores. Every mapping has the one page size fixed
-// at construction. Mapping records live in ents, indexed by base VPN;
-// on multi-socket runs a parallel slice holds each record's numaPTE
-// state.
+// at construction. Mapping records live in ents, indexed by base VPN.
 //
 // acc and dirty summarize the per-core attribute bits so the hit path
 // need not walk a table to set bits that are already set. Bit
@@ -134,37 +108,28 @@ type PSPT struct {
 	n      int
 	size   sim.PageSize
 	tables []*pagetable.Table
-	ents   []entry     // base VPN -> record; grows by doubling
-	numa   []NUMAState // parallel to ents; nil unless topo.Multi()
-	count  int         // live mapping records
+	ents   []entry // base VPN -> record; grows by doubling
+	count  int     // live mapping records
 
 	words      int      // summary words per core: ceil(pages/64)
 	acc, dirty []uint64 // accessed/dirty summary, n*words each
-
-	topo *sim.Topology // nil on flat runs
 }
 
-// New creates a PSPT of size mappings for n application cores on a
-// flat machine.
-func New(n int, size sim.PageSize) *PSPT { return NewSized(n, size, 0, nil, nil) }
+// New creates a PSPT of size mappings for n application cores.
+func New(n int, size sim.PageSize) *PSPT { return NewSized(n, size, 0, nil) }
 
 // NewSized is New with the record table and the accessed/dirty summary
 // sized for page IDs in [0, pages) (the summary drawn from sc, which is
 // optional). The record table grows past that range; the summary never
-// does: pages beyond it walk. A multi-socket topo turns on per-socket
-// page-table replica bookkeeping; a nil or single-socket one keeps the
-// flat behavior, which writes no replica state.
-func NewSized(n int, size sim.PageSize, pages int, topo *sim.Topology, sc *dense.Scratch) *PSPT {
+// does: pages beyond it walk.
+func NewSized(n int, size sim.PageSize, pages int, sc *dense.Scratch) *PSPT {
 	if n <= 0 || n > MaxCores {
 		panic(fmt.Sprintf("pspt: %d cores out of range 1..%d", n, MaxCores))
 	}
 	words := (pages + 63) / 64
 	sum := sc.U64(2 * n * words) // one slab for both bitmaps
-	p := &PSPT{n: n, size: size, tables: make([]*pagetable.Table, n), ents: make([]entry, pages), topo: topo,
+	p := &PSPT{n: n, size: size, tables: make([]*pagetable.Table, n), ents: make([]entry, pages),
 		words: words, acc: sum[:n*words], dirty: sum[n*words:]}
-	if topo.Multi() {
-		p.numa = make([]NUMAState, pages)
-	}
 	for i := range p.tables {
 		p.tables[i] = pagetable.New()
 	}
@@ -204,9 +169,6 @@ func (p *PSPT) at(base sim.PageID) *entry {
 			n *= 2
 		}
 		p.ents = append(p.ents, make([]entry, n-len(p.ents))...)
-		if p.numa != nil {
-			p.numa = append(p.numa, make([]NUMAState, n-len(p.numa))...)
-		}
 	}
 	return &p.ents[base]
 }
@@ -219,15 +181,6 @@ func (p *PSPT) Mapping(vpn sim.PageID) (m Mapping, ok bool) {
 		return Mapping{}, false
 	}
 	return e.view(base), true
-}
-
-// NUMA returns the replica state of the mapping covering vpn: zero when
-// vpn is not resident or the run is flat.
-func (p *PSPT) NUMA(vpn sim.PageID) NUMAState {
-	if base, e := p.find(vpn); e != nil && p.numa != nil {
-		return p.numa[base]
-	}
-	return NUMAState{}
 }
 
 // CoreMapCount returns the number of cores mapping vpn — the quantity
@@ -355,15 +308,6 @@ func (p *PSPT) Map(core sim.CoreID, base sim.PageID, pfn int64, flags pagetable.
 		return false, err
 	}
 	e.cores.Add(core)
-	if p.numa != nil {
-		s := p.topo.SocketOf(core)
-		if fresh {
-			// Brand-new mapping: the page-table page is created on the
-			// first mapper's socket.
-			p.numa[base] = NUMAState{Home: int8(s)}
-		}
-		p.numa[base].Replicas.Add(s)
-	}
 	return fresh, nil
 }
 
@@ -385,44 +329,8 @@ func (p *PSPT) CopyFromSibling(core sim.CoreID, vpn sim.PageID, flags pagetable.
 			return Mapping{}, false, err
 		}
 		e.cores.Add(core)
-		if p.numa != nil {
-			p.numa[base].Replicas.Add(p.topo.SocketOf(core))
-		}
 	}
 	return e.view(base), true, nil
-}
-
-// NoteConsult records one sibling-table consult from the given socket
-// against the mapping covering vpn, implementing the numaPTE placement
-// protocol: remote reports whether the consult had to cross the
-// interconnect (no replica on the consulting socket yet — the caller
-// charges RemoteWalkExtra), and migrated reports whether this consult
-// tripped the migration threshold and re-homed the page-table page to
-// the consulting socket (the caller charges MigrateCost). The replica
-// set then includes the consulting socket either way: a consult
-// materializes a local replica, which is exactly the behavior whose
-// cost numaPTE amortizes. Flat runs have no replicas: it reports
-// nothing.
-func (p *PSPT) NoteConsult(vpn sim.PageID, socket, threshold int) (remote, migrated bool) {
-	base, e := p.find(vpn)
-	if e == nil || p.numa == nil {
-		return false, false
-	}
-	ns := &p.numa[base]
-	remote = !ns.Replicas.Has(socket)
-	if int(ns.Home) == socket {
-		ns.RemoteStreak = 0
-	} else {
-		if ns.RemoteStreak < 255 {
-			ns.RemoteStreak++
-		}
-		if threshold > 0 && int(ns.RemoteStreak) >= threshold {
-			ns.Home, ns.RemoteStreak = int8(socket), 0
-			migrated = true
-		}
-	}
-	ns.Replicas.Add(socket)
-	return remote, migrated
 }
 
 // Unmap removes the mapping covering vpn from every core's table and
@@ -445,12 +353,9 @@ func (p *PSPT) Unmap(vpn sim.PageID) (m Mapping, dirty, ok bool) {
 	return m, dirty, true
 }
 
-// deleteMapping zeroes base's record, lock and replica state.
+// deleteMapping zeroes base's record and lock.
 func (p *PSPT) deleteMapping(base sim.PageID) {
 	p.ents[base] = entry{}
-	if p.numa != nil {
-		p.numa[base] = NUMAState{}
-	}
 	p.count--
 }
 

@@ -31,7 +31,7 @@ func checkSummary(t *testing.T, p *PSPT, pages int, when string) {
 }
 
 func TestSummary4kScan(t *testing.T) {
-	p := NewSized(2, sim.Size4k, 64, nil, nil)
+	p := NewSized(2, sim.Size4k, 64, nil)
 	p.Map(0, 5, 9, pagetable.Writable)
 	p.CopyFromSibling(1, 5, pagetable.Writable)
 	checkSummary(t, p, 64, "fresh map")
@@ -61,7 +61,7 @@ func TestSummary4kScan(t *testing.T) {
 }
 
 func TestSummary64kGroupScan(t *testing.T) {
-	p := NewSized(2, sim.Size64k, 128, nil, nil)
+	p := NewSized(2, sim.Size64k, 128, nil)
 	p.Map(0, 32, 64, pagetable.Writable)
 	p.CopyFromSibling(1, 40, pagetable.Writable)
 	p.Touch(0, 35, false)
@@ -85,7 +85,7 @@ func TestSummary64kGroupScan(t *testing.T) {
 }
 
 func TestSummary2MNeverTracked(t *testing.T) {
-	p := NewSized(1, sim.Size2M, 1024, nil, nil)
+	p := NewSized(1, sim.Size2M, 1024, nil)
 	p.Map(0, 512, 1024, pagetable.Writable)
 	for i := 0; i < 2; i++ { // the second write must walk again
 		if f, written := p.Touch(0, 700, true); !written || f != 1024+188 {
@@ -101,7 +101,7 @@ func TestSummary2MNeverTracked(t *testing.T) {
 
 func TestSummaryUnmapThenFreshMap(t *testing.T) {
 	for _, size := range []sim.PageSize{sim.Size4k, sim.Size64k} {
-		p := NewSized(2, size, 64, nil, nil)
+		p := NewSized(2, size, 64, nil)
 		p.Map(0, 16, 16, pagetable.Writable)
 		p.CopyFromSibling(1, 16, pagetable.Writable)
 		p.Touch(1, 16, true)
@@ -122,7 +122,7 @@ func TestSummaryUnmapThenFreshMap(t *testing.T) {
 // second mapping core, tracked range or not.
 func TestUnmapDirty64kMemberOnNonFirstCore(t *testing.T) {
 	for _, pages := range []int{0, 64} {
-		p := NewSized(2, sim.Size64k, pages, nil, nil)
+		p := NewSized(2, sim.Size64k, pages, nil)
 		p.Map(0, 32, 64, pagetable.Writable)
 		p.CopyFromSibling(1, 32, pagetable.Writable)
 		p.Touch(0, 32, false)
@@ -139,7 +139,7 @@ func TestUnmapDirty64kMemberOnNonFirstCore(t *testing.T) {
 }
 
 func TestTouchBeyondSizedRangeWalks(t *testing.T) {
-	p := NewSized(1, sim.Size4k, 64, nil, nil)
+	p := NewSized(1, sim.Size4k, 64, nil)
 	p.Map(0, 200, 7, pagetable.Writable)
 	if _, _, tracked := p.Summary(0, 200); tracked {
 		t.Fatal("vpn 200 lies past the 64-page summary")
@@ -165,7 +165,7 @@ func TestSummaryRandomOps(t *testing.T) {
 	const pages, cores = 1024, 3
 	r := rand.New(rand.NewSource(7))
 	for _, size := range []sim.PageSize{sim.Size4k, sim.Size64k, sim.Size2M} {
-		p := NewSized(cores, size, pages, nil, nil)
+		p := NewSized(cores, size, pages, nil)
 		for step := 0; step < 2000; step++ {
 			core := sim.CoreID(r.Intn(cores))
 			vpn := sim.PageID(r.Intn(pages))

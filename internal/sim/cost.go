@@ -192,26 +192,3 @@ func RingHops(a, b CoreID, n int) int {
 func (c *CostModel) IPIDeliveryCost(a, b CoreID, n int) Cycles {
 	return c.IPIPerTarget + Cycles(RingHops(a, b, n))*c.IPIPerHop
 }
-
-// IPIDeliveryCostOn is IPIDeliveryCost generalized to a multi-socket
-// topology. With a nil or single-socket topology it returns exactly
-// IPIDeliveryCost(a, b, n) — the flat-ring fallback that keeps
-// default-config runs bit-identical. On a multi-socket topology, each
-// socket is its own CoresPerSocket-stop ring; an intra-socket IPI pays
-// ring hops over local IDs, and a cross-socket IPI pays the hops from
-// the sender to its socket's interconnect stop (local ID 0), the
-// CrossSocketIPI interconnect charge, and the hops from the receiving
-// socket's interconnect stop to the target.
-func (c *CostModel) IPIDeliveryCostOn(topo *Topology, a, b CoreID, n int) Cycles {
-	if !topo.Multi() {
-		return c.IPIDeliveryCost(a, b, n)
-	}
-	cps := topo.CoresPerSocket
-	sa, sb := topo.SocketOf(a), topo.SocketOf(b)
-	la, lb := CoreID(int(a)%cps), CoreID(int(b)%cps)
-	if sa == sb {
-		return c.IPIPerTarget + Cycles(RingHops(la, lb, cps))*c.IPIPerHop
-	}
-	hops := RingHops(la, 0, cps) + RingHops(lb, 0, cps)
-	return c.IPIPerTarget + topo.CrossSocketIPI + Cycles(hops)*c.IPIPerHop
-}

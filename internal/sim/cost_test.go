@@ -62,89 +62,3 @@ func TestIPIDeliveryCostFormula(t *testing.T) {
 		}
 	}
 }
-
-// TestIPIDeliveryCostOnFallback pins the bit-identity contract: a nil
-// topology and a single-socket topology must both reproduce the flat
-// formula exactly, for every pair.
-func TestIPIDeliveryCostOnFallback(t *testing.T) {
-	c := DefaultCostModel()
-	single := DefaultTopology(1, 8)
-	for a := CoreID(0); a < 8; a++ {
-		for b := CoreID(0); b < 8; b++ {
-			want := c.IPIDeliveryCost(a, b, 8)
-			if got := c.IPIDeliveryCostOn(nil, a, b, 8); got != want {
-				t.Fatalf("nil topo: (%d,%d) = %d, want %d", a, b, got, want)
-			}
-			if got := c.IPIDeliveryCostOn(single, a, b, 8); got != want {
-				t.Fatalf("1-socket topo: (%d,%d) = %d, want %d", a, b, got, want)
-			}
-		}
-	}
-}
-
-func TestIPIDeliveryCostOnMultiSocket(t *testing.T) {
-	c := DefaultCostModel()
-	topo := DefaultTopology(2, 4)
-	// Intra-socket: local ring of 4, independent of the other socket.
-	wantIntra := c.IPIPerTarget + Cycles(RingHops(1, 3, 4))*c.IPIPerHop
-	if got := c.IPIDeliveryCostOn(topo, 5, 7, 8); got != wantIntra {
-		t.Fatalf("intra-socket (5,7) = %d, want %d", got, wantIntra)
-	}
-	// Cross-socket: hops to each interconnect stop plus the fabric charge.
-	hops := RingHops(1, 0, 4) + RingHops(3, 0, 4)
-	wantCross := c.IPIPerTarget + topo.CrossSocketIPI + Cycles(hops)*c.IPIPerHop
-	if got := c.IPIDeliveryCostOn(topo, 1, 7, 8); got != wantCross {
-		t.Fatalf("cross-socket (1,7) = %d, want %d", got, wantCross)
-	}
-	// Cross-socket must cost strictly more than the same local distance.
-	if wantCross <= wantIntra {
-		t.Fatalf("cross-socket (%d) not more expensive than intra (%d)", wantCross, wantIntra)
-	}
-}
-
-func TestTopologySocketOf(t *testing.T) {
-	topo := DefaultTopology(2, 30)
-	cases := []struct {
-		c    CoreID
-		want int
-	}{{0, 0}, {29, 0}, {30, 1}, {59, 1}, {60, 1}} // 60 = scanner core, clamps
-	for _, tc := range cases {
-		if got := topo.SocketOf(tc.c); got != tc.want {
-			t.Fatalf("SocketOf(%d) = %d, want %d", tc.c, got, tc.want)
-		}
-	}
-	var nilTopo *Topology
-	if got := nilTopo.SocketOf(42); got != 0 {
-		t.Fatalf("nil.SocketOf = %d, want 0", got)
-	}
-	if nilTopo.Multi() {
-		t.Fatal("nil topology reports Multi")
-	}
-	if DefaultTopology(1, 60).Multi() {
-		t.Fatal("single-socket topology reports Multi")
-	}
-	if !topo.Multi() {
-		t.Fatal("2-socket topology does not report Multi")
-	}
-}
-
-func TestTopologyValidate(t *testing.T) {
-	if err := (*Topology)(nil).Validate(60); err != nil {
-		t.Fatalf("nil topology: %v", err)
-	}
-	if err := DefaultTopology(2, 30).Validate(60); err != nil {
-		t.Fatalf("2x30 for 60 cores: %v", err)
-	}
-	if err := DefaultTopology(2, 4).Validate(60); err == nil {
-		t.Fatal("2x4 for 60 cores: want error")
-	}
-	if err := DefaultTopology(0, 4).Validate(4); err == nil {
-		t.Fatal("0 sockets: want error")
-	}
-	if err := DefaultTopology(2, 0).Validate(4); err == nil {
-		t.Fatal("0 cores/socket: want error")
-	}
-	if err := DefaultTopology(64, 1).Validate(4); err == nil {
-		t.Fatal("64 sockets: want error")
-	}
-}

@@ -53,38 +53,23 @@ const (
 	ScanClears
 	// Touches counts simulated page touches executed.
 	Touches
-	// The six counters from FaultsInjected to DegradedPages belonged to
-	// the fault injector, which is gone: they are always zero. They stay
-	// in place under their names because the benchmark's fingerprints
-	// pin every counter name, so renaming or removing them waits for a
-	// change to the benchmark.
+	// The twelve counters from FaultsInjected to PTMigrations are always
+	// zero: the six up to DegradedPages belonged to the fault injector,
+	// the six from FilteredShootdowns to the multi-socket topology, and
+	// both are gone. They stay in place under their names because the
+	// benchmark's fingerprints pin every counter name, so renaming or
+	// removing them waits for a change to the benchmark.
 	FaultsInjected
 	RecoveryRetries
 	TxRollbacks
 	QuarantinedFrames
 	ResentShootdowns
 	DegradedPages
-	// FilteredShootdowns counts cores skipped by PSPT's precise
-	// shootdown target set relative to a full broadcast — the numaPTE
-	// benefit PSPT's core map subsumes. Zero on flat (single-socket)
-	// runs and under regular shared tables (which must broadcast).
 	FilteredShootdowns
-	// CrossSocketIPIs counts eviction shootdown IPIs that crossed the
-	// NUMA interconnect. Zero on flat runs.
 	CrossSocketIPIs
-	// RemoteWalks counts page-table walks that had to read a table
-	// homed on another socket (regular shared tables live on socket 0).
 	RemoteWalks
-	// RemotePTConsults counts PSPT sibling-table consults that crossed
-	// the interconnect because no page-table replica existed on the
-	// faulting core's socket yet.
 	RemotePTConsults
-	// ReplicaSyncs counts per-remote-socket page-table replica
-	// synchronizations charged on PTE teardown (evictions under PSPT
-	// with a multi-socket topology).
 	ReplicaSyncs
-	// PTMigrations counts hot page-table pages re-homed to the
-	// accessing socket after a streak of remote consults.
 	PTMigrations
 
 	numCounters
@@ -167,10 +152,6 @@ const (
 	// FanoutHist is the number of target cores of one TLB-shootdown
 	// broadcast (eviction or scanner clear).
 	FanoutHist
-	// CrossSocketFanoutHist is the number of distinct remote sockets
-	// one eviction shootdown reached (recorded only on multi-socket
-	// topologies; zero-target shootdowns do not record).
-	CrossSocketFanoutHist
 
 	numHists
 )
@@ -188,7 +169,6 @@ var histNames = [numHists]string{
 	"shootdown_rtt_cycles",
 	"lock_wait_latency_cycles",
 	"shootdown_fanout_cores",
-	"cross_socket_fanout_sockets",
 }
 
 // HistNames returns the snake_case names of all histograms in index

@@ -29,9 +29,11 @@ import (
 // four cost fields and the entry's "quarantined" field, which changes
 // every key once more; v9 drops the switch that skipped warm-up and
 // the tenant frame shares (per-tenant weights and hard partitions),
-// which changes every key again. Stale schemas are rejected: their keys or runs no longer
-// match what this build computes.
-const Schema = "cmcp-sweep/v9"
+// which changes every key again; v10 drops the NUMA topology from the
+// config, which changes every key, and its histogram from the header.
+// Stale schemas are rejected: their keys or runs no longer match what
+// this build computes.
+const Schema = "cmcp-sweep/v10"
 
 // staleSchemas are schemas this build once wrote and now refuses, so
 // the rejection can say "outdated" rather than "not a journal".
@@ -44,6 +46,7 @@ var staleSchemas = map[string]bool{
 	"cmcp-sweep/v6": true,
 	"cmcp-sweep/v7": true,
 	"cmcp-sweep/v8": true,
+	"cmcp-sweep/v9": true,
 }
 
 // header is the journal's first line.

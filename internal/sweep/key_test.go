@@ -3,7 +3,10 @@ package sweep
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -11,7 +14,6 @@ import (
 	"cmcp/internal/machine"
 	"cmcp/internal/obs"
 	"cmcp/internal/policy"
-	"cmcp/internal/sim"
 	"cmcp/internal/vm"
 )
 
@@ -158,12 +160,26 @@ func TestKeyCorpus(t *testing.T) {
 func keyCorpus() map[string]machine.Config {
 	builtin := testCfg(3)
 	builtin.Policy = machine.PolicySpec{Kind: machine.CMCP, P: 0.5, DynamicP: true}
-	topo := testCfg(4)
-	topo.Topology = sim.DefaultTopology(2, 1)
 	return map[string]machine.Config{
-		"builtin":  builtin,
-		"tenants":  tenantCfg(1),
-		"topology": topo,
+		"builtin": builtin,
+		"tenants": tenantCfg(1),
+	}
+}
+
+// TestKeyCorpusSeedsCurrent pins the FuzzKey seed corpus to the
+// current wire encoding: each keyCorpus shape's seed file holds exactly
+// its encoding, so a change to the encoding cannot leave stale seeds
+// that no longer decode to the shape they were written for.
+func TestKeyCorpusSeedsCurrent(t *testing.T) {
+	for name, cfg := range keyCorpus() {
+		path := filepath.Join("testdata", "fuzz", "FuzzKey", name)
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", encodeConfig(t, cfg)); string(got) != want {
+			t.Errorf("%s is stale:\n got %s\nwant %s", path, got, want)
+		}
 	}
 }
 

@@ -238,8 +238,8 @@ type psptAS struct {
 	scratch []sim.CoreID
 }
 
-func newPSPTAS(cores, pages int, size sim.PageSize, topo *sim.Topology, sc *dense.Scratch) *psptAS {
-	return &psptAS{p: pspt.NewSized(cores, size, pages, topo, sc)}
+func newPSPTAS(cores, pages int, size sim.PageSize, sc *dense.Scratch) *psptAS {
+	return &psptAS{p: pspt.NewSized(cores, size, pages, sc)}
 }
 
 func (a *psptAS) Lookup(core sim.CoreID, vpn sim.PageID) (pagetable.PTE, sim.PageSize, bool) {

@@ -62,14 +62,6 @@ type Config struct {
 	// the tenant holding the most frames, and per-tenant counters on
 	// the run. Requires 4 kB pages.
 	Tenants *TenantConfig
-	// Topology, when non-nil and multi-socket, replaces the flat
-	// single-ring IPI model with per-socket rings joined by an
-	// interconnect, adds per-domain walk costs (the regular shared
-	// table is homed on socket 0; PSPT gains numaPTE-style per-socket
-	// replicas with consult-driven migration), and enables the
-	// cross-socket shootdown accounting. Nil or single-socket keeps
-	// every cost and counter bit-identical to the flat model.
-	Topology *sim.Topology
 }
 
 // PolicyFactory builds the replacement policy against the kernel-side
@@ -104,8 +96,6 @@ type Manager struct {
 	rec      *obs.Recorder                          // nil = tracing disabled
 	hs       *stats.HistSet                         // nil = histograms disabled
 
-	topo *sim.Topology // nil = flat single-ring model
-
 	mt *tenantState // nil = single-tenant machine
 }
 
@@ -136,16 +126,12 @@ func NewManager(cfg Config, factory PolicyFactory) (*Manager, error) {
 		scanner: sim.ScannerCore(cfg.Cores),
 		debt:    sc.Cycles(cfg.Cores),
 		rec:     cfg.Probe,
-		topo:    cfg.Topology,
-	}
-	if err := cfg.Topology.Validate(cfg.Cores); err != nil {
-		return nil, err
 	}
 	if cfg.Hist {
 		m.hs = m.run.EnableHists()
 	}
 	if cfg.Tables == PSPTKind {
-		m.as = newPSPTAS(cfg.Cores, cfg.Pages, cfg.PageSize, cfg.Topology, sc)
+		m.as = newPSPTAS(cfg.Cores, cfg.Pages, cfg.PageSize, sc)
 	} else {
 		m.as = newSharedAS(cfg.Cores, cfg.PageSize)
 	}
@@ -200,21 +186,6 @@ func (m *Manager) SharingHistogram() ([]int, bool) {
 
 // Cores returns the number of application cores.
 func (m *Manager) Cores() int { return m.cfg.Cores }
-
-// Topology returns the machine topology (nil on flat runs).
-func (m *Manager) Topology() *sim.Topology { return m.topo }
-
-// walkExtra returns the per-domain surcharge of a page-table walk by
-// core. Only the regular shared table pays it: that table is homed on
-// socket 0, so walks from any other socket cross the interconnect.
-// PSPT walks always hit the core's own (socket-local) private table —
-// the structural advantage this PR quantifies against numaPTE.
-func (m *Manager) walkExtra(core sim.CoreID) sim.Cycles {
-	if !m.topo.Multi() || m.cfg.Tables == PSPTKind || m.topo.SocketOf(core) == 0 {
-		return 0
-	}
-	return m.topo.RemoteWalkExtra
-}
 
 // TLBFor exposes core's TLB for read-only inspection (the invariant
 // auditor cross-checks cached translations against the page tables).
@@ -348,10 +319,6 @@ func (m *Manager) Access(core sim.CoreID, vpn sim.PageID, write bool, now sim.Cy
 		m.run.Add(core, stats.DTLBMisses, 1)
 		m.run.Add(core, stats.PageWalks, 1)
 		t += m.cost.PageWalk
-		if we := m.walkExtra(core); we > 0 {
-			t += we
-			m.run.Add(core, stats.RemoteWalks, 1)
-		}
 		if _, size, ok := m.as.Lookup(core, vpn); ok {
 			m.tlbs[core].Insert(vpn, size)
 		} else {
@@ -406,36 +373,13 @@ func (m *Manager) faultService(core sim.CoreID, vpn sim.PageID, t sim.Cycles) (s
 	}
 
 	// PSPT minor fault: some sibling core already maps the page; copy
-	// its PTE under the per-page lock. On a multi-socket topology the
-	// consult first runs the numaPTE replica protocol: a consult from a
-	// socket with no replica crosses the interconnect (RemoteWalkExtra),
-	// materializes a local replica, and a streak of remote consults
-	// re-homes the page-table page (MigrateCost). Recorded before
-	// ResolveSibling copies the PTE, which would add this socket to the
-	// replica set and hide the crossing.
-	var remoteConsult, ptMigrated bool
-	if m.topo.Multi() {
-		if a, isPSPT := m.as.(*psptAS); isPSPT {
-			remoteConsult, ptMigrated = a.PSPT().NoteConsult(vpn, m.topo.SocketOf(core), m.topo.MigrateThreshold)
-		}
-	}
+	// its PTE under the per-page lock.
 	if base, ok := m.as.ResolveSibling(core, vpn, pagetable.Writable); ok {
 		m.run.Add(core, stats.MinorFaults, 1)
 		if m.mt != nil {
 			m.mt.ts.Add(m.mt.tenantOf(vpn), stats.TenantMinorFaults, 1)
 		}
 		t += m.cost.PSPTConsult
-		if remoteConsult {
-			t += m.topo.RemoteWalkExtra
-			m.run.Add(core, stats.RemotePTConsults, 1)
-		}
-		if ptMigrated {
-			t += m.topo.MigrateCost
-			m.run.Add(core, stats.PTMigrations, 1)
-			if m.rec != nil {
-				m.rec.Emit(t, core, obs.EvPTMigration, vpn, int64(m.topo.SocketOf(core)))
-			}
-		}
 		t = m.acquire(m.as.LockFor(base), core, base, t, m.cost.LockBase)
 		if m.rec != nil {
 			m.rec.Emit(t, core, obs.EvMinorFault, base, 0)
@@ -592,12 +536,6 @@ func (m *Manager) evict(core sim.CoreID, vbase sim.PageID) (sim.Cycles, int64, e
 
 	var work sim.Cycles
 	remote := 0
-	multi := m.topo.Multi()
-	var remoteSockets pspt.SocketSet
-	initSocket := 0
-	if multi {
-		initSocket = m.topo.SocketOf(core)
-	}
 	for _, tc := range targets {
 		if m.invalObs != nil {
 			m.invalObs(tc, base)
@@ -618,42 +556,13 @@ func (m *Manager) evict(core sim.CoreID, vbase sim.PageID) (sim.Cycles, int64, e
 		// only. The statistics scanner is a hyperthread sharing a booked
 		// core's ring stop (the paper dedicates hyperthreads, not
 		// cores), so it adds no stop of its own and the active-core ring
-		// size is the correct wrap modulus; see DESIGN.md §15.
-		rtt := m.cost.IPIDeliveryCostOn(m.topo, core, tc, m.cfg.Cores)
-		if multi {
-			if s := m.topo.SocketOf(tc); s != initSocket {
-				m.run.Add(core, stats.CrossSocketIPIs, 1)
-				remoteSockets.Add(s)
-			}
-		}
+		// size is the correct wrap modulus; see DESIGN.md §5.
+		rtt := m.cost.IPIDeliveryCost(core, tc, m.cfg.Cores)
 		work += rtt
 		if m.hs != nil {
 			m.hs.Record(stats.ShootdownHist, uint64(rtt))
 		}
 		remote++
-	}
-	if multi {
-		// Shootdown filtering: cores the precise PSPT target set let the
-		// initiator skip, relative to the full broadcast regular tables
-		// must issue (for which this is always zero — the comparison the
-		// NUMA experiment journals).
-		if filtered := m.cfg.Cores - len(targets); filtered > 0 {
-			m.run.Add(core, stats.FilteredShootdowns, uint64(filtered))
-		}
-		if rs := remoteSockets.Count(); rs > 0 {
-			if _, isPSPT := m.as.(*psptAS); isPSPT {
-				// PTE teardown synchronizes every remote page-table
-				// replica across the interconnect (numaPTE's update cost).
-				work += sim.Cycles(rs) * m.topo.ReplicaSync
-				m.run.Add(core, stats.ReplicaSyncs, uint64(rs))
-				if m.rec != nil {
-					m.rec.EmitNow(core, obs.EvReplicaSync, base, int64(rs))
-				}
-			}
-			if m.hs != nil {
-				m.hs.Record(stats.CrossSocketFanoutHist, uint64(rs))
-			}
-		}
 	}
 	if remote > 0 {
 		m.run.Add(core, stats.IPIsSent, uint64(remote))

@@ -53,9 +53,7 @@ func (m *Manager) ProbeAccess(core sim.CoreID, vpn sim.PageID) (extra sim.Cycles
 	}
 	if _, sz, found := m.as.Lookup(core, vpn); found {
 		m.tlbs[core].Insert(vpn, sz)
-		// walkExtra mirrors the serial path's per-domain walk surcharge;
-		// the RemoteWalks counter lands in CommitTouches.
-		return m.cost.PageWalk + m.walkExtra(core), tlb.Miss, sz.Align(vpn), sz, true
+		return m.cost.PageWalk, tlb.Miss, sz.Align(vpn), sz, true
 	}
 	return 0, tlb.Miss, 0, 0, false
 }
@@ -90,9 +88,6 @@ func (m *Manager) CommitTouches(core sim.CoreID, vpn sim.PageID, level tlb.HitLe
 	case tlb.Miss:
 		m.run.Add(core, stats.DTLBMisses, 1)
 		m.run.Add(core, stats.PageWalks, 1)
-		if m.walkExtra(core) > 0 {
-			m.run.Add(core, stats.RemoteWalks, 1)
-		}
 	}
 	if book {
 		m.touchBookkeeping(core, vpn, write)
