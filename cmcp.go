@@ -385,10 +385,11 @@ const (
 	// FaultServiceHist is end-to-end page-fault service time in cycles,
 	// including lock waits and eviction work.
 	FaultServiceHist = stats.FaultServiceHist
-	// EvictionHist is victim eviction + write-back latency in cycles.
+	// EvictionHist is the evictor-side latency of one eviction in
+	// cycles: unmap and shootdown round trips (wire time excluded).
 	EvictionHist = stats.EvictionHist
 	// ShootdownHist is the per-target shootdown ack round-trip in
-	// cycles, re-sends included.
+	// cycles.
 	ShootdownHist = stats.ShootdownHist
 	// LockWaitHist is non-zero lock/DMA-bus wait duration in cycles.
 	LockWaitHist = stats.LockWaitHist
@@ -494,7 +495,7 @@ var (
 	// ErrMapFailed: installing a translation failed (overlapping or
 	// misaligned mapping).
 	ErrMapFailed = vm.ErrMapFailed
-	// ErrCorruption: page content returned from the host does not match
-	// what was swapped out (Config.Verify runs only).
+	// ErrCorruption: the Config.Verify content checker found a page
+	// whose content does not match what the program stored to it.
 	ErrCorruption = vm.ErrCorruption
 )

@@ -133,8 +133,10 @@ var table = []row{
 	{"seed", uint64(42), modeSim, "random seed", func(r *resolver) any { return &r.in.seed }, nil, ""},
 	{"tenants", 0, modeSim, "simulate N tenant address spaces contending for the frame pool (0 = single-tenant -workload run; with -exp, only the tenants experiment accepts it)", func(r *resolver) any { return &r.in.tenants },
 		func(r *resolver) bool { return r.in.tenants >= 0 }, "must be >= 0"},
-	{"zipf-s", 1.1, modeSim, "with -tenants: Zipfian tenant-popularity exponent (higher = more skew)", func(r *resolver) any { return &r.in.zipfS }, hasTenants, "requires -tenants > 0"},
-	{"churn", 0, modeSim, "with -tenants: rotate the hot tenant set every N touches per core (0 = no churn)", func(r *resolver) any { return &r.in.churn }, hasTenants, "requires -tenants > 0"},
+	{"zipf-s", 1.1, modeSim, "with -tenants: Zipfian tenant-popularity exponent (higher = more skew)", func(r *resolver) any { return &r.in.zipfS },
+		func(r *resolver) bool { return hasTenants(r) && r.in.zipfS >= 0 }, "requires -tenants > 0 and must be >= 0"},
+	{"churn", 0, modeSim, "with -tenants: rotate the hot tenant set every N touches per core (0 = no churn)", func(r *resolver) any { return &r.in.churn },
+		func(r *resolver) bool { return hasTenants(r) && r.in.churn >= 0 }, "requires -tenants > 0 and must be >= 0"},
 	{"hist", false, modeSim, "record latency/fan-out histograms (read-only; counters stay bit-identical)", func(r *resolver) any { return &r.in.hist }, nil, ""},
 
 	// -run: one machine.
@@ -145,7 +147,8 @@ var table = []row{
 	{"ratio", 0.5, modeRun, "device memory as a fraction of the footprint, in (0, 1]", func(r *resolver) any { return &r.run.MemoryRatio },
 		func(r *resolver) bool { return r.run.MemoryRatio > 0 && r.run.MemoryRatio <= 1 }, "must be in (0, 1]"},
 	{"policy", "CMCP", modeRun, "policy: FIFO|LRU|CMCP|CLOCK|LFU|Random", func(r *resolver) any { return &r.in.policy }, nil, ""},
-	{"p", -1.0, modeRun, "with -policy CMCP: prioritized-pages ratio (-1 = default)", func(r *resolver) any { return &r.run.Policy.P }, isCMCP, "requires -policy CMCP"},
+	{"p", -1.0, modeRun, "with -policy CMCP: prioritized-pages ratio in [0, 1] (-1 = default)", func(r *resolver) any { return &r.run.Policy.P },
+		func(r *resolver) bool { p := r.run.Policy.P; return isCMCP(r) && (p == -1 || p >= 0 && p <= 1) }, "requires -policy CMCP and must be -1 or in [0, 1]"},
 	{"dynamic-p", false, modeRun, "with -policy CMCP: enable the fault-feedback p tuner", func(r *resolver) any { return &r.run.Policy.DynamicP }, isCMCP, "requires -policy CMCP"},
 	{"tables", "pspt", modeRun, "page tables: pspt|regular", func(r *resolver) any { return &r.in.tables }, nil, ""},
 	{"pagesize", "4k", modeRun, "page size: 4k|64k|2m", func(r *resolver) any { return &r.in.pageSize }, nil, ""},

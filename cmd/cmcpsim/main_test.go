@@ -196,6 +196,10 @@ func TestInvalidInvocationsFail(t *testing.T) {
 		{"-run -policy CMCP -p NaN", "-p"},
 		{"-run -tenants 4 -zipf-s NaN", "-zipf-s"},
 		{"-run -scale +Inf", "-scale"},
+		{"-run -p 1.5", "-p"},
+		{"-run -p -0.5", "-p"},
+		{"-run -tenants 4 -churn -5", "-churn"},
+		{"-run -tenants 4 -zipf-s -1", "-zipf-s"},
 	} {
 		var stdout, stderr bytes.Buffer
 		code := run(strings.Fields(tc.args), &stdout, &stderr)

@@ -2,10 +2,9 @@
 // simulator's hot path runs on. Workload layouts assign page IDs
 // densely from 0..TotalPages (see workload.Build), so every map keyed
 // by sim.PageID in the per-touch path can be a slice indexed by page
-// instead: Index (policy heap positions and slice offsets), Words
-// (regular-table mapping records, host page signatures) and List (the
-// FIFO/LRU queues). That removes hashing, bucket chasing and per-entry
-// allocation from the inner simulation loop. PSPT keeps its own
+// instead: Index (policy heap positions and slice offsets) and List
+// (the FIFO/LRU queues). That removes hashing, bucket chasing and
+// per-entry allocation from the inner simulation loop. PSPT keeps its own
 // page-indexed record table (pspt.entry): its records are wider than a
 // word.
 //

@@ -73,23 +73,6 @@ func TestIndexBasics(t *testing.T) {
 	}
 }
 
-func TestWords(t *testing.T) {
-	w := NewWords(nil, 2)
-	w.Set(1, 42)
-	w.Set(50, 99)
-	if w.Get(1) != 42 || w.Get(50) != 99 || w.Get(0) != 0 || w.Get(999) != 0 {
-		t.Fatal("words reads wrong")
-	}
-	w.Set(1, 0)
-	if w.Get(1) != 0 {
-		t.Fatal("clearing failed")
-	}
-	w.Set(10_000, 0) // zero beyond bounds must not force growth
-	if w.Len() >= 10_000 {
-		t.Fatal("zero set grew the table")
-	}
-}
-
 // TestListMatchesReference drives List and a simple slice model through
 // an interleaved op sequence and checks order and membership agree.
 func TestListMatchesReference(t *testing.T) {

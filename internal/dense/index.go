@@ -65,44 +65,3 @@ func (x *Index) grow(n int) {
 	copy(nv, x.v)
 	x.v = nv
 }
-
-// Words is a page-indexed replacement for map[sim.PageID]uint64-shaped
-// tables (packed mapping records, counters). The zero value of an
-// element means "absent"; callers encode presence into their packing.
-type Words struct {
-	sc *Scratch
-	v  []uint64
-}
-
-// NewWords returns a table pre-sized for pages in [0, hint).
-func NewWords(sc *Scratch, hint int) Words {
-	return Words{sc: sc, v: sc.U64(hint)}
-}
-
-// Get returns the word stored for page (zero when never set).
-func (w *Words) Get(page sim.PageID) uint64 {
-	if page < 0 || page >= sim.PageID(len(w.v)) {
-		return 0
-	}
-	return w.v[page]
-}
-
-// Set stores word for page, growing as needed.
-func (w *Words) Set(page sim.PageID, word uint64) {
-	if page >= sim.PageID(len(w.v)) {
-		if word == 0 {
-			return // zero is "absent"; nothing to record
-		}
-		nv := w.sc.U64(ceilPow2(int(page) + 1))
-		copy(nv, w.v)
-		w.v = nv
-	}
-	w.v[page] = word
-}
-
-// Len returns the exclusive upper bound of pages currently stored.
-func (w *Words) Len() int { return len(w.v) }
-
-// Slice exposes the backing slice for tight loops (decay sweeps). The
-// caller may mutate elements but not the length.
-func (w *Words) Slice() []uint64 { return w.v }

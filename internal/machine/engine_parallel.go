@@ -421,7 +421,9 @@ func (e *parEngine) runPhase(streams []workload.Stream, start sim.Cycles) (sim.C
 			e.probeAll(ev)
 			continue
 		}
-		e.commitBefore(ev)
+		if err := e.commitBefore(ev); err != nil {
+			return 0, err
+		}
 		if err := e.processEvent(ev); err != nil {
 			return 0, err
 		}
@@ -596,7 +598,7 @@ func lowMask(k uint64) uint64 {
 // in serial order, splitting bursts at the boundary. After it returns,
 // the machine's observable state is exactly the serial engine's state
 // at the moment b pops.
-func (e *parEngine) commitBefore(b eventKey) {
+func (e *parEngine) commitBefore(b eventKey) error {
 	bc, bid := b.clock(), b.id()
 	audited := 0
 	for i, pk := range e.pendKeys {
@@ -611,17 +613,22 @@ func (e *parEngine) commitBefore(b eventKey) {
 		if c.id < bid {
 			lim++
 		}
-		audited += e.commitCore(c, lim)
+		n, err := e.commitCore(c, lim)
+		if err != nil {
+			return err
+		}
+		audited += n
 		e.refreshPend(c)
 	}
 	if audited > 0 && e.cfg.Audit != nil {
 		e.cfg.Audit.NoteN(e.mgr, audited)
 	}
+	return nil
 }
 
 // commitCore commits c's burst prefix with effective clock < lim and
 // returns the number of touches retired.
-func (e *parEngine) commitCore(c *engCore, lim sim.Cycles) int {
+func (e *parEngine) commitCore(c *engCore, lim sim.Cycles) (int, error) {
 	tc := e.cost.TouchCompute
 	total := 0
 	for c.bhead < len(c.bursts) {
@@ -647,7 +654,9 @@ func (e *parEngine) commitCore(c *engCore, lim sim.Cycles) int {
 		}
 		w := b.wmask&lowMask(k) != 0
 		book := b.booked == 0 || (w && b.booked < 2)
-		e.mgr.CommitTouches(c.id, b.vpn, b.first, k, w, book)
+		if err := e.mgr.CommitTouches(c.id, b.vpn, b.first, k, w, book); err != nil {
+			return total, fmt.Errorf("machine: core %d at cycle %d: %w", c.id, base, err)
+		}
 		total += int(k)
 		c.j.Release(b.jend)
 		if k == n {
@@ -673,7 +682,7 @@ func (e *parEngine) commitCore(c *engCore, lim sim.Cycles) int {
 		c.bursts = c.bursts[:0]
 		c.bhead = 0
 	}
-	return total
+	return total, nil
 }
 
 // processEvent runs one serializing event exactly as the serial loop

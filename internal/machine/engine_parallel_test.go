@@ -96,9 +96,11 @@ func compareTraces(t *testing.T, serial, parallel *obs.Recorder) {
 }
 
 // runBoth simulates cfg on both engines with a fresh recorder and
-// auditor each, compares everything, and returns the serial result.
+// auditor each and the Verify checker on, compares everything, and
+// returns the serial result.
 func runBoth(t *testing.T, cfg Config) *Result {
 	t.Helper()
+	cfg.Verify = true
 	sCfg := cfg
 	sCfg.Engine = SerialEngine
 	sCfg.Probe = obs.NewRecorder(obs.Config{})

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"cmcp/internal/mem"
 	"cmcp/internal/pagetable"
 	"cmcp/internal/policy"
 	"cmcp/internal/sim"
@@ -32,19 +31,19 @@ type lyingPolicy struct{ policy.Policy }
 
 func (lyingPolicy) Victim() (sim.PageID, bool) { return 1 << 20, true }
 
-// tamperingPolicy behaves like FIFO but rewrites the backing-store
-// content of each evicted page before it can return, so the next
-// page-in sees a signature that no longer matches what was swapped out.
+// tamperingPolicy behaves like FIFO but rewrites the Verify checker's
+// backing-store copy of each evicted page before it can return, so the
+// next page-in sees content that no longer matches what was stored.
 type tamperingPolicy struct {
 	policy.Policy
-	host *mem.Host
+	chk  *vm.Checker
 	last sim.PageID
 	have bool
 }
 
 func (p *tamperingPolicy) Victim() (sim.PageID, bool) {
 	if p.have {
-		p.host.PageOut(p.last, mem.Signature(0xdeadbeef))
+		p.chk.SetHost(p.last, 0xdeadbeef)
 		p.have = false
 	}
 	v, ok := p.Policy.Victim()
@@ -91,8 +90,9 @@ func TestSimulateCorruptionIsError(t *testing.T) {
 	cfg := errConfig(func(h policy.Host) policy.Policy {
 		// The engine hands the policy factory the VM manager itself as
 		// its Host; the test reaches through it to tamper with the
-		// backing store, simulating a lost or misdirected transfer.
-		return &tamperingPolicy{Policy: policy.NewFIFO(), host: h.(*vm.Manager).Host()}
+		// checker's backing store, simulating a lost or misdirected
+		// transfer.
+		return &tamperingPolicy{Policy: policy.NewFIFO(), chk: h.(*vm.Manager).Checker()}
 	})
 	cfg.Verify = true
 	_, err := Simulate(cfg)

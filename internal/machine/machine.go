@@ -116,7 +116,8 @@ type Config struct {
 	// Cost overrides the cycle-cost model (zero value = defaults). A
 	// non-zero model must carry a positive, finite DMABytesPerCycle.
 	Cost sim.CostModel
-	// Verify enables page-content integrity checking.
+	// Verify attaches the vm.Checker page-content oracle; a content
+	// mismatch fails the run with vm.ErrCorruption.
 	Verify bool
 	// Hist attaches latency/fan-out histograms to the run (see
 	// internal/hist and stats.HistID): fault service time, eviction

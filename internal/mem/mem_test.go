@@ -57,38 +57,6 @@ func TestDeviceDoubleFreePanics(t *testing.T) {
 	d.Free(f)
 }
 
-func TestDeviceDirtySignature(t *testing.T) {
-	d := NewDevice(2)
-	f, _ := d.Alloc(5)
-	if d.Dirty(f) {
-		t.Error("fresh frame must be clean")
-	}
-	s0 := d.Signature(f)
-	d.Write(f, 3, 1)
-	if !d.Dirty(f) {
-		t.Error("write must set dirty")
-	}
-	if d.Signature(f) == s0 {
-		t.Error("write must change signature")
-	}
-	d.SetSignature(f, 12345)
-	if d.Dirty(f) || d.Signature(f) != 12345 {
-		t.Error("SetSignature must install content and clear dirty")
-	}
-}
-
-func TestSignatureMixOrderSensitive(t *testing.T) {
-	var a, b Signature
-	a = a.Mix(1, 1).Mix(2, 2)
-	b = b.Mix(2, 2).Mix(1, 1)
-	if a == b {
-		t.Error("different write orders should (almost surely) differ")
-	}
-	if a == a.Mix(1, 3) {
-		t.Error("mixing must change the signature")
-	}
-}
-
 func TestAllocRangeAlignedRun(t *testing.T) {
 	d := NewDevice(64)
 	base, err := d.AllocRange(32, 16)
@@ -165,67 +133,5 @@ func TestDeviceNeverDoubleAllocatesProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestHostPageOutIn(t *testing.T) {
-	h := NewHost(nil, 0)
-	if got := h.PageIn(42); got != 0 {
-		t.Errorf("unwritten page reads %d, want zero-fill", got)
-	}
-	h.PageOut(42, 999)
-	if got := h.PageIn(42); got != 999 {
-		t.Errorf("PageIn = %d, want 999", got)
-	}
-	if s, ok := h.Peek(42); !ok || s != 999 {
-		t.Error("Peek mismatch")
-	}
-	if _, ok := h.Peek(43); ok {
-		t.Error("Peek of absent page")
-	}
-	if h.Len() != 1 {
-		t.Errorf("Len = %d", h.Len())
-	}
-	if h.OutBytes != sim.PageSize4k || h.InBytes != 2*sim.PageSize4k {
-		t.Errorf("byte accounting: in=%d out=%d", h.InBytes, h.OutBytes)
-	}
-}
-
-// TestHostSizedStore pins the dense store's presence semantics: a page
-// never written reads as zero and is absent, a page written back with
-// the zero signature is present, Len counts distinct pages, and VPNs
-// past the sized range grow the store without losing earlier pages.
-func TestHostSizedStore(t *testing.T) {
-	h := NewHost(nil, 100)
-	if got := h.PageIn(7); got != 0 {
-		t.Errorf("unwritten page reads %d, want zero-fill", got)
-	}
-	if _, ok := h.Peek(7); ok {
-		t.Error("unwritten page is present")
-	}
-	h.PageOut(7, 0)
-	if s, ok := h.Peek(7); !ok || s != 0 {
-		t.Errorf("page written back with signature 0: Peek = %d, %v", s, ok)
-	}
-	h.PageOut(7, 5)
-	h.PageOut(99, 6)
-	if h.Len() != 2 {
-		t.Errorf("Len = %d after rewriting one of two pages, want 2", h.Len())
-	}
-	h.PageOut(100, 9) // first VPN past the sized range
-	h.PageOut(100_000, 8)
-	for vpn, want := range map[sim.PageID]Signature{7: 5, 99: 6, 100: 9, 100_000: 8} {
-		if s, ok := h.Peek(vpn); !ok || s != want {
-			t.Errorf("Peek(%d) = %d, %v, want %d", vpn, s, ok, want)
-		}
-	}
-	if _, ok := h.Peek(100_001); ok {
-		t.Error("page past the written range is present")
-	}
-	if _, ok := h.Peek(-1); ok {
-		t.Error("negative page is present")
-	}
-	if h.Len() != 4 {
-		t.Errorf("Len = %d, want 4", h.Len())
 	}
 }

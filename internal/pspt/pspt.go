@@ -361,35 +361,21 @@ func (p *PSPT) deleteMapping(base sim.PageID) {
 
 // Touch simulates the MMU setting accessed/dirty bits on core's private
 // PTE for vpn. For 64 kB groups the bits land on the touched sub-entry.
-// written reports a write to a page core maps, and frame is then the
-// frame backing vpn. When the summary shows the bits already set, no
-// table is walked: a read returns at once and a write takes its frame
-// from the mapping record.
-func (p *PSPT) Touch(core sim.CoreID, vpn sim.PageID, write bool) (frame int64, written bool) {
+// When the summary shows every bit the access sets already set (the
+// accessed bit, and for a write the dirty bit), no table is walked.
+func (p *PSPT) Touch(core sim.CoreID, vpn sim.PageID, write bool) {
 	w, bit, tracked := p.summaryMask(core, vpn, sim.Size4k)
-	if tracked && p.acc[w]&bit != 0 {
-		if !write {
-			return 0, false
-		}
-		if p.dirty[w]&bit != 0 {
-			base, e := p.find(vpn)
-			return e.pfn + int64(vpn-base), true
-		}
+	if tracked && p.acc[w]&bit != 0 && (!write || p.dirty[w]&bit != 0) {
+		return
 	}
-	e, size, ok := p.tables[core].Touch(vpn, write)
-	if !ok {
-		return 0, false
+	_, size, ok := p.tables[core].Touch(vpn, write)
+	if !ok || !tracked || size == sim.Size2M {
+		return
 	}
-	if size == sim.Size2M {
-		return e.PFN() + int64(vpn-sim.Size2M.Align(vpn)), write
+	p.acc[w] |= bit
+	if write {
+		p.dirty[w] |= bit
 	}
-	if tracked {
-		p.acc[w] |= bit
-		if write {
-			p.dirty[w] |= bit
-		}
-	}
-	return e.PFN(), write // 64 kB member PTEs carry the member frame
 }
 
 // ScanAccessed implements the statistics pass the LRU scanner performs

@@ -135,19 +135,18 @@ type HistID uint8
 const (
 	// FaultServiceHist is end-to-end page-fault service time in cycles,
 	// fault entry to translation installed — minor and major faults,
-	// including lock waits, DMA queueing and fault-injection
-	// retries/backoff.
+	// including lock waits, eviction work and DMA queueing.
 	FaultServiceHist HistID = iota
 	// EvictionHist is the evictor-side latency of one eviction in
-	// cycles: unmap, shootdown delivery (resends included), local
-	// invalidations and write-back retry backoff.
+	// cycles: unmap, shootdown delivery round trips and local
+	// invalidations (the write-back's wire time is on the DMA bus).
 	EvictionHist
 	// ShootdownHist is the per-target shootdown round-trip in cycles:
-	// IPI delivery to one remote core plus any ack-timeout re-sends.
+	// IPI delivery to one remote core and its ack over the ring.
 	ShootdownHist
 	// LockWaitHist is the duration of one non-zero wait on a
-	// serialization point (allocator lock, DMA bus, page-table lock,
-	// injected stuck locks) in cycles.
+	// serialization point (allocator lock, DMA bus, page-table lock)
+	// in cycles.
 	LockWaitHist
 	// FanoutHist is the number of target cores of one TLB-shootdown
 	// broadcast (eviction or scanner clear).

@@ -54,15 +54,16 @@ type addressSpace interface {
 	// Map establishes a new mapping for core at the size-aligned base.
 	Map(core sim.CoreID, base sim.PageID, pfn int64, flags pagetable.PTE) error
 
-	// Unmap removes the mapping covering vpn from all tables. targets
-	// is the set of cores whose TLBs must be invalidated: the precise
-	// mapping set under PSPT, all cores under regular tables.
-	Unmap(vpn sim.PageID) (base sim.PageID, pfn int64, targets []sim.CoreID, ok bool)
+	// Unmap removes the mapping covering vpn from all tables. dirty
+	// reports whether any removed PTE carried the dirty bit: the
+	// mapping must be written back. targets is the set of cores whose
+	// TLBs must be invalidated: the precise mapping set under PSPT, all
+	// cores under regular tables.
+	Unmap(vpn sim.PageID) (base sim.PageID, pfn int64, dirty bool, targets []sim.CoreID, ok bool)
 
 	// Touch simulates the MMU setting accessed (and dirty, for writes)
-	// bits for core's view of vpn. written reports a write to a page
-	// core maps, and frame is then the device frame backing vpn.
-	Touch(core sim.CoreID, vpn sim.PageID, write bool) (frame sim.FrameID, written bool)
+	// bits for core's view of vpn.
+	Touch(core sim.CoreID, vpn sim.PageID, write bool)
 
 	// CoreMapCount returns the number of cores mapping base, or -1 when
 	// the organization cannot know (regular tables).
@@ -153,34 +154,28 @@ func (s *sharedAS) find(vpn sim.PageID) (base sim.PageID, pfn int64, ok bool) {
 	return base, e.PFN(), ok
 }
 
-func (s *sharedAS) Unmap(vpn sim.PageID) (sim.PageID, int64, []sim.CoreID, bool) {
+func (s *sharedAS) Unmap(vpn sim.PageID) (sim.PageID, int64, bool, []sim.CoreID, bool) {
 	base, pfn, ok := s.find(vpn)
 	if !ok {
-		return 0, 0, nil, false
+		return 0, 0, false, nil, false
 	}
+	var old pagetable.PTE
 	switch s.size {
 	case sim.Size64k:
-		s.table.Clear64k(base)
+		old = s.table.Clear64k(base) // carries every member's dirty bit
 	case sim.Size2M:
-		s.table.Clear2M(base)
+		old = s.table.Clear2M(base)
 	default:
-		s.table.Clear(base)
+		old = s.table.Clear(base)
 	}
 	s.resident--
 	// Centralized bookkeeping: the kernel cannot tell which cores have
 	// the translation cached, so the shootdown must broadcast.
-	return base, pfn, s.targets, true
+	return base, pfn, old.Has(pagetable.Dirty), s.targets, true
 }
 
-func (s *sharedAS) Touch(_ sim.CoreID, vpn sim.PageID, write bool) (sim.FrameID, bool) {
-	e, size, ok := s.table.Touch(vpn, write)
-	if !ok || !write {
-		return 0, false
-	}
-	if size == sim.Size2M {
-		return sim.FrameID(e.PFN() + int64(vpn-sim.Size2M.Align(vpn))), true
-	}
-	return sim.FrameID(e.PFN()), true // 64k member PTEs carry the member frame
+func (s *sharedAS) Touch(_ sim.CoreID, vpn sim.PageID, write bool) {
+	s.table.Touch(vpn, write)
 }
 
 func (s *sharedAS) CoreMapCount(sim.PageID) int { return -1 }
@@ -259,18 +254,17 @@ func (a *psptAS) Map(core sim.CoreID, base sim.PageID, pfn int64, flags pagetabl
 	return err
 }
 
-func (a *psptAS) Unmap(vpn sim.PageID) (sim.PageID, int64, []sim.CoreID, bool) {
-	m, _, ok := a.p.Unmap(vpn)
+func (a *psptAS) Unmap(vpn sim.PageID) (sim.PageID, int64, bool, []sim.CoreID, bool) {
+	m, dirty, ok := a.p.Unmap(vpn)
 	if !ok {
-		return 0, 0, nil, false
+		return 0, 0, false, nil, false
 	}
 	a.scratch = m.Cores.Cores(a.scratch[:0])
-	return m.Base, m.PFN, a.scratch, true
+	return m.Base, m.PFN, dirty, a.scratch, true
 }
 
-func (a *psptAS) Touch(core sim.CoreID, vpn sim.PageID, write bool) (sim.FrameID, bool) {
-	f, written := a.p.Touch(core, vpn, write)
-	return sim.FrameID(f), written
+func (a *psptAS) Touch(core sim.CoreID, vpn sim.PageID, write bool) {
+	a.p.Touch(core, vpn, write)
 }
 
 func (a *psptAS) CoreMapCount(base sim.PageID) int { return a.p.CoreMapCount(base) }

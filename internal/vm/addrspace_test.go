@@ -11,8 +11,8 @@ import (
 // record of resident mappings at every page size: ForEachMapping
 // reports each mapping once (a 64 kB group at its first member) in
 // ascending base order with its first frame, a second Map of a mapped
-// base fails, and Unmap of any page inside a mapping returns its base
-// and frame.
+// base fails, and Unmap of any page inside a mapping returns its base,
+// its frame and whether a store reached any of its pages.
 func TestSharedASMappingRecord(t *testing.T) {
 	type mapping struct {
 		base sim.PageID
@@ -40,16 +40,22 @@ func TestSharedASMappingRecord(t *testing.T) {
 			if s.Resident() != 3 {
 				t.Errorf("resident = %d, want 3", s.Resident())
 			}
-			base, pfn, targets, ok := s.Unmap(3*span + span - 1)
-			if !ok || base != 3*span || pfn != int64(4*span) || len(targets) != 4 {
-				t.Errorf("Unmap = base %d pfn %d targets %v ok %v, want base %d pfn %d on all 4 cores",
-					base, pfn, targets, ok, 3*span, 4*span)
+			s.Touch(0, 3*span+span-1, false)
+			base, pfn, dirty, targets, ok := s.Unmap(3*span + span - 1)
+			if !ok || base != 3*span || pfn != int64(4*span) || dirty || len(targets) != 4 {
+				t.Errorf("Unmap = base %d pfn %d dirty %v targets %v ok %v, want base %d pfn %d clean on all 4 cores",
+					base, pfn, dirty, targets, ok, 3*span, 4*span)
 			}
-			if _, _, _, ok := s.Unmap(3 * span); ok {
+			if _, _, _, _, ok := s.Unmap(3 * span); ok {
 				t.Error("second Unmap of the same mapping succeeded")
 			}
 			if s.Resident() != 2 {
 				t.Errorf("resident = %d after Unmap, want 2", s.Resident())
+			}
+			// A store to the last page of a mapping makes all of it dirty.
+			s.Touch(2, 5*span+span-1, true)
+			if _, _, dirty, _, _ := s.Unmap(5 * span); !dirty {
+				t.Error("Unmap after a store to the last page reported clean")
 			}
 		})
 	}

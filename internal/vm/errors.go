@@ -23,7 +23,8 @@ var (
 	// has diverged from the page tables.
 	ErrMapFailed = errors.New("vm: map failed")
 
-	// ErrCorruption: Verify mode found a page whose content signature
-	// changed across a swap cycle — the paging machinery lost data.
+	// ErrCorruption: the Verify Checker found a page or frame whose
+	// content differs from what the program stored to it — the paging
+	// machinery lost or misdirected data.
 	ErrCorruption = errors.New("vm: content corruption")
 )

@@ -34,8 +34,9 @@ type Config struct {
 	Tables TableKind
 	// Cost is the cycle-cost model; zero value means defaults.
 	Cost sim.CostModel
-	// Verify enables page-content integrity checking across swap
-	// cycles (tests; small overhead).
+	// Verify attaches the content Checker: every store, page-in and
+	// eviction is cross-checked, and a mismatch fails the run with
+	// ErrCorruption (tests; small overhead).
 	Verify bool
 	// Probe, when non-nil, receives flight-recorder events from the
 	// fault, eviction and scan paths. Disabled tracing costs one
@@ -78,7 +79,6 @@ type Manager struct {
 	as   addressSpace
 	tlbs []tlb.TLB
 	dev  *mem.Device
-	host *mem.Host
 	pol  policy.Policy
 	run  *stats.Run
 
@@ -89,8 +89,7 @@ type Manager struct {
 	allocLock sim.Resource
 	dmaBus    sim.Resource // serializes PCIe wire time (latency overlaps)
 
-	writeSeq uint64
-	verify   map[sim.PageID]mem.Signature
+	chk      *Checker // nil = Config.Verify off
 	faultObs FaultObserver
 	invalObs func(core sim.CoreID, base sim.PageID) // fires before each TLB invalidation
 	rec      *obs.Recorder                          // nil = tracing disabled
@@ -121,7 +120,6 @@ func NewManager(cfg Config, factory PolicyFactory) (*Manager, error) {
 		cfg:     cfg,
 		cost:    cfg.Cost,
 		dev:     mem.NewDevice(cfg.Frames),
-		host:    mem.NewHost(sc, cfg.Pages),
 		run:     stats.NewRun(cfg.Cores),
 		scanner: sim.ScannerCore(cfg.Cores),
 		debt:    sc.Cycles(cfg.Cores),
@@ -140,7 +138,7 @@ func NewManager(cfg Config, factory PolicyFactory) (*Manager, error) {
 		m.tlbs[i] = tlb.NewSized(tlb.DefaultConfig(), cfg.Pages, sc)
 	}
 	if cfg.Verify {
-		m.verify = make(map[sim.PageID]mem.Signature)
+		m.chk = newChecker(cfg.Frames)
 	}
 	if cfg.Tenants != nil {
 		mt, err := newTenantState(m, *cfg.Tenants, factory)
@@ -169,8 +167,9 @@ func (m *Manager) Policy() policy.Policy { return m.pol }
 // Resident returns the number of resident mappings.
 func (m *Manager) Resident() int { return m.as.Resident() }
 
-// Host returns the backing store (tests inspect write-back contents).
-func (m *Manager) Host() *mem.Host { return m.host }
+// Checker returns the content checker, or nil unless Config.Verify is
+// set (tests inspect and tamper with write-back contents).
+func (m *Manager) Checker() *Checker { return m.chk }
 
 // Device returns the device memory (tests inspect frames).
 func (m *Manager) Device() *mem.Device { return m.dev }
@@ -329,17 +328,21 @@ func (m *Manager) Access(core sim.CoreID, vpn sim.PageID, write bool, now sim.Cy
 			}
 		}
 	}
-	m.touchBookkeeping(core, vpn, write)
+	if err := m.touch(core, vpn, write); err != nil {
+		return t, err
+	}
 	return t + m.cost.TouchCompute, nil
 }
 
-// touchBookkeeping simulates the MMU attribute updates and the data
-// write for one touch (zero cost: included in TouchCompute).
-func (m *Manager) touchBookkeeping(core sim.CoreID, vpn sim.PageID, write bool) {
-	if f, written := m.as.Touch(core, vpn, write); written {
-		m.writeSeq++
-		m.dev.Write(f, core, m.writeSeq)
+// touch has the MMU set the accessed (and, for a write, dirty) bits of
+// core's translation of vpn and reports a store to the Checker (zero
+// cost: included in TouchCompute).
+func (m *Manager) touch(core sim.CoreID, vpn sim.PageID, write bool) error {
+	m.as.Touch(core, vpn, write)
+	if write && m.chk != nil {
+		return m.chk.store(m.as, core, vpn)
 	}
+	return nil
 }
 
 // fault handles a translation fault by core for vpn starting at virtual
@@ -471,15 +474,10 @@ func (m *Manager) service(core sim.CoreID, vpn, base sim.PageID) (work, wire sim
 		return 0, 0, err
 	}
 	work += evWork
-	for i := 0; i < span; i++ {
-		v := base + sim.PageID(i)
-		sig := m.host.PageIn(v)
-		if m.verify != nil {
-			if want, ok := m.verify[v]; ok && want != sig {
-				return 0, 0, fmt.Errorf("%w on page %d: got %x want %x", ErrCorruption, v, sig, want)
-			}
+	if m.chk != nil {
+		if err := m.chk.pageIn(base, frame, span); err != nil {
+			return 0, 0, err
 		}
-		m.dev.SetSignature(frame+sim.FrameID(i), sig)
 	}
 	m.run.Add(core, stats.BytesIn, uint64(size.Bytes()))
 	bytes += size.Bytes()
@@ -525,10 +523,11 @@ func (m *Manager) allocFrames(core sim.CoreID, base sim.PageID, span int) (sim.F
 }
 
 // evict unmaps the victim mapping at vbase, shoots down the TLBs of the
-// affected cores, writes dirty content back and frees the frames. It
-// returns the evictor-side CPU work and the write-back byte count.
+// affected cores, writes the mapping back when a removed PTE carried
+// the dirty bit and frees the frames. It returns the evictor-side CPU
+// work and the write-back byte count.
 func (m *Manager) evict(core sim.CoreID, vbase sim.PageID) (sim.Cycles, int64, error) {
-	base, pfn, targets, ok := m.as.Unmap(vbase)
+	base, pfn, dirty, targets, ok := m.as.Unmap(vbase)
 	if !ok {
 		return 0, 0, fmt.Errorf("%w: victim %d", ErrBadVictim, vbase)
 	}
@@ -584,21 +583,13 @@ func (m *Manager) evict(core sim.CoreID, vbase sim.PageID) (sim.Cycles, int64, e
 		owner := m.mt.release(sim.FrameID(pfn), span)
 		m.mt.ts.Add(owner, stats.TenantEvictions, 1)
 	}
-	dirty := false
+	if m.chk != nil {
+		if err := m.chk.evict(base, pfn, span, dirty); err != nil {
+			return 0, 0, err
+		}
+	}
 	for i := 0; i < span; i++ {
-		f := sim.FrameID(pfn + int64(i))
-		v := base + sim.PageID(i)
-		if m.dev.Dirty(f) {
-			dirty = true
-			m.host.PageOut(v, m.dev.Signature(f))
-		}
-		if m.verify != nil {
-			// The frame signature is authoritative at eviction time:
-			// page-in restored the host content into it and every
-			// simulated store mixed into it since.
-			m.verify[v] = m.dev.Signature(f)
-		}
-		m.dev.Free(f)
+		m.dev.Free(sim.FrameID(pfn + int64(i)))
 	}
 	var bytes int64
 	if dirty {

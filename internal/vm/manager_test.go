@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
 
@@ -205,15 +206,27 @@ func TestDirtyWriteBackAndIntegrity(t *testing.T) {
 	if r.Get(0, stats.BytesOut) != sim.PageSize4k {
 		t.Errorf("bytes out = %d", r.Get(0, stats.BytesOut))
 	}
-	sig, ok := m.Host().Peek(0)
-	if !ok || sig == 0 {
-		t.Error("host must hold the written content")
+	c := m.Checker()
+	content, ok := c.host[0]
+	if !ok || content == 0 {
+		t.Fatal("host must hold the written content")
 	}
-	// Refault page 0: Verify mode checks the content matches (panics
-	// on corruption).
-	m.Access(0, 0, false, 0)
-	if m.Device().Signature(mustFrame(t, m, 0, 0)) != sig {
+	// Refault page 0 (evicting page 1): the Checker compares the host
+	// copy with what was stored and installs it in the frame.
+	mustAccess(t, m, 0, 0, false, 0)
+	if c.frames[mustFrame(t, m, 0, 0)] != content {
 		t.Error("page-in restored wrong content")
+	}
+	// Evict page 0 again, clean this time, and tamper with its host
+	// copy: the next page-in must fail the run.
+	mustAccess(t, m, 0, 1, false, 0) // evicts page 2
+	mustAccess(t, m, 0, 3, false, 0) // evicts page 0
+	if _, _, ok := m.Lookup(0, 0); ok {
+		t.Fatal("page 0 still resident")
+	}
+	c.SetHost(0, uint64(content)^1)
+	if _, err := m.Access(0, 0, false, 0); !errors.Is(err, ErrCorruption) {
+		t.Fatalf("page-in of tampered content: err = %v, want ErrCorruption", err)
 	}
 }
 
@@ -237,8 +250,8 @@ func TestCleanEvictionNoWriteBack(t *testing.T) {
 	if m.Run().Get(0, stats.WriteBacks) != 0 {
 		t.Error("clean page must not write back")
 	}
-	if m.Host().Len() != 0 {
-		t.Error("host must stay empty")
+	if n := len(m.Checker().host); n != 0 {
+		t.Errorf("host holds %d pages, want none", n)
 	}
 }
 
@@ -403,7 +416,9 @@ func TestSharingHistogramAvailability(t *testing.T) {
 func TestManagerInvariantsProperty(t *testing.T) {
 	// Property: under random access streams, resident mappings * span
 	// never exceed device frames, policy and address-space agree, and
-	// Verify mode never trips (content integrity).
+	// the Verify checker never trips (content integrity), at every page
+	// size. Each size has room for a few mappings and a page space four
+	// times larger, so write-backs happen.
 	f := func(ops []uint16, kindRaw, sizeRaw uint8) bool {
 		kind := RegularPT
 		if kindRaw%2 == 1 {
@@ -412,10 +427,15 @@ func TestManagerInvariantsProperty(t *testing.T) {
 		size := sim.Size4k
 		frames := 8
 		pageSpace := sim.PageID(64)
-		if sizeRaw%3 == 1 {
+		switch sizeRaw % 3 {
+		case 1:
 			size = sim.Size64k
 			frames = 64
 			pageSpace = 256
+		case 2:
+			size = sim.Size2M
+			frames = 2 * sim.Span2M
+			pageSpace = 8 * sim.Span2M
 		}
 		m, err := NewManager(Config{
 			Cores: 3, Frames: frames, PageSize: size, Tables: kind, Verify: true,

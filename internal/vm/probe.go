@@ -63,20 +63,20 @@ func (m *Manager) ProbeAccess(core sim.CoreID, vpn sim.PageID) (extra sim.Cycles
 // counter pair, Miss means a successful page walk), the rest provably
 // L1 hits. write reports whether any touch in the run wrote. The TLB
 // mutations were already applied during the probe; this applies the
-// counters and the MMU attribute/data-write bookkeeping.
+// counters and the MMU accessed/dirty bits.
 //
-// One touchBookkeeping call covers the whole run: accessed/dirty bits
-// are idempotent ORs, so folding n touches into one is exact. The
-// device write-order signature advances once per committed run instead
-// of once per write; DESIGN.md §13 argues why that deviation cannot
-// reach any Result field.
+// One touch covers the whole run: accessed/dirty bits are idempotent
+// ORs, so folding n touches into one is exact. Under Config.Verify the
+// Checker sees one store per committed run instead of one per write;
+// it mixes that store into the page's expected content and its frame
+// alike, so the two copies still agree (DESIGN.md §13).
 //
 // book=false skips the bookkeeping walk entirely: the caller asserts an
 // earlier commit of the same speculative run already applied bits at
 // least as strong (engine bursts track this; the bits cannot have
 // weakened in between, because clearing or unmapping them shoots down
 // the core's TLB entry first, which rolls the run back).
-func (m *Manager) CommitTouches(core sim.CoreID, vpn sim.PageID, level tlb.HitLevel, count uint64, write, book bool) {
+func (m *Manager) CommitTouches(core sim.CoreID, vpn sim.PageID, level tlb.HitLevel, count uint64, write, book bool) error {
 	m.run.Add(core, stats.Touches, count)
 	if m.mt != nil {
 		m.mt.ts.Add(m.mt.tenantOf(vpn), stats.TenantTouches, count)
@@ -89,9 +89,10 @@ func (m *Manager) CommitTouches(core sim.CoreID, vpn sim.PageID, level tlb.HitLe
 		m.run.Add(core, stats.DTLBMisses, 1)
 		m.run.Add(core, stats.PageWalks, 1)
 	}
-	if book {
-		m.touchBookkeeping(core, vpn, write)
+	if !book {
+		return nil
 	}
+	return m.touch(core, vpn, write)
 }
 
 // JournalTLB attaches j to core's TLB (see tlb.Journal) and returns
