@@ -317,19 +317,14 @@ func RunExperiment(id string, o ExperimentOptions) (*ExperimentReport, error) {
 func Constraint(workloadName string) float64 { return experiments.Constraint(workloadName) }
 
 // Sweep infrastructure: experiment grids run through a checkpointed,
-// resumable, shardable runner (internal/sweep). ExperimentOptions
-// exposes its knobs (Journal, Imports, Shard/Shards, Progress); the
-// types below let callers observe a sweep and inspect its journals.
-type (
-	// SweepProgress is a thread-safe sweep progress meter; attach one
-	// via ExperimentOptions.Progress and poll Snapshot or String from
-	// any goroutine.
-	SweepProgress = obs.Progress
-	// SweepProgressSnapshot is one consistent progress reading.
-	SweepProgressSnapshot = obs.ProgressSnapshot
-	// SweepEntry is one completed run recorded in a sweep journal.
-	SweepEntry = sweep.Entry
-)
+// resumable runner (internal/sweep). ExperimentOptions exposes its
+// knobs (Parallelism, Repeats, Journal, Progress); a sweep given the
+// journal of an interrupted one re-executes only the runs it lacks.
+
+// SweepProgress is a thread-safe sweep progress meter; attach one via
+// ExperimentOptions.Progress and poll Snapshot or String from any
+// goroutine.
+type SweepProgress = obs.Progress
 
 // NewSweepProgress returns an empty progress meter.
 func NewSweepProgress() *SweepProgress { return obs.NewProgress() }
@@ -338,25 +333,6 @@ func NewSweepProgress() *SweepProgress { return obs.NewProgress() }
 // in sweep journals. A config with a custom Policy.Factory has no
 // stable cross-process identity and is rejected with an error.
 func SweepKey(cfg Config) (string, error) { return sweep.Key(cfg) }
-
-// ReadSweepJournal reads a sweep journal, skipping malformed entry
-// lines (e.g. the torn last line of a killed sweep) and reporting how
-// many were dropped. A missing or mismatched header fails the read.
-func ReadSweepJournal(r io.Reader) ([]SweepEntry, int, error) {
-	return sweep.ReadJournalLenient(r)
-}
-
-// CompactSweepJournal rewrites the journal at path to out, keeping only
-// the last entry per content key, dropping torn lines, and emitting
-// entries in sorted key order — the canonical form: any two journals
-// holding the same runs compact to byte-identical files. path == out
-// compacts in place via atomic rename.
-func CompactSweepJournal(path, out string) (SweepCompactStats, error) {
-	return sweep.CompactJournal(path, out)
-}
-
-// SweepCompactStats reports what CompactSweepJournal kept/dropped.
-type SweepCompactStats = sweep.CompactStats
 
 // Latency histograms: set Config.Hist and the run records log₂
 // distributions of page-fault service time, eviction+write-back

@@ -1,16 +1,13 @@
 // Command cmcpsim drives the CMCP many-core paging simulator in one of
-// three modes:
+// two modes:
 //
 //	cmcpsim -exp fig7 -scale 0.25                 # regenerate a paper figure or table
 //	cmcpsim -run -workload cg.B -cores 56 -ratio 0.4 -policy CMCP -p 0.25
-//	cmcpsim -compact-journal sweep.jsonl          # dedup a sweep journal
 //
 // Experiments: fig6..fig10, table1, sense and all reproduce the paper;
-// tenants is an extension. A sweep runs -parallel simulations
-// at once; long sweeps checkpoint to a -journal and resume from it, or
-// split across processes with -shard i/n and merge with
-// -journal-import. A single -run can record an event trace and time
-// series:
+// tenants is an extension. A sweep runs -parallel simulations at once;
+// a long sweep checkpoints to a -journal and resumes from it. A single
+// -run can record an event trace and time series:
 //
 //	cmcpsim -run -policy CMCP -trace -trace-out run.json -sample-every 100000
 //
@@ -28,7 +25,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"time"
 
@@ -38,22 +34,21 @@ import (
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-// mode is a set of cmcpsim's three exclusive modes of operation.
+// mode is a set of cmcpsim's two exclusive modes of operation.
 type mode uint8
 
 const (
 	modeRun mode = 1 << iota
 	modeExp
-	modeCompact
-	// modeSim is both simulating modes.
+	// modeSim is both modes.
 	modeSim = modeRun | modeExp
 )
 
-var modes = []mode{modeRun, modeExp, modeCompact}
+var modes = []mode{modeRun, modeExp}
 
 func (m mode) String() string {
 	var names []string
-	for i, name := range []string{"-run", "-exp", "-compact-journal"} {
+	for i, name := range []string{"-run", "-exp"} {
 		if m&modes[i] != 0 {
 			names = append(names, name)
 		}
@@ -67,9 +62,7 @@ type plan struct {
 	run  cmcp.Config            // -run: the simulation
 	exp  string                 // -exp: experiment ID
 	opts cmcp.ExperimentOptions // -exp: sweep settings
-	out  output                 // -run and -exp: what to print and write
-	// -compact-journal: input and output journal paths.
-	compactIn, compactOut string
+	out  output                 // what to print and write
 }
 
 // output holds the settings that shape what a simulation emits rather
@@ -84,13 +77,12 @@ type output struct {
 // inputs are the flags that feed more than one plan field or need
 // parsing; resolve folds them into the plan once the mode is known.
 type inputs struct {
-	run                                bool
-	workload, policy, tables, pageSize string
-	engine, shard, imports             string
-	scale, zipfS                       float64
-	seed                               uint64
-	hist                               bool
-	tenants, churn                     int
+	run                                        bool
+	workload, policy, tables, pageSize, engine string
+	scale, zipfS                               float64
+	seed                                       uint64
+	hist                                       bool
+	tenants, churn                             int
 }
 
 // resolver is what the flag table writes into.
@@ -116,7 +108,6 @@ type row struct {
 var (
 	hasTenants = func(r *resolver) bool { return r.in.tenants > 0 }
 	isCMCP     = func(r *resolver) bool { return r.run.Policy.Kind == cmcp.CMCP }
-	unsharded  = func(r *resolver) bool { return r.opts.Shards <= 1 }
 )
 
 // table is every cmcpsim flag.
@@ -124,9 +115,8 @@ var table = []row{
 	// Mode selectors.
 	{"run", false, modeRun, "run a single simulation", func(r *resolver) any { return &r.in.run }, nil, ""},
 	{"exp", "", modeExp, "experiment to regenerate: fig6|fig7|fig8|fig9|fig10|table1|sense|all, or the extension: tenants", func(r *resolver) any { return &r.exp }, nil, ""},
-	{"compact-journal", "", modeCompact, "compact this sweep journal (keep the last entry per key, drop torn lines, sort) and exit", func(r *resolver) any { return &r.compactIn }, nil, ""},
 
-	// What to simulate (-run and -exp).
+	// What to simulate (both modes).
 	{"engine", "serial", modeSim, "simulation engine: serial|parallel (bit-identical results)", func(r *resolver) any { return &r.in.engine }, nil, ""},
 	{"scale", 1.0, modeSim, "workload footprint/work multiplier", func(r *resolver) any { return &r.in.scale },
 		func(r *resolver) bool { return r.in.scale > 0 }, "must be > 0"},
@@ -163,19 +153,11 @@ var table = []row{
 		func(r *resolver) bool { return r.opts.Parallelism >= 0 }, "must be >= 0"},
 	{"repeats", 1, modeExp, "replicate each run under N seeds and average", func(r *resolver) any { return &r.opts.Repeats },
 		func(r *resolver) bool { return r.opts.Repeats >= 1 }, "must be >= 1"},
-	{"csv", false, modeExp, "emit CSV instead of aligned text", func(r *resolver) any { return &r.out.csv },
-		unsharded, "has no output under -shard: a shard's only output is its journal"},
+	{"csv", false, modeExp, "emit CSV instead of aligned text", func(r *resolver) any { return &r.out.csv }, nil, ""},
 	{"plot", false, modeExp, "render numeric tables as ASCII charts too (not with -csv)", func(r *resolver) any { return &r.out.plot },
-		func(r *resolver) bool { return !r.out.csv && unsharded(r) }, "excludes -csv and -shard"},
+		func(r *resolver) bool { return !r.out.csv }, "excludes -csv"},
 	{"progress", false, modeExp, "report sweep progress (runs done/total, runs/s, ETA) on stderr", func(r *resolver) any { return &r.out.progress }, nil, ""},
 	{"journal", "", modeExp, "checkpoint completed runs to this JSONL journal and resume from it", func(r *resolver) any { return &r.opts.Journal }, nil, ""},
-	{"journal-import", "", modeExp, "comma-separated read-only journals to merge (other shards' output)", func(r *resolver) any { return &r.in.imports }, nil, ""},
-	{"shard", "", modeExp, "run only shard i of n, as \"i/n\"; partitions the grid by content key", func(r *resolver) any { return &r.in.shard },
-		func(r *resolver) bool { return r.opts.Journal != "" }, "requires -journal: a shard's only output is its journal"},
-	{"schedule-from", "", modeExp, "order pending runs longest-first using runtimes recorded in this journal (a previous run's -journal)", func(r *resolver) any { return &r.opts.ScheduleFrom }, nil, ""},
-
-	// -compact-journal.
-	{"compact-out", "", modeCompact, "output path (default: compact in place)", func(r *resolver) any { return &r.compactOut }, nil, ""},
 }
 
 // register binds the row's flag to its field in r.
@@ -215,7 +197,7 @@ func resolve(args []string, stderr io.Writer) (*plan, error) {
 		return nil, fmt.Errorf("unexpected argument %q", fs.Arg(0))
 	}
 	var chosen mode
-	for m, on := range map[mode]bool{modeRun: r.in.run, modeExp: r.exp != "", modeCompact: r.compactIn != ""} {
+	for m, on := range map[mode]bool{modeRun: r.in.run, modeExp: r.exp != ""} {
 		if on {
 			chosen |= m
 		}
@@ -223,8 +205,8 @@ func resolve(args []string, stderr io.Writer) (*plan, error) {
 	switch chosen {
 	case 0:
 		fs.Usage()
-		return nil, fmt.Errorf("choose a mode: %v", modeSim|modeCompact)
-	case modeRun, modeExp, modeCompact:
+		return nil, fmt.Errorf("choose a mode: %v", modeSim)
+	case modeRun, modeExp:
 		r.mode = chosen
 	default:
 		return nil, fmt.Errorf("%v: choose only one mode", chosen)
@@ -254,12 +236,6 @@ func resolve(args []string, stderr io.Writer) (*plan, error) {
 // build folds the inputs into the chosen mode's plan fields.
 func (r *resolver) build() error {
 	in := &r.in
-	if r.mode == modeCompact {
-		if r.compactOut == "" {
-			r.compactOut = r.compactIn
-		}
-		return nil
-	}
 	eng, err := cmcp.ParseEngine(in.engine)
 	if err != nil {
 		return fmt.Errorf("-engine: %w", err)
@@ -275,9 +251,7 @@ func (r *resolver) build() error {
 	if r.mode == modeExp {
 		o := &r.opts
 		o.Scale, o.Seed, o.Engine, o.Hist, o.Tenants = in.scale, in.seed, eng, in.hist, tenants
-		o.Imports = splitList(in.imports)
-		o.Shard, o.Shards, err = parseShard(in.shard)
-		return err
+		return nil
 	}
 	c := &r.run
 	c.Seed, c.Engine, c.Hist, c.Tenants = in.seed, eng, in.hist, tenants
@@ -315,49 +289,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "cmcpsim:", err)
 		return 2
 	}
-	switch p.mode {
-	case modeRun:
+	if p.mode == modeRun {
 		err = simulate(p, stdout)
-	case modeExp:
+	} else {
 		err = experiment(p, stdout, stderr)
-	case modeCompact:
-		var st cmcp.SweepCompactStats
-		if st, err = cmcp.CompactSweepJournal(p.compactIn, p.compactOut); err == nil {
-			fmt.Fprintf(stdout, "compacted %s -> %s: %d entries kept, %d duplicates dropped, %d torn lines skipped\n",
-				p.compactIn, p.compactOut, st.Kept, st.Dropped, st.Skipped)
-		}
 	}
 	if err != nil {
 		fmt.Fprintln(stderr, "cmcpsim:", err)
 		return 1
 	}
 	return 0
-}
-
-// parseShard parses "i/n" (e.g. "0/4"); "" means unsharded. The whole
-// string must match: "0/2x" and "1/2/3" are errors.
-func parseShard(s string) (int, int, error) {
-	if s == "" {
-		return 0, 0, nil
-	}
-	is, ns, _ := strings.Cut(s, "/")
-	i, ierr := strconv.Atoi(is)
-	n, nerr := strconv.Atoi(ns)
-	if ierr != nil || nerr != nil || n < 1 || i < 0 || i >= n {
-		return 0, 0, fmt.Errorf("-shard: bad value %q: want \"i/n\" with 0 <= i < n", s)
-	}
-	return i, n, nil
-}
-
-// splitList splits a comma-separated flag value, dropping empties.
-func splitList(s string) []string {
-	var out []string
-	for _, p := range strings.Split(s, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
 }
 
 // experiment runs -exp: each experiment's sweep.
@@ -367,11 +308,8 @@ func experiment(p *plan, stdout, stderr io.Writer) error {
 	if id == "all" {
 		ids = []string{"fig6", "fig8", "fig7", "table1", "fig9", "fig10", "sense"}
 	}
-	sharded := o.Shards > 1
-	if out.progress || sharded {
-		o.Progress = cmcp.NewSweepProgress()
-	}
 	if out.progress {
+		o.Progress = cmcp.NewSweepProgress()
 		// Periodic one-line status on stderr while the sweep grinds.
 		stop := make(chan struct{})
 		defer close(stop)
@@ -394,13 +332,9 @@ func experiment(p *plan, stdout, stderr io.Writer) error {
 		if err != nil {
 			return err
 		}
-		switch {
-		case sharded:
-			// A shard's report is scaffolding full of placeholder rows;
-			// its real output is the journal. Say so instead of printing.
-		case out.csv:
+		if out.csv {
 			fmt.Fprint(stdout, rep.CSV())
-		default:
+		} else {
 			fmt.Fprint(stdout, rep.String())
 			if out.plot {
 				for _, tab := range rep.Tables {
@@ -412,15 +346,8 @@ func experiment(p *plan, stdout, stderr io.Writer) error {
 		}
 		fmt.Fprintf(stderr, "[%s done in %v]\n", one, time.Since(start).Round(time.Millisecond))
 	}
-	if s := o.Progress; s != nil {
-		snap := s.Snapshot()
-		fmt.Fprintf(stderr, "[sweep] %s\n", snap)
-		if sharded {
-			fmt.Fprintf(stderr,
-				"[sweep] shard %d/%d complete: %d runs journaled to %s (%d reused, %d left to other shards)\n"+
-					"[sweep] run the remaining shards, then merge with: -exp %s -journal %s -journal-import <other journals>\n",
-				o.Shard, o.Shards, snap.Executed, o.Journal, snap.Loaded, snap.Missing, id, o.Journal)
-		}
+	if o.Progress != nil {
+		fmt.Fprintf(stderr, "[sweep] %s\n", o.Progress)
 	}
 	return nil
 }

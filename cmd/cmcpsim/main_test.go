@@ -19,13 +19,12 @@ var update = flag.Bool("update", false, "rewrite the output golden files")
 
 // modeArgs is the smallest invocation of each mode.
 var modeArgs = map[mode][]string{
-	modeRun:     {"-run"},
-	modeExp:     {"-exp", "fig7"},
-	modeCompact: {"-compact-journal", "in.jsonl"},
+	modeRun: {"-run"},
+	modeExp: {"-exp", "fig7"},
 }
 
 // selector names the flag that selects each mode.
-var selector = map[mode]string{modeRun: "run", modeExp: "exp", modeCompact: "compact-journal"}
+var selector = map[mode]string{modeRun: "run", modeExp: "exp"}
 
 // probes holds one valid non-default value per flag, plus the flags
 // that make it meaningful (added to both sides of the comparison).
@@ -33,38 +32,33 @@ var probes = map[string]struct {
 	value string
 	with  []string
 }{
-	"run":             {"true", nil},
-	"exp":             {"fig9", nil},
-	"compact-journal": {"other.jsonl", nil},
-	"engine":          {"parallel", nil},
-	"scale":           {"0.5", nil},
-	"seed":            {"7", nil},
-	"tenants":         {"8", nil},
-	"zipf-s":          {"1.5", []string{"-tenants", "8"}},
-	"churn":           {"100", []string{"-tenants", "8"}},
-	"hist":            {"true", nil},
-	"workload":        {"bt.B", nil},
-	"cores":           {"8", nil},
-	"ratio":           {"0.25", nil},
-	"policy":          {"LRU", nil},
-	"p":               {"0.5", nil},
-	"dynamic-p":       {"true", nil},
-	"tables":          {"regular", nil},
-	"pagesize":        {"64k", nil},
-	"trace":           {"true", nil},
-	"trace-out":       {"t.jsonl", []string{"-trace"}},
-	"sample-every":    {"1000", nil},
-	"quick":           {"true", nil},
-	"parallel":        {"2", nil},
-	"repeats":         {"3", nil},
-	"csv":             {"true", nil},
-	"plot":            {"true", nil},
-	"progress":        {"true", nil},
-	"journal":         {"j.jsonl", nil},
-	"journal-import":  {"a.jsonl,b.jsonl", nil},
-	"shard":           {"1/2", []string{"-journal", "j.jsonl"}},
-	"schedule-from":   {"old.jsonl", nil},
-	"compact-out":     {"out.jsonl", nil},
+	"run":          {"true", nil},
+	"exp":          {"fig9", nil},
+	"engine":       {"parallel", nil},
+	"scale":        {"0.5", nil},
+	"seed":         {"7", nil},
+	"tenants":      {"8", nil},
+	"zipf-s":       {"1.5", []string{"-tenants", "8"}},
+	"churn":        {"100", []string{"-tenants", "8"}},
+	"hist":         {"true", nil},
+	"workload":     {"bt.B", nil},
+	"cores":        {"8", nil},
+	"ratio":        {"0.25", nil},
+	"policy":       {"LRU", nil},
+	"p":            {"0.5", nil},
+	"dynamic-p":    {"true", nil},
+	"tables":       {"regular", nil},
+	"pagesize":     {"64k", nil},
+	"trace":        {"true", nil},
+	"trace-out":    {"t.jsonl", []string{"-trace"}},
+	"sample-every": {"1000", nil},
+	"quick":        {"true", nil},
+	"parallel":     {"2", nil},
+	"repeats":      {"3", nil},
+	"csv":          {"true", nil},
+	"plot":         {"true", nil},
+	"progress":     {"true", nil},
+	"journal":      {"j.jsonl", nil},
 }
 
 // names reports whether msg mentions flag as a whole word ("-p", not
@@ -82,8 +76,8 @@ func concat(parts ...[]string) []string {
 }
 
 func TestFlagTable(t *testing.T) {
-	if len(table) != 32 {
-		t.Errorf("table has %d flags, want 32", len(table))
+	if len(table) != 27 {
+		t.Errorf("table has %d flags, want 27", len(table))
 	}
 	var names, probed []string
 	for _, rw := range table {
@@ -189,6 +183,10 @@ func TestInvalidInvocationsFail(t *testing.T) {
 		{"-exp tenants -churn 100", "-churn"},
 		{"-run -serve-grace 1s", "-serve-grace"},
 		{"-exp fig7 -shard 0/2", "-shard"},
+		{"-exp fig7 -journal j.jsonl -shard 0/2", "-shard"},
+		{"-exp fig7 -journal-import a.jsonl", "-journal-import"},
+		{"-exp fig7 -schedule-from a.jsonl", "-schedule-from"},
+		{"-compact-journal a.jsonl", "-compact-journal"},
 		{"-exp fig7 -csv -plot", "-plot"},
 		{"-bench", "-bench"},
 		{"-run -hist true", "true"},
@@ -230,20 +228,6 @@ func TestOutdatedJournalRefused(t *testing.T) {
 	}
 }
 
-func TestParseShard(t *testing.T) {
-	for _, s := range []string{"0/2x", "1/2/3", "2/2", "-1/2", "0/0", "0", "a/b", " 0/2", "0/ 2"} {
-		if _, _, err := parseShard(s); err == nil {
-			t.Errorf("parseShard(%q) accepted", s)
-		}
-	}
-	for s, want := range map[string][2]int{"": {0, 0}, "0/2": {0, 2}, "1/2": {1, 2}, "3/4": {3, 4}} {
-		i, n, err := parseShard(s)
-		if err != nil || i != want[0] || n != want[1] {
-			t.Errorf("parseShard(%q) = %d, %d, %v; want %v", s, i, n, err, want)
-		}
-	}
-}
-
 // documented is every complete cmcpsim invocation in the CI workflow
 // and the README, and nothing else. Each must keep resolving.
 var documented = []string{
@@ -252,9 +236,6 @@ var documented = []string{
 	"-exp fig7 -quick -scale 0.04 -csv",
 	"-exp fig7 -quick -scale 0.04 -csv -journal sweep.jsonl",
 	"-exp fig7 -quick -scale 0.04 -csv -journal sweep.jsonl -progress",
-	"-exp fig7 -quick -scale 0.04 -shard 0/2 -journal s0.jsonl",
-	"-exp fig7 -quick -scale 0.04 -shard 1/2 -journal s1.jsonl",
-	"-exp fig7 -quick -scale 0.04 -csv -journal s0.jsonl -journal-import s1.jsonl",
 	// README.md
 	"-exp all",
 	"-exp fig7 -quick",
@@ -263,10 +244,6 @@ var documented = []string{
 	"-exp table1 -csv",
 	"-run -workload bt.B -cores 56 -ratio 0.62 -policy CMCP -p 0.5 -tables pspt -pagesize 4k",
 	"-exp fig7 -journal fig7.jsonl -progress",
-	"-exp fig7 -shard 0/2 -journal s0.jsonl",
-	"-exp fig7 -shard 1/2 -journal s1.jsonl",
-	"-exp fig7 -journal s0.jsonl -journal-import s1.jsonl",
-	"-compact-journal fig7.jsonl",
 	"-run -policy CMCP -trace -trace-out run.json -sample-every 100000",
 	"-run -policy LRU -trace -trace-out run.jsonl",
 	"-run -policy CMCP -hist",
@@ -373,23 +350,4 @@ func TestOutputGoldens(t *testing.T) {
 	} {
 		golden(t, name, runOK(t, strings.Fields(args)...))
 	}
-
-	// compact_in.jsonl is a table1 journal cut to three entries plus a
-	// duplicate and a torn last line.
-	dir := t.TempDir()
-	in, out := filepath.Join(dir, "in.jsonl"), filepath.Join(dir, "out.jsonl")
-	data, err := os.ReadFile(filepath.Join("testdata", "compact_in.jsonl"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(in, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	stdout := runOK(t, "-compact-journal", in, "-compact-out", out)
-	golden(t, "compact.golden", strings.ReplaceAll(stdout, dir+string(filepath.Separator), ""))
-	compacted, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	golden(t, "compact_out.jsonl", string(compacted))
 }

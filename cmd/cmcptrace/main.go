@@ -12,15 +12,7 @@
 //
 //	cmcptrace -replay run.jsonl -buckets 24
 //
-// And it summarizes sweep journals (the JSONL files that
-// `cmcpsim -exp -journal x.jsonl` checkpoints), showing
-// per-policy/workload totals, the longest runs
-// (what -schedule-from will front-load) and duplicate keys (what
-// -compact-journal will drop):
-//
-//	cmcptrace -journal sweep.jsonl
-//
-// The four modes are exclusive. A stray argument, a flag the chosen
+// The three modes are exclusive. A stray argument, a flag the chosen
 // mode does not read, or an out-of-range value is a usage error (exit
 // 2) that names the flag, never silently ignored.
 package main
@@ -31,13 +23,11 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 
 	"cmcp/internal/core"
 	"cmcp/internal/obs"
 	"cmcp/internal/policy"
 	"cmcp/internal/sim"
-	"cmcp/internal/sweep"
 	"cmcp/internal/trace"
 	"cmcp/internal/workload"
 )
@@ -46,7 +36,7 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 // modes are cmcptrace's exclusive modes, each selected by the flag of
 // the same name.
-var modes = []string{"record", "analyze", "replay", "journal"}
+var modes = []string{"record", "analyze", "replay"}
 
 // flagMode names the one mode that reads each non-selector flag.
 var flagMode = map[string]string{
@@ -64,7 +54,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		record  = fs.Bool("record", false, "record a workload trace")
 		analyze = fs.String("analyze", "", "trace file to analyze")
 		replay  = fs.String("replay", "", "flight-recorder JSONL event trace to render as a timeline")
-		journal = fs.String("journal", "", "sweep journal (JSONL) to summarize: per-workload/policy run counts, runtimes, duplicate keys")
 		buckets = fs.Int("buckets", 20, "with -replay: time buckets, >= 1")
 		wlName  = fs.String("workload", "cg.B", "with -record: workload: bt.B|lu.B|cg.B|SCALE")
 		cores   = fs.Int("cores", 16, "with -record: cores, >= 1")
@@ -87,7 +76,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return usage("unexpected argument %q: flags after it would be ignored", fs.Arg(0))
 	}
 	var chosen []string
-	for i, on := range []bool{*record, *analyze != "", *replay != "", *journal != ""} {
+	for i, on := range []bool{*record, *analyze != "", *replay != ""} {
 		if on {
 			chosen = append(chosen, modes[i])
 		}
@@ -95,7 +84,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	switch len(chosen) {
 	case 0:
 		fs.Usage()
-		return usage("choose a mode: -record, -analyze, -replay or -journal")
+		return usage("choose a mode: -record, -analyze or -replay")
 	case 1:
 	default:
 		return usage("-%s and -%s: choose only one mode", chosen[0], chosen[1])
@@ -135,8 +124,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		err = doAnalyze(stdout, *analyze, *ratio)
 	case "replay":
 		err = doReplay(stdout, *replay, *buckets)
-	case "journal":
-		err = doJournal(stdout, *journal)
 	}
 	if err != nil {
 		fmt.Fprintln(stderr, "cmcptrace:", err)
@@ -218,98 +205,6 @@ func coreSummary(events []obs.Event) string {
 		s += fmt.Sprintf("%8d %10d %10d %12d %16d\n", c, a.faults, a.evictions, a.shootdowns, a.lockWait)
 	}
 	return s
-}
-
-// doJournal summarizes a sweep journal: how many runs it holds, which
-// keys appear more than once (concatenated journals, or one journal
-// appended by overlapping sweeps — the lines `cmcpsim -compact-journal`
-// drops), per policy/workload totals, and the longest runs by recorded
-// runtime — the ones a `-schedule-from` resume will hand out first.
-// The read is lenient for the same reason -replay's is: the journal of
-// a crashed sweep legitimately ends in a torn line, and a live one may
-// end in a half-written one.
-func doJournal(w io.Writer, path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	entries, skipped, err := sweep.ReadJournalLenient(f)
-	if err != nil {
-		return err
-	}
-	if skipped > 0 {
-		fmt.Fprintf(w, "warning: skipped %d malformed line(s) in %s\n\n", skipped, path)
-	}
-	if len(entries) == 0 {
-		fmt.Fprintf(w, "journal %s: empty (header only, or fresh sweep)\n", path)
-		return nil
-	}
-
-	perKey := map[string]int{}
-	type agg struct {
-		runs    int
-		runtime sim.Cycles
-	}
-	perGroup := map[string]*agg{}
-	// Last entry per key wins, matching the sweep's resume and the
-	// compactor's keep rule.
-	last := map[string]sweep.Entry{}
-	for _, e := range entries {
-		perKey[e.Key]++
-		last[e.Key] = e
-	}
-	dups := 0
-	for _, n := range perKey {
-		if n > 1 {
-			dups += n - 1
-		}
-	}
-	var keys []string
-	for k := range last {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		return last[keys[i]].Runtime > last[keys[j]].Runtime
-	})
-	for _, k := range keys {
-		e := last[k]
-		g := fmt.Sprintf("%-10s %s", e.Policy, e.Workload)
-		a := perGroup[g]
-		if a == nil {
-			a = &agg{}
-			perGroup[g] = a
-		}
-		a.runs++
-		a.runtime += e.Runtime
-	}
-
-	fmt.Fprintf(w, "journal %s: %d line(s), %d distinct key(s), %d duplicate line(s) (compaction would drop these)\n\n",
-		path, len(entries), len(last), dups)
-
-	var groups []string
-	for g := range perGroup {
-		groups = append(groups, g)
-	}
-	sort.Strings(groups)
-	fmt.Fprintf(w, "per policy/workload (last entry per key):\n")
-	fmt.Fprintf(w, "  %-24s %6s %16s\n", "policy workload", "runs", "total_cycles")
-	for _, g := range groups {
-		a := perGroup[g]
-		fmt.Fprintf(w, "  %-24s %6d %16d\n", g, a.runs, a.runtime)
-	}
-
-	n := len(keys)
-	if n > 10 {
-		n = 10
-	}
-	fmt.Fprintf(w, "\nlongest runs (a -schedule-from resume hands these out first):\n")
-	fmt.Fprintf(w, "  %14s %-10s %-10s %6s %8s\n", "runtime_cycles", "policy", "workload", "cores", "seed")
-	for _, k := range keys[:n] {
-		e := last[k]
-		fmt.Fprintf(w, "  %14d %-10s %-10s %6d %8d\n", e.Runtime, e.Policy, e.Workload, e.Cores, e.Seed)
-	}
-	return nil
 }
 
 func sortCoreIDs(ids []sim.CoreID) {

@@ -156,7 +156,8 @@ func TestInvalidInvocationsFail(t *testing.T) {
 		{"-analyze t.trace -cores 4", "-cores"},
 		{"-analyze t.trace -o out.trace", "-o"},
 		{"-record -ratio 0.3 -o " + tr, "-ratio"},
-		{"-journal j.jsonl -buckets 5", "-buckets"},
+		{"-analyze t.trace -buckets 5", "-buckets"},
+		{"-journal j.jsonl", "-journal"},
 		{"-replay x.jsonl -workload bt.B", "-workload"},
 	} {
 		var stdout, stderr bytes.Buffer

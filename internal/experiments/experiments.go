@@ -44,14 +44,6 @@ type Options struct {
 	// Journal checkpoints every completed run to a JSONL file and
 	// resumes from it on restart; see sweep.Options.Journal.
 	Journal string
-	// Imports are read-only extra journals (other shards' output).
-	Imports []string
-	// Shard/Shards partition the run grid by content key across
-	// independent processes; see sweep.Options. A sharded invocation
-	// fills the grid points of other shards with inert placeholders,
-	// so callers must treat its report as scaffolding and read only
-	// the journal (cmcpsim suppresses the report and says so).
-	Shard, Shards int
 	// Progress, when non-nil, observes sweep planning and completion
 	// (runs done/total, runs/s, ETA).
 	Progress *obs.Progress
@@ -63,10 +55,6 @@ type Options struct {
 	// config (machine.Config.Hist). Read-only instrumentation: counters
 	// and runtimes are bit-identical either way.
 	Hist bool
-	// ScheduleFrom optionally names a journal from a previous sweep
-	// whose recorded runtimes order pending runs longest-first; see
-	// sweep.Options.ScheduleFrom.
-	ScheduleFrom string
 	// Tenants, when non-nil, selects the multi-tenant serving workload
 	// for experiments that support it (TenantGrid). The paper-figure
 	// experiments model one HPC application per machine and reject a
@@ -209,10 +197,8 @@ func (r *Report) CSV() string {
 
 // run executes one batch of configs through the sweep runner, which
 // handles parallel execution (machine.RunMany), the journal checkpoint/
-// resume cycle, shard partitioning, and Repeats seed-replication with
-// deterministic averaging. Grid points belonging to other shards come
-// back as inert placeholders so every renderer stays total; a sharded
-// caller reads the journal, not the report.
+// resume cycle, and Repeats seed-replication with deterministic
+// averaging. On success every grid point has its result.
 func (o Options) run(cfgs []machine.Config) ([]*machine.Result, error) {
 	if o.Hist || o.Engine != machine.SerialEngine {
 		for i := range cfgs {
@@ -227,22 +213,13 @@ func (o Options) run(cfgs []machine.Config) ([]*machine.Result, error) {
 		}
 	}
 	out, err := sweep.Run(cfgs, sweep.Options{
-		Journal:      o.Journal,
-		Imports:      o.Imports,
-		Shard:        o.Shard,
-		Shards:       o.Shards,
-		Parallelism:  o.Parallelism,
-		Repeats:      o.Repeats,
-		Progress:     o.Progress,
-		ScheduleFrom: o.ScheduleFrom,
+		Journal:     o.Journal,
+		Parallelism: o.Parallelism,
+		Repeats:     o.Repeats,
+		Progress:    o.Progress,
 	})
 	if err != nil {
 		return nil, err
-	}
-	for i, r := range out.Results {
-		if r == nil {
-			out.Results[i] = sweep.Placeholder(cfgs[i])
-		}
 	}
 	return out.Results, nil
 }

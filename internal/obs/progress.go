@@ -20,7 +20,6 @@ type Progress struct {
 	total    int
 	executed int
 	loaded   int
-	missing  int
 }
 
 // NewProgress returns a meter whose clock starts at the first AddTotal.
@@ -53,25 +52,16 @@ func (p *Progress) NoteLoaded(n int) {
 	p.mu.Unlock()
 }
 
-// NoteMissing records n runs that belong to other shards and were not
-// found in any journal — work this process deliberately left undone.
-func (p *Progress) NoteMissing(n int) {
-	p.mu.Lock()
-	p.missing += n
-	p.mu.Unlock()
-}
-
 // ProgressSnapshot is one consistent reading of a Progress meter.
 type ProgressSnapshot struct {
-	// Total is the number of runs the sweep wants overall.
+	// Total is the number of distinct runs the sweep wants overall: a
+	// grid point that recurs is one run (the sweep runner counts
+	// content keys).
 	Total int
 	// Executed is how many this process simulated itself.
 	Executed int
 	// Loaded is how many were reused from journals.
 	Loaded int
-	// Missing is how many belong to other shards (absent from every
-	// journal seen so far).
-	Missing int
 	// Elapsed is the wall time since the meter started.
 	Elapsed time.Duration
 	// RunsPerSec is the execution rate (journal loads excluded: they
@@ -79,8 +69,8 @@ type ProgressSnapshot struct {
 	// until this process has executed at least one run — a rate
 	// extrapolated from zero completions is undefined, not infinite.
 	RunsPerSec float64
-	// ETA projects the remaining wall time for the runs this process
-	// still owns, at the current execution rate; zero when unknowable
+	// ETA projects the remaining wall time for the runs still to
+	// execute, at the current execution rate; zero when unknowable
 	// (in particular, always zero before the first executed run).
 	ETA time.Duration
 }
@@ -96,14 +86,13 @@ func (p *Progress) Snapshot() ProgressSnapshot {
 		Total:    p.total,
 		Executed: p.executed,
 		Loaded:   p.loaded,
-		Missing:  p.missing,
 	}
 	if !p.start.IsZero() {
 		s.Elapsed = time.Since(p.start)
 	}
 	if s.Elapsed > 0 && p.executed > 0 {
 		s.RunsPerSec = float64(p.executed) / s.Elapsed.Seconds()
-		remaining := p.total - p.executed - p.loaded - p.missing
+		remaining := p.total - p.executed - p.loaded
 		if remaining > 0 {
 			s.ETA = time.Duration(float64(remaining) / s.RunsPerSec * float64(time.Second)).Round(time.Second)
 		}
@@ -127,9 +116,6 @@ func (s ProgressSnapshot) String() string {
 	}
 	if s.Loaded > 0 {
 		out += fmt.Sprintf(" (%d journaled)", s.Loaded)
-	}
-	if s.Missing > 0 {
-		out += fmt.Sprintf(" (%d in other shards)", s.Missing)
 	}
 	return out
 }

@@ -14,7 +14,6 @@ func TestProgressCounts(t *testing.T) {
 	p.AddTotal(10)
 	p.AddTotal(10) // multi-batch experiments announce grids incrementally
 	p.NoteLoaded(3)
-	p.NoteMissing(2)
 
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
@@ -27,7 +26,7 @@ func TestProgressCounts(t *testing.T) {
 	wg.Wait()
 
 	s := p.Snapshot()
-	if s.Total != 20 || s.Executed != 4 || s.Loaded != 3 || s.Missing != 2 {
+	if s.Total != 20 || s.Executed != 4 || s.Loaded != 3 {
 		t.Fatalf("snapshot = %+v", s)
 	}
 	if s.Done() != 7 {
@@ -38,7 +37,7 @@ func TestProgressCounts(t *testing.T) {
 	}
 
 	str := s.String()
-	for _, frag := range []string{"7/20 runs", "(3 journaled)", "(2 in other shards)"} {
+	for _, frag := range []string{"7/20 runs", "(3 journaled)"} {
 		if !strings.Contains(str, frag) {
 			t.Errorf("String() = %q, missing %q", str, frag)
 		}
@@ -89,7 +88,6 @@ func TestProgressHammer(t *testing.T) {
 				p.AddTotal(3)
 				p.NoteExecuted()
 				p.NoteLoaded(1)
-				p.NoteMissing(1)
 				snap := p.Snapshot()
 				if snap.Done() > snap.Total {
 					t.Errorf("torn snapshot: done %d > total %d", snap.Done(), snap.Total)
@@ -103,8 +101,8 @@ func TestProgressHammer(t *testing.T) {
 	wg.Wait()
 	s := p.Snapshot()
 	n := workers * iters
-	if s.Total != 3*n || s.Executed != n || s.Loaded != n || s.Missing != n {
-		t.Fatalf("lost updates: %+v (want total=%d executed=loaded=missing=%d)", s, 3*n, n)
+	if s.Total != 3*n || s.Executed != n || s.Loaded != n {
+		t.Fatalf("lost updates: %+v (want total=%d executed=loaded=%d)", s, 3*n, n)
 	}
 	if s.RunsPerSec <= 0 {
 		t.Errorf("RunsPerSec = %v after %d executed runs", s.RunsPerSec, n)

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"io"
 
 	"cmcp/internal/machine"
 	"cmcp/internal/sim"
@@ -23,8 +22,8 @@ const keyVersion = 3
 
 // ErrCustomFactory is the error Key returns for a config whose policy
 // is a custom Policy.Factory. A function value has no identity that
-// survives serialization, so such a run cannot be journaled, resumed or
-// sharded; sweep a built-in PolicyKind instead.
+// survives serialization, so such a run cannot be journaled or resumed;
+// sweep a built-in PolicyKind instead.
 var ErrCustomFactory = errors.New("sweep: custom Policy.Factory configs cannot be content-keyed (a function value has no stable cross-process identity); use a built-in PolicyKind")
 
 // machine.Config is almost JSON: the one exception is Policy.Factory, a
@@ -77,8 +76,7 @@ func toWire(cfg machine.Config) (configWire, error) {
 // JSON encoding of toWire(cfg). Every exported Config field therefore
 // reaches the key with no hand-kept list, and two Configs share a key
 // iff they describe the same deterministic run — which is what lets a
-// journal replace re-execution and lets shards partition a grid with no
-// coordination.
+// journal replace re-execution.
 //
 // Three fields are left out because they never change a Result: Engine
 // (the parallel engine is bit-identical to serial), and the read-only
@@ -100,17 +98,4 @@ func Key(cfg machine.Config) (string, error) {
 	fmt.Fprintf(h, "cmcp-key/v%d\n", keyVersion)
 	h.Write(data)
 	return fmt.Sprintf("%016x", h.Sum64()), nil
-}
-
-// ShardOf assigns a key to one of n shards: an independent hash of the
-// key string, modulo n. The grid's keys spread uniformly, so n CI jobs
-// each running ShardOf(key)==i split one sweep evenly with no
-// coordination — the assignment is a pure function of (key, n).
-func ShardOf(key string, n int) int {
-	if n <= 1 {
-		return 0
-	}
-	h := fnv.New32a()
-	io.WriteString(h, key)
-	return int(h.Sum32() % uint32(n))
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"cmcp/internal/machine"
+	"cmcp/internal/obs"
 	"cmcp/internal/sim"
 	"cmcp/internal/stats"
 	"cmcp/internal/vm"
@@ -102,44 +103,6 @@ func TestKeyDeterministicAndSensitive(t *testing.T) {
 	}
 }
 
-func TestShardOfPartitions(t *testing.T) {
-	var keys []string
-	for seed := uint64(0); seed < 64; seed++ {
-		k, err := Key(testCfg(seed))
-		if err != nil {
-			t.Fatal(err)
-		}
-		keys = append(keys, k)
-	}
-	for _, n := range []int{1, 2, 3, 5} {
-		counts := make([]int, n)
-		for _, k := range keys {
-			s := ShardOf(k, n)
-			if s < 0 || s >= n {
-				t.Fatalf("ShardOf(%q, %d) = %d, out of range", k, n, s)
-			}
-			if s != ShardOf(k, n) {
-				t.Fatalf("ShardOf(%q, %d) not deterministic", k, n)
-			}
-			counts[s]++ // disjoint and covering: each key lands exactly once
-		}
-		if n > 1 {
-			empty := 0
-			for _, c := range counts {
-				if c == 0 {
-					empty++
-				}
-			}
-			if empty == n-1 {
-				t.Errorf("n=%d: all 64 keys on one shard: %v", n, counts)
-			}
-		}
-	}
-	if ShardOf("abc", 0) != 0 || ShardOf("abc", 1) != 0 {
-		t.Error("n<=1 must map everything to shard 0")
-	}
-}
-
 func TestResumeBitIdentical(t *testing.T) {
 	cfgs := grid()
 	opts := func() Options { return Options{Parallelism: 2, Repeats: 2} }
@@ -168,12 +131,12 @@ func TestResumeBitIdentical(t *testing.T) {
 
 	// Resume over the full grid: the journaled replicates load, the torn
 	// line costs one skip, and the merged output matches the
-	// uninterrupted reference bit for bit. The counts reflect replicate
-	// dedup: Repeats=2 expands seed-1 and seed-2 grid points to seed
+	// uninterrupted reference bit for bit. The counts are of distinct
+	// runs: Repeats=2 expands seed-1 and seed-2 grid points to seed
 	// sets {1,2} and {2,3}, so the seed-2 run is shared — per policy
 	// there are 3 unique runs covering 4 slots. cfgs[0]'s journal holds
-	// FIFO seeds {1,2}, which satisfies 3 of the FIFO slots; the other
-	// 4 unique runs (FIFO@3, CMCP@{1,2,3}) execute.
+	// FIFO seeds {1,2}, which load; the other 4 unique runs (FIFO@3,
+	// CMCP@{1,2,3}) execute.
 	out, err := Run(cfgs, o)
 	if err != nil {
 		t.Fatal(err)
@@ -181,79 +144,28 @@ func TestResumeBitIdentical(t *testing.T) {
 	if out.SkippedLines != 1 {
 		t.Errorf("SkippedLines = %d, want 1", out.SkippedLines)
 	}
-	if out.Loaded != 3 {
-		t.Errorf("Loaded = %d, want 3 (cfgs[0]'s replicates, one shared)", out.Loaded)
+	if out.Loaded != 2 {
+		t.Errorf("Loaded = %d, want 2 (cfgs[0]'s replicates)", out.Loaded)
 	}
 	if out.Executed != 4 {
 		t.Errorf("Executed = %d, want 4", out.Executed)
-	}
-	if out.Missing != 0 {
-		t.Errorf("Missing = %d, want 0", out.Missing)
 	}
 	if !reflect.DeepEqual(out.Results, ref.Results) {
 		t.Fatal("resumed sweep differs from uninterrupted sweep")
 	}
 
-	// A third run satisfies every slot from the journal.
+	// A third run satisfies every slot from the journal: all 6 unique
+	// runs load.
 	again, err := Run(cfgs, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if again.Executed != 0 || again.Loaded != len(cfgs)*2 {
-		t.Errorf("full resume executed %d, loaded %d, want 0 and %d",
-			again.Executed, again.Loaded, len(cfgs)*2)
+	if again.Executed != 0 || again.Loaded != 6 {
+		t.Errorf("full resume executed %d, loaded %d, want 0 and 6",
+			again.Executed, again.Loaded)
 	}
 	if !reflect.DeepEqual(again.Results, ref.Results) {
 		t.Fatal("journal-only sweep differs from uninterrupted sweep")
-	}
-}
-
-func TestShardsSplitAndMerge(t *testing.T) {
-	cfgs := grid()
-	ref, err := Run(cfgs, Options{Parallelism: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	dir := t.TempDir()
-	j0 := filepath.Join(dir, "shard0.jsonl")
-	j1 := filepath.Join(dir, "shard1.jsonl")
-	out0, err := Run(cfgs, Options{Journal: j0, Shard: 0, Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out1, err := Run(cfgs, Options{Journal: j1, Shard: 1, Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := out0.Executed + out1.Executed; got != len(cfgs) {
-		t.Fatalf("shards executed %d+%d runs, want %d total", out0.Executed, out1.Executed, len(cfgs))
-	}
-	// Each shard leaves the other's grid points nil and counts them.
-	if out0.Missing != out1.Executed || out1.Missing != out0.Executed {
-		t.Errorf("missing counts %d/%d do not mirror executed %d/%d",
-			out0.Missing, out1.Missing, out0.Executed, out1.Executed)
-	}
-
-	// The merge invocation imports both journals and executes nothing.
-	merged, err := Run(cfgs, Options{Imports: []string{j0, j1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if merged.Executed != 0 {
-		t.Errorf("merge executed %d runs, want 0", merged.Executed)
-	}
-	if merged.Loaded != len(cfgs) {
-		t.Errorf("merge loaded %d runs, want %d", merged.Loaded, len(cfgs))
-	}
-	if !reflect.DeepEqual(merged.Results, ref.Results) {
-		t.Fatal("sharded merge differs from unsharded sweep")
-	}
-}
-
-func TestRunShardOutOfRange(t *testing.T) {
-	if _, err := Run(grid(), Options{Shard: 3, Shards: 2}); err == nil {
-		t.Fatal("shard 3/2 accepted")
 	}
 }
 
@@ -268,6 +180,32 @@ func TestDuplicateGridPointsRunOnce(t *testing.T) {
 	}
 	if !reflect.DeepEqual(out.Results[0], out.Results[1]) || !reflect.DeepEqual(out.Results[0], out.Results[2]) {
 		t.Error("duplicate grid points got different results")
+	}
+}
+
+// TestProgressCountsDistinctKeys pins that a sweep's progress reaches
+// its total when the grid repeats a point: a duplicated config and a
+// replicate seed shared by neighbouring grid points are one run each,
+// so Total, Executed and Loaded all count distinct content keys, on a
+// fresh sweep and on a resume from its journal.
+func TestProgressCountsDistinctKeys(t *testing.T) {
+	// Repeats=2 expands seeds {1,2}, {1,2} and {2,3}: 6 slots, 3 keys.
+	cfgs := []machine.Config{testCfg(1), testCfg(1), testCfg(2)}
+	const distinct = 3
+	j := filepath.Join(t.TempDir(), "dup.jsonl")
+	for _, pass := range []string{"fresh", "resumed"} {
+		p := obs.NewProgress()
+		out, err := Run(cfgs, Options{Journal: j, Repeats: 2, Progress: p})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := p.Snapshot()
+		if s.Total != distinct || s.Done() != s.Total {
+			t.Errorf("%s sweep: progress %q, want %d/%d runs", pass, s, distinct, distinct)
+		}
+		if out.Executed+out.Loaded != distinct {
+			t.Errorf("%s sweep: executed %d + loaded %d, want %d", pass, out.Executed, out.Loaded, distinct)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -83,7 +84,7 @@ func TestRoundTripProperty(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 50, Rand: rand.New(rand.NewSource(117))}); err != nil {
 		t.Error(err)
 	}
 }
@@ -210,7 +211,7 @@ func TestOPTMatchesBruteForce(t *testing.T) {
 		}
 		return res.Faults == referenceOPT(refs, capacity)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 120, Rand: rand.New(rand.NewSource(118))}); err != nil {
 		t.Error(err)
 	}
 }
