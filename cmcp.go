@@ -256,8 +256,9 @@ func NewFIFOPolicy() Policy { return policy.NewFIFO() }
 // NewLRUPolicy builds a standalone Linux-style LRU instance.
 func NewLRUPolicy(host PolicyHost) Policy { return policy.NewLRU(host) }
 
-// Offline trace analysis (record a workload's access stream, replay it,
-// and compare online policies against Belady's clairvoyant optimum).
+// Offline trace analysis (capture a workload's access stream, replay it
+// through policies, and compare them against Belady's clairvoyant
+// optimum).
 type (
 	// Trace is a recorded page-access stream.
 	Trace = trace.Trace
@@ -419,13 +420,9 @@ const (
 // NewRecorder builds a flight recorder to attach via Config.Probe.
 func NewRecorder(cfg RecorderConfig) *Recorder { return obs.NewRecorder(cfg) }
 
-// WriteTraceJSONL exports recorded events as JSON Lines.
-func WriteTraceJSONL(w io.Writer, events []TraceEvent) error { return obs.WriteJSONL(w, events) }
-
 // WriteTraceJSONLWithMeta exports recorded events as JSON Lines behind
 // a metadata header carrying the recorder's drop count, from which
-// cmcptrace -replay detects an overflowed ring. Older readers skip the
-// header line.
+// cmcpsim -replay detects an overflowed ring.
 func WriteTraceJSONLWithMeta(w io.Writer, events []TraceEvent, dropped uint64) error {
 	return obs.WriteJSONLWithMeta(w, events, dropped)
 }

@@ -1,8 +1,10 @@
 // Command cmcpsim drives the CMCP many-core paging simulator in one of
-// two modes:
+// four modes:
 //
 //	cmcpsim -exp fig7 -scale 0.25                 # regenerate a paper figure or table
 //	cmcpsim -run -workload cg.B -cores 56 -ratio 0.4 -policy CMCP -p 0.25
+//	cmcpsim -analyze -workload cg.B -cores 16 -ratio 0.4
+//	cmcpsim -replay run.jsonl -buckets 24
 //
 // Experiments: fig6..fig10, table1, sense and all reproduce the paper;
 // tenants is an extension. A sweep runs -parallel simulations at once;
@@ -10,6 +12,12 @@
 // -run can record an event trace and time series:
 //
 //	cmcpsim -run -policy CMCP -trace -trace-out run.json -sample-every 100000
+//
+// -analyze captures the workload's page-access trace in memory and
+// compares the online policies' fault counts with Belady's optimal
+// (MIN), the clairvoyant lower bound, at the capacity -run would
+// simulate. -replay renders a JSONL event trace that -run recorded as a
+// bucketed text timeline plus a per-core table.
 //
 // Every flag is one row of a table that names the modes it applies to.
 // A flag given in another mode, an out-of-range value, or a flag given
@@ -25,30 +33,41 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
 	"cmcp"
+	"cmcp/internal/core"
+	"cmcp/internal/machine"
+	"cmcp/internal/obs"
 	"cmcp/internal/plot"
+	"cmcp/internal/policy"
+	"cmcp/internal/sim"
+	"cmcp/internal/trace"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-// mode is a set of cmcpsim's two exclusive modes of operation.
+// mode is a set of cmcpsim's four exclusive modes of operation.
 type mode uint8
 
 const (
 	modeRun mode = 1 << iota
 	modeExp
-	// modeSim is both modes.
+	modeAnalyze
+	modeReplay
+	// modeSim is the two modes that simulate.
 	modeSim = modeRun | modeExp
+	// modeAll is every mode.
+	modeAll = modeSim | modeAnalyze | modeReplay
 )
 
-var modes = []mode{modeRun, modeExp}
+var modes = []mode{modeRun, modeExp, modeAnalyze, modeReplay}
 
 func (m mode) String() string {
 	var names []string
-	for i, name := range []string{"-run", "-exp"} {
+	for i, name := range []string{"-run", "-exp", "-analyze", "-replay"} {
 		if m&modes[i] != 0 {
 			names = append(names, name)
 		}
@@ -58,11 +77,13 @@ func (m mode) String() string {
 
 // plan is one resolved invocation: everything the chosen mode does.
 type plan struct {
-	mode mode
-	run  cmcp.Config            // -run: the simulation
-	exp  string                 // -exp: experiment ID
-	opts cmcp.ExperimentOptions // -exp: sweep settings
-	out  output                 // what to print and write
+	mode    mode
+	run     cmcp.Config            // -run: the simulation; -analyze: the machine it bounds
+	exp     string                 // -exp: experiment ID
+	opts    cmcp.ExperimentOptions // -exp: sweep settings
+	replay  string                 // -replay: JSONL event trace to render
+	buckets int                    // -replay: timeline rows
+	out     output                 // what to print and write
 }
 
 // output holds the settings that shape what a simulation emits rather
@@ -77,7 +98,7 @@ type output struct {
 // inputs are the flags that feed more than one plan field or need
 // parsing; resolve folds them into the plan once the mode is known.
 type inputs struct {
-	run                                        bool
+	run, analyze                               bool
 	workload, policy, tables, pageSize, engine string
 	scale, zipfS                               float64
 	seed                                       uint64
@@ -115,12 +136,14 @@ var table = []row{
 	// Mode selectors.
 	{"run", false, modeRun, "run a single simulation", func(r *resolver) any { return &r.in.run }, nil, ""},
 	{"exp", "", modeExp, "experiment to regenerate: fig6|fig7|fig8|fig9|fig10|table1|sense|all, or the extension: tenants", func(r *resolver) any { return &r.exp }, nil, ""},
+	{"analyze", false, modeAnalyze, "compare online policies' fault counts with Belady's OPT on the workload's access trace", func(r *resolver) any { return &r.in.analyze }, nil, ""},
+	{"replay", "", modeReplay, "JSONL event trace (from -run -trace) to render as a timeline", func(r *resolver) any { return &r.replay }, nil, ""},
 
-	// What to simulate (both modes).
+	// What to simulate.
 	{"engine", "serial", modeSim, "simulation engine: serial|parallel (bit-identical results)", func(r *resolver) any { return &r.in.engine }, nil, ""},
-	{"scale", 1.0, modeSim, "workload footprint/work multiplier", func(r *resolver) any { return &r.in.scale },
+	{"scale", 1.0, modeSim | modeAnalyze, "workload footprint/work multiplier", func(r *resolver) any { return &r.in.scale },
 		func(r *resolver) bool { return r.in.scale > 0 }, "must be > 0"},
-	{"seed", uint64(42), modeSim, "random seed", func(r *resolver) any { return &r.in.seed }, nil, ""},
+	{"seed", uint64(42), modeSim | modeAnalyze, "random seed", func(r *resolver) any { return &r.in.seed }, nil, ""},
 	{"tenants", 0, modeSim, "simulate N tenant address spaces contending for the frame pool (0 = single-tenant -workload run; with -exp, only the tenants experiment accepts it)", func(r *resolver) any { return &r.in.tenants },
 		func(r *resolver) bool { return r.in.tenants >= 0 }, "must be >= 0"},
 	{"zipf-s", 1.1, modeSim, "with -tenants: Zipfian tenant-popularity exponent (higher = more skew)", func(r *resolver) any { return &r.in.zipfS },
@@ -129,12 +152,12 @@ var table = []row{
 		func(r *resolver) bool { return hasTenants(r) && r.in.churn >= 0 }, "requires -tenants > 0 and must be >= 0"},
 	{"hist", false, modeSim, "record latency/fan-out histograms (read-only; counters stay bit-identical)", func(r *resolver) any { return &r.in.hist }, nil, ""},
 
-	// -run: one machine.
-	{"workload", "SCALE", modeRun, "workload: bt.B|lu.B|cg.B|SCALE", func(r *resolver) any { return &r.in.workload },
+	// -run (and the machine -analyze bounds): one machine.
+	{"workload", "SCALE", modeRun | modeAnalyze, "workload: bt.B|lu.B|cg.B|SCALE", func(r *resolver) any { return &r.in.workload },
 		func(r *resolver) bool { return r.in.tenants == 0 }, "is replaced by the tenant spec under -tenants"},
-	{"cores", 56, modeRun, "application cores", func(r *resolver) any { return &r.run.Cores },
+	{"cores", 56, modeRun | modeAnalyze, "application cores", func(r *resolver) any { return &r.run.Cores },
 		func(r *resolver) bool { return r.run.Cores >= 1 }, "must be >= 1"},
-	{"ratio", 0.5, modeRun, "device memory as a fraction of the footprint, in (0, 1]", func(r *resolver) any { return &r.run.MemoryRatio },
+	{"ratio", 0.5, modeRun | modeAnalyze, "device memory as a fraction of the footprint, in (0, 1]", func(r *resolver) any { return &r.run.MemoryRatio },
 		func(r *resolver) bool { return r.run.MemoryRatio > 0 && r.run.MemoryRatio <= 1 }, "must be in (0, 1]"},
 	{"policy", "CMCP", modeRun, "policy: FIFO|LRU|CMCP|CLOCK|LFU|Random", func(r *resolver) any { return &r.in.policy }, nil, ""},
 	{"p", -1.0, modeRun, "with -policy CMCP: prioritized-pages ratio in [0, 1] (-1 = default)", func(r *resolver) any { return &r.run.Policy.P },
@@ -158,6 +181,10 @@ var table = []row{
 		func(r *resolver) bool { return !r.out.csv }, "excludes -csv"},
 	{"progress", false, modeExp, "report sweep progress (runs done/total, runs/s, ETA) on stderr", func(r *resolver) any { return &r.out.progress }, nil, ""},
 	{"journal", "", modeExp, "checkpoint completed runs to this JSONL journal and resume from it", func(r *resolver) any { return &r.opts.Journal }, nil, ""},
+
+	// -replay: the timeline.
+	{"buckets", 20, modeReplay, "timeline rows (time buckets)", func(r *resolver) any { return &r.buckets },
+		func(r *resolver) bool { return r.buckets >= 1 }, "must be >= 1"},
 }
 
 // register binds the row's flag to its field in r.
@@ -197,20 +224,19 @@ func resolve(args []string, stderr io.Writer) (*plan, error) {
 		return nil, fmt.Errorf("unexpected argument %q", fs.Arg(0))
 	}
 	var chosen mode
-	for m, on := range map[mode]bool{modeRun: r.in.run, modeExp: r.exp != ""} {
+	for m, on := range map[mode]bool{modeRun: r.in.run, modeExp: r.exp != "", modeAnalyze: r.in.analyze, modeReplay: r.replay != ""} {
 		if on {
 			chosen |= m
 		}
 	}
-	switch chosen {
-	case 0:
+	switch {
+	case chosen == 0:
 		fs.Usage()
-		return nil, fmt.Errorf("choose a mode: %v", modeSim)
-	case modeRun, modeExp:
-		r.mode = chosen
-	default:
+		return nil, fmt.Errorf("choose a mode: %v", modeAll)
+	case chosen&(chosen-1) != 0:
 		return nil, fmt.Errorf("%v: choose only one mode", chosen)
 	}
+	r.mode = chosen
 	var given []*flag.Flag
 	fs.Visit(func(f *flag.Flag) { given = append(given, f) })
 	for _, f := range given {
@@ -248,11 +274,15 @@ func (r *resolver) build() error {
 		}
 		tenants = &spec
 	}
-	if r.mode == modeExp {
+	switch r.mode {
+	case modeReplay:
+		return nil
+	case modeExp:
 		o := &r.opts
 		o.Scale, o.Seed, o.Engine, o.Hist, o.Tenants = in.scale, in.seed, eng, in.hist, tenants
 		return nil
 	}
+	// -run and -analyze: one machine.
 	c := &r.run
 	c.Seed, c.Engine, c.Hist, c.Tenants = in.seed, eng, in.hist, tenants
 	if tenants == nil {
@@ -289,10 +319,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "cmcpsim:", err)
 		return 2
 	}
-	if p.mode == modeRun {
+	switch p.mode {
+	case modeRun:
 		err = simulate(p, stdout)
-	} else {
+	case modeExp:
 		err = experiment(p, stdout, stderr)
+	case modeAnalyze:
+		err = analyze(p.run, stdout)
+	case modeReplay:
+		err = replay(stdout, p.replay, p.buckets)
 	}
 	if err != nil {
 		fmt.Fprintln(stderr, "cmcpsim:", err)
@@ -435,8 +470,8 @@ func writeTrace(rec *cmcp.Recorder, out output, cores int, stdout io.Writer) err
 		switch {
 		case strings.HasSuffix(out.traceOut, ".jsonl"):
 			// The meta header carries the drop count into the file, so
-			// cmcptrace -replay can warn that the ring overflowed
-			// instead of presenting a truncated trace as complete.
+			// -replay can warn that the ring overflowed instead of
+			// presenting a truncated trace as complete.
 			err = cmcp.WriteTraceJSONLWithMeta(f, events, rec.Dropped())
 		default:
 			err = cmcp.WriteChromeTrace(f, events, rec.Samples(), cores)
@@ -466,6 +501,130 @@ func writeTrace(rec *cmcp.Recorder, out output, cores int, stdout io.Writer) err
 		fmt.Fprintf(stdout, "samples       %d points -> %s\n", len(rec.Samples()), csvOut)
 	}
 	return nil
+}
+
+// analyze runs -analyze: it captures the workload's access trace in
+// canonical round-robin order and prints the fault counts of Belady's
+// OPT and of online policies replayed with perfect reference
+// information, at the frame count a -run of the same flags simulates.
+func analyze(cfg cmcp.Config, w io.Writer) error {
+	layout, err := cfg.Workload.Build(cfg.Cores)
+	if err != nil {
+		return err
+	}
+	tr := trace.Capture(layout, cfg.Seed)
+	capacity := machine.Frames(layout.TotalPages, cfg.MemoryRatio, sim.Size4k)
+	fmt.Fprintf(w, "trace: %d accesses, %d cores, %d pages; capacity %d pages (%.0f%%)\n\n",
+		len(tr.Records), tr.Cores, layout.TotalPages, capacity, cfg.MemoryRatio*100)
+
+	opt, err := trace.OPT(tr, capacity, sim.Size4k)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "  %-22s %9d faults (%.2f%% of accesses)  [lower bound]\n",
+		"OPT (Belady/MIN)", opt.Faults, 100*opt.FaultRatio())
+
+	for _, pc := range []struct {
+		name string
+		pol  trace.CountingPolicy
+	}{
+		{"FIFO", policy.NewFIFO()},
+		{"true LRU (oracle refs)", trace.NewTrueLRU()},
+		{"CMCP (p=0.5)", core.New(traceHost{}, capacity, core.WithP(0.5))},
+		{"Random", policy.NewRandom(1)},
+	} {
+		faults, err := trace.CountFaults(tr, capacity, sim.Size4k, pc.pol)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "  %-22s %9d faults (%.2f%% of accesses, %.2fx OPT)\n",
+			pc.name, faults, 100*float64(faults)/float64(opt.Accesses),
+			float64(faults)/float64(opt.Faults))
+	}
+	fmt.Fprintln(w, "\nNote: fault counts ignore TLB shootdown costs — the very costs")
+	fmt.Fprintln(w, "that make LRU lose at runtime despite its low fault count.")
+	return nil
+}
+
+// traceHost serves the offline replay: no real PSPT exists, so the
+// core-map count is unknown (CMCP falls back to count 1) and access
+// bits always read as recently-used for LRU's scanner.
+type traceHost struct{}
+
+func (traceHost) CoreMapCount(sim.PageID) int  { return -1 }
+func (traceHost) ScanAccessed(sim.PageID) bool { return true }
+
+// replay runs -replay: it loads a JSONL event trace and writes the
+// bucketed text timeline plus a per-core activity summary to w.
+// Malformed or truncated lines are skipped and counted, not fatal.
+func replay(w io.Writer, path string, buckets int) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	events, meta, skipped, err := obs.ReadJSONLMeta(f)
+	if err != nil {
+		return err
+	}
+	if skipped > 0 {
+		fmt.Fprintf(w, "warning: skipped %d malformed line(s) in %s\n\n", skipped, path)
+	}
+	if meta != nil {
+		// The recorder's ring is bounded: a trace that overflowed it is
+		// a sample, not a record, and the timeline below under-counts.
+		if meta.Dropped > 0 {
+			fmt.Fprintf(w, "warning: recorder dropped %d event(s) (ring full); timeline is incomplete\n\n", meta.Dropped)
+		}
+		if got := len(events); meta.Events != got {
+			fmt.Fprintf(w, "warning: header promises %d events but %d were read; trace is truncated\n\n", meta.Events, got)
+		}
+	}
+	fmt.Fprint(w, obs.Timeline(events, buckets))
+	fmt.Fprint(w, coreSummary(events))
+	return nil
+}
+
+// coreSummary renders per-core event totals: which cores faulted,
+// evicted and were interrupted — the skew picture the aggregate
+// tables hide.
+func coreSummary(events []obs.Event) string {
+	type agg struct {
+		faults, evictions, shootdowns, lockWait uint64
+	}
+	perCore := map[sim.CoreID]*agg{}
+	for _, e := range events {
+		if e.Core == obs.PolicyCore {
+			continue // promotions/demotions already shown in the timeline
+		}
+		a := perCore[e.Core]
+		if a == nil {
+			a = &agg{}
+			perCore[e.Core] = a
+		}
+		switch e.Type {
+		case obs.EvFault, obs.EvMinorFault:
+			a.faults++
+		case obs.EvEviction:
+			a.evictions++
+		case obs.EvShootdown:
+			a.shootdowns += uint64(e.Arg)
+		case obs.EvLockWait:
+			a.lockWait += uint64(e.Arg)
+		}
+	}
+	var ids []sim.CoreID
+	for c := range perCore {
+		ids = append(ids, c)
+	}
+	slices.Sort(ids)
+	s := "\nper-core activity (faults include minor; shootdowns count target cores):\n"
+	s += fmt.Sprintf("%8s %10s %10s %12s %16s\n", "core", "faults", "evictions", "shootdowns", "lock_wait_cyc")
+	for _, c := range ids {
+		a := perCore[c]
+		s += fmt.Sprintf("%8d %10d %10d %12d %16d\n", c, a.faults, a.evictions, a.shootdowns, a.lockWait)
+	}
+	return s
 }
 
 func parsePolicy(name string) (cmcp.PolicyKind, error) {

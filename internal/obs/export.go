@@ -33,38 +33,25 @@ type jsonlEvent struct {
 // TraceSchema versions the JSONL trace metadata header.
 const TraceSchema = "cmcp-trace/v1"
 
-// TraceMeta is the optional metadata header line of a JSONL event
-// trace. Its load-bearing field is Dropped: the flight recorder's ring
-// is bounded, and a trace that silently lost events reads as a complete
-// record of a quieter run. Writers put the drop count in the file so
-// replay tools can warn; Events lets readers notice truncation of the
-// file itself. Pre-header traces remain readable (nil meta), and
-// pre-header readers skip the line: it parses as no known event type,
-// which the lenient reader drops by design.
+// TraceMeta is the metadata header line of a JSONL event trace. Its
+// load-bearing field is Dropped: the flight recorder's ring is bounded,
+// and a trace that silently lost events reads as a complete record of a
+// quieter run. The writer puts the drop count in the file so replay can
+// warn; Events lets the reader notice truncation of the file itself.
+// Traces without a header remain readable (nil meta).
 type TraceMeta struct {
 	Schema  string `json:"schema"`
 	Events  int    `json:"events"`
 	Dropped uint64 `json:"dropped"`
 }
 
-// WriteJSONL encodes events one JSON object per line.
-func WriteJSONL(w io.Writer, events []Event) error {
-	return writeJSONL(w, events, nil)
-}
-
-// WriteJSONLWithMeta encodes events like WriteJSONL, preceded by a
-// TraceMeta header line carrying the recorder's drop count.
+// WriteJSONLWithMeta encodes events one JSON object per line, preceded
+// by a TraceMeta header line carrying the recorder's drop count.
 func WriteJSONLWithMeta(w io.Writer, events []Event, dropped uint64) error {
-	return writeJSONL(w, events, &TraceMeta{Schema: TraceSchema, Events: len(events), Dropped: dropped})
-}
-
-func writeJSONL(w io.Writer, events []Event, meta *TraceMeta) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
-	if meta != nil {
-		if err := enc.Encode(meta); err != nil {
-			return err
-		}
+	if err := enc.Encode(TraceMeta{Schema: TraceSchema, Events: len(events), Dropped: dropped}); err != nil {
+		return err
 	}
 	for _, e := range events {
 		if err := enc.Encode(jsonlEvent{
@@ -80,69 +67,38 @@ func writeJSONL(w io.Writer, events []Event, meta *TraceMeta) error {
 	return bw.Flush()
 }
 
-// ReadJSONL decodes a JSONL event stream written by WriteJSONL. It is
-// strict: the first malformed or unrecognized line fails the read. Use
-// ReadJSONLLenient for traces of dubious provenance (truncated files,
-// concatenated logs).
-func ReadJSONL(r io.Reader) ([]Event, error) {
-	events, _, _, err := readJSONL(r, true)
-	return events, err
-}
-
-// ReadJSONLLenient decodes a JSONL event stream, skipping malformed,
-// truncated or unknown-type lines instead of failing on them; skipped
-// reports how many lines were dropped. Only an I/O error (or a single
-// line exceeding the scanner limit) still fails the read.
-func ReadJSONLLenient(r io.Reader) (events []Event, skipped int, err error) {
-	events, _, skipped, err = readJSONL(r, false)
-	return events, skipped, err
-}
-
-// ReadJSONLMeta decodes a JSONL event stream leniently and also returns
-// the trace's metadata header when present (nil for pre-header traces).
-// Replay tools use it to warn when the recorder dropped events.
+// ReadJSONLMeta decodes a JSONL event stream and returns the trace's
+// metadata header when present (nil for a trace without one). Traces
+// come from interrupted or concatenated runs, so the read is lenient:
+// malformed, truncated or unknown-type lines are skipped and counted in
+// skipped. Only an I/O error (or a single line exceeding the scanner
+// limit) fails the read.
 func ReadJSONLMeta(r io.Reader) (events []Event, meta *TraceMeta, skipped int, err error) {
-	return readJSONL(r, false)
-}
-
-func readJSONL(r io.Reader, strict bool) ([]Event, *TraceMeta, int, error) {
-	var out []Event
-	var meta *TraceMeta
-	skipped := 0
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
-	line := 0
 	for sc.Scan() {
-		line++
 		text := strings.TrimSpace(sc.Text())
 		if text == "" {
 			continue
 		}
 		var je jsonlEvent
 		if err := json.Unmarshal([]byte(text), &je); err != nil {
-			if strict {
-				return nil, nil, 0, fmt.Errorf("obs: line %d: %w", line, err)
-			}
 			skipped++
 			continue
 		}
 		typ, ok := EventTypeByName(je.Type)
 		if !ok {
-			// Not an event line: the trace metadata header lands here
-			// (its object has no "ev" field), in both modes — a strict
-			// reader must still accept headered traces.
+			// Not an event line: the metadata header lands here (its
+			// object has no "ev" field).
 			var m TraceMeta
 			if meta == nil && json.Unmarshal([]byte(text), &m) == nil && strings.HasPrefix(m.Schema, "cmcp-trace/") {
 				meta = &m
 				continue
 			}
-			if strict {
-				return nil, nil, 0, fmt.Errorf("obs: line %d: unknown event type %q", line, je.Type)
-			}
 			skipped++
 			continue
 		}
-		out = append(out, Event{
+		events = append(events, Event{
 			Time: sim.Cycles(je.Time),
 			Core: sim.CoreID(je.Core),
 			Type: typ,
@@ -153,7 +109,7 @@ func readJSONL(r io.Reader, strict bool) ([]Event, *TraceMeta, int, error) {
 	if err := sc.Err(); err != nil {
 		return nil, nil, 0, err
 	}
-	return out, meta, skipped, nil
+	return events, meta, skipped, nil
 }
 
 // chromeTS formats a cycle timestamp as trace_event microseconds with
@@ -258,7 +214,7 @@ func WriteSamplesCSV(w io.Writer, samples []Sample) error {
 
 // Timeline renders events as a bucketed text table — one row per time
 // bucket, one column per event type that occurs — followed by totals.
-// It is the cmcptrace -replay output and a quick way to see *when* a
+// It is the cmcpsim -replay output and a quick way to see *when* a
 // run's eviction or shootdown activity clusters without leaving the
 // terminal.
 func Timeline(events []Event, buckets int) string {

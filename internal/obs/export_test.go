@@ -59,59 +59,55 @@ func checkGolden(t *testing.T, name string, got []byte) {
 
 func TestJSONLGolden(t *testing.T) {
 	var b bytes.Buffer
-	if err := WriteJSONL(&b, fixtureEvents()); err != nil {
+	if err := WriteJSONLWithMeta(&b, fixtureEvents(), 0); err != nil {
 		t.Fatal(err)
 	}
 	checkGolden(t, "events.jsonl.golden", b.Bytes())
 }
 
+// TestJSONLRoundTrip: events survive the writer and the reader, and
+// blank lines and an empty trace read back as no events.
 func TestJSONLRoundTrip(t *testing.T) {
 	events := fixtureEvents()
 	var b bytes.Buffer
-	if err := WriteJSONL(&b, events); err != nil {
+	if err := WriteJSONLWithMeta(&b, events, 0); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadJSONL(&b)
-	if err != nil {
-		t.Fatal(err)
+	back, _, skipped, err := ReadJSONLMeta(&b)
+	if err != nil || skipped != 0 {
+		t.Fatalf("skipped=%d err=%v", skipped, err)
 	}
 	if !reflect.DeepEqual(events, back) {
 		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", back, events)
 	}
-}
-
-func TestReadJSONLRejectsGarbage(t *testing.T) {
-	if _, err := ReadJSONL(strings.NewReader("{\"t\":1,\"ev\":\"no_such_event\"}\n")); err == nil {
-		t.Error("unknown event type accepted")
-	}
-	if _, err := ReadJSONL(strings.NewReader("not json\n")); err == nil {
-		t.Error("malformed line accepted")
-	}
-	evs, err := ReadJSONL(strings.NewReader("\n\n"))
-	if err != nil || len(evs) != 0 {
-		t.Errorf("blank lines should be skipped: %v %v", evs, err)
+	evs, meta, skipped, err := ReadJSONLMeta(strings.NewReader("\n\n"))
+	if err != nil || len(evs) != 0 || meta != nil || skipped != 0 {
+		t.Errorf("blank lines should be skipped: %v %v %d %v", evs, meta, skipped, err)
 	}
 }
 
 func TestReadJSONLLenient(t *testing.T) {
 	events := fixtureEvents()
 	var b bytes.Buffer
-	if err := WriteJSONL(&b, events); err != nil {
+	if err := WriteJSONLWithMeta(&b, events, 0); err != nil {
 		t.Fatal(err)
 	}
 	// Corrupt the stream the ways real trace files break: a stray log
 	// line in the middle, an unknown event type, and a truncated tail.
 	lines := strings.Split(strings.TrimRight(b.String(), "\n"), "\n")
-	mixed := lines[0] + "\nGC pause 12ms\n" +
-		strings.Join(lines[1:], "\n") +
+	mixed := strings.Join(lines[:2], "\n") + "\nGC pause 12ms\n" +
+		strings.Join(lines[2:], "\n") +
 		"\n{\"t\":1,\"ev\":\"no_such_event\"}\n" +
-		lines[0][:len(lines[0])/2]
-	back, skipped, err := ReadJSONLLenient(strings.NewReader(mixed))
+		lines[1][:len(lines[1])/2]
+	back, meta, skipped, err := ReadJSONLMeta(strings.NewReader(mixed))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if skipped != 3 {
 		t.Errorf("skipped = %d, want 3", skipped)
+	}
+	if meta == nil || meta.Events != len(events) {
+		t.Errorf("header lost: %+v", meta)
 	}
 	if !reflect.DeepEqual(events, back) {
 		t.Fatalf("valid events lost:\n got %+v\nwant %+v", back, events)
@@ -247,29 +243,11 @@ func TestJSONLMetaRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(events, fixtureEvents()) {
 		t.Error("events did not round-trip past the header")
 	}
-
-	// The strict reader and the plain lenient reader must both accept a
-	// headered trace transparently.
-	strictEvents, err := ReadJSONL(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("strict reader rejects headered trace: %v", err)
-	}
-	if !reflect.DeepEqual(strictEvents, fixtureEvents()) {
-		t.Error("strict reader mangled headered trace")
-	}
-	lenEvents, skipped, err := ReadJSONLLenient(bytes.NewReader(buf.Bytes()))
-	if err != nil || skipped != 0 || !reflect.DeepEqual(lenEvents, fixtureEvents()) {
-		t.Errorf("lenient reader on headered trace: skipped=%d err=%v", skipped, err)
-	}
 }
 
 func TestJSONLMetaAbsent(t *testing.T) {
-	// Pre-header traces (WriteJSONL) must read back with nil meta.
-	var buf bytes.Buffer
-	if err := WriteJSONL(&buf, fixtureEvents()); err != nil {
-		t.Fatal(err)
-	}
-	events, meta, skipped, err := ReadJSONLMeta(&buf)
+	// A trace without its header line must read back with nil meta.
+	events, meta, skipped, err := ReadJSONLMeta(bytes.NewReader(headerless(t)))
 	if err != nil || skipped != 0 {
 		t.Fatalf("skipped=%d err=%v", skipped, err)
 	}
@@ -307,21 +285,27 @@ func TestJSONLMetaSecondHeaderSkipped(t *testing.T) {
 	}
 }
 
-// FuzzReadJSONLMeta feeds arbitrary bytes to the lenient trace reader.
-// Nothing may panic, and whatever decodes must survive a round trip:
-// re-encoded (header first when there was one) and read back by the
-// strict reader, it yields the same events and header with no line
-// skipped.
+// headerless returns the fixture trace without its metadata header.
+func headerless(tb testing.TB) []byte {
+	var buf bytes.Buffer
+	if err := WriteJSONLWithMeta(&buf, fixtureEvents(), 0); err != nil {
+		tb.Fatal(err)
+	}
+	_, rest, _ := bytes.Cut(buf.Bytes(), []byte("\n"))
+	return rest
+}
+
+// FuzzReadJSONLMeta feeds arbitrary bytes to the trace reader. Nothing
+// may panic, and whatever decodes must survive a round trip:
+// re-encoded and read back, it yields the same events and drop count
+// with no line skipped.
 func FuzzReadJSONLMeta(f *testing.F) {
-	var headered, plain bytes.Buffer
+	var headered bytes.Buffer
 	if err := WriteJSONLWithMeta(&headered, fixtureEvents(), 3); err != nil {
 		f.Fatal(err)
 	}
-	if err := WriteJSONL(&plain, fixtureEvents()); err != nil {
-		f.Fatal(err)
-	}
 	f.Add(headered.Bytes())
-	f.Add(plain.Bytes())
+	f.Add(headerless(f))
 	f.Add(headered.Bytes()[:headered.Len()-7]) // torn last line
 	f.Add([]byte("{\"t\":1,\"core\":0,\"ev\":\"fault\",\"page\":7,\"arg\":0}\nnot json\n{\"schema\":\"cmcp-trace/v1\",\"events\":9}\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -334,19 +318,23 @@ func FuzzReadJSONLMeta(f *testing.F) {
 		if err != nil {
 			return
 		}
+		var dropped uint64
+		if meta != nil {
+			dropped = meta.Dropped
+		}
 		var buf bytes.Buffer
-		if err := writeJSONL(&buf, events, meta); err != nil {
+		if err := WriteJSONLWithMeta(&buf, events, dropped); err != nil {
 			t.Fatalf("re-encoding: %v", err)
 		}
-		again, meta2, skipped, err := readJSONL(&buf, true)
+		again, meta2, skipped, err := ReadJSONLMeta(&buf)
 		if err != nil || skipped != 0 {
 			t.Fatalf("re-encoded trace: %v (%d lines skipped)\n%s", err, skipped, buf.Bytes())
 		}
 		if !reflect.DeepEqual(again, events) {
 			t.Fatalf("events drifted over a round trip:\n%v\n%v", events, again)
 		}
-		if !reflect.DeepEqual(meta2, meta) {
-			t.Fatalf("header drifted over a round trip: %+v -> %+v", meta, meta2)
+		if want := (TraceMeta{Schema: TraceSchema, Events: len(events), Dropped: dropped}); meta2 == nil || *meta2 != want {
+			t.Fatalf("header %+v over a round trip, want %+v", meta2, want)
 		}
 	})
 }

@@ -109,7 +109,7 @@ func (e Entry) Result(cfg machine.Config) *machine.Result {
 
 // ReadJournalLenient reads a sweep journal, skipping malformed lines
 // and reporting how many were dropped — the same contract as the trace
-// layer's obs.ReadJSONLLenient, and for the same reason: the journal
+// layer's obs.ReadJSONLMeta, and for the same reason: the journal
 // of a crashed sweep legitimately ends in a torn, half-written line,
 // and that line must cost one re-run, not the whole file.
 //

@@ -1,54 +1,10 @@
 package trace
 
 import (
-	"bytes"
 	"testing"
 
 	"cmcp/internal/sim"
 )
-
-// FuzzRead hammers the binary decoder with arbitrary bytes: it must
-// never panic, and anything it accepts must re-encode to an equivalent
-// trace (decode/encode/decode fixed point).
-func FuzzRead(f *testing.F) {
-	// Seed with a valid trace and a few corruptions of it.
-	tr := &Trace{Cores: 2, Records: []Record{
-		{Core: 0, VPN: 5, Write: true},
-		{Core: 1, VPN: 100},
-		{Core: 0, VPN: 6},
-	}}
-	var buf bytes.Buffer
-	if err := tr.Write(&buf); err != nil {
-		f.Fatal(err)
-	}
-	valid := buf.Bytes()
-	f.Add(valid)
-	f.Add(valid[:len(valid)-2])
-	f.Add([]byte("CMCPTRC1"))
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		got, err := Read(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		var out bytes.Buffer
-		if err := got.Write(&out); err != nil {
-			t.Fatalf("re-encode of accepted trace failed: %v", err)
-		}
-		again, err := Read(&out)
-		if err != nil {
-			t.Fatalf("re-decode failed: %v", err)
-		}
-		if len(again.Records) != len(got.Records) || again.Cores != got.Cores {
-			t.Fatal("decode/encode/decode not a fixed point")
-		}
-		for i := range got.Records {
-			if again.Records[i] != got.Records[i] {
-				t.Fatalf("record %d changed", i)
-			}
-		}
-	})
-}
 
 // FuzzOPTAgainstBruteForce cross-checks the heap-based Belady
 // implementation against the quadratic reference on arbitrary short

@@ -1,32 +1,17 @@
-// Package trace records the page-access streams of a simulation into a
-// compact binary format, replays them as a workload, and analyzes them
-// offline — including computing Belady's optimal (MIN) fault count,
-// the clairvoyant lower bound no online policy can beat. The paper
-// compares CMCP against realizable policies only; the OPT analyzer
-// quantifies how much headroom is left.
-//
-// Format (little-endian):
-//
-//	magic "CMCPTRC1" | uint32 cores | uint64 records
-//	per record: uvarint(core<<1 | write) uvarint(zigzag(vpn delta))
-//
-// VPNs are delta-encoded per core, so sequential sweeps cost two bytes
-// per access.
+// Package trace captures the page-access streams of a workload in
+// memory and analyzes them offline, including Belady's optimal (MIN)
+// fault count, the clairvoyant lower bound no online policy can beat.
+// The paper compares CMCP against realizable policies only; the OPT
+// analyzer quantifies how much headroom is left. A trace is a pure
+// function of (workload, cores, scale, seed), so it is recomputed
+// rather than stored: `cmcpsim -analyze` captures and analyzes in one
+// step.
 package trace
 
 import (
-	"bufio"
-	"encoding/binary"
-	"errors"
-	"fmt"
-	"io"
-
 	"cmcp/internal/sim"
 	"cmcp/internal/workload"
 )
-
-// magic identifies the trace file format, versioned.
-const magic = "CMCPTRC1"
 
 // Record is one page touch by one core, in global interleaved order.
 type Record struct {
@@ -40,90 +25,6 @@ type Trace struct {
 	Cores   int
 	Records []Record
 }
-
-// ErrBadFormat is returned when decoding fails structurally.
-var ErrBadFormat = errors.New("trace: bad format")
-
-// Write encodes the trace to w.
-func (t *Trace) Write(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(magic); err != nil {
-		return err
-	}
-	var hdr [12]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(t.Cores))
-	binary.LittleEndian.PutUint64(hdr[4:12], uint64(len(t.Records)))
-	if _, err := bw.Write(hdr[:]); err != nil {
-		return err
-	}
-	last := make(map[sim.CoreID]sim.PageID)
-	var buf [2 * binary.MaxVarintLen64]byte
-	for _, r := range t.Records {
-		head := uint64(r.Core) << 1
-		if r.Write {
-			head |= 1
-		}
-		n := binary.PutUvarint(buf[:], head)
-		delta := int64(r.VPN - last[r.Core])
-		last[r.Core] = r.VPN
-		n += binary.PutUvarint(buf[n:], zigzag(delta))
-		if _, err := bw.Write(buf[:n]); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// Read decodes a trace from r.
-func Read(r io.Reader) (*Trace, error) {
-	br := bufio.NewReader(r)
-	head := make([]byte, len(magic)+12)
-	if _, err := io.ReadFull(br, head); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadFormat, err)
-	}
-	if string(head[:len(magic)]) != magic {
-		return nil, fmt.Errorf("%w: bad magic", ErrBadFormat)
-	}
-	cores := int(binary.LittleEndian.Uint32(head[len(magic) : len(magic)+4]))
-	count := binary.LittleEndian.Uint64(head[len(magic)+4:])
-	if cores <= 0 || cores > 1<<16 {
-		return nil, fmt.Errorf("%w: %d cores", ErrBadFormat, cores)
-	}
-	// Cap the preallocation: a corrupt header must not drive makeslice
-	// out of range (each record is at least 2 bytes, so a count far
-	// beyond any plausible stream just grows incrementally and fails at
-	// the first truncated record).
-	prealloc := count
-	if prealloc > 1<<20 {
-		prealloc = 1 << 20
-	}
-	t := &Trace{Cores: cores, Records: make([]Record, 0, prealloc)}
-	last := make(map[sim.CoreID]sim.PageID)
-	for i := uint64(0); i < count; i++ {
-		h, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("%w: record %d header: %v", ErrBadFormat, i, err)
-		}
-		core := sim.CoreID(h >> 1)
-		if int(core) >= cores {
-			return nil, fmt.Errorf("%w: record %d core %d out of range", ErrBadFormat, i, core)
-		}
-		zd, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("%w: record %d delta: %v", ErrBadFormat, i, err)
-		}
-		vpn := last[core] + sim.PageID(unzigzag(zd))
-		if vpn < 0 {
-			return nil, fmt.Errorf("%w: record %d negative vpn", ErrBadFormat, i)
-		}
-		last[core] = vpn
-		t.Records = append(t.Records, Record{Core: core, VPN: vpn, Write: h&1 != 0})
-	}
-	return t, nil
-}
-
-func zigzag(v int64) uint64   { return uint64(v<<1) ^ uint64(v>>63) }
-func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
 // Capture runs every stream of a workload layout round-robin and
 // records the interleaved trace (the deterministic canonical order;
@@ -147,20 +48,6 @@ func Capture(layout *workload.Layout, seed uint64) *Trace {
 	return t
 }
 
-// Streams converts the trace back into per-core workload streams for
-// replay through the simulator.
-func (t *Trace) Streams() []workload.Stream {
-	perCore := make([][]workload.Access, t.Cores)
-	for _, r := range t.Records {
-		perCore[r.Core] = append(perCore[r.Core], workload.Access{VPN: r.VPN, Write: r.Write})
-	}
-	out := make([]workload.Stream, t.Cores)
-	for c := range out {
-		out[c] = &replayStream{accesses: perCore[c]}
-	}
-	return out
-}
-
 // MaxVPN returns the largest page number referenced (plus one gives the
 // footprint bound).
 func (t *Trace) MaxVPN() sim.PageID {
@@ -172,22 +59,3 @@ func (t *Trace) MaxVPN() sim.PageID {
 	}
 	return m
 }
-
-// replayStream replays a fixed access slice.
-type replayStream struct {
-	accesses []workload.Access
-	pos      int
-}
-
-// Next implements workload.Stream.
-func (r *replayStream) Next() (workload.Access, bool) {
-	if r.pos >= len(r.accesses) {
-		return workload.Access{}, false
-	}
-	a := r.accesses[r.pos]
-	r.pos++
-	return a, true
-}
-
-// Len implements workload.Stream.
-func (r *replayStream) Len() int { return len(r.accesses) }

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bytes"
 	"math/rand"
 	"strings"
 	"testing"
@@ -35,120 +34,6 @@ func TestCaptureCoversStreams(t *testing.T) {
 	}
 	if len(perCore) != 4 {
 		t.Errorf("cores seen = %d", len(perCore))
-	}
-}
-
-func TestWriteReadRoundTrip(t *testing.T) {
-	tr := captureSmall(t)
-	var buf bytes.Buffer
-	if err := tr.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Cores != tr.Cores || len(got.Records) != len(tr.Records) {
-		t.Fatalf("shape mismatch: %d/%d records", len(got.Records), len(tr.Records))
-	}
-	for i := range tr.Records {
-		if got.Records[i] != tr.Records[i] {
-			t.Fatalf("record %d: %+v != %+v", i, got.Records[i], tr.Records[i])
-		}
-	}
-}
-
-func TestRoundTripProperty(t *testing.T) {
-	f := func(raw []uint32, cores8 uint8) bool {
-		cores := int(cores8%8) + 1
-		tr := &Trace{Cores: cores}
-		for i, v := range raw {
-			tr.Records = append(tr.Records, Record{
-				Core:  sim.CoreID(i % cores),
-				VPN:   sim.PageID(v % (1 << 24)),
-				Write: v&1 != 0,
-			})
-		}
-		var buf bytes.Buffer
-		if tr.Write(&buf) != nil {
-			return false
-		}
-		got, err := Read(&buf)
-		if err != nil || len(got.Records) != len(tr.Records) {
-			return false
-		}
-		for i := range tr.Records {
-			if got.Records[i] != tr.Records[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50, Rand: rand.New(rand.NewSource(117))}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestReadRejectsGarbage(t *testing.T) {
-	cases := [][]byte{
-		nil,
-		[]byte("short"),
-		[]byte("NOTMAGIC" + strings.Repeat("\x00", 12)),
-	}
-	for i, c := range cases {
-		if _, err := Read(bytes.NewReader(c)); err == nil {
-			t.Errorf("case %d: garbage accepted", i)
-		}
-	}
-	// Truncated records.
-	tr := captureSmall(t)
-	var buf bytes.Buffer
-	if err := tr.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	trunc := buf.Bytes()[:buf.Len()/2]
-	if _, err := Read(bytes.NewReader(trunc)); err == nil {
-		t.Error("truncated trace accepted")
-	}
-}
-
-func TestCompression(t *testing.T) {
-	// Delta encoding: sequential traces must cost only a few bytes per
-	// record.
-	tr := &Trace{Cores: 1}
-	for i := 0; i < 10000; i++ {
-		tr.Records = append(tr.Records, Record{VPN: sim.PageID(i)})
-	}
-	var buf bytes.Buffer
-	if err := tr.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	perRecord := float64(buf.Len()) / 10000
-	if perRecord > 3 {
-		t.Errorf("sequential trace costs %.1f bytes/record, want <= 3", perRecord)
-	}
-}
-
-func TestReplayStreams(t *testing.T) {
-	tr := captureSmall(t)
-	streams := tr.Streams()
-	if len(streams) != tr.Cores {
-		t.Fatal("stream count")
-	}
-	total := 0
-	for _, s := range streams {
-		total += s.Len()
-		for {
-			if _, ok := s.Next(); !ok {
-				break
-			}
-		}
-		if _, ok := s.Next(); ok {
-			t.Error("exhausted stream must stay exhausted")
-		}
-	}
-	if total != len(tr.Records) {
-		t.Errorf("replay total %d != %d", total, len(tr.Records))
 	}
 }
 
