@@ -9,6 +9,8 @@ import (
 	"testing"
 
 	"cmcp"
+	"cmcp/internal/machine"
+	"cmcp/internal/sim"
 )
 
 // benchOpts is the reduced-scale configuration used by the experiment
@@ -58,7 +60,7 @@ func benchSimulate(b *testing.B, pol cmcp.PolicySpec, tables cmcp.TableKind) {
 
 // benchSimulateEngine is benchSimulate with an explicit engine, the
 // shared body of the serial/parallel benchmark pairs below.
-func benchSimulateEngine(b *testing.B, pol cmcp.PolicySpec, tables cmcp.TableKind, eng cmcp.EngineKind) {
+func benchSimulateEngine(b *testing.B, pol cmcp.PolicySpec, tables cmcp.TableKind, eng machine.EngineKind) {
 	b.Helper()
 	cfg := cmcp.Config{
 		Cores:       56,
@@ -240,7 +242,7 @@ func BenchmarkAblationNoAging(b *testing.B) {
 		Seed:        1,
 	}
 	noAging := base
-	cost := cmcp.DefaultCostModel()
+	cost := sim.DefaultCostModel()
 	cost.AgePeriod = 1 << 60 // never fires
 	noAging.Cost = cost
 	var ratio float64
@@ -284,7 +286,7 @@ func BenchmarkDynamicP(b *testing.B) {
 // raise absolute performance while CMCP's shootdown-avoidance
 // advantage persists.
 func BenchmarkKNLInterconnect(b *testing.B) {
-	mk := func(cost cmcp.CostModel, kind cmcp.PolicyKind) cmcp.Config {
+	mk := func(cost sim.CostModel, kind cmcp.PolicyKind) cmcp.Config {
 		return cmcp.Config{
 			Cores:       56,
 			Workload:    cmcp.BT().Scale(0.1),
@@ -298,9 +300,9 @@ func BenchmarkKNLInterconnect(b *testing.B) {
 	var speedup, margin float64
 	for i := 0; i < b.N; i++ {
 		results, err := cmcp.RunMany([]cmcp.Config{
-			mk(cmcp.DefaultCostModel(), cmcp.FIFO),
-			mk(cmcp.KNLCostModel(), cmcp.FIFO),
-			mk(cmcp.KNLCostModel(), cmcp.CMCP),
+			mk(sim.DefaultCostModel(), cmcp.FIFO),
+			mk(sim.KNLCostModel(), cmcp.FIFO),
+			mk(sim.KNLCostModel(), cmcp.CMCP),
 		}, 0)
 		if err != nil {
 			b.Fatal(err)

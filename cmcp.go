@@ -35,16 +35,13 @@ import (
 	"io"
 
 	"cmcp/internal/check"
-	"cmcp/internal/core"
 	"cmcp/internal/experiments"
-	"cmcp/internal/hist"
 	"cmcp/internal/machine"
 	"cmcp/internal/obs"
 	"cmcp/internal/policy"
 	"cmcp/internal/sim"
 	"cmcp/internal/stats"
 	"cmcp/internal/sweep"
-	"cmcp/internal/trace"
 	"cmcp/internal/vm"
 	"cmcp/internal/workload"
 )
@@ -61,8 +58,6 @@ type (
 	PolicyKind = machine.PolicyKind
 	// TableKind selects the page-table organization.
 	TableKind = vm.TableKind
-	// EngineKind selects the simulation engine (Config.Engine).
-	EngineKind = machine.EngineKind
 	// PageSize is a mapping granularity (4 kB, 64 kB or 2 MB).
 	PageSize = sim.PageSize
 	// Cycles is simulated time in 1.053 GHz CPU cycles.
@@ -71,23 +66,11 @@ type (
 	CoreID = sim.CoreID
 	// PageID is a virtual page number in 4 kB units.
 	PageID = sim.PageID
-	// CostModel is the cycle-cost calibration; see DefaultCostModel.
-	CostModel = sim.CostModel
-	// Run is the per-core counter record of a simulation.
-	Run = stats.Run
-	// Counter identifies one per-core event counter in a Run.
-	Counter = stats.Counter
-	// Workload is the parametric description of an application.
-	Workload = workload.Spec
-	// ShareBand declares a page-sharing band of a Workload.
-	ShareBand = workload.ShareBand
 	// Policy is the replacement policy interface for custom policies
 	// (install one via PolicySpec.Factory).
 	Policy = policy.Policy
 	// PolicyHost is the kernel-side interface handed to policies.
 	PolicyHost = policy.Host
-	// PolicyFactory builds a policy against the kernel's PolicyHost.
-	PolicyFactory = vm.PolicyFactory
 )
 
 // Replacement policies.
@@ -121,7 +104,7 @@ const (
 
 // ParseEngine parses an engine name ("serial", "parallel"; "" means
 // serial) as accepted by cmcpsim -engine.
-func ParseEngine(s string) (EngineKind, error) { return machine.ParseEngine(s) }
+func ParseEngine(s string) (machine.EngineKind, error) { return machine.ParseEngine(s) }
 
 // Page-table organizations.
 const (
@@ -173,33 +156,24 @@ func RunMany(cfgs []Config, parallelism int) ([]*Result, error) {
 	return machine.RunMany(cfgs, parallelism)
 }
 
-// DefaultCostModel returns the calibrated Knights Corner cycle costs.
-func DefaultCostModel() CostModel { return sim.DefaultCostModel() }
-
-// KNLCostModel returns a Knights Landing-like model: on-package near
-// memory instead of PCIe (the paper's §7 outlook). CPU-side costs are
-// unchanged, so the shootdown economics — and CMCP's advantage —
-// carry over.
-func KNLCostModel() CostModel { return sim.KNLCostModel() }
-
 // BT returns the NAS Block Tridiagonal workload model (B-class
-// footprint; use Workload.Scale to shrink or grow it).
-func BT() Workload { return workload.BT() }
+// footprint; use its Scale method to shrink or grow it).
+func BT() workload.Spec { return workload.BT() }
 
 // LU returns the NAS Lower-Upper Gauss-Seidel workload model.
-func LU() Workload { return workload.LU() }
+func LU() workload.Spec { return workload.LU() }
 
 // CG returns the NAS Conjugate Gradient workload model.
-func CG() Workload { return workload.CG() }
+func CG() workload.Spec { return workload.CG() }
 
 // SCALE returns the RIKEN climate-stencil workload model.
-func SCALE() Workload { return workload.SCALE() }
+func SCALE() workload.Spec { return workload.SCALE() }
 
 // Workloads returns the paper's four applications in evaluation order.
-func Workloads() []Workload { return workload.Apps() }
+func Workloads() []workload.Spec { return workload.Apps() }
 
 // WorkloadByName resolves "bt.B", "lu.B", "cg.B" or "SCALE".
-func WorkloadByName(name string) (Workload, bool) { return workload.ByName(name) }
+func WorkloadByName(name string) (workload.Spec, bool) { return workload.ByName(name) }
 
 // Multi-tenant machines: set Config.Tenants (instead of Config.Workload)
 // and the run becomes many address spaces — one per tenant, each with
@@ -210,17 +184,11 @@ func WorkloadByName(name string) (Workload, bool) { return workload.ByName(name)
 // Per-tenant counters and fault-service histograms land in
 // Result.Run.Tenants; a nil Config.Tenants run is bit-identical to a
 // pre-tenant build.
-type (
-	// TenantSpec describes a multi-tenant machine (Config.Tenants).
-	TenantSpec = workload.TenantSpec
-	// TenantSet is the per-tenant counter and fault-latency record of a
-	// multi-tenant run (Run.Tenants; nil on single-tenant runs).
-	TenantSet = stats.TenantSet
-	// TenantCounter identifies one per-tenant event counter.
-	TenantCounter = stats.TenantCounter
-)
 
-// Per-tenant counters (indexes into a TenantSet).
+// TenantSpec describes a multi-tenant machine (Config.Tenants).
+type TenantSpec = workload.TenantSpec
+
+// Per-tenant counters (indexes into Result.Run.Tenants).
 const (
 	// TenantTouches counts page touches issued by the tenant.
 	TenantTouches = stats.TenantTouches
@@ -243,73 +211,14 @@ func DefaultTenantSpec(tenants int, zipfS float64, churnEvery int) TenantSpec {
 	return workload.DefaultTenantSpec(tenants, zipfS, churnEvery)
 }
 
-// NewCMCPPolicy builds a standalone CMCP policy instance for library
-// embedding (outside the simulator): host supplies core-map counts,
-// capacity is the resident-mapping capacity, p the prioritized ratio.
-func NewCMCPPolicy(host PolicyHost, capacity int, p float64) Policy {
-	return core.New(host, capacity, core.WithP(p))
-}
-
-// NewFIFOPolicy builds a standalone FIFO policy instance.
-func NewFIFOPolicy() Policy { return policy.NewFIFO() }
-
-// NewLRUPolicy builds a standalone Linux-style LRU instance.
-func NewLRUPolicy(host PolicyHost) Policy { return policy.NewLRU(host) }
-
-// Offline trace analysis (capture a workload's access stream, replay it
-// through policies, and compare them against Belady's clairvoyant
-// optimum).
-type (
-	// Trace is a recorded page-access stream.
-	Trace = trace.Trace
-	// TraceRecord is one access of a Trace.
-	TraceRecord = trace.Record
-	// OPTResult summarizes a Belady/MIN analysis.
-	OPTResult = trace.OPTResult
-	// CountingPolicy is the policy slice offline fault counting needs;
-	// every Policy satisfies it.
-	CountingPolicy = trace.CountingPolicy
-)
-
-// CaptureTrace records the deterministic access trace of a workload at
-// the given core count and seed.
-func CaptureTrace(wl Workload, cores int, seed uint64) (*Trace, error) {
-	layout, err := wl.Build(cores)
-	if err != nil {
-		return nil, err
-	}
-	return trace.Capture(layout, seed), nil
-}
-
-// OPTFaults computes Belady's optimal fault count for a trace at the
-// given mapping capacity and page size — the lower bound no online
-// policy can beat.
-func OPTFaults(t *Trace, capacity int, size PageSize) (OPTResult, error) {
-	return trace.OPT(t, capacity, size)
-}
-
-// CountPolicyFaults replays a trace through an online policy and
-// returns its fault count (costs and TLBs ignored; comparable with
-// OPTFaults).
-func CountPolicyFaults(t *Trace, capacity int, size PageSize, pol CountingPolicy) (uint64, error) {
-	return trace.CountFaults(t, capacity, size, pol)
-}
-
-// NewTrueLRUPolicy returns an exact-LRU counting policy for offline
-// replay (perfect reference information — unattainable online).
-func NewTrueLRUPolicy() CountingPolicy { return trace.NewTrueLRU() }
-
 // ExperimentOptions control the paper-reproduction harness.
 type ExperimentOptions = experiments.Options
-
-// ExperimentReport is one regenerated table/figure.
-type ExperimentReport = experiments.Report
 
 // RunExperiment regenerates one of the paper's results — "fig6",
 // "fig7", "fig8", "fig9", "fig10", "table1", "sense" — or runs the
 // extension experiment "tenants" (multi-tenant policy grid; the one
 // consumer of ExperimentOptions.Tenants).
-func RunExperiment(id string, o ExperimentOptions) (*ExperimentReport, error) {
+func RunExperiment(id string, o ExperimentOptions) (*experiments.Report, error) {
 	return experiments.ByID(id, o)
 }
 
@@ -322,13 +231,10 @@ func Constraint(workloadName string) float64 { return experiments.Constraint(wor
 // knobs (Parallelism, Repeats, Journal, Progress); a sweep given the
 // journal of an interrupted one re-executes only the runs it lacks.
 
-// SweepProgress is a thread-safe sweep progress meter; attach one via
-// ExperimentOptions.Progress and poll Snapshot or String from any
-// goroutine.
-type SweepProgress = obs.Progress
-
-// NewSweepProgress returns an empty progress meter.
-func NewSweepProgress() *SweepProgress { return obs.NewProgress() }
+// NewSweepProgress returns an empty thread-safe progress meter; attach
+// it via ExperimentOptions.Progress and poll Snapshot or String from
+// any goroutine.
+func NewSweepProgress() *obs.Progress { return obs.NewProgress() }
 
 // SweepKey returns the deterministic content key identifying cfg's run
 // in sweep journals. A config with a custom Policy.Factory has no
@@ -343,21 +249,11 @@ func SweepKey(cfg Config) (string, error) { return sweep.Key(cfg) }
 // them Hist is plain data: it sweeps, journals and Repeats-merges
 // (replicate histograms pool rather than average, keeping the merge
 // exact).
-type (
-	// Histogram is one fixed-bucket log₂ histogram (exact integer
-	// bucket bounds, mergeable, deterministic).
-	Histogram = hist.H
-	// HistogramSummary is a histogram's compact rendering:
-	// count/mean/max and the p50/p90/p99/p999 quantile upper bounds.
-	HistogramSummary = hist.Summary
-	// HistID identifies one per-run histogram in a HistSet.
-	HistID = stats.HistID
-	// HistSet is the fixed array of a run's histograms; Run.Hists is
-	// nil unless Config.Hist was set.
-	HistSet = stats.HistSet
-)
 
-// Per-run histograms (indexes into a HistSet).
+// HistID identifies one per-run histogram in Result.Run.Hists.
+type HistID = stats.HistID
+
+// Per-run histograms (indexes into Result.Run.Hists).
 const (
 	// FaultServiceHist is end-to-end page-fault service time in cycles,
 	// including lock waits and eviction work.
@@ -389,10 +285,6 @@ type (
 	RecorderConfig = obs.Config
 	// TraceEvent is one flight-recorder entry.
 	TraceEvent = obs.Event
-	// TraceEventType identifies a kind of TraceEvent.
-	TraceEventType = obs.EventType
-	// TraceSample is one periodic time-series point.
-	TraceSample = obs.Sample
 )
 
 // Flight-recorder event types (see the obs package for semantics).
@@ -429,12 +321,12 @@ func WriteTraceJSONLWithMeta(w io.Writer, events []TraceEvent, dropped uint64) e
 
 // WriteChromeTrace exports events and samples as Chrome trace_event
 // JSON, loadable in Perfetto or chrome://tracing (one track per core).
-func WriteChromeTrace(w io.Writer, events []TraceEvent, samples []TraceSample, cores int) error {
+func WriteChromeTrace(w io.Writer, events []TraceEvent, samples []obs.Sample, cores int) error {
 	return obs.WriteChromeTrace(w, events, samples, cores)
 }
 
 // WriteSamplesCSV exports the sampler time series as CSV.
-func WriteSamplesCSV(w io.Writer, samples []TraceSample) error {
+func WriteSamplesCSV(w io.Writer, samples []obs.Sample) error {
 	return obs.WriteSamplesCSV(w, samples)
 }
 
@@ -442,18 +334,13 @@ func WriteSamplesCSV(w io.Writer, samples []TraceSample) error {
 // cross-check the engine's four bookkeeping views (policy residency,
 // page tables, device frames, TLBs) against each other every few
 // thousand events; any violation fails the run.
-type (
-	// Auditor is the cross-module invariant auditor. One Auditor serves
-	// one run at a time; do not share across RunMany.
-	Auditor = check.Auditor
-	// AuditorConfig sets the audit period and the violation cap.
-	AuditorConfig = check.Config
-	// AuditViolation is one detected invariant breach.
-	AuditViolation = check.Violation
-)
+
+// AuditorConfig sets the audit period and the violation cap.
+type AuditorConfig = check.Config
 
 // NewAuditor builds an invariant auditor to attach via Config.Audit.
-func NewAuditor(cfg AuditorConfig) *Auditor { return check.New(cfg) }
+// One auditor serves one run at a time; do not share it across RunMany.
+func NewAuditor(cfg AuditorConfig) *check.Auditor { return check.New(cfg) }
 
 // Simulation-failure classes. Simulate and RunMany return errors that
 // wrap one of these when the simulated kernel's bookkeeping diverges

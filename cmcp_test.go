@@ -5,6 +5,9 @@ import (
 	"testing"
 
 	"cmcp"
+	"cmcp/internal/policy"
+	"cmcp/internal/sim"
+	"cmcp/internal/workload"
 )
 
 func TestPublicAPISimulate(t *testing.T) {
@@ -51,7 +54,7 @@ func TestPublicAPIWorkloads(t *testing.T) {
 }
 
 func TestPublicAPIDefaults(t *testing.T) {
-	cost := cmcp.DefaultCostModel()
+	cost := sim.DefaultCostModel()
 	if cost.TouchCompute == 0 || cost.DMABytesPerCycle == 0 {
 		t.Error("cost model defaults empty")
 	}
@@ -60,47 +63,16 @@ func TestPublicAPIDefaults(t *testing.T) {
 	}
 }
 
-func TestPublicAPIStandalonePolicies(t *testing.T) {
-	fifo := cmcp.NewFIFOPolicy()
-	fifo.PTESetup(1)
-	fifo.PTESetup(2)
-	if v, ok := fifo.Victim(); !ok || v != 1 {
-		t.Error("standalone FIFO")
-	}
-
-	host := constHost{}
-	pol := cmcp.NewCMCPPolicy(host, 10, 0.5)
-	if pol.Name() != "CMCP" {
-		t.Error("standalone CMCP name")
-	}
-	pol.PTESetup(1)
-	if pol.Resident() != 1 {
-		t.Error("standalone CMCP bookkeeping")
-	}
-
-	lru := cmcp.NewLRUPolicy(host)
-	lru.PTESetup(1)
-	if lru.Resident() != 1 {
-		t.Error("standalone LRU")
-	}
-}
-
-// constHost is a trivial PolicyHost for standalone policy use.
-type constHost struct{}
-
-func (constHost) CoreMapCount(cmcp.PageID) int  { return 2 }
-func (constHost) ScanAccessed(cmcp.PageID) bool { return false }
-
 func TestPublicAPICustomPolicyFactory(t *testing.T) {
 	var built bool
 	cfg := cmcp.Config{
 		Cores:       2,
-		Workload:    cmcp.Workload{Name: "t", Pages: 128, TotalTouches: 4096, Sharing: []cmcp.ShareBand{{Cores: 1, Frac: 1}}},
+		Workload:    workload.Spec{Name: "t", Pages: 128, TotalTouches: 4096, Sharing: []workload.ShareBand{{Cores: 1, Frac: 1}}},
 		MemoryRatio: 0.5,
 		Policy: cmcp.PolicySpec{
 			Factory: func(h cmcp.PolicyHost) cmcp.Policy {
 				built = true
-				return cmcp.NewFIFOPolicy()
+				return policy.NewFIFO()
 			},
 		},
 		Seed: 1,

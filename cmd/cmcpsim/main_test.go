@@ -297,7 +297,7 @@ var documented = []string{
 	"-run -policy CMCP -trace -trace-out run.json -sample-every 100000",
 	"-run -policy LRU -trace -trace-out run.jsonl",
 	"-replay run.jsonl -buckets 24",
-	"-analyze -workload cg.B -cores 16 -scale 0.1 -ratio 0.4",
+	"-analyze -workload SCALE -cores 16 -scale 0.1 -ratio 0.5",
 	"-analyze",
 	"-run -policy CMCP -hist",
 	"-exp fig7 -hist -journal f7.jsonl",

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"cmcp"
+	"cmcp/internal/machine"
 )
 
 // TestEngineThroughputGuard compares serial and parallel engine wall
@@ -51,9 +52,9 @@ func TestEngineThroughputGuard(t *testing.T) {
 			Policy:      cmcp.PolicySpec{Kind: kind, P: -1},
 			Seed:        1,
 		}
-		best := map[cmcp.EngineKind]time.Duration{}
+		best := map[machine.EngineKind]time.Duration{}
 		for rep := 0; rep < 5; rep++ {
-			for _, eng := range []cmcp.EngineKind{cmcp.SerialEngine, cmcp.ParallelEngine} {
+			for _, eng := range []machine.EngineKind{cmcp.SerialEngine, cmcp.ParallelEngine} {
 				c := cfg
 				c.Engine = eng
 				start := time.Now()

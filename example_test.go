@@ -73,29 +73,8 @@ func ExampleSimulate_regularPT() {
 	// PSPT exposes a sharing histogram: true
 }
 
-// ExampleOPTFaults records a trace and bounds every online policy with
-// Belady's optimum.
-func ExampleOPTFaults() {
-	tr, err := cmcp.CaptureTrace(cmcp.CG().Scale(0.03), 4, 7)
-	if err != nil {
-		log.Fatal(err)
-	}
-	capacity := (int(tr.MaxVPN()) + 1) / 2
-	opt, err := cmcp.OPTFaults(tr, capacity, cmcp.Size4k)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fifo, err := cmcp.CountPolicyFaults(tr, capacity, cmcp.Size4k, cmcp.NewFIFOPolicy())
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println("OPT is a lower bound:", opt.Faults <= fifo)
-	// Output:
-	// OPT is a lower bound: true
-}
-
-// ExampleWorkload_Scale shrinks a paper workload for quick runs.
-func ExampleWorkload_Scale() {
+// ExampleBT shrinks a paper workload for quick runs.
+func ExampleBT() {
 	wl := cmcp.BT()
 	small := wl.Scale(0.25)
 	fmt.Println(small.Pages < wl.Pages, small.TotalTouches < wl.TotalTouches)

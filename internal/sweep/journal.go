@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
+	"strings"
 	"sync"
 
 	"cmcp/internal/machine"
@@ -34,20 +36,6 @@ import (
 // Stale schemas are rejected: their keys or runs no longer match what
 // this build computes.
 const Schema = "cmcp-sweep/v10"
-
-// staleSchemas are schemas this build once wrote and now refuses, so
-// the rejection can say "outdated" rather than "not a journal".
-var staleSchemas = map[string]bool{
-	"cmcp-sweep/v1": true,
-	"cmcp-sweep/v2": true,
-	"cmcp-sweep/v3": true,
-	"cmcp-sweep/v4": true,
-	"cmcp-sweep/v5": true,
-	"cmcp-sweep/v6": true,
-	"cmcp-sweep/v7": true,
-	"cmcp-sweep/v8": true,
-	"cmcp-sweep/v9": true,
-}
 
 // header is the journal's first line.
 type header struct {
@@ -129,15 +117,15 @@ func ReadJournalLenient(r io.Reader) (entries []Entry, skipped int, err error) {
 	}
 	var h header
 	if err := json.Unmarshal(sc.Bytes(), &h); err != nil || h.Schema != Schema {
-		if err == nil && staleSchemas[h.Schema] {
-			return nil, 0, fmt.Errorf("sweep: journal schema %q is outdated; this build writes %q (the content key and Run payload have since changed — tenants in v3, NUMA topology in v4, keys derived from the JSON config encoding in v5 — so older entries can never satisfy current sweeps) — start a fresh journal", h.Schema, Schema)
+		if err == nil && strings.HasPrefix(h.Schema, "cmcp-sweep/") {
+			return nil, 0, fmt.Errorf("sweep: journal schema %q is outdated; this build writes %q, whose content keys and Run payload older entries cannot match — start a fresh journal", h.Schema, Schema)
 		}
 		return nil, 0, fmt.Errorf("sweep: journal header missing or not %q (corrupt first line, or not a sweep journal)", Schema)
 	}
-	if want := stats.CounterNames(); !equalStrings(h.Counters, want) {
+	if want := stats.CounterNames(); !slices.Equal(h.Counters, want) {
 		return nil, 0, fmt.Errorf("sweep: journal counter set %v does not match this build's %v; re-run the sweep with a fresh journal", h.Counters, want)
 	}
-	if want := stats.HistNames(); !equalStrings(h.Hists, want) {
+	if want := stats.HistNames(); !slices.Equal(h.Hists, want) {
 		return nil, 0, fmt.Errorf("sweep: journal histogram set %v does not match this build's %v; re-run the sweep with a fresh journal", h.Hists, want)
 	}
 	for sc.Scan() {
@@ -261,16 +249,4 @@ func (jw *journalWriter) close() error {
 		return err
 	}
 	return jw.f.Close()
-}
-
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

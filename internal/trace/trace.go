@@ -47,15 +47,3 @@ func Capture(layout *workload.Layout, seed uint64) *Trace {
 	}
 	return t
 }
-
-// MaxVPN returns the largest page number referenced (plus one gives the
-// footprint bound).
-func (t *Trace) MaxVPN() sim.PageID {
-	var m sim.PageID
-	for _, r := range t.Records {
-		if r.VPN > m {
-			m = r.VPN
-		}
-	}
-	return m
-}

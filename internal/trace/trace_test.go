@@ -37,13 +37,6 @@ func TestCaptureCoversStreams(t *testing.T) {
 	}
 }
 
-func TestMaxVPN(t *testing.T) {
-	tr := &Trace{Cores: 1, Records: []Record{{VPN: 5}, {VPN: 99}, {VPN: 7}}}
-	if tr.MaxVPN() != 99 {
-		t.Errorf("MaxVPN = %d", tr.MaxVPN())
-	}
-}
-
 // referenceOPT is a brute-force Belady implementation for validation.
 func referenceOPT(refs []sim.PageID, capacity int) uint64 {
 	resident := make(map[sim.PageID]bool)
