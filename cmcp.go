@@ -91,20 +91,15 @@ const (
 	Random = machine.Random
 )
 
-// Simulation engines. Both produce bit-identical Results for every
-// Config; the parallel engine trades single-thread simplicity for
-// speculative multi-core execution (see DESIGN.md §13).
+// Engine names. Both select the one event loop, so their Results are
+// identical; they stay only because the benchmark module sets
+// ParallelEngine, and ROADMAP item 12 deletes them.
 const (
-	// SerialEngine is the reference event loop (the default).
+	// SerialEngine selects the event loop (the default).
 	SerialEngine = machine.SerialEngine
-	// ParallelEngine is the epoch-parallel engine: speculative per-core
-	// probe phases with journaled rollback, committed by a serial sweep.
+	// ParallelEngine selects the same event loop as SerialEngine.
 	ParallelEngine = machine.ParallelEngine
 )
-
-// ParseEngine parses an engine name ("serial", "parallel"; "" means
-// serial) as accepted by cmcpsim -engine.
-func ParseEngine(s string) (machine.EngineKind, error) { return machine.ParseEngine(s) }
 
 // Page-table organizations.
 const (

@@ -98,12 +98,12 @@ type output struct {
 // inputs are the flags that feed more than one plan field or need
 // parsing; resolve folds them into the plan once the mode is known.
 type inputs struct {
-	run, analyze                               bool
-	workload, policy, tables, pageSize, engine string
-	scale, zipfS                               float64
-	seed                                       uint64
-	hist                                       bool
-	tenants, churn                             int
+	run, analyze                       bool
+	workload, policy, tables, pageSize string
+	scale, zipfS                       float64
+	seed                               uint64
+	hist                               bool
+	tenants, churn                     int
 }
 
 // resolver is what the flag table writes into.
@@ -140,7 +140,6 @@ var table = []row{
 	{"replay", "", modeReplay, "JSONL event trace (from -run -trace) to render as a timeline", func(r *resolver) any { return &r.replay }, nil, ""},
 
 	// What to simulate.
-	{"engine", "serial", modeSim, "simulation engine: serial|parallel (bit-identical results)", func(r *resolver) any { return &r.in.engine }, nil, ""},
 	{"scale", 1.0, modeSim | modeAnalyze, "workload footprint/work multiplier", func(r *resolver) any { return &r.in.scale },
 		func(r *resolver) bool { return r.in.scale > 0 }, "must be > 0"},
 	{"seed", uint64(42), modeSim | modeAnalyze, "random seed", func(r *resolver) any { return &r.in.seed }, nil, ""},
@@ -262,10 +261,6 @@ func resolve(args []string, stderr io.Writer) (*plan, error) {
 // build folds the inputs into the chosen mode's plan fields.
 func (r *resolver) build() error {
 	in := &r.in
-	eng, err := cmcp.ParseEngine(in.engine)
-	if err != nil {
-		return fmt.Errorf("-engine: %w", err)
-	}
 	var tenants *cmcp.TenantSpec
 	if in.tenants > 0 {
 		spec := cmcp.DefaultTenantSpec(in.tenants, in.zipfS, in.churn)
@@ -279,12 +274,12 @@ func (r *resolver) build() error {
 		return nil
 	case modeExp:
 		o := &r.opts
-		o.Scale, o.Seed, o.Engine, o.Hist, o.Tenants = in.scale, in.seed, eng, in.hist, tenants
+		o.Scale, o.Seed, o.Hist, o.Tenants = in.scale, in.seed, in.hist, tenants
 		return nil
 	}
 	// -run and -analyze: one machine.
 	c := &r.run
-	c.Seed, c.Engine, c.Hist, c.Tenants = in.seed, eng, in.hist, tenants
+	c.Seed, c.Hist, c.Tenants = in.seed, in.hist, tenants
 	if tenants == nil {
 		wl, ok := cmcp.WorkloadByName(in.workload)
 		if !ok {
@@ -295,6 +290,7 @@ func (r *resolver) build() error {
 		}
 		c.Workload = wl
 	}
+	var err error
 	if c.Policy.Kind, err = parsePolicy(in.policy); err != nil {
 		return err
 	}

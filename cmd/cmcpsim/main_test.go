@@ -40,7 +40,6 @@ var probes = map[string]struct {
 	"exp":          {"fig9", nil},
 	"analyze":      {"true", nil},
 	"replay":       {"y.jsonl", nil},
-	"engine":       {"parallel", nil},
 	"scale":        {"0.5", nil},
 	"seed":         {"7", nil},
 	"tenants":      {"8", nil},
@@ -83,8 +82,8 @@ func concat(parts ...[]string) []string {
 }
 
 func TestFlagTable(t *testing.T) {
-	if len(table) != 30 {
-		t.Errorf("table has %d flags, want 30", len(table))
+	if len(table) != 29 {
+		t.Errorf("table has %d flags, want 29", len(table))
 	}
 	var names, probed []string
 	for _, rw := range table {
@@ -146,9 +145,7 @@ func TestEveryFlagReachesThePlanOrErrors(t *testing.T) {
 			if reflect.DeepEqual(before, after) {
 				t.Errorf("%v: the plan did not change; the flag is silently ignored", args)
 			}
-			if m == modeRun && !reflect.DeepEqual(before.run, after.run) && rw.name != "engine" {
-				// Engine is the one Config field the sweep key leaves out:
-				// both engines produce bit-identical Results.
+			if m == modeRun && !reflect.DeepEqual(before.run, after.run) {
 				k0, err0 := cmcp.SweepKey(before.run)
 				k1, err1 := cmcp.SweepKey(after.run)
 				if err0 != nil || err1 != nil || k0 == k1 {
@@ -189,6 +186,7 @@ func TestInvalidInvocationsFail(t *testing.T) {
 		{"-run -zipf-s 1.5", "-zipf-s"},
 		{"-exp tenants -churn 100", "-churn"},
 		{"-run -serve-grace 1s", "-serve-grace"},
+		{"-run -engine parallel", "-engine"},
 		{"-exp fig7 -shard 0/2", "-shard"},
 		{"-exp fig7 -journal j.jsonl -shard 0/2", "-shard"},
 		{"-exp fig7 -journal-import a.jsonl", "-journal-import"},
@@ -279,7 +277,7 @@ func TestOutdatedJournalRefused(t *testing.T) {
 // and the README, and nothing else. Each must keep resolving.
 var documented = []string{
 	// .github/workflows/ci.yml
-	"-run -policy CMCP -tenants 64 -zipf-s 1.2 -churn 250 -cores 16 -scale 0.5 -engine parallel -hist",
+	"-run -policy CMCP -tenants 64 -zipf-s 1.2 -churn 250 -cores 16 -scale 0.5 -hist",
 	"-run -cores 4 -scale 0.05 -trace -trace-out run.jsonl",
 	"-replay run.jsonl -buckets 8",
 	"-analyze -workload cg.B -cores 4 -scale 0.05",

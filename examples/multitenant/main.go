@@ -7,10 +7,9 @@
 // fairness index over those tails, so the comparison answers the
 // serving-fleet question: who keeps the slowest tenant fast?
 //
-// The same Config runs bit-identically on both engines; this demo uses
-// the parallel one for speed. A fault that finds no free frame evicts
-// from the tenant holding the most frames, and that tenant's policy
-// picks the page, so the policies decide which pages go.
+// A fault that finds no free frame evicts from the tenant holding the
+// most frames, and that tenant's policy picks the page, so the
+// policies decide which pages go.
 package main
 
 import (
@@ -40,7 +39,6 @@ func main() {
 			Tables:      cmcp.PSPT,
 			Policy:      pol,
 			Seed:        7,
-			Engine:      cmcp.ParallelEngine,
 		})
 	}
 	results, err := cmcp.RunMany(cfgs, 0)

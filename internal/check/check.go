@@ -93,19 +93,6 @@ func (a *Auditor) Note(m *vm.Manager) {
 	}
 }
 
-// NoteN counts n engine events at once — the parallel engine retires
-// provably independent touches in batches — and audits m when the
-// period elapses. At most one audit runs per call: the batch commits
-// atomically between operations, so no intermediate state exists for
-// extra audit points to observe.
-func (a *Auditor) NoteN(m *vm.Manager, n int) {
-	a.events += n
-	if a.events >= a.every {
-		a.events %= a.every
-		a.Audit(m)
-	}
-}
-
 // Audits returns the number of full audits performed.
 func (a *Auditor) Audits() int { return a.audits }
 

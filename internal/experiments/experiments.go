@@ -47,10 +47,6 @@ type Options struct {
 	// Progress, when non-nil, observes sweep planning and completion
 	// (runs done/total, runs/s, ETA).
 	Progress *obs.Progress
-	// Engine selects the simulation engine for every generated run
-	// (machine.Config.Engine). Results are bit-identical across
-	// engines; parallel is faster on multi-core hosts.
-	Engine machine.EngineKind
 	// Hist attaches latency/fan-out histograms to every generated run
 	// config (machine.Config.Hist). Read-only instrumentation: counters
 	// and runtimes are bit-identical either way.
@@ -200,16 +196,9 @@ func (r *Report) CSV() string {
 // resume cycle, and Repeats seed-replication with deterministic
 // averaging. On success every grid point has its result.
 func (o Options) run(cfgs []machine.Config) ([]*machine.Result, error) {
-	if o.Hist || o.Engine != machine.SerialEngine {
+	if o.Hist {
 		for i := range cfgs {
-			cfgs[i].Hist = cfgs[i].Hist || o.Hist
-			if o.Engine != machine.SerialEngine {
-				// Only override when the option is actually set: o.Engine's
-				// zero value is SerialEngine, and stamping it over every
-				// config just because o.Hist was set used to silently reset
-				// a caller-supplied per-config ParallelEngine.
-				cfgs[i].Engine = o.Engine
-			}
+			cfgs[i].Hist = true
 		}
 	}
 	out, err := sweep.Run(cfgs, sweep.Options{

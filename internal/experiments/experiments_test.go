@@ -5,12 +5,41 @@ import (
 	"strings"
 	"testing"
 
+	"cmcp/internal/machine"
+	"cmcp/internal/sim"
+	"cmcp/internal/vm"
 	"cmcp/internal/workload"
 )
 
 // quickOpts keeps test runs fast: tiny footprints, 4-8 cores.
 func quickOpts() Options {
 	return Options{Scale: 0.04, Quick: true, Seed: 3}
+}
+
+// TestRunAttachesHist pins that Options.Hist turns on histograms for
+// every config a batch runs.
+func TestRunAttachesHist(t *testing.T) {
+	var cfgs []machine.Config
+	for seed := uint64(3); seed <= 4; seed++ {
+		cfgs = append(cfgs, machine.Config{
+			Cores:       2,
+			Workload:    workload.Uniform(64, 1500),
+			MemoryRatio: 0.5,
+			PageSize:    sim.Size4k,
+			Tables:      vm.PSPTKind,
+			Policy:      machine.PolicySpec{Kind: machine.FIFO, P: -1},
+			Seed:        seed,
+		})
+	}
+	results, err := Options{Hist: true}.run(cfgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range results {
+		if r.Run.Hists == nil {
+			t.Errorf("run %d: o.Hist did not attach histograms", i)
+		}
+	}
 }
 
 func TestConstraintKnown(t *testing.T) {

@@ -166,7 +166,9 @@ func TestSimulateFootprintOverVPNSpaceIsError(t *testing.T) {
 // finite: an infinite one deletes the wire time like NaN does. A
 // MemoryRatio outside [0, 1] and a negative ScanBatch are errors too:
 // the first used to run with the whole footprint resident, the second
-// scanned one page per list on each tick, or panicked under LFU.
+// scanned one page per list on each tick, or panicked under LFU. An
+// EngineKind other than the two names is an error too; it used to run
+// silently.
 func TestNonFiniteInputsRejected(t *testing.T) {
 	nan := math.NaN()
 	tenants := func(c *Config) *workload.TenantSpec {
@@ -203,6 +205,7 @@ func TestNonFiniteInputsRejected(t *testing.T) {
 		{"DMABytesPerCycle", func(c *Config) { dma(c, -10) }},
 		{"PolicySpec.ScanBatch", func(c *Config) { c.Policy = PolicySpec{Kind: LRU, ScanBatch: -1} }},
 		{"PolicySpec.ScanBatch", func(c *Config) { c.Policy = PolicySpec{Kind: LFU, ScanBatch: -1} }},
+		{"Engine", func(c *Config) { c.Engine = EngineKind(7) }},
 	} {
 		cfg := Config{
 			Cores:       4,

@@ -3,6 +3,8 @@ package machine
 import (
 	"testing"
 
+	"cmcp/internal/check"
+	"cmcp/internal/obs"
 	"cmcp/internal/sim"
 	"cmcp/internal/stats"
 	"cmcp/internal/vm"
@@ -198,6 +200,39 @@ func TestGoldenHistBitIdentical(t *testing.T) {
 			}
 			if *res2.Run.Hists != *hs {
 				t.Error("histograms differ between identical runs")
+			}
+		})
+	}
+}
+
+// TestParallelGoldenBitIdentical runs every golden variant with
+// Config.Engine = ParallelEngine and histograms, the flight recorder
+// and the invariant auditor attached at once, and requires the pinned
+// table bit for bit: the three read-only observers together must not
+// perturb a run, and the ParallelEngine name selects the one event
+// loop (see EngineKind).
+func TestParallelGoldenBitIdentical(t *testing.T) {
+	for name, cfg := range goldenVariants() {
+		t.Run(name, func(t *testing.T) {
+			want := goldenRuns[name]
+			cfg.Engine = ParallelEngine
+			cfg.Hist = true
+			cfg.Probe = obs.NewRecorder(obs.Config{})
+			cfg.Audit = check.New(check.Config{})
+			res, err := Simulate(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Runtime != want.Runtime {
+				t.Errorf("runtime = %d, want %d", res.Runtime, want.Runtime)
+			}
+			if res.Resident != want.Resident {
+				t.Errorf("resident = %d, want %d", res.Resident, want.Resident)
+			}
+			for c := 0; c < stats.NumCounters; c++ {
+				if got := res.Run.Total(stats.Counter(c)); got != want.Counters[c] {
+					t.Errorf("%s = %d, want %d", stats.Counter(c).Name(), got, want.Counters[c])
+				}
 			}
 		})
 	}

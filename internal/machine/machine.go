@@ -143,13 +143,36 @@ type Config struct {
 	// auditing. Like Probe, an Auditor serves one run at a time — never
 	// share one across concurrent RunMany calls.
 	Audit *check.Auditor
-	// Engine selects the event-loop implementation: the serial reference
-	// engine (zero value) or the epoch-parallel engine, which produces
-	// bit-identical Results — counters, histograms, traces, audit state —
-	// at a multiple of the serial throughput (see DESIGN.md §13).
-	// Time-series sampling is inherently serial; such a run falls back
-	// to the serial engine silently, identity preserved by construction.
+	// Engine is accepted for compatibility only: SerialEngine and
+	// ParallelEngine both run the one event loop, and any other value
+	// is an error. See EngineKind.
 	Engine EngineKind
+}
+
+// EngineKind names an event-loop implementation. Only one exists: the
+// two names below both select it, so their Results are identical. The
+// names stay because the benchmark module still sets ParallelEngine
+// for its machine.parallel_speedup metric; ROADMAP item 12 deletes the
+// names together with that metric.
+type EngineKind uint8
+
+const (
+	// SerialEngine selects the event loop (the zero value).
+	SerialEngine EngineKind = iota
+	// ParallelEngine selects the same event loop as SerialEngine.
+	ParallelEngine
+)
+
+// String returns the engine name.
+func (k EngineKind) String() string {
+	switch k {
+	case SerialEngine:
+		return "serial"
+	case ParallelEngine:
+		return "parallel"
+	default:
+		return fmt.Sprintf("EngineKind(%d)", uint8(k))
+	}
 }
 
 // Result is one run's outcome.
@@ -374,6 +397,9 @@ func simulate(cfg Config, sc *dense.Scratch) (*Result, error) {
 	if cfg.Cores <= 0 {
 		return nil, fmt.Errorf("machine: %d cores", cfg.Cores)
 	}
+	if cfg.Engine != SerialEngine && cfg.Engine != ParallelEngine {
+		return nil, fmt.Errorf("machine: Config.Engine %v is neither SerialEngine nor ParallelEngine", cfg.Engine)
+	}
 	if cfg.Cores > maxEngineCores {
 		return nil, fmt.Errorf("machine: %d cores exceeds the scheduler limit of %d", cfg.Cores, maxEngineCores)
 	}
@@ -463,12 +489,11 @@ func simulate(cfg Config, sc *dense.Scratch) (*Result, error) {
 	}
 
 	run := mgr.Run()
-	engine := newPhaseRunner(mgr, cfg)
-	defer engine.close()
+	var events eventQueue // sized by the first phase, reused by the second
 	// Warm-up: every core touches its population once, bringing the
 	// resident set and TLBs to steady state, then all cores synchronize
 	// at a barrier and the counters are rebased.
-	t0, err := engine.run(warmupFn(), 0)
+	t0, err := runPhase(mgr, cfg, &events, warmupFn(), 0)
 	if err != nil {
 		return nil, err
 	}
@@ -485,7 +510,7 @@ func simulate(cfg Config, sc *dense.Scratch) (*Result, error) {
 	if run.Tenants != nil {
 		run.Tenants.ResetHists()
 	}
-	if _, err = engine.run(streamsFn(cfg.Seed), t0); err != nil {
+	if _, err = runPhase(mgr, cfg, &events, streamsFn(cfg.Seed), t0); err != nil {
 		return nil, err
 	}
 	if err := run.Subtract(warm); err != nil {

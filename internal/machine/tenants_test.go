@@ -46,10 +46,10 @@ func runJSON(t *testing.T, r *stats.Run) []byte {
 	return b
 }
 
-// TestTenantEnginesBitIdentical is the tentpole's core promise: a
-// multi-tenant run with churn and a diurnal phase produces
-// bit-identical results on the serial and epoch-parallel engines,
-// per-tenant record included.
+// TestTenantEnginesBitIdentical pins ParallelEngine's contract on a
+// multi-tenant run with churn and a diurnal phase: the result,
+// per-tenant record included, is bit-identical to the SerialEngine
+// run. Both names select the one event loop (see EngineKind).
 func TestTenantEnginesBitIdentical(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -78,7 +78,7 @@ func TestTenantEnginesBitIdentical(t *testing.T) {
 				t.Fatal("tenant run produced no per-tenant record")
 			}
 			if a, b := runJSON(t, serial.Run), runJSON(t, parallel.Run); !bytes.Equal(a, b) {
-				t.Error("per-tenant records differ between engines")
+				t.Error("per-tenant records differ between engine names")
 			}
 		})
 	}
@@ -87,7 +87,7 @@ func TestTenantEnginesBitIdentical(t *testing.T) {
 // TestTenant10kZipfAcceptance is the scale acceptance run: 10,000
 // tenant address spaces under Zipfian selection complete
 // deterministically, report a per-tenant p99 fault-service latency and
-// a fairness metric, and are bit-identical across engines and repeats.
+// a fairness metric, and are bit-identical across repeats.
 func TestTenant10kZipfAcceptance(t *testing.T) {
 	spec := workload.DefaultTenantSpec(10_000, 1.1, 0)
 	spec.TotalTouches = 200_000
@@ -98,13 +98,12 @@ func TestTenant10kZipfAcceptance(t *testing.T) {
 		Tables:      vm.PSPTKind,
 		Policy:      PolicySpec{Kind: FIFO, P: -1},
 		Seed:        3,
-		Engine:      SerialEngine,
 	}
-	serial, err := Simulate(cfg)
+	res, err := Simulate(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := serial.Run.Tenants
+	ts := res.Run.Tenants
 	if ts == nil || ts.Tenants() != 10_000 {
 		t.Fatalf("expected a 10,000-tenant record, got %v", ts)
 	}
@@ -134,27 +133,15 @@ func TestTenant10kZipfAcceptance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(runJSON(t, serial.Run), runJSON(t, again.Run)) {
+	if !bytes.Equal(runJSON(t, res.Run), runJSON(t, again.Run)) {
 		t.Error("repeat run differs")
-	}
-	// And so is the parallel engine.
-	cfg.Engine = ParallelEngine
-	parallel, err := Simulate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if serial.Runtime != parallel.Runtime {
-		t.Errorf("runtime: serial %d, parallel %d", serial.Runtime, parallel.Runtime)
-	}
-	if !bytes.Equal(runJSON(t, serial.Run), runJSON(t, parallel.Run)) {
-		t.Error("10k-tenant records differ between engines")
 	}
 }
 
-// TestZeroTenantGoldenIdentity pins the other half of the tentpole's
-// promise: with Config.Tenants nil, both engines still reproduce the
-// golden table bit-identically and attach no per-tenant record — the
-// multi-tenant machinery is invisible to single-tenant runs.
+// TestZeroTenantGoldenIdentity pins that with Config.Tenants nil the
+// golden table is reproduced bit-identically under either engine name
+// and no per-tenant record is attached: the multi-tenant machinery is
+// invisible to single-tenant runs.
 func TestZeroTenantGoldenIdentity(t *testing.T) {
 	vs := goldenVariants()
 	for _, name := range []string{"FIFO", "CMCP"} {
@@ -245,44 +232,41 @@ func tenantFactory(t *testing.T, cfg Config, wrap func(policy.Policy) policy.Pol
 }
 
 // TestTenantDeadlineBitIdentical pins the scanner lane's due-only
-// ticking: every built-in policy (and CMCP with the dynamic-p tuner),
-// on both engines, produces a Result deep-equal to the same run with
-// every tenant ticked on every scanner tick.
+// ticking: every built-in policy (and CMCP with the dynamic-p tuner)
+// produces a Result deep-equal to the same run with every tenant
+// ticked on every scanner tick.
 func TestTenantDeadlineBitIdentical(t *testing.T) {
 	specs := []PolicySpec{{Kind: CMCP, P: -1, DynamicP: true}}
 	for _, k := range []PolicyKind{FIFO, LRU, CMCP, CLOCK, LFU, Random} {
 		specs = append(specs, PolicySpec{Kind: k, P: -1})
 	}
 	for _, ps := range specs {
-		for _, eng := range []EngineKind{SerialEngine, ParallelEngine} {
-			name := ps.Kind.String()
-			if ps.DynamicP {
-				name += "+dynamicP"
-			}
-			t.Run(name+"/"+eng.String(), func(t *testing.T) {
-				cfg := tenantConfig(24)
-				cfg.Policy = ps
-				cfg.Engine = eng
-				if ps.DynamicP {
-					// Long enough for several tuner windows.
-					cfg.Tenants.TotalTouches = 300_000
-				}
-				due, err := Simulate(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				every := cfg
-				every.Policy.Factory = tenantFactory(t, cfg, func(p policy.Policy) policy.Policy { return alwaysDue{p} })
-				all, err := Simulate(every)
-				if err != nil {
-					t.Fatal(err)
-				}
-				all.Config.Policy.Factory = nil // funcs never compare equal
-				if !reflect.DeepEqual(due, all) {
-					t.Errorf("due-only ticking diverged: runtime %d vs %d", due.Runtime, all.Runtime)
-				}
-			})
+		name := ps.Kind.String()
+		if ps.DynamicP {
+			name += "+dynamicP"
 		}
+		t.Run(name, func(t *testing.T) {
+			cfg := tenantConfig(24)
+			cfg.Policy = ps
+			if ps.DynamicP {
+				// Long enough for several tuner windows.
+				cfg.Tenants.TotalTouches = 300_000
+			}
+			due, err := Simulate(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			every := cfg
+			every.Policy.Factory = tenantFactory(t, cfg, func(p policy.Policy) policy.Policy { return alwaysDue{p} })
+			all, err := Simulate(every)
+			if err != nil {
+				t.Fatal(err)
+			}
+			all.Config.Policy.Factory = nil // funcs never compare equal
+			if !reflect.DeepEqual(due, all) {
+				t.Errorf("due-only ticking diverged: runtime %d vs %d", due.Runtime, all.Runtime)
+			}
+		})
 	}
 }
 

@@ -79,7 +79,7 @@ func toWire(cfg machine.Config) (configWire, error) {
 // journal replace re-execution.
 //
 // Three fields are left out because they never change a Result: Engine
-// (the parallel engine is bit-identical to serial), and the read-only
+// (both of its names run the one event loop), and the read-only
 // observers Probe and Audit. Hist is kept: it never changes counters,
 // but it does change the journaled Run payload (histograms present or
 // absent). A custom Policy.Factory (ErrCustomFactory) or a non-finite

@@ -23,7 +23,7 @@ func customFIFO(policy.Host) policy.Policy { return policy.NewFIFO() }
 
 // TestKeyIgnoresEngineAndObservers is the converse of the sensitivity
 // tests: fields that never change a Result must not change the key, or
-// a parallel-engine or traced run could not reuse a serial journal.
+// a run naming ParallelEngine or a traced run could not reuse a journal.
 func TestKeyIgnoresEngineAndObservers(t *testing.T) {
 	base := testCfg(1)
 	want, err := Key(base)

@@ -94,11 +94,6 @@ func growCap(n int) int {
 	return c
 }
 
-// wouldCompact mirrors compact's trigger conditions (for undo logging).
-func (s *fifoSet) wouldCompact() bool {
-	return len(s.queue) > 4*s.cap+64 || (s.head > 64 && s.head*2 > len(s.queue))
-}
-
 // TLB is one core's data TLB: three L1 size classes plus a unified L2.
 // It is not safe for concurrent use; the event engine serializes cores.
 // The zero value is unusable; construct with New or NewSized. TLB is a
@@ -108,7 +103,6 @@ type TLB struct {
 	l1    [3]fifoSet // indexed by sim.PageSize
 	l2    fifoSet
 	sc    *dense.Scratch
-	j     *Journal // nil outside the parallel engine
 }
 
 // New creates a TLB with the given geometry, sizing its page-state
@@ -167,31 +161,21 @@ func b2u(b bool) uint8 {
 // the correspondingly aligned tag. An L2 hit promotes the entry to the
 // proper L1 class.
 func (t *TLB) Lookup(vpn sim.PageID) HitLevel {
-	_, _, level := t.LookupInfo(vpn)
-	return level
-}
-
-// LookupInfo is Lookup also returning the hit entry's base and size
-// class (valid only when level != Miss). The parallel engine's probe
-// uses it to stamp speculative touches with the translation entry they
-// rely on, so a later invalidation of that entry can be detected.
-func (t *TLB) LookupInfo(vpn sim.PageID) (base sim.PageID, size sim.PageSize, level HitLevel) {
 	if t.at(vpn)&(1<<sim.Size4k) != 0 {
-		return vpn, sim.Size4k, HitL1 // the common case: one byte read
+		return HitL1 // the common case: one byte read
 	}
 	l1, l2 := t.cover(vpn)
 	if l1 != 0 {
-		size = sim.PageSize(bits.TrailingZeros8(l1))
-		return size.Align(vpn), size, HitL1
+		return HitL1
 	}
 	if l2 != 0 {
-		size = sim.PageSize(bits.TrailingZeros8(l2))
-		base = size.Align(vpn)
+		size := sim.PageSize(bits.TrailingZeros8(l2))
+		base := size.Align(vpn)
 		t.drop(&t.l2, base)
 		t.installL1(base, size)
-		return base, size, HitL2
+		return HitL2
 	}
-	return 0, 0, Miss
+	return Miss
 }
 
 // Insert caches the translation for the mapping of the given size
@@ -213,10 +197,6 @@ func (t *TLB) insert(s *fifoSet, base sim.PageID, v uint8) (sim.PageID, bool) {
 	if s.cap <= 0 || t.at(base)&s.mask != 0 {
 		return 0, false // refresh: FIFO ignores re-reference
 	}
-	logging := t.j != nil && t.j.enabled
-	if logging {
-		t.j.logMeta(s)
-	}
 	var evicted sim.PageID
 	var hasEvicted bool
 	for s.n >= s.cap {
@@ -224,9 +204,6 @@ func (t *TLB) insert(s *fifoSet, base sim.PageID, v uint8) (sim.PageID, bool) {
 		vb := sim.PageID(s.queue[s.head])
 		s.head++
 		if t.state[vb]&s.mask != 0 {
-			if logging {
-				t.j.logState(vb, t.state[vb])
-			}
 			t.state[vb] &^= s.mask
 			s.n--
 			evicted, hasEvicted = vb, true
@@ -237,30 +214,18 @@ func (t *TLB) insert(s *fifoSet, base sim.PageID, v uint8) (sim.PageID, bool) {
 		copy(ns, t.state)
 		t.state = ns
 	}
-	if logging {
-		t.j.logState(base, t.state[base])
-	}
 	t.state[base] |= v
 	s.n++
 	s.queue = append(s.queue, int32(base))
-	// Compaction runs at exactly the trigger points the serial engine
-	// hits — its timing is semantically visible, because rewriting the
-	// queue dedupes the stale slots that give a re-inserted page its
-	// effective FIFO position. Under speculation the pre-compaction
-	// queue is snapshotted for undo first.
-	if t.j != nil && (t.j.enabled || t.j.Unreleased() > 0) && s.wouldCompact() {
-		t.j.logQueue(s)
-	}
+	// Compaction timing is semantically visible: rewriting the queue
+	// dedupes the stale slots that give a re-inserted page its
+	// effective FIFO position.
 	t.compact(s)
 	return evicted, hasEvicted
 }
 
 // drop removes the entry at base, which s must hold.
 func (t *TLB) drop(s *fifoSet, base sim.PageID) {
-	if t.j != nil && t.j.enabled {
-		t.j.logMeta(s)
-		t.j.logState(base, t.state[base])
-	}
 	t.state[base] &^= s.mask
 	s.n--
 }
@@ -320,35 +285,6 @@ func (t *TLB) Invalidate(vpn sim.PageID) bool {
 		}
 	}
 	return true
-}
-
-// InvalDisturbs reports whether Invalidate(vpn) would interact with TLB
-// state that the attached journal's speculative window observed or
-// produced: an entry covering vpn is present right now, or an unreleased
-// journal op recorded a state change for one of vpn's aligned bases.
-// When it returns false the invalidation is independent of the window —
-// it finds nothing to drop today, dropped nothing the window relied on,
-// and frees no capacity the window's inserts contended for — so the
-// parallel engine can keep the speculation. When it returns true the
-// engine must roll the window back, because replaying it after the
-// invalidation could classify touches differently.
-func (t *TLB) InvalDisturbs(vpn sim.PageID) bool {
-	if l1, l2 := t.cover(vpn); l1|l2 != 0 {
-		return true
-	}
-	if t.j != nil {
-		return t.j.Touched(sim.Size4k.Align(vpn), sim.Size64k.Align(vpn), sim.Size2M.Align(vpn))
-	}
-	return false
-}
-
-// SetJournal attaches j so that speculative mutations are logged while
-// j is enabled. A journal serves one TLB. Pass nil to detach.
-func (t *TLB) SetJournal(j *Journal) {
-	t.j = j
-	if j != nil {
-		j.t = t
-	}
 }
 
 // Entries returns the current number of cached translations across

@@ -91,9 +91,8 @@ type Manager struct {
 
 	chk      *Checker // nil = Config.Verify off
 	faultObs FaultObserver
-	invalObs func(core sim.CoreID, base sim.PageID) // fires before each TLB invalidation
-	rec      *obs.Recorder                          // nil = tracing disabled
-	hs       *stats.HistSet                         // nil = histograms disabled
+	rec      *obs.Recorder  // nil = tracing disabled
+	hs       *stats.HistSet // nil = histograms disabled
 
 	mt *tenantState // nil = single-tenant machine
 }
@@ -271,9 +270,6 @@ func (m *Manager) ScanAccessed(base sim.PageID) bool {
 	}
 	remote := 0
 	for _, tc := range targets {
-		if m.invalObs != nil {
-			m.invalObs(tc, base)
-		}
 		m.tlbs[tc].Invalidate(base)
 		m.debt[tc] += m.cost.IPIInterrupt
 		m.run.Add(tc, stats.RemoteTLBInvalidations, 1)
@@ -536,9 +532,6 @@ func (m *Manager) evict(core sim.CoreID, vbase sim.PageID) (sim.Cycles, int64, e
 	var work sim.Cycles
 	remote := 0
 	for _, tc := range targets {
-		if m.invalObs != nil {
-			m.invalObs(tc, base)
-		}
 		if tc == core {
 			m.tlbs[core].Invalidate(base)
 			work += m.cost.InvlpgLocal

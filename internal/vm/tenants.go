@@ -13,9 +13,7 @@ import (
 // address spaces of PagesPerTenant pages each share the one device
 // frame pool. Tenant t owns the global pages
 // [t·PagesPerTenant, (t+1)·PagesPerTenant), so the page→tenant map is
-// pure arithmetic and the engines need no notion of tenancy at all —
-// which is also why multi-tenant runs are bit-identical across the
-// serial and epoch-parallel engines by construction.
+// pure arithmetic and the event loop needs no notion of tenancy at all.
 type TenantConfig struct {
 	// Count is the number of tenants.
 	Count int

@@ -24,6 +24,10 @@ func TestMetamorphicRelations(t *testing.T) {
 		rests string // the PAPER.md or DESIGN.md sentence the relation rests on
 		left  []cmcp.Config
 		twin  func(cmcp.Config) cmcp.Config
+		// private runs the row on core-private pages instead of the
+		// three paper workloads and requires every core-map count to be
+		// 1 on the left side.
+		private bool
 	}{
 		{
 			name: "M1 CMCP p=0 is FIFO",
@@ -58,19 +62,42 @@ func TestMetamorphicRelations(t *testing.T) {
 				return c
 			},
 		},
+		{
+			name: "M3 CMCP p=1 is FIFO when every core-map count is 1",
+			rests: "DESIGN.md §5: a page \"enters priority group if it beats the current minimum and the group is below p·frames\", " +
+				"the victim is the \"FIFO head, else priority minimum\", and CMCP's heap orders by (key, seq). At p = 1 every " +
+				"page enters the priority group; with every core-map count 1 the keys tie, so seq, the insertion order, picks the victim.",
+			left: []cmcp.Config{
+				{Cores: 1, Tables: cmcp.PSPT, Policy: fifo},
+				{Cores: 8, Tables: cmcp.PSPT, Policy: fifo},
+			},
+			twin: func(c cmcp.Config) cmcp.Config {
+				c.Policy = cmcp.PolicySpec{Kind: cmcp.CMCP, P: 1}
+				return c
+			},
+			private: true,
+		},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
 			for _, size := range []cmcp.PageSize{cmcp.Size4k, cmcp.Size64k, cmcp.Size2M} {
+				var wls []workload.Spec
 				for _, name := range []string{"cg.B", "bt.B", "SCALE"} {
 					wl, _ := cmcp.WorkloadByName(name)
+					wls = append(wls, shortWorkload(wl, size))
+				}
+				if row.private {
+					// Sixteen 2 MB mappings, two per core at 8 cores.
+					wls = []workload.Spec{workload.Private(16*512, 16_000)}
+				}
+				for _, wl := range wls {
 					for _, left := range row.left {
-						left.Workload = shortWorkload(wl, size)
+						left.Workload = wl
 						left.PageSize = size
 						left.MemoryRatio = 0.75
 						left.Seed = 3
 						right := row.twin(left)
-						id := fmt.Sprintf("%s %s %d cores %v %s", name, size, left.Cores, left.Tables, left.Policy.Kind)
+						id := fmt.Sprintf("%s %s %d cores %v %s", wl.Name, size, left.Cores, left.Tables, left.Policy.Kind)
 						a, err := cmcp.Simulate(left)
 						if err != nil {
 							t.Fatalf("%s: %v", id, err)
@@ -81,6 +108,13 @@ func TestMetamorphicRelations(t *testing.T) {
 						}
 						if a.Run.Total(cmcp.Evictions) == 0 {
 							t.Errorf("%s never evicts, so the relation shows nothing", id)
+						}
+						if row.private {
+							for count, pages := range a.Sharing {
+								if count > 1 && pages != 0 {
+									t.Errorf("%s: %d pages have core-map count %d, so the relation does not apply", id, pages, count)
+								}
+							}
 						}
 						if diffs := resultDiffs(a, b); len(diffs) > 0 {
 							n := len(diffs)
