@@ -79,6 +79,36 @@ func TestAuditorCatchesStaleTLBEntry(t *testing.T) {
 	assertViolation(t, aud, "tlb")
 }
 
+// TestAuditorReportsTLBBookkeeping desynchronizes one core's TLB sets
+// from its state table. A TLB is a plain value whose state table is
+// shared by its copies, so restoring a copy taken before an Insert
+// leaves the inserted page's state bit set while the set's live count
+// stays one short. The page is mapped on that core, so the translation
+// check passes it, and only TLB.CheckInvariants can report it.
+func TestAuditorReportsTLBBookkeeping(t *testing.T) {
+	m := newManager(t, vm.Config{
+		Cores: 2, Frames: 64, PageSize: sim.Size4k, Tables: vm.PSPTKind, Pages: 256,
+	}, nil)
+	touch(t, m, 2, 20) // core 0 maps page 0
+	tl := m.TLBFor(0)
+	tl.Invalidate(0)
+	saved := *tl
+	tl.Insert(0, sim.Size4k)
+	*tl = saved
+	if _, _, ok := m.Lookup(0, 0); !ok {
+		t.Fatal("setup: core 0 does not map page 0")
+	}
+	aud := check.New(check.Config{})
+	aud.Audit(m)
+	assertViolation(t, aud, "tlb")
+	for _, v := range aud.Violations() {
+		if v.Module == "tlb" && strings.HasPrefix(v.Detail, "core 0: tlb L1/") {
+			return
+		}
+	}
+	t.Fatalf("no TLB bookkeeping violation among: %v", aud.Violations())
+}
+
 // TestAuditorCatchesStaleAccessSummary desynchronizes one bit of PSPT's
 // accessed/dirty summary from the PTE bit it mirrors — the signature of
 // an attribute path that forgot the summary — in both directions: a

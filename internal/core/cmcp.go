@@ -205,6 +205,9 @@ func New(host policy.Host, capacity int, opts ...Option) *CMCP {
 	if c.p < 0 || c.p > 1 {
 		panic(fmt.Sprintf("core: p=%v out of [0,1]", c.p))
 	}
+	// The group never holds more than maxPrio pages while p is fixed, so
+	// the heap is made at that bound; only a tuner raising p grows it.
+	c.prio = make([]prioItem, 0, c.maxPrio())
 	if c.tuner != nil {
 		c.tuner.attach(c)
 	}

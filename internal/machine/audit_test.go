@@ -267,7 +267,7 @@ func TestParallelDifferential(t *testing.T) {
 // records through the same policy at the same capacity, minus the
 // faults of the warm-up records alone. FIFO's state after a prefix is
 // deterministic, so the difference is exact, and it also covers the
-// warm-up barrier and the counter rebase (Run.Subtract). TLBs, costs
+// warm-up barrier and the counter rebase (Run.Rebase). TLBs, costs
 // and locks must not change *which* accesses fault.
 func TestAuditFIFODifferentialReplay(t *testing.T) {
 	wl := workload.Uniform(400, 6000)

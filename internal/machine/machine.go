@@ -245,7 +245,7 @@ func buildPolicy(cfg Config, frames, pages int, sc *dense.Scratch) (vm.PolicyFac
 			if batch == 0 {
 				batch = capacity // high-pressure regime: scan everything
 			}
-			opts = append(opts, policy.WithScanBatch(batch))
+			opts = append(opts, policy.WithScanBatch(batch), policy.WithLRUCapacity(capacity))
 			return policy.NewLRU(h, opts...)
 		}, nil
 	case CMCP:
@@ -278,7 +278,7 @@ func buildPolicy(cfg Config, frames, pages int, sc *dense.Scratch) (vm.PolicyFac
 			if batch == 0 {
 				batch = capacity
 			}
-			opts = append(opts, policy.WithLFUScanBatch(batch))
+			opts = append(opts, policy.WithLFUScanBatch(batch), policy.WithLFUCapacity(capacity))
 			return policy.NewLFU(h, opts...)
 		}, nil
 	case Random:
@@ -497,7 +497,7 @@ func simulate(cfg Config, sc *dense.Scratch) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	warm := run.CloneIn(sc)
+	warm := run.SnapshotCounters(sc)
 	for c := 0; c < cfg.Cores; c++ {
 		mgr.TakeDebt(sim.CoreID(c)) // drop warm-up interrupt debt
 	}
@@ -513,9 +513,7 @@ func simulate(cfg Config, sc *dense.Scratch) (*Result, error) {
 	if _, err = runPhase(mgr, cfg, &events, streamsFn(cfg.Seed), t0); err != nil {
 		return nil, err
 	}
-	if err := run.Subtract(warm); err != nil {
-		return nil, err
-	}
+	run.Rebase(warm)
 	for i := range run.Finish {
 		if run.Finish[i] > t0 {
 			run.Finish[i] -= t0

@@ -25,6 +25,7 @@ type LFU struct {
 	nextScan   sim.Cycles
 	seq        uint64
 	cursor     sim.PageID // resume point for the round-robin scan
+	capacity   int        // resident pages the heap and buffers are sized for
 
 	snap, wrap []sim.PageID // reusable Tick snapshot buffers
 }
@@ -61,6 +62,14 @@ func WithLFUArena(sc *dense.Scratch, hint int) LFUOption {
 	return func(l *LFU) { l.pos = dense.NewIndex(sc, hint) }
 }
 
+// WithLFUCapacity sizes the heap and the Tick snapshot buffers for n
+// resident pages up front (the device capacity in mappings). Both are
+// disjoint subsets of the resident pages, so a run that never holds
+// more than n pages never grows them.
+func WithLFUCapacity(n int) LFUOption {
+	return func(l *LFU) { l.capacity = n }
+}
+
 // NewLFU returns an LFU approximation backed by host.
 func NewLFU(host Host, opts ...LFUOption) *LFU {
 	l := &LFU{
@@ -71,6 +80,13 @@ func NewLFU(host Host, opts ...LFUOption) *LFU {
 	}
 	for _, o := range opts {
 		o(l)
+	}
+	if l.capacity > 0 {
+		l.heap = make([]lfuItem, 0, l.capacity)
+		// A Tick's batch and wrap buffers hold distinct resident pages,
+		// wrap at most scanBatch of them; batch ends up holding both.
+		l.snap = make([]sim.PageID, 0, l.capacity)
+		l.wrap = make([]sim.PageID, 0, min(l.scanBatch, l.capacity))
 	}
 	return l
 }

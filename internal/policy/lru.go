@@ -27,6 +27,7 @@ type LRU struct {
 	nextScan   sim.Cycles
 
 	scratch, activeScratch []sim.PageID // reusable Tick batch buffers
+	capacity               int          // resident pages the buffers are sized for
 }
 
 // LRUOption customizes an LRU instance.
@@ -51,6 +52,13 @@ func WithLRUArena(sc *dense.Scratch, hint int) LRUOption {
 	}
 }
 
+// WithLRUCapacity sizes the Tick batch buffers for n resident pages up
+// front (the device capacity in mappings): a batch holds at most
+// min(ScanBatch, n) pages while the run holds at most n.
+func WithLRUCapacity(n int) LRUOption {
+	return func(l *LRU) { l.capacity = n }
+}
+
 // NewLRU returns an LRU approximation backed by host for access-bit
 // scanning. The default period matches the paper's 10 ms timer.
 func NewLRU(host Host, opts ...LRUOption) *LRU {
@@ -63,6 +71,10 @@ func NewLRU(host Host, opts ...LRUOption) *LRU {
 	}
 	for _, o := range opts {
 		o(l)
+	}
+	if n := min(l.scanBatch, l.capacity); n > 0 {
+		l.scratch = make([]sim.PageID, 0, n)
+		l.activeScratch = make([]sim.PageID, 0, n)
 	}
 	return l
 }

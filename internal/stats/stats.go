@@ -8,6 +8,7 @@ package stats
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strings"
 
 	"cmcp/internal/dense"
@@ -234,16 +235,6 @@ func NewRun(n int) *Run {
 	}
 }
 
-// NewRunIn is NewRun with storage drawn from sc (nil falls back to
-// make). Used for warm-up snapshots that die with the run.
-func NewRunIn(n int, sc *dense.Scratch) *Run {
-	return &Run{
-		Cores:    n,
-		counters: sc.U64((n + 1) * NumCounters),
-		Finish:   sc.Cycles(n + 1),
-	}
-}
-
 // EnableHists attaches an empty histogram set to the run (idempotent).
 // One allocation; recording into it never allocates.
 func (r *Run) EnableHists() *HistSet {
@@ -337,46 +328,54 @@ func (r *Run) Merge(other *Run) error {
 	return nil
 }
 
-// Clone returns a deep copy of the run record (used to snapshot
-// counters at the end of a warm-up phase).
-func (r *Run) Clone() *Run { return r.CloneIn(nil) }
-
-// CloneIn is Clone with the copy's storage drawn from sc; the copy is
-// only valid until sc is recycled.
-func (r *Run) CloneIn(sc *dense.Scratch) *Run {
-	c := NewRunIn(r.Cores, sc)
-	copy(c.counters, r.counters)
-	copy(c.Finish, r.Finish)
+// Clone returns a deep copy of the run record: counters, finish times,
+// histograms and tenant record (the sweep's replicate merge accumulates
+// into a clone of the first replicate).
+func (r *Run) Clone() *Run {
+	c := &Run{Cores: r.Cores, counters: slices.Clone(r.counters), Finish: slices.Clone(r.Finish)}
 	if r.Hists != nil {
-		// Histograms are small and plain-heap (never scratch-backed):
-		// the sweep's replicate merge keeps clones after sc recycles.
 		h := *r.Hists
 		c.Hists = &h
 	}
 	if r.Tenants != nil {
-		c.Tenants = r.Tenants.CloneIn(sc)
+		c.Tenants = r.Tenants.clone()
 	}
 	return c
 }
 
-// Subtract removes a baseline snapshot from the counters (Finish times
-// are left untouched; the engine rebases those itself, and histograms
-// are reset at the warm-up barrier rather than subtracted — bucket
-// counts of a prefix cannot be subtracted from a distribution). Used
-// to report only the measured phase after a warm-up.
-func (r *Run) Subtract(base *Run) error {
-	if base.Cores != r.Cores {
-		return fmt.Errorf("stats: subtracting run with %d cores from %d", base.Cores, r.Cores)
-	}
+// SnapshotCounters copies every counter of the run into one slice
+// drawn from sc: the per-core matrix, then the per-tenant matrix when
+// the run has one. Finish times and histograms are not part of it. The
+// engine takes one at the warm-up barrier and hands it to Rebase.
+func (r *Run) SnapshotCounters(sc *dense.Scratch) []uint64 {
+	tc := r.tenantCounters()
+	snap := sc.U64(len(r.counters) + len(tc))
+	copy(snap[copy(snap, r.counters):], tc)
+	return snap
+}
+
+// Rebase subtracts a SnapshotCounters snapshot of this run from its
+// counters, so they count only what happened after the snapshot. It is
+// how the engine reports only the measured phase after a warm-up.
+// Finish times are left untouched (the engine rebases those itself),
+// and histograms are reset at the warm-up barrier instead: bucket
+// counts of a prefix cannot be subtracted from a distribution.
+func (r *Run) Rebase(snap []uint64) {
 	for i := range r.counters {
-		r.counters[i] -= base.counters[i]
+		r.counters[i] -= snap[i]
 	}
-	if r.Tenants != nil && base.Tenants != nil {
-		if err := r.Tenants.Subtract(base.Tenants); err != nil {
-			return err
-		}
+	snap = snap[len(r.counters):]
+	for i, tc := 0, r.tenantCounters(); i < len(tc); i++ {
+		tc[i] -= snap[i]
 	}
-	return nil
+}
+
+// tenantCounters is the tenant counter matrix, nil on single-tenant runs.
+func (r *Run) tenantCounters() []uint64 {
+	if r.Tenants == nil {
+		return nil
+	}
+	return r.Tenants.counters
 }
 
 // DivideBy divides every counter and finish time by n (used to average

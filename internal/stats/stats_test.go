@@ -244,12 +244,21 @@ func TestRunDivideByPoolsHists(t *testing.T) {
 	}
 }
 
-func TestCloneInDeepCopiesHists(t *testing.T) {
+func TestCloneDeepCopiesHists(t *testing.T) {
 	r := NewRun(1)
 	r.EnableHists().Record(EvictionHist, 42)
+	r.EnableTenants(2).RecordFault(1, 7)
 	c := r.Clone()
 	c.Hists.Record(EvictionHist, 43)
+	c.Tenants.RecordFault(1, 8)
+	c.Tenants.Add(0, TenantTouches, 1)
 	if got := r.Hists.Get(EvictionHist).Count; got != 1 {
 		t.Errorf("clone aliased the original's histograms (count %d)", got)
+	}
+	if got := r.Tenants.FaultHist(1).Count; got != 1 {
+		t.Errorf("clone aliased the original's tenant histograms (count %d)", got)
+	}
+	if got := r.Tenants.Get(0, TenantTouches); got != 0 {
+		t.Errorf("clone aliased the original's tenant counters (touches %d)", got)
 	}
 }

@@ -3,8 +3,8 @@ package stats
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 
-	"cmcp/internal/dense"
 	"cmcp/internal/hist"
 )
 
@@ -140,18 +140,6 @@ func (t *TenantSet) Merge(o *TenantSet) error {
 	return nil
 }
 
-// Subtract removes o's counters from t (warm-up rebase). Histograms are
-// untouched — the warm-up barrier resets them instead.
-func (t *TenantSet) Subtract(o *TenantSet) error {
-	if t.n != o.n {
-		return fmt.Errorf("stats: subtracting tenant set of %d tenants from %d", o.n, t.n)
-	}
-	for i, v := range o.counters {
-		t.counters[i] -= v
-	}
-	return nil
-}
-
 // DivideBy divides every counter by n, matching Run.DivideBy: the
 // replicate-merge averages counters while histograms stay pooled.
 func (t *TenantSet) DivideBy(n uint64) {
@@ -170,18 +158,9 @@ func (t *TenantSet) ResetHists() {
 	}
 }
 
-// CloneIn deep-copies the set, drawing the counter matrix from sc when
-// non-nil. Histograms are plain-heap copies either way, for the same
-// reason Run.CloneIn heap-copies HistSet.
-func (t *TenantSet) CloneIn(sc *dense.Scratch) *TenantSet {
-	c := &TenantSet{
-		n:        t.n,
-		counters: sc.U64(len(t.counters)),
-		fault:    make([]hist.H, len(t.fault)),
-	}
-	copy(c.counters, t.counters)
-	copy(c.fault, t.fault)
-	return c
+// clone deep-copies the set.
+func (t *TenantSet) clone() *TenantSet {
+	return &TenantSet{n: t.n, counters: slices.Clone(t.counters), fault: slices.Clone(t.fault)}
 }
 
 // tenantSetJSON is the journal form of TenantSet.

@@ -82,26 +82,35 @@ func TestTenantSetMergePools(t *testing.T) {
 	}
 }
 
-func TestTenantSetSubtract(t *testing.T) {
-	a, base := NewTenantSet(2), NewTenantSet(2)
-	a.Add(0, TenantTouches, 10)
-	base.Add(0, TenantTouches, 4)
-	a.RecordFault(0, 50)
-	if err := a.Subtract(base); err != nil {
-		t.Fatal(err)
+func TestRebaseTenantCounters(t *testing.T) {
+	r := NewRun(2)
+	ts := r.EnableTenants(2)
+	r.Add(1, PageFaults, 3)
+	ts.Add(0, TenantTouches, 4)
+	ts.RecordFault(0, 50)
+	snap := r.SnapshotCounters(nil)
+	if want := 3*NumCounters + 2*NumTenantCounters; len(snap) != want {
+		t.Fatalf("snapshot holds %d counters, want %d", len(snap), want)
 	}
-	if a.Get(0, TenantTouches) != 6 {
-		t.Error("Subtract did not rebase the counter")
+	r.Add(1, PageFaults, 5)
+	ts.Add(0, TenantTouches, 6)
+	ts.Add(1, TenantFaults, 1)
+	r.Rebase(snap)
+	if got := r.Get(1, PageFaults); got != 5 {
+		t.Errorf("core counter rebased to %d, want 5", got)
 	}
-	if a.FaultHist(0).Count != 1 {
-		t.Error("Subtract touched histograms (the barrier resets them instead)")
+	if got := ts.Get(0, TenantTouches); got != 6 {
+		t.Errorf("tenant counter rebased to %d, want 6", got)
 	}
-	a.ResetHists()
-	if a.FaultHist(0).Count != 0 {
+	if got := ts.Get(1, TenantFaults); got != 1 {
+		t.Errorf("tenant counter past the snapshot rebased to %d, want 1", got)
+	}
+	if ts.FaultHist(0).Count != 1 {
+		t.Error("Rebase touched histograms (the barrier resets them instead)")
+	}
+	ts.ResetHists()
+	if ts.FaultHist(0).Count != 0 {
 		t.Error("ResetHists left samples behind")
-	}
-	if err := a.Subtract(NewTenantSet(5)); err == nil {
-		t.Error("subtracting mismatched tenant counts did not fail")
 	}
 }
 

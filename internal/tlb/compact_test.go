@@ -91,3 +91,57 @@ func TestCompactLivePreservesEvictionOrder(t *testing.T) {
 		}
 	}
 }
+
+// storm drives t through a shootdown storm: random inserts of every
+// size class, a quarter of them invalidated at once (a remote eviction
+// right after the walk), each followed by the invalidation of a random
+// page. Stale slots pile up in every set while L1 victims keep demoting
+// into the L2. It returns the longest queue each set reached.
+func storm(t *TLB, pages int) (longest [4]int) {
+	rng := sim.NewRNG(7)
+	sets := [4]*fifoSet{&t.l1[sim.Size4k], &t.l1[sim.Size64k], &t.l1[sim.Size2M], &t.l2}
+	for i := 0; i < 20_000; i++ {
+		vpn := sim.PageID(rng.Intn(pages))
+		t.Insert(vpn, sizes[rng.Intn(len(sizes))])
+		if rng.Intn(4) == 0 {
+			t.Invalidate(vpn)
+		}
+		t.Invalidate(sim.PageID(rng.Intn(pages)))
+		for j, s := range sets {
+			longest[j] = max(longest[j], len(s.queue))
+		}
+	}
+	return longest
+}
+
+var sinkTLB TLB
+
+// TestShootdownStormNeverGrowsQueues pins newFifoSet's sizing claim:
+// NewSized makes every set queue at its queueSlots bound, so a
+// shootdown storm that drives each queue to its compaction threshold
+// allocates nothing beyond the TLB's construction.
+func TestShootdownStormNeverGrowsQueues(t *testing.T) {
+	const pages = 512
+	cfg := DefaultConfig()
+	tb := NewSized(cfg, pages, nil)
+	longest := storm(&tb, pages)
+	caps := [4]int{cfg.L1Entries4k, cfg.L1Entries64k, cfg.L1Entries2M, cfg.L2Entries}
+	for j, c := range caps {
+		// Each set must reach the compaction threshold, or the storm
+		// never tested the bound.
+		if longest[j] < 4*c+64 {
+			t.Errorf("set %d: storm reached %d queue slots, want the compaction threshold %d", j, longest[j], 4*c+64)
+		}
+	}
+	if err := tb.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	build := testing.AllocsPerRun(10, func() { sinkTLB = NewSized(cfg, pages, nil) })
+	stormed := testing.AllocsPerRun(10, func() {
+		sinkTLB = NewSized(cfg, pages, nil)
+		storm(&sinkTLB, pages)
+	})
+	if stormed != build {
+		t.Errorf("a shootdown storm allocates %.0f objects beyond NewSized's %.0f, want 0", stormed-build, build)
+	}
+}

@@ -78,11 +78,14 @@ type fifoSet struct {
 	head  int
 }
 
-func newFifoSet(capacity int, mask uint8, sc *dense.Scratch) fifoSet {
-	// The queue holds live entries plus stale slots from invalidations;
-	// compact() trims once the consumed prefix passes 64, so size for
-	// that regime to keep append from reallocating.
-	return fifoSet{cap: capacity, mask: mask, queue: sc.I32(2*capacity + 80)[:0]}
+// queueSlots is the most slots a set's queue ever holds. compact
+// rewrites the queue as soon as it passes 4*capacity+64 slots, so an
+// insert finds at most that many and its append makes one more.
+func queueSlots(capacity int) int {
+	if capacity <= 0 {
+		return 0 // insert returns before queueing anything
+	}
+	return 4*capacity + 65
 }
 
 // growCap rounds n up to the next power of two (minimum 8).
@@ -114,17 +117,27 @@ func New(cfg Config) *TLB {
 
 // NewSized creates a TLB whose state table is pre-sized for page IDs
 // in [0, pages) and drawn from sc (both optional: pages 0 grows on
-// demand, sc nil allocates normally).
+// demand, sc nil allocates normally). The four set queues are carved
+// from one slab at their queueSlots bound, so no insert ever grows one.
 func NewSized(cfg Config, pages int, sc *dense.Scratch) TLB {
+	caps := [4]int{cfg.L1Entries4k, cfg.L1Entries64k, cfg.L1Entries2M, cfg.L2Entries}
+	masks := [4]uint8{1 << sim.Size4k, 1 << sim.Size64k, 1 << sim.Size2M, l2Mask}
+	n := 0
+	for _, c := range caps {
+		n += queueSlots(c)
+	}
+	slab := sc.I32(n)
+	var sets [4]fifoSet
+	for i, c := range caps {
+		q := queueSlots(c)
+		sets[i] = fifoSet{cap: c, mask: masks[i], queue: slab[:0:q]}
+		slab = slab[q:]
+	}
 	return TLB{
 		state: sc.U8(pages),
-		l1: [3]fifoSet{
-			sim.Size4k:  newFifoSet(cfg.L1Entries4k, 1<<sim.Size4k, sc),
-			sim.Size64k: newFifoSet(cfg.L1Entries64k, 1<<sim.Size64k, sc),
-			sim.Size2M:  newFifoSet(cfg.L1Entries2M, 1<<sim.Size2M, sc),
-		},
-		l2: newFifoSet(cfg.L2Entries, l2Mask, sc),
-		sc: sc,
+		l1:    [3]fifoSet{sim.Size4k: sets[0], sim.Size64k: sets[1], sim.Size2M: sets[2]},
+		l2:    sets[3],
+		sc:    sc,
 	}
 }
 

@@ -188,6 +188,10 @@ func (s Spec) HotFraction() float64 {
 // private pages are split evenly among cores; a band shared by k cores
 // is divided into groups, each assigned to k adjacent cores (halo-style
 // neighbour sharing, matching the stencil/NPB patterns in Fig. 6).
+//
+// The deal runs twice: the first pass counts each core's hot and cold
+// pages, the second writes them into pools carved from one slab at
+// exactly those sizes, so no pool ever grows.
 func (s Spec) Build(cores int) (*Layout, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -201,9 +205,39 @@ func (s Spec) Build(cores int) (*Layout, error) {
 		hot:   make([][]sim.PageID, cores),
 		cold:  make([][]sim.PageID, cores),
 	}
+	counts := make([]int, 2*cores) // core c: hot pages at 2c, cold at 2c+1
+	l.TotalPages = s.deal(cores, func(c int, _ sim.PageID, hot bool) {
+		if hot {
+			counts[2*c]++
+		} else {
+			counts[2*c+1]++
+		}
+	})
+	n := 0
+	for _, k := range counts {
+		n += k
+	}
+	slab := make([]sim.PageID, n)
+	for c := 0; c < cores; c++ {
+		h, k := counts[2*c], counts[2*c+1]
+		l.hot[c], l.cold[c] = slab[:0:h], slab[h:h:h+k]
+		slab = slab[h+k:]
+	}
+	s.deal(cores, func(c int, page sim.PageID, hot bool) {
+		if hot {
+			l.hot[c] = append(l.hot[c], page)
+		} else {
+			l.cold[c] = append(l.cold[c], page)
+		}
+	})
+	return l, nil
+}
+
+// deal walks the band-by-band page deal in order, calling assign once
+// for each core a page is dealt to, and returns the pages laid out.
+func (s Spec) deal(cores int, assign func(c int, page sim.PageID, hot bool)) int {
 	next := sim.PageID(0)
-	// Deterministic striping of hot/cold within each band: every
-	// 1/hotFrac-th page is hot.
+	stripe := s.hotStripe()
 	for _, b := range s.Sharing {
 		bandPages := int(float64(s.Pages)*b.Frac + 0.5)
 		hotFrac := s.SharedHotFrac
@@ -217,7 +251,6 @@ func (s Spec) Build(cores int) (*Layout, error) {
 		if k > cores {
 			k = cores // cannot share among more cores than exist
 		}
-		stripe := s.hotStripe()
 		for i := 0; i < bandPages; i++ {
 			page := next
 			next++
@@ -232,17 +265,11 @@ func (s Spec) Build(cores int) (*Layout, error) {
 			// spread evenly.
 			start := (i * cores / max(bandPages, 1)) % cores
 			for j := 0; j < k; j++ {
-				c := (start + j) % cores
-				if isHot {
-					l.hot[c] = append(l.hot[c], page)
-				} else {
-					l.cold[c] = append(l.cold[c], page)
-				}
+				assign((start+j)%cores, page, isHot)
 			}
 		}
 	}
-	l.TotalPages = int(next)
-	return l, nil
+	return int(next)
 }
 
 // Layout is the materialized per-core page populations of a workload at
@@ -261,19 +288,24 @@ func (l *Layout) HotPages(core int) []sim.PageID { return l.hot[core] }
 func (l *Layout) ColdPages(core int) []sim.PageID { return l.cold[core] }
 
 // Streams creates the per-core access streams for this layout. Each
-// core draws TotalTouches/Cores accesses: with probability HotQ a
-// uniform hot page, otherwise a uniform cold page; each touch is a
-// store with probability WriteFrac.
+// core draws TotalTouches/Cores accesses in bursts: a selected page is
+// touched Burst consecutive times, each touch a store with probability
+// WriteFrac, and a fresh draw starts the stream's second half. The
+// next page continues the core's sequential walk through its current
+// pool with probability SeqP. Otherwise it comes from the hot pool
+// with probability HotQ, at index floor(n*u^HotSkew) for uniform u when
+// HotSkew > 1 and uniformly else, or uniformly from the cold pool. A
+// core with no cold pages always draws hot, one with no hot pages cold.
 func (l *Layout) Streams(seed uint64) []Stream {
 	streams := make([]Stream, l.Cores)
+	rs := make([]randStream, l.Cores)
 	perCore := l.Spec.TotalTouches / l.Cores
 	if perCore < 1 {
 		perCore = 1
 	}
 	root := sim.NewRNG(seed)
-	for c := 0; c < l.Cores; c++ {
-		streams[c] = &randStream{
-			rng:       root.Split(),
+	for c := range rs {
+		rs[c] = randStream{
 			hot:       l.hot[c],
 			cold:      l.cold[c],
 			hotQ:      l.Spec.HotQ,
@@ -284,50 +316,57 @@ func (l *Layout) Streams(seed uint64) []Stream {
 			remaining: perCore,
 			total:     perCore,
 		}
+		rs[c].rng.Seed(root.Uint64()) // what root.Split() draws
+		streams[c] = &rs[c]
 	}
 	return streams
 }
 
 // WarmupStreams returns streams that touch each page of every core's
-// population exactly once, in page order. The engine uses them to bring
-// the system to steady state (resident set populated, TLBs warm) before
-// the measured phase, mirroring the paper's steady-state iteration
-// measurements — otherwise scaled-down runs are dominated by one-time
-// demand paging that real multi-minute runs amortize away.
+// population exactly once: its hot pool, then its cold pool, read in
+// place from the layout. The engine uses them to bring the system to
+// steady state (resident set populated, TLBs warm) before the measured
+// phase, mirroring the paper's steady-state iteration measurements —
+// otherwise scaled-down runs are dominated by one-time demand paging
+// that real multi-minute runs amortize away.
 func (l *Layout) WarmupStreams() []Stream {
 	streams := make([]Stream, l.Cores)
-	for c := 0; c < l.Cores; c++ {
-		pages := make([]sim.PageID, 0, len(l.hot[c])+len(l.cold[c]))
-		pages = append(pages, l.hot[c]...)
-		pages = append(pages, l.cold[c]...)
-		streams[c] = &sliceStream{pages: pages}
+	ws := make([]warmStream, l.Cores)
+	for c := range ws {
+		ws[c] = warmStream{hot: l.hot[c], cold: l.cold[c]}
+		streams[c] = &ws[c]
 	}
 	return streams
 }
 
-// sliceStream replays a fixed page list once, as reads.
-type sliceStream struct {
-	pages []sim.PageID
-	pos   int
+// warmStream reads a core's hot pool and then its cold pool once each.
+type warmStream struct {
+	hot, cold []sim.PageID
+	pos       int // index into hot, then len(hot) + index into cold
 }
 
 // Next implements Stream.
-func (s *sliceStream) Next() (Access, bool) {
-	if s.pos >= len(s.pages) {
+func (s *warmStream) Next() (Access, bool) {
+	var a Access
+	switch i := s.pos; {
+	case i < len(s.hot):
+		a.VPN = s.hot[i]
+	case i-len(s.hot) < len(s.cold):
+		a.VPN = s.cold[i-len(s.hot)]
+	default:
 		return Access{}, false
 	}
-	a := Access{VPN: s.pages[s.pos]}
 	s.pos++
 	return a, true
 }
 
 // Len implements Stream.
-func (s *sliceStream) Len() int { return len(s.pages) }
+func (s *warmStream) Len() int { return len(s.hot) + len(s.cold) }
 
 // randStream draws pages from the two-tier population and touches each
 // selected page `burst` consecutive times (intra-page reuse).
 type randStream struct {
-	rng       *sim.RNG
+	rng       sim.RNG
 	hot, cold []sim.PageID
 	hotQ      float64
 	hotSkew   float64
