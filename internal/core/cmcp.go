@@ -43,7 +43,7 @@ type CMCP struct {
 	capacity int     // resident-mapping capacity (device frames / span)
 	p        float64 // ratio of prioritized pages
 
-	fifo *policy.List
+	fifo *dense.List
 	prio []prioItem  // binary min-heap by (key, seq)
 	pos  dense.Index // base -> heap position
 
@@ -174,12 +174,11 @@ func WithObserver(o Observer) Option {
 }
 
 // WithArena pre-sizes the FIFO list and position table for page bases
-// in [0, hint), drawing their slices from sc (the scratch pool of
-// a RunMany worker).
-func WithArena(sc *dense.Scratch, hint int) Option {
+// in [0, hint). The first argument is ignored.
+func WithArena(_ *dense.Scratch, hint int) Option {
 	return func(c *CMCP) {
-		c.fifo = policy.NewListIn(sc, hint)
-		c.pos = dense.NewIndex(sc, hint)
+		c.fifo = dense.NewList(hint)
+		c.pos = dense.NewIndex(hint)
 	}
 }
 
@@ -194,8 +193,8 @@ func New(host policy.Host, capacity int, opts ...Option) *CMCP {
 		host:      host,
 		capacity:  capacity,
 		p:         DefaultP,
-		fifo:      policy.NewList(),
-		pos:       dense.NewIndex(nil, 0),
+		fifo:      dense.NewList(0),
+		pos:       dense.NewIndex(0),
 		agePeriod: sim.DefaultCostModel().AgePeriod,
 		ageDecay:  1.0,
 	}

@@ -4,16 +4,15 @@ import "cmcp/internal/sim"
 
 // Index is a page-indexed replacement for map[sim.PageID]int32-shaped
 // indexes (heap positions, slice offsets, store handles). Values are
-// stored as v+1 so the zero slice element means "absent"; slabs from a
-// Scratch therefore start out empty without an O(n) sentinel fill.
+// stored as v+1 so the zero slice element means "absent"; a fresh
+// table therefore starts out empty without an O(n) sentinel fill.
 type Index struct {
-	sc *Scratch
-	v  []int32
+	v []int32
 }
 
 // NewIndex returns an index pre-sized for pages in [0, hint).
-func NewIndex(sc *Scratch, hint int) Index {
-	return Index{sc: sc, v: sc.I32(hint)}
+func NewIndex(hint int) Index {
+	return Index{v: make([]int32, hint)}
 }
 
 // Get returns the value stored for page, or -1 when absent.
@@ -60,8 +59,8 @@ func (x *Index) Range(fn func(page sim.PageID, v int32) bool) {
 	}
 }
 
+// grow extends the table to n zeroed entries; append's capacity
+// doubling keeps repeated growth amortized O(1).
 func (x *Index) grow(n int) {
-	nv := x.sc.I32(ceilPow2(n))
-	copy(nv, x.v)
-	x.v = nv
+	x.v = append(x.v, make([]int32, n-len(x.v))...)
 }

@@ -4,18 +4,18 @@ import "cmcp/internal/sim"
 
 // List is an intrusive doubly-linked list over page-indexed link
 // slices: O(1) membership, push, remove and pop with zero per-node
-// allocation. Links store page+1 so zeroed slabs mean "not linked";
+// allocation. Links store page+1 so zeroed slices mean "not linked";
 // a page is on the list iff it has a neighbour or is the head.
 type List struct {
-	sc         *Scratch
 	prev, next []int32 // page -> neighbour page + 1; 0 = none
 	head, tail int32   // page + 1; 0 = empty
 	n          int
 }
 
-// NewList returns an empty list pre-sized for pages in [0, hint).
-func NewList(sc *Scratch, hint int) List {
-	return List{sc: sc, prev: sc.I32(hint), next: sc.I32(hint)}
+// NewList returns an empty list pre-sized for pages in [0, hint); it
+// grows past that range on demand.
+func NewList(hint int) *List {
+	return &List{prev: make([]int32, hint), next: make([]int32, hint)}
 }
 
 // Len returns the number of elements.
@@ -29,9 +29,16 @@ func (l *List) Has(page sim.PageID) bool {
 	return l.prev[page] != 0 || l.next[page] != 0 || l.head == int32(page)+1
 }
 
-// PushTail appends page as the newest element. The page must not be on
-// the list already (callers check Has, as the map version did).
+// PushTail appends page as the newest element. Pushing a page that is
+// already on the list is a bug in the caller and panics.
 func (l *List) PushTail(page sim.PageID) {
+	if l.Has(page) {
+		panic("dense: page already on list")
+	}
+	l.pushTail(page)
+}
+
+func (l *List) pushTail(page sim.PageID) {
 	if page >= sim.PageID(len(l.prev)) {
 		l.grow(int(page) + 1)
 	}
@@ -83,7 +90,7 @@ func (l *List) MoveToTail(page sim.PageID) bool {
 	if !l.Remove(page) {
 		return false
 	}
-	l.PushTail(page)
+	l.pushTail(page)
 	return true
 }
 
@@ -97,11 +104,9 @@ func (l *List) ForEachFromHead(fn func(page sim.PageID) bool) {
 	}
 }
 
+// grow extends both link slices to n zeroed entries (amortized by
+// append's capacity doubling).
 func (l *List) grow(n int) {
-	c := ceilPow2(n)
-	np := l.sc.I32(c)
-	nn := l.sc.I32(c)
-	copy(np, l.prev)
-	copy(nn, l.next)
-	l.prev, l.next = np, nn
+	l.prev = append(l.prev, make([]int32, n-len(l.prev))...)
+	l.next = append(l.next, make([]int32, n-len(l.next))...)
 }

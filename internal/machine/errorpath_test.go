@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"cmcp/internal/pagetable"
 	"cmcp/internal/policy"
@@ -226,5 +227,24 @@ func TestNonFiniteInputsRejected(t *testing.T) {
 				t.Errorf("case %d (%s): err = %v, want an error naming it", i, tc.field, err)
 			}
 		}()
+	}
+}
+
+// TestClockPastPackedBoundIsError: the scheduler packs a clock into the
+// high 48 bits of an event key, so a run whose next event lies at or
+// past 2^48 cycles must fail naming the core and the cycle rather than
+// wrap the clock. The very first touch gets there, so the error must
+// come at once.
+func TestClockPastPackedBoundIsError(t *testing.T) {
+	cost := sim.DefaultCostModel()
+	cost.TouchCompute = 1 << 48
+	cfg := Config{Cores: 2, Workload: workload.Private(64, 400), Cost: cost, Seed: 1}
+	start := time.Now()
+	_, err := Simulate(cfg)
+	if took := time.Since(start); took > time.Second {
+		t.Errorf("Simulate took %v to fail", took)
+	}
+	if err == nil || !strings.Contains(err.Error(), "core ") || !strings.Contains(err.Error(), "at cycle ") {
+		t.Fatalf("err = %v, want an error naming the core and the cycle", err)
 	}
 }

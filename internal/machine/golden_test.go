@@ -124,26 +124,32 @@ func TestGoldenCountersBitIdentical(t *testing.T) {
 	}
 }
 
-// TestGoldenViaRunMany re-runs two golden variants through the
-// parallel driver: each RunMany worker's scratch arena must not perturb
-// results, and back-to-back runs on one recycled arena must match the
-// fresh-arena outcome exactly.
+// TestGoldenViaRunMany re-runs four golden variants through the sweep
+// driver at parallelism 1 and 2: RunMany must return each result at its
+// input index, bit-identical to the golden Simulate produces alone.
 func TestGoldenViaRunMany(t *testing.T) {
 	vs := goldenVariants()
-	cfgs := []Config{vs["FIFO"], vs["CMCP"], vs["FIFO"], vs["CMCP"]}
-	results, err := RunMany(cfgs, 1) // one worker: all four share an arena
-	if err != nil {
-		t.Fatal(err)
+	names := []string{"FIFO", "CMCP", "LRU", "FIFO/regularPT"}
+	cfgs := make([]Config, len(names))
+	for i, name := range names {
+		cfgs[i] = vs[name]
 	}
-	for i, res := range results {
-		name := []string{"FIFO", "CMCP", "FIFO", "CMCP"}[i]
-		want := goldenRuns[name]
-		if res.Runtime != want.Runtime {
-			t.Errorf("run %d (%s): runtime = %d, want %d", i, name, res.Runtime, want.Runtime)
+	for _, parallelism := range []int{1, 2} {
+		results, err := RunMany(cfgs, parallelism)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for c := 0; c < stats.NumCounters; c++ {
-			if got := res.Run.Total(stats.Counter(c)); got != want.Counters[c] {
-				t.Errorf("run %d (%s): %s = %d, want %d", i, name, stats.Counter(c).Name(), got, want.Counters[c])
+		for i, res := range results {
+			name, want := names[i], goldenRuns[names[i]]
+			if res.Runtime != want.Runtime || res.Resident != want.Resident {
+				t.Errorf("parallelism %d, run %d (%s): runtime %d resident %d, want %d and %d",
+					parallelism, i, name, res.Runtime, res.Resident, want.Runtime, want.Resident)
+			}
+			for c := 0; c < stats.NumCounters; c++ {
+				if got := res.Run.Total(stats.Counter(c)); got != want.Counters[c] {
+					t.Errorf("parallelism %d, run %d (%s): %s = %d, want %d",
+						parallelism, i, name, stats.Counter(c).Name(), got, want.Counters[c])
+				}
 			}
 		}
 	}

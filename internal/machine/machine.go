@@ -15,7 +15,6 @@ import (
 
 	"cmcp/internal/check"
 	"cmcp/internal/core"
-	"cmcp/internal/dense"
 	"cmcp/internal/obs"
 	"cmcp/internal/pagetable"
 	"cmcp/internal/policy"
@@ -212,9 +211,9 @@ func Frames(pages int, ratio float64, size sim.PageSize) int {
 	return f
 }
 
-// buildPolicy resolves the policy factory for a run. pages and sc size
-// the policy's page-indexed bookkeeping (see vm.Config.Pages/Scratch).
-func buildPolicy(cfg Config, frames, pages int, sc *dense.Scratch) (vm.PolicyFactory, error) {
+// buildPolicy resolves the policy factory for a run. pages sizes the
+// policy's page-indexed bookkeeping (see vm.Config.Pages).
+func buildPolicy(cfg Config, frames, pages int) (vm.PolicyFactory, error) {
 	if cfg.Policy.Factory != nil {
 		return cfg.Policy.Factory, nil
 	}
@@ -228,7 +227,7 @@ func buildPolicy(cfg Config, frames, pages int, sc *dense.Scratch) (vm.PolicyFac
 	capacity := frames / span
 	switch cfg.Policy.Kind {
 	case FIFO:
-		return func(policy.Host) policy.Policy { return policy.NewFIFOIn(sc, pages) }, nil
+		return func(policy.Host) policy.Policy { return policy.NewFIFOIn(nil, pages) }, nil
 	case LRU:
 		return func(h policy.Host) policy.Policy {
 			// The paper's kernel scans every 10 ms over runs of minutes.
@@ -240,7 +239,7 @@ func buildPolicy(cfg Config, frames, pages int, sc *dense.Scratch) (vm.PolicyFac
 			if period == 0 {
 				period = 50_000
 			}
-			opts := []policy.LRUOption{policy.WithScanPeriod(period), policy.WithLRUArena(sc, pages)}
+			opts := []policy.LRUOption{policy.WithScanPeriod(period), policy.WithLRUArena(nil, pages)}
 			batch := cfg.Policy.ScanBatch
 			if batch == 0 {
 				batch = capacity // high-pressure regime: scan everything
@@ -253,7 +252,7 @@ func buildPolicy(cfg Config, frames, pages int, sc *dense.Scratch) (vm.PolicyFac
 			return nil, fmt.Errorf("machine: CMCP p=%v out of [0,1]", cfg.Policy.P)
 		}
 		return func(h policy.Host) policy.Policy {
-			opts := []core.Option{core.WithArena(sc, pages)}
+			opts := []core.Option{core.WithArena(nil, pages)}
 			if cfg.Policy.P >= 0 {
 				opts = append(opts, core.WithP(cfg.Policy.P))
 			}
@@ -266,14 +265,14 @@ func buildPolicy(cfg Config, frames, pages int, sc *dense.Scratch) (vm.PolicyFac
 			return core.New(h, capacity, opts...)
 		}, nil
 	case CLOCK:
-		return func(h policy.Host) policy.Policy { return policy.NewClockIn(h, sc, pages) }, nil
+		return func(h policy.Host) policy.Policy { return policy.NewClockIn(h, nil, pages) }, nil
 	case LFU:
 		return func(h policy.Host) policy.Policy {
 			period := cfg.Policy.ScanPeriod
 			if period == 0 {
 				period = 50_000 // compressed like LRU's; see above
 			}
-			opts := []policy.LFUOption{policy.WithLFUScanPeriod(period), policy.WithLFUArena(sc, pages)}
+			opts := []policy.LFUOption{policy.WithLFUScanPeriod(period), policy.WithLFUArena(nil, pages)}
 			batch := cfg.Policy.ScanBatch
 			if batch == 0 {
 				batch = capacity
@@ -282,7 +281,7 @@ func buildPolicy(cfg Config, frames, pages int, sc *dense.Scratch) (vm.PolicyFac
 			return policy.NewLFU(h, opts...)
 		}, nil
 	case Random:
-		return func(policy.Host) policy.Policy { return policy.NewRandomIn(cfg.Seed^0xabcdef, sc, pages) }, nil
+		return func(policy.Host) policy.Policy { return policy.NewRandomIn(cfg.Seed^0xabcdef, nil, pages) }, nil
 	default:
 		return nil, fmt.Errorf("machine: unknown policy kind %v", cfg.Policy.Kind)
 	}
@@ -299,10 +298,14 @@ func buildPolicy(cfg Config, frames, pages int, sc *dense.Scratch) (vm.PolicyFac
 // does not depend on the queue's shape. The packing bounds one run at
 // 2^48 cycles (~3 days of simulated 1 GHz time; real runs are under
 // 2^27) and 2^16-1 schedulable entities; Simulate rejects configs
-// beyond the latter.
+// beyond the latter, and runPhase fails a run whose clock reaches the
+// former.
 type eventKey uint64
 
 const eventIDBits = 16
+
+// maxClock is the first clock a packed key cannot hold.
+const maxClock = sim.Cycles(1) << (64 - eventIDBits)
 
 // maxEngineCores is the schedulable-entity limit imposed by the packed
 // event key: all application cores plus the scanner must fit in 16 bits.
@@ -388,12 +391,7 @@ func (cfg *Config) footprintFits() bool {
 }
 
 // Simulate executes one run to completion and returns its Result.
-func Simulate(cfg Config) (*Result, error) { return simulate(cfg, nil) }
-
-// simulate is Simulate with an optional scratch arena supplying the
-// run's page-indexed tables; each RunMany worker passes an arena it
-// recycles between runs. The Result references no scratch storage.
-func simulate(cfg Config, sc *dense.Scratch) (*Result, error) {
+func Simulate(cfg Config) (*Result, error) {
 	if cfg.Cores <= 0 {
 		return nil, fmt.Errorf("machine: %d cores", cfg.Cores)
 	}
@@ -460,7 +458,7 @@ func simulate(cfg Config, sc *dense.Scratch) (*Result, error) {
 		}
 		polPages = cfg.Tenants.PagesPerTenant
 	}
-	factory, err := buildPolicy(cfg, polFrames, polPages, sc)
+	factory, err := buildPolicy(cfg, polFrames, polPages)
 	if err != nil {
 		return nil, err
 	}
@@ -479,7 +477,6 @@ func simulate(cfg Config, sc *dense.Scratch) (*Result, error) {
 		Cost:     cfg.Cost,
 		Verify:   cfg.Verify,
 		Pages:    totalPages,
-		Scratch:  sc,
 		Hist:     cfg.Hist,
 		Tenants:  vmTenants,
 		Probe:    cfg.Probe,
@@ -497,7 +494,7 @@ func simulate(cfg Config, sc *dense.Scratch) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	warm := run.SnapshotCounters(sc)
+	warm := run.SnapshotCounters()
 	for c := 0; c < cfg.Cores; c++ {
 		mgr.TakeDebt(sim.CoreID(c)) // drop warm-up interrupt debt
 	}
@@ -570,6 +567,7 @@ func runPhase(mgr *vm.Manager, cfg Config, events *eventQueue, streams []workloa
 		if cfg.Audit != nil {
 			cfg.Audit.Note(mgr)
 		}
+		var next sim.Cycles
 		if id == scannerID {
 			// Scanner pseudo-core: run policy periodic work, then
 			// schedule the next tick after the work completes.
@@ -577,34 +575,32 @@ func runPhase(mgr *vm.Manager, cfg Config, events *eventQueue, streams []workloa
 			if rec := cfg.Probe; rec != nil && rec.Sampling() {
 				sample(rec, mgr, clock, events.leaves(), scannerID)
 			}
-			next := clock + tickInterval
-			if done := clock + cost; done > next {
-				next = done
-			}
+			next = max(clock+tickInterval, clock+cost)
 			scannerClock = next
-			events.set(int(id), makeEvent(next, id))
-			continue
-		}
-		// Deliver pending invalidation IPIs before the next access.
-		if debt := mgr.TakeDebt(id); debt > 0 {
-			events.set(int(id), makeEvent(clock+debt, id))
-			continue
-		}
-		a, ok := streams[id].Next()
-		if !ok {
-			run.Finish[id] = clock
-			if clock > barrier {
-				barrier = clock
+		} else if debt := mgr.TakeDebt(id); debt > 0 {
+			// Deliver pending invalidation IPIs before the next access.
+			next = clock + debt
+		} else {
+			a, ok := streams[id].Next()
+			if !ok {
+				run.Finish[id] = clock
+				if clock > barrier {
+					barrier = clock
+				}
+				remaining--
+				events.set(int(id), noKey) // core retires
+				continue
 			}
-			remaining--
-			events.set(int(id), noKey) // core retires
-			continue
+			done, err := mgr.Access(id, a.VPN, a.Write, clock)
+			if err != nil {
+				return 0, fmt.Errorf("machine: core %d at cycle %d: %w", id, clock, err)
+			}
+			next = done
 		}
-		done, err := mgr.Access(id, a.VPN, a.Write, clock)
-		if err != nil {
-			return 0, fmt.Errorf("machine: core %d at cycle %d: %w", id, clock, err)
+		if next >= maxClock {
+			return 0, fmt.Errorf("machine: core %d at cycle %d: next event at cycle %d is past the scheduler's 2^48-cycle bound", id, clock, next)
 		}
-		events.set(int(id), makeEvent(done, id))
+		events.set(int(id), makeEvent(next, id))
 	}
 	run.Finish[scannerID] = scannerClock
 	return barrier, nil
@@ -617,9 +613,11 @@ func runPhase(mgr *vm.Manager, cfg Config, events *eventQueue, streams []workloa
 // sampling resolution is bounded below by tickInterval.
 func sample(rec *obs.Recorder, mgr *vm.Manager, now sim.Cycles, events []eventKey, scannerID sim.CoreID) {
 	rec.MaybeSample(now, func(s *obs.Sample) {
+		// Totals include the scanner's row: scan clears and the
+		// scanner's IPIs are counted only there.
 		run := mgr.Run()
 		for c := 0; c < stats.NumCounters; c++ {
-			s.Counters[c] = run.Total(stats.Counter(c))
+			s.Counters[c] = run.Total(stats.Counter(c)) + run.Get(scannerID, stats.Counter(c))
 		}
 		s.Resident = mgr.Resident()
 		if fifo, prio, ok := mgr.PolicyGroups(); ok {

@@ -409,6 +409,36 @@ func TestProbeRecordsEvents(t *testing.T) {
 	}
 }
 
+// TestSamplesCountTheScanner: scan clears and the IPIs that clearing
+// accessed bits sends are charged to the scanner pseudo-core's row, so
+// the sampled counters must sum it too. On one core no application core
+// sends an IPI, so every IPI in a sample is the scanner's.
+func TestSamplesCountTheScanner(t *testing.T) {
+	rec := obs.NewRecorder(obs.Config{Events: -1, SampleEvery: 100_000})
+	cfg := Config{Cores: 1, Workload: workload.Private(256, 20_000), MemoryRatio: 0.5,
+		Tables: vm.PSPTKind, Policy: PolicySpec{Kind: LRU}, Seed: 1, Probe: rec}
+	res, err := Simulate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scanner := sim.ScannerCore(cfg.Cores)
+	if res.Run.Total(stats.IPIsSent) != 0 || res.Run.Get(scanner, stats.IPIsSent) == 0 {
+		t.Fatalf("premise: core IPIs %d, scanner IPIs %d; want only the scanner's",
+			res.Run.Total(stats.IPIsSent), res.Run.Get(scanner, stats.IPIsSent))
+	}
+	samples := rec.Samples()
+	if len(samples) == 0 {
+		t.Fatal("no samples")
+	}
+	last := samples[len(samples)-1]
+	if last.Counters[stats.ScanClears] == 0 {
+		t.Error("last sample has zero scan_clears")
+	}
+	if last.Counters[stats.IPIsSent] == 0 {
+		t.Error("last sample misses the scanner's IPIs")
+	}
+}
+
 // TestProbeDoesNotPerturbSimulation verifies observation is free in
 // virtual time: identical Runtime and counters with and without a
 // recorder attached.

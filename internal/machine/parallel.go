@@ -6,8 +6,6 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sync"
-
-	"cmcp/internal/dense"
 )
 
 // RunMany executes independent simulations concurrently, preserving
@@ -56,14 +54,8 @@ func RunManyNotify(cfgs []Config, parallelism int, notify func(i int, res *Resul
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// Each worker owns a scratch arena: the page-indexed tables
-			// of run i+1 reuse the slabs of run i instead of reallocating
-			// them. Results never reference scratch storage, so recycling
-			// between runs is safe.
-			sc := &dense.Scratch{}
 			for i := range work {
-				results[i], errs[i] = runRecovered(cfgs[i], &sc)
-				sc.Recycle()
+				results[i], errs[i] = runRecovered(cfgs[i])
 				if notify != nil {
 					notify(i, results[i], errs[i])
 				}
@@ -94,15 +86,12 @@ func RunManyNotify(cfgs []Config, parallelism int, notify func(i int, res *Resul
 // the engine — most plausibly a faulty custom Policy.Factory or policy
 // implementation — into that run's error, so one broken run cannot
 // kill the whole sweep process and lose every sibling result.
-func runRecovered(cfg Config, sc **dense.Scratch) (res *Result, err error) {
+func runRecovered(cfg Config) (res *Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			// The abandoned run may still hold scratch slabs; hand the
-			// worker a fresh arena rather than recycling torn state.
-			*sc = &dense.Scratch{}
 			res = nil
 			err = fmt.Errorf("panicked: %v\n%s", r, debug.Stack())
 		}
 	}()
-	return simulate(cfg, *sc)
+	return Simulate(cfg)
 }

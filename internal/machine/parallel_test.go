@@ -68,7 +68,7 @@ func TestRunManyPanicRecovered(t *testing.T) {
 		t.Error("panicked run returned a result")
 	}
 	// The panic must not take sibling runs down with it — including the
-	// run sharing the panicked worker's scratch arena.
+	// run the panicked worker executes next.
 	for _, i := range []int{0, 2} {
 		if results[i] == nil || results[i].Runtime == 0 {
 			t.Errorf("sibling run %d did not survive the panic", i)

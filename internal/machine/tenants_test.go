@@ -224,7 +224,7 @@ func (p countTicks) NextTick() sim.Cycles { return p.Policy.(policy.Deadline).Ne
 func tenantFactory(t *testing.T, cfg Config, wrap func(policy.Policy) policy.Policy) vm.PolicyFactory {
 	t.Helper()
 	frames := Frames(cfg.Tenants.Tenants*cfg.Tenants.PagesPerTenant, cfg.MemoryRatio, cfg.PageSize)
-	inner, err := buildPolicy(cfg, max(frames/cfg.Tenants.Tenants, 1), cfg.Tenants.PagesPerTenant, nil)
+	inner, err := buildPolicy(cfg, max(frames/cfg.Tenants.Tenants, 1), cfg.Tenants.PagesPerTenant)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,18 +14,16 @@ import (
 // and this implementation lets the experiments demonstrate it.
 type Clock struct {
 	host Host
-	list *List // head = hand position
+	list *dense.List // head = hand position
 }
 
 // NewClock returns a CLOCK policy backed by host for access bits.
-func NewClock(host Host) *Clock {
-	return &Clock{host: host, list: NewList()}
-}
+func NewClock(host Host) *Clock { return NewClockIn(host, nil, 0) }
 
 // NewClockIn is NewClock with the list pre-sized for page bases in
-// [0, hint) and drawn from sc.
-func NewClockIn(host Host, sc *dense.Scratch, hint int) *Clock {
-	return &Clock{host: host, list: NewListIn(sc, hint)}
+// [0, hint). The second argument is ignored.
+func NewClockIn(host Host, _ *dense.Scratch, hint int) *Clock {
+	return &Clock{host: host, list: dense.NewList(hint)}
 }
 
 // Name implements Policy.

@@ -10,16 +10,16 @@ import (
 // therefore causes no statistics shootdowns — the property that,
 // surprisingly, lets it beat LRU on many-cores (paper §5.4).
 type FIFO struct {
-	list *List
+	list *dense.List
 }
 
 // NewFIFO returns an empty FIFO policy.
-func NewFIFO() *FIFO { return &FIFO{list: NewList()} }
+func NewFIFO() *FIFO { return NewFIFOIn(nil, 0) }
 
 // NewFIFOIn returns a FIFO policy whose list is pre-sized for page
-// bases in [0, hint) and drawn from sc.
-func NewFIFOIn(sc *dense.Scratch, hint int) *FIFO {
-	return &FIFO{list: NewListIn(sc, hint)}
+// bases in [0, hint). The first argument is ignored.
+func NewFIFOIn(_ *dense.Scratch, hint int) *FIFO {
+	return &FIFO{list: dense.NewList(hint)}
 }
 
 // Name implements Policy.

@@ -57,9 +57,9 @@ func WithLFUScanBatch(n int) LFUOption {
 }
 
 // WithLFUArena pre-sizes the position table for page bases in
-// [0, hint) with storage drawn from sc.
-func WithLFUArena(sc *dense.Scratch, hint int) LFUOption {
-	return func(l *LFU) { l.pos = dense.NewIndex(sc, hint) }
+// [0, hint). The first argument is ignored.
+func WithLFUArena(_ *dense.Scratch, hint int) LFUOption {
+	return func(l *LFU) { l.pos = dense.NewIndex(hint) }
 }
 
 // WithLFUCapacity sizes the heap and the Tick snapshot buffers for n
@@ -74,7 +74,7 @@ func WithLFUCapacity(n int) LFUOption {
 func NewLFU(host Host, opts ...LFUOption) *LFU {
 	l := &LFU{
 		host:       host,
-		pos:        dense.NewIndex(nil, 0),
+		pos:        dense.NewIndex(0),
 		scanPeriod: sim.DefaultCostModel().ScanPeriod,
 		scanBatch:  256,
 	}

@@ -17,8 +17,8 @@ import (
 // fewer page faults. Those costs are charged inside Host.ScanAccessed.
 type LRU struct {
 	host     Host
-	active   *List
-	inactive *List
+	active   *dense.List
+	inactive *dense.List
 
 	// ScanPeriod is the virtual time between scanner runs (the paper
 	// uses a 10 ms timer). ScanBatch bounds PTEs scanned per run.
@@ -26,7 +26,7 @@ type LRU struct {
 	scanBatch  int
 	nextScan   sim.Cycles
 
-	scratch, activeScratch []sim.PageID // reusable Tick batch buffers
+	inactiveBuf, activeBuf []sim.PageID // reusable Tick batch buffers
 	capacity               int          // resident pages the buffers are sized for
 }
 
@@ -43,12 +43,12 @@ func WithScanBatch(n int) LRUOption {
 	return func(l *LRU) { l.scanBatch = n }
 }
 
-// WithLRUArena pre-sizes both lists for page bases in [0, hint) with
-// link slices drawn from sc.
-func WithLRUArena(sc *dense.Scratch, hint int) LRUOption {
+// WithLRUArena pre-sizes both lists for page bases in [0, hint). The
+// first argument is ignored.
+func WithLRUArena(_ *dense.Scratch, hint int) LRUOption {
 	return func(l *LRU) {
-		l.active = NewListIn(sc, hint)
-		l.inactive = NewListIn(sc, hint)
+		l.active = dense.NewList(hint)
+		l.inactive = dense.NewList(hint)
 	}
 }
 
@@ -64,8 +64,8 @@ func WithLRUCapacity(n int) LRUOption {
 func NewLRU(host Host, opts ...LRUOption) *LRU {
 	l := &LRU{
 		host:       host,
-		active:     NewList(),
-		inactive:   NewList(),
+		active:     dense.NewList(0),
+		inactive:   dense.NewList(0),
 		scanPeriod: sim.DefaultCostModel().ScanPeriod,
 		scanBatch:  256,
 	}
@@ -73,8 +73,8 @@ func NewLRU(host Host, opts ...LRUOption) *LRU {
 		o(l)
 	}
 	if n := min(l.scanBatch, l.capacity); n > 0 {
-		l.scratch = make([]sim.PageID, 0, n)
-		l.activeScratch = make([]sim.PageID, 0, n)
+		l.inactiveBuf = make([]sim.PageID, 0, n)
+		l.activeBuf = make([]sim.PageID, 0, n)
 	}
 	return l
 }
@@ -132,8 +132,8 @@ func (l *LRU) Tick(now sim.Cycles) {
 	// Capture both batches before moving anything, so a page promoted
 	// in the inactive pass is not immediately re-examined (and demoted)
 	// in the active pass of the same tick.
-	inactiveBatch := capture(l.inactive, l.scanBatch, l.scratch[:0])
-	activeBatch := capture(l.active, l.scanBatch, l.activeScratch[:0])
+	inactiveBatch := capture(l.inactive, l.scanBatch, l.inactiveBuf[:0])
+	activeBatch := capture(l.active, l.scanBatch, l.activeBuf[:0])
 	for _, base := range inactiveBatch {
 		if !l.inactive.Has(base) {
 			continue
@@ -168,11 +168,11 @@ func (l *LRU) Tick(now sim.Cycles) {
 		}
 		l.inactive.PushTail(base)
 	}
-	l.scratch, l.activeScratch = inactiveBatch[:0], activeBatch[:0]
+	l.inactiveBuf, l.activeBuf = inactiveBatch[:0], activeBatch[:0]
 }
 
 // capture copies up to limit bases from the head of list into dst.
-func capture(list *List, limit int, dst []sim.PageID) []sim.PageID {
+func capture(list *dense.List, limit int, dst []sim.PageID) []sim.PageID {
 	n := 0
 	list.ForEachFromHead(func(base sim.PageID) bool {
 		dst = append(dst, base)

@@ -17,7 +17,6 @@ package policy
 import (
 	"math"
 
-	"cmcp/internal/dense"
 	"cmcp/internal/sim"
 )
 
@@ -85,52 +84,4 @@ func NextTick(p Policy) sim.Cycles {
 		return d.NextTick()
 	}
 	return 0
-}
-
-// List is an intrusive doubly-linked list of page bases with O(1)
-// membership, push, remove and pop, shared by the queue-like policies.
-// It is a thin wrapper over dense.List: links live in page-indexed
-// slices, so there is no per-node allocation and no map hashing on the
-// eviction path.
-type List struct {
-	l dense.List
-}
-
-// NewList returns an empty list that grows on demand.
-func NewList() *List { return NewListIn(nil, 0) }
-
-// NewListIn returns an empty list pre-sized for page bases in
-// [0, hint), drawing its link slices from sc (both optional).
-func NewListIn(sc *dense.Scratch, hint int) *List {
-	return &List{l: dense.NewList(sc, hint)}
-}
-
-// Len returns the number of elements.
-func (l *List) Len() int { return l.l.Len() }
-
-// Has reports whether base is on the list.
-func (l *List) Has(base sim.PageID) bool { return l.l.Has(base) }
-
-// PushTail appends base as the newest element. Pushing an existing
-// element is a bug in the caller and panics.
-func (l *List) PushTail(base sim.PageID) {
-	if l.l.Has(base) {
-		panic("policy: page already on list")
-	}
-	l.l.PushTail(base)
-}
-
-// PopHead removes and returns the oldest element.
-func (l *List) PopHead() (sim.PageID, bool) { return l.l.PopHead() }
-
-// Remove deletes base if present, reporting whether it was.
-func (l *List) Remove(base sim.PageID) bool { return l.l.Remove(base) }
-
-// MoveToTail refreshes base as the newest element.
-func (l *List) MoveToTail(base sim.PageID) bool { return l.l.MoveToTail(base) }
-
-// ForEachFromHead iterates oldest-to-newest until fn returns false.
-// fn must not mutate the list; use collect-then-act patterns.
-func (l *List) ForEachFromHead(fn func(base sim.PageID) bool) {
-	l.l.ForEachFromHead(fn)
 }

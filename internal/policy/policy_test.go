@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"cmcp/internal/dense"
 	"cmcp/internal/sim"
 )
 
@@ -34,7 +35,7 @@ func (h *fakeHost) ScanAccessed(base sim.PageID) bool {
 }
 
 func TestPageListBasics(t *testing.T) {
-	l := NewList()
+	l := dense.NewList(0)
 	if _, ok := l.PopHead(); ok {
 		t.Error("pop from empty")
 	}
@@ -60,7 +61,7 @@ func TestPageListBasics(t *testing.T) {
 }
 
 func TestPageListDoublePushPanics(t *testing.T) {
-	l := NewList()
+	l := dense.NewList(0)
 	l.PushTail(1)
 	defer func() {
 		if recover() == nil {
@@ -73,7 +74,7 @@ func TestPageListDoublePushPanics(t *testing.T) {
 func TestPageListOrderProperty(t *testing.T) {
 	// Property: popHead drains in push order when nothing is removed.
 	f := func(n uint8) bool {
-		l := NewList()
+		l := dense.NewList(0)
 		k := int(n%50) + 1
 		for i := 0; i < k; i++ {
 			l.PushTail(sim.PageID(i))

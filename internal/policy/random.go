@@ -18,9 +18,9 @@ type Random struct {
 func NewRandom(seed uint64) *Random { return NewRandomIn(seed, nil, 0) }
 
 // NewRandomIn is NewRandom with the position index pre-sized for page
-// bases in [0, hint) and drawn from sc.
-func NewRandomIn(seed uint64, sc *dense.Scratch, hint int) *Random {
-	return &Random{rng: sim.NewRNG(seed), index: dense.NewIndex(sc, hint)}
+// bases in [0, hint). The second argument is ignored.
+func NewRandomIn(seed uint64, _ *dense.Scratch, hint int) *Random {
+	return &Random{rng: sim.NewRNG(seed), index: dense.NewIndex(hint)}
 }
 
 // Name implements Policy.

@@ -120,7 +120,7 @@ func FuzzPSPT(f *testing.F) {
 		n := [3]int{2, 8, 72}[data[0]%3]
 		pages := [3]int{0, 64, 1024}[data[0]/3%3]
 		size := [3]sim.PageSize{sim.Size4k, sim.Size64k, sim.Size2M}[data[0]/9%3]
-		p := NewSized(n, size, pages, nil)
+		p := New(n, size, pages)
 		r := &refPSPT{n: n, size: size, m: map[sim.PageID]*refMapping{}}
 		flagSets := [4]pagetable.PTE{0, pagetable.Writable, pagetable.Writable | pagetable.Accessed,
 			pagetable.Writable | pagetable.Accessed | pagetable.Dirty}

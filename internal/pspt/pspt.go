@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"math/bits"
 
-	"cmcp/internal/dense"
 	"cmcp/internal/pagetable"
 	"cmcp/internal/sim"
 )
@@ -115,19 +114,16 @@ type PSPT struct {
 	acc, dirty []uint64 // accessed/dirty summary, n*words each
 }
 
-// New creates a PSPT of size mappings for n application cores.
-func New(n int, size sim.PageSize) *PSPT { return NewSized(n, size, 0, nil) }
-
-// NewSized is New with the record table and the accessed/dirty summary
-// sized for page IDs in [0, pages) (the summary drawn from sc, which is
-// optional). The record table grows past that range; the summary never
+// New creates a PSPT of size mappings for n application cores, with the
+// record table and the accessed/dirty summary sized for page IDs in
+// [0, pages). The record table grows past that range; the summary never
 // does: pages beyond it walk.
-func NewSized(n int, size sim.PageSize, pages int, sc *dense.Scratch) *PSPT {
+func New(n int, size sim.PageSize, pages int) *PSPT {
 	if n <= 0 || n > MaxCores {
 		panic(fmt.Sprintf("pspt: %d cores out of range 1..%d", n, MaxCores))
 	}
 	words := (pages + 63) / 64
-	sum := sc.U64(2 * n * words) // one slab for both bitmaps
+	sum := make([]uint64, 2*n*words) // one slab for both bitmaps
 	p := &PSPT{n: n, size: size, tables: make([]*pagetable.Table, n), ents: make([]entry, pages),
 		words: words, acc: sum[:n*words], dirty: sum[n*words:]}
 	for i := range p.tables {

@@ -77,16 +77,16 @@ func TestNewBounds(t *testing.T) {
 					t.Errorf("New(%d) must panic", n)
 				}
 			}()
-			New(n, sim.Size4k)
+			New(n, sim.Size4k, 0)
 		}()
 	}
-	if New(60, sim.Size4k).Cores() != 60 {
+	if New(60, sim.Size4k, 0).Cores() != 60 {
 		t.Error("Cores()")
 	}
 }
 
 func TestMapAndCoreMapCount(t *testing.T) {
-	p := New(4, sim.Size4k)
+	p := New(4, sim.Size4k, 0)
 	first, err := p.Map(0, 100, 7, pagetable.Writable)
 	if err != nil || !first {
 		t.Fatalf("first Map: %v first=%v", err, first)
@@ -127,7 +127,7 @@ func TestMapAndCoreMapCount(t *testing.T) {
 }
 
 func TestMapInconsistent(t *testing.T) {
-	p := New(2, sim.Size64k)
+	p := New(2, sim.Size64k, 0)
 	if _, err := p.Map(0, 96, 96, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestMapInconsistent(t *testing.T) {
 }
 
 func TestCopyFromSibling(t *testing.T) {
-	p := New(3, sim.Size4k)
+	p := New(3, sim.Size4k, 0)
 	if _, ok, err := p.CopyFromSibling(1, 50, 0); ok || err != nil {
 		t.Error("copy with no sibling mapping must find nothing")
 	}
@@ -167,7 +167,7 @@ func TestCopyFromSibling(t *testing.T) {
 }
 
 func TestUnmapReturnsTargets(t *testing.T) {
-	p := New(4, sim.Size4k)
+	p := New(4, sim.Size4k, 0)
 	p.Map(0, 10, 1, pagetable.Writable)
 	p.CopyFromSibling(2, 10, pagetable.Writable)
 	p.CopyFromSibling(3, 10, pagetable.Writable)
@@ -196,7 +196,7 @@ func TestUnmapReturnsTargets(t *testing.T) {
 }
 
 func TestTouchSetsBits(t *testing.T) {
-	p := New(2, sim.Size4k)
+	p := New(2, sim.Size4k, 0)
 	p.Map(0, 5, 1, pagetable.Writable)
 	p.Touch(0, 5, false)
 	e, _, _ := p.Lookup(0, 5)
@@ -212,7 +212,7 @@ func TestTouchSetsBits(t *testing.T) {
 }
 
 func TestScanAccessed(t *testing.T) {
-	p := New(3, sim.Size4k)
+	p := New(3, sim.Size4k, 0)
 	p.Map(0, 5, 1, 0)
 	p.CopyFromSibling(1, 5, 0)
 	p.Touch(0, 5, false)
@@ -237,7 +237,7 @@ func TestScanAccessed(t *testing.T) {
 }
 
 func TestPSPT64kMapping(t *testing.T) {
-	p := New(2, sim.Size64k)
+	p := New(2, sim.Size64k, 0)
 	first, err := p.Map(0, 32, 64, pagetable.Writable)
 	if err != nil || !first {
 		t.Fatal(err)
@@ -273,7 +273,7 @@ func TestPSPT64kMapping(t *testing.T) {
 }
 
 func TestPSPT2MMapping(t *testing.T) {
-	p := New(2, sim.Size2M)
+	p := New(2, sim.Size2M, 0)
 	if _, err := p.Map(0, 512, 0, pagetable.Writable); err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +295,7 @@ func TestPSPT2MMapping(t *testing.T) {
 }
 
 func TestSharingHistogram(t *testing.T) {
-	p := New(4, sim.Size4k)
+	p := New(4, sim.Size4k, 0)
 	p.Map(0, 1, 1, 0) // 1 core
 	p.Map(0, 2, 2, 0) // will get 2 cores
 	p.CopyFromSibling(1, 2, 0)
@@ -314,7 +314,7 @@ func TestMappingInvariantProperty(t *testing.T) {
 	// record's core set matches exactly the cores whose private tables
 	// resolve the base VPN.
 	f := func(ops []uint16) bool {
-		p := New(8, sim.Size4k)
+		p := New(8, sim.Size4k, 0)
 		for _, op := range ops {
 			core := sim.CoreID(op % 8)
 			vpn := sim.PageID((op >> 3) % 32)

@@ -11,7 +11,6 @@ import (
 	"slices"
 	"strings"
 
-	"cmcp/internal/dense"
 	"cmcp/internal/hist"
 	"cmcp/internal/sim"
 )
@@ -343,13 +342,12 @@ func (r *Run) Clone() *Run {
 	return c
 }
 
-// SnapshotCounters copies every counter of the run into one slice
-// drawn from sc: the per-core matrix, then the per-tenant matrix when
-// the run has one. Finish times and histograms are not part of it. The
+// SnapshotCounters copies every counter of the run into one slice: the
+// per-core matrix, then the per-tenant matrix when the run has one. Finish times and histograms are not part of it. The
 // engine takes one at the warm-up barrier and hands it to Rebase.
-func (r *Run) SnapshotCounters(sc *dense.Scratch) []uint64 {
+func (r *Run) SnapshotCounters() []uint64 {
 	tc := r.tenantCounters()
-	snap := sc.U64(len(r.counters) + len(tc))
+	snap := make([]uint64, len(r.counters)+len(tc))
 	copy(snap[copy(snap, r.counters):], tc)
 	return snap
 }

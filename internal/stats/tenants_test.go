@@ -88,7 +88,7 @@ func TestRebaseTenantCounters(t *testing.T) {
 	r.Add(1, PageFaults, 3)
 	ts.Add(0, TenantTouches, 4)
 	ts.RecordFault(0, 50)
-	snap := r.SnapshotCounters(nil)
+	snap := r.SnapshotCounters()
 	if want := 3*NumCounters + 2*NumTenantCounters; len(snap) != want {
 		t.Fatalf("snapshot holds %d counters, want %d", len(snap), want)
 	}

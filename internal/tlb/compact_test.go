@@ -16,8 +16,8 @@ import (
 // only4k is a TLB whose sole set is a 4 kB L1 of the given capacity:
 // with no L2 to demote into, its set behaves exactly as a lone fifoSet.
 func only4k(capacity int) (*TLB, *fifoSet) {
-	tb := New(Config{L1Entries4k: capacity})
-	return tb, &tb.l1[sim.Size4k]
+	tb := New(Config{L1Entries4k: capacity}, 0)
+	return &tb, &tb.l1[sim.Size4k]
 }
 
 func TestFifoSetQueueBoundedUnderChurn(t *testing.T) {
@@ -41,7 +41,7 @@ func TestFifoSetQueueBoundedUnderChurn(t *testing.T) {
 }
 
 func TestTLBChurnBoundedAndConsistent(t *testing.T) {
-	tb := New(Config{L1Entries4k: 8, L1Entries64k: 4, L1Entries2M: 2, L2Entries: 8})
+	tb := New(Config{L1Entries4k: 8, L1Entries64k: 4, L1Entries2M: 2, L2Entries: 8}, 0)
 	for i := 0; i < 30_000; i++ {
 		tb.Insert(sim.PageID(i%200), sim.Size4k)
 		tb.Invalidate(sim.PageID((i * 7) % 200))
@@ -117,13 +117,13 @@ func storm(t *TLB, pages int) (longest [4]int) {
 var sinkTLB TLB
 
 // TestShootdownStormNeverGrowsQueues pins newFifoSet's sizing claim:
-// NewSized makes every set queue at its queueSlots bound, so a
+// New makes every set queue at its queueSlots bound, so a
 // shootdown storm that drives each queue to its compaction threshold
 // allocates nothing beyond the TLB's construction.
 func TestShootdownStormNeverGrowsQueues(t *testing.T) {
 	const pages = 512
 	cfg := DefaultConfig()
-	tb := NewSized(cfg, pages, nil)
+	tb := New(cfg, pages)
 	longest := storm(&tb, pages)
 	caps := [4]int{cfg.L1Entries4k, cfg.L1Entries64k, cfg.L1Entries2M, cfg.L2Entries}
 	for j, c := range caps {
@@ -136,12 +136,12 @@ func TestShootdownStormNeverGrowsQueues(t *testing.T) {
 	if err := tb.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	build := testing.AllocsPerRun(10, func() { sinkTLB = NewSized(cfg, pages, nil) })
+	build := testing.AllocsPerRun(10, func() { sinkTLB = New(cfg, pages) })
 	stormed := testing.AllocsPerRun(10, func() {
-		sinkTLB = NewSized(cfg, pages, nil)
+		sinkTLB = New(cfg, pages)
 		storm(&sinkTLB, pages)
 	})
 	if stormed != build {
-		t.Errorf("a shootdown storm allocates %.0f objects beyond NewSized's %.0f, want 0", stormed-build, build)
+		t.Errorf("a shootdown storm allocates %.0f objects beyond New's %.0f, want 0", stormed-build, build)
 	}
 }

@@ -151,7 +151,7 @@ func FuzzTLB(f *testing.F) {
 			L1Entries2M:  int(g>>4&1) + 1,
 			L2Entries:    int(g >> 5),
 		}
-		tb, ref := New(cfg), newRefTLB(cfg)
+		tb, ref := New(cfg, 0), newRefTLB(cfg)
 		for step := 0; 2*step+2 < len(data); step++ {
 			o, a := data[1+2*step], data[2+2*step]
 			vpn := sim.PageID(o&3)<<8 | sim.PageID(a)
@@ -177,7 +177,7 @@ func FuzzTLB(f *testing.F) {
 			if got, want := tb.Entries(), len(ref.entries()); got != want {
 				t.Fatalf("step %d: Entries() = %d, want %d", step, got, want)
 			}
-			if got, want := entriesOf(tb), ref.entries(); !slices.Equal(got, want) {
+			if got, want := entriesOf(&tb), ref.entries(); !slices.Equal(got, want) {
 				t.Fatalf("step %d: entries (level<<24|size<<16|base)\n got %#x\nwant %#x", step, got, want)
 			}
 			if err := tb.CheckInvariants(); err != nil {

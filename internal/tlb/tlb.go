@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"math/bits"
 
-	"cmcp/internal/dense"
 	"cmcp/internal/sim"
 )
 
@@ -99,34 +98,26 @@ func growCap(n int) int {
 
 // TLB is one core's data TLB: three L1 size classes plus a unified L2.
 // It is not safe for concurrent use; the event engine serializes cores.
-// The zero value is unusable; construct with New or NewSized. TLB is a
-// plain value so a machine's per-core TLBs pack into one slice.
+// The zero value is unusable; construct with New. TLB is a plain value
+// so a machine's per-core TLBs pack into one slice.
 type TLB struct {
 	state []uint8    // page -> entry bits (layout above)
 	l1    [3]fifoSet // indexed by sim.PageSize
 	l2    fifoSet
-	sc    *dense.Scratch
 }
 
-// New creates a TLB with the given geometry, sizing its page-state
-// table on demand.
-func New(cfg Config) *TLB {
-	t := NewSized(cfg, 0, nil)
-	return &t
-}
-
-// NewSized creates a TLB whose state table is pre-sized for page IDs
-// in [0, pages) and drawn from sc (both optional: pages 0 grows on
-// demand, sc nil allocates normally). The four set queues are carved
-// from one slab at their queueSlots bound, so no insert ever grows one.
-func NewSized(cfg Config, pages int, sc *dense.Scratch) TLB {
+// New creates a TLB with the given geometry whose state table is
+// pre-sized for page IDs in [0, pages) and grows past that range on
+// demand. The four set queues are carved from one slab at their
+// queueSlots bound, so no insert ever grows one.
+func New(cfg Config, pages int) TLB {
 	caps := [4]int{cfg.L1Entries4k, cfg.L1Entries64k, cfg.L1Entries2M, cfg.L2Entries}
 	masks := [4]uint8{1 << sim.Size4k, 1 << sim.Size64k, 1 << sim.Size2M, l2Mask}
 	n := 0
 	for _, c := range caps {
 		n += queueSlots(c)
 	}
-	slab := sc.I32(n)
+	slab := make([]int32, n)
 	var sets [4]fifoSet
 	for i, c := range caps {
 		q := queueSlots(c)
@@ -134,10 +125,9 @@ func NewSized(cfg Config, pages int, sc *dense.Scratch) TLB {
 		slab = slab[q:]
 	}
 	return TLB{
-		state: sc.U8(pages),
+		state: make([]uint8, pages),
 		l1:    [3]fifoSet{sim.Size4k: sets[0], sim.Size64k: sets[1], sim.Size2M: sets[2]},
 		l2:    sets[3],
-		sc:    sc,
 	}
 }
 
@@ -223,7 +213,7 @@ func (t *TLB) insert(s *fifoSet, base sim.PageID, v uint8) (sim.PageID, bool) {
 		}
 	}
 	if base >= sim.PageID(len(t.state)) {
-		ns := t.sc.U8(growCap(int(base) + 1))
+		ns := make([]uint8, growCap(int(base)+1))
 		copy(ns, t.state)
 		t.state = ns
 	}

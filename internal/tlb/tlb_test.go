@@ -13,7 +13,7 @@ func small() Config {
 }
 
 func TestLookupMissInsertHit(t *testing.T) {
-	tb := New(small())
+	tb := New(small(), 0)
 	if tb.Lookup(5) != Miss {
 		t.Error("cold TLB must miss")
 	}
@@ -27,7 +27,7 @@ func TestLookupMissInsertHit(t *testing.T) {
 }
 
 func Test64kEntryCoversGroup(t *testing.T) {
-	tb := New(small())
+	tb := New(small(), 0)
 	tb.Insert(35, sim.Size64k) // any member vpn
 	for v := sim.PageID(32); v < 48; v++ {
 		if tb.Lookup(v) != HitL1 {
@@ -43,7 +43,7 @@ func Test64kEntryCoversGroup(t *testing.T) {
 }
 
 func Test2MEntryCoversRegion(t *testing.T) {
-	tb := New(small())
+	tb := New(small(), 0)
 	tb.Insert(1000, sim.Size2M)
 	if tb.Lookup(512) != HitL1 || tb.Lookup(1023) != HitL1 {
 		t.Error("2M entry must cover the whole aligned region")
@@ -54,7 +54,7 @@ func Test2MEntryCoversRegion(t *testing.T) {
 }
 
 func TestFIFOEvictionAndL2Demotion(t *testing.T) {
-	tb := New(small()) // 4 L1 4k entries, 4 L2
+	tb := New(small(), 0) // 4 L1 4k entries, 4 L2
 	for v := sim.PageID(0); v < 5; v++ {
 		tb.Insert(v, sim.Size4k)
 	}
@@ -69,7 +69,7 @@ func TestFIFOEvictionAndL2Demotion(t *testing.T) {
 }
 
 func TestL2EvictionDiscards(t *testing.T) {
-	tb := New(small())
+	tb := New(small(), 0)
 	// Fill far beyond both levels.
 	for v := sim.PageID(0); v < 20; v++ {
 		tb.Insert(v, sim.Size4k)
@@ -84,7 +84,7 @@ func TestL2EvictionDiscards(t *testing.T) {
 }
 
 func TestInvalidate(t *testing.T) {
-	tb := New(small())
+	tb := New(small(), 0)
 	tb.Insert(5, sim.Size4k)
 	if !tb.Invalidate(5) {
 		t.Error("invalidate of cached entry must report true")
@@ -98,7 +98,7 @@ func TestInvalidate(t *testing.T) {
 }
 
 func TestInvalidateByMemberVPN(t *testing.T) {
-	tb := New(small())
+	tb := New(small(), 0)
 	tb.Insert(32, sim.Size64k)
 	if !tb.Invalidate(40) { // member, not base
 		t.Error("invalidate via member vpn must find the group entry")
@@ -113,7 +113,7 @@ func TestInvalidateByMemberVPN(t *testing.T) {
 }
 
 func TestInvalidateReachesL2(t *testing.T) {
-	tb := New(small())
+	tb := New(small(), 0)
 	for v := sim.PageID(0); v < 5; v++ {
 		tb.Insert(v, sim.Size4k)
 	}
@@ -127,7 +127,7 @@ func TestInvalidateReachesL2(t *testing.T) {
 }
 
 func TestZeroCapacityClass(t *testing.T) {
-	tb := New(Config{L1Entries4k: 0, L1Entries64k: 0, L1Entries2M: 0, L2Entries: 0})
+	tb := New(Config{L1Entries4k: 0, L1Entries64k: 0, L1Entries2M: 0, L2Entries: 0}, 0)
 	tb.Insert(1, sim.Size4k) // must not panic
 	if tb.Lookup(1) != Miss {
 		t.Error("zero-capacity TLB always misses")
@@ -135,7 +135,7 @@ func TestZeroCapacityClass(t *testing.T) {
 }
 
 func TestMixedSizeClassesIndependent(t *testing.T) {
-	tb := New(small())
+	tb := New(small(), 0)
 	tb.Insert(0, sim.Size4k)
 	tb.Insert(16, sim.Size64k)
 	tb.Insert(512, sim.Size2M)
@@ -154,7 +154,7 @@ func TestMixedSizeClassesIndependent(t *testing.T) {
 func TestCapacityNeverExceededProperty(t *testing.T) {
 	f := func(ops []uint16) bool {
 		cfg := small()
-		tb := New(cfg)
+		tb := New(cfg, 0)
 		maxTotal := cfg.L1Entries4k + cfg.L1Entries64k + cfg.L1Entries2M + cfg.L2Entries
 		for _, op := range ops {
 			vpn := sim.PageID(op % 4096)
@@ -180,7 +180,7 @@ func TestCapacityNeverExceededProperty(t *testing.T) {
 func TestInsertLookupConsistencyProperty(t *testing.T) {
 	// Property: immediately after Insert, Lookup hits (L1).
 	f := func(raw []uint16) bool {
-		tb := New(DefaultConfig())
+		tb := New(DefaultConfig(), 0)
 		for _, r := range raw {
 			vpn := sim.PageID(r)
 			size := sizes[int(r)%3]
@@ -213,7 +213,7 @@ func TestCheckInvariantsRejectsStrayBits(t *testing.T) {
 		{"L2 without a slot", (uint8(sim.Size4k) + 1) << l2Shift},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			tb := New(small())
+			tb := New(small(), 0)
 			tb.Insert(0, sim.Size4k)
 			tb.Insert(16, sim.Size64k)
 			tb.Insert(600, sim.Size2M) // the table now covers page 1023

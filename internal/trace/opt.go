@@ -4,7 +4,7 @@ import (
 	"container/heap"
 	"fmt"
 
-	"cmcp/internal/policy"
+	"cmcp/internal/dense"
 	"cmcp/internal/sim"
 )
 
@@ -126,11 +126,11 @@ type CountingPolicy interface {
 // real kernel has — the online approximation in internal/policy pays
 // for its statistics with TLB shootdowns). Implements countingPolicy.
 type TrueLRU struct {
-	list *policy.List
+	list *dense.List
 }
 
 // NewTrueLRU returns an exact-LRU counting policy.
-func NewTrueLRU() *TrueLRU { return &TrueLRU{list: policy.NewList()} }
+func NewTrueLRU() *TrueLRU { return &TrueLRU{list: dense.NewList(0)} }
 
 // PTESetup implements countingPolicy: record a reference.
 func (l *TrueLRU) PTESetup(base sim.PageID) {

@@ -8,7 +8,6 @@ package vm
 import (
 	"fmt"
 
-	"cmcp/internal/dense"
 	"cmcp/internal/pagetable"
 	"cmcp/internal/pspt"
 	"cmcp/internal/sim"
@@ -233,8 +232,8 @@ type psptAS struct {
 	scratch []sim.CoreID
 }
 
-func newPSPTAS(cores, pages int, size sim.PageSize, sc *dense.Scratch) *psptAS {
-	return &psptAS{p: pspt.NewSized(cores, size, pages, sc)}
+func newPSPTAS(cores, pages int, size sim.PageSize) *psptAS {
+	return &psptAS{p: pspt.New(cores, size, pages)}
 }
 
 func (a *psptAS) Lookup(core sim.CoreID, vpn sim.PageID) (pagetable.PTE, sim.PageSize, bool) {

@@ -3,7 +3,6 @@ package vm
 import (
 	"fmt"
 
-	"cmcp/internal/dense"
 	"cmcp/internal/mem"
 	"cmcp/internal/obs"
 	"cmcp/internal/pagetable"
@@ -53,10 +52,6 @@ type Config struct {
 	// bookkeeping, policy indexes) pre-size to it and avoid growth on
 	// the hot path. Zero means "unknown"; tables grow on demand.
 	Pages int
-	// Scratch, when non-nil, supplies recycled slab storage for the
-	// page-indexed tables so repeated runs (RunMany) stop allocating.
-	// Nil falls back to plain make.
-	Scratch *dense.Scratch
 	// Tenants, when non-nil, splits the page space into that many
 	// address spaces contending for the one frame pool: per-tenant
 	// policy instances, a frame-ownership table, evictions charged to
@@ -114,27 +109,26 @@ func NewManager(cfg Config, factory PolicyFactory) (*Manager, error) {
 	if cfg.Cost == (sim.CostModel{}) {
 		cfg.Cost = sim.DefaultCostModel()
 	}
-	sc := cfg.Scratch
 	m := &Manager{
 		cfg:     cfg,
 		cost:    cfg.Cost,
 		dev:     mem.NewDevice(cfg.Frames),
 		run:     stats.NewRun(cfg.Cores),
 		scanner: sim.ScannerCore(cfg.Cores),
-		debt:    sc.Cycles(cfg.Cores),
+		debt:    make([]sim.Cycles, cfg.Cores),
 		rec:     cfg.Probe,
 	}
 	if cfg.Hist {
 		m.hs = m.run.EnableHists()
 	}
 	if cfg.Tables == PSPTKind {
-		m.as = newPSPTAS(cfg.Cores, cfg.Pages, cfg.PageSize, sc)
+		m.as = newPSPTAS(cfg.Cores, cfg.Pages, cfg.PageSize)
 	} else {
 		m.as = newSharedAS(cfg.Cores, cfg.PageSize)
 	}
 	m.tlbs = make([]tlb.TLB, cfg.Cores)
 	for i := range m.tlbs {
-		m.tlbs[i] = tlb.NewSized(tlb.DefaultConfig(), cfg.Pages, sc)
+		m.tlbs[i] = tlb.New(tlb.DefaultConfig(), cfg.Pages)
 	}
 	if cfg.Verify {
 		m.chk = newChecker(cfg.Frames)
