@@ -209,32 +209,6 @@ func BenchmarkAblationNoPSPT(b *testing.B) {
 	b.ReportMetric(ratio, "regular/PSPT-runtime")
 }
 
-// BenchmarkAblationNoAging quantifies CMCP's aging mechanism: the same
-// run with aging effectively disabled (one sweep far beyond the run).
-func BenchmarkAblationNoAging(b *testing.B) {
-	base := cmcp.Config{
-		Cores:       56,
-		Workload:    cmcp.SCALE().Scale(0.1),
-		MemoryRatio: cmcp.Constraint("SCALE"),
-		Tables:      cmcp.PSPT,
-		Policy:      cmcp.PolicySpec{Kind: cmcp.CMCP, P: 0.875},
-		Seed:        1,
-	}
-	noAging := base
-	cost := sim.DefaultCostModel()
-	cost.AgePeriod = 1 << 60 // never fires
-	noAging.Cost = cost
-	var ratio float64
-	for i := 0; i < b.N; i++ {
-		results, err := cmcp.RunMany([]cmcp.Config{noAging, base}, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ratio = float64(results[0].Runtime) / float64(results[1].Runtime)
-	}
-	b.ReportMetric(ratio, "noaging/aging-runtime")
-}
-
 // BenchmarkDynamicP quantifies the dynamic-p tuner (the paper's future
 // work) against the hand-tuned static p.
 func BenchmarkDynamicP(b *testing.B) {

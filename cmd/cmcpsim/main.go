@@ -39,6 +39,7 @@ import (
 
 	"cmcp"
 	"cmcp/internal/core"
+	"cmcp/internal/experiments"
 	"cmcp/internal/machine"
 	"cmcp/internal/obs"
 	"cmcp/internal/plot"
@@ -337,7 +338,7 @@ func experiment(p *plan, stdout, stderr io.Writer) error {
 	o, id, out := p.opts, p.exp, p.out
 	ids := []string{id}
 	if id == "all" {
-		ids = []string{"fig6", "fig8", "fig7", "table1", "fig9", "fig10", "sense"}
+		ids = experiments.Paper
 	}
 	if out.progress {
 		o.Progress = cmcp.NewSweepProgress()

@@ -37,6 +37,11 @@ import (
 // paper tunes p per workload (Figure 9); 0.5 is a robust middle ground.
 const DefaultP = 0.5
 
+// defaultAgePeriod is the time between two aging sweeps unless
+// WithAgePeriod says otherwise: the paper's 20 ms at 1.053 GHz, not
+// compressed like the LRU and LFU scan periods the machine sets.
+const defaultAgePeriod sim.Cycles = 21_060_000
+
 // CMCP is the Core-Map Count based Priority replacement policy.
 type CMCP struct {
 	host     policy.Host
@@ -44,13 +49,17 @@ type CMCP struct {
 	p        float64 // ratio of prioritized pages
 
 	fifo *dense.List
-	prio []prioItem  // binary min-heap by (key, seq)
-	pos  dense.Index // base -> heap position
+	// prio is the priority group: a min-heap keyed by core-map count,
+	// whose root is the next page to be displaced or evicted from the
+	// group. A key starts at the page's count and decays with aging; a
+	// page whose key falls below 1 (a core-private page's count) drains
+	// back to FIFO.
+	prio  dense.Heap
+	pages int // page-index hint for prio
 
 	agePeriod sim.Cycles
 	ageDecay  float64
 	nextAge   sim.Cycles
-	seq       uint64
 
 	// dynamic-p tuner (the paper's §5.6 future work); nil when static.
 	tuner *Tuner
@@ -70,78 +79,6 @@ type Observer interface {
 	// NoteDemotion reports base draining from the priority group back
 	// to the FIFO list (displacement by a hotter page, or aging).
 	NoteDemotion(base sim.PageID)
-}
-
-// prioItem is one page in the priority group. key starts at the page's
-// core-map count and decays with aging; a page whose key falls below 1
-// (a core-private page's count) drains back to FIFO.
-type prioItem struct {
-	base sim.PageID
-	key  float64
-	seq  uint64 // FIFO tie-break: older first
-}
-
-// The priority group is a value-typed binary min-heap: the root is the
-// lowest-priority page, i.e. the next to be displaced or evicted from
-// the group. The page-indexed position table replaces the old
-// map[PageID]*prioItem, so membership tests and Remove never hash or
-// allocate. (key, seq) with unique seq is a total order, so the victim
-// sequence does not depend on heap layout.
-
-func prioLess(a, b *prioItem) bool {
-	if a.key != b.key {
-		return a.key < b.key
-	}
-	return a.seq < b.seq
-}
-
-func (c *CMCP) prioSwap(i, j int) {
-	c.prio[i], c.prio[j] = c.prio[j], c.prio[i]
-	c.pos.Set(c.prio[i].base, int32(i))
-	c.pos.Set(c.prio[j].base, int32(j))
-}
-
-func (c *CMCP) prioUp(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !prioLess(&c.prio[i], &c.prio[parent]) {
-			break
-		}
-		c.prioSwap(i, parent)
-		i = parent
-	}
-}
-
-func (c *CMCP) prioDown(i int) {
-	n := len(c.prio)
-	for {
-		least := i
-		if l := 2*i + 1; l < n && prioLess(&c.prio[l], &c.prio[least]) {
-			least = l
-		}
-		if r := 2*i + 2; r < n && prioLess(&c.prio[r], &c.prio[least]) {
-			least = r
-		}
-		if least == i {
-			return
-		}
-		c.prioSwap(i, least)
-		i = least
-	}
-}
-
-// prioRemoveAt deletes heap slot i, restoring heap order.
-func (c *CMCP) prioRemoveAt(i int) prioItem {
-	last := len(c.prio) - 1
-	c.prioSwap(i, last)
-	it := c.prio[last]
-	c.prio = c.prio[:last]
-	c.pos.Delete(it.base)
-	if i < last {
-		c.prioDown(i)
-		c.prioUp(i)
-	}
-	return it
 }
 
 // Option customizes a CMCP instance.
@@ -173,12 +110,12 @@ func WithObserver(o Observer) Option {
 	return func(c *CMCP) { c.observer = o }
 }
 
-// WithArena pre-sizes the FIFO list and position table for page bases
-// in [0, hint). The first argument is ignored.
+// WithArena pre-sizes the FIFO list and the priority group's position
+// index for page bases in [0, hint). The first argument is ignored.
 func WithArena(_ *dense.Scratch, hint int) Option {
 	return func(c *CMCP) {
 		c.fifo = dense.NewList(hint)
-		c.pos = dense.NewIndex(hint)
+		c.pages = hint
 	}
 }
 
@@ -194,8 +131,7 @@ func New(host policy.Host, capacity int, opts ...Option) *CMCP {
 		capacity:  capacity,
 		p:         DefaultP,
 		fifo:      dense.NewList(0),
-		pos:       dense.NewIndex(0),
-		agePeriod: sim.DefaultCostModel().AgePeriod,
+		agePeriod: defaultAgePeriod,
 		ageDecay:  1.0,
 	}
 	for _, o := range opts {
@@ -206,7 +142,7 @@ func New(host policy.Host, capacity int, opts ...Option) *CMCP {
 	}
 	// The group never holds more than maxPrio pages while p is fixed, so
 	// the heap is made at that bound; only a tuner raising p grows it.
-	c.prio = make([]prioItem, 0, c.maxPrio())
+	c.prio = dense.NewHeap(c.maxPrio(), c.pages)
 	if c.tuner != nil {
 		c.tuner.attach(c)
 	}
@@ -246,19 +182,17 @@ func (c *CMCP) PTESetup(base sim.PageID) {
 		count = 1
 	}
 	key := float64(count)
-	if i := c.pos.Get(base); i >= 0 {
+	if old, ok := c.prio.Key(base); ok {
 		// Already prioritized: refresh the key if sharing grew.
-		if key > c.prio[i].key {
-			c.prio[i].key = key
-			c.prioDown(int(i))
-			c.prioUp(int(i))
+		if key > old {
+			c.prio.Update(base, key)
 		}
 		return
 	}
 	if c.fifo.Has(base) {
 		// Resident on the FIFO list; a new core mapped it. Try to
-		// promote it into the priority group.
-		if c.tryPromote(base, key) {
+		// promote it into the priority group under the same rule.
+		if c.tryAdmit(base, key) {
 			c.fifo.Remove(base)
 		}
 		return
@@ -276,35 +210,25 @@ func (c *CMCP) tryAdmit(base sim.PageID, key float64) bool {
 	if max <= 0 {
 		return false
 	}
-	if len(c.prio) < max {
-		c.pushPrio(base, key)
-		return true
+	if c.prio.Len() >= max {
+		if _, minKey, _ := c.prio.Min(); key <= minKey {
+			return false
+		}
+		c.demoteMin()
 	}
-	if key <= c.prio[0].key {
-		return false
-	}
-	min := c.prioRemoveAt(0)
-	c.fifo.PushTail(min.base)
+	c.prio.Push(base, key)
 	if c.observer != nil {
-		c.observer.NoteDemotion(min.base)
+		c.observer.NotePromotion(base, key)
 	}
-	c.pushPrio(base, key)
 	return true
 }
 
-// tryPromote moves a FIFO-resident page into the priority group under
-// the same admission rule; the caller removes it from FIFO on success.
-func (c *CMCP) tryPromote(base sim.PageID, key float64) bool {
-	return c.tryAdmit(base, key)
-}
-
-func (c *CMCP) pushPrio(base sim.PageID, key float64) {
-	c.seq++
-	c.prio = append(c.prio, prioItem{base: base, key: key, seq: c.seq})
-	c.pos.Set(base, int32(len(c.prio)-1))
-	c.prioUp(len(c.prio) - 1)
+// demoteMin drains the lowest-priority page back to the FIFO tail.
+func (c *CMCP) demoteMin() {
+	base, _ := c.prio.PopMin()
+	c.fifo.PushTail(base)
 	if c.observer != nil {
-		c.observer.NotePromotion(base, key)
+		c.observer.NoteDemotion(base)
 	}
 }
 
@@ -316,28 +240,22 @@ func (c *CMCP) Victim() (sim.PageID, bool) {
 	if base, ok := c.fifo.PopHead(); ok {
 		return base, true
 	}
-	if len(c.prio) == 0 {
-		return 0, false
-	}
-	it := c.prioRemoveAt(0)
-	return it.base, true
+	return c.prio.PopMin()
 }
 
 // Remove implements policy.Policy.
 func (c *CMCP) Remove(base sim.PageID) {
-	if i := c.pos.Get(base); i >= 0 {
-		c.prioRemoveAt(int(i))
-		return
+	if !c.prio.Remove(base) {
+		c.fifo.Remove(base)
 	}
-	c.fifo.Remove(base)
 }
 
 // Resident implements policy.Policy.
-func (c *CMCP) Resident() int { return c.fifo.Len() + len(c.prio) }
+func (c *CMCP) Resident() int { return c.fifo.Len() + c.prio.Len() }
 
 // Groups returns the (fifo, priority) group sizes for tests and the
 // Figure 9 analysis.
-func (c *CMCP) Groups() (fifo, prio int) { return c.fifo.Len(), len(c.prio) }
+func (c *CMCP) Groups() (fifo, prio int) { return c.fifo.Len(), c.prio.Len() }
 
 // NextTick implements policy.Deadline: the aging timer, or the tuner's
 // evaluation if that comes first. Before the first tick arms the timer
@@ -371,49 +289,36 @@ func (c *CMCP) Tick(now sim.Cycles) {
 		return
 	}
 	c.nextAge = now + c.agePeriod
-	for i := range c.prio {
-		c.prio[i].key -= c.ageDecay
-	}
-	// Keys changed uniformly, so heap order is preserved; only drain
-	// the underflowed minimums and any excess over the (possibly
-	// reduced) bound.
-	for len(c.prio) > 0 && (c.prio[0].key < 1 || len(c.prio) > c.maxPrio()) {
-		it := c.prioRemoveAt(0)
-		c.fifo.PushTail(it.base)
-		if c.observer != nil {
-			c.observer.NoteDemotion(it.base)
+	// Keys change uniformly, so heap order is preserved; only drain the
+	// underflowed minimums and any excess over the (possibly reduced)
+	// bound.
+	c.prio.Shift(-c.ageDecay)
+	for {
+		_, key, ok := c.prio.Min()
+		if !ok || (key >= 1 && c.prio.Len() <= c.maxPrio()) {
+			break
 		}
+		c.demoteMin()
 	}
 }
 
-// CheckInvariants verifies the policy's internal consistency: the heap
-// satisfies the (key, seq) min-heap property, the position index is an
-// exact inverse of the heap layout, and no page sits in both groups.
-// The invariant auditor (internal/check) calls it through a type
-// assertion; it is read-only and safe at any point between operations.
+// CheckInvariants verifies the policy's internal consistency: the
+// priority group's heap (see dense.Heap.CheckInvariants) and that no
+// page sits in both groups. The invariant auditor (internal/check)
+// calls it through a type assertion; it is read-only and safe at any
+// point between operations.
 func (c *CMCP) CheckInvariants() error {
-	for i := 1; i < len(c.prio); i++ {
-		parent := (i - 1) / 2
-		if prioLess(&c.prio[i], &c.prio[parent]) {
-			return fmt.Errorf("core: heap violation at %d: (%v,%d) < parent (%v,%d)",
-				i, c.prio[i].key, c.prio[i].seq, c.prio[parent].key, c.prio[parent].seq)
-		}
+	if err := c.prio.CheckInvariants(); err != nil {
+		return fmt.Errorf("core: %w", err)
 	}
-	for i := range c.prio {
-		base := c.prio[i].base
-		if got := c.pos.Get(base); int(got) != i {
-			return fmt.Errorf("core: pos[%d] = %d, want heap slot %d", base, got, i)
-		}
+	var err error
+	c.prio.Range(func(base sim.PageID) bool {
 		if c.fifo.Has(base) {
-			return fmt.Errorf("core: page %d in both priority group and FIFO", base)
+			err = fmt.Errorf("core: page %d in both priority group and FIFO", base)
 		}
-	}
-	count := 0
-	c.pos.Range(func(sim.PageID, int32) bool { count++; return true })
-	if count != len(c.prio) {
-		return fmt.Errorf("core: pos holds %d entries, heap holds %d", count, len(c.prio))
-	}
-	return nil
+		return err == nil
+	})
+	return err
 }
 
 // NoteFault lets the VM report a major page fault to the policy; CMCP

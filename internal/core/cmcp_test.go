@@ -462,7 +462,7 @@ func TestCMCPObserverSeesTransitions(t *testing.T) {
 	// Aging drains both remaining prioritized pages (keys 3 and 5 fall
 	// below 1 after five sweeps; the first tick only arms the timer).
 	for i := 0; i < 6; i++ {
-		c.Tick(sim.Cycles(i+1) * sim.DefaultCostModel().AgePeriod)
+		c.Tick(sim.Cycles(i+1) * defaultAgePeriod)
 	}
 	if len(o.demotions) != 3 {
 		t.Errorf("after aging demotions = %v, want 10 and 12 drained too", o.demotions)
@@ -478,7 +478,7 @@ func TestCMCPNoObserverNoPanic(t *testing.T) {
 	h.counts[1] = 4
 	c.PTESetup(1)
 	c.PTESetup(2)
-	c.Tick(sim.DefaultCostModel().AgePeriod * 10)
+	c.Tick(defaultAgePeriod * 10)
 	if _, ok := c.Victim(); !ok {
 		t.Fatal("victim expected")
 	}

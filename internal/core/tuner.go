@@ -35,17 +35,21 @@ type TunerSample struct {
 // TunerConfig parameterizes a Tuner.
 type TunerConfig struct {
 	// Window is the evaluation period; defaults to 50 ms of simulated
-	// time — several LRU scan periods, long enough for the fault rate
-	// to respond to a p change.
+	// time (defaultWindow), long enough for the fault rate to respond
+	// to a p change.
 	Window sim.Cycles
 	// InitialStep is the first p adjustment; defaults to 0.25.
 	InitialStep float64
 }
 
+// defaultWindow is 50 ms at 1.053 GHz: five of the paper's 10 ms
+// scanner periods.
+const defaultWindow sim.Cycles = 5 * 10_530_000
+
 // NewTuner creates a dynamic-p tuner. Attach it with WithTuner.
 func NewTuner(cfg TunerConfig) *Tuner {
 	if cfg.Window == 0 {
-		cfg.Window = 5 * sim.DefaultCostModel().ScanPeriod
+		cfg.Window = defaultWindow
 	}
 	if cfg.InitialStep == 0 {
 		cfg.InitialStep = 0.25

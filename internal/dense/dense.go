@@ -2,8 +2,10 @@
 // simulator's hot path runs on. Workload layouts assign page IDs
 // densely from 0..TotalPages (see workload.Build), so every map keyed
 // by sim.PageID in the per-touch path can be a slice indexed by page
-// instead: Index (policy heap positions and slice offsets) and List
-// (the FIFO/LRU/CLOCK/CMCP queues). That removes hashing, bucket
+// instead: Index (page -> int32, e.g. heap positions), List (the
+// FIFO/LRU/CLOCK/CMCP queues) and Heap (the positioned min-heap behind
+// CMCP's priority group, LFU's frequencies, the tenant arbiter and
+// Belady's OPT). That removes hashing, bucket
 // chasing and per-entry allocation from the inner simulation loop. PSPT
 // keeps its own page-indexed record table (pspt.entry): its records are
 // wider than a word.

@@ -45,10 +45,6 @@ func (x *Index) Delete(page sim.PageID) bool {
 	return true
 }
 
-// Cap returns the exclusive upper bound of pages currently indexable
-// without growth (Range iterates [0, Cap)).
-func (x *Index) Cap() int { return len(x.v) }
-
 // Range calls fn for every present page in ascending page order until
 // fn returns false. fn must not mutate the index.
 func (x *Index) Range(fn func(page sim.PageID, v int32) bool) {

@@ -213,22 +213,9 @@ func (o Options) run(cfgs []machine.Config) ([]*machine.Result, error) {
 	return out.Results, nil
 }
 
-// All runs every experiment in paper order (the paper figures; the
-// extension experiment "tenants" runs only by ID).
-func All(o Options) ([]*Report, error) {
-	if err := o.rejectTenants("all"); err != nil {
-		return nil, err
-	}
-	var reports []*Report
-	for _, f := range []func(Options) (*Report, error){Fig6, Fig8, Fig7, Table1, Fig9, Fig10, Sensitivity} {
-		r, err := f(o)
-		if err != nil {
-			return nil, err
-		}
-		reports = append(reports, r)
-	}
-	return reports, nil
-}
+// Paper lists the paper's experiments in the order `cmcpsim -exp all`
+// runs them; the extension experiment "tenants" runs only by ID.
+var Paper = []string{"fig6", "fig8", "fig7", "table1", "fig9", "fig10", "sense"}
 
 // ByID runs a single experiment by identifier.
 func ByID(id string, o Options) (*Report, error) {

@@ -9,22 +9,23 @@ import (
 )
 
 // TestRejectTenantsUnderFigures pins the CLI bugfix at the experiments
-// layer: every paper-figure experiment (and All) must fail loudly when
-// a tenant spec is supplied — cmcpsim used to silently drop -tenants
-// under -exp, producing single-tenant results labelled as tenant runs.
+// layer: every paper-figure experiment must fail loudly when a tenant
+// spec is supplied, by ID and called directly — cmcpsim used to
+// silently drop -tenants under -exp, producing single-tenant results
+// labelled as tenant runs.
 func TestRejectTenantsUnderFigures(t *testing.T) {
 	spec := workload.DefaultTenantSpec(4, 1.1, 0)
 	o := quickOpts()
 	o.Tenants = &spec
-	for _, id := range []string{"fig6", "fig7", "fig8", "fig9", "fig10", "table1", "sense"} {
+	for _, id := range Paper {
 		if _, err := ByID(id, o); err == nil {
 			t.Errorf("%s silently accepted a tenant spec", id)
 		} else if !strings.Contains(err.Error(), "tenants") {
 			t.Errorf("%s: error %v does not point at the tenants experiment", id, err)
 		}
 	}
-	if _, err := All(o); err == nil {
-		t.Error("All silently accepted a tenant spec")
+	if _, err := Fig6(o); err == nil {
+		t.Error("Fig6 silently accepted a tenant spec")
 	}
 }
 

@@ -73,7 +73,8 @@ type PolicySpec struct {
 	P float64
 	// DynamicP attaches CMCP's fault-feedback tuner (future work §5.6).
 	DynamicP bool
-	// ScanPeriod overrides the LRU/LFU statistics timer (0 = default).
+	// ScanPeriod overrides the LRU/LFU statistics timer (0 =
+	// defaultScanPeriod).
 	ScanPeriod sim.Cycles
 	// ScanBatch overrides pages scanned per timer tick (0 = adaptive:
 	// the whole resident set, the high-pressure Linux regime). A
@@ -211,6 +212,14 @@ func Frames(pages int, ratio float64, size sim.PageSize) int {
 	return f
 }
 
+// defaultScanPeriod is the LRU and LFU statistics timer unless
+// PolicySpec.ScanPeriod sets one. The paper's kernel scans every 10 ms
+// over runs of minutes; the simulated runs compress time ~10^3x
+// (footprints are scaled down), so the period compresses too,
+// preserving the scans-per-page-residency ratio that drives Table 1's
+// invalidation counts.
+const defaultScanPeriod sim.Cycles = 50_000
+
 // buildPolicy resolves the policy factory for a run. pages sizes the
 // policy's page-indexed bookkeeping (see vm.Config.Pages).
 func buildPolicy(cfg Config, frames, pages int) (vm.PolicyFactory, error) {
@@ -230,14 +239,9 @@ func buildPolicy(cfg Config, frames, pages int) (vm.PolicyFactory, error) {
 		return func(policy.Host) policy.Policy { return policy.NewFIFOIn(nil, pages) }, nil
 	case LRU:
 		return func(h policy.Host) policy.Policy {
-			// The paper's kernel scans every 10 ms over runs of minutes.
-			// The simulated runs compress time ~10^3x (footprints are
-			// scaled down), so the default scan period compresses too,
-			// preserving the scans-per-page-residency ratio that drives
-			// Table 1's invalidation counts.
 			period := cfg.Policy.ScanPeriod
 			if period == 0 {
-				period = 50_000
+				period = defaultScanPeriod
 			}
 			opts := []policy.LRUOption{policy.WithScanPeriod(period), policy.WithLRUArena(nil, pages)}
 			batch := cfg.Policy.ScanBatch
@@ -270,7 +274,7 @@ func buildPolicy(cfg Config, frames, pages int) (vm.PolicyFactory, error) {
 		return func(h policy.Host) policy.Policy {
 			period := cfg.Policy.ScanPeriod
 			if period == 0 {
-				period = 50_000 // compressed like LRU's; see above
+				period = defaultScanPeriod
 			}
 			opts := []policy.LFUOption{policy.WithLFUScanPeriod(period), policy.WithLFUArena(nil, pages)}
 			batch := cfg.Policy.ScanBatch

@@ -20,8 +20,8 @@ type LRU struct {
 	active   *dense.List
 	inactive *dense.List
 
-	// ScanPeriod is the virtual time between scanner runs (the paper
-	// uses a 10 ms timer). ScanBatch bounds PTEs scanned per run.
+	// scanPeriod is the virtual time between scanner runs;
+	// scanBatch bounds PTEs scanned per run.
 	scanPeriod sim.Cycles
 	scanBatch  int
 	nextScan   sim.Cycles
@@ -29,6 +29,11 @@ type LRU struct {
 	inactiveBuf, activeBuf []sim.PageID // reusable Tick batch buffers
 	capacity               int          // resident pages the buffers are sized for
 }
+
+// defaultScanPeriod is the LRU and LFU scan period unless an option
+// says otherwise: the paper's 10 ms timer at 1.053 GHz. The machine
+// passes its own, compressed period (machine.buildPolicy).
+const defaultScanPeriod sim.Cycles = 10_530_000
 
 // LRUOption customizes an LRU instance.
 type LRUOption func(*LRU)
@@ -66,7 +71,7 @@ func NewLRU(host Host, opts ...LRUOption) *LRU {
 		host:       host,
 		active:     dense.NewList(0),
 		inactive:   dense.NewList(0),
-		scanPeriod: sim.DefaultCostModel().ScanPeriod,
+		scanPeriod: defaultScanPeriod,
 		scanBatch:  256,
 	}
 	for _, o := range opts {

@@ -311,7 +311,7 @@ func TestLFURemoveAndEmpty(t *testing.T) {
 	if l.Resident() != 0 {
 		t.Error("Remove failed")
 	}
-	l.Tick(sim.DefaultCostModel().ScanPeriod) // empty tick must not panic
+	l.Tick(defaultScanPeriod) // empty tick must not panic
 }
 
 func TestRandomPolicy(t *testing.T) {
@@ -426,7 +426,8 @@ func TestAllPoliciesResidencyInvariantProperty(t *testing.T) {
 // baseline policy: after any prefix of a random PTESetup/Remove/Victim/
 // Tick sequence, Tick(NextTick()-1) scans nothing and moves neither the
 // deadline nor the Victim order, compared against a twin instance that
-// never receives the early ticks.
+// never receives the early ticks. A policy with CheckInvariants (LFU)
+// must also pass it after every op.
 func TestDeadlineTickBeforeDueIsNoOp(t *testing.T) {
 	builders := []func(Host) Policy{
 		func(Host) Policy { return NewFIFO() },
@@ -460,6 +461,12 @@ func TestDeadlineTickBeforeDueIsNoOp(t *testing.T) {
 					va, oka := a.Victim()
 					vb, okb := b.Victim()
 					if va != vb || oka != okb {
+						return false
+					}
+				}
+				if c, ok := a.(interface{ CheckInvariants() error }); ok {
+					if err := c.CheckInvariants(); err != nil {
+						t.Log(err)
 						return false
 					}
 				}

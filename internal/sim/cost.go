@@ -12,6 +12,12 @@ package sim
 // ratio of TouchCompute to fault/shootdown costs — not absolute wall
 // time — decides the shapes of the figures, exactly as the relative
 // PCIe/IPI/compute costs do on the real card.
+//
+// The policy timers are not costs and live with their readers: the
+// LRU/LFU scan period is the machine's (50,000 cycles, the paper's
+// 10 ms compressed with the runs, unless PolicySpec.ScanPeriod sets
+// one), and CMCP's aging period is its own 21.06 M cycles (the paper's
+// 20 ms, uncompressed; core.WithAgePeriod overrides it).
 type CostModel struct {
 	// TouchCompute is the amortized compute + cache cost of one page
 	// touch when the translation is already in the L1 TLB.
@@ -102,13 +108,6 @@ type CostModel struct {
 	// ScanPTE is the scanner cost of checking and clearing the accessed
 	// bit of one PTE (excluding the shootdown it triggers).
 	ScanPTE Cycles
-
-	// ScanPeriod is the simulated time between two runs of the LRU
-	// statistics scanner (the paper uses a 10 ms timer).
-	ScanPeriod Cycles
-
-	// AgePeriod is the simulated time between two CMCP aging sweeps.
-	AgePeriod Cycles
 }
 
 // DefaultCostModel returns the calibrated Knights Corner model used by
@@ -132,8 +131,6 @@ func DefaultCostModel() CostModel {
 		DMALatency:       9000,
 		DMABytesPerCycle: 10.0,
 		ScanPTE:          20,
-		ScanPeriod:       10_530_000, // 10 ms at 1.053 GHz
-		AgePeriod:        21_060_000, // 20 ms
 	}
 }
 
@@ -152,25 +149,6 @@ func KNLCostModel() CostModel {
 	c.DMALatency /= 8
 	c.DMABytesPerCycle *= 8
 	return c
-}
-
-// DMACost returns the cost of moving n bytes across the PCIe link,
-// including fixed latency.
-func (c *CostModel) DMACost(n int64) Cycles {
-	if n <= 0 {
-		return 0
-	}
-	return c.DMALatency + Cycles(float64(n)/c.DMABytesPerCycle)
-}
-
-// ShootdownInitiatorCost returns the cost charged to the core that
-// initiates a remote TLB invalidation to targets other cores, ignoring
-// ring distance (used where the target set is only known by size).
-func (c *CostModel) ShootdownInitiatorCost(targets int) Cycles {
-	if targets <= 0 {
-		return 0
-	}
-	return c.IPISend + Cycles(targets)*c.IPIPerTarget
 }
 
 // RingHops returns the number of stops between two cores on an n-core

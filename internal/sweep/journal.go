@@ -32,10 +32,12 @@ import (
 // every key once more; v9 drops the switch that skipped warm-up and
 // the tenant frame shares (per-tenant weights and hard partitions),
 // which changes every key again; v10 drops the NUMA topology from the
-// config, which changes every key, and its histogram from the header.
+// config, which changes every key, and its histogram from the header;
+// v11 drops the cost model's two unread timer fields (ScanPeriod and
+// AgePeriod), which changes every key again.
 // Stale schemas are rejected: their keys or runs no longer match what
 // this build computes.
-const Schema = "cmcp-sweep/v10"
+const Schema = "cmcp-sweep/v11"
 
 // header is the journal's first line.
 type header struct {

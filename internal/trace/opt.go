@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"container/heap"
 	"fmt"
 
 	"cmcp/internal/dense"
@@ -36,29 +35,6 @@ func (r OPTResult) String() string {
 		r.Faults, r.Accesses, 100*r.FaultRatio(), r.Capacity, r.Distinct)
 }
 
-// optItem is a resident mapping in the max-heap ordered by next use
-// (farthest first).
-type optItem struct {
-	base    sim.PageID
-	nextUse int // index into the reference string; large = far
-	pos     int
-}
-
-type optHeap []*optItem
-
-func (h optHeap) Len() int           { return len(h) }
-func (h optHeap) Less(i, j int) bool { return h[i].nextUse > h[j].nextUse }
-func (h optHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i]; h[i].pos = i; h[j].pos = j }
-func (h *optHeap) Push(x any)        { it := x.(*optItem); it.pos = len(*h); *h = append(*h, it) }
-func (h *optHeap) Pop() (out any) {
-	old := *h
-	n := len(old)
-	out = old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return
-}
-
 // OPT computes Belady's optimal fault count for the trace at the given
 // mapping capacity and page size (accesses collapse to size-aligned
 // mapping bases, matching how the simulator manages residency).
@@ -86,24 +62,21 @@ func OPT(t *Trace, capacity int, size sim.PageSize) (OPTResult, error) {
 		lastSeen[refs[i]] = i
 	}
 
-	resident := make(map[sim.PageID]*optItem, capacity)
-	var h optHeap
+	// The resident mappings, keyed by minus their next use: the minimum
+	// is used farthest in the future. Next uses are distinct reference
+	// indices, so keys tie only among mappings never referenced again,
+	// and which of those goes first cannot change the fault count.
+	resident := dense.NewHeap(min(capacity, len(lastSeen)), 0)
 	var faults uint64
 	for i, base := range refs {
-		if it, ok := resident[base]; ok {
-			// Hit: refresh the next-use key.
-			it.nextUse = next[i]
-			heap.Fix(&h, it.pos)
-			continue
+		if resident.Update(base, -float64(next[i])) {
+			continue // hit: the next-use key is refreshed
 		}
 		faults++
-		if len(resident) >= capacity {
-			victim := heap.Pop(&h).(*optItem)
-			delete(resident, victim.base)
+		if resident.Len() >= capacity {
+			resident.PopMin()
 		}
-		it := &optItem{base: base, nextUse: next[i]}
-		resident[base] = it
-		heap.Push(&h, it)
+		resident.Push(base, -float64(next[i]))
 	}
 	return OPTResult{
 		Capacity: capacity,

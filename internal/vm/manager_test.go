@@ -360,7 +360,7 @@ func TestRegularPTEvictionCostsBroadcast(t *testing.T) {
 	reg := scenario(RegularPT)
 	ps := scenario(PSPTKind)
 	cost := sim.DefaultCostModel()
-	minGap := cost.ShootdownInitiatorCost(3) / 2
+	minGap := (cost.IPISend + 3*cost.IPIPerTarget) / 2 // half the initiator's loop over 3 targets
 	if reg < ps+minGap {
 		t.Errorf("regular PT eviction finish %d must exceed PSPT %d by ≥%d (broadcast IPI loop)",
 			reg, ps, minGap)

@@ -3,6 +3,7 @@ package vm
 import (
 	"fmt"
 
+	"cmcp/internal/dense"
 	"cmcp/internal/mem"
 	"cmcp/internal/policy"
 	"cmcp/internal/sim"
@@ -33,7 +34,7 @@ type tenantState struct {
 	fobs  []FaultObserver // per-tenant fault observers; nil entries allowed
 	cmap  *mem.CoreMap
 	ts    *stats.TenantSet
-	heap  tenantHeap
+	heap  dense.Heap // tenant ID -> −frames held; see victimTenant
 
 	// nextTick is the earliest policy.Deadline over the tenants (0 for a
 	// policy without one); the scanner lane skips the tenant loop until
@@ -69,7 +70,7 @@ func newTenantState(m *Manager, tc TenantConfig, factory PolicyFactory) (*tenant
 			s.fobs[t] = o
 		}
 	}
-	s.heap.init(tc.Count)
+	s.heap = newTenantHeap(tc.Count)
 	return s, nil
 }
 
@@ -128,111 +129,40 @@ func (s *tenantState) pteSetup(base sim.PageID) {
 // frame count in the arbiter's heap.
 func (s *tenantState) claim(f sim.FrameID, span, t int) {
 	s.cmap.Claim(f, span, t)
-	s.heap.update(t, s.cmap.Used(t))
+	s.heap.Update(sim.PageID(t), -float64(s.cmap.Used(t)))
 }
 
 // release clears ownership of span frames at f, updates the previous
 // owner's frame count in the arbiter's heap and returns that owner.
 func (s *tenantState) release(f sim.FrameID, span int) int {
 	t := s.cmap.Release(f, span)
-	s.heap.update(t, s.cmap.Used(t))
+	s.heap.Update(sim.PageID(t), -float64(s.cmap.Used(t)))
 	return t
+}
+
+// newTenantHeap returns the arbiter's heap for n tenants, none holding
+// a frame. Each tenant's key is minus the frames it holds, so the
+// heap's minimum is the tenant holding the most; tenants are pushed in
+// ID order, so the heap's push-order tie-break is "lowest ID wins".
+// Selection is O(log tenants) per eviction — the difference between a
+// 10,000-tenant run finishing in seconds and in minutes.
+func newTenantHeap(n int) dense.Heap {
+	h := dense.NewHeap(n, n)
+	for t := range n {
+		h.Push(sim.PageID(t), 0)
+	}
+	return h
 }
 
 // victimTenant returns the tenant the arbiter charges the next eviction
 // to — the one holding the most frames, the lowest tenant ID on ties —
 // or -1 when no tenant holds any frame.
 func (s *tenantState) victimTenant() int {
-	t := s.heap.top()
-	if s.cmap.Used(t) == 0 {
+	top, _, _ := s.heap.Min()
+	if s.cmap.Used(int(top)) == 0 {
 		return -1
 	}
-	return t
-}
-
-// tenantHeap is a positioned binary max-heap over the frames each
-// tenant holds, with a deterministic tie-break (lower tenant ID wins),
-// so victim-tenant selection is O(log tenants) per eviction — the
-// difference between a 10,000-tenant run finishing in seconds and in
-// minutes — and identical across runs and engines.
-type tenantHeap struct {
-	score []int   // frames held per tenant
-	order []int32 // heap array of tenant IDs
-	pos   []int32 // tenant ID → index in order
-}
-
-// init sizes the heap for n tenants, each holding no frame.
-func (h *tenantHeap) init(n int) {
-	h.score = make([]int, n)
-	h.order = make([]int32, n)
-	h.pos = make([]int32, n)
-	for i := 0; i < n; i++ {
-		h.order[i] = int32(i)
-		h.pos[i] = int32(i)
-	}
-}
-
-// top returns the tenant holding the most frames (lowest ID on ties).
-func (h *tenantHeap) top() int { return int(h.order[0]) }
-
-// update sets tenant t's frame count and restores the heap property.
-func (h *tenantHeap) update(t, score int) {
-	if h.score[t] == score {
-		return
-	}
-	h.score[t] = score
-	i := int(h.pos[t])
-	if !h.up(i) {
-		h.down(i)
-	}
-}
-
-// better reports whether tenant a outranks tenant b.
-func (h *tenantHeap) better(a, b int32) bool {
-	sa, sb := h.score[a], h.score[b]
-	if sa != sb {
-		return sa > sb
-	}
-	return a < b
-}
-
-func (h *tenantHeap) swap(i, j int) {
-	h.order[i], h.order[j] = h.order[j], h.order[i]
-	h.pos[h.order[i]] = int32(i)
-	h.pos[h.order[j]] = int32(j)
-}
-
-func (h *tenantHeap) up(i int) bool {
-	moved := false
-	for i > 0 {
-		p := (i - 1) / 2
-		if !h.better(h.order[i], h.order[p]) {
-			break
-		}
-		h.swap(i, p)
-		i = p
-		moved = true
-	}
-	return moved
-}
-
-func (h *tenantHeap) down(i int) {
-	n := len(h.order)
-	for {
-		l := 2*i + 1
-		if l >= n {
-			return
-		}
-		best := l
-		if r := l + 1; r < n && h.better(h.order[r], h.order[l]) {
-			best = r
-		}
-		if !h.better(h.order[best], h.order[i]) {
-			return
-		}
-		h.swap(i, best)
-		i = best
-	}
+	return int(top)
 }
 
 // allocFramesTenant is allocFrames under multi-tenancy: each

@@ -11,9 +11,7 @@ import (
 // newArbiter returns the slice of a tenantState that victim-tenant
 // arbitration reads: the ownership table and the heap of frames held.
 func newArbiter(frames, tenants int) *tenantState {
-	s := &tenantState{cmap: mem.NewCoreMap(frames, tenants)}
-	s.heap.init(tenants)
-	return s
+	return &tenantState{cmap: mem.NewCoreMap(frames, tenants), heap: newTenantHeap(tenants)}
 }
 
 // linearVictim is the arbitration rule written as a scan: the tenant
@@ -99,9 +97,12 @@ func TestVictimTenantRule(t *testing.T) {
 			want := linearVictim(s.cmap)
 			// With no frame held every tenant ties at zero, so the heap's
 			// top is tenant 0.
-			if top := s.heap.top(); top != max(want, 0) {
+			if top, _, _ := s.heap.Min(); int(top) != max(want, 0) {
 				t.Fatalf("%d frames, %d tenants, op %d: heap top is tenant %d, linear scan %d",
 					shape.frames, shape.tenants, op, top, want)
+			}
+			if err := s.heap.CheckInvariants(); err != nil {
+				t.Fatalf("%d frames, %d tenants, op %d: %v", shape.frames, shape.tenants, op, err)
 			}
 			if got := s.victimTenant(); got != want {
 				t.Fatalf("%d frames, %d tenants, op %d: victim tenant %d, linear scan %d",
